@@ -1,7 +1,7 @@
-// E-ARENA: the allocation-free Pareto-DP core against the retained
-// pre-arena reference engine (core/pareto_dp.hpp).
+// E-ARENA: the allocation-free Pareto-DP core against the pre-arena
+// reference engine (the oracle in tests/pareto_reference.hpp).
 //
-// Three claims, all enforced (exit 1 on violation):
+// Four claims, all enforced (exit 1 on violation):
 //   1. Correctness: the arena engine returns byte-identical optima to the
 //      reference -- same objective bits, same cut node ids -- and
 //      byte-identical SolveReports at every dp_threads setting (wall clock
@@ -14,18 +14,14 @@
 //   3. Scaling: dp_threads = 4 is >= 1.5x faster than dp_threads = 1 in
 //      aggregate -- enforced only when the hardware has >= 4 threads
 //      (reported as skipped otherwise; byte-identity is asserted anyway).
-//   4. Kernel: the branch-free SIMD Minkowski merge (kernel=simd, the
-//      default) is >= 1.3x geomean faster than kernel=scalar at
-//      dp_threads = 1 on the frontier-dominated full-mode cases, with
-//      byte-identical reports (gate enforced in full mode; smoke sizes are
-//      merge-overhead-dominated and only report the ratio, which ci.sh
-//      gates against the committed smoke baseline via bench_diff).
-//   5. Pooling: a warm ResolveSession serves every drift re-solve from its
-//      prewarmed ArenaPool scratch -- zero fresh allocations across the
-//      stream, and the scratch's capacity growth flattens to zero once it
-//      has seen the working set (allocation churn, not correctness:
-//      optima stay byte-identical to cold solves and to a kernel=scalar
-//      twin session either way).
+//   4. Kernel: the branch-free SIMD Minkowski merge the engine runs is
+//      >= 1.3x geomean faster than the scalar oracle merge on the
+//      frontier-dominated full-mode cases, timed on each case's
+//      cross-region folds (every colour's region frontiers folded left to
+//      right, the chain that dominates a solve) with byte-identical folded
+//      frontiers (gate enforced in full mode; smoke sizes only report the
+//      ratio, which ci.sh gates against the committed smoke baseline via
+//      bench_diff).
 //
 // --json <path> mirrors every number into BENCH_pareto_arena.json (the
 // first point of the repo's perf trajectory; bench/baselines/ holds the
@@ -38,10 +34,10 @@
 #include <thread>
 #include <vector>
 
+#include "../tests/pareto_reference.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "core/incremental.hpp"
-#include "core/pareto_dp.hpp"
+#include "core/pareto_kernel.hpp"
 #include "io/json.hpp"
 #include "io/table.hpp"
 #include "platform/simd.hpp"
@@ -56,6 +52,58 @@ struct Case {
   std::size_t satellites;
   std::uint64_t seed;
 };
+
+/// One colour's region frontiers as structure-of-arrays inputs.
+struct FoldInput {
+  std::vector<std::vector<double>> load;
+  std::vector<std::vector<double>> host;
+};
+
+std::vector<FoldInput> fold_inputs(const Colouring& colouring) {
+  std::vector<FoldInput> out;
+  for (std::size_t c = 0; c < colouring.tree().satellite_count(); ++c) {
+    FoldInput in;
+    for (const CruId r : colouring.regions_of(SatelliteId{c})) {
+      in.load.emplace_back();
+      in.host.emplace_back();
+      for (const ParetoPoint& p : region_frontier(colouring, r, std::size_t{1} << 20)) {
+        in.load.back().push_back(p.load);
+        in.host.back().push_back(p.host);
+      }
+    }
+    if (!in.load.empty()) out.push_back(std::move(in));
+  }
+  return out;
+}
+
+/// Folds every colour's region frontiers left to right through `kernel`;
+/// returns the folded (load, host) values, concatenated in colour order.
+template <typename Kernel>
+std::vector<double> fold_all(Kernel kernel, const std::vector<FoldInput>& inputs) {
+  std::vector<double> folded;
+  pareto_internal::MergeCounters counters;
+  for (const FoldInput& in : inputs) {
+    std::vector<double> load = in.load[0];
+    std::vector<double> host = in.host[0];
+    std::vector<double> next_load;
+    std::vector<double> next_host;
+    for (std::size_t k = 1; k < in.load.size(); ++k) {
+      next_load.clear();
+      next_host.clear();
+      kernel(load.data(), host.data(), load.size(), in.load[k].data(), in.host[k].data(),
+             in.load[k].size(), std::size_t{1} << 20, counters,
+             [&](std::uint32_t, std::uint32_t, double l, double h) {
+               next_load.push_back(l);
+               next_host.push_back(h);
+             });
+      load.swap(next_load);
+      host.swap(next_host);
+    }
+    folded.insert(folded.end(), load.begin(), load.end());
+    folded.insert(folded.end(), host.begin(), host.end());
+  }
+  return folded;
+}
 
 std::string report_json_without_wall(const Colouring& colouring, const ParetoDpResult& r) {
   SolveReport report{Assignment(colouring, r.assignment.cut_nodes()),
@@ -88,8 +136,8 @@ int run(bool smoke) {
   }
   const int reps = smoke ? 3 : 5;
 
-  Table t({"instance", "nodes", "regions", "ref ms", "scalar ms", "arena ms",
-           "speedup", "kernel x", "t4 ms", "t4 speedup", "peak frontier", "prune %"});
+  Table t({"instance", "nodes", "regions", "ref ms", "arena ms", "speedup", "scalar fold ms",
+           "simd fold ms", "kernel x", "t4 ms", "t4 speedup", "peak frontier", "prune %"});
 
   double ref_total = 0.0;
   double arena_total = 0.0;
@@ -106,26 +154,24 @@ int run(bool smoke) {
     const CruTree tree = random_tree(rng, gen);
     const Colouring colouring(tree);
 
-    ParetoDpOptions reference_opts;
-    reference_opts.arena = false;
-    ParetoDpOptions arena_opts;  // dp_threads = 1, kernel = simd (default)
-    ParetoDpOptions scalar_opts;
-    scalar_opts.kernel = MinkowskiKernel::kScalar;
+    ParetoDpOptions arena_opts;  // dp_threads = 1
     ParetoDpOptions threaded_opts;
     threaded_opts.dp_threads = 4;
+    const std::vector<FoldInput> folds = fold_inputs(colouring);
 
-    const double ref_s = bench::time_run(
-        [&] { static_cast<void>(pareto_dp_solve(colouring, reference_opts)); }, reps);
-    const double scalar_s = bench::time_run(
-        [&] { static_cast<void>(pareto_dp_solve(colouring, scalar_opts)); }, reps);
+    const double ref_s =
+        bench::time_run([&] { static_cast<void>(reference::solve(colouring)); }, reps);
     const double arena_s = bench::time_run(
         [&] { static_cast<void>(pareto_dp_solve(colouring, arena_opts)); }, reps);
     const double t4_s = bench::time_run(
         [&] { static_cast<void>(pareto_dp_solve(colouring, threaded_opts)); }, reps);
+    const double scalar_fold_s = bench::time_run(
+        [&] { static_cast<void>(fold_all(reference::ScalarKernel{}, folds)); }, reps);
+    const double simd_fold_s = bench::time_run(
+        [&] { static_cast<void>(fold_all(reference::SimdKernel{}, folds)); }, reps);
 
-    const ParetoDpResult reference = pareto_dp_solve(colouring, reference_opts);
+    const ParetoDpResult reference = reference::solve(colouring);
     const ParetoDpResult arena = pareto_dp_solve(colouring, arena_opts);
-    const ParetoDpResult scalar = pareto_dp_solve(colouring, scalar_opts);
     const ParetoDpResult threaded = pareto_dp_solve(colouring, threaded_opts);
 
     if (arena.objective != reference.objective ||
@@ -140,31 +186,31 @@ int run(bool smoke) {
                 << ": dp_threads=4 report differs from dp_threads=1\n";
       identical = false;
     }
-    if (report_json_without_wall(colouring, arena) !=
-        report_json_without_wall(colouring, scalar)) {
+    if (fold_all(reference::SimdKernel{}, folds) != fold_all(reference::ScalarKernel{}, folds)) {
       std::cerr << "IDENTITY FAILURE: " << c.label
-                << ": kernel=simd report differs from kernel=scalar\n";
+                << ": simd folds differ from the scalar oracle's\n";
       identical = false;
     }
 
     ref_total += ref_s;
     arena_total += arena_s;
     t4_total += t4_s;
-    const double kernel_x = scalar_s / arena_s;
+    const double kernel_x = scalar_fold_s / simd_fold_s;
     kernel_log_sum += std::log(kernel_x);
 
     const std::size_t regions = colouring.region_roots().size();
     const double prune = 100.0 * arena.stats.prune_ratio();
-    t.add(c.label, tree.size(), regions, ref_s * 1e3, scalar_s * 1e3, arena_s * 1e3,
-          ref_s / arena_s, kernel_x, t4_s * 1e3, arena_s / t4_s,
+    t.add(c.label, tree.size(), regions, ref_s * 1e3, arena_s * 1e3, ref_s / arena_s,
+          scalar_fold_s * 1e3, simd_fold_s * 1e3, kernel_x, t4_s * 1e3, arena_s / t4_s,
           arena.stats.peak_frontier, prune);
     bench::json().add_row(
         c.label,
         {{"nodes", static_cast<double>(tree.size())},
          {"regions", static_cast<double>(regions)},
          {"ref_ms", ref_s * 1e3},
-         {"scalar_ms", scalar_s * 1e3},
          {"arena_ms", arena_s * 1e3},
+         {"scalar_fold_ms", scalar_fold_s * 1e3},
+         {"simd_fold_ms", simd_fold_s * 1e3},
          {"speedup_vs_reference", ref_s / arena_s},
          {"kernel_speedup", kernel_x},
          {"threads4_ms", t4_s * 1e3},
@@ -210,80 +256,6 @@ int run(bool smoke) {
                 " hardware thread(s); byte-identity still asserted");
     bench::json().set("scaling_gate", std::string("skipped: <4 hardware threads"));
   }
-  // Pool section: a warm ResolveSession over a drift stream. The claim is
-  // allocation churn, not speed: every warm DP re-solve leases the pool's
-  // prewarmed scratch (zero fresh allocations across the stream) and the
-  // scratch stops growing once it has seen the instance's working set. A
-  // kernel=scalar twin session replays the same stream and must land on
-  // bit-identical optima at every step (the warm-path half of the kernel
-  // identity claim above).
-  {
-    Rng rng(99);
-    TreeGenOptions gen;
-    gen.compute_nodes = smoke ? 200 : 400;
-    gen.satellites = 8;
-    gen.policy = SensorPolicy::kClustered;
-    const CruTree base = random_tree(rng, gen);
-    const int steps = smoke ? 8 : 16;
-
-    ParetoDpOptions scalar_opts;
-    scalar_opts.kernel = MinkowskiKernel::kScalar;
-    ResolveSession session(base, SolvePlan::pareto_dp());
-    ResolveSession scalar_twin(base, SolvePlan::pareto_dp(scalar_opts));
-
-    std::size_t reuses = session.last_stats().pool_reuses;
-    std::size_t allocs = session.last_stats().pool_allocs;
-    std::size_t served = session.last_stats().pool_served_bytes;
-    std::size_t grown = session.last_stats().pool_grown_bytes;
-    std::size_t grown_tail = 0;
-    std::size_t warm_steps = 0;
-    for (int step = 0; step < steps; ++step) {
-      const Perturbation drift = Perturbation::satellite_drift(
-          SatelliteId{static_cast<std::size_t>(step) % gen.satellites}, 1.02, 0.99, 1.01);
-      session.resolve(drift);
-      scalar_twin.resolve(drift);
-      const ResolveStats& stats = session.last_stats();
-      warm_steps += stats.path == ResolvePath::kWarm ? 1 : 0;
-      reuses += stats.pool_reuses;
-      allocs += stats.pool_allocs;
-      served += stats.pool_served_bytes;
-      grown += stats.pool_grown_bytes;
-      if (step >= steps / 2) grown_tail += stats.pool_grown_bytes;
-      if (session.current().objective_value != scalar_twin.current().objective_value ||
-          session.current().assignment.cut_nodes() !=
-              scalar_twin.current().assignment.cut_nodes()) {
-        std::cerr << "IDENTITY FAILURE: warm step " << step
-                  << ": kernel=simd optimum differs from kernel=scalar\n";
-        ok = false;
-      }
-    }
-
-    const double reuse_ratio =
-        static_cast<double>(reuses) / static_cast<double>(reuses + allocs);
-    bench::note("pool: " + std::to_string(warm_steps) + "/" + std::to_string(steps) +
-                " warm steps, " + std::to_string(reuses) + " scratch reuses, " +
-                std::to_string(allocs) + " fresh allocs");
-    bench::note("pool: " + std::to_string(served) + " bytes served from pooled scratch, " +
-                std::to_string(grown) + " grown (tail half: " +
-                std::to_string(grown_tail) + ")");
-    bench::json().set("pool_steps", static_cast<double>(steps));
-    bench::json().set("pool_warm_steps", static_cast<double>(warm_steps));
-    bench::json().set("pool_reuse_ratio", reuse_ratio);
-    bench::json().set("pool_served_bytes", static_cast<double>(served));
-    bench::json().set("pool_grown_bytes", static_cast<double>(grown));
-    bench::json().set("pool_grown_bytes_tail", static_cast<double>(grown_tail));
-    if (allocs != 0) {
-      std::cerr << "FAILED: " << allocs
-                << " fresh scratch allocations on the warm stream (pool must serve all)\n";
-      ok = false;
-    }
-    if (warm_steps != static_cast<std::size_t>(steps)) {
-      std::cerr << "FAILED: only " << warm_steps << "/" << steps
-                << " drift steps took the warm path\n";
-      ok = false;
-    }
-  }
-
   if (ok) bench::note("all gates passed");
   if (!bench::json().write()) ok = false;
   return ok ? 0 : 1;

@@ -13,9 +13,12 @@
 # tests/golden/service_metrics.prom, and the chrome trace export is
 # sanity-checked. This is followed by a ThreadSanitizer build of the suites that exercise the batch
 # executor and the service (-fsanitize=thread via TREESAT_TSAN), so the
-# worker pool is race-checked on every run, and a UBSan build
+# worker pool is race-checked on every run, a UBSan build
 # (-fsanitize=undefined via TREESAT_UBSAN, recovery off) of the Pareto
-# merge-kernel and scheduler suites. Setting TREESAT_COV=1 adds a coverage stage: the test
+# merge-kernel and scheduler suites, and an AddressSanitizer build of every
+# suite (-fsanitize=address through the compiler and linker flags, so a
+# decoder that allocates from a hostile count or reads past a buffer fails
+# the run). Setting TREESAT_COV=1 adds a coverage stage: the test
 # suites rebuilt with --coverage and a per-file line-coverage summary over
 # src/ (gcovr when installed, plain gcov otherwise), so the serialization /
 # simulator / IO / incremental test walls stay measurable. Setting
@@ -25,12 +28,14 @@
 # committed baselines in bench/baselines/ (>25% regression fails the run).
 #
 #   ./ci.sh [build-dir]   # default build dir: build-ci
-#                         # (TSan: <build-dir>-tsan, coverage: <build-dir>-cov)
+#                         # (TSan: <build-dir>-tsan, ASan: <build-dir>-asan,
+#                         #  coverage: <build-dir>-cov)
 set -eu
 
 BUILD_DIR="${1:-build-ci}"
 TSAN_DIR="${BUILD_DIR}-tsan"
 UBSAN_DIR="${BUILD_DIR}-ubsan"
+ASAN_DIR="${BUILD_DIR}-asan"
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
@@ -179,6 +184,19 @@ cmake --build "$UBSAN_DIR" -j "$JOBS" \
 (cd "$UBSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
   -R 'pareto_dp_test|pareto_merge_reference_test|pareto_simd_kernel_test|worklist_test|incremental_resolve_test')
 
+# ASan stage: every suite under AddressSanitizer (benches/examples skipped
+# for speed). The flags go through CMAKE_CXX_FLAGS/CMAKE_EXE_LINKER_FLAGS,
+# as the coverage stage's do, so no CMake option exists for it. Warnings
+# stay gated by the first build: GCC 12's -Wmaybe-uninitialized misfires on
+# ASan-instrumented std::optional/std::variant copies, so -Werror is off
+# here.
+cmake -B "$ASAN_DIR" -S . -DTREESAT_WERROR=OFF \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address" \
+  -DTREESAT_BUILD_BENCHES=OFF -DTREESAT_BUILD_EXAMPLES=OFF
+cmake --build "$ASAN_DIR" -j "$JOBS"
+(cd "$ASAN_DIR" && ctest --output-on-failure -j "$JOBS")
+
 # AVX2 leg (opt-in by hardware: only when the CI host advertises avx2).
 # -DTREESAT_AVX2=ON compiles the wide dominance kernel and defines
 # TREESAT_EXPECT_AVX2, which turns platform_test's active_isa check into a
@@ -220,13 +238,9 @@ if [ -n "${TREESAT_BENCH:-}" ]; then
   "$BUILD_DIR/bench_diff" bench/baselines/BENCH_pareto_arena.smoke.json \
     "$BENCH_JSON_DIR/BENCH_pareto_arena.json" --keys speedup_vs_reference --tolerance 0.25
   # Kernel gate: the simd-over-scalar geomean is a same-machine ratio (the
-  # full-mode bench additionally hard-gates >= 1.3x in-binary); the pool
-  # reuse ratio is deterministic (every warm DP solve leases the prewarmed
-  # scratch), so its tolerance is tight.
+  # full-mode bench additionally hard-gates >= 1.3x in-binary).
   "$BUILD_DIR/bench_diff" bench/baselines/BENCH_pareto_arena.smoke.json \
     "$BENCH_JSON_DIR/BENCH_pareto_arena.json" --keys kernel_speedup_geomean --tolerance 0.25
-  "$BUILD_DIR/bench_diff" bench/baselines/BENCH_pareto_arena.smoke.json \
-    "$BENCH_JSON_DIR/BENCH_pareto_arena.json" --keys pool_reuse_ratio --tolerance 0.01
   # Incremental re-solving: the aggregate warm-vs-cold ratio (per-row
   # sub-millisecond streams are archived but too noisy to gate).
   "$BUILD_DIR/bench_diff" bench/baselines/BENCH_incremental.json \

@@ -10,6 +10,7 @@
 
 #include "common/stopwatch.hpp"
 #include "core/coloured_ssb.hpp"
+#include "core/pareto_kernel.hpp"
 #include "core/registry.hpp"
 #include "obs/trace.hpp"
 #include "heuristics/branch_bound.hpp"
@@ -150,10 +151,9 @@ CruTree apply_insert(const CruTree& tree, const SubtreeInsert& ins) {
   return builder.build();
 }
 
-/// The subtree of `root` in preorder, children left to right -- the
-/// canonical node enumeration region caches are keyed and rebound by.
-std::vector<CruId> region_nodes(const CruTree& tree, CruId root) {
-  std::vector<CruId> out;
+/// Appends the subtree of `root` in preorder, children left to right --
+/// the canonical node enumeration region caches are keyed and rebound by.
+void append_region_nodes(const CruTree& tree, CruId root, std::vector<CruId>& out) {
   std::vector<CruId> stack{root};
   while (!stack.empty()) {
     const CruId v = stack.back();
@@ -162,7 +162,6 @@ std::vector<CruId> region_nodes(const CruTree& tree, CruId root) {
     const std::vector<CruId>& ch = tree.node(v).children;
     for (auto it = ch.rbegin(); it != ch.rend(); ++it) stack.push_back(*it);
   }
-  return out;
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -237,53 +236,6 @@ const char* resolve_path_name(ResolvePath path) {
   return "unknown";
 }
 
-// ---------------------------------------------------------------------------
-// ArenaPool.
-
-ArenaPool::ArenaPool() {
-  // Retain one scratch up front: the pool's steady state (every solve a
-  // reuse) then holds from the very first lease, and the per-step reuse
-  // counters are identical for fresh and restored sessions.
-  owned_.push_back(std::make_unique<ParetoScratch>());
-  free_.push_back(owned_.back().get());
-}
-
-ArenaPool::Lease::~Lease() {
-  if (pool_ != nullptr) pool_->release(scratch_);
-}
-
-ArenaPool::Lease ArenaPool::acquire() {
-  if (!free_.empty()) {
-    ParetoScratch* scratch = free_.back();
-    free_.pop_back();
-    ++reuses_;
-    return Lease(this, scratch);
-  }
-  owned_.push_back(std::make_unique<ParetoScratch>());
-  ++allocs_;
-  return Lease(this, owned_.back().get());
-}
-
-void ArenaPool::release(ParetoScratch* scratch) { free_.push_back(scratch); }
-
-std::size_t ArenaPool::served_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& scratch : owned_) bytes += scratch->served_bytes();
-  return bytes;
-}
-
-std::size_t ArenaPool::grown_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& scratch : owned_) bytes += scratch->grown_bytes();
-  return bytes;
-}
-
-std::size_t ArenaPool::retained_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& scratch : owned_) bytes += scratch->retained_bytes();
-  return bytes;
-}
-
 ResolveSession::ResolveSession(CruTree tree, SolvePlan plan)
     : plan_(std::move(plan)),
       tree_(std::make_unique<CruTree>(std::move(tree))),
@@ -328,18 +280,6 @@ void ResolveSession::solve_current(const Perturbation* p) {
   std::unique_ptr<SolveReport> report;
   switch (resolved.method()) {
     case SolveMethod::kParetoDp: {
-      if (!resolved.options_as<ParetoDpOptions>().arena) {
-        // The plan opted into the pre-arena reference engine; the warm path
-        // runs the arena merge kernels, so reusing it here would not be the
-        // byte-identical cold solve the session documents (the two engines
-        // differ on resource caps and exact-tie cut choices). Cold-solve
-        // through the facade instead.
-        if (p != nullptr) {
-          fresh.cold_reason = "arena=false: the reference engine has no warm path";
-        }
-        report = std::make_unique<SolveReport>(solve(*colouring_, resolved));
-        break;
-      }
       report = std::make_unique<SolveReport>(solve_warm_dp(resolved, fresh));
       if (p != nullptr) {
         if (fresh.regions_reused > 0) {
@@ -418,22 +358,22 @@ void ResolveSession::solve_current(const Perturbation* p) {
 
 namespace {
 
-/// Exact content encoding of one region subtree: region-relative structure
-/// plus the bit patterns of every cost (the words are independent of where
-/// the region sits in a concatenation, so identical regions encode
-/// identically everywhere). Also records each node's *offset-shifted*
-/// position in `position` (absolute id -> canonical position), which is how
-/// cached cuts are relativized. A key match guarantees the frontier
+/// Exact content encoding of one region subtree (`nodes`, its canonical
+/// enumeration, starting at canonical position `offset` of its colour):
+/// region-relative structure plus the bit patterns of every cost (the words
+/// are independent of where the region sits in a concatenation, so
+/// identical regions encode identically everywhere). Also records each
+/// node's canonical position in `position` (node id -> position), which is
+/// how cached cuts are relativized. A key match guarantees the frontier
 /// machinery would recompute bit-identical values -- reuse can never change
 /// the result.
-void encode_region(const CruTree& tree, const std::vector<CruId>& nodes, std::size_t offset,
-                   std::vector<std::uint64_t>& words,
-                   std::unordered_map<std::uint32_t, std::uint64_t>& position) {
+void encode_region(const CruTree& tree, std::span<const CruId> nodes, std::size_t offset,
+                   std::vector<std::uint64_t>& words, std::vector<std::uint32_t>& position) {
   for (std::size_t pos = 0; pos < nodes.size(); ++pos) {
     const CruNode& nd = tree.node(nodes[pos]);
-    position.emplace(nodes[pos].value(), offset + pos);
+    position[nodes[pos].index()] = static_cast<std::uint32_t>(offset + pos);
     const std::uint64_t parent_pos =
-        pos == 0 ? ~std::uint64_t{0} : position.at(nd.parent.value()) - offset;
+        pos == 0 ? ~std::uint64_t{0} : position[nd.parent.index()] - offset;
     words.push_back(parent_pos);
     words.push_back(nd.is_sensor() ? 1 : 0);
     words.push_back(bits(nd.host_time));
@@ -450,6 +390,15 @@ std::size_t fnv1a(const std::vector<std::uint64_t>& words) {
   return static_cast<std::size_t>(h);
 }
 
+/// The fold pipeline every warm session solve on this thread runs in. One
+/// retained pipeline per thread rather than one per session: a session's
+/// solve holds every colour's fold chain until its sweep, and retaining
+/// that per session would multiply it by the resident session count.
+pareto_internal::ColourPipeline& thread_pipeline() {
+  thread_local pareto_internal::ColourPipeline pipeline;
+  return pipeline;
+}
+
 }  // namespace
 
 SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStats& fresh) {
@@ -457,22 +406,38 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
   const auto& options = resolved.options_as<ParetoDpOptions>();
   const std::size_t colours = tree_->satellite_count();
 
-  // Frontier scratch comes from the session pool: retained arenas, span
-  // tables and staging buffers are reused across steps (result-identical
-  // to scratch-free solves; only allocator traffic changes). The per-step
-  // pool telemetry is the delta over this solve.
-  const std::size_t reuses_before = pool_.reuses();
-  const std::size_t allocs_before = pool_.allocs();
-  const std::size_t served_before = pool_.served_bytes();
-  const std::size_t grown_before = pool_.grown_bytes();
-  const ArenaPool::Lease lease = pool_.acquire();
-  ParetoScratch* scratch = lease.get();
+  pareto_internal::ColourPipeline& pipe = thread_pipeline();
+  pipe.reset();
+  // Each colour's canonical enumeration: its regions' preorders in
+  // regions_of order. Imported points rebind their cached positions through
+  // these, at the reconstruction after the sweep, so they live for the
+  // whole solve.
+  std::vector<std::vector<CruId>> colour_nodes(colours);
+  std::vector<std::uint32_t> position(tree_->size());
+  std::vector<CruId> cut;
 
-  std::vector<std::vector<ParetoPoint>> per_colour(colours);
+  // Writes out the cuts of a freshly built span for a cache entry, as
+  // canonical positions relative to `offset`. Exact capacities throughout:
+  // cached_bytes() accounts capacities, which an import must reproduce.
+  const auto cache_form = [&](pareto_internal::Span span, std::uint32_t offset) {
+    std::vector<ParetoPoint> frontier(span.size());
+    for (std::uint32_t p = span.begin; p < span.end; ++p) {
+      cut.clear();
+      pipe.reconstruct(p, cut);
+      for (CruId& v : cut) v = CruId{position[v.index()] - offset};
+      ParetoPoint& point = frontier[p - span.begin];
+      point.load = pipe.arena.load[p];
+      point.host = pipe.arena.host[p];
+      point.cut.assign(cut.begin(), cut.end());
+    }
+    return frontier;
+  };
+
+  std::vector<pareto_internal::ColourFrontier> merged(colours);
   for (std::size_t c = 0; c < colours; ++c) {
     const std::vector<CruId> regions = colouring_->regions_of(SatelliteId{c});
     if (regions.empty()) {
-      per_colour[c] = {ParetoPoint{}};  // neutral: nothing to place, as cold
+      merged[c] = {&pipe, pipe.neutral()};  // nothing to place, as cold
       continue;
     }
     ++fresh.colours_total;
@@ -484,51 +449,43 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
     colour_span.attr("colour", static_cast<std::uint64_t>(c));
     colour_span.attr("regions", static_cast<std::uint64_t>(regions.size()));
 
-    // Canonical enumeration of the colour's content: each region's preorder
-    // in regions_of order. The colour key is the regions' keys in sequence,
-    // every region prefixed by its size so distinct region splits cannot
-    // encode identically; the per-region keys double as the region-cache
-    // keys (their words are offset-independent).
-    std::vector<std::vector<CruId>> region_node_lists;
-    std::vector<std::size_t> region_offsets;
+    // The colour key is the regions' keys in sequence, every region
+    // prefixed by its size so distinct region splits cannot encode
+    // identically; the per-region keys double as the region-cache keys
+    // (their words are offset-independent).
+    std::vector<CruId>& concat = colour_nodes[c];
+    std::vector<std::uint32_t> region_offsets;
     std::vector<ContentKey> region_keys;
-    std::vector<CruId> concat;
-    std::unordered_map<std::uint32_t, std::uint64_t> position;
     ContentKey colour_key;
     for (const CruId r : regions) {
-      std::vector<CruId> nodes = region_nodes(*tree_, r);
+      const std::size_t offset = concat.size();
+      append_region_nodes(*tree_, r, concat);
+      const std::span<const CruId> nodes(concat.data() + offset, concat.size() - offset);
       ContentKey region_key;
-      encode_region(*tree_, nodes, concat.size(), region_key.words, position);
+      encode_region(*tree_, nodes, offset, region_key.words, position);
       region_key.hash = fnv1a(region_key.words);
       colour_key.words.push_back(nodes.size());
       colour_key.words.insert(colour_key.words.end(), region_key.words.begin(),
                               region_key.words.end());
-      region_offsets.push_back(concat.size());
+      region_offsets.push_back(static_cast<std::uint32_t>(offset));
       region_keys.push_back(std::move(region_key));
-      concat.insert(concat.end(), nodes.begin(), nodes.end());
-      region_node_lists.push_back(std::move(nodes));
     }
     colour_key.hash = fnv1a(colour_key.words);
 
     const auto colour_hit = colour_cache_.find(colour_key);
     if (colour_hit != colour_cache_.end()) {
-      // The whole merged frontier is served from cache: skip every region
-      // frontier and the Minkowski chain. Rebind canonical positions to
-      // this tree's ids, and keep the colour's region entries warm too -- a
-      // later localized change (e.g. a probe insertion) falls back to them,
-      // so a colour hit must not let aging evict what it still depends on.
-      // Only an entry from an *earlier* step counts as reuse; hitting an
-      // entry cached seconds ago in this same step (two content-identical
-      // colours) is deduplicated fresh work, not state that survived the
-      // perturbation.
+      // The whole merged frontier is served from cache: no region frontier
+      // and no Minkowski chain, just the cached points imported as leaves.
+      // Keep the colour's region entries warm too -- a later localized
+      // change (e.g. a probe insertion) falls back to them, so a colour hit
+      // must not let aging evict what it still depends on. Only an entry
+      // from an *earlier* step counts as reuse; hitting an entry cached
+      // seconds ago in this same step (two content-identical colours) is
+      // deduplicated fresh work, not state that survived the perturbation.
       const bool survived = colour_hit->second.last_used < attempt_;
-      std::vector<ParetoPoint> frontier = colour_hit->second.frontier;
-      for (ParetoPoint& point : frontier) {
-        for (CruId& v : point.cut) v = concat[v.index()];
-      }
+      merged[c] = {&pipe, pipe.import(colour_hit->second.frontier, concat.data())};
       colour_span.attr("cached", std::uint64_t{1});
-      colour_span.attr("frontier", static_cast<std::uint64_t>(frontier.size()));
-      per_colour[c] = std::move(frontier);
+      colour_span.attr("frontier", static_cast<std::uint64_t>(merged[c].span.size()));
       colour_hit->second.last_used = attempt_;
       for (const ContentKey& region_key : region_keys) {
         const auto region_hit = region_cache_.find(region_key);
@@ -545,85 +502,46 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
       continue;
     }
 
-    // Colour miss: rebuild the merge chain, serving single regions from the
-    // region-level cache where their content survived (e.g. the untouched
-    // siblings of an inserted probe's region). The fold starts from the
-    // first region's frontier directly -- ⊕ with the neutral frontier is
-    // the identity, bit for bit -- which is exactly the fold the arena
-    // engine's cold path performs, so warm stays byte-identical to cold.
-    std::vector<ParetoPoint> acc;
-    for (std::size_t k = 0; k < regions.size(); ++k) {
-      const std::vector<CruId>& nodes = region_node_lists[k];
-
-      std::vector<ParetoPoint> frontier;
-      const auto region_hit = region_cache_.find(region_keys[k]);
-      if (region_hit != region_cache_.end()) {
-        const bool survived = region_hit->second.last_used < attempt_;
-        frontier = region_hit->second.frontier;
-        for (ParetoPoint& point : frontier) {
-          for (CruId& v : point.cut) v = nodes[v.index()];
-        }
-        region_hit->second.last_used = attempt_;
-        if (survived) {
-          ++fresh.regions_reused;
-        } else {
-          ++fresh.regions_recomputed;  // same-step duplicate: fresh work deduplicated
-        }
-      } else {
-        frontier =
-            region_frontier(*colouring_, regions[k], options.max_frontier, options.kernel,
-                            scratch);
-        CachedFrontier entry;
-        entry.frontier = frontier;
-        for (ParetoPoint& point : entry.frontier) {
-          for (CruId& v : point.cut) {
-            // Absolute id -> region-relative position.
-            v = CruId{position.at(v.value()) - region_offsets[k]};
+    // Colour miss: fold the colour's regions, importing single regions
+    // from the region-level cache where their content survived (e.g. the
+    // untouched siblings of an inserted probe's region) and building the
+    // rest -- the cold solve's fold, so warm stays byte-identical to cold.
+    const pareto_internal::Span span =
+        pipe.fold(regions.size(), options.max_frontier, [&](std::size_t k) {
+          const auto region_hit = region_cache_.find(region_keys[k]);
+          if (region_hit != region_cache_.end()) {
+            if (region_hit->second.last_used < attempt_) {
+              ++fresh.regions_reused;
+            } else {
+              ++fresh.regions_recomputed;  // same-step duplicate: fresh work deduplicated
+            }
+            region_hit->second.last_used = attempt_;
+            return pipe.import(region_hit->second.frontier, concat.data() + region_offsets[k]);
           }
-        }
-        entry.last_used = attempt_;
-        region_cache_.emplace(region_keys[k], std::move(entry));
-        ++fresh.regions_recomputed;
-      }
-      if (k == 0) {
-        acc = std::move(frontier);
-      } else {
-        acc = minkowski_frontiers(acc, frontier, options.max_frontier, options.kernel,
-                                  scratch);
-      }
-    }
-
-    CachedFrontier merged;
-    merged.frontier = acc;
-    for (ParetoPoint& point : merged.frontier) {
-      for (CruId& v : point.cut) {
-        v = CruId{position.at(v.value())};  // absolute -> canonical position
-      }
-    }
-    merged.last_used = attempt_;
+          const pareto_internal::Span built =
+              pipe.region(*colouring_, regions[k], options.max_frontier);
+          region_cache_.emplace(region_keys[k],
+                                CachedFrontier{cache_form(built, region_offsets[k]), attempt_});
+          ++fresh.regions_recomputed;
+          return built;
+        });
     // Store an exact-capacity copy of the key: colour_key.words grew by
     // push_back and carries slack, and cached_bytes() accounts capacities,
     // which must match bit for bit on an import (whose keys are copies).
     ContentKey stored_key;
     stored_key.words = colour_key.words;
     stored_key.hash = colour_key.hash;
-    colour_cache_.emplace(std::move(stored_key), std::move(merged));
+    colour_cache_.emplace(std::move(stored_key), CachedFrontier{cache_form(span, 0), attempt_});
     colour_span.attr("cached", std::uint64_t{0});
-    colour_span.attr("frontier", static_cast<std::uint64_t>(acc.size()));
-    per_colour[c] = std::move(acc);
+    colour_span.attr("frontier", static_cast<std::uint64_t>(span.size()));
+    merged[c] = {&pipe, span};
   }
 
-  fresh.pool_reuses = pool_.reuses() - reuses_before;
-  fresh.pool_allocs = pool_.allocs() - allocs_before;
-  fresh.pool_served_bytes = pool_.served_bytes() - served_before;
-  fresh.pool_grown_bytes = pool_.grown_bytes() - grown_before;
-
-  ParetoDpResult r =
-      pareto_dp_solve_from_colour_frontiers(*colouring_, std::move(per_colour), options);
-  DelayBreakdown delay = r.assignment.delay();
-  const double value = delay.objective(options.objective);
-  return SolveReport{std::move(r.assignment), std::move(delay), value,
-                     watch.seconds(),         /*exact=*/true,   SolveMethod::kParetoDp,
+  ParetoDpStats stats;
+  pipe.add_stats(stats);
+  ParetoDpResult r = pareto_internal::finish_solve(*colouring_, options, merged, stats);
+  return SolveReport{std::move(r.assignment), std::move(r.delay), r.objective,
+                     watch.seconds(),         /*exact=*/true,     SolveMethod::kParetoDp,
                      plan_.method(),          r.stats};
 }
 
@@ -746,7 +664,17 @@ ResolveSession::ResolveSession(RestoreTag, const SessionState& state)
     for (const SessionState::CacheEntry& e : entries) {
       const std::size_t nodes =
           colour_level ? colour_key_nodes(e.key_words) : region_key_nodes(e.key_words);
-      for (const ParetoPoint& point : e.frontier) {
+      // A cached frontier is imported straight into the fold engine, whose
+      // merge needs finite coordinates (a NaN load would corrupt the merge
+      // order, a NaN host would defeat the dominance prune) and loads in
+      // non-decreasing order (its lazy stream activation relies on it).
+      TS_REQUIRE(!e.frontier.empty(), "import_state: empty cached frontier");
+      for (std::size_t i = 0; i < e.frontier.size(); ++i) {
+        const ParetoPoint& point = e.frontier[i];
+        TS_REQUIRE(std::isfinite(point.load) && std::isfinite(point.host),
+                   "import_state: non-finite coordinate in a cached frontier");
+        TS_REQUIRE(i == 0 || point.load >= e.frontier[i - 1].load,
+                   "import_state: cached frontier not sorted by load");
         for (const CruId v : point.cut) {
           TS_REQUIRE(v.valid() && v.index() < nodes,
                      "import_state: cached cut position " << v << " is outside its key's "

@@ -37,14 +37,14 @@
 // identical to a cold solve of the same plan on the perturbed instance --
 // cached frontiers are reused only on an exact content match (bit patterns
 // of every cost included), so the merge/sweep consumes the same values a
-// cold run would compute. The cache stores frontiers at the arena engine's
-// materialization boundary (core/pareto_dp.hpp: ParetoPoint with explicit
-// cuts, the form region_frontier emits); the warm fold starts from the
-// first region's frontier and merges with minkowski_frontiers -- the same
-// merge kernel and fold order the cold arena path runs, which is what
-// keeps the two paths bit-equal under the arena representation. For coloured-ssb and branch-bound plans the warm
-// start preserves exactness (same optimal value) but may return the
-// previous cut among equal-valued optima.
+// cold run would compute. The warm solve runs the cold solve's own fold
+// engine (core/pareto_kernel.hpp): cached region and colour frontiers are
+// imported into the arena as leaf points that point at their cached cut
+// lists, folded with the same merge in the same order, and finished by the
+// same sweep; cuts are written out only for the entries the caches store
+// and for the one point per colour the sweep picks. For coloured-ssb and
+// branch-bound plans the warm start preserves exactness (same optimal
+// value) but may return the previous cut among equal-valued optima.
 #pragma once
 
 #include <cstdint>
@@ -176,71 +176,8 @@ struct ResolveStats {
   std::size_t colours_reused = 0;     ///< whole merged colour frontiers reused
   std::size_t cache_entries = 0;      ///< cache size after the step
   bool incumbent_used = false;        ///< previous optimum seeded the engine
-  // Arena-pool telemetry (ArenaPool below): the warm DP engine draws its
-  // frontier-arena scratch from a per-session pool instead of allocating
-  // per resolve. Zero on non-DP paths. Observations like wall_seconds --
-  // they describe allocator behaviour, never results.
-  std::size_t pool_reuses = 0;        ///< scratch leases served from retained storage
-  std::size_t pool_allocs = 0;        ///< leases that had to construct fresh scratch
-  std::size_t pool_served_bytes = 0;  ///< frontier/staging bytes served via the pool
-  std::size_t pool_grown_bytes = 0;   ///< new capacity the pooled scratch allocated
   double wall_seconds = 0.0;          ///< this resolve, perturbation included
   std::string cold_reason;            ///< why the cold path ran; empty when warm
-};
-
-/// Pool of ParetoScratch instances (core/pareto_dp.hpp) for one session's
-/// warm DP solves: frontier arenas, span tables and merge staging buffers
-/// are retained across resolve() steps, so a steady drift stream stops
-/// paying allocator round-trips for storage it re-creates every step.
-/// Pooling is result-invisible -- a scratch-backed solve is bit-identical
-/// to a scratch-free one -- and invisible to session identity (the serving
-/// tier's session_plan_key never sees it). One scratch is retained up
-/// front so the steady state (every lease a reuse) holds from the first
-/// solve, restored sessions included. Not thread-safe: sessions are
-/// single-threaded by contract.
-class ArenaPool {
- public:
-  ArenaPool();
-
-  /// RAII lease: returns the scratch to the pool on destruction.
-  class Lease {
-   public:
-    Lease(Lease&& other) noexcept : pool_(other.pool_), scratch_(other.scratch_) {
-      other.pool_ = nullptr;
-      other.scratch_ = nullptr;
-    }
-    Lease& operator=(Lease&&) = delete;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease();
-
-    [[nodiscard]] ParetoScratch* get() const { return scratch_; }
-
-   private:
-    friend class ArenaPool;
-    Lease(ArenaPool* pool, ParetoScratch* scratch) : pool_(pool), scratch_(scratch) {}
-    ArenaPool* pool_;
-    ParetoScratch* scratch_;
-  };
-
-  /// Hands out a retained scratch, constructing one only when every
-  /// retained scratch is already leased (nested acquisition).
-  [[nodiscard]] Lease acquire();
-
-  [[nodiscard]] std::size_t reuses() const { return reuses_; }  ///< cumulative
-  [[nodiscard]] std::size_t allocs() const { return allocs_; }  ///< cumulative
-  /// Sums over every scratch the pool ever created (leased ones included).
-  [[nodiscard]] std::size_t served_bytes() const;
-  [[nodiscard]] std::size_t grown_bytes() const;
-  [[nodiscard]] std::size_t retained_bytes() const;
-
- private:
-  void release(ParetoScratch* scratch);
-
-  std::vector<std::unique_ptr<ParetoScratch>> owned_;
-  std::vector<ParetoScratch*> free_;
-  std::size_t reuses_ = 0;
-  std::size_t allocs_ = 0;
 };
 
 /// Plain serializable mirror of a ResolveSession: everything export_state()
@@ -258,10 +195,9 @@ class ArenaPool {
 ///     a pure function of the resolve history, which is what lets the
 ///     serving tier treat snapshot byte sizes as deterministic gauges;
 ///   * of the per-method stats variants only ParetoDpStats is carried
-///     (has_dp_stats) -- it is the one variant downstream accounting reads
-///     (SessionStore::estimate_bytes charges arena_bytes); other methods'
-///     stats are diagnostics of the solve that produced them and restore as
-///     monostate.
+///     (has_dp_stats) -- it is the one variant a session fills itself;
+///     other methods' stats are diagnostics of the solve that produced them
+///     and restore as monostate.
 struct SessionState {
   /// Canonical plan spec (core/registry.hpp plan_spec). Empty marks a
   /// tree-only state: a submitted-but-never-solved instance (the serving
@@ -354,20 +290,16 @@ class ResolveSession {
   /// behaviorally byte-identical to the exported session: the same
   /// current() optimum (bit for bit), the same cached_bytes(), and the
   /// same warm/cold decisions and reuse counters on every future
-  /// resolve(). The one exception is ResolveStats::pool_grown_bytes: a
-  /// restored pool starts with empty scratch capacity, so the first
-  /// post-restore solve may grow storage the live session had already
-  /// retained -- retained capacity is an allocator observation, not
-  /// session state. Throws InvalidArgument on anything inconsistent (unknown
+  /// resolve(). Throws InvalidArgument on anything inconsistent (unknown
   /// plan spec, malformed tree, a cut that is not a valid cut of the tree,
-  /// cache cut positions out of range of their keys) -- a snapshot that
-  /// fails these checks is corrupt and must be rejected, never partially
-  /// adopted.
+  /// cache cut positions out of range of their keys, a cached frontier
+  /// that is empty, has a non-finite coordinate or is not sorted by load)
+  /// -- a snapshot that fails these checks is corrupt and must be
+  /// rejected, never partially adopted.
   [[nodiscard]] static ResolveSession import_state(const SessionState& state);
 
   /// Bytes retained by the two frontier caches (points, cut ids and content
-  /// keys) -- the session-side analogue of ParetoDpStats::arena_bytes, and
-  /// what a serving layer charges against its memory budget
+  /// keys) -- what a serving layer charges against its memory budget
   /// (service/session_store.hpp). Deterministic for a given resolve
   /// history: a sum over entries, independent of hash iteration order.
   [[nodiscard]] std::size_t cached_bytes() const;
@@ -415,8 +347,6 @@ class ResolveSession {
   /// region of a colour changed, e.g. a probe insertion).
   FrontierCache colour_cache_;
   FrontierCache region_cache_;
-  /// Retained frontier-arena scratch for solve_warm_dp (see ArenaPool).
-  ArenaPool pool_;
 };
 
 /// Result of solving a whole perturbation stream: step i's instance is the

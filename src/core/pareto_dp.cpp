@@ -1,550 +1,23 @@
 #include "core/pareto_dp.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdint>
 #include <exception>
 #include <limits>
 #include <utility>
 
+#include "core/pareto_kernel.hpp"
 #include "core/worklist.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "platform/simd.hpp"
 
 namespace treesat {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr std::uint32_t kNoParent = 0xffffffffu;
 
 // ---------------------------------------------------------------------------
-// Reference engine (pre-arena): recursive bottom-up pass, sort-then-scan
-// pruning, a full cut vector copied for every Minkowski product point.
-// Retained verbatim as the cross-validation baseline; see the header.
-
-namespace reference {
-
-/// Sorts by (load, host) and removes dominated points: keep a point only if
-/// its host time is strictly below every point with smaller-or-equal load.
-void prune(std::vector<ParetoPoint>& points, std::size_t max_frontier) {
-  std::sort(points.begin(), points.end(), [](const ParetoPoint& a, const ParetoPoint& b) {
-    if (a.load != b.load) return a.load < b.load;
-    return a.host < b.host;
-  });
-  std::vector<ParetoPoint> kept;
-  double best_host = kInf;
-  for (ParetoPoint& p : points) {
-    if (p.host < best_host) {
-      best_host = p.host;
-      kept.push_back(std::move(p));
-    }
-  }
-  if (kept.size() > max_frontier) {
-    throw ResourceLimit("pareto_dp: frontier exceeds max_frontier (" +
-                        std::to_string(kept.size()) + " points)");
-  }
-  points = std::move(kept);
-}
-
-/// Minkowski sum of two frontiers (loads add, hosts add, cuts concatenate).
-std::vector<ParetoPoint> minkowski(const std::vector<ParetoPoint>& a,
-                                   const std::vector<ParetoPoint>& b,
-                                   std::size_t max_frontier) {
-  // Integer-exact product guard. The earlier double-valued check lost
-  // precision past 2^53 and let `a.size() * b.size()` wrap (or demand an
-  // absurd reserve) before pruning ever ran; dividing instead of
-  // multiplying cannot overflow, and the reserve is capped at the guard
-  // bound it just proved.
-  constexpr std::size_t kSizeMax = std::numeric_limits<std::size_t>::max();
-  const std::size_t limit = max_frontier > kSizeMax / 64 ? kSizeMax : max_frontier * 64;
-  if (!a.empty() && b.size() > limit / a.size()) {
-    throw ResourceLimit("pareto_dp: Minkowski product too large");
-  }
-  std::vector<ParetoPoint> out;
-  out.reserve(std::min(a.size() * b.size(), limit));
-  for (const ParetoPoint& pa : a) {
-    for (const ParetoPoint& pb : b) {
-      ParetoPoint p;
-      p.load = pa.load + pb.load;
-      p.host = pa.host + pb.host;
-      p.cut = pa.cut;
-      p.cut.insert(p.cut.end(), pb.cut.begin(), pb.cut.end());
-      out.push_back(std::move(p));
-    }
-  }
-  prune(out, max_frontier);
-  return out;
-}
-
-std::vector<ParetoPoint> node_frontier(const Colouring& colouring, CruId v,
-                                       std::size_t max_frontier) {
-  const CruTree& tree = colouring.tree();
-  const CruNode& nd = tree.node(v);
-
-  // Option 1: cut the edge above v -- the whole subtree on the satellite.
-  ParetoPoint cut_here;
-  cut_here.load = tree.subtree_sat_time(v) + nd.comm_up;
-  cut_here.host = 0.0;
-  cut_here.cut = {v};
-
-  if (nd.is_sensor()) return {std::move(cut_here)};
-
-  // Option 2: v on the host; children combine independently.
-  std::vector<ParetoPoint> combined{ParetoPoint{}};  // neutral element
-  for (const CruId c : nd.children) {
-    combined = minkowski(combined, node_frontier(colouring, c, max_frontier), max_frontier);
-  }
-  for (ParetoPoint& p : combined) p.host += nd.host_time;
-
-  combined.push_back(std::move(cut_here));
-  prune(combined, max_frontier);
-  return combined;
-}
-
-}  // namespace reference
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Arena engine. These internals live in a named internal namespace rather
-// than the anonymous one: ParetoScratch::Impl (an external-linkage type)
-// holds a ColourPipeline, and anonymous-namespace members there would trip
-// -Wsubobject-linkage under -Werror.
-
-namespace pareto_internal {
-
-struct MergeCounters {
-  std::size_t merges = 0;
-  std::size_t generated = 0;
-  std::size_t kept = 0;
-};
-
-/// Structure-of-arrays frontier storage plus per-point provenance. A point
-/// is one of: a *cut* point (edge valid, no parents), a *merge* point
-/// (left/right parents, edge invalid), or the neutral point (neither). The
-/// cut set a point realizes is never stored -- it is the left-to-right
-/// concatenation of its provenance leaves, reconstructed on demand.
-struct FrontierArena {
-  std::vector<double> load;
-  std::vector<double> host;
-  std::vector<std::uint32_t> left;
-  std::vector<std::uint32_t> right;
-  std::vector<CruId> edge;
-
-  [[nodiscard]] std::uint32_t size() const {
-    return static_cast<std::uint32_t>(load.size());
-  }
-
-  [[nodiscard]] std::size_t bytes() const {
-    return load.size() *
-           (2 * sizeof(double) + 2 * sizeof(std::uint32_t) + sizeof(CruId));
-  }
-
-  std::uint32_t add(double l, double h, std::uint32_t lp, std::uint32_t rp, CruId e) {
-    if (load.size() >= kNoParent) {
-      throw ResourceLimit("pareto_dp: arena point count overflow");
-    }
-    load.push_back(l);
-    host.push_back(h);
-    left.push_back(lp);
-    right.push_back(rp);
-    edge.push_back(e);
-    return static_cast<std::uint32_t>(load.size() - 1);
-  }
-
-  /// Drops every point at index >= new_size. Only ever applied to the tail
-  /// span under construction, whose points nothing references yet.
-  void truncate(std::uint32_t new_size) {
-    load.resize(new_size);
-    host.resize(new_size);
-    left.resize(new_size);
-    right.resize(new_size);
-    edge.resize(new_size);
-  }
-
-  /// Appends the cut set realized by point `idx`: depth-first over the
-  /// provenance DAG, left parent before right parent, so the order matches
-  /// the cut concatenation the reference engine performs.
-  void reconstruct(std::uint32_t idx, std::vector<CruId>& out) const {
-    std::vector<std::uint32_t> stack{idx};
-    while (!stack.empty()) {
-      const std::uint32_t p = stack.back();
-      stack.pop_back();
-      if (edge[p].valid()) {
-        out.push_back(edge[p]);
-        continue;
-      }
-      if (left[p] == kNoParent) continue;  // neutral point
-      stack.push_back(right[p]);
-      stack.push_back(left[p]);
-    }
-  }
-};
-
-/// One frontier: a contiguous [begin, end) slice of an arena, sorted by
-/// load ascending with host strictly descending.
-struct Span {
-  std::uint32_t begin = 0;
-  std::uint32_t end = 0;
-  [[nodiscard]] std::uint32_t size() const { return end - begin; }
-};
-
-/// The merge-based Minkowski product of two pruned frontiers: a k-way merge
-/// over |a| streams (stream i emits a_i + b_j for ascending j, itself load-
-/// ascending because b is sorted), with dominance pruning on the fly.
-/// best_host only ever decreases, so a candidate whose host is already
-/// >= best_host can be skipped without materializing it -- and because each
-/// stream's hosts strictly decrease, whole stream prefixes are skipped at
-/// advance time. Emits kept points through `keep(i, j, load, host)` in
-/// sorted order; ties broken by (host, i, j) so results are deterministic.
-template <typename Keep>
-void merge_product_scalar(const double* aload, const double* ahost, std::size_t na,
-                          const double* bload, const double* bhost, std::size_t nb,
-                          std::size_t max_frontier, MergeCounters& counters, Keep&& keep) {
-  ++counters.merges;
-  if (na == 0 || nb == 0) return;  // empty product, as the reference prunes to
-  struct Entry {
-    double load;
-    double host;
-    std::uint32_t i;
-    std::uint32_t j;
-  };
-  const auto later = [](const Entry& x, const Entry& y) {
-    if (x.load != y.load) return x.load > y.load;
-    if (x.host != y.host) return x.host > y.host;
-    if (x.i != y.i) return x.i > y.i;
-    return x.j > y.j;
-  };
-  std::vector<Entry> heap;
-  heap.reserve(na);
-  for (std::uint32_t i = 0; i < na; ++i) {
-    heap.push_back({aload[i] + bload[0], ahost[i] + bhost[0], i, 0});
-  }
-  std::make_heap(heap.begin(), heap.end(), later);
-
-  double best_host = kInf;
-  std::size_t kept = 0;
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const Entry e = heap.back();
-    heap.pop_back();
-    ++counters.generated;
-    if (e.host < best_host) {
-      best_host = e.host;
-      if (++kept > max_frontier) {
-        throw ResourceLimit("pareto_dp: frontier exceeds max_frontier (" +
-                            std::to_string(kept) + " points)");
-      }
-      ++counters.kept;
-      keep(e.i, e.j, e.load, e.host);
-    }
-    std::uint32_t j = e.j + 1;
-    while (j < nb && ahost[e.i] + bhost[j] >= best_host) {
-      ++counters.generated;  // skipped: dominated forever, never materialized
-      ++j;
-    }
-    if (j < nb) {
-      heap.push_back({aload[e.i] + bload[j], ahost[e.i] + bhost[j], e.i, j});
-      std::push_heap(heap.begin(), heap.end(), later);
-    }
-  }
-}
-
-/// The branch-free/SIMD merge (MinkowskiKernel::kSimd). Pop-for-pop
-/// identical to merge_product_scalar -- same keep() calls, same counter
-/// values, same throw point -- via three mechanical changes:
-///
-///   * SIMD skip-ahead: the scalar per-element `ahost[i] + bhost[j] >=
-///     best` loop becomes one simd::dominated_prefix call over the
-///     contiguous bhost block (same floating-point expression, counted in
-///     bulk), so the ~80% of product points that die dominated cost a
-///     vector compare each instead of a branch each.
-///   * Lazy stream activation: the scalar version seeds all |a| streams up
-///     front, paying O(|a|) heap build plus log|a| sift depth from the
-///     first pop. Stream seeds are (aload[i]+bload[0], ahost[i]+bhost[0])
-///     with aload ascending, so seed i cannot pop before the head's load
-///     reaches it; streams enter the heap only once the current head's
-///     load catches up to their seed (ties included, hence <=). At any pop
-///     every unactivated seed has strictly larger load than the head, so
-///     the head is the true global minimum and the pop sequence is the
-///     scalar one.
-///   * Replace-top: popping an entry and pushing its successor is one
-///     write to the root plus a single sift-down, not pop_heap+push_heap.
-///
-/// Requires aload non-decreasing (every frontier producer in this module
-/// emits load-ascending frontiers; minkowski_frontiers validates its
-/// public inputs).
-template <typename Keep>
-void merge_product_simd(const double* aload, const double* ahost, std::size_t na,
-                        const double* bload, const double* bhost, std::size_t nb,
-                        std::size_t max_frontier, MergeCounters& counters, Keep&& keep) {
-  ++counters.merges;
-  if (na == 0 || nb == 0) return;  // empty product, as the reference prunes to
-  struct Entry {
-    double load;
-    double host;
-    std::uint32_t i;
-    std::uint32_t j;
-  };
-  const auto earlier = [](const Entry& x, const Entry& y) {
-    if (x.load != y.load) return x.load < y.load;
-    if (x.host != y.host) return x.host < y.host;
-    if (x.i != y.i) return x.i < y.i;
-    return x.j < y.j;
-  };
-  // Min-heap on `earlier`, root at index 0, maintained by hand so the
-  // common advance is a replace-top.
-  std::vector<Entry> heap;
-  heap.reserve(std::min<std::size_t>(na, 64));
-  const auto sift_down = [&](std::size_t at) {
-    const Entry e = heap[at];
-    const std::size_t count = heap.size();
-    while (true) {
-      std::size_t kid = 2 * at + 1;
-      if (kid >= count) break;
-      if (kid + 1 < count && earlier(heap[kid + 1], heap[kid])) ++kid;
-      if (!earlier(heap[kid], e)) break;
-      heap[at] = heap[kid];
-      at = kid;
-    }
-    heap[at] = e;
-  };
-  const auto push_entry = [&](const Entry& e) {
-    std::size_t at = heap.size();
-    heap.push_back(e);
-    while (at > 0) {
-      const std::size_t parent = (at - 1) / 2;
-      if (!earlier(e, heap[parent])) break;
-      heap[at] = heap[parent];
-      at = parent;
-    }
-    heap[at] = e;
-  };
-  std::uint32_t next_stream = 0;
-  const auto activate = [&] {
-    push_entry({aload[next_stream] + bload[0], ahost[next_stream] + bhost[0], next_stream, 0});
-    ++next_stream;
-  };
-
-  activate();
-  double best_host = kInf;
-  std::size_t kept = 0;
-  while (true) {
-    if (heap.empty()) {
-      if (next_stream >= na) break;
-      activate();  // every stream still pops at least its seed
-    }
-    while (next_stream < na && aload[next_stream] + bload[0] <= heap[0].load) activate();
-    const Entry e = heap[0];
-    ++counters.generated;
-    if (e.host < best_host) {
-      best_host = e.host;
-      if (++kept > max_frontier) {
-        throw ResourceLimit("pareto_dp: frontier exceeds max_frontier (" +
-                            std::to_string(kept) + " points)");
-      }
-      ++counters.kept;
-      keep(e.i, e.j, e.load, e.host);
-    }
-    std::uint32_t j = e.j + 1;
-    if (j < nb) {
-      const std::size_t skip =
-          simd::dominated_prefix(bhost + j, nb - j, ahost[e.i], best_host);
-      counters.generated += skip;  // skipped: dominated forever, never materialized
-      j += static_cast<std::uint32_t>(skip);
-    }
-    if (j < nb) {
-      heap[0] = Entry{aload[e.i] + bload[j], ahost[e.i] + bhost[j], e.i, j};
-      sift_down(0);
-    } else {
-      heap[0] = heap.back();
-      heap.pop_back();
-      if (!heap.empty()) sift_down(0);
-    }
-  }
-}
-
-template <typename Keep>
-void merge_product(MinkowskiKernel kernel, const double* aload, const double* ahost,
-                   std::size_t na, const double* bload, const double* bhost, std::size_t nb,
-                   std::size_t max_frontier, MergeCounters& counters, Keep&& keep) {
-  if (kernel == MinkowskiKernel::kScalar) {
-    merge_product_scalar(aload, ahost, na, bload, bhost, nb, max_frontier, counters,
-                         std::forward<Keep>(keep));
-  } else {
-    merge_product_simd(aload, ahost, na, bload, bhost, nb, max_frontier, counters,
-                       std::forward<Keep>(keep));
-  }
-}
-
-/// Per-colour pipeline state: the colour's arena plus the reusable scratch
-/// the region pass needs. Regions of one colour are disjoint subtrees, so
-/// the per-node span table can be shared across them without clearing.
-struct ColourPipeline {
-  FrontierArena arena;
-  Span merged{};
-  std::size_t max_region_frontier = 0;
-  std::size_t peak = 0;
-  MergeCounters counters;
-  MinkowskiKernel kernel = MinkowskiKernel::kSimd;
-
-  std::vector<Span> spans;  // per tree node, reused across regions
-  // Merge inputs are snapshotted out of the arena (output appends to the
-  // same vectors, which may reallocate mid-merge).
-  std::vector<double> scratch_load[2];
-  std::vector<double> scratch_host[2];
-  // Traversal scratch for region(), hoisted here so pooled pipelines stop
-  // reallocating it per region.
-  std::vector<CruId> order;
-  std::vector<CruId> dfs;
-
-  /// Forgets all solve state but keeps every allocation, so a pooled
-  /// pipeline (ParetoScratch) re-solves without touching the allocator.
-  /// spans is cleared, not resized: region() re-establishes the per-node
-  /// table for whatever tree comes next.
-  void reset() {
-    arena.truncate(0);
-    merged = Span{};
-    max_region_frontier = 0;
-    peak = 0;
-    counters = MergeCounters{};
-    spans.clear();
-    // scratch/order/dfs are assigned or cleared at every use.
-  }
-
-  /// Capacity footprint of everything this pipeline retains; the pool's
-  /// grown_bytes telemetry is deltas of this across leases.
-  [[nodiscard]] std::size_t capacity_bytes() const {
-    std::size_t bytes = arena.load.capacity() * sizeof(double) +
-                        arena.host.capacity() * sizeof(double) +
-                        arena.left.capacity() * sizeof(std::uint32_t) +
-                        arena.right.capacity() * sizeof(std::uint32_t) +
-                        arena.edge.capacity() * sizeof(CruId);
-    bytes += spans.capacity() * sizeof(Span);
-    for (const auto& v : scratch_load) bytes += v.capacity() * sizeof(double);
-    for (const auto& v : scratch_host) bytes += v.capacity() * sizeof(double);
-    bytes += order.capacity() * sizeof(CruId);
-    bytes += dfs.capacity() * sizeof(CruId);
-    return bytes;
-  }
-
-  void note_frontier(std::uint32_t width, std::size_t max_frontier) {
-    if (width > max_frontier) {
-      throw ResourceLimit("pareto_dp: frontier exceeds max_frontier (" +
-                          std::to_string(width) + " points)");
-    }
-    peak = std::max(peak, static_cast<std::size_t>(width));
-  }
-
-  Span merge(Span a, Span b, std::size_t max_frontier) {
-    for (int side = 0; side < 2; ++side) {
-      const Span s = side == 0 ? a : b;
-      scratch_load[side].assign(arena.load.begin() + s.begin, arena.load.begin() + s.end);
-      scratch_host[side].assign(arena.host.begin() + s.begin, arena.host.begin() + s.end);
-    }
-    const std::uint32_t out_begin = arena.size();
-    merge_product(kernel, scratch_load[0].data(), scratch_host[0].data(), a.size(),
-                  scratch_load[1].data(), scratch_host[1].data(), b.size(), max_frontier,
-                  counters, [&](std::uint32_t i, std::uint32_t j, double l, double h) {
-                    arena.add(l, h, a.begin + i, b.begin + j, CruId{});
-                  });
-    const Span out{out_begin, arena.size()};
-    note_frontier(out.size(), max_frontier);
-    return out;
-  }
-
-  /// Frontier of the region rooted at `root`: explicit iterative post-order
-  /// traversal (children left to right), so chain regions of arbitrary
-  /// depth never touch the call stack.
-  Span region(const Colouring& colouring, CruId root, std::size_t max_frontier) {
-    const CruTree& tree = colouring.tree();
-    if (spans.empty()) spans.resize(tree.size());
-
-    // Postorder of the region subtree: reverse of a right-to-left preorder.
-    order.clear();
-    dfs.assign(1, root);
-    while (!dfs.empty()) {
-      const CruId v = dfs.back();
-      dfs.pop_back();
-      order.push_back(v);
-      for (const CruId c : tree.node(v).children) dfs.push_back(c);
-    }
-    std::reverse(order.begin(), order.end());
-
-    for (const CruId v : order) {
-      const CruNode& nd = tree.node(v);
-      const double cut_load = tree.subtree_sat_time(v) + nd.comm_up;
-      if (nd.is_sensor()) {
-        const std::uint32_t at = arena.add(cut_load, 0.0, kNoParent, kNoParent, v);
-        spans[v.index()] = Span{at, at + 1};
-        note_frontier(1, max_frontier);
-        continue;
-      }
-      // Children combine with ⊕ (first child taken as-is: ⊕ with the
-      // neutral frontier is the identity, bit for bit).
-      Span acc = spans[nd.children.front().index()];
-      for (std::size_t k = 1; k < nd.children.size(); ++k) {
-        acc = merge(acc, spans[nd.children[k].index()], max_frontier);
-      }
-      // v on the host: shift every combined host by h_v, in place.
-      if (nd.host_time != 0.0) {
-        for (std::uint32_t p = acc.begin; p < acc.end; ++p) arena.host[p] += nd.host_time;
-      }
-      // Insert the cut-at-v point (load = cut_load, host = 0). The combined
-      // span is the arena tail and nothing references its points yet, so
-      // pruning is a truncation: keep the strict-load prefix, drop the
-      // dominated tail, append the cut point unless the prefix already
-      // reaches host 0.
-      TS_CHECK(acc.end == arena.size(), "pareto_dp: combined span must be the arena tail");
-      const auto first_ge = static_cast<std::uint32_t>(
-          std::lower_bound(arena.load.begin() + acc.begin, arena.load.begin() + acc.end,
-                           cut_load) -
-          arena.load.begin());
-      Span out{acc.begin, first_ge};
-      arena.truncate(first_ge);
-      const bool dominated = out.size() > 0 && arena.host[out.end - 1] <= 0.0;
-      if (!dominated) {
-        arena.add(cut_load, 0.0, kNoParent, kNoParent, v);
-        ++out.end;
-      }
-      note_frontier(out.size(), max_frontier);
-      spans[v.index()] = out;
-    }
-
-    const Span result = spans[root.index()];
-    max_region_frontier = std::max(max_region_frontier, static_cast<std::size_t>(result.size()));
-    return result;
-  }
-
-  /// Builds the colour's merged frontier: each region's frontier, folded
-  /// left to right in regions_of order. A colour with no regions
-  /// contributes the single neutral point, exactly like the cold fold the
-  /// incremental engine replays through minkowski_frontiers.
-  void build(const Colouring& colouring, SatelliteId colour, std::size_t max_frontier) {
-    const std::vector<CruId> regions = colouring.regions_of(colour);
-    if (regions.empty()) {
-      const std::uint32_t at = arena.add(0.0, 0.0, kNoParent, kNoParent, CruId{});
-      merged = Span{at, at + 1};
-      return;
-    }
-    Span acc = region(colouring, regions.front(), max_frontier);
-    for (std::size_t k = 1; k < regions.size(); ++k) {
-      const Span f = region(colouring, regions[k], max_frontier);
-      acc = merge(acc, f, max_frontier);
-    }
-    merged = acc;
-  }
-};
-
-}  // namespace pareto_internal
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// The bottleneck sweep, shared by the arena path and the colour-frontier
-// seam so both consume the same values in the same order.
+// The bottleneck sweep over per-colour merged frontiers.
 
 struct FrontierView {
   const double* load = nullptr;
@@ -612,85 +85,67 @@ SweepPick sweep_colour_frontiers(const std::vector<FrontierView>& per_colour,
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// ParetoScratch: the pooled storage handle (header-declared pimpl).
+namespace pareto_internal {
 
-struct ParetoScratch::Impl {
-  pareto_internal::ColourPipeline pipeline;
-  // Staging for scratch-backed minkowski_frontiers calls
-  // (aload/ahost/bload/bhost).
-  std::vector<double> stage[4];
-  std::size_t served = 0;
-  std::size_t grown = 0;
-
-  [[nodiscard]] std::size_t capacity_bytes() const {
-    std::size_t bytes = pipeline.capacity_bytes();
-    for (const auto& v : stage) bytes += v.capacity() * sizeof(double);
-    return bytes;
+ParetoDpResult finish_solve(const Colouring& colouring, const ParetoDpOptions& options,
+                            const std::vector<ColourFrontier>& per_colour,
+                            ParetoDpStats stats) {
+  const std::size_t colours = per_colour.size();
+  std::vector<FrontierView> views(colours);
+  for (std::size_t c = 0; c < colours; ++c) {
+    const ColourFrontier& f = per_colour[c];
+    views[c] = FrontierView{f.pipe->arena.load.data() + f.span.begin,
+                            f.pipe->arena.host.data() + f.span.begin, f.span.size()};
   }
-
-  /// Bookkeeping wrapper for one scratch-backed call: remembers the
-  /// capacity footprint on entry and, on exit, charges the content bytes
-  /// the call staged plus whatever new capacity it forced.
-  template <typename Fn>
-  auto metered(std::size_t content_bytes, Fn&& fn) {
-    const std::size_t cap_before = capacity_bytes();
-    auto result = fn();
-    served += content_bytes;
-    const std::size_t cap_after = capacity_bytes();
-    grown += cap_after > cap_before ? cap_after - cap_before : 0;
-    return result;
+  SweepPick sw;
+  {
+    obs::Span sweep_span(obs::trace(), "dp.sweep");
+    sw = sweep_colour_frontiers(views, colouring.forced_host_time(), options.objective);
+    sweep_span.attr("candidates", static_cast<std::uint64_t>(sw.candidates_swept));
+    sweep_span.attr("max_colour_frontier",
+                    static_cast<std::uint64_t>(sw.max_colour_frontier));
   }
-};
-
-ParetoScratch::ParetoScratch() : impl_(std::make_unique<Impl>()) {}
-ParetoScratch::~ParetoScratch() = default;
-ParetoScratch::ParetoScratch(ParetoScratch&&) noexcept = default;
-ParetoScratch& ParetoScratch::operator=(ParetoScratch&&) noexcept = default;
-
-std::size_t ParetoScratch::served_bytes() const { return impl_->served; }
-std::size_t ParetoScratch::grown_bytes() const { return impl_->grown; }
-std::size_t ParetoScratch::retained_bytes() const { return impl_->capacity_bytes(); }
-
-std::vector<ParetoPoint> region_frontier(const Colouring& colouring, CruId region_root,
-                                         std::size_t max_frontier, MinkowskiKernel kernel,
-                                         ParetoScratch* scratch) {
-  TS_REQUIRE(colouring.is_assignable(region_root),
-             "region_frontier: node is not assignable");
-  pareto_internal::ColourPipeline local;
-  pareto_internal::ColourPipeline& pipe = scratch ? scratch->impl().pipeline : local;
-  const auto run = [&] {
-    pipe.reset();
-    pipe.kernel = kernel;
-    const pareto_internal::Span span = pipe.region(colouring, region_root, max_frontier);
-    std::vector<ParetoPoint> out;
-    out.reserve(span.size());
-    for (std::uint32_t p = span.begin; p < span.end; ++p) {
-      ParetoPoint point;
-      point.load = pipe.arena.load[p];
-      point.host = pipe.arena.host[p];
-      pipe.arena.reconstruct(p, point.cut);
-      out.push_back(std::move(point));
-    }
-    return out;
-  };
-  std::vector<ParetoPoint> out;
-  if (scratch == nullptr) {
-    out = run();
-  } else {
-    out = scratch->impl().metered(0, run);
-    scratch->impl().served += scratch->impl().pipeline.arena.bytes();
-  }
-  // The warm/session path folds regions through here rather than through
-  // pareto_dp_solve, so its merge work feeds the same counter families.
+  stats.max_colour_frontier = sw.max_colour_frontier;
+  stats.candidates_swept = sw.candidates_swept;
   obs::count("treesat_dp_minkowski_merges_total", "Minkowski merges across all solves",
-             obs::MetricClass::kDeterministic, pipe.counters.merges);
+             obs::MetricClass::kDeterministic, stats.minkowski_merges);
   obs::count("treesat_dp_merge_points_generated_total",
              "Frontier points generated before dominance pruning",
-             obs::MetricClass::kDeterministic, pipe.counters.generated);
+             obs::MetricClass::kDeterministic, stats.merge_points_generated);
   obs::count("treesat_dp_merge_points_kept_total",
              "Frontier points surviving dominance pruning",
-             obs::MetricClass::kDeterministic, pipe.counters.kept);
+             obs::MetricClass::kDeterministic, stats.merge_points_kept);
+
+  std::vector<CruId> cut;
+  {
+    obs::Span rec_span(obs::trace(), "dp.reconstruct");
+    for (std::size_t c = 0; c < colours; ++c) {
+      const ColourFrontier& f = per_colour[c];
+      f.pipe->reconstruct(f.span.begin + static_cast<std::uint32_t>(sw.pick[c]), cut);
+    }
+    rec_span.attr("cut", static_cast<std::uint64_t>(cut.size()));
+  }
+  Assignment assignment(colouring, std::move(cut));
+  DelayBreakdown delay = assignment.delay();
+  const double objective = delay.objective(options.objective);
+  return ParetoDpResult{std::move(assignment), std::move(delay), objective, stats};
+}
+
+}  // namespace pareto_internal
+
+std::vector<ParetoPoint> region_frontier(const Colouring& colouring, CruId region_root,
+                                         std::size_t max_frontier) {
+  TS_REQUIRE(colouring.is_assignable(region_root),
+             "region_frontier: node is not assignable");
+  pareto_internal::ColourPipeline pipe;
+  const pareto_internal::Span span = pipe.region(colouring, region_root, max_frontier);
+  std::vector<ParetoPoint> out(span.size());
+  for (std::uint32_t p = span.begin; p < span.end; ++p) {
+    ParetoPoint& point = out[p - span.begin];
+    point.load = pipe.arena.load[p];
+    point.host = pipe.arena.host[p];
+    pipe.reconstruct(p, point.cut);
+  }
   return out;
 }
 
@@ -711,125 +166,8 @@ std::vector<double> region_min_loads(const Colouring& colouring) {
   return min_load;
 }
 
-namespace {
-
-/// Stages one frontier into SoA load/host arrays while enforcing the
-/// public-seam invariants: finite coordinates (a NaN load would silently
-/// corrupt the merge order, a NaN host would defeat the dominance prune)
-/// and load-ascending order (what every frontier producer in this module
-/// emits, and what the SIMD kernel's lazy stream activation relies on).
-void stage_frontier(const std::vector<ParetoPoint>& points, std::vector<double>& load,
-                    std::vector<double>& host, const char* side) {
-  load.resize(points.size());
-  host.resize(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    TS_REQUIRE(std::isfinite(points[i].load) && std::isfinite(points[i].host),
-               "minkowski_frontiers: non-finite coordinate in frontier " << side);
-    TS_REQUIRE(i == 0 || points[i].load >= points[i - 1].load,
-               "minkowski_frontiers: frontier " << side << " not sorted by load");
-    load[i] = points[i].load;
-    host[i] = points[i].host;
-  }
-}
-
-}  // namespace
-
-std::vector<ParetoPoint> minkowski_frontiers(const std::vector<ParetoPoint>& a,
-                                             const std::vector<ParetoPoint>& b,
-                                             std::size_t max_frontier, MinkowskiKernel kernel,
-                                             ParetoScratch* scratch) {
-  std::vector<double> local[4];
-  std::vector<double>* stage = scratch ? scratch->impl().stage : local;
-  pareto_internal::MergeCounters counters;
-  const auto run = [&] {
-    stage_frontier(a, stage[0], stage[1], "a");
-    stage_frontier(b, stage[2], stage[3], "b");
-    std::vector<ParetoPoint> out;
-    pareto_internal::merge_product(
-        kernel, stage[0].data(), stage[1].data(), a.size(), stage[2].data(), stage[3].data(),
-        b.size(), max_frontier, counters,
-        [&](std::uint32_t i, std::uint32_t j, double l, double h) {
-          ParetoPoint p;
-          p.load = l;
-          p.host = h;
-          p.cut = a[i].cut;
-          p.cut.insert(p.cut.end(), b[j].cut.begin(), b[j].cut.end());
-          out.push_back(std::move(p));
-        });
-    return out;
-  };
-  std::vector<ParetoPoint> out =
-      scratch == nullptr ? run()
-                         : scratch->impl().metered((a.size() + b.size()) * 2 * sizeof(double), run);
-  // Same counter families the arena path aggregates in pareto_dp_solve: the
-  // session path's fold work must not vanish from the merge totals.
-  obs::count("treesat_dp_minkowski_merges_total", "Minkowski merges across all solves",
-             obs::MetricClass::kDeterministic, counters.merges);
-  obs::count("treesat_dp_merge_points_generated_total",
-             "Frontier points generated before dominance pruning",
-             obs::MetricClass::kDeterministic, counters.generated);
-  obs::count("treesat_dp_merge_points_kept_total",
-             "Frontier points surviving dominance pruning",
-             obs::MetricClass::kDeterministic, counters.kept);
-  return out;
-}
-
-ParetoDpResult pareto_dp_solve_from_colour_frontiers(
-    const Colouring& colouring, std::vector<std::vector<ParetoPoint>> per_colour,
-    const ParetoDpOptions& options) {
-  TS_REQUIRE(options.objective.valid(), "pareto_dp_solve: bad objective");
-  const std::size_t colours = colouring.tree().satellite_count();
-  TS_REQUIRE(per_colour.size() == colours,
-             "pareto_dp_solve_from_colour_frontiers: got " << per_colour.size()
-                                                           << " frontiers for " << colours
-                                                           << " colours");
-  for (const std::vector<ParetoPoint>& f : per_colour) {
-    TS_REQUIRE(!f.empty(), "pareto_dp_solve_from_colour_frontiers: empty colour frontier");
-  }
-
-  // The sweep consumes structure-of-arrays views; mirror the points into
-  // contiguous load/host arrays (colour order preserved).
-  std::vector<std::vector<double>> loads(colours), hosts(colours);
-  std::vector<FrontierView> views(colours);
-  for (std::size_t c = 0; c < colours; ++c) {
-    loads[c].resize(per_colour[c].size());
-    hosts[c].resize(per_colour[c].size());
-    for (std::size_t i = 0; i < per_colour[c].size(); ++i) {
-      loads[c][i] = per_colour[c][i].load;
-      hosts[c][i] = per_colour[c][i].host;
-    }
-    views[c] = FrontierView{loads[c].data(), hosts[c].data(), per_colour[c].size()};
-  }
-  SweepPick sw;
-  {
-    // The warm path re-enters here from cached colour frontiers; the sweep
-    // span makes a warm re-solve's trace show where its (much smaller)
-    // work actually went.
-    obs::Span sweep_span(obs::trace(), "dp.sweep");
-    sw = sweep_colour_frontiers(views, colouring.forced_host_time(), options.objective);
-    sweep_span.attr("candidates", static_cast<std::uint64_t>(sw.candidates_swept));
-    sweep_span.attr("max_colour_frontier",
-                    static_cast<std::uint64_t>(sw.max_colour_frontier));
-  }
-
-  ParetoDpStats stats;
-  stats.max_colour_frontier = sw.max_colour_frontier;
-  stats.candidates_swept = sw.candidates_swept;
-
-  std::vector<CruId> cut;
-  for (std::size_t c = 0; c < colours; ++c) {
-    const auto& chosen = per_colour[c][sw.pick[c]];
-    cut.insert(cut.end(), chosen.cut.begin(), chosen.cut.end());
-  }
-  Assignment assignment(colouring, std::move(cut));
-  DelayBreakdown delay = assignment.delay();
-  const double objective = delay.objective(options.objective);
-  return ParetoDpResult{std::move(assignment), std::move(delay), objective, stats};
-}
-
 ParetoDpResult pareto_dp_solve(const Colouring& colouring, const ParetoDpOptions& options) {
   TS_REQUIRE(options.objective.valid(), "pareto_dp_solve: bad objective");
-  if (!options.arena) return pareto_dp_solve_reference(colouring, options);
 
   // Per-colour pipelines are independent: each builds its region frontiers
   // and Minkowski fold in its own arena. They are farmed to the
@@ -841,9 +179,8 @@ ParetoDpResult pareto_dp_solve(const Colouring& colouring, const ParetoDpOptions
   // claimed last would serialize the tail of the solve.
   const std::size_t colours = colouring.tree().satellite_count();
 
-  // Phase spans. Every attribute below is deterministic at any dp_threads
-  // and for either Minkowski kernel (the PR4/PR8 counter guarantees), so
-  // the timing-stripped trace of a solve is byte-identity-safe. The
+  // Phase spans. Every attribute below is deterministic at any dp_threads,
+  // so the timing-stripped trace of a solve is byte-identity-safe. The
   // per-colour spans are opened on worker threads with the fold span as
   // explicit parent -- the thread-local current span belongs to the
   // calling thread and must not leak across the scheduler.
@@ -852,7 +189,7 @@ ParetoDpResult pareto_dp_solve(const Colouring& colouring, const ParetoDpOptions
   obs::count("treesat_dp_solves_total", "Arena-path Pareto-DP solves");
 
   std::vector<pareto_internal::ColourPipeline> pipes(colours);
-  for (auto& pipe : pipes) pipe.kernel = options.kernel;
+  std::vector<pareto_internal::ColourFrontier> merged(colours);
   std::vector<std::exception_ptr> errors(colours);
   WorklistOptions worklist;
   // resolve_threads maps dp_threads == 0 to the hardware thread count and
@@ -874,17 +211,23 @@ ParetoDpResult pareto_dp_solve(const Colouring& colouring, const ParetoDpOptions
     static_cast<void>(run_worklist(colours, worklist, [&](std::size_t c) {
       obs::Span colour_span(obs::trace(), "dp.colour", fold_id);
       try {
-        pipes[c].build(colouring, SatelliteId{c}, options.max_frontier);
+        pareto_internal::ColourPipeline& pipe = pipes[c];
+        const std::vector<CruId> regions = colouring.regions_of(SatelliteId{c});
+        const pareto_internal::Span span =
+            pipe.fold(regions.size(), options.max_frontier, [&](std::size_t k) {
+              return pipe.region(colouring, regions[k], options.max_frontier);
+            });
+        merged[c] = pareto_internal::ColourFrontier{&pipe, span};
         colour_span.attr("colour", static_cast<std::uint64_t>(c));
-        colour_span.attr("merges", pipes[c].counters.merges);
-        colour_span.attr("generated", pipes[c].counters.generated);
-        colour_span.attr("kept", pipes[c].counters.kept);
-        colour_span.attr("frontier", static_cast<std::uint64_t>(pipes[c].merged.size()));
+        colour_span.attr("merges", pipe.counters.merges);
+        colour_span.attr("generated", pipe.counters.generated);
+        colour_span.attr("kept", pipe.counters.kept);
+        colour_span.attr("frontier", static_cast<std::uint64_t>(span.size()));
         colour_span.attr("prune_ratio",
-                         pipes[c].counters.generated == 0
+                         pipe.counters.generated == 0
                              ? 1.0
-                             : static_cast<double>(pipes[c].counters.kept) /
-                                   static_cast<double>(pipes[c].counters.generated));
+                             : static_cast<double>(pipe.counters.kept) /
+                                   static_cast<double>(pipe.counters.generated));
       } catch (...) {
         errors[c] = std::current_exception();
       }
@@ -895,97 +238,13 @@ ParetoDpResult pareto_dp_solve(const Colouring& colouring, const ParetoDpOptions
   }
 
   ParetoDpStats stats;
-  std::vector<FrontierView> views(colours);
   for (std::size_t c = 0; c < colours; ++c) {
-    const pareto_internal::ColourPipeline& pipe = pipes[c];
-    views[c] = FrontierView{pipe.arena.load.data() + pipe.merged.begin,
-                            pipe.arena.host.data() + pipe.merged.begin,
-                            pipe.merged.size()};
-    stats.max_region_frontier = std::max(stats.max_region_frontier, pipe.max_region_frontier);
-    stats.peak_frontier = std::max(stats.peak_frontier, pipe.peak);
-    stats.arena_bytes += pipe.arena.bytes();
-    stats.minkowski_merges += pipe.counters.merges;
-    stats.merge_points_generated += pipe.counters.generated;
-    stats.merge_points_kept += pipe.counters.kept;
+    pipes[c].add_stats(stats);
     obs::observe("treesat_dp_colour_frontier_points",
                  "Merged frontier width per colour pipeline",
-                 obs::MetricClass::kDeterministic, static_cast<double>(pipe.merged.size()));
+                 obs::MetricClass::kDeterministic, static_cast<double>(merged[c].span.size()));
   }
-  obs::count("treesat_dp_minkowski_merges_total", "Minkowski merges across all solves",
-             obs::MetricClass::kDeterministic, stats.minkowski_merges);
-  obs::count("treesat_dp_merge_points_generated_total",
-             "Frontier points generated before dominance pruning",
-             obs::MetricClass::kDeterministic, stats.merge_points_generated);
-  obs::count("treesat_dp_merge_points_kept_total",
-             "Frontier points surviving dominance pruning",
-             obs::MetricClass::kDeterministic, stats.merge_points_kept);
-  SweepPick sw;
-  {
-    obs::Span sweep_span(obs::trace(), "dp.sweep");
-    sw = sweep_colour_frontiers(views, colouring.forced_host_time(), options.objective);
-    sweep_span.attr("candidates", static_cast<std::uint64_t>(sw.candidates_swept));
-    sweep_span.attr("max_colour_frontier",
-                    static_cast<std::uint64_t>(sw.max_colour_frontier));
-  }
-  stats.max_colour_frontier = sw.max_colour_frontier;
-  stats.candidates_swept = sw.candidates_swept;
-
-  std::vector<CruId> cut;
-  {
-    obs::Span rec_span(obs::trace(), "dp.reconstruct");
-    for (std::size_t c = 0; c < colours; ++c) {
-      pipes[c].arena.reconstruct(
-          pipes[c].merged.begin + static_cast<std::uint32_t>(sw.pick[c]), cut);
-    }
-    rec_span.attr("cut", static_cast<std::uint64_t>(cut.size()));
-  }
-  Assignment assignment(colouring, std::move(cut));
-  DelayBreakdown delay = assignment.delay();
-  const double objective = delay.objective(options.objective);
-  return ParetoDpResult{std::move(assignment), std::move(delay), objective, stats};
-}
-
-// ---------------------------------------------------------------------------
-// Reference entry points.
-
-std::vector<ParetoPoint> reference_minkowski_frontiers(const std::vector<ParetoPoint>& a,
-                                                       const std::vector<ParetoPoint>& b,
-                                                       std::size_t max_frontier) {
-  return reference::minkowski(a, b, max_frontier);
-}
-
-std::vector<ParetoPoint> reference_region_frontier(const Colouring& colouring,
-                                                   CruId region_root,
-                                                   std::size_t max_frontier) {
-  TS_REQUIRE(colouring.is_assignable(region_root),
-             "region_frontier: node is not assignable");
-  return reference::node_frontier(colouring, region_root, max_frontier);
-}
-
-ParetoDpResult pareto_dp_solve_reference(const Colouring& colouring,
-                                         const ParetoDpOptions& options) {
-  TS_REQUIRE(options.objective.valid(), "pareto_dp_solve: bad objective");
-  // Per-colour frontiers: Minkowski-combine the frontiers of the colour's
-  // regions (their loads land on the same satellite), folding each frontier
-  // as it is computed so peak memory stays one frontier plus the
-  // accumulator.
-  const std::size_t colours = colouring.tree().satellite_count();
-  std::size_t max_region_frontier = 0;
-  std::vector<std::vector<ParetoPoint>> per_colour(colours);
-  for (std::size_t c = 0; c < colours; ++c) {
-    std::vector<ParetoPoint> acc{ParetoPoint{}};
-    for (const CruId r : colouring.regions_of(SatelliteId{c})) {
-      const std::vector<ParetoPoint> f =
-          reference::node_frontier(colouring, r, options.max_frontier);
-      max_region_frontier = std::max(max_region_frontier, f.size());
-      acc = reference::minkowski(acc, f, options.max_frontier);
-    }
-    per_colour[c] = std::move(acc);
-  }
-  ParetoDpResult result =
-      pareto_dp_solve_from_colour_frontiers(colouring, std::move(per_colour), options);
-  result.stats.max_region_frontier = max_region_frontier;
-  return result;
+  return pareto_internal::finish_solve(colouring, options, merged, stats);
 }
 
 }  // namespace treesat

@@ -24,16 +24,17 @@
 // choice is at least as good as the optimum's, so candidate L* already
 // attains the optimal value.
 //
-// Engine (the allocation-free arena core):
-//   * Frontiers live in a per-colour FrontierArena: structure-of-arrays
-//     (load[], host[]) stored contiguously, one span per frontier. No
-//     per-point cut vectors exist during the solve -- every point carries
-//     backpointers (left parent, right parent, cut edge) and the optimal
-//     cut is reconstructed once, at the end, for the chosen points only.
+// Engine (core/pareto_kernel.hpp, the one fold engine of the repo):
+//   * Frontiers live in a FrontierArena: structure-of-arrays (load[],
+//     host[]) stored contiguously, one span per frontier. No per-point cut
+//     vectors exist during the solve -- every point carries backpointers
+//     (left parent, right parent, cut edge) and the optimal cut is
+//     reconstructed once, at the end, for the chosen points only.
 //   * ⊕ is a merge, not a product-then-sort: both inputs are sorted by
 //     load with strictly decreasing host, so the product is a k-way merge
-//     over |a| sorted streams, dominance-pruned on the fly. Dominated
-//     points are skipped without ever being materialized.
+//     over |a| sorted streams, dominance-pruned on the fly with a SIMD
+//     skip-ahead. Dominated points are skipped without ever being
+//     materialized.
 //   * The bottom-up pass is an explicit iterative post-order traversal, so
 //     chain-shaped trees tens of thousands of nodes deep cannot overflow
 //     the stack (workload/generator.hpp's chain_tree is the regression
@@ -43,6 +44,9 @@
 //     run_worklist, the BatchExecutor idiom), widest-colour-first through
 //     the scheduler's priority bins, with a deterministic colour-ordered
 //     combine, so reports are byte-identical at any thread count.
+//   * The warm session (core/incremental.hpp) runs the same per-colour
+//     fold, importing its cached region and colour frontiers into the
+//     arena as leaf points, and finishes through the same sweep.
 //
 // Frontier sizes are worst-case exponential (the problem embeds tree
 // knapsack) but domination pruning keeps them tiny on realistic cost
@@ -50,8 +54,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/assignment.hpp"
@@ -59,16 +61,15 @@
 
 namespace treesat {
 
+/// Counters of one solve, cold or warm. All of them are aggregated in
+/// colour order, so they are byte-identical at any dp_threads setting; a
+/// warm session solve counts the work it did, not the frontiers it reused.
 struct ParetoDpStats {
-  std::size_t max_region_frontier = 0;  ///< largest per-region frontier
+  std::size_t max_region_frontier = 0;  ///< largest region frontier built
   std::size_t max_colour_frontier = 0;  ///< largest per-colour frontier after merging
   std::size_t candidates_swept = 0;     ///< bottleneck candidates evaluated
-  // Arena-engine counters. Zero on the reference engine (arena = false) and
-  // on the from-colour-frontiers seam, which never builds an arena. All of
-  // them are aggregated in colour order from per-colour pipelines, so they
-  // are byte-identical at any dp_threads setting.
   std::size_t arena_bytes = 0;           ///< total frontier-arena storage
-  std::size_t peak_frontier = 0;         ///< widest frontier anywhere in the DP
+  std::size_t peak_frontier = 0;         ///< widest frontier built anywhere in the DP
   std::size_t minkowski_merges = 0;      ///< merge operations performed
   std::size_t merge_points_generated = 0;///< product points examined by merges
   std::size_t merge_points_kept = 0;     ///< points surviving dominance pruning
@@ -88,48 +89,6 @@ struct ParetoDpResult {
   ParetoDpStats stats;
 };
 
-/// Selects the Minkowski merge implementation (spec key kernel=). Both
-/// kernels emit the same points in the same order with the same counters --
-/// reports are byte-identical -- so the key exists purely for A/B gating
-/// and cross-validation. kSimd is the branch-free blocked dominance kernel
-/// (platform/simd.hpp: SIMD prefix skip, lazy stream activation,
-/// replace-top heap maintenance); kScalar is PR 4's straight-line merge.
-enum class MinkowskiKernel : std::uint8_t { kScalar = 0, kSimd = 1 };
-
-/// Reusable scratch for region_frontier / minkowski_frontiers: retains the
-/// internal colour pipeline (frontier arena, span table, merge staging
-/// buffers) across calls so warm re-solves stop reallocating the frontier
-/// storage every step. Callers that pass the same ParetoScratch to
-/// consecutive calls get identical results to scratch-free calls, bit for
-/// bit -- only the allocation behaviour changes. Not thread-safe; use one
-/// per thread (core/incremental.hpp's ArenaPool hands them out
-/// per-session). The byte counters are cumulative over the scratch's
-/// lifetime, so per-step deltas are snapshot differences.
-class ParetoScratch {
- public:
-  ParetoScratch();
-  ~ParetoScratch();
-  ParetoScratch(ParetoScratch&&) noexcept;
-  ParetoScratch& operator=(ParetoScratch&&) noexcept;
-  ParetoScratch(const ParetoScratch&) = delete;
-  ParetoScratch& operator=(const ParetoScratch&) = delete;
-
-  /// Cumulative frontier/staging content bytes served through this scratch
-  /// (deterministic: a function of the solved instances, not of capacity).
-  [[nodiscard]] std::size_t served_bytes() const;
-  /// Cumulative bytes of *new* capacity the scratch had to allocate; stays
-  /// flat once the retained storage covers the working set.
-  [[nodiscard]] std::size_t grown_bytes() const;
-  /// Capacity currently retained for reuse.
-  [[nodiscard]] std::size_t retained_bytes() const;
-
-  struct Impl;
-  [[nodiscard]] Impl& impl() { return *impl_; }
-
- private:
-  std::unique_ptr<Impl> impl_;
-};
-
 struct ParetoDpOptions {
   SsbObjective objective = SsbObjective::end_to_end();
   /// Frontier size limit; exceeding it throws ResourceLimit.
@@ -138,24 +97,15 @@ struct ParetoDpOptions {
   /// dp_threads=). 1 (default) runs inline; 0 means one worker per
   /// hardware thread. Reports are byte-identical at any value.
   std::size_t dp_threads = 1;
-  /// false routes the solve through the retained pre-arena reference
-  /// engine (recursive, sort-based, per-point cut copies) -- the
-  /// cross-validation baseline of tests and bench_pareto_arena (spec key
-  /// arena=). Production solves should always leave this true.
-  bool arena = true;
-  /// Minkowski merge implementation (spec key kernel=). Byte-identical
-  /// results either way; kScalar exists for A/B gating. Ignored when
-  /// arena is false (the reference engine has its own product).
-  MinkowskiKernel kernel = MinkowskiKernel::kSimd;
 };
 
 /// Exact optimal assignment via the Pareto DP.
 [[nodiscard]] ParetoDpResult pareto_dp_solve(const Colouring& colouring,
                                              const ParetoDpOptions& options = {});
 
-/// One point of a (load, host) frontier, exposed for tests, benches and the
-/// incremental engine's cache (the arena engine materializes cuts only at
-/// this API boundary; internally points are backpointer triples).
+/// One point of a (load, host) frontier with its cut written out -- the
+/// form region_frontier returns and the incremental engine's caches store
+/// (the engine itself only materializes cuts at these boundaries).
 struct ParetoPoint {
   double load = 0.0;          ///< satellite time: work below the cut + uplink
   double host = 0.0;          ///< host time of region nodes above the cut
@@ -163,11 +113,10 @@ struct ParetoPoint {
 };
 
 /// Pareto frontier of one region (subtree rooted at an assignable node),
-/// sorted by load ascending / host strictly descending. `scratch`, when
-/// given, donates retained arena storage (result-identical either way).
-[[nodiscard]] std::vector<ParetoPoint> region_frontier(
-    const Colouring& colouring, CruId region_root, std::size_t max_frontier,
-    MinkowskiKernel kernel = MinkowskiKernel::kSimd, ParetoScratch* scratch = nullptr);
+/// sorted by load ascending / host strictly descending.
+[[nodiscard]] std::vector<ParetoPoint> region_frontier(const Colouring& colouring,
+                                                       CruId region_root,
+                                                       std::size_t max_frontier);
 
 /// Per-node minimum achievable satellite load: for every assignable v, the
 /// smallest load coordinate of F(v) -- min(cut at v, Σ children minima) --
@@ -175,59 +124,5 @@ struct ParetoPoint {
 /// This is the admissible per-region bound branch-and-bound
 /// (heuristics/branch_bound.cpp) seeds its colour-load suffixes with.
 [[nodiscard]] std::vector<double> region_min_loads(const Colouring& colouring);
-
-/// The seam the incremental re-solve engine (core/incremental.hpp) injects
-/// its cached state through: completes a solve from per-colour *merged*
-/// frontiers (`colour_frontiers[c]` for satellite c, as produced by folding
-/// the colour's region frontiers left-to-right with minkowski_frontiers --
-/// a colour without regions contributes the single neutral point). The
-/// merge chains are the expensive part of the DP on multi-region
-/// colourings, so the engine caches at this level; when every supplied
-/// frontier equals the fold of `region_frontier` outputs a cold solve
-/// performs, the result is byte-identical to `pareto_dp_solve` -- the sweep
-/// runs the same code on the same values in the same order.
-/// stats.max_region_frontier and the arena counters are 0 on this path
-/// (the per-region inputs and the arena are not visible here).
-[[nodiscard]] ParetoDpResult pareto_dp_solve_from_colour_frontiers(
-    const Colouring& colouring, std::vector<std::vector<ParetoPoint>> colour_frontiers,
-    const ParetoDpOptions& options = {});
-
-/// The Minkowski product-and-prune the DP combines frontiers with (loads
-/// add, hosts add, cuts concatenate; dominated points dropped). Exposed so
-/// the incremental engine's colour-level merges are the byte-identical
-/// operation the cold solve performs. Implemented as the same k-way merge
-/// the arena engine runs, so dominated product points are skipped, not
-/// materialized. Throws ResourceLimit past max_frontier and
-/// InvalidArgument on non-finite coordinates or inputs not sorted by load
-/// ascending (the frontier invariant every producer in this module
-/// maintains). `scratch` donates retained staging storage.
-[[nodiscard]] std::vector<ParetoPoint> minkowski_frontiers(
-    const std::vector<ParetoPoint>& a, const std::vector<ParetoPoint>& b,
-    std::size_t max_frontier, MinkowskiKernel kernel = MinkowskiKernel::kSimd,
-    ParetoScratch* scratch = nullptr);
-
-// ---------------------------------------------------------------------------
-// Reference engine: the pre-arena implementation (recursive node_frontier,
-// sort-then-scan pruning, a full cut vector copied per product point).
-// Retained verbatim as the cross-validation baseline for the merge-based
-// engine -- tests/pareto_merge_reference_test.cpp proves byte-identical
-// optima, bench_pareto_arena measures the speedup against it. Not for
-// production use: it recurses per tree node (deep chains overflow the
-// stack) and allocates per product point.
-
-/// Reference (sort-based) Minkowski product-and-prune.
-[[nodiscard]] std::vector<ParetoPoint> reference_minkowski_frontiers(
-    const std::vector<ParetoPoint>& a, const std::vector<ParetoPoint>& b,
-    std::size_t max_frontier);
-
-/// Reference (recursive) region frontier.
-[[nodiscard]] std::vector<ParetoPoint> reference_region_frontier(const Colouring& colouring,
-                                                                 CruId region_root,
-                                                                 std::size_t max_frontier);
-
-/// Reference end-to-end solve (what pareto_dp_solve runs when
-/// options.arena is false). Arena counters in stats stay zero.
-[[nodiscard]] ParetoDpResult pareto_dp_solve_reference(const Colouring& colouring,
-                                                       const ParetoDpOptions& options = {});
 
 }  // namespace treesat

@@ -1,0 +1,417 @@
+// The Pareto DP's fold engine (core/pareto_dp.hpp explains the DP): the
+// Minkowski merge kernel, the structure-of-arrays frontier arena with
+// backpointer provenance, and the per-colour pipeline that builds region
+// frontiers, folds them and reconstructs cuts. It is the one engine that
+// builds, merges and sweeps frontiers: the cold solve (pareto_dp_solve)
+// runs one pipeline per colour, the warm session (core/incremental.hpp)
+// runs every colour through one retained pipeline and imports its cached
+// frontiers into it. Internal: the public API is pareto_dp.hpp; this header
+// is exposed for those two callers, the kernel property suites and the
+// bench.
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/check.hpp"
+#include "core/colouring.hpp"
+#include "core/pareto_dp.hpp"
+#include "platform/simd.hpp"
+
+namespace treesat::pareto_internal {
+
+inline constexpr std::uint32_t kNoParent = 0xffffffffu;
+/// `left` marker of an imported point (see ColourPipeline::import).
+inline constexpr std::uint32_t kImported = 0xfffffffeu;
+
+struct MergeCounters {
+  std::size_t merges = 0;
+  std::size_t generated = 0;
+  std::size_t kept = 0;
+};
+
+/// The Minkowski product of two pruned frontiers (loads ascending, hosts
+/// strictly descending): a k-way merge over |a| streams -- stream i emits
+/// a_i + b_j for ascending j, itself load-ascending because b is sorted --
+/// with dominance pruning on the fly. best_host only ever decreases, so a
+/// candidate whose host is already >= best_host can be skipped without
+/// materializing it, and because each stream's hosts strictly decrease,
+/// whole stream prefixes are skipped at advance time. Emits kept points
+/// through `keep(i, j, load, host)` in sorted order; ties are broken by
+/// (host, i, j), so results are deterministic. Three mechanical choices
+/// keep it fast, none visible in its output:
+///
+///   * SIMD skip-ahead: the per-element `ahost[i] + bhost[j] >= best` test
+///     is one simd::dominated_prefix call over the contiguous bhost block
+///     (same floating-point expression, counted in bulk), so the ~80% of
+///     product points that die dominated cost a vector compare each.
+///   * Lazy stream activation: stream seeds are (aload[i]+bload[0],
+///     ahost[i]+bhost[0]) with aload ascending, so seed i cannot pop before
+///     the head's load reaches it; streams enter the heap only once the
+///     head's load catches up to their seed (ties included, hence <=). At
+///     any pop every unactivated seed has strictly larger load than the
+///     head, so the head is the true global minimum.
+///   * Replace-top: popping an entry and pushing its successor is one write
+///     to the root plus a single sift-down.
+///
+/// Requires aload non-decreasing: every frontier producer in the engine
+/// emits load-ascending frontiers, and cached frontiers are validated where
+/// they enter from outside (ResolveSession::import_state). Throws
+/// ResourceLimit once more than max_frontier points are kept.
+template <typename Keep>
+void merge_product(const double* aload, const double* ahost, std::size_t na,
+                   const double* bload, const double* bhost, std::size_t nb,
+                   std::size_t max_frontier, MergeCounters& counters, Keep&& keep) {
+  ++counters.merges;
+  if (na == 0 || nb == 0) return;  // the empty product
+  struct Entry {
+    double load;
+    double host;
+    std::uint32_t i;
+    std::uint32_t j;
+  };
+  const auto earlier = [](const Entry& x, const Entry& y) {
+    if (x.load != y.load) return x.load < y.load;
+    if (x.host != y.host) return x.host < y.host;
+    if (x.i != y.i) return x.i < y.i;
+    return x.j < y.j;
+  };
+  // Min-heap on `earlier`, root at index 0, maintained by hand so the
+  // common advance is a replace-top.
+  std::vector<Entry> heap;
+  heap.reserve(std::min<std::size_t>(na, 64));
+  const auto sift_down = [&](std::size_t at) {
+    const Entry e = heap[at];
+    const std::size_t count = heap.size();
+    while (true) {
+      std::size_t kid = 2 * at + 1;
+      if (kid >= count) break;
+      if (kid + 1 < count && earlier(heap[kid + 1], heap[kid])) ++kid;
+      if (!earlier(heap[kid], e)) break;
+      heap[at] = heap[kid];
+      at = kid;
+    }
+    heap[at] = e;
+  };
+  const auto push_entry = [&](const Entry& e) {
+    std::size_t at = heap.size();
+    heap.push_back(e);
+    while (at > 0) {
+      const std::size_t parent = (at - 1) / 2;
+      if (!earlier(e, heap[parent])) break;
+      heap[at] = heap[parent];
+      at = parent;
+    }
+    heap[at] = e;
+  };
+  std::uint32_t next_stream = 0;
+  const auto activate = [&] {
+    push_entry({aload[next_stream] + bload[0], ahost[next_stream] + bhost[0], next_stream, 0});
+    ++next_stream;
+  };
+
+  activate();
+  double best_host = std::numeric_limits<double>::infinity();
+  std::size_t kept = 0;
+  while (true) {
+    if (heap.empty()) {
+      if (next_stream >= na) break;
+      activate();  // every stream still pops at least its seed
+    }
+    while (next_stream < na && aload[next_stream] + bload[0] <= heap[0].load) activate();
+    const Entry e = heap[0];
+    ++counters.generated;
+    if (e.host < best_host) {
+      best_host = e.host;
+      if (++kept > max_frontier) {
+        throw ResourceLimit("pareto_dp: frontier exceeds max_frontier (" +
+                            std::to_string(kept) + " points)");
+      }
+      ++counters.kept;
+      keep(e.i, e.j, e.load, e.host);
+    }
+    std::uint32_t j = e.j + 1;
+    if (j < nb) {
+      const std::size_t skip =
+          simd::dominated_prefix(bhost + j, nb - j, ahost[e.i], best_host);
+      counters.generated += skip;  // skipped: dominated forever, never materialized
+      j += static_cast<std::uint32_t>(skip);
+    }
+    if (j < nb) {
+      heap[0] = Entry{aload[e.i] + bload[j], ahost[e.i] + bhost[j], e.i, j};
+      sift_down(0);
+    } else {
+      heap[0] = heap.back();
+      heap.pop_back();
+      if (!heap.empty()) sift_down(0);
+    }
+  }
+}
+
+/// Structure-of-arrays frontier storage plus per-point provenance. A point
+/// is one of: a *cut* point (edge valid), a *merge* point (left/right
+/// parents), an *imported* point (left == kImported, right = import slot;
+/// see ColourPipeline::import), or the neutral point (left == kNoParent,
+/// edge invalid). The cut set a point realizes is never stored -- it is the
+/// left-to-right concatenation of its provenance leaves, reconstructed on
+/// demand.
+struct FrontierArena {
+  std::vector<double> load;
+  std::vector<double> host;
+  std::vector<std::uint32_t> left;
+  std::vector<std::uint32_t> right;
+  std::vector<CruId> edge;
+
+  [[nodiscard]] std::uint32_t size() const {
+    return static_cast<std::uint32_t>(load.size());
+  }
+
+  [[nodiscard]] std::size_t bytes() const {
+    return load.size() *
+           (2 * sizeof(double) + 2 * sizeof(std::uint32_t) + sizeof(CruId));
+  }
+
+  std::uint32_t add(double l, double h, std::uint32_t lp, std::uint32_t rp, CruId e) {
+    if (load.size() >= kImported) {  // indices must stay below both markers
+      throw ResourceLimit("pareto_dp: arena point count overflow");
+    }
+    load.push_back(l);
+    host.push_back(h);
+    left.push_back(lp);
+    right.push_back(rp);
+    edge.push_back(e);
+    return static_cast<std::uint32_t>(load.size() - 1);
+  }
+
+  /// Drops every point at index >= new_size. Only ever applied to the tail
+  /// span under construction, whose points nothing references yet.
+  void truncate(std::uint32_t new_size) {
+    load.resize(new_size);
+    host.resize(new_size);
+    left.resize(new_size);
+    right.resize(new_size);
+    edge.resize(new_size);
+  }
+};
+
+/// One frontier: a contiguous [begin, end) slice of an arena, sorted by
+/// load ascending with host strictly descending.
+struct Span {
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
+  [[nodiscard]] std::uint32_t size() const { return end - begin; }
+};
+
+/// Colour pipeline state: an arena plus the reusable scratch the region
+/// pass, the merge and reconstruction need. Regions are disjoint subtrees,
+/// so the per-node span table is shared across every region the pipeline
+/// builds without clearing.
+struct ColourPipeline {
+  FrontierArena arena;
+  std::size_t max_region_frontier = 0;  ///< widest region frontier built
+  std::size_t peak = 0;                 ///< widest frontier built anywhere
+  MergeCounters counters;
+
+  /// A cached frontier imported as leaf points (see import()).
+  struct Import {
+    const std::vector<ParetoPoint>* points;  ///< cuts as canonical positions
+    const CruId* nodes;                      ///< canonical position -> node id
+    std::uint32_t begin;                     ///< arena index of points[0]
+  };
+  std::vector<Import> imports;
+
+  std::vector<Span> spans;  // per tree node
+  // Merge inputs are snapshotted out of the arena (output appends to the
+  // same vectors, which may reallocate mid-merge).
+  std::vector<double> scratch_load[2];
+  std::vector<double> scratch_host[2];
+  std::vector<CruId> order;
+  std::vector<CruId> dfs;
+  std::vector<std::uint32_t> stack;
+
+  /// Forgets all solve state but keeps every allocation, so a retained
+  /// pipeline re-solves without touching the allocator. spans is cleared,
+  /// not resized: region() re-establishes the per-node table for whatever
+  /// tree comes next.
+  void reset() {
+    arena.truncate(0);
+    max_region_frontier = 0;
+    peak = 0;
+    counters = MergeCounters{};
+    imports.clear();
+    spans.clear();
+  }
+
+  /// Adds this pipeline's fold counters to `stats`: maxima for widths, sums
+  /// for arena bytes and merge work.
+  void add_stats(ParetoDpStats& stats) const {
+    stats.max_region_frontier = std::max(stats.max_region_frontier, max_region_frontier);
+    stats.peak_frontier = std::max(stats.peak_frontier, peak);
+    stats.arena_bytes += arena.bytes();
+    stats.minkowski_merges += counters.merges;
+    stats.merge_points_generated += counters.generated;
+    stats.merge_points_kept += counters.kept;
+  }
+
+  void note_frontier(std::uint32_t width, std::size_t max_frontier) {
+    if (width > max_frontier) {
+      throw ResourceLimit("pareto_dp: frontier exceeds max_frontier (" +
+                          std::to_string(width) + " points)");
+    }
+    peak = std::max(peak, static_cast<std::size_t>(width));
+  }
+
+  Span merge(Span a, Span b, std::size_t max_frontier) {
+    for (int side = 0; side < 2; ++side) {
+      const Span s = side == 0 ? a : b;
+      scratch_load[side].assign(arena.load.begin() + s.begin, arena.load.begin() + s.end);
+      scratch_host[side].assign(arena.host.begin() + s.begin, arena.host.begin() + s.end);
+    }
+    const std::uint32_t out_begin = arena.size();
+    merge_product(scratch_load[0].data(), scratch_host[0].data(), a.size(),
+                  scratch_load[1].data(), scratch_host[1].data(), b.size(), max_frontier,
+                  counters, [&](std::uint32_t i, std::uint32_t j, double l, double h) {
+                    arena.add(l, h, a.begin + i, b.begin + j, CruId{});
+                  });
+    const Span out{out_begin, arena.size()};
+    note_frontier(out.size(), max_frontier);
+    return out;
+  }
+
+  /// Frontier of the region rooted at `root`: explicit iterative post-order
+  /// traversal (children left to right), so chain regions of arbitrary
+  /// depth never touch the call stack.
+  Span region(const Colouring& colouring, CruId root, std::size_t max_frontier) {
+    const CruTree& tree = colouring.tree();
+    if (spans.empty()) spans.resize(tree.size());
+
+    // Postorder of the region subtree: reverse of a right-to-left preorder.
+    order.clear();
+    dfs.assign(1, root);
+    while (!dfs.empty()) {
+      const CruId v = dfs.back();
+      dfs.pop_back();
+      order.push_back(v);
+      for (const CruId c : tree.node(v).children) dfs.push_back(c);
+    }
+    std::reverse(order.begin(), order.end());
+
+    for (const CruId v : order) {
+      const CruNode& nd = tree.node(v);
+      const double cut_load = tree.subtree_sat_time(v) + nd.comm_up;
+      if (nd.is_sensor()) {
+        const std::uint32_t at = arena.add(cut_load, 0.0, kNoParent, kNoParent, v);
+        spans[v.index()] = Span{at, at + 1};
+        note_frontier(1, max_frontier);
+        continue;
+      }
+      // Children combine with ⊕ (first child taken as-is: ⊕ with the
+      // neutral frontier is the identity, bit for bit).
+      Span acc = spans[nd.children.front().index()];
+      for (std::size_t k = 1; k < nd.children.size(); ++k) {
+        acc = merge(acc, spans[nd.children[k].index()], max_frontier);
+      }
+      // v on the host: shift every combined host by h_v, in place.
+      if (nd.host_time != 0.0) {
+        for (std::uint32_t p = acc.begin; p < acc.end; ++p) arena.host[p] += nd.host_time;
+      }
+      // Insert the cut-at-v point (load = cut_load, host = 0). The combined
+      // span is the arena tail and nothing references its points yet, so
+      // pruning is a truncation: keep the strict-load prefix, drop the
+      // dominated tail, append the cut point unless the prefix already
+      // reaches host 0.
+      TS_CHECK(acc.end == arena.size(), "pareto_dp: combined span must be the arena tail");
+      const auto first_ge = static_cast<std::uint32_t>(
+          std::lower_bound(arena.load.begin() + acc.begin, arena.load.begin() + acc.end,
+                           cut_load) -
+          arena.load.begin());
+      Span out{acc.begin, first_ge};
+      arena.truncate(first_ge);
+      const bool dominated = out.size() > 0 && arena.host[out.end - 1] <= 0.0;
+      if (!dominated) {
+        arena.add(cut_load, 0.0, kNoParent, kNoParent, v);
+        ++out.end;
+      }
+      note_frontier(out.size(), max_frontier);
+      spans[v.index()] = out;
+    }
+
+    const Span result = spans[root.index()];
+    max_region_frontier = std::max(max_region_frontier, static_cast<std::size_t>(result.size()));
+    return result;
+  }
+
+  /// Imports a cached frontier as leaf points: the values are copied into
+  /// the arena, the cuts stay in `points` (canonical positions, rebound
+  /// through `nodes` at reconstruction). Both must outlive the pipeline's
+  /// use of the span. Imports are not work, so no counter moves.
+  Span import(const std::vector<ParetoPoint>& points, const CruId* nodes) {
+    const auto slot = static_cast<std::uint32_t>(imports.size());
+    const std::uint32_t begin = arena.size();
+    imports.push_back({&points, nodes, begin});
+    for (const ParetoPoint& p : points) arena.add(p.load, p.host, kImported, slot, CruId{});
+    return Span{begin, arena.size()};
+  }
+
+  /// The single neutral point (0, 0) -- the frontier of a colour without
+  /// regions, and the identity of ⊕.
+  Span neutral() {
+    const std::uint32_t at = arena.add(0.0, 0.0, kNoParent, kNoParent, CruId{});
+    return Span{at, at + 1};
+  }
+
+  /// A colour's merged frontier: the `count` frontiers `region_at(k)`
+  /// supplies (built or imported), folded left to right in regions_of
+  /// order. A colour without regions contributes the single neutral point.
+  template <typename RegionAt>
+  Span fold(std::size_t count, std::size_t max_frontier, RegionAt&& region_at) {
+    if (count == 0) return neutral();
+    Span acc = region_at(std::size_t{0});
+    for (std::size_t k = 1; k < count; ++k) {
+      const Span f = region_at(k);
+      acc = merge(acc, f, max_frontier);
+    }
+    return acc;
+  }
+
+  /// Appends the cut set realized by point `idx`: depth-first over the
+  /// provenance DAG, left parent before right parent, so the order is the
+  /// left-to-right concatenation of the point's leaves.
+  void reconstruct(std::uint32_t idx, std::vector<CruId>& out) {
+    stack.assign(1, idx);
+    while (!stack.empty()) {
+      const std::uint32_t p = stack.back();
+      stack.pop_back();
+      if (arena.edge[p].valid()) {
+        out.push_back(arena.edge[p]);
+      } else if (arena.left[p] == kImported) {
+        const Import& im = imports[arena.right[p]];
+        for (const CruId pos : (*im.points)[p - im.begin].cut) out.push_back(im.nodes[pos.index()]);
+      } else if (arena.left[p] != kNoParent) {
+        stack.push_back(arena.right[p]);
+        stack.push_back(arena.left[p]);
+      }  // else: the neutral point
+    }
+  }
+};
+
+/// One colour's merged frontier as the sweep consumes it.
+struct ColourFrontier {
+  ColourPipeline* pipe = nullptr;
+  Span span;
+};
+
+/// Completes a solve from per-colour merged frontiers (`per_colour[c]` for
+/// satellite c): the bottleneck sweep, the merge-counter metrics, and the
+/// reconstruction of the one point per colour the sweep picks. `stats`
+/// arrives with the fold counters filled; the sweep's own are added here.
+[[nodiscard]] ParetoDpResult finish_solve(const Colouring& colouring,
+                                          const ParetoDpOptions& options,
+                                          const std::vector<ColourFrontier>& per_colour,
+                                          ParetoDpStats stats);
+
+}  // namespace treesat::pareto_internal

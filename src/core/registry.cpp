@@ -17,7 +17,7 @@ const std::vector<MethodInfo>& registry_storage() {
        "expansion_cap,fallback_node_cap,delegate_on_cap,eager_expansion"},
       {SolveMethod::kParetoDp, method_name(SolveMethod::kParetoDp), "extension (DESIGN.md §6)",
        "Pareto-frontier dynamic program", /*exact=*/true, /*seeded=*/false,
-       "max_frontier,dp_threads,arena,kernel"},
+       "max_frontier,dp_threads"},
       {SolveMethod::kExhaustive, method_name(SolveMethod::kExhaustive), "§3 (oracle)",
        "brute-force enumeration of every monotone cut", /*exact=*/true,
        /*seeded=*/false, "cap"},
@@ -256,17 +256,6 @@ SolvePlan build_method_plan(const MethodInfo* info, const std::vector<KeyValue>&
                   std::string(value) + "' (omit the key for the inline default)");
             }
           }
-        } else if (key == "arena") {
-          o.arena = parse_bool(key, value);
-        } else if (key == "kernel") {
-          if (value == "scalar") {
-            o.kernel = MinkowskiKernel::kScalar;
-          } else if (value == "simd") {
-            o.kernel = MinkowskiKernel::kSimd;
-          } else {
-            throw InvalidArgument("parse_plan: key 'kernel' must be 'scalar' or 'simd', got '" +
-                                  std::string(value) + "'");
-          }
         } else {
           unknown_key(*info, key);
         }
@@ -476,8 +465,6 @@ std::string plan_spec(const SolvePlan& plan) {
                               ? std::string("auto")
                               : fmt(static_cast<std::uint64_t>(o.dp_threads)));
       }
-      if (!o.arena) add("arena", fmt(false));
-      if (o.kernel != MinkowskiKernel::kSimd) add("kernel", "scalar");
       break;
     }
     case SolveMethod::kExhaustive:

@@ -81,28 +81,4 @@ std::vector<SolveReport> solve_batch(std::span<const Colouring* const> instances
   return solve_batch_report(instances, plan).take_reports();
 }
 
-SolvePlan plan_from(const SolveOptions& options) {
-  SolvePlan plan;
-  switch (options.method) {
-    case SolveMethod::kColouredSsb: plan = SolvePlan::coloured_ssb(); break;
-    case SolveMethod::kParetoDp: plan = SolvePlan::pareto_dp(); break;
-    case SolveMethod::kExhaustive: plan = SolvePlan::exhaustive(); break;
-    case SolveMethod::kBranchBound: plan = SolvePlan::branch_bound(); break;
-    case SolveMethod::kGenetic: plan = SolvePlan::genetic(); break;
-    case SolveMethod::kLocalSearch: plan = SolvePlan::local_search(); break;
-    case SolveMethod::kGreedy: plan = SolvePlan::greedy(); break;
-    case SolveMethod::kAnnealing: plan = SolvePlan::annealing(); break;
-    case SolveMethod::kAutomatic: plan = SolvePlan::automatic(); break;
-  }
-  plan.with_objective(options.objective).with_seed(options.seed);
-  return plan;
-}
-
-SolveSummary solve(const Colouring& colouring, const SolveOptions& options) {
-  SolveReport report = solve(colouring, plan_from(options));
-  return SolveSummary{std::move(report.assignment), std::move(report.delay),
-                      report.objective_value,       report.wall_seconds,
-                      report.exact,                 method_name(report.requested)};
-}
-
 }  // namespace treesat

@@ -170,11 +170,7 @@ std::string resolve_stats_to_json(const ResolveStats& stats) {
      << ",\"colours_total\":" << stats.colours_total
      << ",\"colours_reused\":" << stats.colours_reused
      << ",\"cache_entries\":" << stats.cache_entries
-     << ",\"incumbent_used\":" << (stats.incumbent_used ? "true" : "false")
-     << ",\"pool_reuses\":" << stats.pool_reuses
-     << ",\"pool_allocs\":" << stats.pool_allocs
-     << ",\"pool_served_bytes\":" << stats.pool_served_bytes
-     << ",\"pool_grown_bytes\":" << stats.pool_grown_bytes << '}';
+     << ",\"incumbent_used\":" << (stats.incumbent_used ? "true" : "false") << '}';
   return os.str();
 }
 
@@ -188,17 +184,6 @@ std::string report_to_json(const SolveReport& report, const ResolveStats& resolv
      << ",\"resolve\":" << resolve_stats_to_json(resolve)
      << ",\"stats\":" << stats_to_json(report.stats)
      << ",\"assignment\":" << assignment_to_json(report.assignment) << '}';
-  return os.str();
-}
-
-
-std::string summary_to_json(const SolveSummary& summary) {
-  std::ostringstream os;
-  os << "{\"method\":\"" << json_escape(summary.method) << "\",\"exact\":"
-     << (summary.exact ? "true" : "false")
-     << ",\"objective\":" << number(summary.objective_value)
-     << ",\"wall_seconds\":" << number(summary.wall_seconds)
-     << ",\"assignment\":" << assignment_to_json(summary.assignment) << '}';
   return os.str();
 }
 

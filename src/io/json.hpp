@@ -41,10 +41,6 @@ namespace treesat {
 [[nodiscard]] std::string report_to_json(const SolveReport& report,
                                          const ResolveStats& resolve);
 
-/// A legacy solver run: method, exactness, value, timing, and the
-/// assignment. Deprecated with the SolveOptions shim; use report_to_json.
-[[nodiscard]] std::string summary_to_json(const SolveSummary& summary);
-
 /// A simulation: per-frame traces and resource busy times.
 [[nodiscard]] std::string sim_to_json(const SimResult& result);
 

@@ -43,10 +43,9 @@ std::string session_plan_key(SolvePlan plan) {
   plan.with_executor(ExecutorOptions{});
   if (plan.method() == SolveMethod::kParetoDp) {
     ParetoDpOptions o = plan.options_as<ParetoDpOptions>();
-    // Result-invisible knobs must not split session identity: dp_threads
-    // and kernel change how a solve runs, never what it returns.
+    // A result-invisible knob must not split session identity: dp_threads
+    // changes how a solve runs, never what it returns.
     o.dp_threads = 1;
-    o.kernel = MinkowskiKernel::kSimd;
     plan = SolvePlan::pareto_dp(std::move(o));
   }
   return plan_spec(plan);
@@ -386,9 +385,6 @@ std::size_t SessionStore::estimate_bytes(const CruTree& tree, const ResolveSessi
   std::size_t bytes = 512 + tree.size() * 160;
   if (session != nullptr) {
     bytes += 256 + session->cached_bytes();
-    if (const auto* dp = session->current().stats_as<ParetoDpStats>()) {
-      bytes += dp->arena_bytes;
-    }
   }
   return bytes;
 }

@@ -6,10 +6,10 @@
 // (core/incremental.hpp). Warm state is memory, so the store meters it:
 // every entry carries a deterministic byte estimate -- the tree's
 // structural footprint plus the session's retained DP state
-// (ResolveSession::cached_bytes(), the frontier-cache analogue of
-// ParetoDpStats::arena_bytes, plus any arena the last report charged) --
-// and when the total exceeds the configured budget the least-recently-used
-// entries are evicted until it fits.
+// (ResolveSession::cached_bytes(); a solve's fold arena is per-thread
+// scratch, not session state, and is not charged) -- and when the total
+// exceeds the configured budget the least-recently-used entries are
+// evicted until it fits.
 //
 // Tiering. With a spill directory configured, budget victims are not
 // destroyed: they are written as storage/snapshot.hpp files into the spill
@@ -165,8 +165,7 @@ class SessionStore {
   std::vector<EvictedEntry> enforce_budget(const SessionEntry* protect);
 
   /// Deterministic byte estimate: structural tree footprint plus the
-  /// session's retained search state (frontier caches + last reported
-  /// arena bytes).
+  /// session's retained search state (its frontier caches).
   [[nodiscard]] static std::size_t estimate_bytes(const CruTree& tree,
                                                   const ResolveSession* session);
 

@@ -91,10 +91,13 @@ std::vector<EntryRow> parse_entry_rows(wire::LineReader& reader, const char* sec
       wire::split_tokens(reader.next(section), section);
   TS_REQUIRE(head.size() == 2 && head[0] == section,
              "checkpoint: expected a '" << section << "' line");
-  const std::uint64_t count = wire::parse_u64(head[1], "entry count");
+  // The shortest row is "entry % % 0 0\n" (empty names encode as "%").
+  constexpr std::size_t kMinRow = 14;
+  const std::size_t count = wire::bounded_count(wire::parse_u64(head[1], "entry count"),
+                                                reader.remaining(), kMinRow, "entry count");
   std::vector<EntryRow> rows;
-  rows.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  rows.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     const std::vector<std::string_view> toks =
         wire::split_tokens(reader.next("entry row"), "entry row");
     TS_REQUIRE(toks.size() == 5 && toks[0] == "entry", "checkpoint: malformed entry row");

@@ -103,38 +103,51 @@ void encode_cache(std::string& out, const char* label,
   }
 }
 
+// Floors bounded_count divides by: the shortest entry and point lines are
+// "entry 0 0 0\n" and "point 0 0 0\n", and a key word or cut position is
+// at least one byte of its line.
+constexpr std::size_t kMinRecordLine = 12;
+constexpr std::size_t kMinToken = 1;
+
 std::vector<SessionState::CacheEntry> decode_cache(wire::LineReader& reader,
                                                    const char* label) {
   const std::vector<std::string_view> head =
       wire::split_tokens(reader.next(label), label);
   TS_REQUIRE(head.size() == 2 && head[0] == label,
              "snapshot: expected a '" << label << "' line");
-  const std::uint64_t count = wire::parse_u64(head[1], "cache entry count");
+  const std::size_t count = wire::bounded_count(wire::parse_u64(head[1], "cache entry count"),
+                                                reader.remaining(), kMinRecordLine,
+                                                "cache entry count");
   std::vector<SessionState::CacheEntry> entries;
-  entries.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  entries.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     wire::TokenCursor cur(reader.next("cache entry"), "cache entry");
     cur.expect("entry");
     SessionState::CacheEntry entry;
     entry.last_used = static_cast<std::size_t>(cur.take_u64("entry stamp"));
-    const std::uint64_t nwords = cur.take_u64("entry word count");
-    entry.key_words.reserve(static_cast<std::size_t>(nwords));
-    for (std::uint64_t w = 0; w < nwords; ++w) {
+    const std::size_t nwords = wire::bounded_count(cur.take_u64("entry word count"),
+                                                   cur.remaining(), kMinToken,
+                                                   "entry word count");
+    entry.key_words.reserve(nwords);
+    for (std::size_t w = 0; w < nwords; ++w) {
       entry.key_words.push_back(cur.take_hex64("key word"));
     }
-    const std::uint64_t npoints = cur.take_u64("frontier point count");
+    const std::uint64_t declared_points = cur.take_u64("frontier point count");
     cur.finish();
-    entry.frontier.reserve(static_cast<std::size_t>(npoints));
-    for (std::uint64_t p = 0; p < npoints; ++p) {
+    const std::size_t npoints = wire::bounded_count(declared_points, reader.remaining(),
+                                                    kMinRecordLine, "frontier point count");
+    entry.frontier.reserve(npoints);
+    for (std::size_t p = 0; p < npoints; ++p) {
       wire::TokenCursor pt(reader.next("frontier point"), "frontier point");
       pt.expect("point");
       ParetoPoint point;
       point.load = from_bit_pattern(pt.take_hex64("point load"));
       point.host = from_bit_pattern(pt.take_hex64("point host"));
-      const std::uint64_t k = pt.take_u64("point cut size");
-      point.cut.reserve(static_cast<std::size_t>(k));
+      const std::size_t k = wire::bounded_count(pt.take_u64("point cut size"), pt.remaining(),
+                                                kMinToken, "point cut size");
+      point.cut.reserve(k);
       std::uint64_t position = 0;
-      for (std::uint64_t c = 0; c < k; ++c) {
+      for (std::size_t c = 0; c < k; ++c) {
         const std::uint64_t delta = pt.take_u64("cut position");
         TS_REQUIRE(c == 0 || delta > 0, "snapshot: cut position delta of zero "
                                         "(positions must be strictly increasing)");

@@ -57,6 +57,18 @@ inline double parse_double_tok(std::string_view tok, const char* what) {
   return value;
 }
 
+/// A count a decoder is about to size storage by, checked against the
+/// bytes left to decode: every counted item takes at least `min_bytes` of
+/// them, so a count the rest of the input cannot hold is corrupt and is
+/// rejected before it reaches an allocation.
+inline std::size_t bounded_count(std::uint64_t count, std::size_t bytes_left,
+                                 std::size_t min_bytes, const char* what) {
+  TS_REQUIRE(count <= bytes_left / min_bytes,
+             "storage: " << what << " " << count << " exceeds what the remaining "
+                         << bytes_left << " bytes can hold");
+  return static_cast<std::size_t>(count);
+}
+
 inline std::string hex16(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
@@ -153,6 +165,9 @@ class TokenCursor {
     return value;
   }
 
+  /// Bytes of the line not yet consumed.
+  [[nodiscard]] std::size_t remaining() const { return line_.size() - pos_; }
+
   /// Requires the whole line to have been consumed.
   void finish() {
     TS_REQUIRE(pos_ == line_.size(),
@@ -188,6 +203,8 @@ class LineReader {
   }
 
   [[nodiscard]] bool done() const { return pos_ == text_.size(); }
+  /// Bytes of the payload not yet consumed.
+  [[nodiscard]] std::size_t remaining() const { return text_.size() - pos_; }
 
  private:
   std::string_view text_;

@@ -160,64 +160,34 @@ TEST(IncrementalResolve, CachedBytesCoverContentPlusPerEntryOverhead) {
             session.cached_bytes());
 }
 
-TEST(IncrementalResolve, ArenaPoolServesWarmResolvesFromRetainedScratch) {
-  // Warm re-solves borrow frontier scratch from the session's ArenaPool
-  // instead of reallocating per step: the pool prewarms one scratch, so
-  // every DP solve is exactly one reuse and never a fresh alloc, served
-  // bytes flow whenever frontiers are recomputed, and capacity growth
-  // flattens once the scratch has seen the instance's working set.
-  Rng rng(5);
-  TreeGenOptions gen;
-  gen.compute_nodes = 14;
-  gen.satellites = 4;
-  const CruTree base = random_tree(rng, gen);
-  ResolveSession session(base, SolvePlan::pareto_dp());
-  EXPECT_EQ(session.last_stats().pool_reuses, 1u);
-  EXPECT_EQ(session.last_stats().pool_allocs, 0u);
-  EXPECT_GT(session.last_stats().pool_served_bytes, 0u);
-
-  std::size_t grown_late = 0;
-  for (int step = 0; step < 8; ++step) {
-    session.resolve(Perturbation::satellite_drift(SatelliteId{0u}, 1.02, 0.99, 1.01));
-    const ResolveStats& stats = session.last_stats();
-    ASSERT_EQ(stats.path, ResolvePath::kWarm) << "step " << step;
-    EXPECT_EQ(stats.pool_reuses, 1u) << "step " << step;
-    EXPECT_EQ(stats.pool_allocs, 0u) << "step " << step;
-    EXPECT_GT(stats.pool_served_bytes, 0u) << "step " << step;
-    if (step >= 4) grown_late += stats.pool_grown_bytes;
+TEST(IncrementalResolve, InitialSolveReportsTheColdSolvesCounters) {
+  // A session's initial solve runs the cold solve's fold engine with an
+  // empty cache, so it does exactly the cold solve's work and must report
+  // exactly its counters.
+  Rng rng(0x57A75);
+  for (int trial = 0; trial < 20; ++trial) {
+    TreeGenOptions gen;
+    gen.compute_nodes = 8 + rng.index(30);
+    gen.satellites = 2 + rng.index(4);
+    gen.policy = trial % 3 == 0 ? SensorPolicy::kRoundRobin
+                 : trial % 3 == 1 ? SensorPolicy::kClustered
+                                  : SensorPolicy::kScattered;
+    const CruTree base = random_tree(rng, gen);
+    const ResolveSession session(base, SolvePlan::pareto_dp());
+    const Colouring colouring(base);
+    const ParetoDpStats cold = pareto_dp_solve(colouring).stats;
+    const auto* warm = session.current().stats_as<ParetoDpStats>();
+    ASSERT_NE(warm, nullptr);
+    EXPECT_GT(warm->minkowski_merges, 0u) << "trial " << trial;
+    EXPECT_EQ(warm->minkowski_merges, cold.minkowski_merges) << "trial " << trial;
+    EXPECT_EQ(warm->merge_points_generated, cold.merge_points_generated) << "trial " << trial;
+    EXPECT_EQ(warm->merge_points_kept, cold.merge_points_kept) << "trial " << trial;
+    EXPECT_EQ(warm->peak_frontier, cold.peak_frontier) << "trial " << trial;
+    EXPECT_EQ(warm->max_region_frontier, cold.max_region_frontier) << "trial " << trial;
+    EXPECT_EQ(warm->max_colour_frontier, cold.max_colour_frontier) << "trial " << trial;
+    EXPECT_EQ(warm->candidates_swept, cold.candidates_swept) << "trial " << trial;
+    EXPECT_EQ(warm->arena_bytes, cold.arena_bytes) << "trial " << trial;
   }
-  // Allocation churn flattens: later same-shape drifts run entirely in
-  // capacity the pooled scratch already owns.
-  EXPECT_EQ(grown_late, 0u);
-}
-
-TEST(IncrementalResolve, ReferenceEngineSessionsColdSolveEveryStep) {
-  // A pareto-dp plan with arena=false opted into the pre-arena reference
-  // engine; the warm path runs the arena merge kernels, so the session must
-  // cold-solve through the facade instead of warm-reusing state the plan's
-  // engine never produces -- and match a standalone reference solve bit for
-  // bit.
-  Rng rng(21);
-  TreeGenOptions gen;
-  gen.compute_nodes = 12;
-  gen.satellites = 3;
-  gen.policy = SensorPolicy::kClustered;
-  const CruTree base = random_tree(rng, gen);
-
-  ParetoDpOptions reference_opts;
-  reference_opts.arena = false;
-  ResolveSession session(base, SolvePlan::pareto_dp(reference_opts));
-  session.resolve(Perturbation::global_drift(1.1, 0.95, 1.0));
-
-  const ResolveStats& stats = session.last_stats();
-  EXPECT_EQ(stats.path, ResolvePath::kCold);
-  EXPECT_EQ(stats.cold_reason, "arena=false: the reference engine has no warm path");
-  EXPECT_EQ(stats.regions_reused, 0u);
-
-  const Colouring cold_colouring(session.tree());
-  const ParetoDpResult cold = pareto_dp_solve_reference(cold_colouring, reference_opts);
-  EXPECT_EQ(session.current().objective_value, cold.objective);
-  EXPECT_EQ(session.current().assignment.cut_nodes(), cold.assignment.cut_nodes());
 }
 
 TEST(IncrementalResolve, NoOpDriftReusesEveryRegionAndKeepsTheOptimum) {

@@ -198,14 +198,16 @@ TEST(TraceDeterminism, GoldenReplayStructureIsShardAndThreadInvariant) {
   EXPECT_EQ(one.metrics_text, many.metrics_text);
 
   // The replay actually produced the service-path span taxonomy README
-  // documents. (Sessions fold colour frontiers through region_frontier /
-  // minkowski_frontiers and finish in the dp.sweep -- the arena-only
-  // spans dp.solve/dp.fold/dp.reconstruct and the worklist never run
-  // here, which is itself part of the warm path's shape.)
+  // documents. (Sessions fold their colours sequentially through the
+  // region/colour caches and finish in dp.sweep and dp.reconstruct -- the
+  // cold solve's dp.solve/dp.fold spans and the worklist never run here,
+  // which is itself part of the warm path's shape.)
   for (const char* name : {"\"req.solve\"", "\"req.submit\"", "\"store.lookup\"",
-                           "\"dp.colour\"", "\"dp.sweep\"", "\"session.resolve\""}) {
+                           "\"dp.colour\"", "\"dp.sweep\"", "\"dp.reconstruct\"",
+                           "\"session.resolve\""}) {
     EXPECT_NE(one.structure.find(name), std::string::npos) << name;
   }
+  EXPECT_EQ(one.structure.find("\"dp.fold\""), std::string::npos);
   for (const char* family :
        {"treesat_requests_total", "treesat_warm_hits_total",
         "treesat_dp_minkowski_merges_total", "treesat_dp_merge_points_kept_total",

@@ -1,20 +1,24 @@
-// Cross-validation wall for the merge-based Minkowski engine: the k-way
-// merge with on-the-fly dominance pruning must reproduce the retained
-// sort-then-scan reference bit for bit -- same (load, host) sequences on
-// random frontier pairs, byte-identical optima (values *and* cut node
-// sets) on the scenario library and on random instances.
+// Cross-validation wall for the fold engine (core/pareto_kernel.hpp): the
+// k-way merge with on-the-fly dominance pruning must reproduce the
+// sort-then-scan reference engine (tests/pareto_reference.hpp) bit for bit
+// -- same (load, host) sequences on random frontier pairs, the same region
+// frontiers, byte-identical optima (values *and* cut node sets) on the
+// scenario library and on random instances, at every dp_threads value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/rng.hpp"
-#include "core/pareto_dp.hpp"
+#include "core/pareto_kernel.hpp"
 #include "io/json.hpp"
+#include "pareto_reference.hpp"
 #include "workload/generator.hpp"
 #include "workload/scenarios.hpp"
 
 namespace treesat {
 namespace {
+
+constexpr std::size_t kBig = std::size_t{1} << 20;
 
 /// A random valid frontier: random (load, host) points with synthetic cut
 /// ids, pruned with the reference rules (sorted by load, host strictly
@@ -26,19 +30,8 @@ std::vector<ParetoPoint> random_frontier(Rng& rng, std::size_t max_points) {
     points[i].host = rng.uniform_real(0.0, 100.0);
     points[i].cut = {CruId{rng.index(1000)}};
   }
-  std::sort(points.begin(), points.end(), [](const ParetoPoint& a, const ParetoPoint& b) {
-    if (a.load != b.load) return a.load < b.load;
-    return a.host < b.host;
-  });
-  std::vector<ParetoPoint> kept;
-  double best = std::numeric_limits<double>::infinity();
-  for (ParetoPoint& p : points) {
-    if (p.host < best) {
-      best = p.host;
-      kept.push_back(std::move(p));
-    }
-  }
-  return kept;
+  reference::prune(points, points.size());
+  return points;
 }
 
 TEST(ParetoMerge, MatchesReferenceOn200RandomFrontierPairs) {
@@ -46,8 +39,8 @@ TEST(ParetoMerge, MatchesReferenceOn200RandomFrontierPairs) {
   for (int trial = 0; trial < 200; ++trial) {
     const std::vector<ParetoPoint> a = random_frontier(rng, 40);
     const std::vector<ParetoPoint> b = random_frontier(rng, 40);
-    const auto merged = minkowski_frontiers(a, b, std::size_t{1} << 20);
-    const auto reference = reference_minkowski_frontiers(a, b, std::size_t{1} << 20);
+    const auto merged = reference::merge_points(reference::SimdKernel{}, a, b, kBig);
+    const auto reference = reference::minkowski(a, b, kBig);
     ASSERT_EQ(merged.size(), reference.size()) << "trial " << trial;
     for (std::size_t i = 0; i < merged.size(); ++i) {
       // Bitwise: both engines compute a[i].load + b[j].load in the same
@@ -60,16 +53,17 @@ TEST(ParetoMerge, MatchesReferenceOn200RandomFrontierPairs) {
 }
 
 TEST(ParetoMerge, EmptyInputsYieldEmptyProducts) {
-  // The DP never feeds empty frontiers, but the public API did accept them
-  // (the reference prunes the empty product to an empty frontier) and the
-  // merge must keep doing so instead of reading stream heads that do not
-  // exist.
+  // The DP never feeds empty frontiers, but the kernel must still treat
+  // them as the reference does (the empty product prunes to an empty
+  // frontier) instead of reading stream heads that do not exist.
   Rng rng(0xE117);
   const std::vector<ParetoPoint> a = random_frontier(rng, 8);
   const std::vector<ParetoPoint> none;
-  EXPECT_TRUE(minkowski_frontiers(a, none, 16).empty());
-  EXPECT_TRUE(minkowski_frontiers(none, a, 16).empty());
-  EXPECT_TRUE(minkowski_frontiers(none, none, 16).empty());
+  const reference::SimdKernel kernel;
+  EXPECT_TRUE(reference::merge_points(kernel, a, none, 16).empty());
+  EXPECT_TRUE(reference::merge_points(kernel, none, a, 16).empty());
+  EXPECT_TRUE(reference::merge_points(kernel, none, none, 16).empty());
+  EXPECT_TRUE(reference::minkowski(a, none, 16).empty());
 }
 
 TEST(ParetoMerge, RegionFrontiersMatchReferenceOnRandomTrees) {
@@ -82,8 +76,8 @@ TEST(ParetoMerge, RegionFrontiersMatchReferenceOnRandomTrees) {
     const CruTree tree = random_tree(rng, o);
     const Colouring colouring(tree);
     for (const CruId r : colouring.region_roots()) {
-      const auto arena = region_frontier(colouring, r, std::size_t{1} << 20);
-      const auto reference = reference_region_frontier(colouring, r, std::size_t{1} << 20);
+      const auto arena = region_frontier(colouring, r, kBig);
+      const auto reference = reference::node_frontier(colouring, r, kBig);
       ASSERT_EQ(arena.size(), reference.size()) << "trial " << trial;
       for (std::size_t i = 0; i < arena.size(); ++i) {
         EXPECT_EQ(arena[i].load, reference[i].load);
@@ -102,11 +96,8 @@ TEST(ParetoMerge, ByteIdenticalOptimaOnTheScenarioLibrary) {
   trees.push_back(paper_running_example());
   for (const CruTree& tree : trees) {
     const Colouring colouring(tree);
-    ParetoDpOptions arena_opts;
-    ParetoDpOptions reference_opts;
-    reference_opts.arena = false;
-    const ParetoDpResult arena = pareto_dp_solve(colouring, arena_opts);
-    const ParetoDpResult reference = pareto_dp_solve(colouring, reference_opts);
+    const ParetoDpResult arena = pareto_dp_solve(colouring);
+    const ParetoDpResult reference = reference::solve(colouring);
     EXPECT_EQ(arena.objective, reference.objective);  // bitwise
     EXPECT_EQ(arena.assignment.cut_nodes(), reference.assignment.cut_nodes());
     // The whole serialized assignment, byte for byte.
@@ -131,10 +122,8 @@ TEST(ParetoMerge, ByteIdenticalOptimaOnRandomInstances) {
                                 : SensorPolicy::kScattered;
     const CruTree tree = random_tree(rng, o);
     const Colouring colouring(tree);
-    ParetoDpOptions reference_opts;
-    reference_opts.arena = false;
     const ParetoDpResult arena = pareto_dp_solve(colouring);
-    const ParetoDpResult reference = pareto_dp_solve(colouring, reference_opts);
+    const ParetoDpResult reference = reference::solve(colouring);
     EXPECT_EQ(arena.objective, reference.objective) << "trial " << trial;
     EXPECT_EQ(arena.assignment.cut_nodes(), reference.assignment.cut_nodes())
         << "trial " << trial;

@@ -1,11 +1,12 @@
 // Property wall for the branch-free SIMD Minkowski kernel
-// (MinkowskiKernel::kSimd): it must reproduce the scalar merge bit for bit
-// -- points, cuts, counters and throw behaviour -- on random blocked
-// frontiers, on tie-heavy integer grids (equal product loads / equal
-// hosts), on single-point frontiers, and it must share the scalar seam's
-// rejection of non-finite coordinates. The SIMD primitive itself
-// (platform/simd.hpp dominated_prefix) is unit-tested against its scalar
-// specification, non-monotone and NaN inputs included.
+// (core/pareto_kernel.hpp merge_product): it must reproduce the scalar
+// oracle merge (tests/pareto_reference.hpp) bit for bit -- points, cuts,
+// counters and throw behaviour -- on random blocked frontiers, on
+// tie-heavy integer grids (equal product loads / equal hosts) and on
+// single-point frontiers, and a retained pipeline must give the same
+// frontiers as a fresh one. The SIMD primitive itself (platform/simd.hpp
+// dominated_prefix) is unit-tested against its scalar specification,
+// non-monotone and NaN inputs included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,30 +14,24 @@
 #include <limits>
 
 #include "common/rng.hpp"
-#include "core/pareto_dp.hpp"
+#include "core/pareto_kernel.hpp"
+#include "pareto_reference.hpp"
 #include "platform/simd.hpp"
 #include "workload/generator.hpp"
 
 namespace treesat {
 namespace {
 
+using reference::merge_points;
+using reference::ScalarKernel;
+using reference::SimdKernel;
+
 constexpr std::size_t kBig = std::size_t{1} << 20;
 
 /// Reference pruning: sort by (load, host), keep strict host improvements.
 std::vector<ParetoPoint> pruned(std::vector<ParetoPoint> points) {
-  std::sort(points.begin(), points.end(), [](const ParetoPoint& a, const ParetoPoint& b) {
-    if (a.load != b.load) return a.load < b.load;
-    return a.host < b.host;
-  });
-  std::vector<ParetoPoint> kept;
-  double best = std::numeric_limits<double>::infinity();
-  for (ParetoPoint& p : points) {
-    if (p.host < best) {
-      best = p.host;
-      kept.push_back(std::move(p));
-    }
-  }
-  return kept;
+  reference::prune(points, kBig);
+  return points;
 }
 
 /// A random valid frontier of up to `max_points` points. `integral` draws
@@ -68,6 +63,19 @@ void expect_bitwise_equal(const std::vector<ParetoPoint>& simd,
   }
 }
 
+/// Both kernels on one pair: identical points, cuts and counters.
+void expect_kernels_agree(const std::vector<ParetoPoint>& a, const std::vector<ParetoPoint>& b,
+                          int trial) {
+  pareto_internal::MergeCounters simd_counters;
+  pareto_internal::MergeCounters scalar_counters;
+  const auto simd = merge_points(SimdKernel{}, a, b, kBig, simd_counters);
+  const auto scalar = merge_points(ScalarKernel{}, a, b, kBig, scalar_counters);
+  expect_bitwise_equal(simd, scalar, trial);
+  EXPECT_EQ(simd_counters.merges, scalar_counters.merges) << "trial " << trial;
+  EXPECT_EQ(simd_counters.generated, scalar_counters.generated) << "trial " << trial;
+  EXPECT_EQ(simd_counters.kept, scalar_counters.kept) << "trial " << trial;
+}
+
 TEST(ParetoSimdKernel, MatchesScalarOnRandomBlockedFrontiers) {
   // Frontiers up to 160 points: the dominated prefixes the kernel skips
   // span many SIMD blocks plus a scalar tail, so every path of
@@ -76,9 +84,7 @@ TEST(ParetoSimdKernel, MatchesScalarOnRandomBlockedFrontiers) {
   for (int trial = 0; trial < 150; ++trial) {
     const std::vector<ParetoPoint> a = random_frontier(rng, 160, /*integral=*/false);
     const std::vector<ParetoPoint> b = random_frontier(rng, 160, /*integral=*/false);
-    const auto simd = minkowski_frontiers(a, b, kBig, MinkowskiKernel::kSimd);
-    const auto scalar = minkowski_frontiers(a, b, kBig, MinkowskiKernel::kScalar);
-    expect_bitwise_equal(simd, scalar, trial);
+    expect_kernels_agree(a, b, trial);
   }
 }
 
@@ -91,11 +97,9 @@ TEST(ParetoSimdKernel, MatchesScalarAndReferenceOnTieHeavyIntegerGrids) {
   for (int trial = 0; trial < 200; ++trial) {
     const std::vector<ParetoPoint> a = random_frontier(rng, 10, /*integral=*/true);
     const std::vector<ParetoPoint> b = random_frontier(rng, 10, /*integral=*/true);
-    const auto simd = minkowski_frontiers(a, b, kBig, MinkowskiKernel::kSimd);
-    const auto scalar = minkowski_frontiers(a, b, kBig, MinkowskiKernel::kScalar);
-    const auto reference = reference_minkowski_frontiers(a, b, kBig);
-    expect_bitwise_equal(simd, scalar, trial);
-    expect_bitwise_equal(simd, reference, trial);
+    expect_kernels_agree(a, b, trial);
+    expect_bitwise_equal(merge_points(SimdKernel{}, a, b, kBig),
+                         reference::minkowski(a, b, kBig), trial);
   }
 }
 
@@ -108,40 +112,8 @@ TEST(ParetoSimdKernel, SinglePointFrontiers) {
                                std::pair{many, std::vector<ParetoPoint>{lone}},
                                std::pair{std::vector<ParetoPoint>{lone},
                                          std::vector<ParetoPoint>{lone}}}) {
-      const auto simd = minkowski_frontiers(a, b, kBig, MinkowskiKernel::kSimd);
-      const auto scalar = minkowski_frontiers(a, b, kBig, MinkowskiKernel::kScalar);
-      expect_bitwise_equal(simd, scalar, trial);
+      expect_kernels_agree(a, b, trial);
     }
-  }
-}
-
-TEST(ParetoSimdKernel, RejectsNonFiniteCoordinates) {
-  const std::vector<ParetoPoint> good{{1.0, 2.0, {}}, {3.0, 1.0, {}}};
-  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
-                           std::numeric_limits<double>::infinity(),
-                           -std::numeric_limits<double>::infinity()}) {
-    for (const bool poison_load : {true, false}) {
-      std::vector<ParetoPoint> poisoned = good;
-      (poison_load ? poisoned[1].load : poisoned[1].host) = bad;
-      for (const MinkowskiKernel kernel : {MinkowskiKernel::kSimd, MinkowskiKernel::kScalar}) {
-        EXPECT_THROW((void)minkowski_frontiers(poisoned, good, kBig, kernel),
-                     InvalidArgument);
-        EXPECT_THROW((void)minkowski_frontiers(good, poisoned, kBig, kernel),
-                     InvalidArgument);
-      }
-    }
-  }
-}
-
-TEST(ParetoSimdKernel, RejectsUnsortedFrontiers) {
-  // Load-ascending order is the invariant every frontier producer
-  // maintains and the lazy stream activation relies on; the public seam
-  // rejects violations loudly instead of merging garbage.
-  const std::vector<ParetoPoint> unsorted{{5.0, 1.0, {}}, {2.0, 3.0, {}}};
-  const std::vector<ParetoPoint> good{{1.0, 2.0, {}}, {3.0, 1.0, {}}};
-  for (const MinkowskiKernel kernel : {MinkowskiKernel::kSimd, MinkowskiKernel::kScalar}) {
-    EXPECT_THROW((void)minkowski_frontiers(unsorted, good, kBig, kernel), InvalidArgument);
-    EXPECT_THROW((void)minkowski_frontiers(good, unsorted, kBig, kernel), InvalidArgument);
   }
 }
 
@@ -151,17 +123,18 @@ TEST(ParetoSimdKernel, MaxFrontierThrowsAtTheSamePoint) {
   Rng rng(0xCAFE);
   const std::vector<ParetoPoint> a = random_frontier(rng, 80, false);
   const std::vector<ParetoPoint> b = random_frontier(rng, 80, false);
-  const std::size_t kept = minkowski_frontiers(a, b, kBig, MinkowskiKernel::kScalar).size();
+  const std::size_t kept = merge_points(ScalarKernel{}, a, b, kBig).size();
   ASSERT_GT(kept, 1u);
-  for (const MinkowskiKernel kernel : {MinkowskiKernel::kSimd, MinkowskiKernel::kScalar}) {
-    EXPECT_THROW((void)minkowski_frontiers(a, b, kept - 1, kernel), ResourceLimit);
-    EXPECT_EQ(minkowski_frontiers(a, b, kept, kernel).size(), kept);
-  }
+  EXPECT_THROW((void)merge_points(SimdKernel{}, a, b, kept - 1), ResourceLimit);
+  EXPECT_THROW((void)merge_points(ScalarKernel{}, a, b, kept - 1), ResourceLimit);
+  EXPECT_EQ(merge_points(SimdKernel{}, a, b, kept).size(), kept);
+  EXPECT_EQ(merge_points(ScalarKernel{}, a, b, kept).size(), kept);
 }
 
-TEST(ParetoSimdKernel, FullSolvesAreByteIdenticalAcrossKernels) {
-  // End to end through pareto_dp_solve: optima, cuts and every merge
-  // counter agree, so stats-bearing reports serialize identically.
+TEST(ParetoSimdKernel, DpFoldsAreByteIdenticalAcrossKernels) {
+  // The frontiers a solve actually folds: every colour's region frontiers
+  // of random instances, folded left to right through both kernels --
+  // points, cuts and every merge counter agree at each step.
   Rng rng(0x60D0);
   for (int trial = 0; trial < 30; ++trial) {
     TreeGenOptions o;
@@ -172,25 +145,24 @@ TEST(ParetoSimdKernel, FullSolvesAreByteIdenticalAcrossKernels) {
                                 : SensorPolicy::kScattered;
     const CruTree tree = random_tree(rng, o);
     const Colouring colouring(tree);
-    ParetoDpOptions scalar_opts;
-    scalar_opts.kernel = MinkowskiKernel::kScalar;
-    const ParetoDpResult simd = pareto_dp_solve(colouring);
-    const ParetoDpResult scalar = pareto_dp_solve(colouring, scalar_opts);
-    EXPECT_EQ(simd.objective, scalar.objective) << "trial " << trial;
-    EXPECT_EQ(simd.assignment.cut_nodes(), scalar.assignment.cut_nodes()) << "trial " << trial;
-    EXPECT_EQ(simd.stats.arena_bytes, scalar.stats.arena_bytes);
-    EXPECT_EQ(simd.stats.peak_frontier, scalar.stats.peak_frontier);
-    EXPECT_EQ(simd.stats.minkowski_merges, scalar.stats.minkowski_merges);
-    EXPECT_EQ(simd.stats.merge_points_generated, scalar.stats.merge_points_generated);
-    EXPECT_EQ(simd.stats.merge_points_kept, scalar.stats.merge_points_kept);
-    EXPECT_EQ(simd.stats.candidates_swept, scalar.stats.candidates_swept);
+    for (std::size_t c = 0; c < tree.satellite_count(); ++c) {
+      const std::vector<CruId> regions = colouring.regions_of(SatelliteId{c});
+      if (regions.empty()) continue;
+      std::vector<ParetoPoint> acc = region_frontier(colouring, regions[0], kBig);
+      for (std::size_t k = 1; k < regions.size(); ++k) {
+        const std::vector<ParetoPoint> next = region_frontier(colouring, regions[k], kBig);
+        expect_kernels_agree(acc, next, trial);
+        acc = merge_points(SimdKernel{}, acc, next, kBig);
+      }
+    }
   }
 }
 
-TEST(ParetoSimdKernel, ScratchReuseIsResultInvisible) {
-  // One ParetoScratch threaded through repeated region/merge calls must
-  // change nothing about the results -- only the allocator traffic, which
-  // the grown_bytes counter shows flattening once capacity is retained.
+TEST(ParetoSimdKernel, RetainedPipelineIsResultInvisible) {
+  // Warm sessions fold in one retained pipeline per thread, reset between
+  // solves: whatever an earlier solve left in its arena, imports and
+  // scratch, a reset pipeline must build the same frontiers, bit for bit,
+  // as a fresh one.
   Rng rng(0x5C2A);
   TreeGenOptions o;
   o.compute_nodes = 24;
@@ -198,28 +170,28 @@ TEST(ParetoSimdKernel, ScratchReuseIsResultInvisible) {
   o.policy = SensorPolicy::kClustered;
   const CruTree tree = random_tree(rng, o);
   const Colouring colouring(tree);
+  const std::vector<ParetoPoint> cached = random_frontier(rng, 30, false);
+  const std::vector<CruId> nodes(1000, CruId{std::size_t{0}});
 
-  ParetoScratch scratch;
-  std::size_t grown_after_first = 0;
+  pareto_internal::ColourPipeline retained;
   for (int round = 0; round < 4; ++round) {
+    retained.reset();
+    if (round % 2 == 1) static_cast<void>(retained.import(cached, nodes.data()));
     for (const CruId r : colouring.region_roots()) {
-      const auto pooled =
-          region_frontier(colouring, r, kBig, MinkowskiKernel::kSimd, &scratch);
-      const auto fresh = region_frontier(colouring, r, kBig);
-      expect_bitwise_equal(pooled, fresh, round);
+      pareto_internal::ColourPipeline fresh;
+      const pareto_internal::Span a = retained.region(colouring, r, kBig);
+      const pareto_internal::Span b = fresh.region(colouring, r, kBig);
+      ASSERT_EQ(a.size(), b.size()) << "round " << round;
+      for (std::uint32_t k = 0; k < a.size(); ++k) {
+        EXPECT_EQ(retained.arena.load[a.begin + k], fresh.arena.load[b.begin + k]);
+        EXPECT_EQ(retained.arena.host[a.begin + k], fresh.arena.host[b.begin + k]);
+        std::vector<CruId> cut_a, cut_b;
+        retained.reconstruct(a.begin + k, cut_a);
+        fresh.reconstruct(b.begin + k, cut_b);
+        EXPECT_EQ(cut_a, cut_b) << "round " << round;
+      }
     }
-    if (round == 0) grown_after_first = scratch.grown_bytes();
   }
-  EXPECT_GT(scratch.served_bytes(), 0u);
-  EXPECT_GT(scratch.retained_bytes(), 0u);
-  // Re-solving identical content grows nothing after the first round.
-  EXPECT_EQ(scratch.grown_bytes(), grown_after_first);
-
-  const std::vector<ParetoPoint> a = random_frontier(rng, 60, false);
-  const std::vector<ParetoPoint> b = random_frontier(rng, 60, false);
-  const auto pooled = minkowski_frontiers(a, b, kBig, MinkowskiKernel::kSimd, &scratch);
-  const auto fresh = minkowski_frontiers(a, b, kBig);
-  expect_bitwise_equal(pooled, fresh, -1);
 }
 
 // ---------------------------------------------------------------------------

@@ -136,11 +136,10 @@ const BadSpec kBadServiceConfigs[] = {
     {"plan=", "unknown method"},
     {"plan=pareto-dp:dp_threads=0", "dp_threads"},
     {"plan=pareto-dp:max_frontier", "malformed"},
-    // kernel= is a closed enum: scalar|simd, nothing else and no empty
-    // value (an unknown kernel silently mapped to a default would defeat
-    // the A/B gate).
-    {"plan=pareto-dp:kernel=fast", "kernel"},
-    {"plan=pareto-dp:kernel=", "kernel"},
+    // pareto-dp has one fold engine and no engine or kernel selector.
+    {"plan=pareto-dp:kernel=scalar", "unknown key 'kernel'"},
+    {"plan=pareto-dp:kernel=", "unknown key 'kernel'"},
+    {"plan=pareto-dp:arena=false", "unknown key 'arena'"},
     // Spill tier (storage/snapshot.hpp + session_store.hpp): the directory
     // must be a real value, the budget shares mem_budget's byte grammar,
     // and a budget without a directory is a contradiction, not a default.

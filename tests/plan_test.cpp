@@ -1,7 +1,6 @@
 // Tests for the plan-based solver API: the SolvePlan named constructors,
 // the method registry and its "method:key=value" spec parser (including the
-// error paths), automatic() method selection, solve_batch, and the
-// deprecated SolveOptions shim.
+// error paths), automatic() method selection, and solve_batch.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -87,10 +86,9 @@ TEST(ParsePlan, PerMethodKeysReachTheTypedOptions) {
   EXPECT_EQ(bb.options_as<BranchBoundOptions>().node_cap, 1000u);
   EXPECT_FALSE(bb.options_as<BranchBoundOptions>().greedy_incumbent);
 
-  const SolvePlan dp = parse_plan("pareto-dp:max_frontier=99,dp_threads=4,arena=false");
+  const SolvePlan dp = parse_plan("pareto-dp:max_frontier=99,dp_threads=4");
   EXPECT_EQ(dp.options_as<ParetoDpOptions>().max_frontier, 99u);
   EXPECT_EQ(dp.options_as<ParetoDpOptions>().dp_threads, 4u);
-  EXPECT_FALSE(dp.options_as<ParetoDpOptions>().arena);
   EXPECT_EQ(parse_plan("pareto-dp:dp_threads=auto").options_as<ParetoDpOptions>().dp_threads,
             0u);
   EXPECT_THROW(static_cast<void>(parse_plan("pareto-dp:dp_threads=0")), InvalidArgument);
@@ -154,27 +152,20 @@ TEST(ParsePlan, SpecRoundTrips) {
   EXPECT_EQ(back.options_as<AnnealingOptions>().seed, 42u);
 }
 
-TEST(ParsePlan, KernelKeySelectsTheMinkowskiKernel) {
-  // kernel= A/B-gates the arena engine's Minkowski merge. Like dp_threads,
-  // the default (simd) is omitted from printed specs; the non-default value
-  // round-trips through plan_spec.
-  const SolvePlan scalar = parse_plan("pareto-dp:kernel=scalar");
-  EXPECT_EQ(scalar.options_as<ParetoDpOptions>().kernel, MinkowskiKernel::kScalar);
-  EXPECT_NE(plan_spec(scalar).find("kernel=scalar"), std::string::npos);
-  const SolvePlan round = parse_plan(plan_spec(scalar));
-  EXPECT_EQ(round.options_as<ParetoDpOptions>().kernel, MinkowskiKernel::kScalar);
-
-  const SolvePlan simd = parse_plan("pareto-dp:kernel=simd");
-  EXPECT_EQ(simd.options_as<ParetoDpOptions>().kernel, MinkowskiKernel::kSimd);
-  EXPECT_EQ(plan_spec(simd).find("kernel"), std::string::npos);
+TEST(ParsePlan, EngineSelectorKeysAreUnknown) {
+  // pareto-dp has one fold engine and no engine or kernel selector:
+  // arena= and kernel= are unknown-key errors like any other typo.
+  for (const char* spec : {"pareto-dp:kernel=scalar", "pareto-dp:kernel=simd",
+                           "pareto-dp:arena=false", "pareto-dp:arena=true"}) {
+    try {
+      static_cast<void>(parse_plan(spec));
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos) << e.what();
+    }
+  }
   EXPECT_EQ(plan_spec(SolvePlan::pareto_dp()).find("kernel"), std::string::npos);
-
-  // A closed enum and the usual duplicate-key rule: an unknown kernel
-  // silently mapped to a default would defeat the A/B gate.
-  EXPECT_THROW(static_cast<void>(parse_plan("pareto-dp:kernel=avx512")),
-               InvalidArgument);
-  EXPECT_THROW(static_cast<void>(parse_plan("pareto-dp:kernel=scalar,kernel=simd")),
-               InvalidArgument);
+  EXPECT_EQ(plan_spec(SolvePlan::pareto_dp()).find("arena"), std::string::npos);
 }
 
 // --- plan behaviour ------------------------------------------------------
@@ -439,25 +430,6 @@ TEST(SolveBatch, EmptyAndNullInputs) {
   EXPECT_TRUE(solve_batch({}).empty());
   const std::vector<const Colouring*> instances = {nullptr};
   EXPECT_THROW(static_cast<void>(solve_batch(instances)), InvalidArgument);
-}
-
-// --- deprecated shim -----------------------------------------------------
-
-TEST(SolveOptionsShim, StillSolvesAndNamesTheMethod) {
-  const CruTree tree = paper_running_example();
-  const Colouring colouring(tree);
-  SolveOptions o;
-  o.method = SolveMethod::kGenetic;
-  o.seed = 5;
-  const SolveSummary summary = solve(colouring, o);
-  EXPECT_EQ(summary.method, "genetic");
-  EXPECT_FALSE(summary.exact);
-
-  // plan_from carries method, objective and seed into the new world.
-  const SolvePlan plan = plan_from(o);
-  EXPECT_EQ(plan.method(), SolveMethod::kGenetic);
-  EXPECT_EQ(plan.options_as<GeneticOptions>().seed, 5u);
-  EXPECT_NEAR(solve(colouring, plan).objective_value, summary.objective_value, 1e-12);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -225,6 +226,21 @@ TEST(ServiceFaults, VanishedSpillFileIsACacheMissNotAnError) {
       /*expect_quarantine=*/false);
 }
 
+TEST(ServiceFaults, NonFiniteCachedFrontierIsQuarantinedAndReSolved) {
+  // Hash-valid but poisoned: the spill file's colour cache carries a NaN
+  // load and a -inf host. The reload's import rejects it, so the file is
+  // quarantined and the instance re-solves to the same optimum instead of
+  // folding the poisoned frontier into its next answer.
+  corrupt_spill_scenario("nonfinite", [](const std::string& path) {
+    SessionState state = read_snapshot_file(path);
+    ASSERT_FALSE(state.colour_cache.empty());
+    ParetoPoint& point = state.colour_cache.front().frontier.front();
+    point.load = std::numeric_limits<double>::quiet_NaN();
+    point.host = -std::numeric_limits<double>::infinity();
+    write_snapshot_file(path, state);
+  });
+}
+
 // --- injected faults, point by point -------------------------------------
 
 TEST(ServiceFaults, SpillWriteFaultLeavesATombstoneThatColdResolves) {
@@ -375,15 +391,28 @@ TEST(ServiceFaults, DamagedManifestIsStillFatalToTheRestoreRequest) {
     ASSERT_TRUE(contains(service.handle_line(solve_line("t0", "w0")), "\"ok\":true"));
     service.checkpoint_to(ckpt);
   }
-  truncate_file(ckpt + "/MANIFEST.tsc");
+  const std::string manifest = ckpt + "/MANIFEST.tsc";
+  const std::string intact = read_file_bytes(manifest);
+  const std::string payload(
+      unframe_payload("treesat_checkpoint", "v1", intact, "checkpoint"));
+  const std::size_t rows = payload.find("resident ");
+  ASSERT_NE(rows, std::string::npos);
+  std::string huge = payload;  // hash-valid, declaring 10^13 resident rows
+  huge.replace(rows, huge.find('\n', rows) - rows, "resident 10000000000000");
 
-  SolverService restarted;
-  // The manifest is the source of truth: a damaged one is an error
-  // response (the service keeps serving), not a silent partial restore.
-  const std::string restored =
-      restarted.handle_line("{\"op\":\"restore\",\"dir\":\"" + json_escape(ckpt) + "\"}");
-  EXPECT_CONTAINS(restored, "\"ok\":false");
-  EXPECT_CONTAINS(restarted.handle_line(submit_line("t0", "w0", tree)), "\"ok\":true");
+  const auto restore_fails = [&] {
+    SolverService restarted;
+    // The manifest is the source of truth: a damaged one is an error
+    // response (the service keeps serving), not a silent partial restore.
+    const std::string restored = restarted.handle_line(
+        "{\"op\":\"restore\",\"dir\":\"" + json_escape(ckpt) + "\"}");
+    EXPECT_CONTAINS(restored, "\"ok\":false");
+    EXPECT_CONTAINS(restarted.handle_line(submit_line("t0", "w0", tree)), "\"ok\":true");
+  };
+  truncate_file(manifest);
+  restore_fails();
+  write_file_atomic(manifest, frame_payload("treesat_checkpoint", "v1", huge));
+  restore_fails();
 }
 
 // --- the whole wall under stress traffic ---------------------------------

@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -260,6 +262,81 @@ TEST(SnapshotCorruption, HashValidButBrokenPayloadsAreRejected) {
     EXPECT_THROW(static_cast<void>(decode_snapshot(
                      frame_payload("treesat_snapshot", "v1", broken))),
                  InvalidArgument);
+  }
+}
+
+TEST(SnapshotCorruption, CachedFrontiersMustBeFiniteAndLoadSorted) {
+  // Cached frontiers go straight into the fold engine's merge, which needs
+  // finite coordinates and loads in non-decreasing order; a hash-valid
+  // snapshot that breaks either is rejected at import, in both caches,
+  // instead of being adopted and reused by the next warm resolve.
+  ResolveSession session{paper_running_example()};
+  const SessionState good = session.export_state();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  using Cache = std::vector<SessionState::CacheEntry> SessionState::*;
+  for (const Cache cache : {&SessionState::colour_cache, &SessionState::region_cache}) {
+    ASSERT_FALSE((good.*cache).empty());
+    // The widest entry, so the unsorted row has two points to swap.
+    std::size_t widest = 0;
+    for (std::size_t i = 0; i < (good.*cache).size(); ++i) {
+      if ((good.*cache)[i].frontier.size() > (good.*cache)[widest].frontier.size()) widest = i;
+    }
+    ASSERT_GE((good.*cache)[widest].frontier.size(), 2u);
+    const auto rejected = [&](const char* what, auto&& damage) {
+      SessionState bad = good;
+      damage((bad.*cache)[widest].frontier);
+      EXPECT_THROW(static_cast<void>(ResolveSession::import_state(
+                       decode_snapshot(encode_snapshot(bad)))),
+                   InvalidArgument)
+          << what;
+    };
+    rejected("NaN load", [&](std::vector<ParetoPoint>& f) { f[1].load = kNaN; });
+    rejected("-inf host", [&](std::vector<ParetoPoint>& f) { f[0].host = -kInf; });
+    rejected("+inf load", [&](std::vector<ParetoPoint>& f) { f.back().load = kInf; });
+    rejected("NaN host", [&](std::vector<ParetoPoint>& f) { f[0].host = kNaN; });
+    rejected("unsorted loads",
+             [&](std::vector<ParetoPoint>& f) { std::swap(f[0].load, f[1].load); });
+    rejected("empty frontier", [&](std::vector<ParetoPoint>& f) { f.clear(); });
+  }
+}
+
+TEST(SnapshotCorruption, DeclaredCountsAreBoundedByThePayload) {
+  // Counts size the decoder's storage, so a count the rest of the payload
+  // cannot hold is rejected before it reaches an allocation -- not
+  // answered with bad_alloc, length_error or a sanitizer abort.
+  ResolveSession session{paper_running_example()};
+  const std::string bytes = encode_snapshot(session.export_state());
+  const std::string payload(unframe_payload("treesat_snapshot", "v1", bytes, "snapshot"));
+  const auto rejected = [](const std::string& broken) {
+    EXPECT_THROW(static_cast<void>(decode_snapshot(
+                     frame_payload("treesat_snapshot", "v1", broken))),
+                 InvalidArgument);
+  };
+  {
+    std::string broken = payload;  // 10^13 colour-cache entries
+    const std::size_t at = broken.find("colour_cache ");
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t end = broken.find('\n', at);
+    broken.replace(at, end - at, "colour_cache 10000000000000");
+    rejected(broken);
+  }
+  {
+    std::string broken = payload;  // 4e18 points in the first cache entry
+    const std::size_t at = broken.find("\nentry ", broken.find("colour_cache "));
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t end = broken.find('\n', at + 1);
+    const std::size_t last = broken.rfind(' ', end);
+    broken.replace(last + 1, end - last - 1, "4000000000000000000");
+    rejected(broken);
+  }
+  {
+    std::string broken = payload;  // key word count past the end of its line
+    const std::size_t at = broken.find("\nentry ", broken.find("colour_cache "));
+    const std::size_t stamp_end = broken.find(' ', at + 7);
+    const std::size_t words_end = broken.find(' ', stamp_end + 1);
+    broken.replace(stamp_end + 1, words_end - stamp_end - 1, "99999999999");
+    rejected(broken);
   }
 }
 

@@ -1,20 +1,14 @@
 // E-ARENA: the allocation-free Pareto-DP core against the pre-arena
 // reference engine (the oracle in tests/pareto_reference.hpp).
 //
-// Four claims, all enforced (exit 1 on violation):
+// Three claims, all enforced (exit 1 on violation):
 //   1. Correctness: the arena engine returns byte-identical optima to the
-//      reference -- same objective bits, same cut node ids -- and
-//      byte-identical SolveReports at every dp_threads setting (wall clock
-//      zeroed before comparison; everything else, counters included, must
-//      match byte for byte).
+//      reference -- same objective bits, same cut node ids.
 //   2. Cold speed: on large clustered instances the arena engine is >= 3x
-//      faster than the reference at dp_threads = 1. This is the win of
-//      merge-based Minkowski (dominated product points never materialize)
-//      plus backpointer cuts (no per-point cut vector copies).
-//   3. Scaling: dp_threads = 4 is >= 1.5x faster than dp_threads = 1 in
-//      aggregate -- enforced only when the hardware has >= 4 threads
-//      (reported as skipped otherwise; byte-identity is asserted anyway).
-//   4. Kernel: the branch-free SIMD Minkowski merge the engine runs is
+//      faster than the reference. This is the win of merge-based Minkowski
+//      (dominated product points never materialize) plus backpointer cuts
+//      (no per-point cut vector copies).
+//   3. Kernel: the branch-free SIMD Minkowski merge the engine runs is
 //      >= 1.3x geomean faster than the scalar oracle merge on the
 //      frontier-dominated full-mode cases, timed on each case's
 //      cross-region folds (every colour's region frontiers folded left to
@@ -38,7 +32,6 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "core/pareto_kernel.hpp"
-#include "io/json.hpp"
 #include "io/table.hpp"
 #include "platform/simd.hpp"
 #include "workload/generator.hpp"
@@ -105,18 +98,6 @@ std::vector<double> fold_all(Kernel kernel, const std::vector<FoldInput>& inputs
   return folded;
 }
 
-std::string report_json_without_wall(const Colouring& colouring, const ParetoDpResult& r) {
-  SolveReport report{Assignment(colouring, r.assignment.cut_nodes()),
-                     r.delay,
-                     r.objective,
-                     /*wall_seconds=*/0.0,
-                     /*exact=*/true,
-                     SolveMethod::kParetoDp,
-                     SolveMethod::kParetoDp,
-                     r.stats};
-  return report_to_json(report);
-}
-
 int run(bool smoke) {
   const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   bench::banner("E-ARENA", "arena Pareto-DP vs pre-arena reference engine");
@@ -137,11 +118,10 @@ int run(bool smoke) {
   const int reps = smoke ? 3 : 5;
 
   Table t({"instance", "nodes", "regions", "ref ms", "arena ms", "speedup", "scalar fold ms",
-           "simd fold ms", "kernel x", "t4 ms", "t4 speedup", "peak frontier", "prune %"});
+           "simd fold ms", "kernel x", "peak frontier", "prune %"});
 
   double ref_total = 0.0;
   double arena_total = 0.0;
-  double t4_total = 0.0;
   double kernel_log_sum = 0.0;
   bool identical = true;
 
@@ -154,36 +134,24 @@ int run(bool smoke) {
     const CruTree tree = random_tree(rng, gen);
     const Colouring colouring(tree);
 
-    ParetoDpOptions arena_opts;  // dp_threads = 1
-    ParetoDpOptions threaded_opts;
-    threaded_opts.dp_threads = 4;
     const std::vector<FoldInput> folds = fold_inputs(colouring);
 
     const double ref_s =
         bench::time_run([&] { static_cast<void>(reference::solve(colouring)); }, reps);
-    const double arena_s = bench::time_run(
-        [&] { static_cast<void>(pareto_dp_solve(colouring, arena_opts)); }, reps);
-    const double t4_s = bench::time_run(
-        [&] { static_cast<void>(pareto_dp_solve(colouring, threaded_opts)); }, reps);
+    const double arena_s =
+        bench::time_run([&] { static_cast<void>(pareto_dp_solve(colouring)); }, reps);
     const double scalar_fold_s = bench::time_run(
         [&] { static_cast<void>(fold_all(reference::ScalarKernel{}, folds)); }, reps);
     const double simd_fold_s = bench::time_run(
         [&] { static_cast<void>(fold_all(reference::SimdKernel{}, folds)); }, reps);
 
     const ParetoDpResult reference = reference::solve(colouring);
-    const ParetoDpResult arena = pareto_dp_solve(colouring, arena_opts);
-    const ParetoDpResult threaded = pareto_dp_solve(colouring, threaded_opts);
+    const ParetoDpResult arena = pareto_dp_solve(colouring);
 
     if (arena.objective != reference.objective ||
         arena.assignment.cut_nodes() != reference.assignment.cut_nodes()) {
       std::cerr << "IDENTITY FAILURE: " << c.label
                 << ": arena optimum differs from the reference engine\n";
-      identical = false;
-    }
-    if (report_json_without_wall(colouring, arena) !=
-        report_json_without_wall(colouring, threaded)) {
-      std::cerr << "IDENTITY FAILURE: " << c.label
-                << ": dp_threads=4 report differs from dp_threads=1\n";
       identical = false;
     }
     if (fold_all(reference::SimdKernel{}, folds) != fold_all(reference::ScalarKernel{}, folds)) {
@@ -194,15 +162,13 @@ int run(bool smoke) {
 
     ref_total += ref_s;
     arena_total += arena_s;
-    t4_total += t4_s;
     const double kernel_x = scalar_fold_s / simd_fold_s;
     kernel_log_sum += std::log(kernel_x);
 
     const std::size_t regions = colouring.region_roots().size();
     const double prune = 100.0 * arena.stats.prune_ratio();
     t.add(c.label, tree.size(), regions, ref_s * 1e3, arena_s * 1e3, ref_s / arena_s,
-          scalar_fold_s * 1e3, simd_fold_s * 1e3, kernel_x, t4_s * 1e3, arena_s / t4_s,
-          arena.stats.peak_frontier, prune);
+          scalar_fold_s * 1e3, simd_fold_s * 1e3, kernel_x, arena.stats.peak_frontier, prune);
     bench::json().add_row(
         c.label,
         {{"nodes", static_cast<double>(tree.size())},
@@ -213,8 +179,6 @@ int run(bool smoke) {
          {"simd_fold_ms", simd_fold_s * 1e3},
          {"speedup_vs_reference", ref_s / arena_s},
          {"kernel_speedup", kernel_x},
-         {"threads4_ms", t4_s * 1e3},
-         {"speedup_threads4", arena_s / t4_s},
          {"peak_frontier", static_cast<double>(arena.stats.peak_frontier)},
          {"arena_bytes", static_cast<double>(arena.stats.arena_bytes)},
          {"prune_ratio", arena.stats.prune_ratio()}});
@@ -222,17 +186,12 @@ int run(bool smoke) {
   t.print(std::cout);
 
   const double speedup = ref_total / arena_total;
-  const double scaling = arena_total / t4_total;
   const double kernel_geomean = std::exp(kernel_log_sum / static_cast<double>(cases.size()));
   bench::note("aggregate speedup vs reference: " + std::to_string(speedup) + "x (gate: 3x)");
   bench::note("kernel simd-over-scalar geomean: " + std::to_string(kernel_geomean) +
               "x (gate: 1.3x, full mode)");
-  bench::note("aggregate dp_threads=4 scaling: " + std::to_string(scaling) +
-              "x (gate: 1.5x, needs >= 4 hardware threads)");
   bench::json().set("speedup_vs_reference", speedup);
   bench::json().set("kernel_speedup_geomean", kernel_geomean);
-  bench::json().set("speedup_threads4", scaling);
-  bench::json().set("threads", 4.0);
 
   bool ok = identical;
   if (!identical) std::cerr << "FAILED: byte-identity violated\n";
@@ -244,17 +203,6 @@ int run(bool smoke) {
     std::cerr << "FAILED: simd kernel only " << kernel_geomean
               << "x geomean over scalar (< 1.3x)\n";
     ok = false;
-  }
-  if (hw >= 4) {
-    if (scaling < 1.5) {
-      std::cerr << "FAILED: dp_threads=4 scaling only " << scaling << "x (< 1.5x)\n";
-      ok = false;
-    }
-    bench::json().set("scaling_gate", std::string(scaling >= 1.5 ? "passed" : "failed"));
-  } else {
-    bench::note("scaling gate skipped: only " + std::to_string(hw) +
-                " hardware thread(s); byte-identity still asserted");
-    bench::json().set("scaling_gate", std::string("skipped: <4 hardware threads"));
   }
   if (ok) bench::note("all gates passed");
   if (!bench::json().write()) ok = false;

@@ -11,7 +11,10 @@
 # replay is repeated with --metrics-out/--trace-out, the deterministic
 # slice of the Prometheus scrape is diffed against
 # tests/golden/service_metrics.prom, and the chrome trace export is
-# sanity-checked. This is followed by a ThreadSanitizer build of the suites that exercise the batch
+# sanity-checked. A perfbench stage then builds the serving benchmark
+# (perfbench/) and runs every workload once for a second, so its
+# self-tests and output checks gate CI while its metrics are ignored.
+# This is followed by a ThreadSanitizer build of the suites that exercise the batch
 # executor and the service (-fsanitize=thread via TREESAT_TSAN), so the
 # worker pool is race-checked on every run, a UBSan build
 # (-fsanitize=undefined via TREESAT_UBSAN, recovery off) of the Pareto
@@ -29,6 +32,7 @@
 #
 #   ./ci.sh [build-dir]   # default build dir: build-ci
 #                         # (TSan: <build-dir>-tsan, ASan: <build-dir>-asan,
+#                         #  perfbench: <build-dir>-perfbench,
 #                         #  coverage: <build-dir>-cov)
 set -eu
 
@@ -157,10 +161,23 @@ else
   echo "overload smoke stage passed ($OVERLOAD_DEGRADED recorded + $DEADLINE_DEGRADED deadline degradations, zero errors)"
 fi
 
+# Perfbench stage: perfbench/ builds against the library's serving API
+# (SessionStore, ServiceTelemetry, session_plan_key, parse_plan) and
+# re-implements the request path, so build it and run each workload once.
+# run.py runs the self-tests and every output check -- pipeline bytes ==
+# service bytes, warm == cold, restart == no restart -- and exits non-zero
+# when one fails; that exit code gates the stage, the metrics are ignored.
+for WORKLOAD in small_drift large_drift spill_churn; do
+  CARGO_TARGET_DIR="$BUILD_DIR-perfbench" python3 perfbench/run.py \
+    --workload "$WORKLOAD" --seed 1 --seconds 1 > /dev/null
+done
+echo "perfbench stage passed (build, self-tests and output checks on every workload)"
+
 # TSan stage: only the threaded suites, benches/examples skipped for speed.
 # worklist_test hammers the stealing scheduler directly (exactly-once under
-# concurrent deque pops/steals); the service suites ride along: dp_threads=
-# plans drive the work-list pool through the session/service path.
+# concurrent deque pops/steals) and batch_executor_test drives it through
+# solve_batch; the service suites ride along for the sharded store's
+# locking and the trace recorder.
 cmake -B "$TSAN_DIR" -S . -DTREESAT_WERROR=ON -DTREESAT_TSAN=ON \
   -DTREESAT_BUILD_BENCHES=OFF -DTREESAT_BUILD_EXAMPLES=OFF
 cmake --build "$TSAN_DIR" -j "$JOBS" \
@@ -231,10 +248,8 @@ if [ -n "${TREESAT_BENCH:-}" ]; then
   "$BUILD_DIR/bench_snapshot_restore" \
     --json "$BENCH_JSON_DIR/BENCH_snapshot_restore.json"
   "$BUILD_DIR/bench_overload" --json "$BENCH_JSON_DIR/BENCH_overload.json"
-  # Gate the arena-vs-reference ratio only: the *_threads4 rows in the
-  # baseline are thread-scaling ratios, which are honest trajectory data
-  # but coin-flip noise on a 1-core CI host (the bench itself skips its
-  # scaling gate below 4 hardware threads for the same reason).
+  # Gate the arena-vs-reference ratio; the per-row wall times are
+  # trajectory data only (absolute times vary across hosts).
   "$BUILD_DIR/bench_diff" bench/baselines/BENCH_pareto_arena.smoke.json \
     "$BENCH_JSON_DIR/BENCH_pareto_arena.json" --keys speedup_vs_reference --tolerance 0.25
   # Kernel gate: the simd-over-scalar geomean is a same-machine ratio (the

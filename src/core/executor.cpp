@@ -95,14 +95,14 @@ BatchReport BatchExecutor::run(std::span<const Colouring* const> instances,
   std::stop_source abort;  // fail-fast fuse, shared by all workers
   std::vector<std::exception_ptr> errors(count);
 
-  // Cost-ordered schedule (the default): largest trees first through the
-  // scheduler's priority bins, so the likely stragglers start early. The
-  // estimate is free -- the node count is a precomputed tree property.
-  // Only the wall clock sees the order; results are index-addressed.
+  // Cost-ordered schedule: largest trees first through the scheduler's
+  // priority bins, so the likely stragglers start early. The estimate is
+  // free -- the node count is a precomputed tree property. Only the wall
+  // clock sees the order; results are index-addressed.
   WorklistOptions worklist;
   worklist.threads = threads;
   std::vector<double> cost;
-  if (options_.priority == BatchPriority::kCost && threads > 1) {
+  if (threads > 1) {
     cost.reserve(count);
     for (const Colouring* instance : instances) {
       cost.push_back(static_cast<double>(instance->tree().size()));

@@ -3,10 +3,10 @@
 // A BatchExecutor solves a span of instances under one plan on the
 // work-stealing scheduler of core/worklist.hpp: per-thread chunked deques
 // with randomized stealing, and -- because solve costs are irregular by
-// orders of magnitude -- a cost-ordered schedule by default
-// (ExecutorOptions::priority): instances are binned largest-tree-first,
-// so the likely stragglers start early instead of being claimed last and
-// serializing the tail of the batch. Three guarantees shape the design:
+// orders of magnitude -- a cost-ordered schedule: instances are binned
+// largest-tree-first, so the likely stragglers start early instead of
+// being claimed last and serializing the tail of the batch. Three
+// guarantees shape the design:
 //
 //   * Determinism. Results are a pure function of (instances, plan): for
 //     seeded plans every instance i solves under

@@ -433,11 +433,11 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
     return frontier;
   };
 
-  std::vector<pareto_internal::ColourFrontier> merged(colours);
+  std::vector<pareto_internal::Span> merged(colours);
   for (std::size_t c = 0; c < colours; ++c) {
     const std::vector<CruId> regions = colouring_->regions_of(SatelliteId{c});
     if (regions.empty()) {
-      merged[c] = {&pipe, pipe.neutral()};  // nothing to place, as cold
+      merged[c] = pipe.neutral();  // nothing to place, as cold
       continue;
     }
     ++fresh.colours_total;
@@ -483,9 +483,9 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
       // seconds ago in this same step (two content-identical colours) is
       // deduplicated fresh work, not state that survived the perturbation.
       const bool survived = colour_hit->second.last_used < attempt_;
-      merged[c] = {&pipe, pipe.import(colour_hit->second.frontier, concat.data())};
+      merged[c] = pipe.import(colour_hit->second.frontier, concat.data());
       colour_span.attr("cached", std::uint64_t{1});
-      colour_span.attr("frontier", static_cast<std::uint64_t>(merged[c].span.size()));
+      colour_span.attr("frontier", static_cast<std::uint64_t>(merged[c].size()));
       colour_hit->second.last_used = attempt_;
       for (const ContentKey& region_key : region_keys) {
         const auto region_hit = region_cache_.find(region_key);
@@ -534,12 +534,10 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
     colour_cache_.emplace(std::move(stored_key), CachedFrontier{cache_form(span, 0), attempt_});
     colour_span.attr("cached", std::uint64_t{0});
     colour_span.attr("frontier", static_cast<std::uint64_t>(span.size()));
-    merged[c] = {&pipe, span};
+    merged[c] = span;
   }
 
-  ParetoDpStats stats;
-  pipe.add_stats(stats);
-  ParetoDpResult r = pareto_internal::finish_solve(*colouring_, options, merged, stats);
+  ParetoDpResult r = pareto_internal::finish_solve(*colouring_, options, pipe, merged);
   return SolveReport{std::move(r.assignment), std::move(r.delay), r.objective,
                      watch.seconds(),         /*exact=*/true,     SolveMethod::kParetoDp,
                      plan_.method(),          r.stats};

@@ -1,12 +1,10 @@
 #include "core/pareto_dp.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <limits>
 #include <utility>
 
 #include "core/pareto_kernel.hpp"
-#include "core/worklist.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -88,14 +86,15 @@ SweepPick sweep_colour_frontiers(const std::vector<FrontierView>& per_colour,
 namespace pareto_internal {
 
 ParetoDpResult finish_solve(const Colouring& colouring, const ParetoDpOptions& options,
-                            const std::vector<ColourFrontier>& per_colour,
-                            ParetoDpStats stats) {
+                            ColourPipeline& pipe, const std::vector<Span>& per_colour) {
+  ParetoDpStats stats;
+  pipe.add_stats(stats);
   const std::size_t colours = per_colour.size();
   std::vector<FrontierView> views(colours);
   for (std::size_t c = 0; c < colours; ++c) {
-    const ColourFrontier& f = per_colour[c];
-    views[c] = FrontierView{f.pipe->arena.load.data() + f.span.begin,
-                            f.pipe->arena.host.data() + f.span.begin, f.span.size()};
+    const Span span = per_colour[c];
+    views[c] = FrontierView{pipe.arena.load.data() + span.begin,
+                            pipe.arena.host.data() + span.begin, span.size()};
   }
   SweepPick sw;
   {
@@ -120,8 +119,7 @@ ParetoDpResult finish_solve(const Colouring& colouring, const ParetoDpOptions& o
   {
     obs::Span rec_span(obs::trace(), "dp.reconstruct");
     for (std::size_t c = 0; c < colours; ++c) {
-      const ColourFrontier& f = per_colour[c];
-      f.pipe->reconstruct(f.span.begin + static_cast<std::uint32_t>(sw.pick[c]), cut);
+      pipe.reconstruct(per_colour[c].begin + static_cast<std::uint32_t>(sw.pick[c]), cut);
     }
     rec_span.attr("cut", static_cast<std::uint64_t>(cut.size()));
   }
@@ -169,82 +167,45 @@ std::vector<double> region_min_loads(const Colouring& colouring) {
 ParetoDpResult pareto_dp_solve(const Colouring& colouring, const ParetoDpOptions& options) {
   TS_REQUIRE(options.objective.valid(), "pareto_dp_solve: bad objective");
 
-  // Per-colour pipelines are independent: each builds its region frontiers
-  // and Minkowski fold in its own arena. They are farmed to the
-  // work-stealing scheduler (deterministic per-colour content,
-  // colour-ordered combine), so the result -- stats included -- is
-  // byte-identical at any dp_threads. Colours are scheduled widest-first:
-  // a colour's frontier work grows with the sensors under its regions, and
-  // the region sizes vary by orders of magnitude, so the widest colour
-  // claimed last would serialize the tail of the solve.
+  // Every colour folds its region frontiers through one pipeline, one
+  // colour after another -- the same fold solve_warm_dp runs, with no
+  // cache. Phase-span attributes are deterministic, so the timing-stripped
+  // trace of a solve is byte-identity-safe.
   const std::size_t colours = colouring.tree().satellite_count();
-
-  // Phase spans. Every attribute below is deterministic at any dp_threads,
-  // so the timing-stripped trace of a solve is byte-identity-safe. The
-  // per-colour spans are opened on worker threads with the fold span as
-  // explicit parent -- the thread-local current span belongs to the
-  // calling thread and must not leak across the scheduler.
   obs::Span solve_span(obs::trace(), "dp.solve");
   solve_span.attr("colours", static_cast<std::uint64_t>(colours));
   obs::count("treesat_dp_solves_total", "Arena-path Pareto-DP solves");
 
-  std::vector<pareto_internal::ColourPipeline> pipes(colours);
-  std::vector<pareto_internal::ColourFrontier> merged(colours);
-  std::vector<std::exception_ptr> errors(colours);
-  WorklistOptions worklist;
-  // resolve_threads maps dp_threads == 0 to the hardware thread count and
-  // clamps to the colour count.
-  worklist.threads = options.dp_threads;
-  std::vector<double> cost;
-  if (options.dp_threads != 1) {  // the scheduler ignores cost on one thread
-    cost.assign(colours, 0.0);
-    for (std::size_t c = 0; c < colours; ++c) {
-      for (const CruId r : colouring.regions_of(SatelliteId{c})) {
-        cost[c] += static_cast<double>(colouring.tree().leaf_span(r).width());
-      }
-    }
-    worklist.cost = cost;
-  }
+  pareto_internal::ColourPipeline pipe;
+  std::vector<pareto_internal::Span> merged(colours);
   {
     obs::Span fold_span(obs::trace(), "dp.fold");
-    const std::uint64_t fold_id = fold_span.id();
-    static_cast<void>(run_worklist(colours, worklist, [&](std::size_t c) {
-      obs::Span colour_span(obs::trace(), "dp.colour", fold_id);
-      try {
-        pareto_internal::ColourPipeline& pipe = pipes[c];
-        const std::vector<CruId> regions = colouring.regions_of(SatelliteId{c});
-        const pareto_internal::Span span =
-            pipe.fold(regions.size(), options.max_frontier, [&](std::size_t k) {
-              return pipe.region(colouring, regions[k], options.max_frontier);
-            });
-        merged[c] = pareto_internal::ColourFrontier{&pipe, span};
-        colour_span.attr("colour", static_cast<std::uint64_t>(c));
-        colour_span.attr("merges", pipe.counters.merges);
-        colour_span.attr("generated", pipe.counters.generated);
-        colour_span.attr("kept", pipe.counters.kept);
-        colour_span.attr("frontier", static_cast<std::uint64_t>(span.size()));
-        colour_span.attr("prune_ratio",
-                         pipe.counters.generated == 0
-                             ? 1.0
-                             : static_cast<double>(pipe.counters.kept) /
-                                   static_cast<double>(pipe.counters.generated));
-      } catch (...) {
-        errors[c] = std::current_exception();
-      }
-    }));
-  }
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
+    for (std::size_t c = 0; c < colours; ++c) {
+      obs::Span colour_span(obs::trace(), "dp.colour");
+      const pareto_internal::MergeCounters before = pipe.counters;
+      const std::vector<CruId> regions = colouring.regions_of(SatelliteId{c});
+      const pareto_internal::Span span =
+          pipe.fold(regions.size(), options.max_frontier, [&](std::size_t k) {
+            return pipe.region(colouring, regions[k], options.max_frontier);
+          });
+      merged[c] = span;
+      const std::uint64_t generated = pipe.counters.generated - before.generated;
+      const std::uint64_t kept = pipe.counters.kept - before.kept;
+      colour_span.attr("colour", static_cast<std::uint64_t>(c));
+      colour_span.attr("merges", pipe.counters.merges - before.merges);
+      colour_span.attr("generated", generated);
+      colour_span.attr("kept", kept);
+      colour_span.attr("frontier", static_cast<std::uint64_t>(span.size()));
+      colour_span.attr("prune_ratio", generated == 0 ? 1.0
+                                                     : static_cast<double>(kept) /
+                                                           static_cast<double>(generated));
+      obs::observe("treesat_dp_colour_frontier_points",
+                   "Merged frontier width per colour pipeline",
+                   obs::MetricClass::kDeterministic, static_cast<double>(span.size()));
+    }
   }
 
-  ParetoDpStats stats;
-  for (std::size_t c = 0; c < colours; ++c) {
-    pipes[c].add_stats(stats);
-    obs::observe("treesat_dp_colour_frontier_points",
-                 "Merged frontier width per colour pipeline",
-                 obs::MetricClass::kDeterministic, static_cast<double>(merged[c].span.size()));
-  }
-  return pareto_internal::finish_solve(colouring, options, merged, stats);
+  return pareto_internal::finish_solve(colouring, options, pipe, merged);
 }
 
 }  // namespace treesat

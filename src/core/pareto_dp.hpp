@@ -39,11 +39,9 @@
 //     chain-shaped trees tens of thousands of nodes deep cannot overflow
 //     the stack (workload/generator.hpp's chain_tree is the regression
 //     workload for this).
-//   * Colour pipelines are independent; ParetoDpOptions::dp_threads farms
-//     them to the work-stealing scheduler (core/worklist.hpp's
-//     run_worklist, the BatchExecutor idiom), widest-colour-first through
-//     the scheduler's priority bins, with a deterministic colour-ordered
-//     combine, so reports are byte-identical at any thread count.
+//   * Colours fold one after another through one ColourPipeline, so a
+//     solve runs on the calling thread; parallelism lives across the
+//     instances of a batch (core/executor.hpp).
 //   * The warm session (core/incremental.hpp) runs the same per-colour
 //     fold, importing its cached region and colour frontiers into the
 //     arena as leaf points, and finishes through the same sweep.
@@ -61,9 +59,8 @@
 
 namespace treesat {
 
-/// Counters of one solve, cold or warm. All of them are aggregated in
-/// colour order, so they are byte-identical at any dp_threads setting; a
-/// warm session solve counts the work it did, not the frontiers it reused.
+/// Counters of one solve, cold or warm, aggregated in colour order; a warm
+/// session solve counts the work it did, not the frontiers it reused.
 struct ParetoDpStats {
   std::size_t max_region_frontier = 0;  ///< largest region frontier built
   std::size_t max_colour_frontier = 0;  ///< largest per-colour frontier after merging
@@ -93,10 +90,6 @@ struct ParetoDpOptions {
   SsbObjective objective = SsbObjective::end_to_end();
   /// Frontier size limit; exceeding it throws ResourceLimit.
   std::size_t max_frontier = std::size_t{1} << 20;
-  /// Worker threads for the independent per-colour pipelines (spec key
-  /// dp_threads=). 1 (default) runs inline; 0 means one worker per
-  /// hardware thread. Reports are byte-identical at any value.
-  std::size_t dp_threads = 1;
 };
 
 /// Exact optimal assignment via the Pareto DP.

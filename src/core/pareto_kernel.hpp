@@ -2,10 +2,10 @@
 // Minkowski merge kernel, the structure-of-arrays frontier arena with
 // backpointer provenance, and the per-colour pipeline that builds region
 // frontiers, folds them and reconstructs cuts. It is the one engine that
-// builds, merges and sweeps frontiers: the cold solve (pareto_dp_solve)
-// runs one pipeline per colour, the warm session (core/incremental.hpp)
-// runs every colour through one retained pipeline and imports its cached
-// frontiers into it. Internal: the public API is pareto_dp.hpp; this header
+// builds, merges and sweeps frontiers: both callers run every colour
+// through one pipeline -- the cold solve (pareto_dp_solve) a fresh one,
+// the warm session (core/incremental.hpp) a retained one that it imports
+// its cached frontiers into. Internal: the public API is pareto_dp.hpp; this header
 // is exposed for those two callers, the kernel property suites and the
 // bench.
 #pragma once
@@ -399,19 +399,12 @@ struct ColourPipeline {
   }
 };
 
-/// One colour's merged frontier as the sweep consumes it.
-struct ColourFrontier {
-  ColourPipeline* pipe = nullptr;
-  Span span;
-};
-
-/// Completes a solve from per-colour merged frontiers (`per_colour[c]` for
-/// satellite c): the bottleneck sweep, the merge-counter metrics, and the
-/// reconstruction of the one point per colour the sweep picks. `stats`
-/// arrives with the fold counters filled; the sweep's own are added here.
+/// Completes a solve from the per-colour merged frontiers `pipe` folded
+/// (`per_colour[c]` for satellite c): the pipeline's fold counters, the
+/// bottleneck sweep, the merge-counter metrics, and the reconstruction of
+/// the one point per colour the sweep picks.
 [[nodiscard]] ParetoDpResult finish_solve(const Colouring& colouring,
-                                          const ParetoDpOptions& options,
-                                          const std::vector<ColourFrontier>& per_colour,
-                                          ParetoDpStats stats);
+                                          const ParetoDpOptions& options, ColourPipeline& pipe,
+                                          const std::vector<Span>& per_colour);
 
 }  // namespace treesat::pareto_internal

@@ -1,10 +1,31 @@
 #include "core/plan.hpp"
 
 #include <string>
+#include <type_traits>
 
 #include "core/exhaustive.hpp"
 
 namespace treesat {
+
+namespace {
+
+// SolvePlan::method() reads the method off the options alternative, so the
+// variant must list the option structs in SolveMethod order.
+template <SolveMethod method, typename Options>
+constexpr bool kAlternativeOf = std::is_same_v<
+    std::variant_alternative_t<static_cast<std::size_t>(method), SolvePlan::Options>, Options>;
+static_assert(std::variant_size_v<SolvePlan::Options> == kSolveMethodCount);
+static_assert(kAlternativeOf<SolveMethod::kColouredSsb, ColouredSsbOptions> &&
+              kAlternativeOf<SolveMethod::kParetoDp, ParetoDpOptions> &&
+              kAlternativeOf<SolveMethod::kExhaustive, ExhaustiveOptions> &&
+              kAlternativeOf<SolveMethod::kBranchBound, BranchBoundOptions> &&
+              kAlternativeOf<SolveMethod::kGenetic, GeneticOptions> &&
+              kAlternativeOf<SolveMethod::kLocalSearch, LocalSearchOptions> &&
+              kAlternativeOf<SolveMethod::kGreedy, GreedyOptions> &&
+              kAlternativeOf<SolveMethod::kAnnealing, AnnealingOptions> &&
+              kAlternativeOf<SolveMethod::kAutomatic, AutomaticOptions>);
+
+}  // namespace
 
 const char* method_name(SolveMethod method) {
   switch (method) {
@@ -36,31 +57,31 @@ SolveMethod parse_method(std::string_view name) {
 }
 
 SolvePlan SolvePlan::coloured_ssb(ColouredSsbOptions options) {
-  return {SolveMethod::kColouredSsb, std::move(options)};
+  return SolvePlan(Options(std::move(options)));
 }
 SolvePlan SolvePlan::pareto_dp(ParetoDpOptions options) {
-  return {SolveMethod::kParetoDp, std::move(options)};
+  return SolvePlan(Options(std::move(options)));
 }
 SolvePlan SolvePlan::exhaustive(ExhaustiveOptions options) {
-  return {SolveMethod::kExhaustive, std::move(options)};
+  return SolvePlan(Options(std::move(options)));
 }
 SolvePlan SolvePlan::branch_bound(BranchBoundOptions options) {
-  return {SolveMethod::kBranchBound, std::move(options)};
+  return SolvePlan(Options(std::move(options)));
 }
 SolvePlan SolvePlan::genetic(GeneticOptions options) {
-  return {SolveMethod::kGenetic, std::move(options)};
+  return SolvePlan(Options(std::move(options)));
 }
 SolvePlan SolvePlan::local_search(LocalSearchOptions options) {
-  return {SolveMethod::kLocalSearch, std::move(options)};
+  return SolvePlan(Options(std::move(options)));
 }
 SolvePlan SolvePlan::greedy(GreedyOptions options) {
-  return {SolveMethod::kGreedy, std::move(options)};
+  return SolvePlan(Options(std::move(options)));
 }
 SolvePlan SolvePlan::annealing(AnnealingOptions options) {
-  return {SolveMethod::kAnnealing, std::move(options)};
+  return SolvePlan(Options(std::move(options)));
 }
 SolvePlan SolvePlan::automatic(AutomaticOptions options) {
-  return {SolveMethod::kAutomatic, std::move(options)};
+  return SolvePlan(Options(std::move(options)));
 }
 
 SsbObjective SolvePlan::objective() const {
@@ -74,14 +95,7 @@ SolvePlan& SolvePlan::with_objective(const SsbObjective& objective) {
 }
 
 bool SolvePlan::seeded() const {
-  switch (method_) {
-    case SolveMethod::kGenetic:
-    case SolveMethod::kLocalSearch:
-    case SolveMethod::kAnnealing:
-      return true;
-    default:
-      return false;
-  }
+  return std::visit([](const auto& o) { return requires { o.seed; }; }, options_);
 }
 
 SolvePlan& SolvePlan::with_seed(std::uint64_t seed) {
@@ -114,7 +128,7 @@ SolvePlan& SolvePlan::with_executor(const ExecutorOptions& executor) {
 }
 
 SolvePlan SolvePlan::resolve(const Colouring& colouring) const {
-  if (method_ != SolveMethod::kAutomatic) return *this;
+  if (method() != SolveMethod::kAutomatic) return *this;
   const auto& a = std::get<AutomaticOptions>(options_);
 
   // The resolved plan keeps the cross-cutting executor knobs.

@@ -20,16 +20,12 @@
 // parse_plan("coloured-ssb:expansion_cap=4096") builds the identical plan,
 // and the registry enumerates every method for CLI-style harnesses.
 //
-// Parallelism knobs live at two levels: ExecutorOptions::threads (spec key
-// threads=) parallelizes *across* the instances of a batch, while
-// ParetoDpOptions::dp_threads (spec key dp_threads=) parallelizes *inside*
-// one pareto-dp solve, farming its independent per-colour frontier
-// pipelines to the same work-stealing scheduler (core/worklist.hpp).
-// ExecutorOptions::priority (spec key priority=) picks the batch's
-// schedule order: cost (default -- largest instances first, through the
-// scheduler's priority bins) or none (input order). Every combination is
-// byte-identity preserving at any thread count: scheduling decides when
-// an instance runs, never what it computes.
+// Parallelism lives at one level: ExecutorOptions::threads (spec key
+// threads=) parallelizes *across* the instances of a batch, on the
+// work-stealing scheduler of core/worklist.hpp, largest instance first.
+// A single solve runs on the calling thread. Reports are byte-identical at
+// any thread count: scheduling decides when an instance runs, never what
+// it computes.
 #pragma once
 
 #include <cstdint>
@@ -65,25 +61,11 @@ enum class SolveMethod : std::uint8_t {
 inline constexpr std::size_t kSolveMethodCount =
     static_cast<std::size_t>(SolveMethod::kAutomatic) + 1;
 
-/// Schedule order of a batch on the work-stealing pool
-/// (core/worklist.hpp). Result-invisible: reports are byte-identical
-/// either way; only the wall clock (and which instances start before a
-/// deadline expires) can differ.
-enum class BatchPriority : std::uint8_t {
-  /// Estimated-cost-ordered, largest first (LPT): the instances most
-  /// likely to straggle start early instead of being claimed last and
-  /// serializing the tail. The default -- the cost model is the instance's
-  /// tree size, free to compute.
-  kCost,
-  /// Input order, single priority bin (the pre-scheduler behavior).
-  kNone,
-};
-
 /// Cross-cutting batch-execution knobs, carried by every plan alongside the
 /// objective and the seed. They only take effect when the plan is handed to
 /// solve_batch() / BatchExecutor (core/executor.hpp); a single solve()
 /// ignores them. The spec grammar spells them threads= / deadline_ms= /
-/// fail_fast= / priority= on every method.
+/// fail_fast= / warm_start= on every method.
 struct ExecutorOptions {
   /// Worker threads for a batch. 1 (default) solves inline on the calling
   /// thread; 0 means one worker per hardware thread. parse_plan rejects 0 --
@@ -97,10 +79,6 @@ struct ExecutorOptions {
   /// false the executor finishes the remaining instances and reports every
   /// failure in BatchReport::failures.
   bool fail_fast = true;
-  /// Schedule order on the worker pool (spec key priority=cost|none).
-  /// Cost-ordered by default; see BatchPriority. Ignored at threads <= 1,
-  /// which always runs in input order (sequential fail-fast semantics).
-  BatchPriority priority = BatchPriority::kCost;
   /// Carry search state across the instances of a perturbation stream
   /// (core/incremental.hpp): solve_stream() threads a ResolveSession along
   /// the sequence instead of cold-solving every step on the worker pool.
@@ -151,7 +129,12 @@ class SolvePlan {
                                GreedyOptions, AnnealingOptions, AutomaticOptions>;
 
   /// The default plan is the paper's own algorithm with default options.
-  SolvePlan() : method_(SolveMethod::kColouredSsb), options_(ColouredSsbOptions{}) {}
+  SolvePlan() = default;
+
+  /// The plan of the method whose option struct `options` holds (the
+  /// alternatives are in SolveMethod order). parse_plan builds through
+  /// this; the named constructors below are the typed spelling.
+  explicit SolvePlan(Options options) : options_(std::move(options)) {}
 
   [[nodiscard]] static SolvePlan coloured_ssb(ColouredSsbOptions options = {});
   [[nodiscard]] static SolvePlan pareto_dp(ParetoDpOptions options = {});
@@ -163,7 +146,9 @@ class SolvePlan {
   [[nodiscard]] static SolvePlan annealing(AnnealingOptions options = {});
   [[nodiscard]] static SolvePlan automatic(AutomaticOptions options = {});
 
-  [[nodiscard]] SolveMethod method() const { return method_; }
+  [[nodiscard]] SolveMethod method() const {
+    return static_cast<SolveMethod>(options_.index());
+  }
   [[nodiscard]] const Options& options() const { return options_; }
 
   /// The method's option struct; throws std::bad_variant_access when T does
@@ -208,10 +193,6 @@ class SolvePlan {
   [[nodiscard]] SolvePlan resolve(const Colouring& colouring) const;
 
  private:
-  SolvePlan(SolveMethod method, Options options)
-      : method_(method), options_(std::move(options)) {}
-
-  SolveMethod method_;
   Options options_;
   ExecutorOptions executor_;
 };

@@ -13,7 +13,8 @@
 // hardware thread), "deadline_ms", "fail_fast" (core/executor.hpp) and
 // "warm_start" (stream re-solving, core/incremental.hpp); seeded methods
 // accept "seed"; the remaining keys are per-method (see
-// MethodInfo::option_keys). Unknown methods, unknown keys, duplicate keys,
+// MethodInfo::option_keys), each declared by one row of registry.cpp's
+// option tables. Unknown methods, unknown keys, duplicate keys,
 // malformed pairs and unparseable values all throw InvalidArgument naming
 // the offending token.
 #pragma once
@@ -34,8 +35,8 @@ struct MethodInfo {
   const char* summary;      ///< one-line description
   bool exact;               ///< guarantees the optimum
   bool seeded;              ///< consumes a seed
-  const char* option_keys;  ///< comma-separated keys parse_plan accepts (after
-                            ///< the common "lambda" / "seed")
+  std::string option_keys;  ///< comma-separated per-method keys parse_plan
+                            ///< accepts (after the common "lambda" / "seed")
 };
 
 /// All registered methods, in SolveMethod enum order (kAutomatic last).

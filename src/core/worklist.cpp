@@ -210,11 +210,4 @@ WorklistStats run_worklist(std::size_t count, const WorklistOptions& options,
   return stats;
 }
 
-void run_worklist(std::size_t count, std::size_t threads,
-                  const std::function<void(std::size_t)>& task) {
-  WorklistOptions options;
-  options.threads = threads;
-  static_cast<void>(run_worklist(count, options, task));
-}
-
 }  // namespace treesat

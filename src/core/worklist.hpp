@@ -24,9 +24,8 @@
 // item runs, never what it computes. Callers keep results a pure function
 // of their inputs by making task(i) independent of every other index and
 // combining results in index order after the join -- exactly what
-// BatchExecutor (core/executor.hpp) and pareto_dp_solve's colour pipeline
-// do, so reports stay byte-identical at any thread count, with or without
-// cost-ordered scheduling.
+// BatchExecutor (core/executor.hpp) does, so reports stay byte-identical
+// at any thread count, with or without cost-ordered scheduling.
 #pragma once
 
 #include <cstddef>
@@ -72,13 +71,8 @@ struct WorklistStats {
 /// pool described above. `task` must be safe to call concurrently for
 /// distinct indices and must not throw -- capture exceptions per index
 /// and rethrow after the join (deterministically, e.g. smallest index
-/// first), as BatchExecutor and pareto_dp_solve do.
+/// first), as BatchExecutor does.
 WorklistStats run_worklist(std::size_t count, const WorklistOptions& options,
                            const std::function<void(std::size_t)>& task);
-
-/// Unordered convenience shape (the pre-scheduler signature): cost-blind,
-/// single bin. threads follows resolve_threads().
-void run_worklist(std::size_t count, std::size_t threads,
-                  const std::function<void(std::size_t)>& task);
 
 }  // namespace treesat

@@ -8,7 +8,7 @@
 //     stream (point counts, prune ratios, warm/cold paths, byte sizes;
 //     never thread ids, steal counts or clocks), so a timing-stripped
 //     trace of a deterministic replay is byte-identical at any shard or
-//     dp_threads count (structure_json() canonicalizes away the recording
+//     thread count (structure_json() canonicalizes away the recording
 //     interleaving; tests/obs_trace_test.cpp asserts it on the committed
 //     golden trace);
 //   * span *timings* are wall-clock and opt-in (set_timing): a recorder
@@ -26,7 +26,7 @@
 // handle) publishes its id for the duration of its scope, so a deep callee
 // (pareto_dp under a service request) nests without plumbing ids through
 // every signature. Work farmed to other threads passes the parent id
-// explicitly -- exactly what pareto_dp_solve's colour pipeline does.
+// explicitly -- exactly what BatchExecutor's per-instance spans do.
 //
 // One recorder is installed process-wide (install_trace); obs::trace()
 // returns it or nullptr. The service frontend installs one for

@@ -1,17 +1,18 @@
 #include "service/service.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/format.hpp"
+#include "common/parse.hpp"
 #include "core/registry.hpp"
 #include "core/solver.hpp"
 #include "heuristics/local_search.hpp"
@@ -33,24 +34,12 @@ namespace {
                         "' for key '" + std::string(key) + "'");
 }
 
-std::uint64_t config_u64(std::string_view key, std::string_view value) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) bad_config_value(key, value);
-  return out;
-}
-
-double config_double(std::string_view key, std::string_view value) {
-  double out = 0.0;
-  const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) bad_config_value(key, value);
-  return out;
-}
-
-bool config_bool(std::string_view key, std::string_view value) {
-  if (value == "true" || value == "1" || value == "yes") return true;
-  if (value == "false" || value == "0" || value == "no") return false;
-  bad_config_value(key, value);
+/// `parsed` is the strict parse (common/parse.hpp) of `value`; a rejection
+/// becomes the config's own error.
+template <typename T>
+T config_value(std::string_view key, const std::optional<T>& parsed, std::string_view value) {
+  if (!parsed) bad_config_value(key, value);
+  return *parsed;
 }
 
 /// Byte count with an optional k/m/g suffix (binary units): "64m", "512k".
@@ -68,7 +57,7 @@ std::size_t config_bytes(std::string_view key, std::string_view value) {
     }
     if (multiplier != 1) digits = value.substr(0, value.size() - 1);
   }
-  const std::uint64_t count = config_u64(key, digits);
+  const std::uint64_t count = config_value(key, parse_u64(digits), digits);
   if (count != 0 &&
       count > std::numeric_limits<std::size_t>::max() / multiplier) {
     throw InvalidArgument("parse_service_config: key '" + std::string(key) +
@@ -102,33 +91,19 @@ ServiceOptions parse_service_config(std::string_view spec) {
   ServiceOptions options;
   if (spec.empty()) return options;
 
-  std::vector<std::pair<std::string_view, std::string_view>> pairs;
-  std::string_view rest = spec;
-  while (true) {
-    const auto comma = rest.find(',');
-    const std::string_view pair = rest.substr(0, comma);
-    const auto eq = pair.find('=');
-    if (pair.empty() || eq == std::string_view::npos || eq == 0) {
-      throw InvalidArgument("parse_service_config: malformed 'key=value' pair '" +
-                            std::string(pair) + "' in '" + std::string(spec) + "'");
-    }
-    pairs.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
-    if (comma == std::string_view::npos) break;
-    rest = rest.substr(comma + 1);
-  }
-  for (std::size_t a = 0; a < pairs.size(); ++a) {
-    for (std::size_t b = a + 1; b < pairs.size(); ++b) {
-      if (pairs[a].first == pairs[b].first) {
-        throw InvalidArgument("parse_service_config: duplicate key '" +
-                              std::string(pairs[b].first) + "' in '" + std::string(spec) +
-                              "'");
-      }
-    }
+  const std::vector<SpecPair> pairs =
+      split_spec(spec, ',', '=', /*skip_empty=*/false, [&](std::string_view pair) {
+        throw InvalidArgument("parse_service_config: malformed 'key=value' pair '" +
+                              std::string(pair) + "' in '" + std::string(spec) + "'");
+      });
+  if (const SpecPair* duplicate = find_duplicate_key(pairs)) {
+    throw InvalidArgument("parse_service_config: duplicate key '" +
+                          std::string(duplicate->key) + "' in '" + std::string(spec) + "'");
   }
 
   for (const auto& [key, value] : pairs) {
     if (key == "shards") {
-      options.shards = static_cast<std::size_t>(config_u64(key, value));
+      options.shards = static_cast<std::size_t>(config_value(key, parse_u64(value), value));
       if (options.shards == 0) {
         throw InvalidArgument(
             "parse_service_config: key 'shards' must be >= 1, got '" + std::string(value) +
@@ -146,7 +121,7 @@ ServiceOptions parse_service_config(std::string_view spec) {
     } else if (key == "spill_budget") {
       options.spill_budget = config_bytes(key, value);
     } else if (key == "deadline_ms") {
-      const double ms = config_double(key, value);
+      const double ms = config_value(key, parse_double(value), value);
       if (!std::isfinite(ms) || ms < 0.0) {
         throw InvalidArgument("parse_service_config: key 'deadline_ms' must be a finite "
                               "non-negative number, got '" +
@@ -154,11 +129,11 @@ ServiceOptions parse_service_config(std::string_view spec) {
       }
       options.executor.deadline_seconds = ms / 1e3;
     } else if (key == "fail_fast") {
-      options.executor.fail_fast = config_bool(key, value);
+      options.executor.fail_fast = config_value(key, parse_bool(value), value);
     } else if (key == "predict_straggler") {
-      options.predict_straggler = config_bool(key, value);
+      options.predict_straggler = config_value(key, parse_bool(value), value);
     } else if (key == "timing") {
-      options.timing_in_stats = config_bool(key, value);
+      options.timing_in_stats = config_value(key, parse_bool(value), value);
     } else if (key == "plan") {
       // Validated eagerly so a typo'd default plan fails at startup, not on
       // the first solve request. The config grammar splits on commas, so

@@ -65,9 +65,9 @@
 // state), so the next full solve is an "initial" rebuild.
 //
 // Determinism contract. For a fixed request stream the response stream is
-// byte-identical at any shard count and any solver thread count
-// (dp_threads included), extending the executor/DP guarantees of PRs 2-4
-// to the serving layer: responses expose objectives, cuts, warm/cold paths
+// byte-identical at any shard count and any executor thread count,
+// extending the executor and DP determinism guarantees to the serving
+// layer: responses expose objectives, cuts, warm/cold paths
 // and counters but never wall-clock values, the store's eviction order is
 // shard-count-invariant, and latency quantiles only enter a stats response
 // when explicitly requested ("timing":true). Deadlines are the deliberate

@@ -41,13 +41,6 @@ void quarantine_spill_file(const std::string& path) {
 
 std::string session_plan_key(SolvePlan plan) {
   plan.with_executor(ExecutorOptions{});
-  if (plan.method() == SolveMethod::kParetoDp) {
-    ParetoDpOptions o = plan.options_as<ParetoDpOptions>();
-    // A result-invisible knob must not split session identity: dp_threads
-    // changes how a solve runs, never what it returns.
-    o.dp_threads = 1;
-    plan = SolvePlan::pareto_dp(std::move(o));
-  }
   return plan_spec(plan);
 }
 

@@ -103,12 +103,11 @@ enum class EvictFate : std::uint8_t {
   kSpilled,  ///< preserved in (or already resident in) the spill tier
 };
 
-/// Session identity of a plan: the canonical spec with every
-/// result-invisible knob stripped. dp_threads and the executor keys
-/// (threads/deadline_ms/fail_fast/warm_start) are documented -- and
-/// asserted, see service_determinism_test -- to never change a result, so
-/// a client re-tuning parallelism must keep its warm session instead of
-/// triggering a cold "plan changed" rebuild. The session keeps solving
+/// Session identity of a plan: the canonical spec with the executor keys
+/// (threads/deadline_ms/fail_fast/warm_start) stripped. They are
+/// documented -- and asserted, see service_test -- to never change a
+/// result, so a client re-tuning parallelism must keep its warm session
+/// instead of triggering a cold "plan changed" rebuild. The session keeps solving
 /// with the options it was built under. Also how a spill reload recovers
 /// an entry's plan identity from the snapshot's full plan spec.
 [[nodiscard]] std::string session_plan_key(SolvePlan plan);

@@ -1,9 +1,14 @@
 #include "storage/faults.hpp"
 
-#include <cstdlib>
+#include <algorithm>
+#include <iterator>
+#include <optional>
+#include <string_view>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/format.hpp"
+#include "common/parse.hpp"
 
 namespace treesat {
 namespace {
@@ -21,24 +26,19 @@ constexpr const char* kPointNames[kFaultPointCount] = {
     "spill_write", "spill_read", "truncate", "hash_flip", "dir_vanish", "restore_read",
 };
 
-std::uint64_t parse_seed(const std::string& value) {
-  TS_REQUIRE(!value.empty(), "fault plan: seed needs a value");
-  char* end = nullptr;
-  const unsigned long long seed = std::strtoull(value.c_str(), &end, 10);
-  TS_REQUIRE(end != nullptr && *end == '\0' && value[0] != '-',
+std::uint64_t parse_seed(std::string_view value) {
+  const std::optional<std::uint64_t> seed = parse_u64(value);
+  TS_REQUIRE(seed.has_value(),
              "fault plan: bad seed '" << value << "' (want a non-negative integer)");
-  return static_cast<std::uint64_t>(seed);
+  return *seed;
 }
 
-double parse_probability(const std::string& key, const std::string& value) {
-  TS_REQUIRE(!value.empty(), "fault plan: " << key << " needs a value");
-  char* end = nullptr;
-  const double p = std::strtod(value.c_str(), &end);
-  TS_REQUIRE(end != nullptr && *end == '\0',
-             "fault plan: bad probability '" << value << "' for " << key);
-  TS_REQUIRE(p >= 0.0 && p <= 1.0,
+double parse_probability(std::string_view key, std::string_view value) {
+  const std::optional<double> p = parse_double(value);
+  TS_REQUIRE(p.has_value(), "fault plan: bad probability '" << value << "' for " << key);
+  TS_REQUIRE(*p >= 0.0 && *p <= 1.0,
              "fault plan: " << key << " probability " << value << " outside [0,1]");
-  return p;
+  return *p;
 }
 
 }  // namespace
@@ -80,40 +80,28 @@ std::uint64_t FaultPlan::fired(FaultPoint point) const {
 
 FaultPlan parse_fault_plan(const std::string& spec) {
   FaultPlan plan;
-  if (spec.empty()) return plan;
-  bool seen_seed = false;
-  std::array<bool, kFaultPointCount> seen{};
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    const std::size_t stop = spec.find(';', start);
-    const std::string item =
-        spec.substr(start, stop == std::string::npos ? std::string::npos : stop - start);
-    start = stop == std::string::npos ? spec.size() + 1 : stop + 1;
-    if (item.empty()) continue;
-    const std::size_t colon = item.find(':');
-    TS_REQUIRE(colon != std::string::npos,
-               "fault plan: expected subkey:value, got '" << item << "'");
-    const std::string key = item.substr(0, colon);
-    const std::string value = item.substr(colon + 1);
+  const std::vector<SpecPair> items =
+      split_spec(spec, ';', ':', /*skip_empty=*/true, [](std::string_view item) {
+        throw InvalidArgument("fault plan: expected subkey:value, got '" + std::string(item) +
+                              "'");
+      });
+  if (const SpecPair* duplicate = find_duplicate_key(items)) {
+    if (duplicate->key == "seed") throw InvalidArgument("fault plan: duplicate seed");
+    throw InvalidArgument("fault plan: duplicate point '" + std::string(duplicate->key) + "'");
+  }
+  for (const auto& [key, value] : items) {
     if (key == "seed") {
-      TS_REQUIRE(!seen_seed, "fault plan: duplicate seed");
-      seen_seed = true;
       plan.seed = parse_seed(value);
       continue;
     }
-    bool known = false;
-    for (std::size_t i = 0; i < kFaultPointCount; ++i) {
-      if (key != kPointNames[i]) continue;
-      TS_REQUIRE(!seen[i], "fault plan: duplicate point '" << key << "'");
-      seen[i] = true;
-      plan.probability[i] = parse_probability(key, value);
-      known = true;
-      break;
-    }
-    TS_REQUIRE(known, "fault plan: unknown point '"
-                          << key
-                          << "' (accepted: seed, spill_write, spill_read, truncate, "
-                             "hash_flip, dir_vanish, restore_read)");
+    const auto* point = std::find(std::begin(kPointNames), std::end(kPointNames), key);
+    TS_REQUIRE(point != std::end(kPointNames),
+               "fault plan: unknown point '"
+                   << key
+                   << "' (accepted: seed, spill_write, spill_read, truncate, "
+                      "hash_flip, dir_vanish, restore_read)");
+    plan.probability[static_cast<std::size_t>(point - std::begin(kPointNames))] =
+        parse_probability(key, value);
   }
   return plan;
 }

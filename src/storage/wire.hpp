@@ -5,28 +5,25 @@
 // the snapshot contract (storage/snapshot.hpp).
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace treesat::wire {
 
-/// Strict all-digits decimal parse with overflow rejection.
+/// Strict decimal parse (common/parse.hpp) with the storage message.
 inline std::uint64_t parse_u64(std::string_view tok, const char* what) {
   TS_REQUIRE(!tok.empty(), "storage: empty " << what);
-  std::uint64_t value = 0;
-  for (const char c : tok) {
-    TS_REQUIRE(c >= '0' && c <= '9', "storage: " << what << " '" << tok << "' is not a number");
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    TS_REQUIRE(value <= (UINT64_MAX - digit) / 10, "storage: " << what << " overflows");
-    value = value * 10 + digit;
-  }
-  return value;
+  const std::optional<std::uint64_t> value = treesat::parse_u64(tok);
+  TS_REQUIRE(value.has_value(),
+             "storage: " << what << " '" << tok << "' is not a number or overflows");
+  return *value;
 }
 
 /// Strict lowercase-hex parse (1..16 digits).
@@ -43,18 +40,15 @@ inline std::uint64_t parse_hex64(std::string_view tok, const char* what) {
   return value;
 }
 
-/// Strict double parse: the token must be consumed exactly. Storage doubles
-/// are written by shortest_round_trip, so this reparse is exact.
-/// std::from_chars rather than sscanf: it needs no null-terminated copy and
-/// parses several times faster, which is what keeps decode_snapshot ahead
-/// of a cold re-solve (the whole point of restoring) -- snapshots are
-/// mostly frontier points, i.e. mostly doubles.
+/// Strict double parse (common/parse.hpp) with the storage message.
+/// Storage doubles are written by shortest_round_trip, so this reparse is
+/// exact; std::from_chars underneath needs no null-terminated copy, which
+/// is what keeps decode_snapshot (mostly frontier-point doubles) ahead of
+/// a cold re-solve.
 inline double parse_double_tok(std::string_view tok, const char* what) {
-  double value = 0.0;
-  const auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), value);
-  TS_REQUIRE(ec == std::errc() && ptr == tok.data() + tok.size(),
-             "storage: " << what << " '" << tok << "' is not a number");
-  return value;
+  const std::optional<double> value = treesat::parse_double(tok);
+  TS_REQUIRE(value.has_value(), "storage: " << what << " '" << tok << "' is not a number");
+  return *value;
 }
 
 /// A count a decoder is about to size storage by, checked against the

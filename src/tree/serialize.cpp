@@ -1,10 +1,16 @@
 #include "tree/serialize.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
+#include <cmath>
+#include <optional>
+#include <span>
 #include <sstream>
+#include <string_view>
 
 #include "common/format.hpp"
+#include "common/parse.hpp"
 
 namespace treesat {
 
@@ -54,63 +60,105 @@ std::string to_text(const CruTree& tree) {
   return oss.str();
 }
 
-CruTree read_text(std::istream& is) {
-  std::string header;
-  std::getline(is, header);
-  TS_REQUIRE(header == "cru_tree v1", "read_text: bad header '" << header << "'");
+namespace {
+
+/// Splits `line` on whitespace into `out` and returns the token count, or
+/// out.size() + 1 as soon as the line holds more tokens than `out`. '\r'
+/// is whitespace like ' ' and '\t', so CRLF text parses.
+std::size_t split_fields(std::string_view line, std::span<std::string_view> out) {
+  const auto space = [](char ch) {
+    return ch == ' ' || ch == '\t' || ch == '\r' || ch == '\v' || ch == '\f';
+  };
+  std::size_t count = 0;
+  std::size_t pos = 0;
+  while (true) {
+    while (pos < line.size() && space(line[pos])) ++pos;
+    if (pos == line.size()) return count;
+    if (count == out.size()) return count + 1;
+    const std::size_t start = pos;
+    while (pos < line.size() && !space(line[pos])) ++pos;
+    out[count++] = line.substr(start, pos - start);
+  }
+}
+
+/// A node or satellite id: strict decimal below the 32-bit id type's
+/// invalid sentinel.
+std::uint32_t parse_id(std::string_view token, const char* what) {
+  const std::optional<std::uint64_t> id = parse_u64(token);
+  TS_REQUIRE(id.has_value() && *id < CruId::kInvalid,
+             "tree_from_text: bad " << what << " '" << token << "'");
+  return static_cast<std::uint32_t>(*id);
+}
+
+/// A cost column: strict decimal, finite and non-negative. Checked here,
+/// not left to the builder: sensor rows carry host and sat columns it never
+/// reads, and "inf" or "nan" parse.
+double parse_cost(std::string_view token, const char* what) {
+  const std::optional<double> cost = parse_double(token);
+  TS_REQUIRE(cost.has_value() && std::isfinite(*cost) && *cost >= 0.0,
+             "tree_from_text: bad " << what << " '" << token
+                                    << "' (want a finite non-negative number)");
+  return *cost;
+}
+
+}  // namespace
+
+CruTree tree_from_text(const std::string& text) {
+  const std::string_view all = text;
+  std::size_t pos = 0;
+  const auto next_line = [&](std::string_view& line) {
+    if (pos >= all.size()) return false;
+    const std::size_t nl = std::min(all.find('\n', pos), all.size());
+    line = all.substr(pos, nl - pos);
+    pos = nl + 1;
+    return true;
+  };
+
+  std::string_view header;
+  next_line(header);
+  TS_REQUIRE(header == "cru_tree v1", "tree_from_text: bad header '" << header << "'");
 
   CruTreeBuilder builder;
-  std::string line;
-  std::size_t expected_id = 0;
-  while (std::getline(is, line)) {
+  std::string_view line;
+  std::array<std::string_view, 8> fields;
+  std::uint32_t expected_id = 0;
+  while (next_line(line)) {
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::size_t id = 0;
-    std::string parent_tok, kind, name, sat_tok;
-    double h = 0.0, s = 0.0, c = 0.0;
-    TS_REQUIRE(static_cast<bool>(ls >> id >> parent_tok >> kind >> name >> h >> s >> c >>
-                                 sat_tok),
-               "read_text: malformed node line '" << line << "'");
+    TS_REQUIRE(split_fields(line, fields) == fields.size(),
+               "tree_from_text: malformed node line '" << line << "' (want "
+                                                       << fields.size() << " fields)");
+    const auto& [id_tok, parent_tok, kind, name_tok, h_tok, s_tok, c_tok, sat_tok] = fields;
+    const std::uint32_t id = parse_id(id_tok, "id");
     TS_REQUIRE(id == expected_id,
-               "read_text: node ids must be dense and increasing; got " << id << ", expected "
-                                                                        << expected_id);
+               "tree_from_text: node ids must be dense and increasing; got "
+                   << id << ", expected " << expected_id);
     ++expected_id;
+    const std::string name(name_tok);
+    const double h = parse_cost(h_tok, "host_time");
+    const double s = parse_cost(s_tok, "sat_time");
+    const double c = parse_cost(c_tok, "comm_up");
+    TS_REQUIRE(kind == "sensor" || sat_tok == "-",
+               "tree_from_text: " << kind << " node " << id << " has a satellite");
 
     if (parent_tok == "-") {
-      TS_REQUIRE(id == 0, "read_text: only node 0 may be the root");
-      TS_REQUIRE(kind == "compute", "read_text: the root must be a compute node");
+      TS_REQUIRE(id == 0, "tree_from_text: only node 0 may be the root");
+      TS_REQUIRE(kind == "compute", "tree_from_text: the root must be a compute node");
       builder.root(name, h);
       continue;
     }
-    std::size_t parent_id = 0;
-    try {
-      parent_id = std::stoul(parent_tok);
-    } catch (const std::exception&) {
-      throw InvalidArgument("read_text: bad parent '" + parent_tok + "'");
-    }
-    TS_REQUIRE(parent_id < id, "read_text: parent " << parent_id << " does not precede node "
-                                                    << id);
+    const std::uint32_t parent_id = parse_id(parent_tok, "parent");
+    TS_REQUIRE(parent_id < id, "tree_from_text: parent " << parent_id
+                                                         << " does not precede node " << id);
     if (kind == "compute") {
       builder.compute(CruId{parent_id}, name, h, s, c);
     } else if (kind == "sensor") {
-      TS_REQUIRE(sat_tok != "-", "read_text: sensor node " << id << " lacks a satellite");
-      std::size_t sat = 0;
-      try {
-        sat = std::stoul(sat_tok);
-      } catch (const std::exception&) {
-        throw InvalidArgument("read_text: bad satellite '" + sat_tok + "'");
-      }
-      builder.sensor(CruId{parent_id}, name, SatelliteId{sat}, c);
+      TS_REQUIRE(sat_tok != "-", "tree_from_text: sensor node " << id << " lacks a satellite");
+      builder.sensor(CruId{parent_id}, name, SatelliteId{parse_id(sat_tok, "satellite")}, c);
     } else {
-      throw InvalidArgument("read_text: unknown node kind '" + kind + "'");
+      throw InvalidArgument("tree_from_text: unknown node kind '" + std::string(kind) + "'");
     }
   }
   return builder.build();
-}
-
-CruTree tree_from_text(const std::string& text) {
-  std::istringstream iss(text);
-  return read_text(iss);
 }
 
 }  // namespace treesat

@@ -33,6 +33,5 @@ void write_text(std::ostream& os, const CruTree& tree);
 
 /// Parses the v1 text format. Throws InvalidArgument on malformed input.
 [[nodiscard]] CruTree tree_from_text(const std::string& text);
-[[nodiscard]] CruTree read_text(std::istream& is);
 
 }  // namespace treesat

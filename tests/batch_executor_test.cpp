@@ -391,20 +391,6 @@ TEST(BatchExecutor, ExecutorOptionsTravelThroughSpecsAndResolution) {
   EXPECT_EQ(auto_plan.executor().threads, 0u);
   EXPECT_EQ(parse_plan(plan_spec(auto_plan)).executor().threads, 0u);
 
-  // priority= defaults to cost (LPT scheduling), parses, and round-trips
-  // only when non-default -- it is result-invisible, so plan_spec keeps
-  // the default spelling-free.
-  EXPECT_EQ(SolvePlan{}.executor().priority, BatchPriority::kCost);
-  EXPECT_EQ(plan.executor().priority, BatchPriority::kCost);
-  const SolvePlan unordered = parse_plan("pareto-dp:priority=none");
-  EXPECT_EQ(unordered.executor().priority, BatchPriority::kNone);
-  EXPECT_NE(plan_spec(unordered).find("priority=none"), std::string::npos);
-  EXPECT_EQ(parse_plan(plan_spec(unordered)).executor().priority, BatchPriority::kNone);
-  EXPECT_EQ(plan_spec(parse_plan("pareto-dp:priority=cost")).find("priority"),
-            std::string::npos);
-  EXPECT_THROW(static_cast<void>(parse_plan("pareto-dp:priority=biggest")),
-               InvalidArgument);
-
   // automatic() resolution keeps the knobs on the resolved plan.
   const CruTree tree = paper_running_example();
   const Colouring colouring(tree);

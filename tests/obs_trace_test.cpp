@@ -3,10 +3,10 @@
 //   1. Structure determinism -- names, nesting, and attributes are pure
 //      functions of the request stream, and structure_json() canonicalizes
 //      away the recording interleaving. The anchor test replays the
-//      committed golden service trace at shards=1/dp_threads=1 and
-//      shards=8/dp_threads=4 and requires the timing-stripped trace (and
-//      the deterministic metrics exposition) to be byte-identical -- the
-//      tracing extension of the service's response byte wall.
+//      committed golden service trace at shards=1 and shards=8 and
+//      requires the timing-stripped trace (and the deterministic metrics
+//      exposition) to be byte-identical -- the tracing extension of the
+//      service's response byte wall.
 //   2. Recording safety -- concurrent spans from many threads (this suite
 //      runs under TSan in ci.sh), the thread-local current-span nesting,
 //      explicit cross-thread parents, and the disabled/uninstalled
@@ -179,21 +179,18 @@ TracedReplay traced_replay(const std::string& trace, const std::string& config) 
   return {rec.structure_json(), reg.exposition(/*include_wallclock=*/false)};
 }
 
-TEST(TraceDeterminism, GoldenReplayStructureIsShardAndThreadInvariant) {
+TEST(TraceDeterminism, GoldenReplayStructureIsShardInvariant) {
   std::ifstream file(TREESAT_SOURCE_DIR "/tests/golden/service_trace.jsonl");
   ASSERT_TRUE(file) << "golden trace missing";
   std::stringstream buffer;
   buffer << file.rdbuf();
   const std::string trace = buffer.str();
 
-  const TracedReplay one =
-      traced_replay(trace, "shards=1,mem_budget=64m,plan=pareto-dp:dp_threads=1");
-  const TracedReplay many =
-      traced_replay(trace, "shards=8,mem_budget=64m,plan=pareto-dp:dp_threads=4");
+  const TracedReplay one = traced_replay(trace, "shards=1,mem_budget=64m,plan=pareto-dp");
+  const TracedReplay many = traced_replay(trace, "shards=8,mem_budget=64m,plan=pareto-dp");
 
   // The timing-stripped span forest and the deterministic metrics subset
-  // are part of the byte wall: shard count and intra-solve parallelism
-  // must be invisible in both.
+  // are part of the byte wall: the shard count must be invisible in both.
   EXPECT_EQ(one.structure, many.structure);
   EXPECT_EQ(one.metrics_text, many.metrics_text);
 
@@ -219,11 +216,10 @@ TEST(TraceDeterminism, GoldenReplayStructureIsShardAndThreadInvariant) {
   EXPECT_EQ(one.metrics_text.find("treesat_request_seconds"), std::string::npos);
 }
 
-TEST(TraceDeterminism, ArenaSolveStructureIsThreadCountInvariant) {
-  // The arena engine's per-colour pipelines run on scheduler threads and
-  // attach via explicit parents -- the canonicalization's hardest case.
-  // The full phase taxonomy (fold, per-colour merges, reconstruction, the
-  // worklist run) must serialize identically at dp_threads=1 and =4.
+TEST(TraceDeterminism, ArenaSolveStructureNamesEveryPhase) {
+  // The cold solve's phase taxonomy: the solve, its colour fold with one
+  // span per colour, the sweep and the reconstruction -- all on the
+  // calling thread, so no worklist run appears under it.
   Rng rng(0xA11);
   TreeGenOptions gen;
   gen.compute_nodes = 48;
@@ -232,22 +228,16 @@ TEST(TraceDeterminism, ArenaSolveStructureIsThreadCountInvariant) {
   const CruTree tree = random_tree(rng, gen);
   const Colouring colouring(tree);
 
-  const auto traced_solve = [&](std::size_t threads) {
-    TraceRecorder rec;
-    install_trace(&rec);
-    ParetoDpOptions opt;
-    opt.dp_threads = threads;
-    static_cast<void>(pareto_dp_solve(colouring, opt));
-    install_trace(nullptr);
-    return rec.structure_json();
-  };
-  const std::string inline_run = traced_solve(1);
-  const std::string pooled_run = traced_solve(4);
-  EXPECT_EQ(inline_run, pooled_run);
+  TraceRecorder rec;
+  install_trace(&rec);
+  static_cast<void>(pareto_dp_solve(colouring));
+  install_trace(nullptr);
+  const std::string structure = rec.structure_json();
   for (const char* name : {"\"dp.solve\"", "\"dp.fold\"", "\"dp.colour\"",
                            "\"dp.sweep\"", "\"dp.reconstruct\""}) {
-    EXPECT_NE(inline_run.find(name), std::string::npos) << name;
+    EXPECT_NE(structure.find(name), std::string::npos) << name;
   }
+  EXPECT_EQ(structure.find("\"worklist.run\""), std::string::npos);
 }
 
 TEST(TraceDeterminism, MetricsOpExposesTheSameDeterministicSubset) {

@@ -3,7 +3,7 @@
 // sort-then-scan reference engine (tests/pareto_reference.hpp) bit for bit
 // -- same (load, host) sequences on random frontier pairs, the same region
 // frontiers, byte-identical optima (values *and* cut node sets) on the
-// scenario library and on random instances, at every dp_threads value.
+// scenario library and on random instances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -127,33 +127,6 @@ TEST(ParetoMerge, ByteIdenticalOptimaOnRandomInstances) {
     EXPECT_EQ(arena.objective, reference.objective) << "trial " << trial;
     EXPECT_EQ(arena.assignment.cut_nodes(), reference.assignment.cut_nodes())
         << "trial " << trial;
-  }
-}
-
-TEST(ParetoMerge, DpThreadsAreByteIdentityPreserving) {
-  Rng rng(0x7EAD);
-  TreeGenOptions o;
-  o.compute_nodes = 40;
-  o.satellites = 6;
-  o.policy = SensorPolicy::kClustered;
-  const CruTree tree = random_tree(rng, o);
-  const Colouring colouring(tree);
-
-  ParetoDpOptions base;
-  const ParetoDpResult one = pareto_dp_solve(colouring, base);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{0}}) {
-    ParetoDpOptions opts;
-    opts.dp_threads = threads;
-    const ParetoDpResult many = pareto_dp_solve(colouring, opts);
-    EXPECT_EQ(many.objective, one.objective) << "dp_threads=" << threads;
-    EXPECT_EQ(many.assignment.cut_nodes(), one.assignment.cut_nodes())
-        << "dp_threads=" << threads;
-    // Stats aggregate in colour order, so even the counters are identical.
-    EXPECT_EQ(many.stats.arena_bytes, one.stats.arena_bytes);
-    EXPECT_EQ(many.stats.minkowski_merges, one.stats.minkowski_merges);
-    EXPECT_EQ(many.stats.merge_points_generated, one.stats.merge_points_generated);
-    EXPECT_EQ(many.stats.merge_points_kept, one.stats.merge_points_kept);
-    EXPECT_EQ(many.stats.peak_frontier, one.stats.peak_frontier);
   }
 }
 

@@ -72,10 +72,12 @@ const BadSpec kBadSpecs[] = {
     {"pareto-dp:threads=many", "cannot parse value"},
     {"pareto-dp:deadline_ms=-5", "deadline_ms"},
     {"pareto-dp:deadline_ms=nan", "deadline_ms"},
-    // priority= is an enumeration, not a free string.
-    {"pareto-dp:priority=biggest", "'cost' or 'none'"},
-    {"pareto-dp:priority=", "'cost' or 'none'"},
-    {"pareto-dp:priority=COST", "'cost' or 'none'"},
+    // Deleted knobs are unknown keys like any other typo.
+    {"pareto-dp:dp_threads=4", "unknown key"},
+    {"pareto-dp:priority=none", "unknown key"},
+    {"pareto-dp:priority=biggest", "unknown key"},
+    {"pareto-dp:priority=", "unknown key"},
+    {"pareto-dp:priority=COST", "unknown key"},
     {"pareto-dp:priority=cost,priority=none", "duplicate key"},
 };
 
@@ -134,7 +136,7 @@ const BadSpec kBadServiceConfigs[] = {
     // The default plan is validated eagerly, with parse_plan's diagnostics.
     {"plan=dijkstra", "unknown method"},
     {"plan=", "unknown method"},
-    {"plan=pareto-dp:dp_threads=0", "dp_threads"},
+    {"plan=pareto-dp:dp_threads=0", "unknown key 'dp_threads'"},
     {"plan=pareto-dp:max_frontier", "malformed"},
     // pareto-dp has one fold engine and no engine or kernel selector.
     {"plan=pareto-dp:kernel=scalar", "unknown key 'kernel'"},
@@ -169,6 +171,11 @@ const BadSpec kBadServiceConfigs[] = {
     // diagnostics must surface through the service config parser.
     {"fault=seed", "subkey:value"},
     {"fault=seed:x", "bad seed"},
+    // Values parse strictly: no sign, no padding (a negative seed used to
+    // wrap to 18446744073709551609).
+    {"fault=seed: -7", "bad seed"},
+    {"fault=seed:+7", "bad seed"},
+    {"fault=spill_read: 0.5", "bad probability"},
     {"fault=seed:3;seed:4", "duplicate seed"},
     {"fault=spill_read:2.0", "spill_read"},
     {"fault=spill_read:-0.5", "spill_read"},

@@ -3,6 +3,11 @@
 // error paths), automatic() method selection, and solve_batch.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "core/incremental.hpp"
 #include "core/registry.hpp"
@@ -86,12 +91,8 @@ TEST(ParsePlan, PerMethodKeysReachTheTypedOptions) {
   EXPECT_EQ(bb.options_as<BranchBoundOptions>().node_cap, 1000u);
   EXPECT_FALSE(bb.options_as<BranchBoundOptions>().greedy_incumbent);
 
-  const SolvePlan dp = parse_plan("pareto-dp:max_frontier=99,dp_threads=4");
+  const SolvePlan dp = parse_plan("pareto-dp:max_frontier=99");
   EXPECT_EQ(dp.options_as<ParetoDpOptions>().max_frontier, 99u);
-  EXPECT_EQ(dp.options_as<ParetoDpOptions>().dp_threads, 4u);
-  EXPECT_EQ(parse_plan("pareto-dp:dp_threads=auto").options_as<ParetoDpOptions>().dp_threads,
-            0u);
-  EXPECT_THROW(static_cast<void>(parse_plan("pareto-dp:dp_threads=0")), InvalidArgument);
   EXPECT_EQ(parse_plan("exhaustive:cap=12345").options_as<ExhaustiveOptions>().cap, 12345u);
   EXPECT_EQ(parse_plan("local-search:restarts=3,max_moves=10,seed=9")
                 .options_as<LocalSearchOptions>()
@@ -150,6 +151,103 @@ TEST(ParsePlan, SpecRoundTrips) {
   EXPECT_EQ(back.options_as<AnnealingOptions>().steps, 123u);
   EXPECT_DOUBLE_EQ(back.options_as<AnnealingOptions>().cooling, 0.9);
   EXPECT_EQ(back.options_as<AnnealingOptions>().seed, 42u);
+}
+
+TEST(PlanSpec, PinsTheCanonicalStringOfEveryMethod) {
+  // plan_spec is persisted (the `plan` line of a session snapshot) and
+  // compared (session identity), so its bytes are a format: key order,
+  // number spelling and which keys are printed at all. Pinned here for
+  // every registered method at its defaults, with every per-method option
+  // non-default, and with the executor keys set. Each pinned string must
+  // also re-parse to itself.
+  const std::map<std::string, std::string> defaults = {
+      {"coloured-ssb",
+       "coloured-ssb:expansion_cap=65536,fallback_node_cap=131072,delegate_on_cap=true,"
+       "eager_expansion=false"},
+      {"pareto-dp", "pareto-dp:max_frontier=1048576"},
+      {"exhaustive", "exhaustive:cap=4194304"},
+      {"branch-bound", "branch-bound:node_cap=67108864,greedy_incumbent=true"},
+      {"genetic",
+       "genetic:population=64,generations=80,tournament=3,elites=2,crossover_prob=0.9,"
+       "mutation_prob=0.02,seed=1"},
+      {"local-search", "local-search:restarts=8,max_moves=10000,seed=1"},
+      {"greedy", "greedy"},
+      {"annealing", "annealing:steps=20000,initial_temperature=0.25,cooling=0.9995,seed=1"},
+      {"automatic", "automatic:exhaustive_cutoff=4096"},
+  };
+  ASSERT_EQ(defaults.size(), method_registry().size());
+  for (const MethodInfo& info : method_registry()) {
+    ASSERT_EQ(defaults.count(info.name), 1u) << info.name;
+    EXPECT_EQ(plan_spec(parse_plan(info.name)), defaults.at(info.name));
+  }
+
+  ColouredSsbOptions ssb;
+  ssb.expansion_cap_per_region = 4096;
+  ssb.fallback_node_cap = 512;
+  ssb.delegate_on_cap = false;
+  ssb.eager_expansion = true;
+  ParetoDpOptions dp;
+  dp.max_frontier = 99;
+  ExhaustiveOptions exhaustive;
+  exhaustive.cap = 12345;
+  BranchBoundOptions bb;
+  bb.node_cap = 1000;
+  bb.greedy_incumbent = false;
+  GeneticOptions ga;
+  ga.population = 128;
+  ga.generations = 40;
+  ga.tournament = 5;
+  ga.elites = 4;
+  ga.crossover_prob = 0.8;
+  ga.mutation_prob = 0.05;
+  ga.seed = 77;
+  LocalSearchOptions ls;
+  ls.restarts = 3;
+  ls.max_moves = 10;
+  ls.seed = 9;
+  GreedyOptions greedy;
+  greedy.objective = SsbObjective::from_lambda(0.25);
+  AnnealingOptions sa;
+  sa.steps = 500;
+  sa.initial_temperature = 0.5;
+  sa.cooling = 0.99;
+  sa.seed = 5;
+  AutomaticOptions automatic;
+  automatic.exhaustive_cutoff = 64;
+  ParetoDpOptions wide;
+  wide.max_frontier = 4096;
+  ExecutorOptions executor;
+  executor.threads = 4;
+  executor.deadline_seconds = 0.25;
+  executor.fail_fast = false;
+  executor.warm_start = true;
+
+  const std::vector<std::pair<SolvePlan, std::string>> tuned = {
+      {SolvePlan::coloured_ssb(ssb),
+       "coloured-ssb:expansion_cap=4096,fallback_node_cap=512,delegate_on_cap=false,"
+       "eager_expansion=true"},
+      {SolvePlan::pareto_dp(dp), "pareto-dp:max_frontier=99"},
+      {SolvePlan::exhaustive(exhaustive), "exhaustive:cap=12345"},
+      {SolvePlan::branch_bound(bb), "branch-bound:node_cap=1000,greedy_incumbent=false"},
+      {SolvePlan::genetic(ga),
+       "genetic:population=128,generations=40,tournament=5,elites=4,crossover_prob=0.8,"
+       "mutation_prob=0.05,seed=77"},
+      {SolvePlan::local_search(ls), "local-search:restarts=3,max_moves=10,seed=9"},
+      {SolvePlan::greedy(greedy), "greedy:s_coeff=0.25,b_coeff=0.75"},
+      {SolvePlan::annealing(sa),
+       "annealing:steps=500,initial_temperature=0.5,cooling=0.99,seed=5"},
+      {SolvePlan::automatic(automatic), "automatic:exhaustive_cutoff=64"},
+      {SolvePlan::pareto_dp(wide).with_executor(executor),
+       "pareto-dp:threads=4,deadline_ms=250,fail_fast=false,warm_start=true,"
+       "max_frontier=4096"},
+      {parse_plan("coloured-ssb:threads=auto,lambda=0.5"),
+       "coloured-ssb:s_coeff=0.5,b_coeff=0.5,threads=auto,expansion_cap=65536,"
+       "fallback_node_cap=131072,delegate_on_cap=true,eager_expansion=false"},
+  };
+  for (const auto& [plan, spec] : tuned) {
+    EXPECT_EQ(plan_spec(plan), spec);
+    EXPECT_EQ(plan_spec(parse_plan(spec)), spec);
+  }
 }
 
 TEST(ParsePlan, EngineSelectorKeysAreUnknown) {
@@ -275,27 +373,6 @@ TEST(SolveReport, ZeroMergeSolvesReportZeroRatiosNotNaN) {
   EXPECT_EQ(stats->prune_ratio(), 0.0);
   const std::string json = report_to_json(report);
   EXPECT_NE(json.find("\"prune_ratio\":0}"), std::string::npos) << json;
-}
-
-TEST(SolveReport, DpThreadsKeepReportsByteIdentical) {
-  // Intra-solve parallelism (dp_threads=) farms per-colour pipelines to the
-  // work-list pool; the combine order is deterministic, so the entire
-  // report -- counters included -- must not depend on the thread count.
-  // (This suite runs under TSan in ci.sh, which race-checks the pool.)
-  const CruTree tree = paper_running_example();
-  const Colouring colouring(tree);
-  const SolveReport one = solve(colouring, parse_plan("pareto-dp"));
-  const SolveReport four = solve(colouring, parse_plan("pareto-dp:dp_threads=4"));
-  EXPECT_EQ(one.objective_value, four.objective_value);
-  EXPECT_EQ(one.assignment.cut_nodes(), four.assignment.cut_nodes());
-  const auto* s1 = one.stats_as<ParetoDpStats>();
-  const auto* s4 = four.stats_as<ParetoDpStats>();
-  ASSERT_NE(s1, nullptr);
-  ASSERT_NE(s4, nullptr);
-  EXPECT_EQ(s1->arena_bytes, s4->arena_bytes);
-  EXPECT_EQ(s1->minkowski_merges, s4->minkowski_merges);
-  EXPECT_EQ(s1->merge_points_generated, s4->merge_points_generated);
-  EXPECT_EQ(s1->merge_points_kept, s4->merge_points_kept);
 }
 
 TEST(SolveReport, ResolveStatsReachReportJson) {

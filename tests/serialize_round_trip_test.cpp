@@ -73,6 +73,18 @@ TEST(SerializeRoundTrip, HandWrittenFormatStillParses) {
   EXPECT_EQ(tree.node(tree.by_name("ECG")).satellite, SatelliteId{0u});
 }
 
+TEST(SerializeRoundTrip, NodeFieldsSplitOnAnyWhitespace) {
+  const std::string text =
+      "cru_tree v1\n"
+      "0 - compute Root 5 0 0 -\r\n"
+      "1\t0 compute  Filter 2 3 1.5 -\n"
+      "2 1 sensor ECG 0 0 0.5 0 \r\n";
+  const CruTree tree = tree_from_text(text);
+  EXPECT_EQ(tree.size(), 3u);
+  EXPECT_EQ(tree.node(tree.by_name("Filter")).comm_up, 1.5);
+  EXPECT_EQ(tree.node(tree.by_name("ECG")).satellite, SatelliteId{0u});
+}
+
 TEST(SerializeRoundTrip, MalformedInputsAllThrowInvalidArgument) {
   const std::string root = "0 - compute Root 5 0 0 -\n";
   struct Case {
@@ -120,6 +132,26 @@ TEST(SerializeRoundTrip, MalformedInputsAllThrowInvalidArgument) {
                                    "2 1 sensor T 0 0 1 0\n"},
       {"compute leaf", "cru_tree v1\n" + root + "1 0 compute A 1 1 1 -\n"},
       {"compute-only tree", "cru_tree v1\n" + root},
+      // Every column parses as a whole token: these used to be accepted.
+      // The first one is a fuzzer-found crash -- stream extraction read the
+      // comm column as 0.5 and wrapped its tail into satellite 2153610320.
+      {"comm_up with a numeric tail",
+       "cru_tree v1\n" + root + "1 0 compute A 1 1 1 -\n2 1 sensor s0 0 0 1 0\n"
+                                "3 1 sensor s1 0 0 0.5-07625708307377\n"},
+      {"satellite beyond 32 bits", "cru_tree v1\n" + root + "1 0 sensor S 0 0 1 4294967296\n"},
+      {"satellite with trailing junk", "cru_tree v1\n" + root + "1 0 sensor S 0 0 1 1x\n"},
+      {"parent with a plus sign",
+       "cru_tree v1\n" + root + "1 0 compute A 1 1 1 -\n2 +1 sensor S 0 0 1 0\n"},
+      {"a ninth field", "cru_tree v1\n" + root + "1 0 sensor S 0 0 1 0 extra\n"},
+      {"compute node with a satellite",
+       "cru_tree v1\n" + root + "1 0 compute A 1 1 1 0\n2 1 sensor S 0 0 1 0\n"},
+      // Costs are finite. A sensor's host and sat columns are never used,
+      // so they are checked at parse time or not at all.
+      {"infinite host_time", "cru_tree v1\n0 - compute Root inf 0 0 -\n1 0 sensor S 0 0 1 0\n"},
+      {"nan sat_time", "cru_tree v1\n" + root + "1 0 compute A 1 nan 1 -\n2 1 sensor S 0 0 1 0\n"},
+      {"infinite comm_up", "cru_tree v1\n" + root + "1 0 sensor S 0 0 infinity 0\n"},
+      {"nan host_time on a sensor", "cru_tree v1\n" + root + "1 0 sensor S nan 0 1 0\n"},
+      {"inf sat_time on a sensor", "cru_tree v1\n" + root + "1 0 sensor S 0 inf 1 0\n"},
   };
   for (const Case& c : cases) {
     EXPECT_THROW((void)tree_from_text(c.text), InvalidArgument) << c.what;

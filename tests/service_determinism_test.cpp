@@ -1,20 +1,16 @@
 // The service's byte-identity wall: replaying the same traffic trace must
-// produce byte-identical response streams at any shard count and any
-// solver thread count. This is the serving-layer extension of the
-// determinism contract PRs 2-4 established for the executor and the DP
-// engine, and it is what makes the committed golden trace in ci.sh's smoke
-// stage meaningful: a response diff there is a behavior change, never
-// scheduling noise.
+// produce byte-identical response streams at any shard count. This is the
+// serving-layer extension of the determinism contract of the executor and
+// the DP engine, and it is what makes the committed golden trace in
+// ci.sh's smoke stage meaningful: a response diff there is a behavior
+// change, never scheduling noise.
 //
-// Three sweeps:
+// Two sweeps:
 //   * shards=1/2/8 on an unconstrained store;
 //   * shards=1/2/8 on a budget small enough to force LRU evictions (the
-//     eviction order is where a per-shard LRU would silently diverge);
-//   * dp_threads=1 vs dp_threads=4 per-request plans (intra-solve
-//     parallelism must stay invisible, counters included).
+//     eviction order is where a per-shard LRU would silently diverge).
 //
-// This suite runs under TSan in ci.sh: the dp_threads sweep drives the
-// work-list pool through the service path.
+// This suite runs under TSan in ci.sh.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -177,31 +173,19 @@ TEST(ServiceDeterminism, CheckpointRestartResumesByteIdentically) {
   EXPECT_EQ(b.cold_solves, a.cold_solves);
 }
 
-TEST(ServiceDeterminism, DpThreadCountIsInvisible) {
+TEST(ServiceDeterminism, PerRequestPlanMatchesTheServiceDefault) {
   TrafficOptions base;
   base.seed = 0x7D27;
   base.tenants = 2;
   base.ticks = 40;
+  base.plan = "pareto-dp";
 
-  TrafficOptions threaded = base;
-  base.plan = "pareto-dp:dp_threads=1";
-  threaded.plan = "pareto-dp:dp_threads=4";
-
-  // The traces differ only in the per-request plan spec; responses never
-  // echo the plan, so intra-solve parallelism must be invisible -- same
-  // optima, same cuts, same counters, byte for byte.
-  const std::string serial = replay(trace_text(traffic_trace(base)), "shards=2");
-  const std::string parallel = replay(trace_text(traffic_trace(threaded)), "shards=2");
-  EXPECT_EQ(serial, parallel);
-
-  // And the per-request plan equals the service-default route.
-  const TrafficOptions none = [&] {
-    TrafficOptions o = base;
-    o.plan.clear();
-    return o;
-  }();
-  EXPECT_EQ(serial, replay(trace_text(traffic_trace(none)),
-                           "shards=2,plan=pareto-dp:dp_threads=2"));
+  // Responses never echo the plan, so naming it on every request must
+  // answer exactly like the service-default route.
+  const std::string per_request = replay(trace_text(traffic_trace(base)), "shards=2");
+  TrafficOptions none = base;
+  none.plan.clear();
+  EXPECT_EQ(per_request, replay(trace_text(traffic_trace(none)), "shards=2,plan=pareto-dp"));
 }
 
 TEST(ServiceDeterminism, ForcedDegradationIsShardCountInvariant) {

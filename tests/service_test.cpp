@@ -80,11 +80,11 @@ TEST(Service, SubmitSolveRoundTrip) {
   EXPECT_CONTAINS(again, "\"path\":\"cached\"");
   EXPECT_CONTAINS(again, "\"objective\":" + shortest_round_trip(direct.objective_value));
 
-  // Result-invisible knobs (dp_threads, executor keys) are not a plan
-  // change: the warm session survives a client re-tuning parallelism.
+  // Result-invisible knobs (the executor keys) are not a plan change: the
+  // warm session survives a client re-tuning parallelism.
   const std::string retuned = service.handle_line(
       "{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\","
-      "\"plan\":\"pareto-dp:dp_threads=4,threads=8\"}");
+      "\"plan\":\"pareto-dp:threads=8\"}");
   EXPECT_CONTAINS(retuned, "\"path\":\"cached\"");
 
   // A different plan cannot reuse the session: rebuilt cold.

@@ -120,9 +120,11 @@ TEST(Worklist, CostSpanMustCoverEveryItem) {
                InvalidArgument);
 }
 
-TEST(Worklist, LegacyShapeStillCoversEveryIndex) {
+TEST(Worklist, CostBlindRunCoversEveryIndex) {
   std::vector<int> hits(40, 0);
-  run_worklist(hits.size(), std::size_t{4}, [&](std::size_t i) { ++hits[i]; });
+  WorklistOptions options;
+  options.threads = 4;
+  static_cast<void>(run_worklist(hits.size(), options, [&](std::size_t i) { ++hits[i]; }));
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1) << i;
 }
 

@@ -17,8 +17,9 @@
 # This is followed by a ThreadSanitizer build of the suites that exercise the batch
 # executor and the service (-fsanitize=thread via TREESAT_TSAN), so the
 # worker pool is race-checked on every run, a UBSan build
-# (-fsanitize=undefined via TREESAT_UBSAN, recovery off) of the Pareto
-# merge-kernel and scheduler suites, and an AddressSanitizer build of every
+# (-fsanitize=undefined plus float-cast-overflow via TREESAT_UBSAN, recovery
+# off) of the Pareto merge-kernel, scheduler, parser and formatter suites,
+# and an AddressSanitizer build of every
 # suite (-fsanitize=address through the compiler and linker flags, so a
 # decoder that allocates from a hostile count or reads past a buffer fails
 # the run). Setting TREESAT_COV=1 adds a coverage stage: the test
@@ -191,15 +192,23 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 # scheduler's lock-free deques -- pointer-offset arithmetic in the SIMD
 # dominance scan (platform/simd.hpp), the arena's span indexing, and the
 # overflow-guarded reference reserve are exactly the code where silent UB
-# would masquerade as a wrong-but-plausible frontier. Recovery is off
-# (-fno-sanitize-recover), so any report fails the run.
+# would masquerade as a wrong-but-plausible frontier -- plus the suites that
+# feed hostile numbers to the parsers and formatters: request fields cast
+# to ids (service_test), plan specs (parse_plan_fuzz_test), tree text,
+# snapshots and the number formatter. TREESAT_UBSAN adds
+# float-cast-overflow, which GCC's -fsanitize=undefined leaves out.
+# Recovery is off (-fno-sanitize-recover), so any report fails the run.
+# plan_test stays out: GCC 12 misfires -Wmaybe-uninitialized on it under
+# these flags, and this stage builds with -Werror.
 cmake -B "$UBSAN_DIR" -S . -DTREESAT_WERROR=ON -DTREESAT_UBSAN=ON \
   -DTREESAT_BUILD_BENCHES=OFF -DTREESAT_BUILD_EXAMPLES=OFF
 cmake --build "$UBSAN_DIR" -j "$JOBS" \
   --target pareto_dp_test pareto_merge_reference_test pareto_simd_kernel_test \
-           worklist_test incremental_resolve_test
+           worklist_test incremental_resolve_test service_test \
+           serialize_round_trip_test snapshot_test parse_plan_fuzz_test \
+           format_round_trip_test
 (cd "$UBSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-  -R 'pareto_dp_test|pareto_merge_reference_test|pareto_simd_kernel_test|worklist_test|incremental_resolve_test')
+  -R 'pareto_dp_test|pareto_merge_reference_test|pareto_simd_kernel_test|worklist_test|incremental_resolve_test|service_test|serialize_round_trip_test|snapshot_test|parse_plan_fuzz_test|format_round_trip_test')
 
 # ASan stage: every suite under AddressSanitizer (benches/examples skipped
 # for speed). The flags go through CMAKE_CXX_FLAGS/CMAKE_EXE_LINKER_FLAGS,

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 
 #include "common/check.hpp"
 #include "common/format.hpp"
@@ -183,8 +184,10 @@ bool RequestObject::bool_at(const std::string& key) const {
 
 std::size_t RequestObject::size_at(const std::string& key) const {
   const double v = number_at(key);
-  if (v < 0.0 || v != static_cast<double>(static_cast<std::size_t>(v))) {
-    throw InvalidArgument("request: field '" + key + "' must be a non-negative integer");
+  // Range first: casting a double at or past 2^64 (or a NaN) to an integer
+  // is undefined, not a value that fails a compare.
+  if (!(v >= 0.0 && v < 0x1p64) || v != std::floor(v)) {
+    throw InvalidArgument("request: field '" + key + "' must be a non-negative integer below 2^64");
   }
   return static_cast<std::size_t>(v);
 }

@@ -49,7 +49,8 @@ class RequestObject {
   [[nodiscard]] const std::string& string_at(const std::string& key) const;
   [[nodiscard]] double number_at(const std::string& key) const;
   [[nodiscard]] bool bool_at(const std::string& key) const;
-  /// number_at narrowed to a non-negative integer (ids, counts).
+  /// number_at narrowed to a non-negative integer below 2^64 (ids, counts);
+  /// any other number throws before it reaches the cast.
   [[nodiscard]] std::size_t size_at(const std::string& key) const;
 
   [[nodiscard]] std::string string_or(const std::string& key, std::string fallback) const;

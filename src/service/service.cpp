@@ -214,6 +214,18 @@ void require_id(const char* what, const std::string& value) {
   }
 }
 
+/// The request's "satellite" field. Satellite ids are 32-bit with the top
+/// value reserved as the invalid sentinel, so a larger integer would wrap
+/// onto a real satellite instead of naming a missing one.
+SatelliteId satellite_at(const RequestObject& req) {
+  const std::size_t id = req.size_at("satellite");
+  if (id >= SatelliteId::kInvalid) {
+    throw InvalidArgument("request: field 'satellite' must be below " +
+                          std::to_string(SatelliteId::kInvalid) + ", got " + std::to_string(id));
+  }
+  return SatelliteId{id};
+}
+
 /// The perturbation a perturb request describes, resolved against the
 /// entry's current tree (insert parents are named by node *name*: names
 /// survive the id compaction of a satellite loss, ids do not).
@@ -225,18 +237,18 @@ Perturbation parse_perturbation(const RequestObject& req, const CruTree& tree) {
                                       req.number_or("comm_scale", 1.0));
   }
   if (kind == "satellite_drift") {
-    return Perturbation::satellite_drift(SatelliteId{req.size_at("satellite")},
+    return Perturbation::satellite_drift(satellite_at(req),
                                          req.number_or("host_scale", 1.0),
                                          req.number_or("sat_scale", 1.0),
                                          req.number_or("comm_scale", 1.0));
   }
   if (kind == "satellite_loss") {
-    return Perturbation::satellite_loss(SatelliteId{req.size_at("satellite")});
+    return Perturbation::satellite_loss(satellite_at(req));
   }
   if (kind == "insert_probe") {
     const CruId parent = tree.by_name(req.string_at("parent"));
     return Perturbation::insert_probe(parent, req.string_at("name"),
-                                      SatelliteId{req.size_at("satellite")},
+                                      satellite_at(req),
                                       req.number_or("host_time", 1.0),
                                       req.number_or("sat_time", 1.0),
                                       req.number_or("comm_up", 1.0),

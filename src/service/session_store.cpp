@@ -275,11 +275,12 @@ void SessionStore::spill_entry(const SessionEntry& entry) {
     }
     std::error_code ec;
     std::filesystem::create_directories(spill_dir_, ec);  // heal a vanished dir
-    write_snapshot_file(path, state);
     // Charge the exact snapshot size. encode_snapshot is deterministic for
     // a given resolve history (wall-clock zeroed, caches sorted), so the
     // spill-tier gauges replay byte-identically at any shard count.
-    record.bytes = encode_snapshot(state).size();
+    const std::string bytes = encode_snapshot(state);
+    write_file_atomic(path, bytes);
+    record.bytes = bytes.size();
   } catch (const std::exception&) {
     // A failed spill write must not fail the eviction that triggered it:
     // the warm state is lost (the next request re-solves cold from the

@@ -57,21 +57,19 @@ void encode_cache(std::string& out, const char* label,
                   const std::vector<SessionState::CacheEntry>& entries) {
   out += label;
   out += ' ';
-  out += std::to_string(entries.size());
+  wire::append_u64(out, entries.size());
   out += '\n';
   for (const SessionState::CacheEntry& e : entries) {
     out += "entry ";
-    out += std::to_string(e.last_used);
+    wire::append_u64(out, e.last_used);
     out += ' ';
-    out += std::to_string(e.key_words.size());
+    wire::append_u64(out, e.key_words.size());
     for (const std::uint64_t w : e.key_words) {
       out += ' ';
-      char buf[17];
-      std::snprintf(buf, sizeof(buf), "%llx", static_cast<unsigned long long>(w));
-      out += buf;
+      wire::append_hex(out, w);
     }
     out += ' ';
-    out += std::to_string(e.frontier.size());
+    wire::append_u64(out, e.frontier.size());
     out += '\n';
     for (const ParetoPoint& p : e.frontier) {
       // Point coordinates are IEEE-754 bit patterns in hex: exact by
@@ -79,11 +77,11 @@ void encode_cache(std::string& out, const char* label,
       // decimal, which is what keeps restoring a big snapshot cheaper
       // than re-solving it (points are most of a snapshot's bytes).
       out += "point ";
-      out += wire::hex16(bit_pattern(p.load));
+      wire::append_hex16(out, bit_pattern(p.load));
       out += ' ';
-      out += wire::hex16(bit_pattern(p.host));
+      wire::append_hex16(out, bit_pattern(p.host));
       out += ' ';
-      out += std::to_string(p.cut.size());
+      wire::append_u64(out, p.cut.size());
       // Cut positions are strictly increasing (the canonical cut form), so
       // they delta-encode: first absolute, then gaps. Gaps are short where
       // absolute positions are wide -- roughly half the bytes of a warm
@@ -94,7 +92,7 @@ void encode_cache(std::string& out, const char* label,
         TS_CHECK(first || v.index() > prev,
                  "snapshot: cached cut positions must be strictly increasing");
         out += ' ';
-        out += std::to_string(first ? v.index() : v.index() - prev);
+        wire::append_u64(out, first ? v.index() : v.index() - prev);
         prev = v.index();
         first = false;
       }
@@ -180,7 +178,7 @@ std::string encode_payload(const SessionState& state) {
   std::size_t tree_lines = 0;
   for (const char c : state.tree_text) tree_lines += c == '\n' ? 1 : 0;
   out += "tree ";
-  out += std::to_string(tree_lines);
+  wire::append_u64(out, tree_lines);
   out += '\n';
   out += state.tree_text;
   if (!state.has_session()) {
@@ -191,10 +189,10 @@ std::string encode_payload(const SessionState& state) {
   out += state.plan_spec;
   out += '\n';
   out += "cut ";
-  out += std::to_string(state.cut.size());
+  wire::append_u64(out, state.cut.size());
   for (const CruId v : state.cut) {
     out += ' ';
-    out += std::to_string(v.index());
+    wire::append_u64(out, v.index());
   }
   out += '\n';
   out += "report ";
@@ -212,7 +210,7 @@ std::string encode_payload(const SessionState& state) {
           dp.peak_frontier, dp.minkowski_merges, dp.merge_points_generated,
           dp.merge_points_kept}) {
       out += ' ';
-      out += std::to_string(counter);
+      wire::append_u64(out, counter);
     }
     out += '\n';
   } else {
@@ -225,7 +223,7 @@ std::string encode_payload(const SessionState& state) {
                                     st.regions_recomputed, st.colours_total, st.colours_reused,
                                     st.cache_entries}) {
     out += ' ';
-    out += std::to_string(counter);
+    wire::append_u64(out, counter);
   }
   out += st.incumbent_used ? " 1\n" : " 0\n";
   out += "cold_reason";
@@ -235,7 +233,7 @@ std::string encode_payload(const SessionState& state) {
   }
   out += '\n';
   out += "attempt ";
-  out += std::to_string(state.attempt);
+  wire::append_u64(out, state.attempt);
   out += '\n';
   encode_cache(out, "colour_cache", state.colour_cache);
   encode_cache(out, "region_cache", state.region_cache);
@@ -405,10 +403,10 @@ std::string frame_payload(std::string_view magic, std::string_view version,
   out += version;
   out += '\n';
   out += "bytes ";
-  out += std::to_string(payload.size());
+  wire::append_u64(out, payload.size());
   out += '\n';
   out += "hash ";
-  out += wire::hex16(fnv1a64(payload));
+  wire::append_hex16(out, fnv1a64(payload));
   out += '\n';
   out += payload;
   return out;

@@ -5,8 +5,8 @@
 // the snapshot contract (storage/snapshot.hpp).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
-#include <cstdio>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -63,10 +63,32 @@ inline std::size_t bounded_count(std::uint64_t count, std::size_t bytes_left,
   return static_cast<std::size_t>(count);
 }
 
+/// Appends `v` in decimal (the form parse_u64 and take_u64 read back).
+inline void append_u64(std::string& out, std::uint64_t v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/// Appends `v` in lowercase hex without leading zeros (take_hex64's form).
+inline void append_hex(std::string& out, std::uint64_t v) {
+  char buf[16];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v, 16).ptr);
+}
+
+/// Appends `v` as exactly 16 lowercase hex digits, zero-padded.
+inline void append_hex16(std::string& out, std::uint64_t v) {
+  char buf[16];
+  const char* const last = std::to_chars(buf, buf + sizeof(buf), v, 16).ptr;
+  const std::size_t digits = static_cast<std::size_t>(last - buf);
+  out.append(sizeof(buf) - digits, '0');
+  out.append(buf, digits);
+}
+
+/// append_hex16 into a fresh string (hashes in messages and digests).
 inline std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return buf;
+  std::string out;
+  append_hex16(out, v);
+  return out;
 }
 
 /// Splits a payload line on single spaces into `tokens` (cleared first);

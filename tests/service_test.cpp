@@ -227,6 +227,45 @@ TEST(Service, ErrorTaxonomyKeepsServing) {
       "\"path\":\"cached\"");
 }
 
+TEST(Service, OutOfRangeSatelliteIdsAreRejected) {
+  // Satellite ids are 32-bit. 2^32 used to wrap onto satellite 0 and drift
+  // it; 2^32-1 is the invalid-id sentinel; 1e20 is past what a size_t cast
+  // may be given; -1 and 1.5 are not ids at all. Each must be one error
+  // response that leaves the session untouched.
+  SolverService service;
+  const CruTree tree = paper_running_example();
+  static_cast<void>(service.handle_line(submit_line("t0", "w0", tree)));
+  EXPECT_CONTAINS(
+      service.handle_line("{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\"}"),
+      "\"ok\":true");
+  const std::string probe_fields =
+      ",\"parent\":\"" + json_escape(tree.node(tree.root()).name) + "\",\"name\":\"probe\"";
+  for (const char* kind : {"satellite_drift", "satellite_loss", "insert_probe"}) {
+    for (const char* id : {"4294967296", "4294967295", "1e20", "-1", "1.5"}) {
+      SCOPED_TRACE(std::string(kind) + " satellite " + id);
+      std::string line = "{\"op\":\"perturb\",\"tenant\":\"t0\",\"instance\":\"w0\",\"kind\":\"";
+      line += kind;
+      line += "\",\"satellite\":";
+      line += id;
+      if (std::string(kind) == "insert_probe") line += probe_fields;
+      line += '}';
+      const std::string response = service.handle_line(line);
+      EXPECT_CONTAINS(response, "\"ok\":false");
+      EXPECT_CONTAINS(response, "field 'satellite'");
+      EXPECT_CONTAINS(
+          service.handle_line("{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\"}"),
+          "\"path\":\"cached\"");
+    }
+  }
+  // The largest valid id still reaches the perturbation, which rejects it
+  // as a satellite the tree does not have.
+  const std::string largest = service.handle_line(
+      "{\"op\":\"perturb\",\"tenant\":\"t0\",\"instance\":\"w0\","
+      "\"kind\":\"satellite_loss\",\"satellite\":4294967294}");
+  EXPECT_CONTAINS(largest, "\"ok\":false");
+  EXPECT_CONTAINS(largest, "names satellite 4294967294");
+}
+
 TEST(Service, AdmissionRejectsOversizedInstances) {
   ServiceOptions options = parse_service_config("mem_budget=1k,fail_fast=false");
   SolverService service(options);

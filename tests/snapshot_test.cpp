@@ -123,6 +123,24 @@ TEST(SnapshotRoundTrip, SnapshotBytesAreDeterministic) {
             encode_snapshot(session.export_state()));
 }
 
+TEST(SnapshotRoundTrip, DriftedSnapshotBytesArePinned) {
+  // The other round-trip tests compare the encoder with itself, so a change
+  // to how any field is written (tree costs, the objective, hex key words
+  // and point coordinates, cut deltas, counts, escaped owner tokens) would
+  // pass them. This pins one drifted session's exact bytes by length and
+  // content hash: the snapshot format is a file format, and its bytes only
+  // move with a version bump.
+  const Scenario scenario = epilepsy_scenario();
+  ResolveSession session{scenario.workload.lower(scenario.platform)};
+  for (const Perturbation& p : drift_script()) static_cast<void>(session.resolve(p));
+  SessionState state = session.export_state();
+  state.tenant = "tenant a";
+  state.instance = "w/0";
+  const std::string bytes = encode_snapshot(state);
+  EXPECT_EQ(bytes.size(), 7088u);
+  EXPECT_EQ(fnv1a64(bytes), 0x02fa1c2e8811b9f8ULL);
+}
+
 TEST(SnapshotRoundTrip, TreeOnlyStateRoundTrips) {
   // A submitted-but-never-solved instance spills as a tree-only snapshot.
   SessionState state;

@@ -11,7 +11,10 @@
 //      aggregate on the large-instance sweep.
 //
 // Section 1 runs the standard scenario library's drift streams (realistic,
-// small); section 2 sweeps large clustered instances where the win shows.
+// small); section 2 sweeps large clustered instances where the win shows;
+// section 3 (ungated) prices a session's initial solve against a bare
+// pareto_dp_solve of the same tree -- the keying and cache write-out a
+// session pays once before its first warm re-solve can win anything back.
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
@@ -20,6 +23,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "common/stopwatch.hpp"
 #include "core/incremental.hpp"
 #include "io/table.hpp"
 #include "workload/drift.hpp"
@@ -74,6 +78,19 @@ StreamComparison compare_stream(const CruTree& base, const std::vector<Perturbat
     cmp.regions_total += warm.stats[i].regions_total;
   }
   return cmp;
+}
+
+/// Best-of-`reps` wall time of `fn` (seconds).
+template <typename Fn>
+double best_of(int reps, Fn&& fn) {
+  double best = -1.0;
+  for (int r = 0; r < reps; ++r) {
+    const Stopwatch watch;
+    fn();
+    const double t = watch.seconds();
+    if (best < 0.0 || t < best) best = t;
+  }
+  return best;
 }
 
 void add_row(Table& t, const std::string& name, std::size_t steps,
@@ -163,6 +180,50 @@ int main(int argc, char** argv) {
            {"warm_vs_cold", cmp.cold_seconds / cmp.warm_seconds}});
     }
     t.print(std::cout);
+  }
+
+  bench::banner("E-INC3", "initial-solve overhead: ResolveSession constructor vs pareto_dp_solve");
+  {
+    // The shapes the serving benchmark's sessions start from: spill_churn's
+    // 128-node stars, E-INC2's deep clustered trees, and colour-skewed
+    // trees. The bare solve gets a prebuilt colouring; the session builds
+    // its own, then keys every region and colour and writes the cache
+    // entries. Best of 15 each; informational, not gated.
+    Rng rng(0x1417);
+    StarGenOptions star;
+    star.arms = 64;
+    TreeGenOptions clustered;
+    clustered.compute_nodes = 96;
+    clustered.satellites = 4;
+    clustered.max_children = 2;
+    clustered.policy = SensorPolicy::kClustered;
+    SkewGenOptions skewed;
+    skewed.compute_nodes = 128;
+    const std::pair<std::string, CruTree> trees[] = {
+        {"star-128", star_tree(rng, star)},
+        {"clustered-96", random_tree(rng, clustered)},
+        {"skewed-128", skewed_tree(rng, skewed)}};
+    Table t({"tree", "nodes", "session [us]", "pareto_dp_solve [us]", "session / solve"});
+    for (const auto& [name, tree] : trees) {
+      const Colouring colouring(tree);
+      const double bare = best_of(15, [&] { static_cast<void>(pareto_dp_solve(colouring)); });
+      double session = -1.0;
+      for (int rep = 0; rep < 15; ++rep) {
+        CruTree copy = tree;
+        const Stopwatch watch;
+        const ResolveSession built(std::move(copy));
+        const double seconds = watch.seconds();
+        if (session < 0.0 || seconds < session) session = seconds;
+      }
+      t.add(name, tree.size(), session * 1e6, bare * 1e6, session / bare);
+      bench::json().add_row("initial-" + name, {{"nodes", static_cast<double>(tree.size())},
+                                                {"session_us", session * 1e6},
+                                                {"solve_us", bare * 1e6},
+                                                {"session_over_solve", session / bare}});
+    }
+    t.print(std::cout);
+    bench::note("session time is its constructor: colouring, solve, keying and cache");
+    bench::note("write-out (the tree copy it takes is outside the timer)");
   }
 
   if (!all_identical) {

@@ -337,12 +337,15 @@ void ResolveSession::solve_current(const Perturbation* p) {
   // when resolution chose).
   report->requested = plan_.method();
 
-  // Age out cache entries that no recent instance matched; a long drift
-  // stream would otherwise accumulate one generation of frontiers per step.
-  constexpr std::size_t kRetainSteps = 16;
+  // Keep only what this solve touched: the next solve can read nothing
+  // else (an entry older than the latest instance is all but never hit
+  // again), and every retained colour entry's region entries were touched
+  // with it. A rolled-back attempt never reaches this sweep, so its
+  // insertions wait for the next successful one.
   for (FrontierCache* cache : {&colour_cache_, &region_cache_}) {
     for (auto it = cache->begin(); it != cache->end();) {
-      if (it->second.last_used + kRetainSteps < attempt_) {
+      if (it->second.last_used < attempt_) {
+        cached_bytes_ -= entry_bytes(*it);
         it = cache->erase(it);
       } else {
         ++it;
@@ -415,22 +418,33 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
   std::vector<std::vector<CruId>> colour_nodes(colours);
   std::vector<std::uint32_t> position(tree_->size());
   std::vector<CruId> cut;
+  std::vector<std::uint32_t> positions;
+  std::vector<pareto_internal::Span> parts;
+  std::vector<pareto_internal::ColourPipeline::ImportPart> import_parts;
 
-  // Writes out the cuts of a freshly built span for a cache entry, as
-  // canonical positions relative to `offset`. Exact capacities throughout:
-  // cached_bytes() accounts capacities, which an import must reproduce.
-  const auto cache_form = [&](pareto_internal::Span span, std::uint32_t offset) {
-    std::vector<ParetoPoint> frontier(span.size());
+  // A span's values, as a cache entry's exact-capacity arrays: cached_bytes()
+  // accounts capacities, which an import must reproduce.
+  const auto values = [&](pareto_internal::Span span) {
+    FrontierEntry entry;
+    entry.load.assign(pipe.arena.load.begin() + span.begin, pipe.arena.load.begin() + span.end);
+    entry.host.assign(pipe.arena.host.begin() + span.begin, pipe.arena.host.begin() + span.end);
+    return entry;
+  };
+  // A freshly built region's entry: its values plus every point's cut, as
+  // canonical positions relative to the region's `offset`.
+  const auto region_entry = [&](pareto_internal::Span span, std::uint32_t offset) {
+    FrontierEntry entry = values(span);
+    entry.cut_offsets.reserve(span.size() + 1);
+    entry.cut_offsets.push_back(0);
+    positions.clear();
     for (std::uint32_t p = span.begin; p < span.end; ++p) {
       cut.clear();
       pipe.reconstruct(p, cut);
-      for (CruId& v : cut) v = CruId{position[v.index()] - offset};
-      ParetoPoint& point = frontier[p - span.begin];
-      point.load = pipe.arena.load[p];
-      point.host = pipe.arena.host[p];
-      point.cut.assign(cut.begin(), cut.end());
+      for (const CruId v : cut) positions.push_back(position[v.index()] - offset);
+      entry.cut_offsets.push_back(static_cast<std::uint32_t>(positions.size()));
     }
-    return frontier;
+    entry.cut_positions.assign(positions.begin(), positions.end());
+    return entry;
   };
 
   std::vector<pareto_internal::Span> merged(colours);
@@ -476,23 +490,26 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
     if (colour_hit != colour_cache_.end()) {
       // The whole merged frontier is served from cache: no region frontier
       // and no Minkowski chain, just the cached points imported as leaves.
-      // Keep the colour's region entries warm too -- a later localized
-      // change (e.g. a probe insertion) falls back to them, so a colour hit
-      // must not let aging evict what it still depends on. Only an entry
-      // from an *earlier* step counts as reuse; hitting an entry cached
-      // seconds ago in this same step (two content-identical colours) is
-      // deduplicated fresh work, not state that survived the perturbation.
+      // Their cuts are rebuilt from the colour's region entries, which every
+      // retained colour entry keeps alive; touching them here is also what
+      // keeps them for a later localized change (e.g. a probe insertion)
+      // that falls back to them. Only an entry from an *earlier* step counts
+      // as reuse; hitting an entry cached seconds ago in this same step (two
+      // content-identical colours) is deduplicated fresh work, not state
+      // that survived the perturbation.
       const bool survived = colour_hit->second.last_used < attempt_;
-      merged[c] = pipe.import(colour_hit->second.frontier, concat.data());
+      colour_hit->second.last_used = attempt_;
+      import_parts.clear();
+      for (std::size_t k = 0; k < regions.size(); ++k) {
+        const auto region_hit = region_cache_.find(region_keys[k]);
+        TS_CHECK(region_hit != region_cache_.end(),
+                 "incremental: a cached colour's region entry is missing");
+        region_hit->second.last_used = attempt_;
+        import_parts.push_back({&region_hit->second.frontier, concat.data() + region_offsets[k]});
+      }
+      merged[c] = pipe.import(colour_hit->second.frontier, import_parts);
       colour_span.attr("cached", std::uint64_t{1});
       colour_span.attr("frontier", static_cast<std::uint64_t>(merged[c].size()));
-      colour_hit->second.last_used = attempt_;
-      for (const ContentKey& region_key : region_keys) {
-        const auto region_hit = region_cache_.find(region_key);
-        if (region_hit != region_cache_.end()) {
-          region_hit->second.last_used = attempt_;
-        }
-      }
       if (survived) {
         fresh.regions_reused += regions.size();
         ++fresh.colours_reused;
@@ -506,6 +523,7 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
     // from the region-level cache where their content survived (e.g. the
     // untouched siblings of an inserted probe's region) and building the
     // rest -- the cold solve's fold, so warm stays byte-identical to cold.
+    parts.clear();
     const pareto_internal::Span span =
         pipe.fold(regions.size(), options.max_frontier, [&](std::size_t k) {
           const auto region_hit = region_cache_.find(region_keys[k]);
@@ -516,22 +534,26 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
               ++fresh.regions_recomputed;  // same-step duplicate: fresh work deduplicated
             }
             region_hit->second.last_used = attempt_;
-            return pipe.import(region_hit->second.frontier, concat.data() + region_offsets[k]);
+            parts.push_back(
+                pipe.import(region_hit->second.frontier, concat.data() + region_offsets[k]));
+          } else {
+            parts.push_back(pipe.region(*colouring_, regions[k], options.max_frontier));
+            insert(region_cache_, region_keys[k], region_entry(parts.back(), region_offsets[k]));
+            ++fresh.regions_recomputed;
           }
-          const pareto_internal::Span built =
-              pipe.region(*colouring_, regions[k], options.max_frontier);
-          region_cache_.emplace(region_keys[k],
-                                CachedFrontier{cache_form(built, region_offsets[k]), attempt_});
-          ++fresh.regions_recomputed;
-          return built;
+          return parts.back();
         });
-    // Store an exact-capacity copy of the key: colour_key.words grew by
-    // push_back and carries slack, and cached_bytes() accounts capacities,
-    // which must match bit for bit on an import (whose keys are copies).
+    // The colour entry keeps no cut, only each point's index in each of its
+    // regions' frontiers. Its key is an exact-capacity copy: colour_key.words
+    // grew by push_back and carries slack, and cached_bytes() accounts
+    // capacities, which must match bit for bit on an import (whose keys are
+    // copies).
+    FrontierEntry entry = values(span);
+    entry.region_index = pipe.region_indices(span, parts);
     ContentKey stored_key;
     stored_key.words = colour_key.words;
     stored_key.hash = colour_key.hash;
-    colour_cache_.emplace(std::move(stored_key), CachedFrontier{cache_form(span, 0), attempt_});
+    insert(colour_cache_, std::move(stored_key), std::move(entry));
     colour_span.attr("cached", std::uint64_t{0});
     colour_span.attr("frontier", static_cast<std::uint64_t>(span.size()));
     merged[c] = span;
@@ -543,31 +565,28 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
                      plan_.method(),          r.stats};
 }
 
-std::size_t ResolveSession::cached_bytes() const {
-  // Capacity-true accounting. The earlier version summed .size() for the
-  // frontier and cut vectors and charged nothing for map nodes, so store
-  // byte budgets under-accounted real memory and LRU eviction fired late.
-  // capacity() is deterministic here -- every stored vector is an
-  // exact-capacity copy (entries and imported keys alike; see
-  // solve_warm_dp's stored_key) -- and each entry additionally charges its
-  // hash-node footprint: the pair itself plus the node's chain/hash
-  // overhead (two pointers as a floor). Bucket arrays are deliberately
-  // excluded: bucket_count() depends on insertion/erasure history, which
-  // would make the gauge differ across export/import.
-  constexpr std::size_t kEntryOverhead =
-      sizeof(FrontierCache::value_type) + 2 * sizeof(void*);
-  std::size_t bytes = 0;
-  for (const FrontierCache* cache : {&colour_cache_, &region_cache_}) {
-    for (const auto& [key, cached] : *cache) {
-      bytes += kEntryOverhead;
-      bytes += key.words.capacity() * sizeof(std::uint64_t);
-      bytes += cached.frontier.capacity() * sizeof(ParetoPoint);
-      for (const ParetoPoint& point : cached.frontier) {
-        bytes += point.cut.capacity() * sizeof(CruId);
-      }
-    }
-  }
-  return bytes;
+bool ResolveSession::insert(FrontierCache& cache, ContentKey key, FrontierEntry frontier) {
+  const auto [it, inserted] =
+      cache.emplace(std::move(key), CachedFrontier{std::move(frontier), attempt_});
+  if (inserted) cached_bytes_ += entry_bytes(*it);
+  return inserted;
+}
+
+std::size_t ResolveSession::entry_bytes(const FrontierCache::value_type& entry) {
+  // Capacity-true accounting. capacity() is deterministic here -- every
+  // stored vector is an exact-capacity copy (entries and imported keys
+  // alike; see solve_warm_dp's stored_key) -- and each entry additionally
+  // charges its hash-node footprint: the pair itself plus the node's
+  // chain/hash overhead (two pointers as a floor). Bucket arrays are
+  // deliberately excluded: bucket_count() depends on insertion/erasure
+  // history, which would make the gauge differ across export/import.
+  const auto& [key, cached] = entry;
+  const FrontierEntry& f = cached.frontier;
+  return sizeof(FrontierCache::value_type) + 2 * sizeof(void*) +
+         key.words.capacity() * sizeof(std::uint64_t) +
+         (f.load.capacity() + f.host.capacity()) * sizeof(double) +
+         (f.cut_offsets.capacity() + f.cut_positions.capacity() + f.region_index.capacity()) *
+             sizeof(std::uint32_t);
 }
 
 namespace {
@@ -582,10 +601,12 @@ std::size_t region_key_nodes(const std::vector<std::uint64_t>& words) {
   return words.size() / 5;
 }
 
-/// Node count encoded by a colour-cache key: a sequence of
-/// [region size][5 words per node...] blocks (see solve_warm_dp).
-std::size_t colour_key_nodes(const std::vector<std::uint64_t>& words) {
-  std::size_t total = 0;
+/// The region keys a colour-cache key concatenates: a sequence of
+/// [region size][5 words per node...] blocks (see solve_warm_dp), each
+/// block's node words being that region's own key.
+std::vector<std::vector<std::uint64_t>> colour_key_regions(
+    const std::vector<std::uint64_t>& words) {
+  std::vector<std::vector<std::uint64_t>> regions;
   std::size_t i = 0;
   while (i < words.size()) {
     const std::uint64_t n = words[i];
@@ -593,13 +614,31 @@ std::size_t colour_key_nodes(const std::vector<std::uint64_t>& words) {
                "import_state: colour cache key declares a region of " << n << " nodes in "
                                                                       << words.size()
                                                                       << " words");
-    TS_REQUIRE(i + 1 + 5 * static_cast<std::size_t>(n) <= words.size(),
-               "import_state: colour cache key truncated mid-region");
-    total += static_cast<std::size_t>(n);
-    i += 1 + 5 * static_cast<std::size_t>(n);
+    const std::size_t end = i + 1 + 5 * static_cast<std::size_t>(n);
+    TS_REQUIRE(end <= words.size(), "import_state: colour cache key truncated mid-region");
+    regions.emplace_back(words.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                         words.begin() + static_cast<std::ptrdiff_t>(end));
+    i = end;
   }
-  TS_REQUIRE(total > 0, "import_state: empty colour cache key");
-  return total;
+  TS_REQUIRE(!regions.empty(), "import_state: empty colour cache key");
+  return regions;
+}
+
+/// The checks every cached frontier must pass before the fold engine's
+/// merge reads it: non-empty, finite coordinates (a NaN load would corrupt
+/// the merge order, a NaN host would defeat the dominance prune) and loads
+/// in non-decreasing order (its lazy stream activation relies on it).
+void require_values(const FrontierEntry& f) {
+  TS_REQUIRE(f.size() > 0, "import_state: empty cached frontier");
+  TS_REQUIRE(f.host.size() == f.size(),
+             "import_state: cached frontier has " << f.size() << " loads but "
+                                                  << f.host.size() << " hosts");
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    TS_REQUIRE(std::isfinite(f.load[i]) && std::isfinite(f.host[i]),
+               "import_state: non-finite coordinate in a cached frontier");
+    TS_REQUIRE(i == 0 || f.load[i] >= f.load[i - 1],
+               "import_state: cached frontier not sorted by load");
+  }
 }
 
 }  // namespace
@@ -619,12 +658,11 @@ SessionState ResolveSession::export_state() const {
   }
   out.stats = stats_;
   out.stats.wall_seconds = 0.0;  // observation, not state (see SessionState)
-  out.attempt = attempt_;
   const auto dump = [](const FrontierCache& cache) {
     std::vector<SessionState::CacheEntry> entries;
     entries.reserve(cache.size());
     for (const auto& [key, cached] : cache) {
-      entries.push_back({key.words, cached.frontier, cached.last_used});
+      entries.push_back({key.words, cached.frontier});
     }
     std::sort(entries.begin(), entries.end(),
               [](const SessionState::CacheEntry& a, const SessionState::CacheEntry& b) {
@@ -655,45 +693,64 @@ ResolveSession::ResolveSession(RestoreTag, const SessionState& state)
                   std::move(method_stats)});
   stats_ = state.stats;
   stats_.wall_seconds = 0.0;
-  attempt_ = state.attempt;
-
-  const auto adopt = [this](const std::vector<SessionState::CacheEntry>& entries,
-                            bool colour_level, FrontierCache& cache) {
-    for (const SessionState::CacheEntry& e : entries) {
-      const std::size_t nodes =
-          colour_level ? colour_key_nodes(e.key_words) : region_key_nodes(e.key_words);
-      // A cached frontier is imported straight into the fold engine, whose
-      // merge needs finite coordinates (a NaN load would corrupt the merge
-      // order, a NaN host would defeat the dominance prune) and loads in
-      // non-decreasing order (its lazy stream activation relies on it).
-      TS_REQUIRE(!e.frontier.empty(), "import_state: empty cached frontier");
-      for (std::size_t i = 0; i < e.frontier.size(); ++i) {
-        const ParetoPoint& point = e.frontier[i];
-        TS_REQUIRE(std::isfinite(point.load) && std::isfinite(point.host),
-                   "import_state: non-finite coordinate in a cached frontier");
-        TS_REQUIRE(i == 0 || point.load >= e.frontier[i - 1].load,
-                   "import_state: cached frontier not sorted by load");
-        for (const CruId v : point.cut) {
-          TS_REQUIRE(v.valid() && v.index() < nodes,
-                     "import_state: cached cut position " << v << " is outside its key's "
-                                                          << nodes << " nodes");
-        }
-      }
-      TS_REQUIRE(e.last_used <= attempt_,
-                 "import_state: cache stamp " << e.last_used << " is ahead of attempt clock "
-                                              << attempt_);
-      ContentKey key;
-      key.words = e.key_words;
-      key.hash = fnv1a(key.words);
-      CachedFrontier cached;
-      cached.frontier = e.frontier;
-      cached.last_used = e.last_used;
-      TS_REQUIRE(cache.emplace(std::move(key), std::move(cached)).second,
-                 "import_state: duplicate cache key");
-    }
+  // Every restored entry is stamped with attempt 0, the one before the
+  // restored session's next attempt: all of them read as state that
+  // survived from an earlier step, as they would in the exported session.
+  const auto adopt = [this](FrontierCache& cache, const std::vector<std::uint64_t>& words,
+                            const FrontierEntry& frontier) {
+    ContentKey key;
+    key.words = words;
+    key.hash = fnv1a(key.words);
+    TS_REQUIRE(insert(cache, std::move(key), frontier), "import_state: duplicate cache key");
   };
-  adopt(state.colour_cache, /*colour_level=*/true, colour_cache_);
-  adopt(state.region_cache, /*colour_level=*/false, region_cache_);
+  // Region entries first: a colour entry's cuts are rebuilt from them.
+  for (const SessionState::CacheEntry& e : state.region_cache) {
+    const FrontierEntry& f = e.frontier;
+    const std::size_t nodes = region_key_nodes(e.key_words);
+    require_values(f);
+    TS_REQUIRE(f.region_index.empty(), "import_state: region cache entry carries region indices");
+    TS_REQUIRE(f.cut_offsets.size() == f.size() + 1 && f.cut_offsets.front() == 0 &&
+                   f.cut_offsets.back() == f.cut_positions.size(),
+               "import_state: region cache entry's cut offsets do not span its "
+                   << f.cut_positions.size() << " cut positions");
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      TS_REQUIRE(f.cut_offsets[i] <= f.cut_offsets[i + 1],
+                 "import_state: region cache entry's cut offsets are not monotone");
+    }
+    for (const std::uint32_t pos : f.cut_positions) {
+      TS_REQUIRE(pos < nodes, "import_state: cached cut position "
+                                  << pos << " is outside its key's " << nodes << " nodes");
+    }
+    adopt(region_cache_, e.key_words, f);
+  }
+  for (const SessionState::CacheEntry& e : state.colour_cache) {
+    const FrontierEntry& f = e.frontier;
+    const std::vector<std::vector<std::uint64_t>> region_words = colour_key_regions(e.key_words);
+    const std::size_t count = region_words.size();
+    require_values(f);
+    TS_REQUIRE(f.cut_offsets.empty() && f.cut_positions.empty(),
+               "import_state: colour cache entry carries cuts");
+    TS_REQUIRE(f.region_index.size() == f.size() * count,
+               "import_state: colour cache entry's index rows do not hold one index for each "
+               "of its key's "
+                   << count << " regions");
+    for (std::size_t k = 0; k < count; ++k) {
+      ContentKey region_key;
+      region_key.words = region_words[k];
+      region_key.hash = fnv1a(region_key.words);
+      const auto region = region_cache_.find(region_key);
+      TS_REQUIRE(region != region_cache_.end(),
+                 "import_state: colour cache entry's region " << k << " has no region entry");
+      const std::size_t width = region->second.frontier.size();
+      for (std::size_t i = 0; i < f.size(); ++i) {
+        TS_REQUIRE(f.region_index[i * count + k] < width,
+                   "import_state: colour cache index " << f.region_index[i * count + k]
+                                                       << " is outside its region's " << width
+                                                       << "-point frontier");
+      }
+    }
+    adopt(colour_cache_, e.key_words, f);
+  }
 }
 
 ResolveSession ResolveSession::import_state(const SessionState& state) {

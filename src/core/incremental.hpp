@@ -39,12 +39,19 @@
 // of every cost included), so the merge/sweep consumes the same values a
 // cold run would compute. The warm solve runs the cold solve's own fold
 // engine (core/pareto_kernel.hpp): cached region and colour frontiers are
-// imported into the arena as leaf points that point at their cached cut
-// lists, folded with the same merge in the same order, and finished by the
-// same sweep; cuts are written out only for the entries the caches store
-// and for the one point per colour the sweep picks. For coloured-ssb and
+// imported into the arena as leaf points, folded with the same merge in the
+// same order, and finished by the same sweep. A region entry keeps its
+// points' cuts; a colour entry keeps, per point, the index it took in each
+// of its regions' frontiers, so a cut is rebuilt from the region entries
+// only for the one point per colour the sweep picks. For coloured-ssb and
 // branch-bound plans the warm start preserves exactness (same optimal
 // value) but may return the previous cut among equal-valued optima.
+//
+// Retention: the caches hold exactly what the latest successful solve
+// touched. After each one, every entry it did not hit or insert is erased,
+// so a session keeps one generation of state and a snapshot spills only
+// what the next solve can read. A colour hit touches its region entries
+// too, so every retained colour entry's regions are retained with it.
 #pragma once
 
 #include <cstdint>
@@ -185,9 +192,11 @@ struct ResolveStats {
 /// behavior is byte-identical to the original's -- the tree (as the v1 text
 /// of tree/serialize.hpp), the plan, the current optimum reduced to its cut
 /// (Assignment and DelayBreakdown are pure functions of tree + cut and are
-/// recomputed bit-exactly on import), the last ResolveStats, the attempt
-/// clock, and both frontier caches entry by entry with their LRU stamps.
-/// storage/snapshot.hpp turns this struct into the on-disk format.
+/// recomputed bit-exactly on import), the last ResolveStats, and both
+/// frontier caches entry by entry. Entry stamps and the attempt clock are
+/// not part of it: a stamp is only ever compared within one session's
+/// lifetime, and every restored entry predates the restored session's next
+/// attempt. storage/snapshot.hpp turns this struct into the on-disk format.
 ///
 /// Deliberate reductions, both documented parts of the snapshot contract:
 ///   * wall-clock fields (report/stats wall_seconds) are zeroed on export --
@@ -222,16 +231,15 @@ struct SessionState {
   bool has_dp_stats = false;
   ParetoDpStats dp_stats;  ///< valid iff has_dp_stats
 
-  ResolveStats stats;       ///< last_stats(), wall_seconds zeroed
-  std::size_t attempt = 0;  ///< solve-attempt clock (cache stamp domain)
+  ResolveStats stats;  ///< last_stats(), wall_seconds zeroed
 
-  /// One frontier-cache entry: the exact content key words, the cached
-  /// frontier with cuts as canonical preorder positions (the form the cache
-  /// stores internally), and the attempt stamp of its last use.
+  /// One frontier-cache entry: the exact content key words and the cached
+  /// frontier in the form the cache stores it (FrontierEntry: a region
+  /// entry with its region-local cuts, a colour entry with its per-point
+  /// region indices).
   struct CacheEntry {
     std::vector<std::uint64_t> key_words;
-    std::vector<ParetoPoint> frontier;
-    std::size_t last_used = 0;
+    FrontierEntry frontier;
   };
   /// Cache entries sorted by key words, so exporting the same session twice
   /// yields identical bytes (unordered_map iteration order must not leak
@@ -292,28 +300,34 @@ class ResolveSession {
   /// same warm/cold decisions and reuse counters on every future
   /// resolve(). Throws InvalidArgument on anything inconsistent (unknown
   /// plan spec, malformed tree, a cut that is not a valid cut of the tree,
-  /// cache cut positions out of range of their keys, a cached frontier
-  /// that is empty, has a non-finite coordinate or is not sorted by load)
-  /// -- a snapshot that fails these checks is corrupt and must be
-  /// rejected, never partially adopted.
+  /// a cached frontier that is empty, has a non-finite coordinate or is not
+  /// sorted by load, region cut offsets that do not partition their
+  /// positions, a cut position outside its key, a colour entry whose region
+  /// entries are absent or whose indices do not fit them) -- a snapshot
+  /// that fails these checks is corrupt and must be rejected, never
+  /// partially adopted.
   [[nodiscard]] static ResolveSession import_state(const SessionState& state);
 
-  /// Bytes retained by the two frontier caches (points, cut ids and content
-  /// keys) -- what a serving layer charges against its memory budget
-  /// (service/session_store.hpp). Deterministic for a given resolve
-  /// history: a sum over entries, independent of hash iteration order.
-  [[nodiscard]] std::size_t cached_bytes() const;
+  /// Bytes retained by the two frontier caches (points, cut positions,
+  /// region indices and content keys) -- what a serving layer charges
+  /// against its memory budget (service/session_store.hpp). A running
+  /// total: entries never change after insertion, so it moves only on
+  /// insert, on the post-solve sweep and on import. Deterministic for a
+  /// given resolve history, and reproduced by export -> import.
+  [[nodiscard]] std::size_t cached_bytes() const { return cached_bytes_; }
 
  private:
   struct CachedFrontier {
-    /// Frontier with cuts as *preorder positions* into the canonical node
-    /// enumeration the entry was keyed by (one region's preorder, or the
-    /// concatenation of a colour's regions' preorders), so a structurally
-    /// identical region set of a later tree can rebind them.
-    std::vector<ParetoPoint> frontier;
-    /// Stamp of the last solve *attempt* that touched the entry. Attempts
-    /// advance even when a resolve throws and rolls back, so a retry can
-    /// never confuse the aborted attempt's stamps with its own fresh work.
+    /// Exact-capacity cache form. A region entry's cut positions index the
+    /// region's canonical preorder, so a structurally identical region of a
+    /// later tree can rebind them; a colour entry's points name a point of
+    /// each of its region entries, which a colour hit requires present.
+    FrontierEntry frontier;
+    /// Stamp of the last solve *attempt* that touched the entry; the sweep
+    /// after a successful solve erases every entry stamped before it.
+    /// Attempts advance even when a resolve throws and rolls back, so a
+    /// retry can never confuse the aborted attempt's stamps with its own
+    /// fresh work, and tells reuse apart from same-step duplicates.
     std::size_t last_used = 0;
   };
   struct ContentKey {
@@ -327,6 +341,12 @@ class ResolveSession {
     std::size_t operator()(const ContentKey& k) const { return k.hash; }
   };
   using FrontierCache = std::unordered_map<ContentKey, CachedFrontier, ContentKeyHash>;
+
+  /// Inserts an entry stamped with the current attempt and charges its
+  /// bytes; returns false (and charges nothing) when the key is present.
+  bool insert(FrontierCache& cache, ContentKey key, FrontierEntry frontier);
+  /// Bytes one entry charges against cached_bytes().
+  [[nodiscard]] static std::size_t entry_bytes(const FrontierCache::value_type& entry);
 
   /// import_state's private path: adopts restored state instead of solving.
   struct RestoreTag {};
@@ -342,6 +362,7 @@ class ResolveSession {
   ResolveStats stats_;
   /// Solve attempts, rolled-back failures included (cache stamp domain).
   std::size_t attempt_ = 0;
+  std::size_t cached_bytes_ = 0;
   /// Two reuse granularities: whole merged colour frontiers (the expensive
   /// Minkowski chains) and single region frontiers (useful when only one
   /// region of a colour changed, e.g. a probe insertion).

@@ -52,6 +52,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/assignment.hpp"
@@ -97,12 +98,33 @@ struct ParetoDpOptions {
                                              const ParetoDpOptions& options = {});
 
 /// One point of a (load, host) frontier with its cut written out -- the
-/// form region_frontier returns and the incremental engine's caches store
-/// (the engine itself only materializes cuts at these boundaries).
+/// form region_frontier returns (the engine itself never materializes a
+/// cut per point).
 struct ParetoPoint {
   double load = 0.0;          ///< satellite time: work below the cut + uplink
   double host = 0.0;          ///< host time of region nodes above the cut
   std::vector<CruId> cut;     ///< cut nodes realizing the point
+};
+
+/// A frontier in the form the warm session caches it (core/incremental.hpp)
+/// and the fold engine imports it (core/pareto_kernel.hpp): loads and hosts
+/// as two arrays, sorted like every frontier, plus what rebuilds a point's
+/// cut.
+///   * A region entry keeps its cuts in one CSR block: point i's cut is
+///     cut_positions[cut_offsets[i], cut_offsets[i + 1]), canonical
+///     preorder positions within the region.
+///   * A colour entry keeps no cut. Point i took index
+///     region_index[i * R + k] in the frontier of the colour's k-th region
+///     (R regions, regions_of order); its cut is those R region points'
+///     cuts, concatenated.
+struct FrontierEntry {
+  std::vector<double> load;
+  std::vector<double> host;
+  std::vector<std::uint32_t> cut_offsets;    ///< region entries: size() + 1 offsets
+  std::vector<std::uint32_t> cut_positions;  ///< region entries
+  std::vector<std::uint32_t> region_index;   ///< colour entries: size() * R indices
+
+  [[nodiscard]] std::size_t size() const { return load.size(); }
 };
 
 /// Pareto frontier of one region (subtree rooted at an assignable node),

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -216,13 +217,23 @@ struct ColourPipeline {
   std::size_t peak = 0;                 ///< widest frontier built anywhere
   MergeCounters counters;
 
+  /// A region entry an imported frontier rebuilds its cuts from, with the
+  /// node ids its region-local positions rebind to.
+  struct ImportPart {
+    const FrontierEntry* region;
+    const CruId* nodes;  ///< region-local position -> node id
+  };
   /// A cached frontier imported as leaf points (see import()).
   struct Import {
-    const std::vector<ParetoPoint>* points;  ///< cuts as canonical positions
-    const CruId* nodes;                      ///< canonical position -> node id
-    std::uint32_t begin;                     ///< arena index of points[0]
+    /// R region indices per point (a colour entry's region_index); null for
+    /// a region entry, whose point i is its own part's point i.
+    const std::uint32_t* index;
+    std::uint32_t first_part;  ///< parts[first_part, first_part + part_count)
+    std::uint32_t part_count;  ///< R
+    std::uint32_t begin;       ///< arena index of the entry's point 0
   };
   std::vector<Import> imports;
+  std::vector<ImportPart> import_parts;
 
   std::vector<Span> spans;  // per tree node
   // Merge inputs are snapshotted out of the arena (output appends to the
@@ -243,6 +254,7 @@ struct ColourPipeline {
     peak = 0;
     counters = MergeCounters{};
     imports.clear();
+    import_parts.clear();
     spans.clear();
   }
 
@@ -346,15 +358,27 @@ struct ColourPipeline {
   }
 
   /// Imports a cached frontier as leaf points: the values are copied into
-  /// the arena, the cuts stay in `points` (canonical positions, rebound
-  /// through `nodes` at reconstruction). Both must outlive the pipeline's
-  /// use of the span. Imports are not work, so no counter moves.
-  Span import(const std::vector<ParetoPoint>& points, const CruId* nodes) {
+  /// the arena, the cuts stay in the cache. A colour entry names its R
+  /// region entries in `parts`, in regions_of order; reconstruct() rebuilds
+  /// a point's cut from them. Every entry and node table must outlive the
+  /// pipeline's use of the span. Imports are not work, so no counter moves.
+  Span import(const FrontierEntry& entry, std::span<const ImportPart> parts) {
     const auto slot = static_cast<std::uint32_t>(imports.size());
     const std::uint32_t begin = arena.size();
-    imports.push_back({&points, nodes, begin});
-    for (const ParetoPoint& p : points) arena.add(p.load, p.host, kImported, slot, CruId{});
+    imports.push_back({entry.region_index.empty() ? nullptr : entry.region_index.data(),
+                       static_cast<std::uint32_t>(import_parts.size()),
+                       static_cast<std::uint32_t>(parts.size()), begin});
+    import_parts.insert(import_parts.end(), parts.begin(), parts.end());
+    for (std::size_t i = 0; i < entry.size(); ++i) {
+      arena.add(entry.load[i], entry.host[i], kImported, slot, CruId{});
+    }
     return Span{begin, arena.size()};
+  }
+
+  /// Imports a region entry: its own cuts, rebound through `nodes`.
+  Span import(const FrontierEntry& region, const CruId* nodes) {
+    const ImportPart part{&region, nodes};
+    return import(region, std::span<const ImportPart>(&part, 1));
   }
 
   /// The single neutral point (0, 0) -- the frontier of a colour without
@@ -378,6 +402,27 @@ struct ColourPipeline {
     return acc;
   }
 
+  /// The index each point of the folded `colour` span took in each of the
+  /// region frontiers `parts` that fold() folded into it, R per point (a
+  /// colour entry's region_index). Walks the fold's left chain, O(R) per
+  /// point: the step-k merge took its right operand from parts[k] and its
+  /// left one from the fold of parts[0..k).
+  [[nodiscard]] std::vector<std::uint32_t> region_indices(Span colour,
+                                                          std::span<const Span> parts) const {
+    const std::size_t count = parts.size();
+    std::vector<std::uint32_t> out(std::size_t{colour.size()} * count);
+    for (std::uint32_t p = colour.begin; p < colour.end; ++p) {
+      std::uint32_t* row = out.data() + std::size_t{p - colour.begin} * count;
+      std::uint32_t q = p;
+      for (std::size_t k = count - 1; k > 0; --k) {
+        row[k] = arena.right[q] - parts[k].begin;
+        q = arena.left[q];
+      }
+      row[0] = q - parts[0].begin;
+    }
+    return out;
+  }
+
   /// Appends the cut set realized by point `idx`: depth-first over the
   /// provenance DAG, left parent before right parent, so the order is the
   /// left-to-right concatenation of the point's leaves.
@@ -390,7 +435,15 @@ struct ColourPipeline {
         out.push_back(arena.edge[p]);
       } else if (arena.left[p] == kImported) {
         const Import& im = imports[arena.right[p]];
-        for (const CruId pos : (*im.points)[p - im.begin].cut) out.push_back(im.nodes[pos.index()]);
+        const std::size_t i = p - im.begin;
+        for (std::uint32_t k = 0; k < im.part_count; ++k) {
+          const ImportPart& part = import_parts[im.first_part + k];
+          const std::size_t j = im.index == nullptr ? i : im.index[i * im.part_count + k];
+          const FrontierEntry& region = *part.region;
+          for (std::uint32_t c = region.cut_offsets[j]; c < region.cut_offsets[j + 1]; ++c) {
+            out.push_back(part.nodes[region.cut_positions[c]]);
+          }
+        }
       } else if (arena.left[p] != kNoParent) {
         stack.push_back(arena.right[p]);
         stack.push_back(arena.left[p]);

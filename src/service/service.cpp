@@ -247,8 +247,17 @@ Perturbation parse_perturbation(const RequestObject& req, const CruTree& tree) {
   }
   if (kind == "insert_probe") {
     const CruId parent = tree.by_name(req.string_at("parent"));
-    return Perturbation::insert_probe(parent, req.string_at("name"),
-                                      satellite_at(req),
+    // A probe joins an existing satellite or the next new one. Anything
+    // higher would grow the platform by the gap, and every solve sizes its
+    // per-colour state by the satellite count.
+    const SatelliteId satellite = satellite_at(req);
+    if (satellite.index() > tree.satellite_count()) {
+      throw InvalidArgument("request: field 'satellite' of insert_probe must name one of the " +
+                            std::to_string(tree.satellite_count()) +
+                            " satellites or the next new one, got " +
+                            std::to_string(satellite.index()));
+    }
+    return Perturbation::insert_probe(parent, req.string_at("name"), satellite,
                                       req.number_or("host_time", 1.0),
                                       req.number_or("sat_time", 1.0),
                                       req.number_or("comm_up", 1.0),
@@ -559,6 +568,16 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
       require_id("instance", instance);
       ++tt->submits;
       CruTree tree = tree_from_text(req.string_at("tree"));
+      // Satellite ids size every solve's per-colour state, so a client may
+      // not name more satellites than its tree has nodes. (tree_from_text
+      // cannot check this: a spilled tree that lost satellites may
+      // legitimately carry ids past its node count.)
+      if (tree.satellite_count() > tree.size()) {
+        throw InvalidArgument("request: field 'tree' names " +
+                              std::to_string(tree.satellite_count()) + " satellites in " +
+                              std::to_string(tree.size()) +
+                              " nodes; satellite ids must stay below the node count");
+      }
       const std::size_t incoming = SessionStore::estimate_bytes(tree, nullptr);
       if (store_.mem_budget() != 0 && incoming > store_.mem_budget()) {
         throw ResourceLimit("admission: instance '" + instance + "' needs " +

@@ -151,8 +151,9 @@ class SessionStore {
   /// With `drop`, the entry is destroyed wherever it lives.
   EvictFate evict(const std::string& tenant, const std::string& instance, bool drop);
 
-  /// Re-estimates `entry`'s bytes (its session may have grown) and updates
-  /// the store total.
+  /// Re-estimates `entry`'s bytes (its session may have grown or shrunk)
+  /// and updates the store total. Constant time: the session keeps its
+  /// cache bytes as a running total.
   void refresh_bytes(SessionEntry& entry);
 
   /// Evicts least-recently-used entries -- never `protect`, the entry the

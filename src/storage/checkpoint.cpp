@@ -15,7 +15,7 @@ namespace treesat {
 namespace {
 
 constexpr std::string_view kMagic = "treesat_checkpoint";
-constexpr std::string_view kVersion = "v1";
+constexpr std::string_view kVersion = "v2";
 
 std::string manifest_path(const std::string& dir) { return dir + "/MANIFEST.tsc"; }
 

@@ -4,7 +4,8 @@
 //
 //   <dir>/MANIFEST.tsc     versioned manifest (same framed header as
 //                          storage/snapshot.hpp: magic, byte count,
-//                          FNV-1a 64 content hash)
+//                          FNV-1a 64 content hash; v2, the version that
+//                          records v2 snapshots' byte estimates)
 //   <dir>/sessions/*.tss   one snapshot per memory-resident entry
 //   <dir>/spilled/*.tss    the spill tier's snapshot files, copied verbatim
 //

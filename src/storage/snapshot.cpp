@@ -18,7 +18,7 @@ namespace treesat {
 namespace {
 
 constexpr std::string_view kMagic = "treesat_snapshot";
-constexpr std::string_view kVersion = "v1";
+constexpr std::string_view kVersion = "v2";
 
 [[nodiscard]] std::uint64_t bit_pattern(double v) {
   std::uint64_t bits = 0;
@@ -53,48 +53,64 @@ ResolvePath parse_resolve_path(std::string_view name) {
   __builtin_unreachable();
 }
 
+/// Appends one cache section. Colour entries (`colour_level`) carry, per
+/// point, the index it took in each of its regions' frontiers; region
+/// entries carry each point's cut.
 void encode_cache(std::string& out, const char* label,
-                  const std::vector<SessionState::CacheEntry>& entries) {
+                  const std::vector<SessionState::CacheEntry>& entries, bool colour_level) {
   out += label;
   out += ' ';
   wire::append_u64(out, entries.size());
   out += '\n';
   for (const SessionState::CacheEntry& e : entries) {
+    const FrontierEntry& f = e.frontier;
     out += "entry ";
-    wire::append_u64(out, e.last_used);
-    out += ' ';
     wire::append_u64(out, e.key_words.size());
     for (const std::uint64_t w : e.key_words) {
       out += ' ';
       wire::append_hex(out, w);
     }
     out += ' ';
-    wire::append_u64(out, e.frontier.size());
+    wire::append_u64(out, f.size());
     out += '\n';
-    for (const ParetoPoint& p : e.frontier) {
+    TS_CHECK(f.host.size() == f.size(), "snapshot: cached frontier loads and hosts differ");
+    const std::size_t row = colour_level && f.size() > 0 ? f.region_index.size() / f.size() : 0;
+    TS_CHECK(colour_level ? f.region_index.size() == row * f.size()
+                          : f.cut_offsets.size() == f.size() + 1 &&
+                                f.cut_offsets.back() <= f.cut_positions.size(),
+             "snapshot: malformed " << label << " entry");
+    for (std::size_t i = 0; i < f.size(); ++i) {
       // Point coordinates are IEEE-754 bit patterns in hex: exact by
       // construction and an order of magnitude faster to parse than
       // decimal, which is what keeps restoring a big snapshot cheaper
       // than re-solving it (points are most of a snapshot's bytes).
       out += "point ";
-      wire::append_hex16(out, bit_pattern(p.load));
+      wire::append_hex16(out, bit_pattern(f.load[i]));
       out += ' ';
-      wire::append_hex16(out, bit_pattern(p.host));
+      wire::append_hex16(out, bit_pattern(f.host[i]));
+      if (colour_level) {
+        for (std::size_t k = 0; k < row; ++k) {
+          out += ' ';
+          wire::append_u64(out, f.region_index[i * row + k]);
+        }
+        out += '\n';
+        continue;
+      }
+      const std::uint32_t begin = f.cut_offsets[i];
+      const std::uint32_t end = f.cut_offsets[i + 1];
+      TS_CHECK(begin <= end && end <= f.cut_positions.size(),
+               "snapshot: cached cut offsets must be monotone and in range");
       out += ' ';
-      wire::append_u64(out, p.cut.size());
+      wire::append_u64(out, end - begin);
       // Cut positions are strictly increasing (the canonical cut form), so
       // they delta-encode: first absolute, then gaps. Gaps are short where
-      // absolute positions are wide -- roughly half the bytes of a warm
-      // snapshot are these lists.
-      std::size_t prev = 0;
-      bool first = true;
-      for (const CruId v : p.cut) {
-        TS_CHECK(first || v.index() > prev,
+      // absolute positions are wide.
+      for (std::uint32_t c = begin; c < end; ++c) {
+        const std::uint32_t v = f.cut_positions[c];
+        TS_CHECK(c == begin || v > f.cut_positions[c - 1],
                  "snapshot: cached cut positions must be strictly increasing");
         out += ' ';
-        wire::append_u64(out, first ? v.index() : v.index() - prev);
-        prev = v.index();
-        first = false;
+        wire::append_u64(out, c == begin ? v : v - f.cut_positions[c - 1]);
       }
       out += '\n';
     }
@@ -102,19 +118,27 @@ void encode_cache(std::string& out, const char* label,
 }
 
 // Floors bounded_count divides by: the shortest entry and point lines are
-// "entry 0 0 0\n" and "point 0 0 0\n", and a key word or cut position is
-// at least one byte of its line.
-constexpr std::size_t kMinRecordLine = 12;
+// "entry 0 0\n" and "point 0 0 0\n", and a key word or cut position is at
+// least one byte of its line.
+constexpr std::size_t kMinEntryLine = 10;
+constexpr std::size_t kMinPointLine = 12;
 constexpr std::size_t kMinToken = 1;
 
-std::vector<SessionState::CacheEntry> decode_cache(wire::LineReader& reader,
-                                                   const char* label) {
+/// One uint32 token of a point line: cut positions and region indices are
+/// 32-bit in the cache.
+std::uint32_t take_u32(std::uint64_t value, const char* what) {
+  TS_REQUIRE(value <= UINT32_MAX, "snapshot: " << what << " " << value << " overflows 32 bits");
+  return static_cast<std::uint32_t>(value);
+}
+
+std::vector<SessionState::CacheEntry> decode_cache(wire::LineReader& reader, const char* label,
+                                                   bool colour_level) {
   const std::vector<std::string_view> head =
       wire::split_tokens(reader.next(label), label);
   TS_REQUIRE(head.size() == 2 && head[0] == label,
              "snapshot: expected a '" << label << "' line");
   const std::size_t count = wire::bounded_count(wire::parse_u64(head[1], "cache entry count"),
-                                                reader.remaining(), kMinRecordLine,
+                                                reader.remaining(), kMinEntryLine,
                                                 "cache entry count");
   std::vector<SessionState::CacheEntry> entries;
   entries.reserve(count);
@@ -122,7 +146,6 @@ std::vector<SessionState::CacheEntry> decode_cache(wire::LineReader& reader,
     wire::TokenCursor cur(reader.next("cache entry"), "cache entry");
     cur.expect("entry");
     SessionState::CacheEntry entry;
-    entry.last_used = static_cast<std::size_t>(cur.take_u64("entry stamp"));
     const std::size_t nwords = wire::bounded_count(cur.take_u64("entry word count"),
                                                    cur.remaining(), kMinToken,
                                                    "entry word count");
@@ -133,17 +156,37 @@ std::vector<SessionState::CacheEntry> decode_cache(wire::LineReader& reader,
     const std::uint64_t declared_points = cur.take_u64("frontier point count");
     cur.finish();
     const std::size_t npoints = wire::bounded_count(declared_points, reader.remaining(),
-                                                    kMinRecordLine, "frontier point count");
-    entry.frontier.reserve(npoints);
+                                                    kMinPointLine, "frontier point count");
+    FrontierEntry& f = entry.frontier;
+    f.load.reserve(npoints);
+    f.host.reserve(npoints);
+    if (!colour_level) {
+      f.cut_offsets.reserve(npoints + 1);
+      f.cut_offsets.push_back(0);
+    }
+    // A colour point's region indices, or a region point's cut positions.
+    std::vector<std::uint32_t>& tokens = colour_level ? f.region_index : f.cut_positions;
+    std::size_t row = 0;  // a colour entry's indices per point
     for (std::size_t p = 0; p < npoints; ++p) {
       wire::TokenCursor pt(reader.next("frontier point"), "frontier point");
       pt.expect("point");
-      ParetoPoint point;
-      point.load = from_bit_pattern(pt.take_hex64("point load"));
-      point.host = from_bit_pattern(pt.take_hex64("point host"));
+      f.load.push_back(from_bit_pattern(pt.take_hex64("point load")));
+      f.host.push_back(from_bit_pattern(pt.take_hex64("point host")));
+      if (colour_level) {
+        const std::size_t before = tokens.size();
+        while (pt.remaining() > 0) {
+          tokens.push_back(take_u32(pt.take_u64("region index"), "region index"));
+        }
+        const std::size_t width = tokens.size() - before;
+        TS_REQUIRE(width > 0, "snapshot: colour point without region indices");
+        TS_REQUIRE(p == 0 || width == row, "snapshot: colour point carries "
+                                               << width << " region indices, its entry's first "
+                                               << row);
+        row = width;
+        continue;
+      }
       const std::size_t k = wire::bounded_count(pt.take_u64("point cut size"), pt.remaining(),
                                                 kMinToken, "point cut size");
-      point.cut.reserve(k);
       std::uint64_t position = 0;
       for (std::size_t c = 0; c < k; ++c) {
         const std::uint64_t delta = pt.take_u64("cut position");
@@ -151,10 +194,10 @@ std::vector<SessionState::CacheEntry> decode_cache(wire::LineReader& reader,
                                         "(positions must be strictly increasing)");
         TS_REQUIRE(delta <= UINT64_MAX - position, "snapshot: cut position overflows");
         position = c == 0 ? delta : position + delta;
-        point.cut.emplace_back(static_cast<std::size_t>(position));
+        tokens.push_back(take_u32(position, "cut position"));
       }
       pt.finish();
-      entry.frontier.push_back(std::move(point));
+      f.cut_offsets.push_back(take_u32(tokens.size(), "cut offset"));
     }
     entries.push_back(std::move(entry));
   }
@@ -232,11 +275,8 @@ std::string encode_payload(const SessionState& state) {
     out += st.cold_reason;
   }
   out += '\n';
-  out += "attempt ";
-  wire::append_u64(out, state.attempt);
-  out += '\n';
-  encode_cache(out, "colour_cache", state.colour_cache);
-  encode_cache(out, "region_cache", state.region_cache);
+  encode_cache(out, "colour_cache", state.colour_cache, /*colour_level=*/true);
+  encode_cache(out, "region_cache", state.region_cache, /*colour_level=*/false);
   out += "end\n";
   return out;
 }
@@ -327,14 +367,8 @@ SessionState decode_payload(std::string_view payload) {
   state.stats.incumbent_used = stats[9] == "1";
   state.stats.cold_reason = wire::rest_of_line(reader.next("cold_reason"), "cold_reason");
 
-  const std::vector<std::string_view> attempt =
-      wire::split_tokens(reader.next("attempt"), "attempt");
-  TS_REQUIRE(attempt.size() == 2 && attempt[0] == "attempt",
-             "snapshot: expected an 'attempt' line");
-  state.attempt = static_cast<std::size_t>(wire::parse_u64(attempt[1], "attempt clock"));
-
-  state.colour_cache = decode_cache(reader, "colour_cache");
-  state.region_cache = decode_cache(reader, "region_cache");
+  state.colour_cache = decode_cache(reader, "colour_cache", /*colour_level=*/true);
+  state.region_cache = decode_cache(reader, "region_cache", /*colour_level=*/false);
 
   TS_REQUIRE(reader.next("end") == "end", "snapshot: expected the 'end' sentinel");
   TS_REQUIRE(reader.done(), "snapshot: trailing bytes after 'end'");

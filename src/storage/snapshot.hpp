@@ -5,23 +5,38 @@
 // A snapshot file is a short self-describing header followed by an exact
 // byte-counted, content-hashed payload:
 //
-//   treesat_snapshot v1\n
+//   treesat_snapshot v2\n
 //   bytes <payload byte count>\n
 //   hash <16 lowercase hex digits of FNV-1a 64 over the payload>\n
 //   <payload: exactly `bytes` bytes>
 //
-// The payload is line-based text. Human-facing scalars (the objective, the
-// embedded tree text) use the shared shortest-round-trip double formatter
-// (common/format.hpp); frontier-point coordinates -- the bulk of a warm
-// snapshot's bytes -- are IEEE-754 bit patterns in hex, exact by
-// construction and an order of magnitude faster to reparse, which is what
-// keeps restoring a snapshot cheaper than re-solving it. Either way a
-// decoded snapshot rebuilds the session bit for bit -- the same round-trip
-// contract the v1 tree format (tree/serialize.hpp) relies on. Because
-// export_state() zeroes wall-clock fields and emits cache entries in sorted
-// key order, snapshot bytes are a pure function of the resolve history:
-// snapshotting the same session twice yields identical files, and the
-// serving tier can treat snapshot sizes as deterministic gauges.
+// The payload is line-based text: the owner, the tree (its v1 text), and
+// for a solved session the plan, the optimum's cut, the report, the stats
+// and the two frontier caches, then `end`. A cache section is
+//
+//   colour_cache <entries>\n            region_cache <entries>\n
+//   entry <n> <n key words> <points>\n  entry <n> <n key words> <points>\n
+//   point <load> <host> <R indices>\n   point <load> <host> <k> <k cut deltas>\n
+//
+// A region point carries its cut: region-local canonical positions, first
+// absolute, then gaps. A colour point carries no cut, only the index it
+// took in each of its key's R regions' frontiers; the decoder requires
+// every point of an entry to carry the same R. Neither entry stamps nor the
+// session's attempt clock are persisted: a restored session marks every
+// entry as older than its next attempt.
+//
+// Human-facing scalars (the objective, the embedded tree text) use the
+// shared shortest-round-trip double formatter (common/format.hpp);
+// frontier-point coordinates -- the bulk of a warm snapshot's bytes -- are
+// IEEE-754 bit patterns in hex, exact by construction and an order of
+// magnitude faster to reparse, which is what keeps restoring a snapshot
+// cheaper than re-solving it. Either way a decoded snapshot rebuilds the
+// session bit for bit -- the same round-trip contract the v1 tree format
+// (tree/serialize.hpp) relies on. Because export_state() zeroes wall-clock
+// fields and emits cache entries in sorted key order, snapshot bytes are a
+// pure function of the resolve history: snapshotting the same session
+// twice yields identical files, and the serving tier can treat snapshot
+// sizes as deterministic gauges.
 //
 // The parser is strict and loud: an empty file, foreign magic, unsupported
 // version, malformed header field, truncated or over-long payload, content
@@ -98,8 +113,8 @@ void write_file_atomic(const std::string& path, std::string_view bytes);
 void write_snapshot_file(const std::string& path, const SessionState& state);
 
 /// Reads and decode_snapshot()s `path`. Throws ResourceLimit when the file
-/// cannot be opened, InvalidArgument when its contents are not a valid v1
-/// snapshot.
+/// cannot be opened, InvalidArgument when its contents are not a valid v2
+/// snapshot (a v1 file is rejected by its version line).
 [[nodiscard]] SessionState read_snapshot_file(const std::string& path);
 
 }  // namespace treesat

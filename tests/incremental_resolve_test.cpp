@@ -10,6 +10,8 @@
 // warm_start= spec key.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -120,9 +122,10 @@ TEST(IncrementalResolve, SatelliteDriftReusesUntouchedRegions) {
 TEST(IncrementalResolve, CachedBytesCoverContentPlusPerEntryOverhead) {
   // Regression for the size()-based under-accounting: cached_bytes() must
   // be at least the content bytes visible through export_state() (key
-  // words, frontier points, cut ids) plus a hash-node floor per entry.
-  // The old gauge summed .size() and charged nothing per map node, so
-  // byte-budget eviction in the serving tier fired late.
+  // words, point values, region cut offsets and positions, colour region
+  // indices) plus a hash-node floor per entry. The old gauge summed
+  // .size() and charged nothing per map node, so byte-budget eviction in
+  // the serving tier fired late.
   Rng rng(21);
   TreeGenOptions gen;
   gen.compute_nodes = 14;
@@ -132,26 +135,39 @@ TEST(IncrementalResolve, CachedBytesCoverContentPlusPerEntryOverhead) {
   session.resolve(Perturbation::satellite_drift(SatelliteId{0u}, 1.1, 0.9, 1.05));
 
   const SessionState state = session.export_state();
+  ASSERT_FALSE(state.colour_cache.empty());
+  ASSERT_FALSE(state.region_cache.empty());
   std::size_t content = 0;
   std::size_t entries = 0;
   for (const auto* cache : {&state.colour_cache, &state.region_cache}) {
     for (const SessionState::CacheEntry& entry : *cache) {
+      const FrontierEntry& f = entry.frontier;
       ++entries;
       content += entry.key_words.size() * sizeof(std::uint64_t);
-      content += entry.frontier.size() * sizeof(ParetoPoint);
-      for (const ParetoPoint& point : entry.frontier) {
-        content += point.cut.size() * sizeof(CruId);
-      }
+      content += (f.load.size() + f.host.size()) * sizeof(double);
+      content += (f.cut_offsets.size() + f.cut_positions.size() + f.region_index.size()) *
+                 sizeof(std::uint32_t);
     }
   }
-  ASSERT_GT(entries, 0u);
+  // The entry form: region entries carry their cuts, colour entries only
+  // their per-point region indices.
+  for (const SessionState::CacheEntry& entry : state.region_cache) {
+    EXPECT_EQ(entry.frontier.cut_offsets.size(), entry.frontier.size() + 1);
+    EXPECT_TRUE(entry.frontier.region_index.empty());
+  }
+  for (const SessionState::CacheEntry& entry : state.colour_cache) {
+    EXPECT_TRUE(entry.frontier.cut_offsets.empty() && entry.frontier.cut_positions.empty());
+    EXPECT_GT(entry.frontier.region_index.size(), 0u);
+    EXPECT_EQ(entry.frontier.region_index.size() % entry.frontier.size(), 0u);
+  }
   ASSERT_GT(content, 0u);
   // The measured lower bound: exact content plus a conservative per-entry
-  // node floor (two chain/hash pointers plus the two inline vector
-  // headers the stored pair must at least hold). cached_bytes charges the
-  // full pair and capacity slack on top, hence GE.
+  // node floor (two chain/hash pointers plus the six inline vector headers
+  // the stored pair must at least hold: the key words and the entry's five
+  // arrays). cached_bytes charges the full pair and capacity slack on top,
+  // hence GE.
   const std::size_t floor =
-      content + entries * (2 * sizeof(void*) + 2 * sizeof(std::vector<double>));
+      content + entries * (2 * sizeof(void*) + 6 * sizeof(std::vector<double>));
   EXPECT_GE(session.cached_bytes(), floor);
   EXPECT_GT(session.cached_bytes(), content);
   // Import must reproduce the gauge bit for bit -- capacity-true
@@ -319,12 +335,13 @@ TEST(IncrementalResolve, ColouredSsbAndBranchBoundWarmStartsStayExact) {
   }
 }
 
-TEST(IncrementalResolve, ColourHitsKeepRegionEntriesAliveAcrossAging) {
-  // 20 no-op steps are served entirely by colour-level hits; the region
-  // entries underneath must stay warm through cache aging (> 16 steps), so
-  // that a later localized insertion into one region of colour B can still
-  // reuse B's *other* region from the region-level cache -- only the region
-  // actually touched may recompute.
+TEST(IncrementalResolve, ColourHitsKeepTheirRegionEntries) {
+  // 20 no-op steps are served entirely by colour-level hits. A colour hit
+  // rebuilds its picked point's cut from the colour's region entries, so it
+  // keeps them through every post-solve sweep; a later localized insertion
+  // into one region of colour B can then still reuse B's *other* region
+  // from the region-level cache -- only the region actually touched may
+  // recompute.
   const CruTree base = paper_running_example();
   ResolveSession session(base, SolvePlan::pareto_dp());
   for (int i = 0; i < 20; ++i) {
@@ -338,6 +355,102 @@ TEST(IncrementalResolve, ColourHitsKeepRegionEntriesAliveAcrossAging) {
   EXPECT_EQ(session.last_stats().regions_recomputed, 1u);
   EXPECT_EQ(session.last_stats().regions_reused,
             session.last_stats().regions_total - 1);
+}
+
+/// An exact content signature of one region -- its preorder (children left
+/// to right) with region-relative parent positions, node kinds and the bit
+/// patterns of every cost -- written independently of the session's keys.
+std::vector<std::uint64_t> region_signature(const CruTree& tree, CruId root) {
+  std::vector<std::uint64_t> words;
+  std::vector<std::pair<CruId, std::uint64_t>> stack{{root, ~std::uint64_t{0}}};
+  std::uint64_t position = 0;
+  while (!stack.empty()) {
+    const auto [v, parent] = stack.back();
+    stack.pop_back();
+    const CruNode& nd = tree.node(v);
+    words.insert(words.end(), {parent, nd.is_sensor() ? 1u : 0u,
+                               std::bit_cast<std::uint64_t>(nd.host_time),
+                               std::bit_cast<std::uint64_t>(nd.sat_time),
+                               std::bit_cast<std::uint64_t>(nd.comm_up)});
+    for (auto it = nd.children.rbegin(); it != nd.children.rend(); ++it) {
+      stack.emplace_back(*it, position);
+    }
+    ++position;
+  }
+  return words;
+}
+
+void expect_same_stats(const ResolveStats& a, const ResolveStats& b, const std::string& ctx) {
+  EXPECT_EQ(a.path, b.path) << ctx;
+  EXPECT_EQ(a.step, b.step) << ctx;
+  EXPECT_EQ(a.regions_total, b.regions_total) << ctx;
+  EXPECT_EQ(a.regions_reused, b.regions_reused) << ctx;
+  EXPECT_EQ(a.regions_recomputed, b.regions_recomputed) << ctx;
+  EXPECT_EQ(a.colours_total, b.colours_total) << ctx;
+  EXPECT_EQ(a.colours_reused, b.colours_reused) << ctx;
+  EXPECT_EQ(a.cache_entries, b.cache_entries) << ctx;
+  EXPECT_EQ(a.incumbent_used, b.incumbent_used) << ctx;
+  EXPECT_EQ(a.cold_reason, b.cold_reason) << ctx;
+}
+
+TEST(IncrementalResolve, CacheHoldsOneGenerationThatExportImportReproduces) {
+  // After every step of a long mixed stream the caches hold exactly one
+  // entry per distinct colour key and per distinct region key of the
+  // current colouring -- what the latest solve touched, nothing older --
+  // and a session rebuilt from its export charges the same bytes and takes
+  // the same decisions on the next step.
+  Rng rng(0x0E6E);
+  TreeGenOptions gen;
+  gen.compute_nodes = 30;
+  gen.satellites = 4;
+  gen.policy = SensorPolicy::kClustered;
+  const CruTree base = random_tree(rng, gen);
+  DriftOptions drift;
+  drift.steps = 48;
+  drift.p_global = 0.2;
+  drift.p_loss = 0.06;
+  drift.p_insert = 0.15;
+  const std::vector<Perturbation> stream = drift_stream(rng, base, drift);
+  std::set<std::string> kinds;
+  std::size_t global = 0;
+  for (const Perturbation& p : stream) {
+    kinds.insert(p.kind_name());
+    if (const auto* d = p.as<ProfileDrift>(); d != nullptr && !d->satellite.valid()) ++global;
+  }
+  ASSERT_GE(stream.size(), 40u);
+  ASSERT_EQ(kinds.size(), 3u) << "the stream must mix drift, loss and insertion";
+  ASSERT_GT(global, 0u);
+
+  ResolveSession session(base, SolvePlan::pareto_dp());
+  ResolveSession restored = ResolveSession::import_state(session.export_state());
+  for (std::size_t step = 0; step < stream.size(); ++step) {
+    const std::string ctx = "step " + std::to_string(step) + " (" + stream[step].kind_name() + ")";
+    const SolveReport& warm = session.resolve(stream[step]);
+    const SolveReport& back = restored.resolve(stream[step]);
+    ASSERT_EQ(warm.assignment.cut_nodes(), back.assignment.cut_nodes()) << ctx;
+    ASSERT_EQ(warm.objective_value, back.objective_value) << ctx;
+    expect_same_stats(session.last_stats(), restored.last_stats(), ctx);
+    EXPECT_EQ(session.cached_bytes(), restored.cached_bytes()) << ctx;
+
+    std::set<std::vector<std::uint64_t>> colour_keys;
+    std::set<std::vector<std::uint64_t>> region_keys;
+    const Colouring& colouring = session.colouring();
+    for (std::size_t c = 0; c < session.tree().satellite_count(); ++c) {
+      std::vector<std::uint64_t> colour_key;
+      for (const CruId r : colouring.regions_of(SatelliteId{c})) {
+        const std::vector<std::uint64_t> region = region_signature(session.tree(), r);
+        colour_key.push_back(region.size());
+        colour_key.insert(colour_key.end(), region.begin(), region.end());
+        region_keys.insert(region);
+      }
+      if (!colour_key.empty()) colour_keys.insert(colour_key);
+    }
+    EXPECT_EQ(session.last_stats().cache_entries, colour_keys.size() + region_keys.size())
+        << ctx;
+
+    restored = ResolveSession::import_state(session.export_state());
+    EXPECT_EQ(restored.cached_bytes(), session.cached_bytes()) << ctx;
+  }
 }
 
 TEST(IncrementalResolve, SolverFailureRollsTheSessionBack) {

@@ -170,13 +170,48 @@ TEST(ParetoSimdKernel, RetainedPipelineIsResultInvisible) {
   o.policy = SensorPolicy::kClustered;
   const CruTree tree = random_tree(rng, o);
   const Colouring colouring(tree);
-  const std::vector<ParetoPoint> cached = random_frontier(rng, 30, false);
-  const std::vector<CruId> nodes(1000, CruId{std::size_t{0}});
+  // A cached region entry (cuts in CSR form) and a colour entry folded
+  // from it twice (per point: one index into each of its two regions).
+  FrontierEntry region;
+  region.cut_offsets.push_back(0);
+  for (const ParetoPoint& p : random_frontier(rng, 30, false)) {
+    region.load.push_back(p.load);
+    region.host.push_back(p.host);
+    for (const CruId v : p.cut) region.cut_positions.push_back(static_cast<std::uint32_t>(v.index()));
+    region.cut_offsets.push_back(static_cast<std::uint32_t>(region.cut_positions.size()));
+  }
+  FrontierEntry colour;
+  for (std::uint32_t i = 0; i < region.size(); ++i) {
+    colour.load.push_back(region.load[i] + region.load[region.size() - 1 - i]);
+    colour.host.push_back(0.0);
+    colour.region_index.insert(colour.region_index.end(),
+                               {i, static_cast<std::uint32_t>(region.size() - 1 - i)});
+  }
+  std::vector<CruId> nodes(1000);
+  for (std::size_t i = 0; i < nodes.size(); ++i) nodes[i] = CruId{i};
+  const pareto_internal::ColourPipeline::ImportPart parts[] = {{&region, nodes.data()},
+                                                               {&region, nodes.data()}};
 
   pareto_internal::ColourPipeline retained;
   for (int round = 0; round < 4; ++round) {
     retained.reset();
-    if (round % 2 == 1) static_cast<void>(retained.import(cached, nodes.data()));
+    if (round % 2 == 1) {
+      static_cast<void>(retained.import(region, nodes.data()));
+      // A colour import rebuilds each point's cut from its two region
+      // points, in region order.
+      const pareto_internal::Span span = retained.import(colour, parts);
+      for (std::uint32_t i = 0; i < span.size(); ++i) {
+        std::vector<CruId> cut;
+        retained.reconstruct(span.begin + i, cut);
+        std::vector<CruId> expected;
+        for (const std::uint32_t j : {i, static_cast<std::uint32_t>(region.size() - 1 - i)}) {
+          for (std::uint32_t c = region.cut_offsets[j]; c < region.cut_offsets[j + 1]; ++c) {
+            expected.push_back(CruId{std::size_t{region.cut_positions[c]}});
+          }
+        }
+        EXPECT_EQ(cut, expected) << "round " << round << " point " << i;
+      }
+    }
     for (const CruId r : colouring.region_roots()) {
       pareto_internal::ColourPipeline fresh;
       const pareto_internal::Span a = retained.region(colouring, r, kBig);

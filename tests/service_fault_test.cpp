@@ -234,9 +234,9 @@ TEST(ServiceFaults, NonFiniteCachedFrontierIsQuarantinedAndReSolved) {
   corrupt_spill_scenario("nonfinite", [](const std::string& path) {
     SessionState state = read_snapshot_file(path);
     ASSERT_FALSE(state.colour_cache.empty());
-    ParetoPoint& point = state.colour_cache.front().frontier.front();
-    point.load = std::numeric_limits<double>::quiet_NaN();
-    point.host = -std::numeric_limits<double>::infinity();
+    FrontierEntry& frontier = state.colour_cache.front().frontier;
+    frontier.load.front() = std::numeric_limits<double>::quiet_NaN();
+    frontier.host.front() = -std::numeric_limits<double>::infinity();
     write_snapshot_file(path, state);
   });
 }
@@ -394,7 +394,7 @@ TEST(ServiceFaults, DamagedManifestIsStillFatalToTheRestoreRequest) {
   const std::string manifest = ckpt + "/MANIFEST.tsc";
   const std::string intact = read_file_bytes(manifest);
   const std::string payload(
-      unframe_payload("treesat_checkpoint", "v1", intact, "checkpoint"));
+      unframe_payload("treesat_checkpoint", "v2", intact, "checkpoint"));
   const std::size_t rows = payload.find("resident ");
   ASSERT_NE(rows, std::string::npos);
   std::string huge = payload;  // hash-valid, declaring 10^13 resident rows
@@ -411,7 +411,7 @@ TEST(ServiceFaults, DamagedManifestIsStillFatalToTheRestoreRequest) {
   };
   truncate_file(manifest);
   restore_fails();
-  write_file_atomic(manifest, frame_payload("treesat_checkpoint", "v1", huge));
+  write_file_atomic(manifest, frame_payload("treesat_checkpoint", "v2", huge));
   restore_fails();
 }
 

@@ -266,6 +266,51 @@ TEST(Service, OutOfRangeSatelliteIdsAreRejected) {
   EXPECT_CONTAINS(largest, "names satellite 4294967294");
 }
 
+TEST(Service, SatelliteIdsAreBoundedByTheTree) {
+  // Every solve sizes its per-colour state by the satellite count, so a
+  // client may not inflate it: a submitted tree names no more satellites
+  // than it has nodes, and a probe joins an existing satellite or the next
+  // new one. Both repro lines below used to be admitted, and the solve
+  // behind each sized its arrays for ~4e9 colours (std::bad_alloc under a
+  // 4 GB address-space cap).
+  SolverService service;
+  CruTreeBuilder builder;
+  const CruId root = builder.root("root", 1.0);
+  builder.sensor(root, "s", SatelliteId{std::size_t{4000000000}}, 1.0);
+  const std::string inflated = service.handle_line(submit_line("t0", "big", builder.build()));
+  EXPECT_CONTAINS(inflated, "\"ok\":false");
+  EXPECT_CONTAINS(inflated, "field 'tree'");
+  EXPECT_CONTAINS(
+      service.handle_line("{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"big\"}"),
+      "unknown instance");
+
+  const CruTree tree = paper_running_example();
+  static_cast<void>(service.handle_line(submit_line("t0", "w0", tree)));
+  EXPECT_CONTAINS(
+      service.handle_line("{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\"}"),
+      "\"ok\":true");
+  const auto probe = [&](const std::string& satellite) {
+    return service.handle_line(
+        "{\"op\":\"perturb\",\"tenant\":\"t0\",\"instance\":\"w0\",\"kind\":\"insert_probe\","
+        "\"satellite\":" +
+        satellite + ",\"parent\":\"" + json_escape(tree.node(tree.root()).name) +
+        "\",\"name\":\"probe" + satellite + "\"}");
+  };
+  const std::size_t count = tree.satellite_count();
+  for (const std::string& id : {std::string("3999999999"), std::to_string(count + 1)}) {
+    SCOPED_TRACE("insert_probe satellite " + id);
+    const std::string response = probe(id);
+    EXPECT_CONTAINS(response, "\"ok\":false");
+    EXPECT_CONTAINS(response, "field 'satellite'");
+    EXPECT_CONTAINS(
+        service.handle_line("{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\"}"),
+        "\"path\":\"cached\"");
+  }
+  // The next new id and an existing one still join.
+  EXPECT_CONTAINS(probe(std::to_string(count)), "\"ok\":true");
+  EXPECT_CONTAINS(probe("0"), "\"ok\":true");
+}
+
 TEST(Service, AdmissionRejectsOversizedInstances) {
   ServiceOptions options = parse_service_config("mem_budget=1k,fail_fast=false");
   SolverService service(options);

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <utility>
@@ -23,6 +24,9 @@
 
 #include "common/check.hpp"
 #include "core/incremental.hpp"
+#include "io/json.hpp"
+#include "service/service.hpp"
+#include "storage/checkpoint.hpp"
 #include "storage/snapshot.hpp"
 #include "tree/serialize.hpp"
 #include "workload/scenarios.hpp"
@@ -126,10 +130,10 @@ TEST(SnapshotRoundTrip, SnapshotBytesAreDeterministic) {
 TEST(SnapshotRoundTrip, DriftedSnapshotBytesArePinned) {
   // The other round-trip tests compare the encoder with itself, so a change
   // to how any field is written (tree costs, the objective, hex key words
-  // and point coordinates, cut deltas, counts, escaped owner tokens) would
-  // pass them. This pins one drifted session's exact bytes by length and
-  // content hash: the snapshot format is a file format, and its bytes only
-  // move with a version bump.
+  // and point coordinates, cut deltas, colour region indices, counts,
+  // escaped owner tokens) would pass them. This pins one drifted session's
+  // exact bytes by length and content hash: the snapshot format is a file
+  // format, and its bytes only move with a version bump (recorded for v2).
   const Scenario scenario = epilepsy_scenario();
   ResolveSession session{scenario.workload.lower(scenario.platform)};
   for (const Perturbation& p : drift_script()) static_cast<void>(session.resolve(p));
@@ -137,8 +141,8 @@ TEST(SnapshotRoundTrip, DriftedSnapshotBytesArePinned) {
   state.tenant = "tenant a";
   state.instance = "w/0";
   const std::string bytes = encode_snapshot(state);
-  EXPECT_EQ(bytes.size(), 7088u);
-  EXPECT_EQ(fnv1a64(bytes), 0x02fa1c2e8811b9f8ULL);
+  EXPECT_EQ(bytes.size(), 2661u);
+  EXPECT_EQ(fnv1a64(bytes), 0xb15b27df240782f0ULL);
 }
 
 TEST(SnapshotRoundTrip, TreeOnlyStateRoundTrips) {
@@ -218,7 +222,7 @@ TEST(SnapshotCorruption, HashVersionAndMagicAreVerified) {
   // Unsupported version.
   {
     std::string bad = bytes;
-    bad.replace(bad.find(" v1\n"), 4, " v9\n");
+    bad.replace(bad.find(" v2\n"), 4, " v9\n");
     try {
       static_cast<void>(decode_snapshot(bad));
       FAIL() << "foreign version decoded";
@@ -247,14 +251,6 @@ TEST(SnapshotCorruption, HashValidButBrokenPayloadsAreRejected) {
                  InvalidArgument);
   }
   {
-    SessionState bad = good;  // cache stamp from the future
-    ASSERT_FALSE(bad.region_cache.empty());
-    bad.region_cache.front().last_used = bad.attempt + 7;
-    EXPECT_THROW(static_cast<void>(ResolveSession::import_state(
-                     decode_snapshot(encode_snapshot(bad)))),
-                 InvalidArgument);
-  }
-  {
     SessionState bad = good;  // duplicate cache key
     ASSERT_FALSE(bad.region_cache.empty());
     bad.region_cache.push_back(bad.region_cache.front());
@@ -266,19 +262,19 @@ TEST(SnapshotCorruption, HashValidButBrokenPayloadsAreRejected) {
   // parser rejects it.
   const std::string bytes = encode_snapshot(good);
   const std::string_view payload =
-      unframe_payload("treesat_snapshot", "v1", bytes, "snapshot");
+      unframe_payload("treesat_snapshot", "v2", bytes, "snapshot");
   {
     std::string broken(payload);
-    broken.replace(broken.find("attempt "), 8, "attempt x");
+    broken.replace(broken.find("stats "), 6, "stats x");
     EXPECT_THROW(static_cast<void>(decode_snapshot(
-                     frame_payload("treesat_snapshot", "v1", broken))),
+                     frame_payload("treesat_snapshot", "v2", broken))),
                  InvalidArgument);
   }
   {
     std::string broken(payload);  // missing end sentinel
     broken.resize(broken.rfind("end\n"));
     EXPECT_THROW(static_cast<void>(decode_snapshot(
-                     frame_payload("treesat_snapshot", "v1", broken))),
+                     frame_payload("treesat_snapshot", "v2", broken))),
                  InvalidArgument);
   }
 }
@@ -301,6 +297,7 @@ TEST(SnapshotCorruption, CachedFrontiersMustBeFiniteAndLoadSorted) {
       if ((good.*cache)[i].frontier.size() > (good.*cache)[widest].frontier.size()) widest = i;
     }
     ASSERT_GE((good.*cache)[widest].frontier.size(), 2u);
+    using Frontier = FrontierEntry&;
     const auto rejected = [&](const char* what, auto&& damage) {
       SessionState bad = good;
       damage((bad.*cache)[widest].frontier);
@@ -309,13 +306,16 @@ TEST(SnapshotCorruption, CachedFrontiersMustBeFiniteAndLoadSorted) {
                    InvalidArgument)
           << what;
     };
-    rejected("NaN load", [&](std::vector<ParetoPoint>& f) { f[1].load = kNaN; });
-    rejected("-inf host", [&](std::vector<ParetoPoint>& f) { f[0].host = -kInf; });
-    rejected("+inf load", [&](std::vector<ParetoPoint>& f) { f.back().load = kInf; });
-    rejected("NaN host", [&](std::vector<ParetoPoint>& f) { f[0].host = kNaN; });
-    rejected("unsorted loads",
-             [&](std::vector<ParetoPoint>& f) { std::swap(f[0].load, f[1].load); });
-    rejected("empty frontier", [&](std::vector<ParetoPoint>& f) { f.clear(); });
+    rejected("NaN load", [&](Frontier f) { f.load[1] = kNaN; });
+    rejected("-inf host", [&](Frontier f) { f.host[0] = -kInf; });
+    rejected("+inf load", [&](Frontier f) { f.load.back() = kInf; });
+    rejected("NaN host", [&](Frontier f) { f.host[0] = kNaN; });
+    rejected("unsorted loads", [&](Frontier f) { std::swap(f.load[0], f.load[1]); });
+    rejected("empty frontier", [&](Frontier f) {
+      const bool region = !f.cut_offsets.empty();
+      f = FrontierEntry{};
+      if (region) f.cut_offsets.push_back(0);
+    });
   }
 }
 
@@ -325,10 +325,10 @@ TEST(SnapshotCorruption, DeclaredCountsAreBoundedByThePayload) {
   // answered with bad_alloc, length_error or a sanitizer abort.
   ResolveSession session{paper_running_example()};
   const std::string bytes = encode_snapshot(session.export_state());
-  const std::string payload(unframe_payload("treesat_snapshot", "v1", bytes, "snapshot"));
+  const std::string payload(unframe_payload("treesat_snapshot", "v2", bytes, "snapshot"));
   const auto rejected = [](const std::string& broken) {
     EXPECT_THROW(static_cast<void>(decode_snapshot(
-                     frame_payload("treesat_snapshot", "v1", broken))),
+                     frame_payload("treesat_snapshot", "v2", broken))),
                  InvalidArgument);
   };
   {
@@ -351,11 +351,198 @@ TEST(SnapshotCorruption, DeclaredCountsAreBoundedByThePayload) {
   {
     std::string broken = payload;  // key word count past the end of its line
     const std::size_t at = broken.find("\nentry ", broken.find("colour_cache "));
-    const std::size_t stamp_end = broken.find(' ', at + 7);
-    const std::size_t words_end = broken.find(' ', stamp_end + 1);
-    broken.replace(stamp_end + 1, words_end - stamp_end - 1, "99999999999");
+    const std::size_t words_end = broken.find(' ', at + 7);
+    broken.replace(at + 7, words_end - at - 7, "99999999999");
     rejected(broken);
   }
+}
+
+/// A drifted session's state. The running example's colour B has two
+/// regions, so its caches hold a colour entry with two indices per point
+/// and every v2 entry-form row below has something to damage.
+SessionState drifted_state() {
+  ResolveSession session{paper_running_example()};
+  for (const Perturbation& p : drift_script()) static_cast<void>(session.resolve(p));
+  return session.export_state();
+}
+
+/// The first region key a colour key concatenates (see solve_warm_dp: each
+/// region is [node count][5 words per node]).
+std::vector<std::uint64_t> first_region_key(const SessionState::CacheEntry& colour) {
+  const std::vector<std::uint64_t>& key = colour.key_words;
+  return {key.begin() + 1, key.begin() + 1 + 5 * static_cast<long>(key[0])};
+}
+
+/// The first colour entry whose key concatenates at least two regions.
+std::size_t multi_region_colour(const SessionState& state) {
+  for (std::size_t i = 0; i < state.colour_cache.size(); ++i) {
+    const FrontierEntry& f = state.colour_cache[i].frontier;
+    if (f.region_index.size() >= 2 * f.size()) return i;
+  }
+  ADD_FAILURE() << "no colour entry of two or more regions";
+  return 0;
+}
+
+/// `read` must throw InvalidArgument whose message contains `expected`.
+template <typename Read>
+void expect_rejected(Read&& read, const std::string& expected) {
+  try {
+    read();
+    ADD_FAILURE() << "accepted; expected a rejection containing '" << expected << "'";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
+  }
+}
+
+/// import_state must reject `bad` -- after an encode/decode round trip
+/// when `through_codec`, straight from the struct otherwise (states whose
+/// damage the encoder itself refuses to write).
+void expect_import_rejected(const SessionState& bad, const std::string& expected,
+                            bool through_codec) {
+  expect_rejected(
+      [&] {
+        static_cast<void>(ResolveSession::import_state(
+            through_codec ? decode_snapshot(encode_snapshot(bad)) : bad));
+      },
+      expected);
+}
+
+/// decode_snapshot must reject a hash-valid v2 payload.
+void expect_decode_rejected(const std::string& payload, const std::string& expected) {
+  expect_rejected(
+      [&] {
+        static_cast<void>(decode_snapshot(frame_payload("treesat_snapshot", "v2", payload)));
+      },
+      expected);
+}
+
+TEST(SnapshotCorruption, V2EntryFormIsValidated) {
+  // The v2 entry form is rebuilt into cuts by indexing: a colour point's
+  // region indices select region points, a region point's CSR offsets
+  // select cut positions, and those positions select node ids. Every index
+  // is bounded at import, so a hash-valid but inconsistent snapshot is a
+  // typed InvalidArgument -- never an out-of-bounds read (this suite runs
+  // under ASan).
+  const SessionState good = drifted_state();
+  ASSERT_FALSE(good.colour_cache.empty());
+  ASSERT_FALSE(good.region_cache.empty());
+  const std::size_t colour = multi_region_colour(good);
+  const std::size_t regions =
+      good.colour_cache[colour].frontier.region_index.size() /
+      good.colour_cache[colour].frontier.size();
+  // The undamaged state imports.
+  static_cast<void>(ResolveSession::import_state(decode_snapshot(encode_snapshot(good))));
+
+  {
+    SessionState bad = good;  // a colour index at its region's frontier width
+    const std::vector<std::uint64_t> first = first_region_key(bad.colour_cache[colour]);
+    std::size_t width = 0;
+    for (const SessionState::CacheEntry& e : bad.region_cache) {
+      if (e.key_words == first) width = e.frontier.size();
+    }
+    ASSERT_GT(width, 0u);
+    bad.colour_cache[colour].frontier.region_index[0] = static_cast<std::uint32_t>(width);
+    expect_import_rejected(bad, "outside its region's", /*through_codec=*/true);
+  }
+  {
+    SessionState bad = good;  // a colour entry whose region entry is absent
+    const std::vector<std::uint64_t> first = first_region_key(bad.colour_cache[colour]);
+    const auto erased = std::erase_if(bad.region_cache, [&](const SessionState::CacheEntry& e) {
+      return e.key_words == first;
+    });
+    ASSERT_EQ(erased, 1u);
+    expect_import_rejected(bad, "has no region entry", /*through_codec=*/true);
+  }
+  {
+    SessionState bad = good;  // index rows one longer than the key's regions
+    FrontierEntry& f = bad.colour_cache[colour].frontier;
+    std::vector<std::uint32_t> wider;
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      wider.insert(wider.end(), f.region_index.begin() + static_cast<long>(i * regions),
+                   f.region_index.begin() + static_cast<long>((i + 1) * regions));
+      wider.push_back(0);
+    }
+    f.region_index = wider;
+    expect_import_rejected(bad, "index rows", /*through_codec=*/true);
+    f.region_index.resize(f.size() * regions - 1);  // and one index short, directly
+    expect_import_rejected(bad, "index rows", /*through_codec=*/false);
+  }
+  {
+    // One colour point line of different length from its entry's others:
+    // the decoder rejects it before import ever splits the rows.
+    const std::string bytes = encode_snapshot(good);
+    std::string broken(unframe_payload("treesat_snapshot", "v2", bytes, "snapshot"));
+    const std::size_t entry = broken.find("\nentry ", broken.find("colour_cache "));
+    const std::size_t second_point = broken.find("\npoint ", broken.find("\npoint ", entry) + 1);
+    ASSERT_NE(second_point, std::string::npos);
+    broken.insert(broken.find('\n', second_point + 1), " 0");
+    expect_decode_rejected(broken, "its entry's first");
+  }
+  std::size_t region = 0;  // a region entry with at least two points
+  while (good.region_cache[region].frontier.size() < 2) ++region;
+  {
+    SessionState bad = good;  // non-monotone CSR offsets
+    std::vector<std::uint32_t>& offsets = bad.region_cache[region].frontier.cut_offsets;
+    offsets[1] = offsets.back() + 1;
+    expect_import_rejected(bad, "not monotone", /*through_codec=*/false);
+  }
+  {
+    SessionState bad = good;  // offsets overflowing their positions
+    bad.region_cache[region].frontier.cut_offsets.back() = UINT32_MAX;
+    expect_import_rejected(bad, "do not span", /*through_codec=*/false);
+  }
+  {
+    // A cut position past 32 bits in the payload: the decoder rejects it
+    // rather than truncating it onto a real position.
+    const std::string bytes = encode_snapshot(good);
+    std::string broken(unframe_payload("treesat_snapshot", "v2", bytes, "snapshot"));
+    const std::size_t point = broken.find("\npoint ", broken.find("region_cache "));
+    ASSERT_NE(point, std::string::npos);
+    const std::size_t line_end = broken.find('\n', point + 1);
+    const std::size_t last = broken.rfind(' ', line_end);
+    broken.replace(last + 1, line_end - last - 1, "4294967296");
+    expect_decode_rejected(broken, "overflows 32 bits");
+  }
+  {
+    SessionState bad = good;  // a cut position outside its key
+    SessionState::CacheEntry& e = bad.region_cache[region];
+    e.frontier.cut_positions.back() = static_cast<std::uint32_t>(e.key_words.size() / 5 + 3);
+    expect_import_rejected(bad, "outside its key's", /*through_codec=*/true);
+  }
+}
+
+TEST(SnapshotCorruption, VersionOneFilesAreRejectedByTheirVersion) {
+  // v1 snapshots carried per-entry stamps, an attempt line and a cut per
+  // cached colour point; v1 manifests recorded those snapshots' byte sizes.
+  // Neither is read: both fail on their version line, saying so.
+  const std::string version = "unsupported version 'v1'";
+  ResolveSession session{paper_running_example()};
+  const std::string bytes = encode_snapshot(session.export_state());
+  const std::string payload(unframe_payload("treesat_snapshot", "v2", bytes, "snapshot"));
+  expect_rejected(
+      [&] { static_cast<void>(decode_snapshot(frame_payload("treesat_snapshot", "v1", payload))); },
+      version);
+
+  const std::string dir = ::testing::TempDir() + "/snapshot_test_v1_manifest";
+  std::filesystem::remove_all(dir);
+  {
+    SolverService service;
+    static_cast<void>(service.handle_line(
+        "{\"op\":\"submit\",\"tenant\":\"t0\",\"instance\":\"w0\",\"tree\":\"" +
+        json_escape(to_text(paper_running_example())) + "\"}"));
+    ASSERT_NE(service.handle_line("{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\"}")
+                  .find("\"ok\":true"),
+              std::string::npos);
+    service.checkpoint_to(dir);
+  }
+  const std::string manifest = dir + "/MANIFEST.tsc";
+  const std::string current = read_file_bytes(manifest);
+  static_cast<void>(read_checkpoint(dir, 1, 0, "", 0));  // the v2 manifest restores
+  write_file_atomic(manifest,
+                    frame_payload("treesat_checkpoint", "v1",
+                                  unframe_payload("treesat_checkpoint", "v2", current,
+                                                  "checkpoint")));
+  expect_rejected([&] { static_cast<void>(read_checkpoint(dir, 1, 0, "", 0)); }, version);
 }
 
 TEST(SnapshotFiles, AtomicWriteAndStrictRead) {

@@ -17,6 +17,13 @@
 // flaky across hosts. Scalars are matched by name, rows by label; a metric
 // or row missing from the current file is itself a failure (a silently
 // dropped measurement must not read as a pass).
+//
+// Ratios are only comparable within one host class: the "host" object
+// every bench writes (hardware threads, SIMD kernel ISA, compiler, build
+// type; see bench/bench_util.hpp) must match field for field, and a
+// baseline without one counts as a different class. On a mismatch
+// bench_diff compares nothing and exits 3 -- re-record the baseline on the
+// current host class instead.
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
@@ -111,6 +118,9 @@ struct Row {
 
 struct BenchDoc {
   std::string bench;
+  bool has_host = false;
+  std::map<std::string, std::string> host_strings;
+  std::map<std::string, double> host_numbers;
   std::map<std::string, double> scalars;
   std::vector<Row> rows;
 
@@ -139,6 +149,9 @@ BenchDoc load(const std::string& path) {
     p.expect(':');
     if (key == "bench") {
       doc.bench = p.parse_string();
+    } else if (key == "host") {
+      doc.has_host = true;
+      p.parse_flat_object(doc.host_strings, doc.host_numbers);
     } else if (key == "scalars") {
       std::map<std::string, std::string> ignored;
       p.parse_flat_object(ignored, doc.scalars);
@@ -175,6 +188,14 @@ BenchDoc load(const std::string& path) {
 }
 
 // --- comparison ----------------------------------------------------------
+
+std::string host_class(const BenchDoc& doc) {
+  if (!doc.has_host) return "(none recorded)";
+  std::ostringstream out;
+  for (const auto& [key, value] : doc.host_numbers) out << key << '=' << value << ' ';
+  for (const auto& [key, value] : doc.host_strings) out << key << '=' << value << ' ';
+  return out.str();
+}
 
 enum class Direction { kLowerBetter, kHigherBetter, kInformational };
 
@@ -247,6 +268,15 @@ int main(int argc, char** argv) {
   std::cout << "bench_diff: " << baseline.bench << " baseline=" << files[0]
             << " current=" << files[1] << " tolerance=" << gate.tolerance
             << (gate.keys.empty() ? "" : " keys~" + gate.keys) << "\n";
+  if (!baseline.has_host || !current.has_host ||
+      baseline.host_strings != current.host_strings ||
+      baseline.host_numbers != current.host_numbers) {
+    std::cerr << "bench_diff: host classes differ; nothing compared\n"
+              << "  baseline: " << host_class(baseline) << "\n"
+              << "  current:  " << host_class(current) << "\n"
+              << "  re-record the baseline on the current host class\n";
+    return 3;
+  }
 
   for (const auto& [key, base] : baseline.scalars) {
     const auto it = current.scalars.find(key);

@@ -101,11 +101,10 @@ std::vector<double> fold_all(Kernel kernel, const std::vector<FoldInput>& inputs
 int run(bool smoke) {
   const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   bench::banner("E-ARENA", "arena Pareto-DP vs pre-arena reference engine");
+  // Hardware threads and the kernel ISA go into the --json host object.
   bench::note("hardware threads: " + std::to_string(hw));
-  bench::json().set("hardware_threads", static_cast<double>(hw));
   bench::json().set("mode", smoke ? std::string("smoke") : std::string("full"));
   bench::note(std::string("simd isa: ") + simd::active_isa());
-  bench::json().set("kernel_isa", std::string(simd::active_isa()));
 
   std::vector<Case> cases;
   if (smoke) {

@@ -15,8 +15,10 @@
 //
 // MB/s and milliseconds are machine-dependent and informational; the two
 // gated keys (rewarm_speedup, identity_ratio) are same-machine ratios.
+#include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -114,11 +116,10 @@ int main(int argc, char** argv) {
   {
     // The restart question in miniature: given a drifted session's snapshot
     // and one more drift step to answer, is import-then-warm-resolve faster
-    // than rebuild-then-resolve? The smallest row sits near the crossover
-    // (a millisecond cold solve is hard to beat with any parse -- nobody
-    // checkpoints microsecond sessions for speed); the gate is the
-    // geometric mean, which the larger sizes dominate as solve cost grows
-    // faster than snapshot size.
+    // than rebuild-then-resolve? The gate is the geometric mean; every row
+    // is expected to read >= 1, star-128 included -- the spill tier's shape
+    // (perfbench's spill_churn), whose sub-millisecond initial solve a
+    // reload must beat to be worth spilling.
     Table t({"instance", "cold [ms]", "rewarm [ms]", "speedup"});
     Rng rng(0x5A4E2);
     DriftOptions drift;
@@ -128,13 +129,7 @@ int main(int argc, char** argv) {
     drift.p_global = 0.0;
     double speedup_product = 1.0;
     std::size_t speedup_count = 0;
-    for (const std::size_t n : {192u, 384u, 768u}) {
-      TreeGenOptions gen;
-      gen.compute_nodes = n;
-      gen.satellites = 4;
-      gen.max_children = 2;  // deep regions: frontiers worth caching
-      gen.policy = SensorPolicy::kClustered;
-      const CruTree base = random_tree(rng, gen);
+    const auto row = [&](const std::string& label, const CruTree& base, int reps) {
       ResolveSession drifted{CruTree(base)};
       const std::vector<Perturbation> stream = drift_stream(rng, base, drift);
       for (const Perturbation& p : stream) static_cast<void>(drifted.resolve(p));
@@ -142,30 +137,47 @@ int main(int argc, char** argv) {
       const Perturbation next = Perturbation::satellite_drift(
           SatelliteId{std::size_t{0}}, 1.03, 0.98, 1.0);
 
-      const int reps = n >= 768 ? 3 : 10;
-      const double cold_s = best_of(3, [&] {
+      const auto cold = [&] {
         for (int r = 0; r < reps; ++r) {
           // Cold restart: the tree survives (re-submitted), the session and
           // its caches do not -- initial solve, then the drift step.
           ResolveSession session{drifted.tree()};
           static_cast<void>(session.resolve(next));
         }
-      });
-      const double rewarm_s = best_of(3, [&] {
+      };
+      const auto rewarm = [&] {
         for (int r = 0; r < reps; ++r) {
           ResolveSession session = ResolveSession::import_state(decode_snapshot(bytes));
           static_cast<void>(session.resolve(next));
         }
-      });
+      };
+      // Best of 5 batches per side, the sides alternating, so a drift in
+      // core speed over the row's run lands on both of them.
+      double cold_s = std::numeric_limits<double>::infinity();
+      double rewarm_s = cold_s;
+      for (int round = 0; round < 5; ++round) {
+        cold_s = std::min(cold_s, best_of(1, cold));
+        rewarm_s = std::min(rewarm_s, best_of(1, rewarm));
+      }
       const double speedup = cold_s / rewarm_s;
       speedup_product *= speedup;
       ++speedup_count;
-      const std::string label = "clustered-" + std::to_string(n);
       t.add(label, cold_s * 1e3 / reps, rewarm_s * 1e3 / reps, speedup);
       bench::json().add_row(label, {{"cold_ms", cold_s * 1e3 / reps},
                                     {"rewarm_ms", rewarm_s * 1e3 / reps},
                                     {"rewarm_speedup", speedup}});
+    };
+    for (const std::size_t n : {192u, 384u, 768u}) {
+      TreeGenOptions gen;
+      gen.compute_nodes = n;
+      gen.satellites = 4;
+      gen.max_children = 2;  // deep regions: frontiers worth caching
+      gen.policy = SensorPolicy::kClustered;
+      row("clustered-" + std::to_string(n), random_tree(rng, gen), n >= 768 ? 3 : 10);
     }
+    StarGenOptions star;
+    star.arms = 60;  // the shape of spill_churn's sessions
+    row("star-128", star_tree(rng, star), 50);
     const double geomean =
         std::pow(speedup_product, 1.0 / static_cast<double>(speedup_count));
     bench::json().set("rewarm_speedup", geomean);

@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "common/stopwatch.hpp"
 #include "core/registry.hpp"
 #include "core/solver.hpp"
+#include "platform/simd.hpp"
 
 namespace treesat::bench {
 
@@ -30,6 +32,9 @@ namespace treesat::bench {
 /// BENCH_<name>.json-style output, so the perf trajectory is tracked across
 /// PRs (bench_diff compares two such files, and ci.sh's TREESAT_BENCH=1
 /// smoke stage archives them). Without the flag everything is a no-op.
+/// Every file records its host class -- hardware threads, the active SIMD
+/// kernel ISA, compiler and build type, the fields perfbench prints -- and
+/// bench_diff refuses to compare files from different classes.
 ///
 ///   int main(int argc, char** argv) {
 ///     treesat::bench::BenchJson::init("bench_chain", &argc, argv);
@@ -99,7 +104,10 @@ class BenchJson {
                 << " (--json results would be lost)\n";
       return false;
     }
-    out << "{\"bench\":\"" << name_ << "\",\"scalars\":{";
+    out << "{\"bench\":\"" << name_ << "\",\"host\":{\"hardware_threads\":"
+        << std::thread::hardware_concurrency() << ",\"isa\":\"" << simd::active_isa()
+        << "\",\"compiler\":\"" << TREESAT_BENCH_COMPILER << "\",\"build_type\":\""
+        << TREESAT_BENCH_BUILD_TYPE << "\"},\"scalars\":{";
     for (std::size_t i = 0; i < scalars_.size(); ++i) {
       if (i) out << ',';
       out << '"' << scalars_[i].first << "\":" << scalars_[i].second;

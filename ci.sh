@@ -178,7 +178,8 @@ echo "perfbench stage passed (build, self-tests and output checks on every workl
 # worklist_test hammers the stealing scheduler directly (exactly-once under
 # concurrent deque pops/steals) and batch_executor_test drives it through
 # solve_batch; the service suites ride along for the sharded store's
-# locking and the trace recorder.
+# locking and the trace recorder. ctest -R matches substrings, so
+# ^snapshot_test keeps fuzz_snapshot_test (not built here) out.
 cmake -B "$TSAN_DIR" -S . -DTREESAT_WERROR=ON -DTREESAT_TSAN=ON \
   -DTREESAT_BUILD_BENCHES=OFF -DTREESAT_BUILD_EXAMPLES=OFF
 cmake --build "$TSAN_DIR" -j "$JOBS" \
@@ -186,7 +187,7 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
            service_test service_determinism_test service_fault_test snapshot_test \
            telemetry_test obs_trace_test obs_metrics_test
 (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-  -R 'worklist_test|batch_executor_test|determinism_test|plan_test|service_test|service_determinism_test|service_fault_test|snapshot_test|telemetry_test|obs_trace_test|obs_metrics_test')
+  -R 'worklist_test|batch_executor_test|determinism_test|plan_test|service_test|service_determinism_test|service_fault_test|^snapshot_test|telemetry_test|obs_trace_test|obs_metrics_test')
 
 # UBSan stage: the suites that exercise the Minkowski merge kernels and the
 # scheduler's lock-free deques -- pointer-offset arithmetic in the SIMD
@@ -195,7 +196,9 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 # would masquerade as a wrong-but-plausible frontier -- plus the suites that
 # feed hostile numbers to the parsers and formatters: request fields cast
 # to ids (service_test), plan specs (parse_plan_fuzz_test), tree text,
-# snapshots and the number formatter. TREESAT_UBSAN adds
+# snapshots (snapshot_test, and fuzz_snapshot_test's mutants, whose
+# unaligned binary reads must all go through memcpy) and the number
+# formatter. TREESAT_UBSAN adds
 # float-cast-overflow, which GCC's -fsanitize=undefined leaves out.
 # Recovery is off (-fno-sanitize-recover), so any report fails the run.
 # plan_test stays out: GCC 12 misfires -Wmaybe-uninitialized on it under
@@ -205,23 +208,30 @@ cmake -B "$UBSAN_DIR" -S . -DTREESAT_WERROR=ON -DTREESAT_UBSAN=ON \
 cmake --build "$UBSAN_DIR" -j "$JOBS" \
   --target pareto_dp_test pareto_merge_reference_test pareto_simd_kernel_test \
            worklist_test incremental_resolve_test service_test \
-           serialize_round_trip_test snapshot_test parse_plan_fuzz_test \
+           serialize_round_trip_test snapshot_test fuzz_snapshot_test parse_plan_fuzz_test \
            format_round_trip_test
 (cd "$UBSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-  -R 'pareto_dp_test|pareto_merge_reference_test|pareto_simd_kernel_test|worklist_test|incremental_resolve_test|service_test|serialize_round_trip_test|snapshot_test|parse_plan_fuzz_test|format_round_trip_test')
+  -R 'pareto_dp_test|pareto_merge_reference_test|pareto_simd_kernel_test|worklist_test|incremental_resolve_test|service_test|serialize_round_trip_test|snapshot_test|fuzz_snapshot_test|parse_plan_fuzz_test|format_round_trip_test')
 
 # ASan stage: every suite under AddressSanitizer (benches/examples skipped
 # for speed). The flags go through CMAKE_CXX_FLAGS/CMAKE_EXE_LINKER_FLAGS,
 # as the coverage stage's do, so no CMake option exists for it. Warnings
 # stay gated by the first build: GCC 12's -Wmaybe-uninitialized misfires on
 # ASan-instrumented std::optional/std::variant copies, so -Werror is off
-# here.
+# here. fuzz_snapshot_test runs on its own under an allocation cap: an
+# operator new past max_allocation_size_mb is an ASan error report that
+# aborts the suite (allocator_may_return_null=1 makes a malloc return null
+# instead), so a decoder that sizes storage by a hostile count fails here
+# even on a host with the memory to satisfy it.
 cmake -B "$ASAN_DIR" -S . -DTREESAT_WERROR=OFF \
   -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address" \
   -DTREESAT_BUILD_BENCHES=OFF -DTREESAT_BUILD_EXAMPLES=OFF
 cmake --build "$ASAN_DIR" -j "$JOBS"
-(cd "$ASAN_DIR" && ctest --output-on-failure -j "$JOBS")
+(cd "$ASAN_DIR" && ctest --output-on-failure -j "$JOBS" -E fuzz_snapshot_test)
+(cd "$ASAN_DIR" && \
+  ASAN_OPTIONS=allocator_may_return_null=1:max_allocation_size_mb=64 \
+  ctest --output-on-failure -R fuzz_snapshot_test)
 
 # AVX2 leg (opt-in by hardware: only when the CI host advertises avx2).
 # -DTREESAT_AVX2=ON compiles the wide dominance kernel and defines

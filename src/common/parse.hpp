@@ -1,7 +1,7 @@
 // Strict text-to-value parsing, shared by every reader of client or disk
 // input: plan specs (core/registry), service configs (service/service),
 // fault plans (storage/faults), tree text (tree/serialize) and the storage
-// codecs (storage/wire).
+// header and manifest (storage/wire).
 //
 // A token parses completely or not at all: no leading whitespace, no sign
 // on an unsigned value, no '+', no base prefix, no trailing junk, and an

@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "common/stopwatch.hpp"
 #include "core/coloured_ssb.hpp"
 #include "core/pareto_kernel.hpp"
@@ -238,7 +239,7 @@ const char* resolve_path_name(ResolvePath path) {
 
 ResolveSession::ResolveSession(CruTree tree, SolvePlan plan)
     : plan_(std::move(plan)),
-      tree_(std::make_unique<CruTree>(std::move(tree))),
+      tree_(std::make_shared<const CruTree>(std::move(tree))),
       colouring_(std::make_unique<Colouring>(*tree_)) {
   solve_current(nullptr);
 }
@@ -385,14 +386,6 @@ void encode_region(const CruTree& tree, std::span<const CruId> nodes, std::size_
   }
 }
 
-std::size_t fnv1a(const std::vector<std::uint64_t>& words) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint64_t w : words) {
-    h = (h ^ w) * 0x100000001b3ULL;
-  }
-  return static_cast<std::size_t>(h);
-}
-
 /// The fold pipeline every warm session solve on this thread runs in. One
 /// retained pipeline per thread rather than one per session: a session's
 /// solve holds every colour's fold chain until its sweep, and retaining
@@ -477,14 +470,14 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
       const std::span<const CruId> nodes(concat.data() + offset, concat.size() - offset);
       ContentKey region_key;
       encode_region(*tree_, nodes, offset, region_key.words, position);
-      region_key.hash = fnv1a(region_key.words);
+      region_key.hash = fnv1a_words(region_key.words);
       colour_key.words.push_back(nodes.size());
       colour_key.words.insert(colour_key.words.end(), region_key.words.begin(),
                               region_key.words.end());
       region_offsets.push_back(static_cast<std::uint32_t>(offset));
       region_keys.push_back(std::move(region_key));
     }
-    colour_key.hash = fnv1a(colour_key.words);
+    colour_key.hash = fnv1a_words(colour_key.words);
 
     const auto colour_hit = colour_cache_.find(colour_key);
     if (colour_hit != colour_cache_.end()) {
@@ -646,7 +639,7 @@ void require_values(const FrontierEntry& f) {
 SessionState ResolveSession::export_state() const {
   SessionState out;
   out.plan_spec = plan_spec(plan_);
-  out.tree_text = to_text(*tree_);
+  out.tree = tree_;
   out.cut = report_->assignment.cut_nodes();
   out.objective_value = report_->objective_value;
   out.exact = report_->exact;
@@ -675,9 +668,9 @@ SessionState ResolveSession::export_state() const {
   return out;
 }
 
-ResolveSession::ResolveSession(RestoreTag, const SessionState& state)
+ResolveSession::ResolveSession(RestoreTag, SessionState state)
     : plan_(parse_plan(state.plan_spec)),
-      tree_(std::make_unique<CruTree>(tree_from_text(state.tree_text))),
+      tree_(std::move(state.tree)),
       colouring_(std::make_unique<Colouring>(*tree_)) {
   // The Assignment constructor validates the cut against the rebuilt
   // colouring; delay is a pure function of tree + cut, so recomputing it
@@ -696,15 +689,17 @@ ResolveSession::ResolveSession(RestoreTag, const SessionState& state)
   // Every restored entry is stamped with attempt 0, the one before the
   // restored session's next attempt: all of them read as state that
   // survived from an earlier step, as they would in the exported session.
-  const auto adopt = [this](FrontierCache& cache, const std::vector<std::uint64_t>& words,
-                            const FrontierEntry& frontier) {
+  // Entries move in: decode and export both hand over exact-capacity
+  // arrays, which is what cached_bytes() accounts.
+  const auto adopt = [this](FrontierCache& cache, SessionState::CacheEntry& e) {
     ContentKey key;
-    key.words = words;
-    key.hash = fnv1a(key.words);
-    TS_REQUIRE(insert(cache, std::move(key), frontier), "import_state: duplicate cache key");
+    key.words = std::move(e.key_words);
+    key.hash = fnv1a_words(key.words);
+    TS_REQUIRE(insert(cache, std::move(key), std::move(e.frontier)),
+               "import_state: duplicate cache key");
   };
   // Region entries first: a colour entry's cuts are rebuilt from them.
-  for (const SessionState::CacheEntry& e : state.region_cache) {
+  for (SessionState::CacheEntry& e : state.region_cache) {
     const FrontierEntry& f = e.frontier;
     const std::size_t nodes = region_key_nodes(e.key_words);
     require_values(f);
@@ -717,15 +712,22 @@ ResolveSession::ResolveSession(RestoreTag, const SessionState& state)
       TS_REQUIRE(f.cut_offsets[i] <= f.cut_offsets[i + 1],
                  "import_state: region cache entry's cut offsets are not monotone");
     }
+    // Offsets now partition the positions; each cut is in canonical form.
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      for (std::uint32_t c = f.cut_offsets[i] + 1; c < f.cut_offsets[i + 1]; ++c) {
+        TS_REQUIRE(f.cut_positions[c] > f.cut_positions[c - 1],
+                   "import_state: a cached cut's positions are not strictly increasing");
+      }
+    }
     for (const std::uint32_t pos : f.cut_positions) {
       TS_REQUIRE(pos < nodes, "import_state: cached cut position "
                                   << pos << " is outside its key's " << nodes << " nodes");
     }
-    adopt(region_cache_, e.key_words, f);
+    adopt(region_cache_, e);
   }
-  for (const SessionState::CacheEntry& e : state.colour_cache) {
+  for (SessionState::CacheEntry& e : state.colour_cache) {
     const FrontierEntry& f = e.frontier;
-    const std::vector<std::vector<std::uint64_t>> region_words = colour_key_regions(e.key_words);
+    std::vector<std::vector<std::uint64_t>> region_words = colour_key_regions(e.key_words);
     const std::size_t count = region_words.size();
     require_values(f);
     TS_REQUIRE(f.cut_offsets.empty() && f.cut_positions.empty(),
@@ -736,8 +738,8 @@ ResolveSession::ResolveSession(RestoreTag, const SessionState& state)
                    << count << " regions");
     for (std::size_t k = 0; k < count; ++k) {
       ContentKey region_key;
-      region_key.words = region_words[k];
-      region_key.hash = fnv1a(region_key.words);
+      region_key.words = std::move(region_words[k]);
+      region_key.hash = fnv1a_words(region_key.words);
       const auto region = region_cache_.find(region_key);
       TS_REQUIRE(region != region_cache_.end(),
                  "import_state: colour cache entry's region " << k << " has no region entry");
@@ -749,14 +751,15 @@ ResolveSession::ResolveSession(RestoreTag, const SessionState& state)
                                                        << "-point frontier");
       }
     }
-    adopt(colour_cache_, e.key_words, f);
+    adopt(colour_cache_, e);
   }
 }
 
-ResolveSession ResolveSession::import_state(const SessionState& state) {
+ResolveSession ResolveSession::import_state(SessionState state) {
   TS_REQUIRE(state.has_session(),
              "import_state: tree-only state holds no session to rebuild");
-  return ResolveSession(RestoreTag{}, state);
+  TS_REQUIRE(state.tree != nullptr, "import_state: state carries no tree");
+  return ResolveSession(RestoreTag{}, std::move(state));
 }
 
 const SolveReport& ResolveSession::resolve(const Perturbation& p) {
@@ -768,9 +771,9 @@ const SolveReport& ResolveSession::resolve(const Perturbation& p) {
   // Validate-then-commit: an invalid perturbation throws here, leaving the
   // session on its previous instance.
   auto new_tree =
-      std::make_unique<CruTree>(apply_perturbation(*tree_, p, colouring_.get()));
+      std::make_shared<const CruTree>(apply_perturbation(*tree_, p, colouring_.get()));
   auto new_colouring = std::make_unique<Colouring>(*new_tree);
-  std::unique_ptr<CruTree> old_tree = std::move(tree_);
+  std::shared_ptr<const CruTree> old_tree = std::move(tree_);
   std::unique_ptr<Colouring> old_colouring = std::move(colouring_);
   tree_ = std::move(new_tree);
   colouring_ = std::move(new_colouring);

@@ -189,14 +189,16 @@ struct ResolveStats {
 
 /// Plain serializable mirror of a ResolveSession: everything export_state()
 /// captures and import_state() needs to rebuild a session whose *future*
-/// behavior is byte-identical to the original's -- the tree (as the v1 text
-/// of tree/serialize.hpp), the plan, the current optimum reduced to its cut
-/// (Assignment and DelayBreakdown are pure functions of tree + cut and are
-/// recomputed bit-exactly on import), the last ResolveStats, and both
-/// frontier caches entry by entry. Entry stamps and the attempt clock are
-/// not part of it: a stamp is only ever compared within one session's
-/// lifetime, and every restored entry predates the restored session's next
-/// attempt. storage/snapshot.hpp turns this struct into the on-disk format.
+/// behavior is byte-identical to the original's -- the tree itself (an
+/// immutable CruTree, shared with the session that exported it, so neither
+/// export nor import copies or re-parses it), the plan, the current optimum
+/// reduced to its cut (Assignment and DelayBreakdown are pure functions of
+/// tree + cut and are recomputed bit-exactly on import), the last
+/// ResolveStats, and both frontier caches entry by entry. Entry stamps and
+/// the attempt clock are not part of it: a stamp is only ever compared
+/// within one session's lifetime, and every restored entry predates the
+/// restored session's next attempt. storage/snapshot.hpp turns this struct
+/// into the on-disk format.
 ///
 /// Deliberate reductions, both documented parts of the snapshot contract:
 ///   * wall-clock fields (report/stats wall_seconds) are zeroed on export --
@@ -210,10 +212,9 @@ struct ResolveStats {
 struct SessionState {
   /// Canonical plan spec (core/registry.hpp plan_spec). Empty marks a
   /// tree-only state: a submitted-but-never-solved instance (the serving
-  /// tier spills those too); only `tree_text` (and owner) is meaningful
-  /// then.
+  /// tier spills those too); only `tree` (and owner) is meaningful then.
   std::string plan_spec;
-  std::string tree_text;  ///< tree/serialize.hpp v1 text of the current tree
+  std::shared_ptr<const CruTree> tree;  ///< the current tree; never null in a valid state
 
   /// Owning tenant/instance when the state belongs to a session store
   /// (service/session_store.hpp); empty for standalone snapshots. A spill
@@ -298,15 +299,18 @@ class ResolveSession {
   /// behaviorally byte-identical to the exported session: the same
   /// current() optimum (bit for bit), the same cached_bytes(), and the
   /// same warm/cold decisions and reuse counters on every future
-  /// resolve(). Throws InvalidArgument on anything inconsistent (unknown
-  /// plan spec, malformed tree, a cut that is not a valid cut of the tree,
-  /// a cached frontier that is empty, has a non-finite coordinate or is not
-  /// sorted by load, region cut offsets that do not partition their
-  /// positions, a cut position outside its key, a colour entry whose region
-  /// entries are absent or whose indices do not fit them) -- a snapshot
-  /// that fails these checks is corrupt and must be rejected, never
-  /// partially adopted.
-  [[nodiscard]] static ResolveSession import_state(const SessionState& state);
+  /// resolve(). The session adopts the state's tree without copying it,
+  /// and a caller done with the state (a spill reload) moves it in, so its
+  /// cache arrays move into the session instead of being copied.
+  /// Throws InvalidArgument on anything inconsistent (unknown plan spec, no
+  /// tree, a cut that is not a valid cut of the tree, a cached frontier
+  /// that is empty, has a non-finite coordinate or is not sorted by load,
+  /// region cut offsets that do not partition their positions, a point's
+  /// cut positions out of order or outside its key, a colour entry whose
+  /// region entries are absent or whose indices do not fit them) -- a
+  /// snapshot that fails these checks is corrupt and must be rejected,
+  /// never partially adopted.
+  [[nodiscard]] static ResolveSession import_state(SessionState state);
 
   /// Bytes retained by the two frontier caches (points, cut positions,
   /// region indices and content keys) -- what a serving layer charges
@@ -350,13 +354,13 @@ class ResolveSession {
 
   /// import_state's private path: adopts restored state instead of solving.
   struct RestoreTag {};
-  ResolveSession(RestoreTag, const SessionState& state);
+  ResolveSession(RestoreTag, SessionState state);
 
   void solve_current(const Perturbation* p);
   [[nodiscard]] SolveReport solve_warm_dp(const SolvePlan& resolved, ResolveStats& fresh);
 
   SolvePlan plan_;
-  std::unique_ptr<CruTree> tree_;
+  std::shared_ptr<const CruTree> tree_;  ///< immutable; shared with exported states
   std::unique_ptr<Colouring> colouring_;
   std::unique_ptr<SolveReport> report_;
   ResolveStats stats_;

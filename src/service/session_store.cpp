@@ -6,26 +6,15 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "core/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "storage/snapshot.hpp"
-#include "tree/serialize.hpp"
 
 namespace treesat {
 
 namespace {
-
-/// FNV-1a over the key: stable across runs and platforms (std::hash is
-/// neither guaranteed), so a trace replays onto the same shard layout
-/// everywhere.
-std::uint64_t key_hash(const std::string& key) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : key) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-  }
-  return h;
-}
 
 /// Renames a damaged spill file to `<path>.bad` so post-mortems can see
 /// what the fault wall absorbed; falls back to plain removal (the file must
@@ -49,7 +38,7 @@ SessionState session_entry_state(const SessionEntry& entry) {
   if (entry.session != nullptr) {
     state = entry.session->export_state();
   } else {
-    state.tree_text = to_text(*entry.tree);
+    state.tree = entry.tree;
   }
   state.tenant = entry.tenant;
   state.instance = entry.instance;
@@ -57,15 +46,21 @@ SessionState session_entry_state(const SessionEntry& entry) {
 }
 
 SessionEntry session_entry_from_state(const SessionState& state) {
+  return session_entry_from_state(SessionState(state));
+}
+
+SessionEntry session_entry_from_state(SessionState&& state) {
   SessionEntry entry;
   entry.tenant = state.tenant;
   entry.instance = state.instance;
   if (state.has_session()) {
-    entry.session = std::make_unique<ResolveSession>(ResolveSession::import_state(state));
-    entry.plan_spec = session_plan_key(parse_plan(state.plan_spec));
+    entry.session =
+        std::make_unique<ResolveSession>(ResolveSession::import_state(std::move(state)));
+    entry.plan_spec = session_plan_key(entry.session->plan());
     entry.bytes = SessionStore::estimate_bytes(entry.session->tree(), entry.session.get());
   } else {
-    entry.tree = std::make_unique<CruTree>(tree_from_text(state.tree_text));
+    TS_REQUIRE(state.tree != nullptr, "SessionStore: tree-only state carries no tree");
+    entry.tree = state.tree;
     entry.bytes = SessionStore::estimate_bytes(*entry.tree, nullptr);
   }
   return entry;
@@ -95,7 +90,9 @@ std::string SessionStore::key_of(const std::string& tenant, const std::string& i
 }
 
 std::size_t SessionStore::shard_of(const std::string& key) const {
-  return static_cast<std::size_t>(key_hash(key) % shards_.size());
+  // Stable across runs and platforms (std::hash is neither guaranteed), so
+  // a trace replays onto the same shard layout everywhere.
+  return static_cast<std::size_t>(fnv1a_bytes(key) % shards_.size());
 }
 
 std::string SessionStore::spill_path(const std::string& tenant,
@@ -135,18 +132,18 @@ SessionEntry* SessionStore::find(const std::string& tenant, const std::string& i
       std::string bytes = read_file_bytes(path);
       if (faults_.fires(FaultPoint::kSpillTruncate)) bytes = fault_truncate(std::move(bytes));
       if (faults_.fires(FaultPoint::kSpillHashFlip)) bytes = fault_flip_byte(std::move(bytes));
-      const SessionState state = decode_snapshot(bytes);
+      SessionState state = decode_snapshot(bytes);
       TS_REQUIRE(state.tenant == tenant && state.instance == instance,
                  "SessionStore: spill file " << path << " belongs to '" << state.tenant << '/'
                                              << state.instance << "', not '" << tenant << '/'
                                              << instance << "'");
-      entry = session_entry_from_state(state);
+      entry = session_entry_from_state(std::move(state));
       warm = true;
     } catch (const std::exception&) {
       // Corrupt, truncated, unreadable or misowned snapshot: one bad byte
       // on disk must not fail this instance's requests forever. Quarantine
       // the file for post-mortem, write off the warm state, and fall back
-      // to the tree text retained in the record.
+      // to the tree-only snapshot retained in the record.
       ++spill_faults_;
       obs::count("treesat_spill_faults_total",
                  "Spill writes/reloads that degraded to a cold re-solve");
@@ -154,18 +151,15 @@ SessionEntry* SessionStore::find(const std::string& tenant, const std::string& i
     }
   }
   if (!warm) {
-    if (spilled->second.tree_text.empty()) {
-      // No fallback (records registered by checkpoint restore carry no
-      // tree text): the reload failure surfaces as a plain miss and the
-      // client resubmits.
+    if (spilled->second.fallback.empty()) {
+      // No fallback (records registered by checkpoint restore carry none):
+      // the reload failure surfaces as a plain miss and the client
+      // resubmits.
       spill_bytes_ -= spilled->second.bytes;
       spill_records_.erase(spilled);
       return nullptr;
     }
-    entry.tenant = tenant;
-    entry.instance = instance;
-    entry.tree = std::make_unique<CruTree>(tree_from_text(spilled->second.tree_text));
-    entry.bytes = estimate_bytes(*entry.tree, nullptr);
+    entry = session_entry_from_state(decode_snapshot(spilled->second.fallback));
   }
   entry.stamp = ++clock_;
   bytes_used_ += entry.bytes;
@@ -256,8 +250,8 @@ void SessionStore::spill_entry(const SessionEntry& entry) {
   if (faults_.fires(FaultPoint::kSpillDirVanish)) {
     // The spill directory disappears out from under the tier (operator
     // error, an over-eager tmp cleaner). Every previously spilled file is
-    // gone -- their reloads recover via the retained tree text -- and the
-    // tier recreates the directory and carries on.
+    // gone -- their reloads recover via the retained tree-only snapshot --
+    // and the tier recreates the directory and carries on.
     std::error_code ec;
     std::filesystem::remove_all(spill_dir_, ec);
     ++spill_faults_;
@@ -268,7 +262,11 @@ void SessionStore::spill_entry(const SessionEntry& entry) {
   record.tenant = entry.tenant;
   record.instance = entry.instance;
   record.stamp = entry.stamp;
-  record.tree_text = state.tree_text;
+  SessionState tree_only;
+  tree_only.tree = state.tree;
+  tree_only.tenant = state.tenant;
+  tree_only.instance = state.instance;
+  record.fallback = encode_snapshot(tree_only);
   try {
     if (faults_.fires(FaultPoint::kSpillWrite)) {
       throw ResourceLimit("fault injection: spill write of '" + path + "' failed");
@@ -278,14 +276,14 @@ void SessionStore::spill_entry(const SessionEntry& entry) {
     // Charge the exact snapshot size. encode_snapshot is deterministic for
     // a given resolve history (wall-clock zeroed, caches sorted), so the
     // spill-tier gauges replay byte-identically at any shard count.
-    const std::string bytes = encode_snapshot(state);
+    const std::string bytes = state.has_session() ? encode_snapshot(state) : record.fallback;
     write_file_atomic(path, bytes);
     record.bytes = bytes.size();
   } catch (const std::exception&) {
     // A failed spill write must not fail the eviction that triggered it:
     // the warm state is lost (the next request re-solves cold from the
-    // tree text above) but the instance stays servable. The record becomes
-    // a fileless tombstone.
+    // fallback) but the instance stays servable. The record becomes a
+    // fileless tombstone.
     ++spill_faults_;
     obs::count("treesat_spill_faults_total",
                "Spill writes/reloads that degraded to a cold re-solve");

@@ -33,10 +33,10 @@
 // Fault wall. The spill tier survives its own storage: a corrupt,
 // truncated, misowned or unreadable snapshot on reload is quarantined
 // (renamed to `<file>.bad` for post-mortem) and the entry is rebuilt
-// cold from the tree text every spill record retains, so one bad byte on
-// disk degrades a request to a cold re-solve instead of failing it. A
-// failed spill *write* leaves a fileless tombstone record with the same
-// retained tree text. Both paths count into `spill_faults`; none of them
+// cold from the tree-only snapshot every spill record retains, so one bad
+// byte on disk degrades a request to a cold re-solve instead of failing
+// it. A failed spill *write* leaves a fileless tombstone record with the
+// same retained snapshot. Both paths count into `spill_faults`; none of them
 // throw. A FaultPlan (storage/faults.hpp) injects exactly these failures
 // deterministically -- tests/service_fault_test.cpp drives every point
 // through this contract.
@@ -63,7 +63,7 @@ struct SessionEntry {
   std::string tenant;
   std::string instance;
   std::string plan_spec;  ///< canonical spec the session was built with
-  std::unique_ptr<CruTree> tree;            ///< pre-session storage
+  std::shared_ptr<const CruTree> tree;      ///< pre-session storage
   std::unique_ptr<ResolveSession> session;  ///< null until the first solve
   std::size_t bytes = 0;      ///< last byte estimate charged to the budget
   std::uint64_t stamp = 0;    ///< global LRU clock value of the last touch
@@ -89,11 +89,13 @@ struct SpillRecord {
   std::string instance;
   std::size_t bytes = 0;    ///< snapshot file size (0: fileless tombstone)
   std::uint64_t stamp = 0;  ///< stamp at spill time
-  /// v1 text of the tree at spill time -- the fault wall's cold-recovery
-  /// fallback when the snapshot file is lost or corrupt. Not charged to
-  /// either byte gauge (it is bookkeeping, not warm state). Empty for
-  /// records registered by checkpoint restore, whose fallback is a miss.
-  std::string tree_text;
+  /// Tree-only snapshot (storage/snapshot.hpp) of the owner and the tree
+  /// at spill time -- the fault wall's cold-recovery fallback when the
+  /// snapshot file is lost or corrupt, and what a checkpoint writes for a
+  /// tombstone. Not charged to either byte gauge (it is bookkeeping, not
+  /// warm state). Empty for records registered by checkpoint restore,
+  /// whose fallback is a miss.
+  std::string fallback;
 };
 
 /// What an explicit evict did with the entry.
@@ -119,8 +121,10 @@ enum class EvictFate : std::uint8_t {
 
 /// Inverse of session_entry_state(): rebuilds a SessionEntry (owner, tree
 /// or imported session, canonical plan key, byte estimate) from a decoded
-/// state. The caller assigns the LRU stamp.
+/// state, sharing its tree. The caller assigns the LRU stamp. The rvalue
+/// form moves the state's caches into the session; the other copies them.
 [[nodiscard]] SessionEntry session_entry_from_state(const SessionState& state);
+[[nodiscard]] SessionEntry session_entry_from_state(SessionState&& state);
 
 class SessionStore {
  public:

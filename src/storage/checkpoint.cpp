@@ -15,7 +15,7 @@ namespace treesat {
 namespace {
 
 constexpr std::string_view kMagic = "treesat_checkpoint";
-constexpr std::string_view kVersion = "v2";
+constexpr std::string_view kVersion = "v3";
 
 std::string manifest_path(const std::string& dir) { return dir + "/MANIFEST.tsc"; }
 
@@ -153,9 +153,9 @@ void write_checkpoint(const std::string& dir, const SessionStore& store,
 
   // The spill tier may hold fileless tombstones (failed spill writes) or
   // records whose file has since been lost (a vanished spill directory).
-  // Both are checkpointed as tree-only snapshots rebuilt from the retained
-  // tree text -- the restart serves those instances cold -- and a record
-  // with neither file nor tree text is dropped from the checkpoint rather
+  // Both are checkpointed as the tree-only snapshot each record retains,
+  // verbatim -- the restart serves those instances cold -- and a record
+  // with neither file nor fallback is dropped from the checkpoint rather
   // than failing it. Manifest rows carry the bytes actually written.
   struct SpilledDump {
     const SpillRecord* record;
@@ -170,13 +170,7 @@ void write_checkpoint(const std::string& dir, const SessionStore& store,
       } catch (const std::exception&) {
       }
     }
-    if (bytes.empty() && !record.tree_text.empty()) {
-      SessionState state;
-      state.tree_text = record.tree_text;
-      state.tenant = record.tenant;
-      state.instance = record.instance;
-      bytes = encode_snapshot(state);
-    }
+    if (bytes.empty()) bytes = record.fallback;
     if (bytes.empty()) continue;
     dumps.push_back({&record, std::move(bytes)});
   }
@@ -257,14 +251,14 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
         throw ResourceLimit("fault injection: restore read of '" + row.tenant + '/' +
                             row.instance + "' failed");
       }
-      const SessionState state = read_snapshot_file(
+      SessionState state = read_snapshot_file(
           dir + "/sessions/" + snapshot_file_name(row.tenant, row.instance));
       TS_REQUIRE(state.tenant == row.tenant && state.instance == row.instance,
                  "checkpoint: session file owner '" << state.tenant << '/' << state.instance
                                                     << "' does not match manifest row '"
                                                     << row.tenant << '/' << row.instance
                                                     << "'");
-      SessionEntry entry = session_entry_from_state(state);
+      SessionEntry entry = session_entry_from_state(std::move(state));
       TS_REQUIRE(entry.bytes == row.bytes,
                  "checkpoint: rebuilt entry '" << row.tenant << '/' << row.instance
                                                << "' estimates " << entry.bytes

@@ -2,10 +2,11 @@
 //
 // A checkpoint is a directory:
 //
-//   <dir>/MANIFEST.tsc     versioned manifest (same framed header as
-//                          storage/snapshot.hpp: magic, byte count,
-//                          FNV-1a 64 content hash; v2, the version that
-//                          records v2 snapshots' byte estimates)
+//   <dir>/MANIFEST.tsc     versioned manifest (same framed header and
+//                          word-wise FNV-1a 64 content hash as
+//                          storage/snapshot.hpp; v3, the version that
+//                          records v3 snapshots' byte sizes -- v1 and v2
+//                          manifests are rejected by their version line)
 //   <dir>/sessions/*.tss   one snapshot per memory-resident entry
 //   <dir>/spilled/*.tss    the spill tier's snapshot files, copied verbatim
 //

@@ -5,47 +5,63 @@
 // A snapshot file is a short self-describing header followed by an exact
 // byte-counted, content-hashed payload:
 //
-//   treesat_snapshot v2\n
+//   treesat_snapshot v3\n
 //   bytes <payload byte count>\n
-//   hash <16 lowercase hex digits of FNV-1a 64 over the payload>\n
+//   hash <16 lowercase hex digits of the payload's hash>\n
 //   <payload: exactly `bytes` bytes>
 //
-// The payload is line-based text: the owner, the tree (its v1 text), and
-// for a solved session the plan, the optimum's cut, the report, the stats
-// and the two frontier caches, then `end`. A cache section is
+// The hash is FNV-1a 64 over the payload read as little-endian 64-bit
+// words, the tail zero-padded into a last word and the byte length mixed
+// in after it (common/hash.hpp) -- one multiply per eight bytes.
 //
-//   colour_cache <entries>\n            region_cache <entries>\n
-//   entry <n> <n key words> <points>\n  entry <n> <n key words> <points>\n
-//   point <load> <host> <R indices>\n   point <load> <host> <k> <k cut deltas>\n
+// The payload is binary and little-endian: counts and lengths are u32,
+// strings are a u32 length then their bytes, costs and frontier points are
+// raw IEEE-754 doubles. Its sections, in order:
 //
-// A region point carries its cut: region-local canonical positions, first
-// absolute, then gaps. A colour point carries no cut, only the index it
-// took in each of its key's R regions' frontiers; the decoder requires
-// every point of an entry to carry the same R. Neither entry stamps nor the
-// session's attempt clock are persisted: a restored session marks every
-// entry as older than its next attempt.
+//   owner        tenant and instance strings
+//   node table   u32 node count, then per node in id order: u32 parent
+//                (0xFFFFFFFF for the root), u8 kind (0 compute, 1 sensor),
+//                u32 satellite (0xFFFFFFFF on compute nodes), f64 host_time,
+//                sat_time and comm_up, and the name
+//   plan spec    string; empty marks a tree-only state, which ends here
+//   cut          u32 count, then u32 node ids
+//   report       method and requested-method names, u8 exact, f64 objective
+//   dp_stats     u8 present, then eight u64 counters when present
+//   stats        resolve path name, seven u64 counters, u8 incumbent_used
+//   cold_reason  string
+//   colour cache u32 entries; each: u32 key words + u64 words, u32 points +
+//                f64 load[points] + f64 host[points], u32 width R +
+//                u32 region_index[points * R]
+//   region cache u32 entries; each: key words and points as above, then
+//                u32 cut_offsets[points + 1], u32 position count + u32
+//                cut_positions[count]
 //
-// Human-facing scalars (the objective, the embedded tree text) use the
-// shared shortest-round-trip double formatter (common/format.hpp);
-// frontier-point coordinates -- the bulk of a warm snapshot's bytes -- are
-// IEEE-754 bit patterns in hex, exact by construction and an order of
-// magnitude faster to reparse, which is what keeps restoring a snapshot
-// cheaper than re-solving it. Either way a decoded snapshot rebuilds the
-// session bit for bit -- the same round-trip contract the v1 tree format
-// (tree/serialize.hpp) relies on. Because export_state() zeroes wall-clock
-// fields and emits cache entries in sorted key order, snapshot bytes are a
-// pure function of the resolve history: snapshotting the same session
-// twice yields identical files, and the serving tier can treat snapshot
-// sizes as deterministic gauges.
+// A cache entry carries exactly FrontierEntry's arrays (core/pareto_dp.hpp):
+// a region entry its points' region-local cuts, a colour entry per point
+// the index it took in each of its key's R regions' frontiers. Content keys
+// travel verbatim: a rolled-back resolve leaves its insertions in the
+// cache, and the current tree cannot derive their keys. Neither entry
+// stamps nor the session's attempt clock are persisted: a restored session
+// marks every entry as older than its next attempt.
+//
+// Every value is written once as raw bytes and read back once with memcpy,
+// so a decoded snapshot rebuilds the session bit for bit, and the node
+// table builds the tree once, through CruTreeBuilder. Because
+// export_state() zeroes wall-clock fields and emits cache entries in sorted
+// key order, snapshot bytes are a pure function of the resolve history:
+// snapshotting the same session twice yields identical files, and the
+// serving tier can treat snapshot sizes as deterministic gauges.
 //
 // The parser is strict and loud: an empty file, foreign magic, unsupported
-// version, malformed header field, truncated or over-long payload, content
-// hash mismatch, or any structurally impossible payload (bad counts, cut
-// positions outside the encoded tree, unknown enum names, trailing bytes)
-// throws InvalidArgument with a distinct "snapshot:" message. IO failures
-// (unreadable/unwritable paths) throw ResourceLimit. Nothing is ever
-// half-decoded: decode either returns a fully validated SessionState or
-// throws.
+// version (v1 and v2 files are rejected by their version line), malformed
+// header field, truncated or over-long payload, content hash mismatch, or
+// any structurally impossible payload (a count past the bytes left, a node
+// table tree_from_text would refuse, a cut node outside the tree, unknown
+// method or path names, flags other than 0 or 1, trailing bytes) throws
+// InvalidArgument with a distinct "snapshot:" or "storage:" message. IO
+// failures (unreadable/unwritable paths) throw ResourceLimit. Nothing is
+// ever half-decoded: decode either returns a fully validated SessionState
+// or throws; import_state() then checks the plan and the caches.
 //
 // Writes are atomic: the file is staged at `<path>.tmp` and renamed over
 // the destination, so a crash mid-write can never leave a torn snapshot
@@ -59,11 +75,6 @@
 #include "core/incremental.hpp"
 
 namespace treesat {
-
-/// FNV-1a 64-bit over raw bytes -- the snapshot content hash. Offset basis
-/// and prime match the other FNV users in the tree (stable across
-/// platforms, unlike std::hash).
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
 
 /// Percent-encodes `raw` so the result only contains [A-Za-z0-9_.-%]:
 /// every other byte becomes %XX (uppercase hex), '%' itself is always
@@ -83,7 +94,7 @@ namespace treesat {
                                              const std::string& instance);
 
 /// Frames `payload` with the versioned header shown above: `<magic>
-/// <version>\n bytes <N>\n hash <fnv1a64>\n` + payload. Shared by session
+/// <version>\n bytes <N>\n hash <fnv1a_bytes>\n` + payload. Shared by session
 /// snapshots and checkpoint manifests (storage/checkpoint.hpp).
 [[nodiscard]] std::string frame_payload(std::string_view magic, std::string_view version,
                                         std::string_view payload);
@@ -113,8 +124,8 @@ void write_file_atomic(const std::string& path, std::string_view bytes);
 void write_snapshot_file(const std::string& path, const SessionState& state);
 
 /// Reads and decode_snapshot()s `path`. Throws ResourceLimit when the file
-/// cannot be opened, InvalidArgument when its contents are not a valid v2
-/// snapshot (a v1 file is rejected by its version line).
+/// cannot be opened, InvalidArgument when its contents are not a valid v3
+/// snapshot (v1 and v2 files are rejected by their version line).
 [[nodiscard]] SessionState read_snapshot_file(const std::string& path);
 
 }  // namespace treesat

@@ -198,7 +198,7 @@ void corrupt_spill_scenario(const std::string& tag, void (*damage)(const std::st
   const std::string reloaded = service.handle_line(solve_line("t0", "w0"));
   EXPECT_CONTAINS(reloaded, "\"ok\":true");
   // A cache miss, not a warm reload: the session is rebuilt from the
-  // retained tree text, so the solve reports the initial path...
+  // retained tree-only snapshot, so the solve reports the initial path...
   EXPECT_CONTAINS(reloaded, "\"path\":\"initial\"");
   // ...and lands on the same optimum (the solver is exact either way).
   EXPECT_EQ(objective_of(reloaded), objective);
@@ -394,7 +394,7 @@ TEST(ServiceFaults, DamagedManifestIsStillFatalToTheRestoreRequest) {
   const std::string manifest = ckpt + "/MANIFEST.tsc";
   const std::string intact = read_file_bytes(manifest);
   const std::string payload(
-      unframe_payload("treesat_checkpoint", "v2", intact, "checkpoint"));
+      unframe_payload("treesat_checkpoint", "v3", intact, "checkpoint"));
   const std::size_t rows = payload.find("resident ");
   ASSERT_NE(rows, std::string::npos);
   std::string huge = payload;  // hash-valid, declaring 10^13 resident rows
@@ -411,7 +411,7 @@ TEST(ServiceFaults, DamagedManifestIsStillFatalToTheRestoreRequest) {
   };
   truncate_file(manifest);
   restore_fails();
-  write_file_atomic(manifest, frame_payload("treesat_checkpoint", "v2", huge));
+  write_file_atomic(manifest, frame_payload("treesat_checkpoint", "v3", huge));
   restore_fails();
 }
 

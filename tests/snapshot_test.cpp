@@ -8,10 +8,11 @@
 //     bytes (the property the spill tier's deterministic gauges rest on);
 //   * the corruption wall -- truncation at every header byte, flipped
 //     content hash, foreign magic, unsupported version, trailing garbage
-//     and hash-valid-but-structurally-broken payloads are all rejected
-//     with a descriptive InvalidArgument, never a crash or a half-decoded
-//     state (this suite rides in ci.sh's TSan stage with the service
-//     suites);
+//     and hash-valid-but-structurally-broken payloads (counts past the
+//     bytes left, node tables tree_from_text would refuse, inconsistent
+//     cache entries) are all rejected with a descriptive InvalidArgument,
+//     never a crash or a half-decoded state (this suite rides in ci.sh's
+//     TSan and UBSan stages with the service suites);
 //   * the token codec and file IO edges (atomic write, missing paths).
 #include <gtest/gtest.h>
 
@@ -23,16 +24,21 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "core/incremental.hpp"
 #include "io/json.hpp"
 #include "service/service.hpp"
 #include "storage/checkpoint.hpp"
 #include "storage/snapshot.hpp"
 #include "tree/serialize.hpp"
+#include "snapshot_layout.hpp"
 #include "workload/scenarios.hpp"
 
 namespace treesat {
 namespace {
+
+using test_support::snapshot_layout;
+using test_support::with_u32;
 
 /// The two sessions must be indistinguishable: same optimum bit for bit,
 /// same cache charge, same step counters.
@@ -56,6 +62,26 @@ void expect_sessions_identical(const ResolveSession& a, const ResolveSession& b)
   EXPECT_EQ(sa.colours_reused, sb.colours_reused);
   EXPECT_EQ(sa.cache_entries, sb.cache_entries);
   EXPECT_EQ(sa.cold_reason, sb.cold_reason);
+}
+
+/// `read` must throw InvalidArgument whose message contains `expected`.
+template <typename Read>
+void expect_rejected(Read&& read, const std::string& expected) {
+  try {
+    read();
+    ADD_FAILURE() << "accepted; expected a rejection containing '" << expected << "'";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
+  }
+}
+
+/// decode_snapshot must reject a hash-valid v3 payload.
+void expect_decode_rejected(const std::string& payload, const std::string& expected) {
+  expect_rejected(
+      [&] {
+        static_cast<void>(decode_snapshot(frame_payload("treesat_snapshot", "v3", payload)));
+      },
+      expected);
 }
 
 /// A deterministic drift script that works on any scenario tree (every
@@ -130,10 +156,10 @@ TEST(SnapshotRoundTrip, SnapshotBytesAreDeterministic) {
 TEST(SnapshotRoundTrip, DriftedSnapshotBytesArePinned) {
   // The other round-trip tests compare the encoder with itself, so a change
   // to how any field is written (tree costs, the objective, hex key words
-  // and point coordinates, cut deltas, colour region indices, counts,
-  // escaped owner tokens) would pass them. This pins one drifted session's
-  // exact bytes by length and content hash: the snapshot format is a file
-  // format, and its bytes only move with a version bump (recorded for v2).
+  // and point coordinates, cut positions, colour region indices, counts,
+  // owner strings) would pass them. This pins one drifted session's exact
+  // bytes by length and content hash: the snapshot format is a file
+  // format, and its bytes only move with a version bump (recorded for v3).
   const Scenario scenario = epilepsy_scenario();
   ResolveSession session{scenario.workload.lower(scenario.platform)};
   for (const Perturbation& p : drift_script()) static_cast<void>(session.resolve(p));
@@ -141,23 +167,38 @@ TEST(SnapshotRoundTrip, DriftedSnapshotBytesArePinned) {
   state.tenant = "tenant a";
   state.instance = "w/0";
   const std::string bytes = encode_snapshot(state);
-  EXPECT_EQ(bytes.size(), 2661u);
-  EXPECT_EQ(fnv1a64(bytes), 0xb15b27df240782f0ULL);
+  EXPECT_EQ(bytes.size(), 2198u);
+  EXPECT_EQ(fnv1a_bytes(bytes), 0x6f5d1e8e938c42e3ULL);
 }
 
 TEST(SnapshotRoundTrip, TreeOnlyStateRoundTrips) {
   // A submitted-but-never-solved instance spills as a tree-only snapshot.
   SessionState state;
-  state.tree_text = to_text(paper_running_example());
-  state.tenant = "tenant a";  // space: exercises the token codec in-band
+  state.tree = std::make_shared<const CruTree>(paper_running_example());
+  state.tenant = "tenant a";  // owner strings travel as raw bytes
   state.instance = "w/0";
   const SessionState back = decode_snapshot(encode_snapshot(state));
   EXPECT_FALSE(back.has_session());
-  EXPECT_EQ(back.tree_text, state.tree_text);
+  ASSERT_NE(back.tree, nullptr);
+  EXPECT_EQ(to_text(*back.tree), to_text(*state.tree));
   EXPECT_EQ(back.tenant, state.tenant);
   EXPECT_EQ(back.instance, state.instance);
   EXPECT_TRUE(back.cut.empty());
   EXPECT_TRUE(back.colour_cache.empty() && back.region_cache.empty());
+}
+
+TEST(SnapshotRoundTrip, TheTreeIsSharedNotCopied) {
+  // Export hands the session's own immutable tree to the state and import
+  // adopts the state's tree: neither side copies or re-parses it.
+  ResolveSession session{paper_running_example()};
+  const SessionState state = session.export_state();
+  EXPECT_EQ(state.tree.get(), &session.tree());
+  const ResolveSession restored = ResolveSession::import_state(state);
+  EXPECT_EQ(&restored.tree(), state.tree.get());
+  SessionState treeless = state;
+  treeless.tree = nullptr;
+  expect_rejected(
+      [&] { static_cast<void>(ResolveSession::import_state(treeless)); }, "carries no tree");
 }
 
 TEST(SnapshotTokens, CodecIsInjectiveAndStrict) {
@@ -222,7 +263,7 @@ TEST(SnapshotCorruption, HashVersionAndMagicAreVerified) {
   // Unsupported version.
   {
     std::string bad = bytes;
-    bad.replace(bad.find(" v2\n"), 4, " v9\n");
+    bad.replace(bad.find(" v3\n"), 4, " v9\n");
     try {
       static_cast<void>(decode_snapshot(bad));
       FAIL() << "foreign version decoded";
@@ -258,25 +299,22 @@ TEST(SnapshotCorruption, HashValidButBrokenPayloadsAreRejected) {
                      decode_snapshot(encode_snapshot(bad)))),
                  InvalidArgument);
   }
-  // Raw payload tampering, re-framed with a *correct* hash: the line-level
-  // parser rejects it.
+  // Raw payload tampering, re-framed with a *correct* hash: the payload
+  // decoder rejects it.
   const std::string bytes = encode_snapshot(good);
-  const std::string_view payload =
-      unframe_payload("treesat_snapshot", "v2", bytes, "snapshot");
+  const std::string payload(unframe_payload("treesat_snapshot", "v3", bytes, "snapshot"));
   {
-    std::string broken(payload);
-    broken.replace(broken.find("stats "), 6, "stats x");
-    EXPECT_THROW(static_cast<void>(decode_snapshot(
-                     frame_payload("treesat_snapshot", "v2", broken))),
-                 InvalidArgument);
+    // The stats section's resolve path name gains a stray 'x' ("xinitial").
+    const std::size_t at = snapshot_layout(payload).section("stats");
+    std::uint32_t length = 0;
+    std::memcpy(&length, payload.data() + at, 4);
+    std::string broken = with_u32(payload, at, length + 1);
+    broken.insert(at + 4, "x");
+    expect_decode_rejected(broken, "unknown resolve path 'xinitial'");
   }
-  {
-    std::string broken(payload);  // missing end sentinel
-    broken.resize(broken.rfind("end\n"));
-    EXPECT_THROW(static_cast<void>(decode_snapshot(
-                     frame_payload("treesat_snapshot", "v2", broken))),
-                 InvalidArgument);
-  }
+  // The payload without its last section.
+  expect_decode_rejected(payload.substr(0, snapshot_layout(payload).section("region_cache")),
+                         "truncated payload reading cache entry count");
 }
 
 TEST(SnapshotCorruption, CachedFrontiersMustBeFiniteAndLoadSorted) {
@@ -323,43 +361,24 @@ TEST(SnapshotCorruption, DeclaredCountsAreBoundedByThePayload) {
   // Counts size the decoder's storage, so a count the rest of the payload
   // cannot hold is rejected before it reaches an allocation -- not
   // answered with bad_alloc, length_error or a sanitizer abort.
+  // Counts are u32, so the largest a hostile file can declare is
+  // 0xFFFFFFFF.
   ResolveSession session{paper_running_example()};
   const std::string bytes = encode_snapshot(session.export_state());
-  const std::string payload(unframe_payload("treesat_snapshot", "v2", bytes, "snapshot"));
-  const auto rejected = [](const std::string& broken) {
-    EXPECT_THROW(static_cast<void>(decode_snapshot(
-                     frame_payload("treesat_snapshot", "v2", broken))),
-                 InvalidArgument);
+  const std::string payload(unframe_payload("treesat_snapshot", "v3", bytes, "snapshot"));
+  const auto layout = snapshot_layout(payload);
+  const auto rejected = [&](const char* count, const std::string& expected) {
+    SCOPED_TRACE(count);
+    expect_decode_rejected(with_u32(payload, layout.count(count), 0xFFFFFFFFu), expected);
   };
-  {
-    std::string broken = payload;  // 10^13 colour-cache entries
-    const std::size_t at = broken.find("colour_cache ");
-    ASSERT_NE(at, std::string::npos);
-    const std::size_t end = broken.find('\n', at);
-    broken.replace(at, end - at, "colour_cache 10000000000000");
-    rejected(broken);
-  }
-  {
-    std::string broken = payload;  // 4e18 points in the first cache entry
-    const std::size_t at = broken.find("\nentry ", broken.find("colour_cache "));
-    ASSERT_NE(at, std::string::npos);
-    const std::size_t end = broken.find('\n', at + 1);
-    const std::size_t last = broken.rfind(' ', end);
-    broken.replace(last + 1, end - last - 1, "4000000000000000000");
-    rejected(broken);
-  }
-  {
-    std::string broken = payload;  // key word count past the end of its line
-    const std::size_t at = broken.find("\nentry ", broken.find("colour_cache "));
-    const std::size_t words_end = broken.find(' ', at + 7);
-    broken.replace(at + 7, words_end - at - 7, "99999999999");
-    rejected(broken);
-  }
+  rejected("colour_entries", "cache entry count 4294967295 exceeds");
+  rejected("colour_points", "point loads 4294967295 exceeds");  // the first cache entry's
+  rejected("colour_words", "key words 4294967295 exceeds");     // past the end of the payload
 }
 
 /// A drifted session's state. The running example's colour B has two
 /// regions, so its caches hold a colour entry with two indices per point
-/// and every v2 entry-form row below has something to damage.
+/// and every entry-form row below has something to damage.
 SessionState drifted_state() {
   ResolveSession session{paper_running_example()};
   for (const Perturbation& p : drift_script()) static_cast<void>(session.resolve(p));
@@ -383,17 +402,6 @@ std::size_t multi_region_colour(const SessionState& state) {
   return 0;
 }
 
-/// `read` must throw InvalidArgument whose message contains `expected`.
-template <typename Read>
-void expect_rejected(Read&& read, const std::string& expected) {
-  try {
-    read();
-    ADD_FAILURE() << "accepted; expected a rejection containing '" << expected << "'";
-  } catch (const InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
-  }
-}
-
 /// import_state must reject `bad` -- after an encode/decode round trip
 /// when `through_codec`, straight from the struct otherwise (states whose
 /// damage the encoder itself refuses to write).
@@ -407,17 +415,8 @@ void expect_import_rejected(const SessionState& bad, const std::string& expected
       expected);
 }
 
-/// decode_snapshot must reject a hash-valid v2 payload.
-void expect_decode_rejected(const std::string& payload, const std::string& expected) {
-  expect_rejected(
-      [&] {
-        static_cast<void>(decode_snapshot(frame_payload("treesat_snapshot", "v2", payload)));
-      },
-      expected);
-}
-
-TEST(SnapshotCorruption, V2EntryFormIsValidated) {
-  // The v2 entry form is rebuilt into cuts by indexing: a colour point's
+TEST(SnapshotCorruption, EntryFormIsValidated) {
+  // The entry form is rebuilt into cuts by indexing: a colour point's
   // region indices select region points, a region point's CSR offsets
   // select cut positions, and those positions select node ids. Every index
   // is bounded at import, so a hash-valid but inconsistent snapshot is a
@@ -468,15 +467,11 @@ TEST(SnapshotCorruption, V2EntryFormIsValidated) {
     expect_import_rejected(bad, "index rows", /*through_codec=*/false);
   }
   {
-    // One colour point line of different length from its entry's others:
-    // the decoder rejects it before import ever splits the rows.
+    // A colour entry declaring zero indices per point.
     const std::string bytes = encode_snapshot(good);
-    std::string broken(unframe_payload("treesat_snapshot", "v2", bytes, "snapshot"));
-    const std::size_t entry = broken.find("\nentry ", broken.find("colour_cache "));
-    const std::size_t second_point = broken.find("\npoint ", broken.find("\npoint ", entry) + 1);
-    ASSERT_NE(second_point, std::string::npos);
-    broken.insert(broken.find('\n', second_point + 1), " 0");
-    expect_decode_rejected(broken, "its entry's first");
+    const std::string payload(unframe_payload("treesat_snapshot", "v3", bytes, "snapshot"));
+    expect_decode_rejected(with_u32(payload, snapshot_layout(payload).count("colour_width"), 0),
+                           "colour entry without region indices");
   }
   std::size_t region = 0;  // a region entry with at least two points
   while (good.region_cache[region].frontier.size() < 2) ++region;
@@ -492,16 +487,28 @@ TEST(SnapshotCorruption, V2EntryFormIsValidated) {
     expect_import_rejected(bad, "do not span", /*through_codec=*/false);
   }
   {
-    // A cut position past 32 bits in the payload: the decoder rejects it
-    // rather than truncating it onto a real position.
+    // A region entry's cut position count past the end of the payload.
     const std::string bytes = encode_snapshot(good);
-    std::string broken(unframe_payload("treesat_snapshot", "v2", bytes, "snapshot"));
-    const std::size_t point = broken.find("\npoint ", broken.find("region_cache "));
-    ASSERT_NE(point, std::string::npos);
-    const std::size_t line_end = broken.find('\n', point + 1);
-    const std::size_t last = broken.rfind(' ', line_end);
-    broken.replace(last + 1, line_end - last - 1, "4294967296");
-    expect_decode_rejected(broken, "overflows 32 bits");
+    const std::string payload(unframe_payload("treesat_snapshot", "v3", bytes, "snapshot"));
+    expect_decode_rejected(
+        with_u32(payload, snapshot_layout(payload).count("region_positions"), 0xFFFFFFFFu),
+        "cut positions 4294967295 exceeds");
+  }
+  {
+    SessionState bad = good;  // one point's cut positions out of order
+    bool swapped = false;
+    for (SessionState::CacheEntry& e : bad.region_cache) {
+      FrontierEntry& f = e.frontier;
+      for (std::size_t i = 0; i < f.size() && !swapped; ++i) {
+        if (f.cut_offsets[i + 1] - f.cut_offsets[i] >= 2) {
+          std::swap(f.cut_positions[f.cut_offsets[i]], f.cut_positions[f.cut_offsets[i] + 1]);
+          swapped = true;
+        }
+      }
+      if (swapped) break;
+    }
+    ASSERT_TRUE(swapped) << "no cached cut of two or more positions";
+    expect_import_rejected(bad, "not strictly increasing", /*through_codec=*/true);
   }
   {
     SessionState bad = good;  // a cut position outside its key
@@ -511,19 +518,16 @@ TEST(SnapshotCorruption, V2EntryFormIsValidated) {
   }
 }
 
-TEST(SnapshotCorruption, VersionOneFilesAreRejectedByTheirVersion) {
+TEST(SnapshotCorruption, OlderVersionsAreRejectedByTheirVersion) {
   // v1 snapshots carried per-entry stamps, an attempt line and a cut per
-  // cached colour point; v1 manifests recorded those snapshots' byte sizes.
-  // Neither is read: both fail on their version line, saying so.
-  const std::string version = "unsupported version 'v1'";
+  // cached colour point, and v2 snapshots were text; v1 and v2 manifests
+  // recorded those snapshots' byte sizes. None is read: each fails on its
+  // version line, saying so.
   ResolveSession session{paper_running_example()};
   const std::string bytes = encode_snapshot(session.export_state());
-  const std::string payload(unframe_payload("treesat_snapshot", "v2", bytes, "snapshot"));
-  expect_rejected(
-      [&] { static_cast<void>(decode_snapshot(frame_payload("treesat_snapshot", "v1", payload))); },
-      version);
+  const std::string payload(unframe_payload("treesat_snapshot", "v3", bytes, "snapshot"));
 
-  const std::string dir = ::testing::TempDir() + "/snapshot_test_v1_manifest";
+  const std::string dir = ::testing::TempDir() + "/snapshot_test_old_manifest";
   std::filesystem::remove_all(dir);
   {
     SolverService service;
@@ -537,12 +541,65 @@ TEST(SnapshotCorruption, VersionOneFilesAreRejectedByTheirVersion) {
   }
   const std::string manifest = dir + "/MANIFEST.tsc";
   const std::string current = read_file_bytes(manifest);
-  static_cast<void>(read_checkpoint(dir, 1, 0, "", 0));  // the v2 manifest restores
-  write_file_atomic(manifest,
-                    frame_payload("treesat_checkpoint", "v1",
-                                  unframe_payload("treesat_checkpoint", "v2", current,
-                                                  "checkpoint")));
-  expect_rejected([&] { static_cast<void>(read_checkpoint(dir, 1, 0, "", 0)); }, version);
+  static_cast<void>(read_checkpoint(dir, 1, 0, "", 0));  // the v3 manifest restores
+  const std::string manifest_payload(
+      unframe_payload("treesat_checkpoint", "v3", current, "checkpoint"));
+  for (const char* old : {"v1", "v2"}) {
+    SCOPED_TRACE(old);
+    const std::string version = std::string("unsupported version '") + old + "'";
+    expect_rejected(
+        [&] {
+          static_cast<void>(decode_snapshot(frame_payload("treesat_snapshot", old, payload)));
+        },
+        version);
+    write_file_atomic(manifest, frame_payload("treesat_checkpoint", old, manifest_payload));
+    expect_rejected([&] { static_cast<void>(read_checkpoint(dir, 1, 0, "", 0)); }, version);
+  }
+}
+
+TEST(SnapshotCorruption, NodeTableIsCheckedLikeTreeText) {
+  // The node table builds the tree through CruTreeBuilder with every check
+  // tree_from_text applies, so a hash-valid table that tree text could not
+  // express is a typed rejection, never a malformed CruTree.
+  ResolveSession session{paper_running_example()};
+  SessionState state = session.export_state();
+  state.tenant = "t";
+  const std::string bytes = encode_snapshot(state);
+  const std::string payload(unframe_payload("treesat_snapshot", "v3", bytes, "snapshot"));
+  const auto layout = snapshot_layout(payload);
+  // Node 12 is sensorB1 and node 13 (CRU11) its compute sibling.
+  ASSERT_EQ(state.tree->node(CruId{std::size_t{12}}).name, "sensorB1");
+  const auto field = [&](std::size_t node, std::size_t offset) {
+    return layout.node_rows[node] + offset;
+  };
+  const auto damaged = [&](std::size_t at, auto value) {
+    std::string broken = payload;
+    std::memcpy(broken.data() + at, &value, sizeof(value));
+    return broken;
+  };
+  using namespace test_support;
+  expect_decode_rejected(damaged(field(1, kRowKind), std::uint8_t{2}), "has kind byte 2");
+  expect_decode_rejected(damaged(field(0, kRowParent), std::uint32_t{0}),
+                         "node 0 must be the compute root");
+  expect_decode_rejected(damaged(field(13, kRowParent), std::uint32_t{13}),
+                         "parent 13 does not precede node 13");
+  expect_decode_rejected(damaged(field(13, kRowParent), std::uint32_t{12}),
+                         "sensors cannot have children");
+  expect_decode_rejected(damaged(field(1, kRowSatellite), std::uint32_t{0}),
+                         "compute node 1 has a satellite");
+  expect_decode_rejected(damaged(field(12, kRowSatellite), std::uint32_t{0xFFFFFFFFu}),
+                         "names satellite 4294967295");
+  expect_decode_rejected(damaged(field(12, kRowSatellite), std::uint32_t{1} << 24),
+                         "ids stay below 1048576");
+  expect_decode_rejected(damaged(field(1, kRowHost), -1.0), "want a finite non-negative");
+  expect_decode_rejected(damaged(field(1, kRowHost + 8),
+                                 std::numeric_limits<double>::quiet_NaN()),
+                         "want a finite non-negative");
+  expect_decode_rejected(damaged(field(1, kRowName + 4), ' '), "unserializable name");
+  expect_decode_rejected(with_u32(payload, layout.count("nodes"), 0), "empty node table");
+  // A compute leaf: CRU12 (node 18) loses its only child sensorG (node 19)
+  // to CRU11.
+  expect_decode_rejected(damaged(field(19, kRowParent), std::uint32_t{13}), "is a leaf");
 }
 
 TEST(SnapshotFiles, AtomicWriteAndStrictRead) {

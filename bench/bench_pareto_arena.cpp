@@ -15,7 +15,11 @@
 //      right, the chain that dominates a solve) with byte-identical folded
 //      frontiers (gate enforced in full mode; smoke sizes only report the
 //      ratio, which ci.sh gates against the committed smoke baseline via
-//      bench_diff).
+//      bench_diff). The oracle always runs one heap stream per point of its
+//      left operand -- the growing accumulator of these folds -- while the
+//      kernel streams the shorter side, usually a handful of region points,
+//      so the ratio now mostly measures that choice of orientation rather
+//      than the SIMD skip-ahead.
 //
 // --json <path> mirrors every number into BENCH_pareto_arena.json (the
 // first point of the repo's perf trajectory; bench/baselines/ holds the

@@ -38,42 +38,44 @@ SweepPick sweep_colour_frontiers(const std::vector<FrontierView>& per_colour,
     out.max_colour_frontier = std::max(out.max_colour_frontier, f.count);
   }
 
-  // Sweep candidate bottleneck values: all per-colour loads, ascending. Every
-  // colour starts at its smallest-load point (always feasible: frontiers are
-  // never empty) and advances to cheaper-host points as L grows.
-  std::vector<double> candidates;
-  for (const FrontierView& f : per_colour) {
-    candidates.insert(candidates.end(), f.load, f.load + f.count);
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
-  if (candidates.empty()) candidates.push_back(0.0);  // no satellites at all
-
+  // Sweep candidate bottleneck values L: every distinct per-colour load,
+  // ascending, taken by a k-way merge of the load-sorted frontiers (one
+  // candidate, L = +inf, when there are no colours at all). pick[c] is
+  // colour c's merge cursor: at L it has passed every point with load <= L,
+  // so point pick[c] - 1 is the cheapest host that fits, and pick[c] == 0
+  // means colour c cannot fit under L yet.
   std::vector<std::size_t> pick(colours, 0);
+  std::size_t fitting = 0;  // colours with pick[c] > 0
   double best_value = kInf;
   std::vector<std::size_t> best_pick;
-
-  for (const double L : candidates) {
-    bool feasible = true;
+  bool more = true;
+  while (more) {
+    double L = kInf;
+    for (std::size_t c = 0; c < colours; ++c) {
+      if (pick[c] < per_colour[c].count) L = std::min(L, per_colour[c].load[pick[c]]);
+    }
+    more = false;
+    for (std::size_t c = 0; c < colours; ++c) {
+      const FrontierView& f = per_colour[c];
+      if (pick[c] == 0 && f.load[0] <= L) ++fitting;
+      while (pick[c] < f.count && f.load[pick[c]] <= L) ++pick[c];
+      more = more || pick[c] < f.count;
+    }
+    ++out.candidates_swept;
+    if (fitting < colours) continue;
+    // Summed fresh per candidate, in colour order, so the value's bits do
+    // not depend on the order the cursors moved in.
     double host_sum = 0.0;
     double achieved = 0.0;
     for (std::size_t c = 0; c < colours; ++c) {
-      const FrontierView& f = per_colour[c];
-      // Advance to the largest load <= L (minimal host among load <= L).
-      while (pick[c] + 1 < f.count && f.load[pick[c] + 1] <= L) ++pick[c];
-      if (f.load[pick[c]] > L) {
-        feasible = false;  // this colour cannot fit under L yet
-        break;
-      }
-      host_sum += f.host[pick[c]];
-      achieved = std::max(achieved, f.load[pick[c]]);
+      host_sum += per_colour[c].host[pick[c] - 1];
+      achieved = std::max(achieved, per_colour[c].load[pick[c] - 1]);
     }
-    ++out.candidates_swept;
-    if (!feasible) continue;
     const double value = objective.value(base_host + host_sum, achieved);
     if (value < best_value) {
       best_value = value;
-      best_pick = pick;
+      best_pick.resize(colours);
+      for (std::size_t c = 0; c < colours; ++c) best_pick[c] = pick[c] - 1;
     }
   }
   TS_CHECK(best_value < kInf, "pareto_dp: sweep found no feasible bottleneck (impossible)");

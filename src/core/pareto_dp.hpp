@@ -32,9 +32,16 @@
 //     reconstructed once, at the end, for the chosen points only.
 //   * ⊕ is a merge, not a product-then-sort: both inputs are sorted by
 //     load with strictly decreasing host, so the product is a k-way merge
-//     over |a| sorted streams, dominance-pruned on the fly with a SIMD
-//     skip-ahead. Dominated points are skipped without ever being
-//     materialized.
+//     with one sorted stream per point of the shorter input, each walking
+//     the longer one, dominance-pruned on the fly with a SIMD skip-ahead.
+//     Dominated points are skipped without ever being materialized. The
+//     folds put the growing accumulator on the left and a one-to-three
+//     point child or region on the right, so a merge runs a handful of
+//     streams; ties break on the caller's (load, host, i, j) and one point
+//     per distinct load survives, so the output does not depend on which
+//     side streams.
+//   * The sweep takes its candidate bottleneck values by merging the
+//     colours' load-sorted frontiers -- one cursor per colour, no sort.
 //   * The bottom-up pass is an explicit iterative post-order traversal, so
 //     chain-shaped trees tens of thousands of nodes deep cannot overflow
 //     the stack (workload/generator.hpp's chain_tree is the regression

@@ -35,45 +35,28 @@ struct MergeCounters {
   std::size_t kept = 0;
 };
 
-/// The Minkowski product of two pruned frontiers (loads ascending, hosts
-/// strictly descending): a k-way merge over |a| streams -- stream i emits
-/// a_i + b_j for ascending j, itself load-ascending because b is sorted --
-/// with dominance pruning on the fly. best_host only ever decreases, so a
-/// candidate whose host is already >= best_host can be skipped without
-/// materializing it, and because each stream's hosts strictly decrease,
-/// whole stream prefixes are skipped at advance time. Emits kept points
-/// through `keep(i, j, load, host)` in sorted order; ties are broken by
-/// (host, i, j), so results are deterministic. Three mechanical choices
-/// keep it fast, none visible in its output:
-///
-///   * SIMD skip-ahead: the per-element `ahost[i] + bhost[j] >= best` test
-///     is one simd::dominated_prefix call over the contiguous bhost block
-///     (same floating-point expression, counted in bulk), so the ~80% of
-///     product points that die dominated cost a vector compare each.
-///   * Lazy stream activation: stream seeds are (aload[i]+bload[0],
-///     ahost[i]+bhost[0]) with aload ascending, so seed i cannot pop before
-///     the head's load reaches it; streams enter the heap only once the
-///     head's load catches up to their seed (ties included, hence <=). At
-///     any pop every unactivated seed has strictly larger load than the
-///     head, so the head is the true global minimum.
-///   * Replace-top: popping an entry and pushing its successor is one write
-///     to the root plus a single sift-down.
-///
-/// Requires aload non-decreasing: every frontier producer in the engine
-/// emits load-ascending frontiers, and cached frontiers are validated where
-/// they enter from outside (ResolveSession::import_state). Throws
-/// ResourceLimit once more than max_frontier points are kept.
-template <typename Keep>
-void merge_product(const double* aload, const double* ahost, std::size_t na,
+namespace detail {
+
+/// merge_product's body, with its heap over a's points (kStreamB false) or
+/// over b's (kStreamB true). Entries carry the caller's (i, j) and sums are
+/// written a + b in either orientation, so nothing it emits or counts
+/// depends on kStreamB.
+template <bool kStreamB, typename Keep>
+void merge_streams(const double* aload, const double* ahost, std::size_t na,
                    const double* bload, const double* bhost, std::size_t nb,
-                   std::size_t max_frontier, MergeCounters& counters, Keep&& keep) {
-  ++counters.merges;
-  if (na == 0 || nb == 0) return;  // the empty product
+                   std::size_t max_frontier, MergeCounters& counters, Keep& keep) {
+  // s: the streamed operand, one heap stream per point; w: the walked one.
+  const double* const sload = kStreamB ? bload : aload;
+  const double* const shost = kStreamB ? bhost : ahost;
+  const std::size_t ns = kStreamB ? nb : na;
+  const double* const wload = kStreamB ? aload : bload;
+  const double* const whost = kStreamB ? ahost : bhost;
+  const std::size_t nw = kStreamB ? na : nb;
   struct Entry {
     double load;
     double host;
-    std::uint32_t i;
-    std::uint32_t j;
+    std::uint32_t i;  ///< index into a
+    std::uint32_t j;  ///< index into b
   };
   const auto earlier = [](const Entry& x, const Entry& y) {
     if (x.load != y.load) return x.load < y.load;
@@ -81,13 +64,22 @@ void merge_product(const double* aload, const double* ahost, std::size_t na,
     if (x.i != y.i) return x.i < y.i;
     return x.j < y.j;
   };
+  // Point w of stream s.
+  const auto point = [&](std::uint32_t s, std::uint32_t w) {
+    const std::uint32_t i = kStreamB ? w : s;
+    const std::uint32_t j = kStreamB ? s : w;
+    return Entry{aload[i] + bload[j], ahost[i] + bhost[j], i, j};
+  };
   // Min-heap on `earlier`, root at index 0, maintained by hand so the
-  // common advance is a replace-top.
-  std::vector<Entry> heap;
-  heap.reserve(std::min<std::size_t>(na, 64));
+  // common advance is a replace-top. It holds at most one entry per
+  // stream, and the usual one to three streams fit on the stack.
+  constexpr std::size_t kInlineStreams = 8;
+  Entry inline_heap[kInlineStreams]{};
+  std::vector<Entry> spilled(ns > kInlineStreams ? ns : 0);
+  Entry* const heap = ns > kInlineStreams ? spilled.data() : inline_heap;
+  std::size_t count = 0;
   const auto sift_down = [&](std::size_t at) {
     const Entry e = heap[at];
-    const std::size_t count = heap.size();
     while (true) {
       std::size_t kid = 2 * at + 1;
       if (kid >= count) break;
@@ -99,8 +91,7 @@ void merge_product(const double* aload, const double* ahost, std::size_t na,
     heap[at] = e;
   };
   const auto push_entry = [&](const Entry& e) {
-    std::size_t at = heap.size();
-    heap.push_back(e);
+    std::size_t at = count++;
     while (at > 0) {
       const std::size_t parent = (at - 1) / 2;
       if (!earlier(e, heap[parent])) break;
@@ -111,45 +102,121 @@ void merge_product(const double* aload, const double* ahost, std::size_t na,
   };
   std::uint32_t next_stream = 0;
   const auto activate = [&] {
-    push_entry({aload[next_stream] + bload[0], ahost[next_stream] + bhost[0], next_stream, 0});
+    push_entry(point(next_stream, 0));
     ++next_stream;
   };
 
   activate();
-  double best_host = std::numeric_limits<double>::infinity();
+  double best_host = std::numeric_limits<double>::infinity();  // last kept point's
+  // The popped load's (host, i, j)-least point below best_host, held back
+  // until a larger load pops.
+  Entry group{};
+  bool held = false;
   std::size_t kept = 0;
+  const auto emit_group = [&] {
+    best_host = group.host;
+    if (++kept > max_frontier) {
+      throw ResourceLimit("pareto_dp: frontier exceeds max_frontier (" +
+                          std::to_string(kept) + " points)");
+    }
+    ++counters.kept;
+    keep(group.i, group.j, group.load, group.host);
+    held = false;
+  };
   while (true) {
-    if (heap.empty()) {
-      if (next_stream >= na) break;
+    if (count == 0) {
+      if (next_stream >= ns) break;
       activate();  // every stream still pops at least its seed
     }
-    while (next_stream < na && aload[next_stream] + bload[0] <= heap[0].load) activate();
+    while (next_stream < ns && sload[next_stream] + wload[0] <= heap[0].load) activate();
     const Entry e = heap[0];
     ++counters.generated;
-    if (e.host < best_host) {
-      best_host = e.host;
-      if (++kept > max_frontier) {
-        throw ResourceLimit("pareto_dp: frontier exceeds max_frontier (" +
-                            std::to_string(kept) + " points)");
-      }
-      ++counters.kept;
-      keep(e.i, e.j, e.load, e.host);
+    if (held && e.load != group.load) emit_group();
+    if (e.host < best_host && (!held || earlier(e, group))) {
+      group = e;
+      held = true;
     }
-    std::uint32_t j = e.j + 1;
-    if (j < nb) {
+    const std::uint32_t s = kStreamB ? e.j : e.i;
+    std::uint32_t w = (kStreamB ? e.i : e.j) + 1;
+    if (w < nw) {
       const std::size_t skip =
-          simd::dominated_prefix(bhost + j, nb - j, ahost[e.i], best_host);
+          simd::dominated_prefix(whost + w, nw - w, shost[s], best_host);
       counters.generated += skip;  // skipped: dominated forever, never materialized
-      j += static_cast<std::uint32_t>(skip);
+      w += static_cast<std::uint32_t>(skip);
     }
-    if (j < nb) {
-      heap[0] = Entry{aload[e.i] + bload[j], ahost[e.i] + bhost[j], e.i, j};
+    if (w < nw) {
+      heap[0] = point(s, w);
       sift_down(0);
     } else {
-      heap[0] = heap.back();
-      heap.pop_back();
-      if (!heap.empty()) sift_down(0);
+      heap[0] = heap[--count];
+      if (count != 0) sift_down(0);
     }
+  }
+  if (held) emit_group();
+}
+
+}  // namespace detail
+
+/// The Minkowski product of two pruned frontiers (loads ascending, hosts
+/// strictly descending), dominance-pruned on the fly: a k-way merge whose
+/// heap holds one stream per point of the *shorter* operand (a on a tie),
+/// each stream walking the longer one -- load-ascending, because that
+/// operand is sorted. Both folds put the growing accumulator on the left
+/// (ColourPipeline::region's child merges, fold's region chain), so a
+/// hundred-point accumulator ⊕ a two-point child runs two streams, not a
+/// hundred. Emits the kept points through `keep(i, j, load, host)` in load
+/// order. i indexes a and j indexes b, and every sum is written a + b,
+/// whichever side streams, so the pipeline's provenance (left = a, right =
+/// b) is the same either way. So is everything else it emits or counts:
+///
+///   * Ties break on (load, host, i, j), in the caller's indices.
+///   * One point per distinct load: that load's (host, i, j)-least point,
+///     kept only when its host is below every point kept before it -- the
+///     reference prune's rule. The kernel holds each load's best point back
+///     until a larger load pops. A stream's loads only fail to increase
+///     strictly when rounding maps two walked points onto one sum, and
+///     then the stream pops them host-descending: 3 + 1 == 3 +
+///     nextafter(1, 2), so the stream of {(3, 3)} over {(1, 10), (1 + ulp,
+///     5), (2, 1)} pops (4, 13) before (4, 8). Keeping points as they
+///     popped kept the dominated (4, 13), and whether an input hit that
+///     depended on which side streamed.
+///   * counters.generated counts every product point once, popped or
+///     skipped, so a merge adds exactly na·nb; counters.kept counts the
+///     points emitted.
+///
+/// Three mechanical choices keep it fast, none visible in its output:
+///
+///   * SIMD skip-ahead: best_host only ever decreases, so a candidate whose
+///     host is already >= best_host is dominated forever, and because a
+///     stream's hosts descend, whole stream prefixes are skipped at advance
+///     time: one simd::dominated_prefix call over the walked operand's
+///     contiguous host block (the same floating-point sum, counted in bulk).
+///   * Lazy stream activation: stream seeds (streamed point + walked point
+///     0) are load-ascending, so seed s cannot pop before the head's load
+///     reaches it; streams enter the heap only once the head's load catches
+///     up to their seed (ties included, hence <=). At any pop every
+///     unactivated seed has strictly larger load than the head, so the
+///     head is the true global minimum.
+///   * Replace-top on a stack heap: popping an entry and pushing its
+///     successor is one write to the root plus a single sift-down, and the
+///     heap, one entry per stream, allocates only past eight streams.
+///
+/// Requires both operands load-ascending: every frontier producer in the
+/// engine emits load-ascending frontiers, and cached frontiers are
+/// validated where they enter from outside (ResolveSession::import_state).
+/// Throws ResourceLimit once more than max_frontier points are emitted.
+template <typename Keep>
+void merge_product(const double* aload, const double* ahost, std::size_t na,
+                   const double* bload, const double* bhost, std::size_t nb,
+                   std::size_t max_frontier, MergeCounters& counters, Keep&& keep) {
+  ++counters.merges;
+  if (na == 0 || nb == 0) return;  // the empty product
+  if (nb < na) {
+    detail::merge_streams<true>(aload, ahost, na, bload, bhost, nb, max_frontier,
+                                      counters, keep);
+  } else {
+    detail::merge_streams<false>(aload, ahost, na, bload, bhost, nb, max_frontier,
+                                       counters, keep);
   }
 }
 

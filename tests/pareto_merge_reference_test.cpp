@@ -112,20 +112,28 @@ TEST(ParetoMerge, ByteIdenticalOptimaOnTheScenarioLibrary) {
 }
 
 TEST(ParetoMerge, ByteIdenticalOptimaOnRandomInstances) {
+  // Random trees, then the stress shapes: a chain's child merges put a
+  // long spine frontier against a one-point side sensor, a star's and a
+  // skewed tree's colour folds a long accumulation against small regions.
   Rng rng(0xB0B);
-  for (int trial = 0; trial < 40; ++trial) {
-    TreeGenOptions o;
-    o.compute_nodes = 8 + rng.index(24);
-    o.satellites = 2 + rng.index(4);
-    o.policy = trial % 3 == 0 ? SensorPolicy::kRoundRobin
-               : trial % 3 == 1 ? SensorPolicy::kClustered
-                                : SensorPolicy::kScattered;
-    const CruTree tree = random_tree(rng, o);
+  for (int trial = 0; trial < 49; ++trial) {
+    const CruTree tree = [&] {
+      if (trial >= 40) return reference::stress_shape(rng, trial % 3, 128 + rng.index(129));
+      TreeGenOptions o;
+      o.compute_nodes = 8 + rng.index(24);
+      o.satellites = 2 + rng.index(4);
+      o.policy = trial % 3 == 0 ? SensorPolicy::kRoundRobin
+                 : trial % 3 == 1 ? SensorPolicy::kClustered
+                                  : SensorPolicy::kScattered;
+      return random_tree(rng, o);
+    }();
     const Colouring colouring(tree);
     const ParetoDpResult arena = pareto_dp_solve(colouring);
     const ParetoDpResult reference = reference::solve(colouring);
     EXPECT_EQ(arena.objective, reference.objective) << "trial " << trial;
     EXPECT_EQ(arena.assignment.cut_nodes(), reference.assignment.cut_nodes())
+        << "trial " << trial;
+    EXPECT_EQ(arena.stats.candidates_swept, reference.stats.candidates_swept)
         << "trial " << trial;
   }
 }

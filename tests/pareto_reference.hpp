@@ -3,23 +3,30 @@
 //
 //   * merge_product_scalar -- the straight-line Minkowski merge the SIMD
 //     kernel was derived from: same keep() calls, same counters, same throw
-//     point, with a textbook binary heap seeded with every stream;
+//     point, with a textbook binary heap seeded with every stream of a,
+//     whichever operand is shorter, so every kernel-vs-oracle comparison
+//     also checks that the kernel's choice of streamed side is invisible;
 //   * the pre-arena reference engine -- recursive region frontiers,
 //     sort-then-scan pruning, a full cut vector copied per product point,
 //     and a sweep written independently of the engine's. Not for
 //     production: it recurses per tree node and allocates per product
-//     point, which is what makes it an easy oracle to trust.
+//     point, which is what makes it an easy oracle to trust;
+//   * stress_shape -- the stress trace's pathological tree shapes, whose
+//     merges are the lopsided ones.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/pareto_kernel.hpp"
+#include "workload/generator.hpp"
 
 namespace treesat::reference {
 
@@ -51,22 +58,32 @@ void merge_product_scalar(const double* aload, const double* ahost, std::size_t 
   }
   std::make_heap(heap.begin(), heap.end(), later);
 
+  // One point per distinct load: the load's (host, i, j)-least point,
+  // kept if its host is below every kept point's. Equal loads pop
+  // together, but one stream pops a rounding collision host-descending, so
+  // the least point is only known once a larger load pops.
   double best_host = std::numeric_limits<double>::infinity();
+  std::optional<Entry> group;  // the popped load's least point, if below best_host
   std::size_t kept = 0;
+  const auto flush = [&] {
+    if (!group) return;
+    const Entry g = *group;
+    group.reset();
+    best_host = g.host;
+    if (++kept > max_frontier) {
+      throw ResourceLimit("pareto_dp: frontier exceeds max_frontier (" +
+                          std::to_string(kept) + " points)");
+    }
+    ++counters.kept;
+    keep(g.i, g.j, g.load, g.host);
+  };
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), later);
     const Entry e = heap.back();
     heap.pop_back();
     ++counters.generated;
-    if (e.host < best_host) {
-      best_host = e.host;
-      if (++kept > max_frontier) {
-        throw ResourceLimit("pareto_dp: frontier exceeds max_frontier (" +
-                            std::to_string(kept) + " points)");
-      }
-      ++counters.kept;
-      keep(e.i, e.j, e.load, e.host);
-    }
+    if (group && group->load != e.load) flush();
+    if (e.host < best_host && (!group || later(*group, e))) group = e;
     std::uint32_t j = e.j + 1;
     while (j < nb && ahost[e.i] + bhost[j] >= best_host) {
       ++counters.generated;  // skipped: dominated forever, never materialized
@@ -77,6 +94,7 @@ void merge_product_scalar(const double* aload, const double* ahost, std::size_t 
       std::push_heap(heap.begin(), heap.end(), later);
     }
   }
+  flush();
 }
 
 /// The two merge kernels as callables, so one driver runs either.
@@ -248,6 +266,34 @@ inline ParetoDpResult solve(const Colouring& colouring, const ParetoDpOptions& o
   DelayBreakdown delay = assignment.delay();
   const double objective = delay.objective(options.objective);
   return ParetoDpResult{std::move(assignment), std::move(delay), objective, stats};
+}
+
+/// The stress tenants' tree shapes (workload/traffic.cpp stress_instance)
+/// at about `nodes` nodes: shape 0 is a two-colour chain with a side sensor
+/// every 64 spine nodes, 1 a star of nodes / 2 arms, 2 a colour-skewed
+/// tree. Their merges are lopsided: a long accumulated frontier ⊕ a
+/// one-to-three point child or region.
+inline CruTree stress_shape(Rng& rng, int shape, std::size_t nodes) {
+  switch (shape) {
+    case 0: {
+      ChainGenOptions o;
+      o.compute_nodes = nodes;
+      o.satellites = 2;
+      o.sensor_every = 64;
+      o.host_cost_every = 16;
+      return chain_tree(rng, o);
+    }
+    case 1: {
+      StarGenOptions o;
+      o.arms = nodes / 2;
+      return star_tree(rng, o);
+    }
+    default: {
+      SkewGenOptions o;
+      o.compute_nodes = nodes;
+      return skewed_tree(rng, o);
+    }
+  }
 }
 
 }  // namespace treesat::reference

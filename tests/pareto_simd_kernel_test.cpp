@@ -2,11 +2,14 @@
 // (core/pareto_kernel.hpp merge_product): it must reproduce the scalar
 // oracle merge (tests/pareto_reference.hpp) bit for bit -- points, cuts,
 // counters and throw behaviour -- on random blocked frontiers, on
-// tie-heavy integer grids (equal product loads / equal hosts) and on
-// single-point frontiers, and a retained pipeline must give the same
-// frontiers as a fresh one. The SIMD primitive itself (platform/simd.hpp
-// dominated_prefix) is unit-tested against its scalar specification,
-// non-monotone and NaN inputs included.
+// tie-heavy integer grids (equal product loads / equal hosts), on
+// single-point frontiers, on one-ulp load collisions and on lopsided
+// pairs in both argument orders. The kernel streams the shorter operand
+// and the oracle always streams its left one, so these rows also check
+// that the kernel's choice of side is invisible. A retained pipeline must
+// give the same frontiers as a fresh one. The SIMD primitive itself
+// (platform/simd.hpp dominated_prefix) is unit-tested against its scalar
+// specification, non-monotone and NaN inputs included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -63,7 +66,9 @@ void expect_bitwise_equal(const std::vector<ParetoPoint>& simd,
   }
 }
 
-/// Both kernels on one pair: identical points, cuts and counters.
+/// Both kernels on one pair: identical points, cuts and counters, and
+/// every product point counted exactly once, whichever side the kernel
+/// streams.
 void expect_kernels_agree(const std::vector<ParetoPoint>& a, const std::vector<ParetoPoint>& b,
                           int trial) {
   pareto_internal::MergeCounters simd_counters;
@@ -74,6 +79,40 @@ void expect_kernels_agree(const std::vector<ParetoPoint>& a, const std::vector<P
   EXPECT_EQ(simd_counters.merges, scalar_counters.merges) << "trial " << trial;
   EXPECT_EQ(simd_counters.generated, scalar_counters.generated) << "trial " << trial;
   EXPECT_EQ(simd_counters.kept, scalar_counters.kept) << "trial " << trial;
+  EXPECT_EQ(simd_counters.generated, a.size() * b.size()) << "trial " << trial;
+  EXPECT_EQ(simd_counters.kept, simd.size()) << "trial " << trial;
+}
+
+enum class Grid { kReal, kInteger, kUlp };
+
+/// A frontier of exactly n points, loads strictly ascending and hosts
+/// strictly descending. kInteger steps both by 1-3 on an integer grid, so
+/// product loads and hosts tie across streams constantly; kUlp mixes unit
+/// load steps with one-ulp ones, so adding a load of 2 or more rounds
+/// neighbours onto one sum -- the collisions inside a stream.
+std::vector<ParetoPoint> staircase(Rng& rng, std::size_t n, Grid grid) {
+  std::vector<ParetoPoint> points(n);
+  double load = grid == Grid::kReal ? rng.uniform_real(0.0, 5.0)
+                                    : static_cast<double>(1 + rng.index(4));
+  double host = 4.0 * static_cast<double>(n) + 1.0;
+  for (ParetoPoint& p : points) {
+    p = ParetoPoint{load, host, {CruId{rng.index(1000)}}};
+    switch (grid) {
+      case Grid::kReal:
+        load += rng.uniform_real(0.01, 2.0);
+        host -= rng.uniform_real(0.01, 3.0);
+        break;
+      case Grid::kInteger:
+        load += static_cast<double>(1 + rng.index(3));
+        host -= static_cast<double>(1 + rng.index(3));
+        break;
+      case Grid::kUlp:
+        load = rng.index(2) == 0 ? std::nextafter(load, 1e300) : std::floor(load) + 1.0;
+        host -= static_cast<double>(1 + rng.index(3));
+        break;
+    }
+  }
+  return points;
 }
 
 TEST(ParetoSimdKernel, MatchesScalarOnRandomBlockedFrontiers) {
@@ -117,6 +156,56 @@ TEST(ParetoSimdKernel, SinglePointFrontiers) {
   }
 }
 
+TEST(ParetoSimdKernel, UlpCollisionsKeepOnePointPerLoad) {
+  // 3 + 1 and 3 + nextafter(1, 2) round to the same load 4, so the stream
+  // that walks the three-point side pops (4, 13) before (4, 8). Only the
+  // (4, 8) point may survive, whichever side carries the collision and
+  // whichever side the kernel streams -- as in the reference's full
+  // product and prune.
+  const std::vector<ParetoPoint> lone{{3.0, 3.0, {CruId{std::size_t{0}}}}};
+  const std::vector<ParetoPoint> close{{1.0, 10.0, {CruId{std::size_t{1}}}},
+                                       {std::nextafter(1.0, 2.0), 5.0, {CruId{std::size_t{2}}}},
+                                       {2.0, 1.0, {CruId{std::size_t{3}}}}};
+  ASSERT_EQ(3.0 + close[0].load, 3.0 + close[1].load);
+  int row = 0;
+  for (const auto& [a, b] : {std::pair{lone, close}, std::pair{close, lone}}) {
+    const std::vector<ParetoPoint> merged = merge_points(SimdKernel{}, a, b, kBig);
+    expect_bitwise_equal(merged, reference::minkowski(a, b, kBig), row);
+    expect_kernels_agree(a, b, row);
+    ASSERT_EQ(merged.size(), 2u) << "row " << row;
+    EXPECT_EQ(merged[0].load, 4.0);
+    EXPECT_EQ(merged[0].host, 8.0);
+    EXPECT_EQ(merged[1].load, 5.0);
+    EXPECT_EQ(merged[1].host, 4.0);
+    ++row;
+  }
+}
+
+TEST(ParetoSimdKernel, LopsidedPairsMatchTheOracleInBothOrders) {
+  // One to three points against 100-160. The kernel streams the short
+  // side and the oracle its left operand: (short, long) runs both the
+  // same way round, (long, short) runs them opposite ways round.
+  Rng rng(0x10B5);
+  for (int trial = 0; trial < 120; ++trial) {
+    const Grid grid = trial % 3 == 0 ? Grid::kReal : trial % 3 == 1 ? Grid::kInteger : Grid::kUlp;
+    const std::vector<ParetoPoint> short_side = staircase(rng, 1 + rng.index(3), grid);
+    const std::vector<ParetoPoint> long_side = staircase(rng, 100 + rng.index(61), grid);
+    expect_kernels_agree(short_side, long_side, trial);
+    expect_kernels_agree(long_side, short_side, trial);
+    // The (load, host) values are the reference's too; its unstable sort
+    // may pick another (i, j) among exact ties, so cuts are not compared.
+    for (const auto& [a, b] : {std::pair{short_side, long_side}, std::pair{long_side, short_side}}) {
+      const auto merged = merge_points(SimdKernel{}, a, b, kBig);
+      const auto expected = reference::minkowski(a, b, kBig);
+      ASSERT_EQ(merged.size(), expected.size()) << "trial " << trial;
+      for (std::size_t i = 0; i < merged.size(); ++i) {
+        EXPECT_EQ(merged[i].load, expected[i].load) << "trial " << trial << " point " << i;
+        EXPECT_EQ(merged[i].host, expected[i].host) << "trial " << trial << " point " << i;
+      }
+    }
+  }
+}
+
 TEST(ParetoSimdKernel, MaxFrontierThrowsAtTheSamePoint) {
   // Both kernels keep points in the same order, so the ResourceLimit must
   // fire on the same input with the same cap.
@@ -136,14 +225,19 @@ TEST(ParetoSimdKernel, DpFoldsAreByteIdenticalAcrossKernels) {
   // of random instances, folded left to right through both kernels --
   // points, cuts and every merge counter agree at each step.
   Rng rng(0x60D0);
-  for (int trial = 0; trial < 30; ++trial) {
-    TreeGenOptions o;
-    o.compute_nodes = 8 + rng.index(30);
-    o.satellites = 2 + rng.index(5);
-    o.policy = trial % 3 == 0 ? SensorPolicy::kRoundRobin
-               : trial % 3 == 1 ? SensorPolicy::kClustered
-                                : SensorPolicy::kScattered;
-    const CruTree tree = random_tree(rng, o);
+  for (int trial = 0; trial < 39; ++trial) {
+    const CruTree tree = [&] {
+      // The stress shapes last: their colour folds put a long accumulated
+      // frontier against short region frontiers.
+      if (trial >= 30) return reference::stress_shape(rng, trial % 3, 128 + rng.index(129));
+      TreeGenOptions o;
+      o.compute_nodes = 8 + rng.index(30);
+      o.satellites = 2 + rng.index(5);
+      o.policy = trial % 3 == 0 ? SensorPolicy::kRoundRobin
+                 : trial % 3 == 1 ? SensorPolicy::kClustered
+                                  : SensorPolicy::kScattered;
+      return random_tree(rng, o);
+    }();
     const Colouring colouring(tree);
     for (std::size_t c = 0; c < tree.satellite_count(); ++c) {
       const std::vector<CruId> regions = colouring.regions_of(SatelliteId{c});

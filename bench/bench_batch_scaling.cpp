@@ -1,13 +1,20 @@
-// Experiment E12 (roadmap: batch throughput): the work-stealing pool
-// behind solve_batch, measured on a 64-instance scenario batch at 1/2/4/8
-// threads. Reports wall time, speedup over the single-threaded run, the
-// straggler, and -- the executor's core guarantee -- whether every thread
-// count reproduced the threads=1 reports byte-for-byte. A second, heavier
-// synthetic batch (large clustered trees) shows the scaling when per-
-// instance work dominates the scheduler overhead; on hosts with >= 2
-// hardware threads that batch also gates speedup_vs_1 > 1 at threads=2
-// (reported as skipped on 1-core hosts, where no scaling is honest). The
-// identity gate is unconditional.
+// Experiment E12 (roadmap: batch throughput): solve_batch's workers,
+// which claim instances largest first from one atomic cursor, measured at
+// 1/2/4/8 threads on three 64-instance batches. Reports wall time, speedup
+// over the single-threaded run, the straggler, and -- the executor's core
+// guarantee -- whether every thread count reproduced the threads=1 reports
+// byte for byte. The identity gate is unconditional.
+//
+// The scaling gate (speedup_vs_1 > 1 at threads=2, on hosts with >= 2
+// hardware threads; reported as skipped on 1-core hosts) rides on the
+// heavy batch of 600-node trees, which takes ~0.3 s at one thread on a
+// 4-thread Xeon. The 120-node synthetic batch used to carry it, but since
+// the Minkowski merge began streaming its shorter operand that batch takes
+// only 5-9 ms at one thread. A busy 4-thread host shows preemption gaps of
+// ~16 ms per thread, and a bare cursor loop over the same 64 solves, with
+// no executor at all, also reads ~1.0x at that size: a 5-9 ms batch
+// measures the host's scheduler, not the batch executor. The 120-node and
+// scenario batches stay as ungated rows so their ~1.0x stays visible.
 #include <iostream>
 #include <deque>
 #include <sstream>
@@ -51,17 +58,16 @@ Owned scenario_batch() {
   return batch;
 }
 
-/// 64 larger random trees: enough per-instance work that the pool, not the
-/// queue, is what the wall clock sees. Solved with the Pareto DP -- the
-/// scalable exact method, whose cost is stable across draws (the coloured
-/// SSB search can hit its fallback regime on unlucky large instances,
-/// which would benchmark the fallback, not the executor).
-Owned synthetic_batch() {
+/// 64 random trees of `compute_nodes` nodes each. Solved with the Pareto
+/// DP -- the scalable exact method, whose cost is stable across draws (the
+/// coloured SSB search can hit its fallback regime on unlucky large
+/// instances, which would benchmark the fallback, not the executor).
+Owned synthetic_batch(std::size_t compute_nodes) {
   Owned batch;
   Rng rng(0xBA7C);
   for (std::size_t i = 0; i < 64; ++i) {
     TreeGenOptions o;
-    o.compute_nodes = 120;
+    o.compute_nodes = compute_nodes;
     o.satellites = 4;
     o.policy = SensorPolicy::kScattered;
     batch.add(random_tree(rng, o));
@@ -85,9 +91,10 @@ struct SweepResult {
 };
 
 /// Sweeps one batch over 1/2/4/8 threads. `identical` is the executor's
-/// core guarantee and the stable half of the bench_diff gate; `speedup2`
-/// feeds the scaling gate on multi-core hosts (per-row thread speedups
-/// stay informational in bench_diff: a 1-core CI box cannot scale).
+/// core guarantee and the stable half of the bench_diff gate; the heavy
+/// batch's `speedup2` feeds the scaling gate on multi-core hosts (per-row
+/// thread speedups stay informational in bench_diff: a 1-core CI box
+/// cannot scale).
 [[nodiscard]] SweepResult sweep(const char* name, const Owned& batch,
                                 const SolvePlan& base) {
   Table t({"threads", "batch wall ms", "speedup vs 1", "straggler ms",
@@ -133,35 +140,37 @@ struct SweepResult {
 }
 
 [[nodiscard]] bool run() {
-  bench::banner("E12 / batching", "solve_batch work-stealing pool scaling");
+  bench::banner("E12 / batching", "solve_batch scaling (atomic cursor, largest first)");
   const SweepResult scenario = sweep("scenario batch", scenario_batch(), SolvePlan{});
   const SweepResult synthetic =
-      sweep("synthetic batch", synthetic_batch(), SolvePlan::pareto_dp());
-  const bool identical = scenario.identical && synthetic.identical;
+      sweep("synthetic batch", synthetic_batch(120), SolvePlan::pareto_dp());
+  const SweepResult heavy =
+      sweep("heavy synthetic batch", synthetic_batch(600), SolvePlan::pareto_dp());
+  const bool identical = scenario.identical && synthetic.identical && heavy.identical;
   if (!identical) {
     std::cerr << "\nFAIL: some thread count diverged from the threads=1 reports\n";
   }
-  bench::note("speedup tracks the host's core count until per-instance work is too");
-  bench::note("small to amortize the scheduler; 'identical reports' must always be yes --");
-  bench::note("the executor's per-instance seed derivation makes thread count,");
-  bench::note("stealing and completion order invisible in the results.");
+  bench::note("speedup tracks the host's core count once a batch takes well over one");
+  bench::note("preemption gap (~16 ms on a busy 4-thread Xeon) at one thread; the");
+  bench::note("scenario and 120-node batches do not, so they read ~1.0x. 'identical");
+  bench::note("reports' must always be yes -- the executor's per-instance seed");
+  bench::note("derivation makes thread count, claim order and completion order");
+  bench::note("invisible in the results.");
   // The machine-independent half of the bench_diff gate: 1.0 means every
   // thread count reproduced the threads=1 reports byte for byte.
   bench::json().set("identity_ratio", identical ? 1.0 : 0.0);
 
-  // The scaling gate rides on the synthetic batch (per-instance work
-  // dominates, so the pool -- not the scenario library's microsecond
-  // solves -- is what scales) and only where scaling is physically
-  // possible.
+  // The scaling gate rides on the heavy batch (see the header comment) and
+  // only where scaling is physically possible.
   const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  bench::json().set("speedup_threads2", synthetic.speedup2);
+  bench::json().set("speedup_threads2", heavy.speedup2);
   bool scaling_ok = true;
   if (hw >= 2) {
-    scaling_ok = synthetic.speedup2 > 1.0;
+    scaling_ok = heavy.speedup2 > 1.0;
     bench::json().set("scaling_gate", std::string(scaling_ok ? "passed" : "failed"));
     if (!scaling_ok) {
-      std::cerr << "\nFAIL: synthetic batch speedup_vs_1 at threads=2 is "
-                << synthetic.speedup2 << " (<= 1) on a " << hw << "-thread host\n";
+      std::cerr << "\nFAIL: heavy synthetic batch speedup_vs_1 at threads=2 is "
+                << heavy.speedup2 << " (<= 1) on a " << hw << "-thread host\n";
     }
   } else {
     bench::note("scaling gate skipped: 1 hardware thread (speedup cannot exceed 1)");

@@ -3,7 +3,7 @@
 // report |E'|, expansion/fallback rates (the cost the paper's bound hides),
 // and compare wall time against the Pareto DP and branch-and-bound across
 // the same instances. Each (policy, size) point's trials run as one
-// solve_batch through the BatchExecutor (threads=auto); the per-trial
+// solve_batch on the batch executor (threads=auto); the per-trial
 // search statistics come from the batch's reports and B&B's node-cap DNFs
 // from the per-instance failures of a fail_fast=false batch.
 #include <benchmark/benchmark.h>
@@ -124,7 +124,7 @@ void print_series() {
   bench::note("scattered pinning forces conflicts high in the tree, shrinking |E'|.");
   bench::note("wall times are end-to-end facade solves: the ssb column includes the");
   bench::note("assignment-graph construction its method needs (the DP never builds one).");
-  bench::note("each point runs as solve_batch on the executor pool (threads=auto);");
+  bench::note("each point runs as one solve_batch on the batch executor (threads=auto);");
   bench::note("ssb/dp/B&B columns are mean per-instance solve time, not batch wall.");
 }
 

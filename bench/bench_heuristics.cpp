@@ -2,7 +2,7 @@
 // algorithms, measured against the exact optimum on growing trees --
 // solution quality, runtime, and search-effort statistics.
 //
-// Each size's 15 trials run as one solve_batch through the BatchExecutor
+// Each size's 15 trials run as one solve_batch on the batch executor
 // (threads=auto), so the whole method comparison uses the parallel path:
 // optima come from one Pareto-DP batch, every heuristic from one batch per
 // method (the executor derives a per-instance seed from the plan seed), and

@@ -16,9 +16,9 @@
 # self-tests and output checks gate CI while its metrics are ignored.
 # This is followed by a ThreadSanitizer build of the suites that exercise the batch
 # executor and the service (-fsanitize=thread via TREESAT_TSAN), so the
-# worker pool is race-checked on every run, a UBSan build
+# batch workers are race-checked on every run, a UBSan build
 # (-fsanitize=undefined plus float-cast-overflow via TREESAT_UBSAN, recovery
-# off) of the Pareto merge-kernel, scheduler, parser and formatter suites,
+# off) of the Pareto merge-kernel, batch executor, parser and formatter suites,
 # and an AddressSanitizer build of every
 # suite (-fsanitize=address through the compiler and linker flags, so a
 # decoder that allocates from a hostile count or reads past a buffer fails
@@ -66,7 +66,7 @@ if [ -n "${TREESAT_UPDATE_GOLDEN:-}" ]; then
     --metrics-out "$BUILD_DIR/service_metrics_full.prom" "$SERVICE_TRACE" \
     > "$SERVICE_GOLDEN"
   # Only the deterministic families (above the wall-clock marker) are
-  # golden; request latencies and scheduler counters vary per run.
+  # golden; request latencies vary per run.
   sed '/^# --- wall-clock/,$d' "$BUILD_DIR/service_metrics_full.prom" \
     > "$SERVICE_METRICS_GOLDEN"
   "$BUILD_DIR/treesat_serve" --gen-stress 120 --tenants 4 --seed 3051 \
@@ -175,22 +175,25 @@ done
 echo "perfbench stage passed (build, self-tests and output checks on every workload)"
 
 # TSan stage: only the threaded suites, benches/examples skipped for speed.
-# worklist_test hammers the stealing scheduler directly (exactly-once under
-# concurrent deque pops/steals) and batch_executor_test drives it through
-# solve_batch; the service suites ride along for the sharded store's
-# locking and the trace recorder. ctest -R matches substrings, so
-# ^snapshot_test keeps fuzz_snapshot_test (not built here) out.
+# batch_executor_test runs solve_batch's workers at 2 and 8 threads
+# (exactly-once over batches of up to 257 instances: a slot written twice
+# is a reported race), obs_trace_test records spans from those workers and
+# from its own threads, and obs_metrics_test hammers one registry from
+# many threads. The service suites ride along; they run on one thread
+# today (handle_line is synchronous and the session store takes no lock).
+# ctest -R matches substrings, so ^snapshot_test keeps fuzz_snapshot_test
+# (not built here) out.
 cmake -B "$TSAN_DIR" -S . -DTREESAT_WERROR=ON -DTREESAT_TSAN=ON \
   -DTREESAT_BUILD_BENCHES=OFF -DTREESAT_BUILD_EXAMPLES=OFF
 cmake --build "$TSAN_DIR" -j "$JOBS" \
-  --target worklist_test batch_executor_test determinism_test plan_test \
+  --target batch_executor_test determinism_test plan_test \
            service_test service_determinism_test service_fault_test snapshot_test \
            telemetry_test obs_trace_test obs_metrics_test
 (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-  -R 'worklist_test|batch_executor_test|determinism_test|plan_test|service_test|service_determinism_test|service_fault_test|^snapshot_test|telemetry_test|obs_trace_test|obs_metrics_test')
+  -R 'batch_executor_test|determinism_test|plan_test|service_test|service_determinism_test|service_fault_test|^snapshot_test|telemetry_test|obs_trace_test|obs_metrics_test')
 
 # UBSan stage: the suites that exercise the Minkowski merge kernels and the
-# scheduler's lock-free deques -- pointer-offset arithmetic in the SIMD
+# batch executor's worker loop -- pointer-offset arithmetic in the SIMD
 # dominance scan (platform/simd.hpp), the arena's span indexing, and the
 # overflow-guarded reference reserve are exactly the code where silent UB
 # would masquerade as a wrong-but-plausible frontier -- plus the suites that
@@ -207,11 +210,11 @@ cmake -B "$UBSAN_DIR" -S . -DTREESAT_WERROR=ON -DTREESAT_UBSAN=ON \
   -DTREESAT_BUILD_BENCHES=OFF -DTREESAT_BUILD_EXAMPLES=OFF
 cmake --build "$UBSAN_DIR" -j "$JOBS" \
   --target pareto_dp_test pareto_merge_reference_test pareto_simd_kernel_test \
-           worklist_test incremental_resolve_test service_test \
+           batch_executor_test incremental_resolve_test service_test \
            serialize_round_trip_test snapshot_test fuzz_snapshot_test parse_plan_fuzz_test \
            format_round_trip_test
 (cd "$UBSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-  -R 'pareto_dp_test|pareto_merge_reference_test|pareto_simd_kernel_test|worklist_test|incremental_resolve_test|service_test|serialize_round_trip_test|snapshot_test|fuzz_snapshot_test|parse_plan_fuzz_test|format_round_trip_test')
+  -R 'pareto_dp_test|pareto_merge_reference_test|pareto_simd_kernel_test|batch_executor_test|incremental_resolve_test|service_test|serialize_round_trip_test|snapshot_test|fuzz_snapshot_test|parse_plan_fuzz_test|format_round_trip_test')
 
 # ASan stage: every suite under AddressSanitizer (benches/examples skipped
 # for speed). The flags go through CMAKE_CXX_FLAGS/CMAKE_EXE_LINKER_FLAGS,

@@ -7,8 +7,8 @@
 // Scales the probe count and shows how the optimal split, the delay, and
 // the advantage over naive deployments evolve -- plus how the solver's own
 // cost grows (the assignment graph stays linear in the tree). The whole
-// probe ladder is materialized up front and solved as ONE batch on the
-// BatchExecutor worker pool (threads=auto) -- the shape a monitoring
+// probe ladder is materialized up front and solved as ONE batch by
+// solve_batch_report (threads=auto) -- the shape a monitoring
 // deployment with many independent sites re-optimizes in. The closing
 // table walks the *method registry*: every registered solve method runs on
 // the largest instance through the same plan facade.

@@ -14,6 +14,12 @@
 
 namespace treesat {
 
+/// splitmix64 (Steele et al.): advances `state` by the golden-ratio stride
+/// and returns the mixed value. Rng seeds its words with it, and it is the
+/// one finalizer behind derive_instance_seed (core/executor.hpp) and
+/// FaultPlan's decision hash (storage/faults.hpp).
+[[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state);
+
 /// xoshiro256** by Blackman & Vigna (public domain reference implementation
 /// re-expressed). Satisfies UniformRandomBitGenerator.
 class Rng {

@@ -1,8 +1,12 @@
 #include "core/executor.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <numeric>
+#include <thread>
 #include <utility>
 
+#include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -10,16 +14,22 @@
 namespace treesat {
 
 std::uint64_t derive_instance_seed(std::uint64_t plan_seed, std::uint64_t instance_index) {
-  // splitmix64 (Steele et al.), seeded at plan_seed plus the golden-ratio
-  // stride per instance -- the same finalizer Rng uses to decorrelate
-  // low-entropy seeds, so adjacent instances get independent streams.
-  std::uint64_t z = plan_seed + 0x9e3779b97f4a7c15ULL * (instance_index + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  // The golden-ratio stride per instance, then Rng's own finalizer, so
+  // adjacent instances get independent streams.
+  std::uint64_t state = plan_seed + 0x9e3779b97f4a7c15ULL * instance_index;
+  return splitmix64(state);
 }
 
 namespace {
+
+/// 0 means one worker per hardware thread (itself clamped to 1 when
+/// hardware_concurrency() reports 0), and the result is clamped to
+/// [1, max(count, 1)] -- never more workers than instances.
+std::size_t resolve_threads(std::size_t requested, std::size_t count) {
+  const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t threads = requested == 0 ? hw : requested;
+  return std::max<std::size_t>(1, std::min(threads, std::max<std::size_t>(count, 1)));
+}
 
 SolvePlan instance_plan(const SolvePlan& plan, std::size_t index) {
   SolvePlan derived = plan;
@@ -61,15 +71,10 @@ std::vector<SolveReport> BatchReport::take_reports() {
   return reports;
 }
 
-BatchExecutor::BatchExecutor(ExecutorOptions options) : options_(std::move(options)) {
-  TS_REQUIRE(options_.deadline_seconds >= 0.0,
-             "BatchExecutor: deadline must be non-negative, got "
-                 << options_.deadline_seconds);
-}
-
-BatchReport BatchExecutor::run(std::span<const Colouring* const> instances,
-                               const SolvePlan& plan, std::stop_token cancel) const {
+BatchReport solve_batch_report(std::span<const Colouring* const> instances,
+                               const SolvePlan& plan) {
   const Stopwatch watch;
+  const ExecutorOptions& options = plan.executor();
   const std::size_t count = instances.size();
   // Validate the whole span before any work starts: a bad batch must not
   // burn solves (or, under fail_fast, leave the caller guessing how far it
@@ -89,61 +94,65 @@ BatchReport BatchExecutor::run(std::span<const Colouring* const> instances,
   BatchReport report;
   report.results.resize(count);
 
-  const std::size_t threads = resolve_threads(options_.threads, count);
+  const std::size_t threads = resolve_threads(options.threads, count);
   report.threads_used = threads;
 
-  std::stop_source abort;  // fail-fast fuse, shared by all workers
-  std::vector<std::exception_ptr> errors(count);
-
-  // Cost-ordered schedule: largest trees first through the scheduler's
-  // priority bins, so the likely stragglers start early. The estimate is
-  // free -- the node count is a precomputed tree property. Only the wall
-  // clock sees the order; results are index-addressed.
-  WorklistOptions worklist;
-  worklist.threads = threads;
-  std::vector<double> cost;
+  // The claim order: largest tree first (the node count is a precomputed
+  // tree property), stable so ties keep input order. One thread keeps plain
+  // index order, which is what gives fail-fast its "later instances were
+  // never started" reading. Only the wall clock sees the order; results
+  // are index-addressed.
+  std::vector<std::size_t> order(count);
+  std::iota(order.begin(), order.end(), std::size_t{0});
   if (threads > 1) {
-    cost.reserve(count);
-    for (const Colouring* instance : instances) {
-      cost.push_back(static_cast<double>(instance->tree().size()));
-    }
-    worklist.cost = cost;
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return instances[a]->tree().size() > instances[b]->tree().size();
+    });
   }
 
-  // One work-list task per instance; the pre-claim checks of the old worker
-  // loop become early returns, so an aborted/expired batch still marks every
-  // unstarted instance below.
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<bool> abort{false};  // fail-fast fuse, shared by all workers
+  std::vector<std::exception_ptr> errors(count);
   const std::uint64_t batch_span_id = span.id();
-  static_cast<void>(run_worklist(count, worklist, [&](std::size_t i) {
-    if (abort.stop_requested() || cancel.stop_requested()) return;
-    if (options_.deadline_seconds > 0.0 && watch.seconds() > options_.deadline_seconds) {
-      return;
+  const auto worker = [&] {
+    for (std::size_t next = cursor.fetch_add(1, std::memory_order_relaxed); next < count;
+         next = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      if (abort.load(std::memory_order_relaxed)) return;
+      if (options.deadline_seconds > 0.0 && watch.seconds() > options.deadline_seconds) {
+        return;
+      }
+      const std::size_t i = order[next];
+      // Explicit parent: a helper thread's span stack is empty. The
+      // per-instance span anchors the solver's own phase spans under the
+      // batch deterministically (the canonical export sorts siblings, so
+      // worker interleaving washes out).
+      obs::Span inst_span(obs::trace(), "batch.instance", batch_span_id);
+      inst_span.attr("instance", static_cast<std::uint64_t>(i));
+      try {
+        report.results[i].emplace(solve(*instances[i], instance_plan(plan, i)));
+      } catch (...) {
+        errors[i] = std::current_exception();
+        if (options.fail_fast) abort.store(true, std::memory_order_relaxed);
+      }
     }
-    // Explicit parent: the task runs on a scheduler thread whose
-    // thread-local span stack is empty. The per-instance span anchors the
-    // solver's own phase spans under the batch deterministically (the
-    // canonical export sorts siblings, so worker interleaving washes out).
-    obs::Span inst_span(obs::trace(), "batch.instance", batch_span_id);
-    inst_span.attr("instance", static_cast<std::uint64_t>(i));
-    try {
-      report.results[i].emplace(solve(*instances[i], instance_plan(plan, i)));
-    } catch (...) {
-      errors[i] = std::current_exception();
-      if (options_.fail_fast) abort.request_stop();
-    }
-  }));
+  };
+  {
+    // The calling thread is one of the workers; ~jthread joins the helpers
+    // before anything below reads the results.
+    std::vector<std::jthread> helpers;
+    helpers.reserve(threads - 1);
+    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(worker);
+    worker();
+  }
 
   // Failure attribution is settled *after* the join, from facts that no
   // longer move, under one precedence order: the instance's own error >
-  // deadline > cancellation > fail-fast abort. Whether the deadline
-  // expired is re-derived from the wall clock here rather than from a
-  // flag a worker may or may not have reached before the cancel/abort
-  // early-returns fired -- the old flag capture made the message depend
-  // on worker interleaving when a deadline expiry and a cancel (or
-  // abort) overlapped.
-  const bool deadline_expired = options_.deadline_seconds > 0.0 &&
-                                watch.seconds() > options_.deadline_seconds;
-  const bool cancelled = cancel.stop_requested();
+  // deadline > fail-fast abort. Whether the deadline expired is re-derived
+  // from the wall clock here rather than from a flag a worker may or may
+  // not have reached before the abort fired, so the message never depends
+  // on worker interleaving.
+  const bool deadline_expired =
+      options.deadline_seconds > 0.0 && watch.seconds() > options.deadline_seconds;
   for (std::size_t i = 0; i < count; ++i) {
     if (report.results[i].has_value()) continue;
     std::string message;
@@ -151,8 +160,6 @@ BatchReport BatchExecutor::run(std::span<const Colouring* const> instances,
       message = describe(errors[i]);
     } else if (deadline_expired) {
       message = "not started: batch deadline expired";
-    } else if (cancelled) {
-      message = "not started: batch cancelled";
     } else {
       message = "not started: batch aborted after an earlier failure";
     }
@@ -173,11 +180,6 @@ BatchReport BatchExecutor::run(std::span<const Colouring* const> instances,
   }
   report.wall_seconds = watch.seconds();
   return report;
-}
-
-BatchReport solve_batch_report(std::span<const Colouring* const> instances,
-                               const SolvePlan& plan) {
-  return BatchExecutor(plan.executor()).run(instances, plan);
 }
 
 }  // namespace treesat

@@ -1,47 +1,43 @@
-// The batch executor: the worker pool behind solve_batch().
+// The batch executor: the worker loop behind solve_batch().
 //
-// A BatchExecutor solves a span of instances under one plan on the
-// work-stealing scheduler of core/worklist.hpp: per-thread chunked deques
-// with randomized stealing, and -- because solve costs are irregular by
-// orders of magnitude -- a cost-ordered schedule: instances are binned
-// largest-tree-first, so the likely stragglers start early instead of
-// being claimed last and serializing the tail of the batch. Three
-// guarantees shape the design:
+// solve_batch_report() solves a span of instances under one plan. Its
+// workers claim positions of one largest-tree-first order (LPT: the
+// likely stragglers start early instead of being claimed last and
+// serializing the tail of the batch) from a single atomic cursor. A batch
+// item is a whole solve that spawns no further work, so one shared
+// counter is all the scheduling it needs. Three guarantees shape the
+// design:
 //
 //   * Determinism. Results are a pure function of (instances, plan): for
 //     seeded plans every instance i solves under
 //     derive_instance_seed(plan.seed(), i), so reports are byte-identical
-//     regardless of thread count, scheduling, or completion order --
+//     regardless of thread count, claim order, or completion order --
 //     threads=8 reproduces threads=1 exactly (asserted by
 //     tests/batch_executor_test.cpp).
 //   * Bounded work. An optional wall-clock deadline is checked between
 //     instances (a running solve is never interrupted); instances not yet
-//     started when it expires are reported as failures. An external
-//     std::stop_token cancels the same way.
+//     started when it expires are reported as failures.
 //   * Explicit failure. fail_fast (default) stops claiming new instances
 //     after the first failure; fail_fast=false finishes the rest. Either
-//     way run() itself only throws on caller errors (null instances) --
+//     way the call itself only throws on caller errors (null instances) --
 //     per-instance outcomes land in BatchReport, and solve_batch() rethrows
 //     the first failure to keep its all-or-nothing contract.
 //
 // The knobs travel on the plan (SolvePlan::with_executor, or
 // parse_plan("pareto-dp:threads=8,deadline_ms=500")), so string-driven
-// harnesses reach the pool without new plumbing.
+// harnesses reach the workers without new plumbing.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <optional>
 #include <span>
-#include <stop_token>
 #include <string>
 #include <vector>
 
 #include "core/solver.hpp"
-#include "core/worklist.hpp"
 
 namespace treesat {
 
@@ -59,7 +55,7 @@ struct BatchFailure {
   std::size_t index;      ///< instance index within the batch
   std::string message;    ///< what went wrong (exception text, deadline, ...)
   /// The instance's exception; null when it was never started (deadline,
-  /// cancellation, or a fail-fast abort after an earlier failure).
+  /// or a fail-fast abort after an earlier failure).
   std::exception_ptr error;
 };
 
@@ -74,7 +70,7 @@ struct BatchReport {
   std::vector<BatchFailure> failures;
 
   double wall_seconds = 0.0;        ///< whole-batch wall time
-  std::size_t threads_used = 1;     ///< workers actually spawned
+  std::size_t threads_used = 1;     ///< workers that ran, the calling thread included
   /// Solves per method that ran, indexed by SolveMethod (automatic plans
   /// spread across the methods resolution picked).
   std::array<std::size_t, kSolveMethodCount> method_counts{};
@@ -101,32 +97,12 @@ struct BatchReport {
   [[nodiscard]] std::vector<SolveReport> take_reports();
 };
 
-/// The worker pool. Stateless between runs -- construction just captures the
-/// options, so one executor can serve many batches.
-class BatchExecutor {
- public:
-  BatchExecutor() = default;
-  explicit BatchExecutor(ExecutorOptions options);
-
-  [[nodiscard]] const ExecutorOptions& options() const { return options_; }
-
-  /// Solves every instance with `plan` (seeded plans get per-instance
-  /// derived seeds). Throws InvalidArgument up front when any instance is
-  /// null -- the whole span is validated before any work starts. `cancel`
-  /// stops the batch between instances; cancelled instances become
-  /// failures.
-  [[nodiscard]] BatchReport run(std::span<const Colouring* const> instances,
-                                const SolvePlan& plan = {},
-                                std::stop_token cancel = {}) const;
-
- private:
-  ExecutorOptions options_;
-};
-
-/// One-shot convenience: runs a BatchExecutor configured from
-/// plan.executor(). This is what solve_batch() routes through; call it
-/// directly when the aggregate statistics (or partial results under
-/// fail_fast=false) matter.
+/// Solves every instance with `plan` under plan.executor()'s threads,
+/// deadline and fail-fast knobs (seeded plans get per-instance derived
+/// seeds). This is what solve_batch() routes through; call it directly when
+/// the aggregate statistics (or partial results under fail_fast=false)
+/// matter. Throws InvalidArgument up front when any instance is null -- the
+/// whole span is validated before any work starts.
 [[nodiscard]] BatchReport solve_batch_report(std::span<const Colouring* const> instances,
                                              const SolvePlan& plan = {});
 

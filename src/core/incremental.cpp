@@ -801,7 +801,7 @@ StreamResult solve_stream(const CruTree& base, std::span<const Perturbation> str
   out.warm = plan.executor().warm_start;
 
   if (out.warm) {
-    // Same deadline contract as the BatchExecutor: checked between steps, a
+    // Same deadline contract as solve_batch_report: checked between steps, a
     // running solve is never interrupted. A warm stream is inherently
     // sequential and fail-fast (step i's state feeds step i+1), so the
     // first failure -- deadline included -- propagates as an exception,

@@ -30,7 +30,7 @@
 //   * solve_stream() -- runs a whole perturbation stream. With
 //     plan.executor().warm_start (spec key warm_start=) the session is
 //     threaded along the sequence; without it every step is materialized
-//     and cold-solved on the BatchExecutor worker pool, which is the
+//     and cold-solved as one solve_batch_report batch, which is the
 //     apples-to-apples baseline bench_incremental measures against.
 //
 // Identity guarantee: with a pareto-dp plan the warm result is byte-
@@ -397,8 +397,8 @@ struct StreamResult {
 /// (inherently sequential and fail-fast -- step i's state feeds step i+1,
 /// so the first failure throws, and the plan's deadline is checked between
 /// steps exactly like the executor checks it between instances); cold
-/// materializes every instance and solves them on the BatchExecutor worker
-/// pool under the plan's threads/deadline/fail-fast knobs (failures
+/// materializes every instance and solves them as one solve_batch_report
+/// batch under the plan's threads/deadline/fail-fast knobs (failures
 /// rethrown by take_reports, keeping the two paths' contracts aligned).
 [[nodiscard]] StreamResult solve_stream(const CruTree& base,
                                         std::span<const Perturbation> stream,

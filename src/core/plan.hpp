@@ -21,11 +21,11 @@
 // and the registry enumerates every method for CLI-style harnesses.
 //
 // Parallelism lives at one level: ExecutorOptions::threads (spec key
-// threads=) parallelizes *across* the instances of a batch, on the
-// work-stealing scheduler of core/worklist.hpp, largest instance first.
+// threads=) parallelizes *across* the instances of a batch: workers claim
+// instances largest first from one shared cursor (core/executor.hpp).
 // A single solve runs on the calling thread. Reports are byte-identical at
-// any thread count: scheduling decides when an instance runs, never what
-// it computes.
+// any thread count: the claim order decides when an instance runs, never
+// what it computes.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +63,7 @@ inline constexpr std::size_t kSolveMethodCount =
 
 /// Cross-cutting batch-execution knobs, carried by every plan alongside the
 /// objective and the seed. They only take effect when the plan is handed to
-/// solve_batch() / BatchExecutor (core/executor.hpp); a single solve()
+/// solve_batch() / solve_batch_report() (core/executor.hpp); a single solve()
 /// ignores them. The spec grammar spells them threads= / deadline_ms= /
 /// fail_fast= / warm_start= on every method.
 struct ExecutorOptions {
@@ -81,7 +81,7 @@ struct ExecutorOptions {
   bool fail_fast = true;
   /// Carry search state across the instances of a perturbation stream
   /// (core/incremental.hpp): solve_stream() threads a ResolveSession along
-  /// the sequence instead of cold-solving every step on the worker pool.
+  /// the sequence instead of cold-solving every step as one batch.
   /// Ignored by plain solve()/solve_batch(), whose instances are unrelated.
   /// The spec grammar spells it warm_start=.
   bool warm_start = false;
@@ -177,7 +177,7 @@ class SolvePlan {
   [[nodiscard]] std::uint64_t seed() const;
 
   /// The batch-execution knobs carried by this plan (threads, deadline,
-  /// fail-fast). Only solve_batch()/BatchExecutor reads them.
+  /// fail-fast). Only solve_batch()/solve_batch_report() reads them.
   [[nodiscard]] const ExecutorOptions& executor() const { return executor_; }
 
   /// Replaces the batch-execution knobs. Deadline must be non-negative.

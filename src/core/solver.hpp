@@ -89,8 +89,8 @@ struct SolveReport {
 [[nodiscard]] SolveReport solve(const Colouring& colouring, const SolvePlan& plan = {});
 
 /// Solves every instance with the same plan and returns per-instance
-/// reports (results[i] belongs to *instances[i]). Routed through the
-/// BatchExecutor worker pool (core/executor.hpp), configured by the plan's
+/// reports (results[i] belongs to *instances[i]). Routed through
+/// solve_batch_report (core/executor.hpp), configured by the plan's
 /// ExecutorOptions: plan.with_executor({.threads = 8}) or
 /// parse_plan("...:threads=8") parallelizes the batch. Results are
 /// byte-identical regardless of thread count -- seeded plans solve instance

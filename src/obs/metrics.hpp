@@ -6,10 +6,10 @@
 //     (request/path counts, byte sizes, frontier-point histograms). The
 //     deterministic exposition subset is byte-identical across shard and
 //     thread counts and is golden-gated in ci.sh.
-//   * kWallClock -- values read clocks or scheduler state (latency sums,
-//     steal counts, queue depths). Exposed after a marker line, and only
-//     when the caller asks for them -- same opt-in split as LatencyTrack
-//     timings and TraceRecorder durations.
+//   * kWallClock -- values read clocks (latency sums, request seconds).
+//     Exposed after a marker line, and only when the caller asks for them
+//     -- same opt-in split as LatencyTrack timings and TraceRecorder
+//     durations.
 //
 // Histograms use fixed log2 buckets (bounds first_bound * 2^i), so the
 // bucket a deterministic observation lands in never depends on what else

@@ -6,7 +6,7 @@
 //   * span *structure* -- names, parent/child nesting, and the ordered
 //     attributes call sites record -- is a pure function of the request
 //     stream (point counts, prune ratios, warm/cold paths, byte sizes;
-//     never thread ids, steal counts or clocks), so a timing-stripped
+//     never thread ids, claim order or clocks), so a timing-stripped
 //     trace of a deterministic replay is byte-identical at any shard or
 //     thread count (structure_json() canonicalizes away the recording
 //     interleaving; tests/obs_trace_test.cpp asserts it on the committed
@@ -26,7 +26,7 @@
 // handle) publishes its id for the duration of its scope, so a deep callee
 // (pareto_dp under a service request) nests without plumbing ids through
 // every signature. Work farmed to other threads passes the parent id
-// explicitly -- exactly what BatchExecutor's per-instance spans do.
+// explicitly -- exactly what solve_batch_report's per-instance spans do.
 //
 // One recorder is installed process-wide (install_trace); obs::trace()
 // returns it or nullptr. The service frontend installs one for
@@ -113,7 +113,8 @@ class TraceRecorder {
   /// roots in recording order, children recursively sorted by their own
   /// canonical serialization -- which is what makes the output independent
   /// of the thread interleaving that recorded the spans. Byte-identical
-  /// across shard/dp_thread counts for a deterministic request stream.
+  /// across shard and batch thread counts for a deterministic request
+  /// stream.
   [[nodiscard]] std::string structure_json() const;
 
   /// chrome://tracing / Perfetto "traceEvents" JSON (complete "X" events,

@@ -103,12 +103,14 @@ ServiceOptions parse_service_config(std::string_view spec) {
 
   for (const auto& [key, value] : pairs) {
     if (key == "shards") {
-      options.shards = static_cast<std::size_t>(config_value(key, parse_u64(value), value));
-      if (options.shards == 0) {
+      const std::uint64_t shards = config_value(key, parse_u64(value), value);
+      if (shards == 0 || shards > SessionStore::kMaxShards) {
         throw InvalidArgument(
-            "parse_service_config: key 'shards' must be >= 1, got '" + std::string(value) +
+            "parse_service_config: key 'shards' must be in [1, " +
+            std::to_string(SessionStore::kMaxShards) + "], got '" + std::string(value) +
             "' (behavior is shard-count-invariant; 1 is the sequential default)");
       }
+      options.shards = static_cast<std::size_t>(shards);
     } else if (key == "mem_budget") {
       options.mem_budget = config_bytes(key, value);
     } else if (key == "spill_dir") {

@@ -72,7 +72,7 @@
 // shard-count-invariant, and latency quantiles only enter a stats response
 // when explicitly requested ("timing":true). Deadlines are the deliberate
 // exception -- admission rejections depend on the wall clock, exactly like
-// the BatchExecutor's between-instance deadline -- so deterministic traces
+// the batch executor's between-instance deadline -- so deterministic traces
 // simply carry none.
 //
 // Admission control reuses ExecutorOptions: deadline_seconds is the serve
@@ -115,8 +115,9 @@ enum class DegradeMode : std::uint8_t {
 /// --config) spells them shards= / mem_budget= / deadline_ms= / fail_fast=
 /// / plan= / timing= / degrade= / fault=.
 struct ServiceOptions {
-  /// Store shards (>= 1). Observable behavior is shard-count-invariant;
-  /// the knob sizes the lock partition a concurrent frontend would use.
+  /// Store shards, in [1, SessionStore::kMaxShards]. Observable behavior
+  /// is shard-count-invariant; the knob sizes the lock partition a
+  /// concurrent frontend would use.
   std::size_t shards = 1;
   /// Warm-state byte budget; 0 = unlimited. LRU eviction keeps the store
   /// under it (session_store.hpp).
@@ -161,7 +162,7 @@ struct ServiceOptions {
 };
 
 /// Parses "key=value[,key=value...]" into ServiceOptions. Accepted keys:
-/// shards (>= 1), mem_budget (bytes, optional k/m/g suffix, 0 = unlimited),
+/// shards (1 to 1024), mem_budget (bytes, optional k/m/g suffix, 0 = unlimited),
 /// spill_dir (a directory path; enables the spill tier), spill_budget
 /// (bytes with k/m/g, 0 = unlimited; requires spill_dir), deadline_ms
 /// (finite, >= 0), fail_fast (bool), predict_straggler (bool), timing

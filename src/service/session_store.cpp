@@ -68,11 +68,13 @@ SessionEntry session_entry_from_state(SessionState&& state) {
 
 SessionStore::SessionStore(std::size_t shards, std::size_t mem_budget, std::string spill_dir,
                            std::size_t spill_budget)
-    : shards_(shards),
-      mem_budget_(mem_budget),
+    : mem_budget_(mem_budget),
       spill_dir_(std::move(spill_dir)),
       spill_budget_(spill_budget) {
-  TS_REQUIRE(shards >= 1, "SessionStore: shards must be >= 1, got " << shards);
+  // Checked before the shard vector is sized from it.
+  TS_REQUIRE(shards >= 1 && shards <= kMaxShards,
+             "SessionStore: shards must be in [1, " << kMaxShards << "], got " << shards);
+  shards_.resize(shards);
   TS_REQUIRE(spill_budget_ == 0 || spill_enabled(),
              "SessionStore: spill_budget without a spill_dir");
   if (spill_enabled()) {

@@ -128,8 +128,13 @@ enum class EvictFate : std::uint8_t {
 
 class SessionStore {
  public:
-  /// `shards` >= 1; `mem_budget` in bytes, 0 = unlimited. A non-empty
-  /// `spill_dir` enables the spill tier (the directory is created if
+  /// The largest shard count a store accepts. entries(), sessions() and
+  /// every eviction scan walk all shards, and the count comes from
+  /// client-facing config, so it is bounded before anything is sized by it.
+  static constexpr std::size_t kMaxShards = 1024;
+
+  /// `shards` in [1, kMaxShards]; `mem_budget` in bytes, 0 = unlimited. A
+  /// non-empty `spill_dir` enables the spill tier (the directory is created if
   /// missing); `spill_budget` bounds its bytes, 0 = unlimited.
   SessionStore(std::size_t shards, std::size_t mem_budget, std::string spill_dir = "",
                std::size_t spill_budget = 0);

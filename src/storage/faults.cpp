@@ -9,18 +9,14 @@
 #include "common/check.hpp"
 #include "common/format.hpp"
 #include "common/parse.hpp"
+#include "common/rng.hpp"
 
 namespace treesat {
 namespace {
 
-/// splitmix64 finalizer: the decision hash. Distinct from the service's
+/// splitmix64 of a copy: the decision hash. Distinct from the service's
 /// xoshiro streams on purpose -- the plan must not perturb any Rng state.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+std::uint64_t mix64(std::uint64_t x) { return splitmix64(x); }
 
 constexpr const char* kPointNames[kFaultPointCount] = {
     "spill_write", "spill_read", "truncate", "hash_flip", "dir_vanish", "restore_read",

@@ -7,13 +7,17 @@
 //      requires the timing-stripped trace (and the deterministic metrics
 //      exposition) to be byte-identical -- the tracing extension of the
 //      service's response byte wall.
+//      A batch solve's forest is likewise the same at one and four
+//      threads.
 //   2. Recording safety -- concurrent spans from many threads (this suite
 //      runs under TSan in ci.sh), the thread-local current-span nesting,
 //      explicit cross-thread parents, and the disabled/uninstalled
 //      recorder behaving as a total no-op.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,11 +25,13 @@
 
 #include "common/rng.hpp"
 #include "core/colouring.hpp"
+#include "core/executor.hpp"
 #include "core/pareto_dp.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/service.hpp"
 #include "workload/generator.hpp"
+#include "workload/scenarios.hpp"
 
 namespace treesat::obs {
 namespace {
@@ -197,8 +203,8 @@ TEST(TraceDeterminism, GoldenReplayStructureIsShardInvariant) {
   // The replay actually produced the service-path span taxonomy README
   // documents. (Sessions fold their colours sequentially through the
   // region/colour caches and finish in dp.sweep and dp.reconstruct -- the
-  // cold solve's dp.solve/dp.fold spans and the worklist never run here,
-  // which is itself part of the warm path's shape.)
+  // cold solve's dp.solve/dp.fold spans never run here, which is itself
+  // part of the warm path's shape.)
   for (const char* name : {"\"req.solve\"", "\"req.submit\"", "\"store.lookup\"",
                            "\"dp.colour\"", "\"dp.sweep\"", "\"dp.reconstruct\"",
                            "\"session.resolve\""}) {
@@ -219,7 +225,7 @@ TEST(TraceDeterminism, GoldenReplayStructureIsShardInvariant) {
 TEST(TraceDeterminism, ArenaSolveStructureNamesEveryPhase) {
   // The cold solve's phase taxonomy: the solve, its colour fold with one
   // span per colour, the sweep and the reconstruction -- all on the
-  // calling thread, so no worklist run appears under it.
+  // calling thread.
   Rng rng(0xA11);
   TreeGenOptions gen;
   gen.compute_nodes = 48;
@@ -237,7 +243,62 @@ TEST(TraceDeterminism, ArenaSolveStructureNamesEveryPhase) {
                            "\"dp.sweep\"", "\"dp.reconstruct\""}) {
     EXPECT_NE(structure.find(name), std::string::npos) << name;
   }
-  EXPECT_EQ(structure.find("\"worklist.run\""), std::string::npos);
+}
+
+TEST(TraceDeterminism, BatchStructureIsThreadCountInvariant) {
+  // solve_batch_report's spans: one batch.run with one batch.instance child
+  // per instance, each holding its own solve's dp.* phase spans, and no
+  // scheduler span in between. The forest is the same whether the calling
+  // thread solves alone or as one of four workers.
+  std::deque<CruTree> trees;
+  std::deque<Colouring> colourings;
+  std::vector<const Colouring*> instances;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (const Scenario& sc : standard_scenarios()) {
+      trees.push_back(sc.workload.lower(sc.platform));
+      colourings.emplace_back(trees.back());
+      instances.push_back(&colourings.back());
+    }
+  }
+
+  std::string reference;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SolvePlan plan = SolvePlan::pareto_dp();
+    plan.with_executor({.threads = threads});
+    TraceRecorder rec;  // timing off: the deterministic class only
+    install_trace(&rec);
+    const BatchReport report = solve_batch_report(instances, plan);
+    install_trace(nullptr);
+    ASSERT_TRUE(report.complete());
+
+    const std::vector<SpanRecord> spans = rec.snapshot();
+    ASSERT_FALSE(spans.empty());
+    EXPECT_EQ(spans[0].name, "batch.run");
+    EXPECT_EQ(spans[0].parent, 0u);
+    const std::uint64_t batch_id = spans[0].id;
+    std::map<std::uint64_t, std::size_t> dp_spans_under;  // batch.instance id -> count
+    for (const SpanRecord& span : spans) {
+      if (span.parent != batch_id) continue;
+      EXPECT_EQ(span.name, "batch.instance") << "threads=" << threads;
+      dp_spans_under[span.id] = 0;
+    }
+    EXPECT_EQ(dp_spans_under.size(), instances.size()) << "threads=" << threads;
+    for (const SpanRecord& span : spans) {
+      const auto it = dp_spans_under.find(span.parent);
+      if (it != dp_spans_under.end() && span.name.starts_with("dp.")) ++it->second;
+    }
+    for (const auto& [id, dp_spans] : dp_spans_under) {
+      EXPECT_GT(dp_spans, 0u) << "batch.instance " << id << " at threads=" << threads;
+    }
+
+    const std::string structure = rec.structure_json();
+    EXPECT_EQ(structure.find("\"worklist.run\""), std::string::npos);
+    if (threads == 1) {
+      reference = structure;
+    } else {
+      EXPECT_EQ(structure, reference) << "threads=" << threads;
+    }
+  }
 }
 
 TEST(TraceDeterminism, MetricsOpExposesTheSameDeterministicSubset) {

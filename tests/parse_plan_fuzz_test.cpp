@@ -116,6 +116,11 @@ const BadSpec kBadServiceConfigs[] = {
     {"shards=-1", "cannot parse value"},
     {"shards=many", "cannot parse value"},
     {"shards=2.5", "cannot parse value"},
+    // shards above the bound: the store sizes one shard per unit, so an
+    // unbounded count asks for gigabytes before serving anything.
+    {"shards=1025", "[1, 1024]"},
+    {"shards=4294967296", "[1, 1024]"},
+    {"shards=18446744073709551615", "[1, 1024]"},
     // mem_budget: bytes with k/m/g suffixes only; overflow rejected, not
     // wrapped (a wrapped budget would silently evict every warm session).
     {"mem_budget=", "cannot parse value"},
@@ -211,6 +216,7 @@ TEST(ParseServiceConfigFuzz, NearMissesStillParse) {
   // The empty config is the default service.
   EXPECT_EQ(parse_service_config("").shards, 1u);
   EXPECT_EQ(parse_service_config("shards=0016").shards, 16u);
+  EXPECT_EQ(parse_service_config("shards=1024").shards, 1024u);
   EXPECT_EQ(parse_service_config("mem_budget=64K").mem_budget, std::size_t{64} << 10);
   EXPECT_EQ(parse_service_config("deadline_ms=0").executor.deadline_seconds, 0.0);
   EXPECT_EQ(parse_service_config("fail_fast=no").executor.fail_fast, false);

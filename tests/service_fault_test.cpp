@@ -121,6 +121,13 @@ TEST(FaultPlan, ScheduleIsDeterministicPerPointAndSeed) {
   EXPECT_EQ(fired, a.fired(FaultPoint::kSpillRead));
   EXPECT_GT(fired, 16u);
   EXPECT_LT(fired, 48u);
+  // The decisions themselves are pinned too (bit i = trial i fired), so the
+  // splitmix64 behind the decision hash cannot drift.
+  std::uint64_t mask = 0;
+  for (std::size_t i = 0; i < reads_a.size(); ++i) {
+    if (reads_a[i]) mask |= std::uint64_t{1} << i;
+  }
+  EXPECT_EQ(mask, 0xa7f344534d270b5cULL);
 
   // A different seed is a different schedule.
   FaultPlan c;

@@ -188,9 +188,9 @@ cmake -B "$TSAN_DIR" -S . -DTREESAT_WERROR=ON -DTREESAT_TSAN=ON \
 cmake --build "$TSAN_DIR" -j "$JOBS" \
   --target batch_executor_test determinism_test plan_test \
            service_test service_determinism_test service_fault_test snapshot_test \
-           telemetry_test obs_trace_test obs_metrics_test
+           obs_trace_test obs_metrics_test
 (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-  -R 'batch_executor_test|determinism_test|plan_test|service_test|service_determinism_test|service_fault_test|^snapshot_test|telemetry_test|obs_trace_test|obs_metrics_test')
+  -R 'batch_executor_test|determinism_test|plan_test|service_test|service_determinism_test|service_fault_test|^snapshot_test|obs_trace_test|obs_metrics_test')
 
 # UBSan stage: the suites that exercise the Minkowski merge kernels and the
 # batch executor's worker loop -- pointer-offset arithmetic in the SIMD

@@ -30,7 +30,8 @@ namespace treesat {
 /// which path ran, the cold reason when one did, and the reuse counters.
 /// Deliberately excludes the wall clock -- this object appears in
 /// byte-identity-checked response streams (service/service.hpp); timing
-/// lives in the report's own wall_seconds and the service telemetry.
+/// lives in the report's own wall_seconds and the registry's wall-clock
+/// families (obs/metrics.hpp).
 [[nodiscard]] std::string resolve_stats_to_json(const ResolveStats& stats);
 
 /// A session re-solve: report_to_json plus a "resolve" section carrying

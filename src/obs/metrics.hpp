@@ -8,8 +8,8 @@
 //     thread counts and is golden-gated in ci.sh.
 //   * kWallClock -- values read clocks (latency sums, request seconds).
 //     Exposed after a marker line, and only when the caller asks for them
-//     -- same opt-in split as LatencyTrack timings and TraceRecorder
-//     durations.
+//     (--metrics-out does, the in-band metrics op never does) -- the same
+//     opt-in split as TraceRecorder durations.
 //
 // Histograms use fixed log2 buckets (bounds first_bound * 2^i), so the
 // bucket a deterministic observation lands in never depends on what else

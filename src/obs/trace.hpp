@@ -1,8 +1,8 @@
 // Request tracing for the whole stack: nestable spans with deterministic
 // structure and opt-in wall-clock timing.
 //
-// The same determinism split LatencyTrack draws for the service's counters
-// applies here, deliberately:
+// The determinism split of the metrics registry (obs/metrics.hpp) applies
+// here, deliberately:
 //   * span *structure* -- names, parent/child nesting, and the ordered
 //     attributes call sites record -- is a pure function of the request
 //     stream (point counts, prune ratios, warm/cold paths, byte sizes;

@@ -132,10 +132,6 @@ ServiceOptions parse_service_config(std::string_view spec) {
       options.executor.deadline_seconds = ms / 1e3;
     } else if (key == "fail_fast") {
       options.executor.fail_fast = config_value(key, parse_bool(value), value);
-    } else if (key == "predict_straggler") {
-      options.predict_straggler = config_value(key, parse_bool(value), value);
-    } else if (key == "timing") {
-      options.timing_in_stats = config_value(key, parse_bool(value), value);
     } else if (key == "plan") {
       // Validated eagerly so a typo'd default plan fails at startup, not on
       // the first solve request. The config grammar splits on commas, so
@@ -151,8 +147,7 @@ ServiceOptions parse_service_config(std::string_view spec) {
     } else {
       throw InvalidArgument("parse_service_config: unknown key '" + std::string(key) +
                             "' (accepted: shards,mem_budget,spill_dir,spill_budget,"
-                            "deadline_ms,fail_fast,predict_straggler,timing,plan,"
-                            "degrade,fault)");
+                            "deadline_ms,fail_fast,plan,degrade,fault)");
     }
   }
   if (options.spill_budget != 0 && options.spill_dir.empty()) {
@@ -172,8 +167,6 @@ std::string service_config_spec(const ServiceOptions& options) {
     spec += ",deadline_ms=" + shortest_round_trip(options.executor.deadline_seconds * 1e3);
   }
   if (!options.executor.fail_fast) spec += ",fail_fast=false";
-  if (options.predict_straggler) spec += ",predict_straggler=true";
-  if (options.timing_in_stats) spec += ",timing=true";
   if (options.degrade != DegradeMode::kOff) {
     spec += ",degrade=";
     spec += degrade_mode_name(options.degrade);
@@ -182,11 +175,6 @@ std::string service_config_spec(const ServiceOptions& options) {
   if (!faults.empty()) spec += ",fault=" + faults;
   spec += ",plan=" + options.plan;
   return spec;
-}
-
-bool predicted_overrun(double now_seconds, double limit_seconds, double estimate_seconds) {
-  return limit_seconds > 0.0 && estimate_seconds > 0.0 &&
-         now_seconds + estimate_seconds > limit_seconds;
 }
 
 // --- the service ---------------------------------------------------------
@@ -325,16 +313,16 @@ LocalSearchResult degraded_result(DegradeMode mode, const Colouring& colouring,
   return greedy_solve(colouring, objective, warm_candidate);
 }
 
-/// Response tail of a degraded solve/perturb: the heuristic's answer plus
-/// its provenance ("path":"degraded", the fallback method, whether the
-/// cached optimum seeded the climb). Mirrors add_solution_fields' field
-/// set minus the session-only region stats. No wall-clock here either.
 /// The SolveMethod a degrade fallback reports (and counts) as.
 SolveMethod degrade_method(DegradeMode mode) {
   return mode == DegradeMode::kLocalSearch ? SolveMethod::kLocalSearch
                                            : SolveMethod::kGreedy;
 }
 
+/// Response tail of a degraded solve/perturb: the heuristic's answer plus
+/// its provenance ("path":"degraded", the fallback method, whether the
+/// cached optimum seeded the climb). Mirrors add_solution_fields' field
+/// set minus the session-only region stats. No wall-clock here either.
 void add_degraded_fields(JsonLineWriter& w, SolveMethod method, const LocalSearchResult& res,
                          const CruTree& tree, bool warm_started) {
   w.field_str("path", "degraded");
@@ -348,44 +336,43 @@ void add_degraded_fields(JsonLineWriter& w, SolveMethod method, const LocalSearc
   w.field_raw("cut", cut_to_json(res.assignment.cut_nodes(), tree));
 }
 
+/// The entry a solve/perturb addresses, under a store.lookup span; a
+/// reload from the spill tier counts toward `tt`. Throws on an unknown
+/// instance.
+SessionEntry& find_entry(SessionStore& store, const std::string& tenant,
+                         const std::string& instance, TenantTelemetry& tt) {
+  bool reloaded = false;
+  SessionEntry* entry = nullptr;
+  {
+    // Any spill.reload span the store opens nests under this one.
+    obs::Span span(obs::trace(), "store.lookup");
+    entry = store.find(tenant, instance, &reloaded);
+    span.attr("reloaded", std::uint64_t{reloaded ? 1u : 0u});
+  }
+  if (entry == nullptr) {
+    throw InvalidArgument("request: unknown instance '" + tenant + '/' + instance +
+                          "' (submit it first)");
+  }
+  if (reloaded) ++tt.spill_reloads;
+  return *entry;
+}
+
+/// Evicts down to the byte budget, sparing `keep`, and charges each victim
+/// to its own tenant. Returns the number evicted.
+std::size_t enforce_budget(SessionStore& store, ServiceTelemetry& telemetry,
+                           const SessionEntry* keep) {
+  const std::vector<EvictedEntry> victims = store.enforce_budget(keep);
+  for (const EvictedEntry& e : victims) {
+    TenantTelemetry& victim = telemetry.slot(e.tenant);
+    ++victim.lru_evictions;
+    if (e.spilled) ++victim.spills;
+  }
+  return victims.size();
+}
+
 /// The shared tail of solve/perturb responses: the optimum and the
 /// warm/cold provenance. Deliberately no wall-clock field -- the response
 /// stream is byte-identity-checked across shard/thread counts.
-// --- observability helpers ----------------------------------------------
-//
-// Every counter below is a pure function of the request stream (request
-// paths, store outcomes, response bytes), so it lands in the deterministic
-// exposition subset ci.sh golden-gates. The only wall-clock family the
-// service owns is the request-latency histogram, recorded exactly where
-// LatencyTrack records.
-
-/// +1 on a deterministic counter when a registry is installed. The
-/// find-or-create is a mutex + map lookup -- noise next to a request's
-/// parse/solve work (requests are the unit of recording here; per-point
-/// hot loops cache handles instead, see pareto_dp.cpp).
-void bump(const char* name, const char* help) {
-  if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->counter(name, help, obs::MetricClass::kDeterministic).add(1);
-  }
-}
-
-void observe_response_bytes(std::size_t bytes) {
-  if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->histogram("treesat_response_bytes", "Response line sizes in bytes",
-                 obs::MetricClass::kDeterministic)
-        .observe(static_cast<double>(bytes));
-  }
-}
-
-void observe_request_seconds(double seconds) {
-  if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->histogram("treesat_request_seconds",
-                 "Wall-clock solve/perturb request latency in seconds",
-                 obs::MetricClass::kWallClock, 1e-6)
-        .observe(seconds);
-  }
-}
-
 void add_solution_fields(JsonLineWriter& w, const SessionEntry& entry, const char* path,
                          const ResolveStats& stats) {
   const SolveReport& report = entry.session->current();
@@ -425,7 +412,6 @@ std::size_t SolverService::serve(std::istream& in, std::ostream& out) {
 }
 
 const ServiceTelemetry& SolverService::telemetry() {
-  telemetry_.shards = store_.shard_count();
   telemetry_.mem_budget = store_.mem_budget();
   telemetry_.bytes_used = store_.bytes_used();
   telemetry_.entries = store_.entries();
@@ -478,10 +464,11 @@ void SolverService::restore_from(const std::string& dir) {
 SolverService::Outcome SolverService::handle(const std::string& line) {
   const std::size_t id = ++next_id_;
   ++telemetry_.requests;
-  bump("treesat_requests_total", "Request lines handled");
+  obs::count("treesat_requests_total", "Request lines handled");
   const Stopwatch watch;
   std::string op;
   std::string tenant;
+  Outcome outcome;
   try {
     const RequestObject req = RequestObject::parse(line);
     op = req.string_at("op");
@@ -523,37 +510,18 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
     // The recorded form first: "degrade":true in the request forces the
     // degraded path unconditionally, which is how a wall-clock degradation,
     // once observed, replays byte-identically (the decision travels in the
-    // trace, not in the clock). Then the wall-clock forms: budget expired,
-    // or (opt-in) the tenant's recent p90 predicts an overrun -- each
+    // trace, not in the clock). Then the wall-clock form: an expired budget
     // degrades when a fallback is configured and rejects when degrade=off.
     const bool solver_op = op == "solve" || op == "perturb";
     bool degrade_now = solver_op && req.bool_or("degrade", false);
     if (solver_op && !degrade_now && limit > 0.0 && since_start_.seconds() >= limit) {
       if (options_.degrade == DegradeMode::kOff) {
         if (tt != nullptr) ++tt->rejected;
-        bump("treesat_rejected_total", "Solver requests refused by admission control");
+        obs::count("treesat_rejected_total", "Solver requests refused by admission control");
         throw ResourceLimit("deadline: request " + std::to_string(id) +
                             " arrived after its admission budget expired; not started");
       }
       degrade_now = true;
-    }
-    // Straggler-aware admission (opt-in): a request predicted -- from the
-    // tenant's recent p90 -- to finish past the budget is degraded or
-    // refused while the budget is still open, so a known-slow solve cannot
-    // blow the deadline for everything queued behind it.
-    if (solver_op && !degrade_now && limit > 0.0 && options_.predict_straggler &&
-        tt != nullptr) {
-      const double estimate = tt->latency.quantile(0.90);
-      if (predicted_overrun(since_start_.seconds(), limit, estimate)) {
-        if (options_.degrade == DegradeMode::kOff) {
-          ++tt->rejected;
-          bump("treesat_rejected_total", "Solver requests refused by admission control");
-          throw ResourceLimit("deadline: request " + std::to_string(id) +
-                              " predicted to overrun its admission budget (recent p90 " +
-                              shortest_round_trip(estimate * 1e3) + " ms); not started");
-        }
-        degrade_now = true;
-      }
     }
     // The fallback a degraded request runs: the configured mode, or greedy
     // when a "degrade":true request arrives with degradation unconfigured
@@ -590,13 +558,7 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
       // state in both tiers anyway, so reloading first would be waste).
       const bool replaced = store_.contains(tenant, instance);
       SessionEntry& entry = store_.put(tenant, instance, std::move(tree));
-      std::size_t lru_evicted = 0;
-      for (const EvictedEntry& e : store_.enforce_budget(&entry)) {
-        TenantTelemetry& victim = telemetry_.slot(e.tenant);
-        ++victim.lru_evictions;
-        if (e.spilled) ++victim.spills;
-        ++lru_evicted;
-      }
+      const std::size_t lru_evicted = enforce_budget(store_, telemetry_, &entry);
       w.field_str("tenant", tenant).field_str("instance", instance);
       w.field_uint("nodes", entry.current_tree().size());
       w.field_uint("sensors", entry.current_tree().sensor_count());
@@ -614,19 +576,7 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
       const SolvePlan plan =
           req.has("plan") ? parse_plan(req.string_at("plan")) : default_plan_;
       const std::string canonical = session_plan_key(plan);
-      bool reloaded = false;
-      SessionEntry* entry = nullptr;
-      {
-        // Any spill.reload span the store opens nests under this one.
-        obs::Span lookup(obs::trace(), "store.lookup");
-        entry = store_.find(tenant, instance, &reloaded);
-        lookup.attr("reloaded", std::uint64_t{reloaded ? 1u : 0u});
-      }
-      if (entry == nullptr) {
-        throw InvalidArgument("request: unknown instance '" + tenant + '/' + instance +
-                              "' (submit it first)");
-      }
-      if (reloaded) ++tt->spill_reloads;
+      SessionEntry& entry = find_entry(store_, tenant, instance, *tt);
 
       if (degrade_now) {
         // Degraded solve: the cheap heuristic over the current tree,
@@ -634,108 +584,80 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
         // itself is deliberately untouched -- the expensive state stays
         // resident for when the pressure lifts, and the next full solve is
         // still a warm hit.
-        const Colouring colouring(entry->current_tree());
-        const SsbObjective objective = entry->session != nullptr
-                                           ? entry->session->plan().objective()
+        const Colouring colouring(entry.current_tree());
+        const SsbObjective objective = entry.session != nullptr
+                                           ? entry.session->plan().objective()
                                            : plan.objective();
         std::vector<CruId> warm;
-        if (entry->session != nullptr) {
-          warm = entry->session->current().assignment.cut_nodes();
+        if (entry.session != nullptr) {
+          warm = entry.session->current().assignment.cut_nodes();
         }
         bool warm_started = false;
         const LocalSearchResult res = degraded_result(fallback_mode, colouring, objective,
                                                       std::move(warm), &warm_started);
         ++tt->degraded;
-        bump("treesat_degraded_total", "Solver requests served by the degrade fallback");
+        obs::count("treesat_degraded_total", "Solver requests served by the degrade fallback");
         root.attr("path", "degraded");
         const SolveMethod method = degrade_method(fallback_mode);
         ++tt->method_counts[static_cast<std::size_t>(method)];
-        store_.refresh_bytes(*entry);
-        std::size_t lru_evicted = 0;
-        for (const EvictedEntry& e : store_.enforce_budget(entry)) {
-          TenantTelemetry& victim = telemetry_.slot(e.tenant);
-          ++victim.lru_evictions;
-          if (e.spilled) ++victim.spills;
-          ++lru_evicted;
-        }
+        store_.refresh_bytes(entry);
+        const std::size_t lru_evicted = enforce_budget(store_, telemetry_, &entry);
         w.field_str("tenant", tenant).field_str("instance", instance);
-        add_degraded_fields(w, method, res, entry->current_tree(), warm_started);
-        w.field_uint("bytes", entry->bytes);
+        add_degraded_fields(w, method, res, entry.current_tree(), warm_started);
+        w.field_uint("bytes", entry.bytes);
         w.field_uint("lru_evicted", lru_evicted);
-        if (tt != nullptr) tt->latency.record(watch.seconds());
-        observe_request_seconds(watch.seconds());
-        std::string out = w.finish();
-        observe_response_bytes(out.size());
-        return {std::move(out), true};
-      }
-
-      const char* path = "cached";
-      ResolveStats stats;
-      if (entry->session == nullptr) {
-        // First solve: materialize the warm session from the submitted
-        // tree. Built from a copy so a solver failure (resource cap) keeps
-        // the entry usable for a retry under another plan.
-        entry->session = std::make_unique<ResolveSession>(CruTree(*entry->tree), plan);
-        entry->tree.reset();
-        entry->plan_spec = canonical;
-        path = "initial";
-        stats = entry->session->last_stats();
-        ++tt->initial_solves;
-        bump("treesat_initial_solves_total", "First solves of an instance");
-        ++tt->method_counts[static_cast<std::size_t>(entry->session->current().method)];
-      } else if (entry->plan_spec != canonical) {
-        // A new plan cannot reuse the old session's state (its caches and
-        // incumbents belong to the old options): rebuild cold on the
-        // session's current (perturbation-evolved) tree.
-        auto rebuilt = std::make_unique<ResolveSession>(CruTree(entry->session->tree()), plan);
-        entry->session = std::move(rebuilt);
-        entry->plan_spec = canonical;
-        path = "cold";
-        stats = entry->session->last_stats();
-        stats.cold_reason = "plan changed; session rebuilt";
-        ++tt->cold_solves;
-        bump("treesat_cold_solves_total", "Re-solves that could reuse nothing warm");
-        ++tt->method_counts[static_cast<std::size_t>(entry->session->current().method)];
       } else {
-        // Same plan, unperturbed instance: the whole point of the warm
-        // store -- served straight from the session.
-        stats = entry->session->last_stats();
-        stats.regions_reused = stats.regions_total;
-        stats.regions_recomputed = 0;
-        stats.cold_reason.clear();
-        ++tt->warm_hits;
-        bump("treesat_warm_hits_total", "Solver requests served from warm session state");
+        const char* path = "cached";
+        ResolveStats stats;
+        if (entry.session == nullptr) {
+          // First solve: materialize the warm session from the submitted
+          // tree. Built from a copy so a solver failure (resource cap) keeps
+          // the entry usable for a retry under another plan.
+          entry.session = std::make_unique<ResolveSession>(CruTree(*entry.tree), plan);
+          entry.tree.reset();
+          entry.plan_spec = canonical;
+          path = "initial";
+          stats = entry.session->last_stats();
+          ++tt->initial_solves;
+          obs::count("treesat_initial_solves_total", "First solves of an instance");
+          ++tt->method_counts[static_cast<std::size_t>(entry.session->current().method)];
+        } else if (entry.plan_spec != canonical) {
+          // A new plan cannot reuse the old session's state (its caches and
+          // incumbents belong to the old options): rebuild cold on the
+          // session's current (perturbation-evolved) tree.
+          auto rebuilt = std::make_unique<ResolveSession>(CruTree(entry.session->tree()), plan);
+          entry.session = std::move(rebuilt);
+          entry.plan_spec = canonical;
+          path = "cold";
+          stats = entry.session->last_stats();
+          stats.cold_reason = "plan changed; session rebuilt";
+          ++tt->cold_solves;
+          obs::count("treesat_cold_solves_total", "Re-solves that could reuse nothing warm");
+          ++tt->method_counts[static_cast<std::size_t>(entry.session->current().method)];
+        } else {
+          // Same plan, unperturbed instance: the whole point of the warm
+          // store -- served straight from the session.
+          stats = entry.session->last_stats();
+          stats.regions_reused = stats.regions_total;
+          stats.regions_recomputed = 0;
+          stats.cold_reason.clear();
+          ++tt->warm_hits;
+          obs::count("treesat_warm_hits_total", "Solver requests served from warm session state");
+        }
+        store_.refresh_bytes(entry);
+        const std::size_t lru_evicted = enforce_budget(store_, telemetry_, &entry);
+        root.attr("path", path);
+        w.field_str("tenant", tenant).field_str("instance", instance);
+        add_solution_fields(w, entry, path, stats);
+        w.field_uint("bytes", entry.bytes);
+        w.field_uint("lru_evicted", lru_evicted);
       }
-      store_.refresh_bytes(*entry);
-      std::size_t lru_evicted = 0;
-      for (const EvictedEntry& e : store_.enforce_budget(entry)) {
-        TenantTelemetry& victim = telemetry_.slot(e.tenant);
-        ++victim.lru_evictions;
-        if (e.spilled) ++victim.spills;
-        ++lru_evicted;
-      }
-      root.attr("path", path);
-      w.field_str("tenant", tenant).field_str("instance", instance);
-      add_solution_fields(w, *entry, path, stats);
-      w.field_uint("bytes", entry->bytes);
-      w.field_uint("lru_evicted", lru_evicted);
     } else if (op == "perturb") {
       if (tt == nullptr) throw InvalidArgument("request: 'perturb' needs a tenant");
       const std::string& instance = req.string_at("instance");
       ++tt->perturbs;
-      bool reloaded = false;
-      SessionEntry* entry = nullptr;
-      {
-        obs::Span lookup(obs::trace(), "store.lookup");
-        entry = store_.find(tenant, instance, &reloaded);
-        lookup.attr("reloaded", std::uint64_t{reloaded ? 1u : 0u});
-      }
-      if (entry == nullptr) {
-        throw InvalidArgument("request: unknown instance '" + tenant + '/' + instance +
-                              "' (submit it first)");
-      }
-      if (reloaded) ++tt->spill_reloads;
-      const Perturbation p = parse_perturbation(req, entry->current_tree());
+      SessionEntry& entry = find_entry(store_, tenant, instance, *tt);
+      const Perturbation p = parse_perturbation(req, entry.current_tree());
       w.field_str("tenant", tenant).field_str("instance", instance);
       w.field_str("kind", p.kind_name());
       if (degrade_now) {
@@ -746,91 +668,55 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
         // state, and the old session's caches describe the
         // pre-perturbation instance. The next full solve is an "initial"
         // rebuild.
-        CruTree evolved = apply_perturbation(entry->current_tree(), p);
+        CruTree evolved = apply_perturbation(entry.current_tree(), p);
         const Colouring colouring(evolved);
-        const SsbObjective objective = entry->session != nullptr
-                                           ? entry->session->plan().objective()
+        const SsbObjective objective = entry.session != nullptr
+                                           ? entry.session->plan().objective()
                                            : default_plan_.objective();
         std::vector<CruId> warm;
-        if (entry->session != nullptr) {
-          warm = map_cut_by_name(entry->session->current().assignment.cut_nodes(),
-                                 entry->session->tree(), evolved);
+        if (entry.session != nullptr) {
+          warm = map_cut_by_name(entry.session->current().assignment.cut_nodes(),
+                                 entry.session->tree(), evolved);
         }
         bool warm_started = false;
         const LocalSearchResult res = degraded_result(fallback_mode, colouring, objective,
                                                       std::move(warm), &warm_started);
         ++tt->degraded;
-        bump("treesat_degraded_total", "Solver requests served by the degrade fallback");
+        obs::count("treesat_degraded_total", "Solver requests served by the degrade fallback");
         root.attr("path", "degraded");
         const SolveMethod method = degrade_method(fallback_mode);
         ++tt->method_counts[static_cast<std::size_t>(method)];
         w.field_bool("solved", true);
         add_degraded_fields(w, method, res, evolved, warm_started);
-        entry->session.reset();
-        entry->plan_spec.clear();
-        entry->tree = std::make_unique<CruTree>(std::move(evolved));
-      } else if (entry->session != nullptr) {
-        entry->session->resolve(p);
-        const ResolveStats& stats = entry->session->last_stats();
+        entry.session.reset();
+        entry.plan_spec.clear();
+        entry.tree = std::make_unique<CruTree>(std::move(evolved));
+      } else if (entry.session != nullptr) {
+        entry.session->resolve(p);
+        const ResolveStats& stats = entry.session->last_stats();
         const bool warm = stats.path == ResolvePath::kWarm;
         ++(warm ? tt->warm_hits : tt->cold_solves);
-        bump(warm ? "treesat_warm_hits_total" : "treesat_cold_solves_total",
-             warm ? "Solver requests served from warm session state"
-                  : "Re-solves that could reuse nothing warm");
-        ++tt->method_counts[static_cast<std::size_t>(entry->session->current().method)];
+        obs::count(warm ? "treesat_warm_hits_total" : "treesat_cold_solves_total",
+                   warm ? "Solver requests served from warm session state"
+                        : "Re-solves that could reuse nothing warm");
+        ++tt->method_counts[static_cast<std::size_t>(entry.session->current().method)];
         w.field_bool("solved", true);
         root.attr("path", resolve_path_name(stats.path));
-        add_solution_fields(w, *entry, resolve_path_name(stats.path), stats);
+        add_solution_fields(w, entry, resolve_path_name(stats.path), stats);
       } else {
         // Not solved yet: evolve the stored tree so the eventual first
         // solve sees the current instance.
-        entry->tree = std::make_unique<CruTree>(apply_perturbation(*entry->tree, p));
+        entry.tree = std::make_unique<CruTree>(apply_perturbation(*entry.tree, p));
         w.field_bool("solved", false);
-        w.field_uint("nodes", entry->tree->size());
+        w.field_uint("nodes", entry.tree->size());
       }
-      store_.refresh_bytes(*entry);
-      std::size_t lru_evicted = 0;
-      for (const EvictedEntry& e : store_.enforce_budget(entry)) {
-        TenantTelemetry& victim = telemetry_.slot(e.tenant);
-        ++victim.lru_evictions;
-        if (e.spilled) ++victim.spills;
-        ++lru_evicted;
-      }
-      w.field_uint("bytes", entry->bytes);
+      store_.refresh_bytes(entry);
+      const std::size_t lru_evicted = enforce_budget(store_, telemetry_, &entry);
+      w.field_uint("bytes", entry.bytes);
       w.field_uint("lru_evicted", lru_evicted);
     } else if (op == "stats") {
-      const bool timing = options_.timing_in_stats || req.bool_or("timing", false);
-      const ServiceTelemetry& full = telemetry();
-      if (tt != nullptr) {
-        // Tenant-scoped view: store gauges plus this tenant's own section
-        // only -- built from scratch, not by copying the full document
-        // (which can hold ~1024 tenants x 4096 latency samples), and with
-        // the overflow aggregate deliberately left empty: it mixes *other*
-        // tenants' counters and must not leak into a scoped response. In
-        // the scoped document `totals` therefore equals the tenant's own
-        // block. A tenant past the tracking cap gets gauges only.
-        ServiceTelemetry scoped;
-        scoped.shards = full.shards;
-        scoped.mem_budget = full.mem_budget;
-        scoped.bytes_used = full.bytes_used;
-        scoped.entries = full.entries;
-        scoped.sessions = full.sessions;
-        scoped.spill_budget = full.spill_budget;
-        scoped.spill_bytes = full.spill_bytes;
-        scoped.spill_entries = full.spill_entries;
-        scoped.spills = full.spills;
-        scoped.spill_reloads = full.spill_reloads;
-        scoped.spill_drops = full.spill_drops;
-        scoped.spill_faults = full.spill_faults;
-        scoped.restore_faults = full.restore_faults;
-        scoped.requests = full.requests;
-        scoped.errors = full.errors;
-        const auto it = full.tenants.find(tenant);
-        if (it != full.tenants.end()) scoped.tenants.insert(*it);
-        w.field_raw("stats", service_telemetry_to_json(scoped, timing));
-      } else {
-        w.field_raw("stats", service_telemetry_to_json(full, timing));
-      }
+      // A request that names a tenant is scoped to that tenant's own block.
+      w.field_raw("stats", service_telemetry_to_json(telemetry(), tenant));
     } else if (op == "evict") {
       if (tt == nullptr) throw InvalidArgument("request: 'evict' needs a tenant");
       const std::string& instance = req.string_at("instance");
@@ -848,18 +734,16 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
                           : fate == EvictFate::kDropped ? "dropped"
                                                         : "spilled");
     } else if (op == "metrics") {
-      // Prometheus text exposition of the installed registry. The
-      // deterministic families by default -- the response stays inside the
-      // byte-identity contract at any shard/thread count -- and the
-      // wall-clock families (after the marker line) only with
-      // "timing":true, the same opt-in split as stats timing. Empty string
-      // when no registry is installed (the op stays valid so clients can
-      // probe without knowing how the server was launched).
-      const bool timing = options_.timing_in_stats || req.bool_or("timing", false);
+      // Prometheus text of the installed registry's deterministic families,
+      // so the response stays inside the byte-identity contract at any
+      // shard/thread count; the wall-clock families leave only through
+      // --metrics-out. Empty string when no registry is installed (the op
+      // stays valid so clients can probe without knowing how the server
+      // was launched).
       std::string text;
       if (obs::MetricsRegistry* m = obs::metrics()) {
         static_cast<void>(telemetry());  // refresh the store gauges into the registry
-        text = m->exposition(timing);
+        text = m->exposition(/*include_wallclock=*/false);
       }
       w.field_str("metrics", text);
     } else if (op == "checkpoint") {
@@ -882,16 +766,15 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
           "' (submit, solve, perturb, stats, metrics, evict, checkpoint, restore)");
     }
 
-    if (tt != nullptr && (op == "solve" || op == "perturb")) {
-      tt->latency.record(watch.seconds());
-      observe_request_seconds(watch.seconds());
+    if (solver_op) {
+      obs::observe("treesat_request_seconds",
+                   "Wall-clock solve/perturb request latency in seconds",
+                   obs::MetricClass::kWallClock, watch.seconds(), 1e-6);
     }
-    std::string out = w.finish();
-    observe_response_bytes(out.size());
-    return {std::move(out), true};
+    outcome = {w.finish(), true};
   } catch (const std::exception& e) {
     ++telemetry_.errors;
-    bump("treesat_request_errors_total", "Requests that produced an error response");
+    obs::count("treesat_request_errors_total", "Requests that produced an error response");
     if (!tenant.empty() && tenant.find('/') == std::string::npos) {
       ++telemetry_.slot(tenant).errors;
     }
@@ -900,10 +783,11 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
     w.field_str("op", op.empty() ? "?" : op);
     w.field_bool("ok", false);
     w.field_str("error", e.what());
-    std::string out = w.finish();
-    observe_response_bytes(out.size());
-    return {std::move(out), false};
+    outcome = {w.finish(), false};
   }
+  obs::observe("treesat_response_bytes", "Response line sizes in bytes",
+               obs::MetricClass::kDeterministic, static_cast<double>(outcome.line.size()));
+  return outcome;
 }
 
 }  // namespace treesat

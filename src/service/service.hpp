@@ -27,14 +27,14 @@
 //       survives. Kinds: global_drift, satellite_drift, satellite_loss,
 //       insert_probe (parent named by node name -- names are stable under
 //       the id compaction a satellite loss performs; ids are not).
-//   {"op":"stats"}            (optional "tenant", optional "timing":true)
-//       Telemetry document (io/json.cpp service_telemetry_to_json).
-//   {"op":"metrics"}          (optional "timing":true)
-//       Prometheus text exposition of the installed obs::MetricsRegistry
-//       (src/obs/metrics.hpp) as one JSON string field. Deterministic
-//       families only by default; "timing":true appends the wall-clock
-//       families after the marker line. Empty string when no registry is
-//       installed.
+//   {"op":"stats"}            (optional "tenant")
+//       Telemetry document (service/telemetry.hpp
+//       service_telemetry_to_json): counters and gauges only. A tenant
+//       scopes it to that tenant's own block.
+//   {"op":"metrics"}
+//       The deterministic families of the installed obs::MetricsRegistry
+//       (src/obs/metrics.hpp) as Prometheus text in one JSON string field.
+//       Empty string when no registry is installed.
 //   {"op":"evict","tenant":"t0","instance":"w0"}   (optional "drop":true)
 //       Removes the entry from memory. With a spill tier configured the
 //       warm state is preserved on disk unless "drop":true; the response
@@ -51,8 +51,7 @@
 //
 // SLA-aware degradation. With `degrade=` configured (greedy or
 // local-search), admission pressure stops meaning rejection: a solve or
-// perturb whose budget has expired (or whose tenant p90 predicts an
-// overrun, see predict_straggler) is answered by the cheap heuristic
+// perturb whose budget has expired is answered by the cheap heuristic
 // instead -- warm-started from the session's cached optimum when one
 // survives -- and the response carries "degraded":true, "path":"degraded"
 // and "fallback":"greedy"|"local-search" in place of the exact solver's
@@ -67,13 +66,13 @@
 // Determinism contract. For a fixed request stream the response stream is
 // byte-identical at any shard count and any executor thread count,
 // extending the executor and DP determinism guarantees to the serving
-// layer: responses expose objectives, cuts, warm/cold paths
-// and counters but never wall-clock values, the store's eviction order is
-// shard-count-invariant, and latency quantiles only enter a stats response
-// when explicitly requested ("timing":true). Deadlines are the deliberate
-// exception -- admission rejections depend on the wall clock, exactly like
-// the batch executor's between-instance deadline -- so deterministic traces
-// simply carry none.
+// layer: responses expose objectives, cuts, warm/cold paths and counters
+// but never wall-clock values, and the store's eviction order is
+// shard-count-invariant. Wall-clock data leaves the process only through
+// the registry's wall-clock families (--metrics-out) and span timings
+// (--trace-out). Deadlines are the deliberate exception -- admission
+// rejections depend on the wall clock, exactly like the batch executor's
+// between-instance deadline -- so deterministic traces simply carry none.
 //
 // Admission control reuses ExecutorOptions: deadline_seconds is the serve
 // budget measured from construction and checked before each request is
@@ -112,8 +111,8 @@ enum class DegradeMode : std::uint8_t {
 [[nodiscard]] const char* degrade_mode_name(DegradeMode mode);
 
 /// Service configuration. The string form (parse_service_config, CLI flag
-/// --config) spells them shards= / mem_budget= / deadline_ms= / fail_fast=
-/// / plan= / timing= / degrade= / fault=.
+/// --config) spells them shards= / mem_budget= / spill_dir= /
+/// spill_budget= / deadline_ms= / fail_fast= / plan= / degrade= / fault=.
 struct ServiceOptions {
   /// Store shards, in [1, SessionStore::kMaxShards]. Observable behavior
   /// is shard-count-invariant; the knob sizes the lock partition a
@@ -135,19 +134,6 @@ struct ServiceOptions {
   /// deadline_seconds bounds the whole serve measured from construction,
   /// fail_fast stops the stream at the first error response.
   ExecutorOptions executor;
-  /// Straggler-aware admission (config key predict_straggler): when a
-  /// deadline is in play, a solve/perturb request whose tenant's recent
-  /// p90 latency predicts it would finish past the admission budget is
-  /// rejected up front ("predicted to overrun") instead of being started
-  /// and blowing the budget for everyone behind it in the stream. Off by
-  /// default: the prediction reads wall-clock history, so replays of one
-  /// trace under different load can diverge -- opt in only where the
-  /// deadline already makes responses time-dependent.
-  bool predict_straggler = false;
-  /// Include latency quantiles in every stats response (otherwise only
-  /// when the request asks with "timing":true). Off by default: timing is
-  /// wall-clock and would break byte-identical trace replay.
-  bool timing_in_stats = false;
   /// SLA-aware degradation (config key degrade=off|greedy|local-search):
   /// what happens to a solve/perturb the admission budget would reject.
   /// Off keeps the historical reject-with-error behavior. A request
@@ -165,10 +151,10 @@ struct ServiceOptions {
 /// shards (1 to 1024), mem_budget (bytes, optional k/m/g suffix, 0 = unlimited),
 /// spill_dir (a directory path; enables the spill tier), spill_budget
 /// (bytes with k/m/g, 0 = unlimited; requires spill_dir), deadline_ms
-/// (finite, >= 0), fail_fast (bool), predict_straggler (bool), timing
-/// (bool), plan (a registry spec; comma-free -- per-request plans carry
-/// the full grammar), degrade (off|greedy|local-search), fault (a
-/// storage/faults.hpp sub-spec, ';'/':'-separated so it nests comma-free).
+/// (finite, >= 0), fail_fast (bool), plan (a registry spec; comma-free --
+/// per-request plans carry the full grammar), degrade
+/// (off|greedy|local-search), fault (a storage/faults.hpp sub-spec,
+/// ';'/':'-separated so it nests comma-free).
 /// Throws InvalidArgument naming the offending token on anything malformed,
 /// with the same diagnostics style as parse_plan
 /// (tests/parse_plan_fuzz_test.cpp covers the error table).
@@ -176,14 +162,6 @@ struct ServiceOptions {
 
 /// Canonical spec of a config (round-trips through parse_service_config).
 [[nodiscard]] std::string service_config_spec(const ServiceOptions& options);
-
-/// The straggler-aware admission predicate (ServiceOptions::
-/// predict_straggler): true when a request arriving at `now_seconds` with
-/// a cost estimate of `estimate_seconds` would finish past the admission
-/// budget `limit_seconds`. A zero limit (no deadline) or a zero estimate
-/// (no latency history yet) never predicts an overrun.
-[[nodiscard]] bool predicted_overrun(double now_seconds, double limit_seconds,
-                                     double estimate_seconds);
 
 class SolverService {
  public:
@@ -205,7 +183,7 @@ class SolverService {
   [[nodiscard]] const ServiceTelemetry& telemetry();
 
   /// Writes a full checkpoint (storage/checkpoint.hpp) of the store and
-  /// the deterministic telemetry under `dir`. Also reachable in-protocol
+  /// the telemetry counters under `dir`. Also reachable in-protocol
   /// via {"op":"checkpoint","dir":...}.
   void checkpoint_to(const std::string& dir);
   /// Replaces the store and telemetry with a checkpoint's contents (tier

@@ -1,6 +1,6 @@
 #include "service/telemetry.hpp"
 
-#include <sstream>
+#include <utility>
 
 #include "common/format.hpp"
 #include "io/json.hpp"
@@ -9,79 +9,107 @@ namespace treesat {
 
 namespace {
 
-std::string number(double v) { return shortest_round_trip(v); }
+void append_field(std::string& out, std::string_view name, std::size_t value) {
+  out += '"';
+  out += name;
+  out += "\":";
+  out += std::to_string(value);
+}
+
+void append_ratio(std::string& out, std::string_view name, double value) {
+  out += ",\"";
+  out += name;
+  out += "\":";
+  out += shortest_round_trip(value);
+}
 
 /// One tenant block of the telemetry document (also the global totals and
-/// the overflow aggregate).
-void tenant_telemetry_json(std::ostringstream& os, const TenantTelemetry& t,
-                           bool include_timing) {
-  os << "\"requests\":" << t.requests << ",\"errors\":" << t.errors
-     << ",\"submits\":" << t.submits << ",\"solves\":" << t.solves
-     << ",\"perturbs\":" << t.perturbs << ",\"evict_requests\":" << t.evict_requests
-     << ",\"initial_solves\":" << t.initial_solves << ",\"warm_hits\":" << t.warm_hits
-     << ",\"cold_solves\":" << t.cold_solves
-     << ",\"warm_hit_ratio\":" << number(t.warm_hit_ratio())
-     << ",\"lru_evictions\":" << t.lru_evictions
-     << ",\"explicit_evictions\":" << t.explicit_evictions << ",\"spills\":" << t.spills
-     << ",\"spill_reloads\":" << t.spill_reloads << ",\"degraded\":" << t.degraded
-     << ",\"rejected\":" << t.rejected
-     << ",\"goodput_ratio\":" << number(t.goodput_ratio()) << ",\"method_counts\":{";
-  bool first = true;
+/// the overflow aggregate). Each ratio follows the last counter it reads.
+void append_tenant_block(std::string& out, const TenantTelemetry& t) {
+  const char* sep = "";
+  for (const TenantCounter& counter : kTenantCounters) {
+    out += sep;
+    sep = ",";
+    append_field(out, counter.name, t.*counter.member);
+    if (counter.member == &TenantTelemetry::cold_solves) {
+      append_ratio(out, "warm_hit_ratio", t.warm_hit_ratio());
+    } else if (counter.member == &TenantTelemetry::rejected) {
+      append_ratio(out, "goodput_ratio", t.goodput_ratio());
+    }
+  }
+  out += ",\"method_counts\":{";
+  sep = "";
   for (std::size_t m = 0; m < t.method_counts.size(); ++m) {
     if (t.method_counts[m] == 0) continue;
-    if (!first) os << ',';
-    first = false;
-    os << '"' << method_name(static_cast<SolveMethod>(m)) << "\":" << t.method_counts[m];
+    out += sep;
+    sep = ",";
+    append_field(out, method_name(static_cast<SolveMethod>(m)), t.method_counts[m]);
   }
-  os << '}';
-  if (include_timing) {
-    const std::vector<double> sorted = t.latency.sorted();
-    os << ",\"latency_ms\":{\"p50\":" << number(LatencyTrack::rank(sorted, 0.50) * 1e3)
-       << ",\"p90\":" << number(LatencyTrack::rank(sorted, 0.90) * 1e3)
-       << ",\"p99\":" << number(LatencyTrack::rank(sorted, 0.99) * 1e3) << '}';
-  }
+  out += '}';
+}
+
+void append_tenant_section(std::string& out, const std::string& name,
+                           const TenantTelemetry& t) {
+  out += "{\"tenant\":\"";
+  out += json_escape(name);
+  out += "\",";
+  append_tenant_block(out, t);
+  out += '}';
 }
 
 }  // namespace
 
 std::string service_telemetry_to_json(const ServiceTelemetry& telemetry,
-                                      bool include_timing) {
-  std::ostringstream os;
-  // No shard-count echo: the document holds only stream-determined data,
-  // so a stats response is byte-identical at shards=1 and shards=8 (the
-  // service's determinism contract). mem_budget stays -- it shapes the
-  // eviction behavior the surrounding counters describe.
-  os << "{\"mem_budget\":" << telemetry.mem_budget
-     << ",\"bytes_used\":" << telemetry.bytes_used << ",\"entries\":" << telemetry.entries
-     << ",\"sessions\":" << telemetry.sessions
-     << ",\"spill_budget\":" << telemetry.spill_budget
-     << ",\"spill_bytes\":" << telemetry.spill_bytes
-     << ",\"spill_entries\":" << telemetry.spill_entries
-     << ",\"spills\":" << telemetry.spills
-     << ",\"spill_reloads\":" << telemetry.spill_reloads
-     << ",\"spill_drops\":" << telemetry.spill_drops
-     << ",\"spill_faults\":" << telemetry.spill_faults
-     << ",\"restore_faults\":" << telemetry.restore_faults
-     << ",\"requests\":" << telemetry.requests
-     << ",\"errors\":" << telemetry.errors << ",\"totals\":{";
-  tenant_telemetry_json(os, telemetry.totals(), include_timing);
-  os << "},\"tenants\":[";
-  bool first = true;
-  for (const auto& [name, tenant] : telemetry.tenants) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"tenant\":\"" << json_escape(name) << "\",";
-    tenant_telemetry_json(os, tenant, include_timing);
-    os << '}';
+                                      std::string_view tenant) {
+  // mem_budget stays in the document: it shapes the eviction behavior the
+  // surrounding counters describe.
+  const std::pair<std::string_view, std::size_t> gauges[] = {
+      {"mem_budget", telemetry.mem_budget},
+      {"bytes_used", telemetry.bytes_used},
+      {"entries", telemetry.entries},
+      {"sessions", telemetry.sessions},
+      {"spill_budget", telemetry.spill_budget},
+      {"spill_bytes", telemetry.spill_bytes},
+      {"spill_entries", telemetry.spill_entries},
+      {"spills", telemetry.spills},
+      {"spill_reloads", telemetry.spill_reloads},
+      {"spill_drops", telemetry.spill_drops},
+      {"spill_faults", telemetry.spill_faults},
+      {"restore_faults", telemetry.restore_faults},
+      {"requests", telemetry.requests},
+      {"errors", telemetry.errors},
+  };
+  std::string out;
+  const char* sep = "{";
+  for (const auto& [name, value] : gauges) {
+    out += sep;
+    sep = ",";
+    append_field(out, name, value);
   }
-  if (telemetry.overflow.requests > 0) {
-    if (!first) os << ',';
-    os << "{\"tenant\":\"(overflow)\",";
-    tenant_telemetry_json(os, telemetry.overflow, include_timing);
-    os << '}';
+
+  out += ",\"totals\":{";
+  if (tenant.empty()) {
+    append_tenant_block(out, telemetry.totals());
+    out += "},\"tenants\":[";
+    sep = "";
+    for (const auto& [name, section] : telemetry.tenants) {
+      out += sep;
+      sep = ",";
+      append_tenant_section(out, name, section);
+    }
+    if (telemetry.overflow.requests > 0) {
+      out += sep;
+      append_tenant_section(out, "(overflow)", telemetry.overflow);
+    }
+  } else {
+    const auto it = telemetry.tenants.find(tenant);
+    const TenantTelemetry untracked;
+    append_tenant_block(out, it != telemetry.tenants.end() ? it->second : untracked);
+    out += "},\"tenants\":[";
+    if (it != telemetry.tenants.end()) append_tenant_section(out, it->first, it->second);
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  return out;
 }
 
 }  // namespace treesat

@@ -1,102 +1,29 @@
 // Per-tenant service telemetry: the counters a capacity planner reads off a
 // running treesat-serve. Collected by SolverService (service/service.hpp),
-// serialized by io/json.cpp (service_telemetry_to_json) so the dashboards
-// that already parse report/sim JSON get the same conventions.
+// rendered as the `stats` document by service_telemetry_to_json
+// (service/telemetry.cpp) and persisted by checkpoints
+// (storage/checkpoint.hpp).
 //
-// Two determinism classes live side by side, and the split is deliberate:
-//   * counters (requests, warm/cold outcomes, evictions, per-method solves,
-//     bytes) are a pure function of the request stream -- they appear in
-//     every `stats` response and are covered by the byte-identity contract;
-//   * latency quantiles are wall-clock measurements -- they are recorded
-//     always but *serialized only on request* (stats request field
-//     "timing":true), so a deterministic trace replay stays byte-identical
-//     while bench_service_throughput still gets its p50/p99.
+// Everything here is a counter or a gauge, and each is a pure function of
+// the request stream (requests, warm/cold outcomes, evictions, per-method
+// solves, bytes), so every `stats` response is covered by the service's
+// byte-identity contract. Request latency is wall-clock and lives in the
+// metrics registry instead: its treesat_request_seconds histogram leaves
+// the process through --metrics-out, span timings through --trace-out.
 #pragma once
 
-#include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "core/plan.hpp"
 
 namespace treesat {
 
-/// Wall-clock samples of one tenant's solve/perturb requests, with the
-/// nearest-rank quantiles the service reports. Bounded: a long-lived
-/// service keeps the most recent kWindow samples per tenant (a ring), so
-/// telemetry memory does not grow with uptime and the quantiles describe
-/// recent behavior -- which is what a capacity planner watches anyway.
-struct LatencyTrack {
-  static constexpr std::size_t kWindow = 4096;
-
-  std::vector<double> seconds;  ///< ring contents, insertion order via `next`
-  std::size_t next = 0;
-  std::size_t recorded = 0;     ///< lifetime sample count
-
-  void record(double s) {
-    if (seconds.size() < kWindow) {
-      seconds.push_back(s);
-    } else {
-      seconds[next] = s;
-      next = (next + 1) % kWindow;
-    }
-    ++recorded;
-  }
-
-  /// Sorted copy of the retained window. Pair with rank() to read several
-  /// quantiles off one sort -- a telemetry document reads three per tenant
-  /// block, and re-sorting 4096 samples per quantile would triple the
-  /// cost of a timing-enabled stats response.
-  [[nodiscard]] std::vector<double> sorted() const {
-    std::vector<double> out = seconds;
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
-  /// Nearest-rank quantile (q in [0, 1]) of a sorted() window; 0 when
-  /// nothing was recorded. The rank is ceil(q*N): the smallest sample with
-  /// at least a q fraction of the window at or below it -- index
-  /// ceil(q*N)-1. (The previous floor(q*N) indexing read one rank too high
-  /// whenever q*N landed on an integer: p50 of a 2-sample window returned
-  /// the max, not the lower median, and p50 of the full ring read sample
-  /// 2049 of 4096.)
-  [[nodiscard]] static double rank(const std::vector<double>& sorted, double q) {
-    if (sorted.empty()) return 0.0;
-    const double scaled = q * static_cast<double>(sorted.size());
-    const std::size_t at =
-        scaled <= 1.0 ? 0
-                      : std::min(sorted.size() - 1,
-                                 static_cast<std::size_t>(std::ceil(scaled)) - 1);
-    return sorted[at];
-  }
-
-  /// One-off convenience: rank(sorted(), q).
-  [[nodiscard]] double quantile(double q) const { return rank(sorted(), q); }
-
-  /// Replays another track's retained window into this one, oldest sample
-  /// first. A wrapped ring's storage order is NOT its insertion order --
-  /// the oldest retained sample sits at `other.next`, not index 0 -- so
-  /// the replay has to start there or the merged window interleaves the
-  /// other track's oldest and newest samples (and, when this track wraps
-  /// too, evicts the wrong ones, skewing the merged quantiles).
-  void merge(const LatencyTrack& other) {
-    const std::size_t n = other.seconds.size();
-    if (n > 0) {
-      const std::size_t start = n < kWindow ? 0 : other.next;
-      for (std::size_t k = 0; k < n; ++k) record(other.seconds[(start + k) % n]);
-    }
-    // record() counted the n replayed samples; top up to the other track's
-    // lifetime total so merged `recorded` stays a true sample count.
-    recorded += other.recorded - n;
-  }
-};
-
-/// One tenant's counters. Everything except `latency` is deterministic for
-/// a given request stream.
+/// One tenant's counters.
 struct TenantTelemetry {
   std::size_t requests = 0;   ///< lines addressed to this tenant
   std::size_t errors = 0;     ///< ...that produced an error response
@@ -124,8 +51,6 @@ struct TenantTelemetry {
   /// Solves per method that ran for this tenant, indexed by SolveMethod.
   std::array<std::size_t, kSolveMethodCount> method_counts{};
 
-  LatencyTrack latency;  ///< per solve/perturb request (admission included)
-
   /// Warm share of the re-solve traffic (initial solves are neither: a cold
   /// start is not a cache miss the store could have avoided). 0 when no
   /// re-solve happened yet.
@@ -148,35 +73,46 @@ struct TenantTelemetry {
     return static_cast<double>(answered) / static_cast<double>(attempts);
   }
 
-  /// Share of solver work served by the degrade fallback. 0 when idle.
-  [[nodiscard]] double degradation_rate() const {
-    const std::size_t attempts = solves + perturbs + rejected;
-    return attempts == 0 ? 0.0
-                         : static_cast<double>(degraded) / static_cast<double>(attempts);
-  }
-
-  void merge(const TenantTelemetry& other) {
-    requests += other.requests;
-    errors += other.errors;
-    submits += other.submits;
-    solves += other.solves;
-    perturbs += other.perturbs;
-    evict_requests += other.evict_requests;
-    initial_solves += other.initial_solves;
-    warm_hits += other.warm_hits;
-    cold_solves += other.cold_solves;
-    lru_evictions += other.lru_evictions;
-    explicit_evictions += other.explicit_evictions;
-    spills += other.spills;
-    spill_reloads += other.spill_reloads;
-    degraded += other.degraded;
-    rejected += other.rejected;
-    for (std::size_t m = 0; m < method_counts.size(); ++m) {
-      method_counts[m] += other.method_counts[m];
-    }
-    latency.merge(other.latency);
-  }
+  /// Adds every counter of `other`, method counts included.
+  void merge(const TenantTelemetry& other);
 };
+
+/// One tenant counter, declared once: its field name in the stats document
+/// and the member that holds it. Row order is the order of the stats
+/// tenant block and of a checkpoint tenant row; the table drives merge(),
+/// the stats renderer and both halves of the checkpoint row codec, so a
+/// new counter is a struct member plus a row here.
+struct TenantCounter {
+  std::string_view name;
+  std::size_t TenantTelemetry::*member;
+};
+
+inline constexpr TenantCounter kTenantCounters[] = {
+    {"requests", &TenantTelemetry::requests},
+    {"errors", &TenantTelemetry::errors},
+    {"submits", &TenantTelemetry::submits},
+    {"solves", &TenantTelemetry::solves},
+    {"perturbs", &TenantTelemetry::perturbs},
+    {"evict_requests", &TenantTelemetry::evict_requests},
+    {"initial_solves", &TenantTelemetry::initial_solves},
+    {"warm_hits", &TenantTelemetry::warm_hits},
+    {"cold_solves", &TenantTelemetry::cold_solves},
+    {"lru_evictions", &TenantTelemetry::lru_evictions},
+    {"explicit_evictions", &TenantTelemetry::explicit_evictions},
+    {"spills", &TenantTelemetry::spills},
+    {"spill_reloads", &TenantTelemetry::spill_reloads},
+    {"degraded", &TenantTelemetry::degraded},
+    {"rejected", &TenantTelemetry::rejected},
+};
+
+inline void TenantTelemetry::merge(const TenantTelemetry& other) {
+  for (const TenantCounter& counter : kTenantCounters) {
+    this->*counter.member += other.*counter.member;
+  }
+  for (std::size_t m = 0; m < method_counts.size(); ++m) {
+    method_counts[m] += other.method_counts[m];
+  }
+}
 
 /// The whole service's view: per-tenant counters (std::map: deterministic
 /// serialization order) plus the store-level gauges.
@@ -190,7 +126,7 @@ struct TenantTelemetry {
 struct ServiceTelemetry {
   static constexpr std::size_t kMaxTrackedTenants = 1024;
 
-  std::map<std::string, TenantTelemetry> tenants;
+  std::map<std::string, TenantTelemetry, std::less<>> tenants;
   /// Aggregate of every tenant past the cap; counters only, no per-name
   /// split (storing the names would be the very unbounded growth the cap
   /// exists to prevent -- overflow.requests measures the volume).
@@ -206,15 +142,13 @@ struct ServiceTelemetry {
     return overflow;
   }
 
-  std::size_t shards = 1;
   std::size_t mem_budget = 0;   ///< bytes; 0 = unlimited
   std::size_t bytes_used = 0;   ///< store accounting after the last request
   std::size_t entries = 0;      ///< resident instances (warm or not)
   std::size_t sessions = 0;     ///< ...of which hold a live ResolveSession
-  // Spill-tier gauges and lifetime counters (session_store.hpp). All a
-  // pure function of the request stream: spill file sizes derive from the
-  // deterministic snapshot encoding, so they stay inside the byte-identity
-  // contract.
+  // Spill-tier gauges and lifetime counters (session_store.hpp). Spill
+  // file sizes derive from the deterministic snapshot encoding, so these
+  // stay inside the byte-identity contract too.
   std::size_t spill_budget = 0;   ///< bytes; 0 = unlimited (or tier disabled)
   std::size_t spill_bytes = 0;    ///< snapshot bytes currently spilled
   std::size_t spill_entries = 0;  ///< sessions currently in the spill tier
@@ -238,15 +172,15 @@ struct ServiceTelemetry {
   }
 };
 
-/// The telemetry document of a stats response (service/telemetry.cpp):
-/// store gauges, the global totals, one section per tracked tenant, plus
-/// an "(overflow)" section when the tenant cap was exceeded. Latency
-/// quantiles (wall-clock, nondeterministic) are emitted only with
-/// `include_timing` -- every other field is a pure function of the
-/// request stream, which is what keeps stats responses inside the
-/// service's byte-identity contract. No shard-count echo for the same
-/// reason.
+/// The telemetry document of a stats response: store gauges, the global
+/// totals, one section per tracked tenant, plus an "(overflow)" section
+/// when the tenant cap was exceeded. A non-empty `tenant` scopes it: the
+/// same gauges, with `totals` and `tenants` carrying only that tenant's
+/// own block (zero totals and no section when the tenant is past the cap).
+/// The overflow aggregate mixes other tenants' counters, so it never
+/// appears in a scoped document. No shard-count echo: the document holds
+/// only stream-determined data, so it is byte-identical at any shard count.
 [[nodiscard]] std::string service_telemetry_to_json(const ServiceTelemetry& telemetry,
-                                                    bool include_timing);
+                                                    std::string_view tenant = {});
 
 }  // namespace treesat

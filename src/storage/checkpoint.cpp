@@ -1,6 +1,7 @@
 #include "storage/checkpoint.hpp"
 
 #include <filesystem>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -20,12 +21,9 @@ constexpr std::string_view kVersion = "v3";
 std::string manifest_path(const std::string& dir) { return dir + "/MANIFEST.tsc"; }
 
 void append_tenant_counters(std::string& out, const TenantTelemetry& t) {
-  for (const std::size_t counter :
-       {t.requests, t.errors, t.submits, t.solves, t.perturbs, t.evict_requests,
-        t.initial_solves, t.warm_hits, t.cold_solves, t.lru_evictions, t.explicit_evictions,
-        t.spills, t.spill_reloads, t.degraded, t.rejected}) {
+  for (const TenantCounter& counter : kTenantCounters) {
     out += ' ';
-    out += std::to_string(counter);
+    out += std::to_string(t.*counter.member);
   }
   out += ' ';
   out += std::to_string(t.method_counts.size());
@@ -40,28 +38,21 @@ void append_tenant_counters(std::string& out, const TenantTelemetry& t) {
 TenantTelemetry parse_tenant_counters(const std::vector<std::string_view>& tokens,
                                       std::size_t at) {
   TenantTelemetry t;
-  std::size_t* const counters[] = {&t.requests,       &t.errors,        &t.submits,
-                                   &t.solves,         &t.perturbs,      &t.evict_requests,
-                                   &t.initial_solves, &t.warm_hits,     &t.cold_solves,
-                                   &t.lru_evictions,  &t.explicit_evictions,
-                                   &t.spills,         &t.spill_reloads, &t.degraded,
-                                   &t.rejected};
-  constexpr std::size_t kCounters = sizeof(counters) / sizeof(counters[0]);
+  constexpr std::size_t kCounters = std::size(kTenantCounters);
   TS_REQUIRE(tokens.size() >= at + kCounters + 1, "checkpoint: truncated tenant row");
-  for (std::size_t i = 0; i < kCounters; ++i) {
-    *counters[i] =
-        static_cast<std::size_t>(wire::parse_u64(tokens[at + i], "tenant counter"));
+  for (const TenantCounter& counter : kTenantCounters) {
+    t.*counter.member =
+        static_cast<std::size_t>(wire::parse_u64(tokens[at++], "tenant counter"));
   }
-  const std::size_t methods_at = at + kCounters;
-  const std::uint64_t methods = wire::parse_u64(tokens[methods_at], "method count");
+  const std::uint64_t methods = wire::parse_u64(tokens[at], "method count");
   TS_REQUIRE(methods == t.method_counts.size(),
              "checkpoint: tenant row carries " << methods << " method counters, this build has "
                                                << t.method_counts.size());
-  TS_REQUIRE(tokens.size() == methods_at + 1 + t.method_counts.size(),
+  TS_REQUIRE(tokens.size() == at + 1 + t.method_counts.size(),
              "checkpoint: tenant row has trailing tokens");
   for (std::size_t m = 0; m < t.method_counts.size(); ++m) {
     t.method_counts[m] =
-        static_cast<std::size_t>(wire::parse_u64(tokens[methods_at + 1 + m], "method counter"));
+        static_cast<std::size_t>(wire::parse_u64(tokens[at + 1 + m], "method counter"));
   }
   return t;
 }

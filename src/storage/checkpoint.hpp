@@ -15,10 +15,8 @@
 // the next request id, the store's global LRU clock and lifetime counters,
 // every entry's owner + stamp + byte estimate (tier placement preserved --
 // a spilled session restores spilled, so store gauges replay exactly), and
-// the deterministic half of the service telemetry (per-tenant counters,
-// overflow aggregate, request/error totals). Latency rings are wall-clock
-// observations and deliberately not persisted: a restored service reports
-// empty quantiles until it records fresh samples.
+// the service telemetry's counters (per-tenant rows in kTenantCounters
+// order, the overflow aggregate, request/error totals).
 //
 // The manifest is written last (atomically), so a directory with a valid
 // manifest is a complete checkpoint; a crash mid-checkpoint leaves a
@@ -47,7 +45,7 @@ void write_checkpoint(const std::string& dir, const SessionStore& store,
                       const ServiceTelemetry& telemetry, std::size_t next_id);
 
 /// A restored service core: the store (sessions warm, tiers as
-/// checkpointed), the deterministic telemetry counters, and the request-id
+/// checkpointed), the telemetry counters, and the request-id
 /// high-water mark.
 struct RestoredService {
   SessionStore store;

@@ -14,11 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "service/service.hpp"
+#include "storage/checkpoint.hpp"
 #include "workload/traffic.hpp"
 
 namespace treesat {
@@ -171,6 +173,64 @@ TEST(ServiceDeterminism, CheckpointRestartResumesByteIdentically) {
   EXPECT_EQ(b.warm_hits, a.warm_hits);
   EXPECT_EQ(b.initial_solves, a.initial_solves);
   EXPECT_EQ(b.cold_solves, a.cold_solves);
+}
+
+/// Every tenant counter, listed here rather than read from the library's
+/// own table, so a table or codec that drops or swaps a column cannot vouch
+/// for itself.
+constexpr std::size_t TenantTelemetry::*kCounters[] = {
+    &TenantTelemetry::requests,           &TenantTelemetry::errors,
+    &TenantTelemetry::submits,            &TenantTelemetry::solves,
+    &TenantTelemetry::perturbs,           &TenantTelemetry::evict_requests,
+    &TenantTelemetry::initial_solves,     &TenantTelemetry::warm_hits,
+    &TenantTelemetry::cold_solves,        &TenantTelemetry::lru_evictions,
+    &TenantTelemetry::explicit_evictions, &TenantTelemetry::spills,
+    &TenantTelemetry::spill_reloads,      &TenantTelemetry::degraded,
+    &TenantTelemetry::rejected,
+};
+
+/// Gives each counter and three method slots of `t` a distinct non-zero
+/// value above `base`.
+void give_distinct_counters(TenantTelemetry& t, std::size_t base) {
+  std::size_t next = base;
+  for (const auto counter : kCounters) t.*counter = ++next;
+  for (const SolveMethod m :
+       {SolveMethod::kColouredSsb, SolveMethod::kParetoDp, SolveMethod::kGreedy}) {
+    t.method_counts[static_cast<std::size_t>(m)] = ++next;
+  }
+}
+
+void expect_same_counters(const TenantTelemetry& got, const TenantTelemetry& want) {
+  for (std::size_t i = 0; i < std::size(kCounters); ++i) {
+    EXPECT_EQ(got.*kCounters[i], want.*kCounters[i]) << "counter " << i;
+  }
+  EXPECT_EQ(got.method_counts, want.method_counts);
+}
+
+TEST(ServiceDeterminism, EveryTenantCounterSurvivesACheckpoint) {
+  // The restart replay above leaves degraded, rejected, lru_evictions,
+  // spills, spill_reloads and the overflow bucket at 0, so a checkpoint row
+  // codec that swapped two of those columns would pass it. Here every
+  // counter holds a distinct value, in a tracked tenant and in overflow.
+  ServiceTelemetry telemetry;
+  telemetry.requests = 9001;
+  telemetry.errors = 77;
+  give_distinct_counters(telemetry.tenants["t0"], 100);
+  give_distinct_counters(telemetry.overflow, 200);
+
+  const std::string dir = ::testing::TempDir() + "/treesat_det_counters";
+  std::filesystem::remove_all(dir);
+  write_checkpoint(dir, SessionStore(1, 0), telemetry, 42);
+  const RestoredService restored = read_checkpoint(dir, 1, 0, "", 0);
+
+  EXPECT_EQ(restored.next_id, 42u);
+  EXPECT_EQ(restored.telemetry.requests, telemetry.requests);
+  EXPECT_EQ(restored.telemetry.errors, telemetry.errors);
+  ASSERT_EQ(restored.telemetry.tenants.size(), 1u);
+  ASSERT_EQ(restored.telemetry.tenants.count("t0"), 1u);
+  expect_same_counters(restored.telemetry.tenants.at("t0"), telemetry.tenants.at("t0"));
+  expect_same_counters(restored.telemetry.overflow, telemetry.overflow);
+  EXPECT_EQ(service_telemetry_to_json(restored.telemetry), service_telemetry_to_json(telemetry));
 }
 
 TEST(ServiceDeterminism, PerRequestPlanMatchesTheServiceDefault) {

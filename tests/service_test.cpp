@@ -544,17 +544,20 @@ TEST(Service, ServeHonorsFailFastAndComments) {
 
 TEST(Service, StatsDocumentAndTimingOptIn) {
   SolverService service;
-  static_cast<void>(service.handle_line(submit_line("t0", "w0", paper_running_example())));
-  static_cast<void>(
-      service.handle_line("{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\"}"));
+  SolverService twin;
+  for (SolverService* s : {&service, &twin}) {
+    static_cast<void>(s->handle_line(submit_line("t0", "w0", paper_running_example())));
+    static_cast<void>(
+        s->handle_line("{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\"}"));
+  }
 
   const std::string stats = service.handle_line("{\"op\":\"stats\"}");
   EXPECT_CONTAINS(stats, "\"initial_solves\":1");
   EXPECT_CONTAINS(stats, "\"method_counts\":{\"pareto-dp\":1}");
   EXPECT_CONTAINS(stats, "\"tenants\":[{\"tenant\":\"t0\"");
-  // Timing is wall-clock: excluded unless asked for.
+  // Stats carry counters only: a "timing" field changes no byte.
   EXPECT_FALSE(contains(stats, "latency_ms")) << stats;
-  EXPECT_CONTAINS(service.handle_line("{\"op\":\"stats\",\"timing\":true}"), "latency_ms");
+  EXPECT_EQ(twin.handle_line("{\"op\":\"stats\",\"timing\":true}"), stats);
 
   // Tenant-scoped stats only carry that tenant's section.
   static_cast<void>(service.handle_line(submit_line("t1", "w0", paper_running_example())));
@@ -565,13 +568,11 @@ TEST(Service, StatsDocumentAndTimingOptIn) {
 
 TEST(Service, ConfigSpecRoundTrips) {
   const ServiceOptions options = parse_service_config(
-      "shards=4,mem_budget=64m,deadline_ms=250,fail_fast=false,timing=true,"
-      "plan=coloured-ssb");
+      "shards=4,mem_budget=64m,deadline_ms=250,fail_fast=false,plan=coloured-ssb");
   EXPECT_EQ(options.shards, 4u);
   EXPECT_EQ(options.mem_budget, std::size_t{64} << 20);
   EXPECT_DOUBLE_EQ(options.executor.deadline_seconds, 0.25);
   EXPECT_FALSE(options.executor.fail_fast);
-  EXPECT_TRUE(options.timing_in_stats);
   EXPECT_EQ(options.plan, "coloured-ssb");
 
   const ServiceOptions back = parse_service_config(service_config_spec(options));
@@ -579,7 +580,6 @@ TEST(Service, ConfigSpecRoundTrips) {
   EXPECT_EQ(back.mem_budget, options.mem_budget);
   EXPECT_DOUBLE_EQ(back.executor.deadline_seconds, options.executor.deadline_seconds);
   EXPECT_EQ(back.executor.fail_fast, options.executor.fail_fast);
-  EXPECT_EQ(back.timing_in_stats, options.timing_in_stats);
   EXPECT_EQ(back.plan, options.plan);
 
   // Suffix forms.
@@ -599,16 +599,6 @@ TEST(Service, ConfigSpecRoundTrips) {
   EXPECT_EQ(service_config_spec(parse_service_config("shards=2")).find("spill"),
             std::string::npos);
 
-  // Straggler prediction is opt-in (wall-clock based, so defaulting it on
-  // would break trace replay) and round-trips only when enabled.
-  EXPECT_FALSE(ServiceOptions{}.predict_straggler);
-  const ServiceOptions predicting = parse_service_config("predict_straggler=true");
-  EXPECT_TRUE(predicting.predict_straggler);
-  EXPECT_CONTAINS(service_config_spec(predicting), "predict_straggler=true");
-  EXPECT_TRUE(parse_service_config(service_config_spec(predicting)).predict_straggler);
-  EXPECT_EQ(service_config_spec(ServiceOptions{}).find("predict_straggler"),
-            std::string::npos);
-
   // The overload keys ride the same round trip: degrade= (closed enum) and
   // fault= (the ';'/':' sub-spec of storage/faults.hpp, comma-free so it
   // nests). Both stay out of the spec at their defaults.
@@ -625,17 +615,6 @@ TEST(Service, ConfigSpecRoundTrips) {
   EXPECT_EQ(fault_plan_spec(overload_back.faults), fault_plan_spec(overload.faults));
   EXPECT_EQ(service_config_spec(ServiceOptions{}).find("degrade"), std::string::npos);
   EXPECT_EQ(service_config_spec(ServiceOptions{}).find("fault"), std::string::npos);
-}
-
-TEST(Service, PredictedOverrunComparesEstimateAgainstTheRemainingBudget) {
-  // now + estimate > limit, but only when a limit and an estimate exist:
-  // a fresh tenant (no latency history -> estimate 0) and an unlimited
-  // service (limit 0) never predict.
-  EXPECT_TRUE(predicted_overrun(/*now=*/9.5, /*limit=*/10.0, /*estimate=*/1.0));
-  EXPECT_FALSE(predicted_overrun(8.0, 10.0, 1.0));
-  EXPECT_FALSE(predicted_overrun(9.0, 10.0, 1.0));  // exactly on budget: admit
-  EXPECT_FALSE(predicted_overrun(9.5, 0.0, 1.0));   // no limit
-  EXPECT_FALSE(predicted_overrun(9.5, 10.0, 0.0));  // no history
 }
 
 }  // namespace

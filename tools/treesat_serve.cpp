@@ -31,8 +31,9 @@ namespace {
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " [options] [trace.jsonl]\n"
-      << "  --config SPEC      service config: shards=,mem_budget=,deadline_ms=,\n"
-      << "                     fail_fast=,timing=,plan= (see parse_service_config)\n"
+      << "  --config SPEC      service config: shards=,mem_budget=,spill_dir=,\n"
+      << "                     spill_budget=,deadline_ms=,fail_fast=,plan=,degrade=,\n"
+      << "                     fault= (see parse_service_config)\n"
       << "  --shards N         shorthand for shards=N\n"
       << "  --mem-budget B     shorthand for mem_budget=B (k/m/g suffixes)\n"
       << "  --spill-dir DIR    shorthand for spill_dir=DIR (spill tier)\n"
@@ -43,7 +44,8 @@ int usage(const char* argv0) {
       << "  --trace-out PATH   record request/solver spans while serving and write\n"
       << "                     a chrome://tracing JSON file when the stream ends\n"
       << "  --metrics-out PATH write the Prometheus text exposition (deterministic\n"
-      << "                     families first, wall-clock after the marker) on exit\n"
+      << "                     families first, wall-clock after the marker, request\n"
+      << "                     latency among them) on exit\n"
       << "  --gen-trace TICKS  emit a deterministic traffic trace and exit\n"
       << "  --gen-stress N     emit a deterministic adversarial stress trace\n"
       << "                     (N arrival slots; workload/traffic.hpp stress_trace)\n"

@@ -36,9 +36,9 @@ void print_series() {
   Table t({"policy", "CRUs", "sats", "|E|", "|E'|", "stall%", "fallback%", "ssb ms",
            "paretoDP ms", "B&B ms"});
   for (const SensorPolicy policy : {SensorPolicy::kClustered, SensorPolicy::kScattered}) {
-    // Scattered pinning is the adversarial regime (multi-region colours ->
-    // exact fallback); its grid stops earlier so the sweep stays minutes,
-    // which is itself part of the finding E5 reports.
+    // Scattered pinning is the adversarial regime (multi-region colours
+    // stall the search and the Pareto DP finishes it); its grid stops
+    // earlier.
     const std::vector<std::size_t> sizes = policy == SensorPolicy::kClustered
                                                ? std::vector<std::size_t>{16, 32, 64, 128, 256}
                                                : std::vector<std::size_t>{16, 32, 64, 96};

@@ -1,8 +1,9 @@
 // Experiment E3 (paper Fig 9): the expansion step. Builds instances where
 // the bottleneck of the min-S path is a multi-edge same-colour sum, so the
 // plain elimination rule stalls; shows that expansion (and, where expansion
-// is capped, the branch-and-bound fallback) still reaches the exact optimum,
-// and measures the composite-edge blow-up the paper's O(|E'|) bound hides.
+// cannot restore progress, the Pareto DP hand-off) still reaches the exact
+// optimum, and measures the composite-edge blow-up the paper's O(|E'|)
+// bound hides.
 #include <iostream>
 
 #include "bench_util.hpp"

@@ -18,8 +18,8 @@
 # executor and the service (-fsanitize=thread via TREESAT_TSAN), so the
 # batch workers are race-checked on every run, a UBSan build
 # (-fsanitize=undefined plus float-cast-overflow via TREESAT_UBSAN, recovery
-# off) of the Pareto merge-kernel, batch executor, parser and formatter suites,
-# and an AddressSanitizer build of every
+# off) of the Pareto merge-kernel, coloured SSB, batch executor, service,
+# parser and formatter suites, and an AddressSanitizer build of every
 # suite (-fsanitize=address through the compiler and linker flags, so a
 # decoder that allocates from a hostile count or reads past a buffer fails
 # the run). Setting TREESAT_COV=1 adds a coverage stage: the test
@@ -82,7 +82,15 @@ else
   "$BUILD_DIR/treesat_serve" --config "shards=8,mem_budget=64m" "$SERVICE_TRACE" \
     > "$BUILD_DIR/service_responses_s8.jsonl"
   cmp "$BUILD_DIR/service_responses.jsonl" "$BUILD_DIR/service_responses_s8.jsonl"
-  echo "service smoke stage passed (golden + shard invariance)"
+  # Numeric flags parse whole: trailing junk is a usage error (exit 2),
+  # not a silently truncated value.
+  BAD_FLAG_STATUS=0
+  "$BUILD_DIR/treesat_serve" --gen-trace 10 --seed 7x > /dev/null 2>&1 || BAD_FLAG_STATUS=$?
+  if [ "$BAD_FLAG_STATUS" -ne 2 ]; then
+    echo "service smoke stage FAILED: --seed 7x exited $BAD_FLAG_STATUS, expected 2" >&2
+    exit 1
+  fi
+  echo "service smoke stage passed (golden + shard invariance + strict flags)"
 
   # Observability smoke: the same replay with tracing + metrics on. The
   # deterministic slice of the scrape (above the wall-clock marker) is
@@ -179,24 +187,28 @@ echo "perfbench stage passed (build, self-tests and output checks on every workl
 # (exactly-once over batches of up to 257 instances: a slot written twice
 # is a reported race), obs_trace_test records spans from those workers and
 # from its own threads, and obs_metrics_test hammers one registry from
-# many threads. The service suites ride along; they run on one thread
-# today (handle_line is synchronous and the session store takes no lock).
+# many threads. The service suites (service_oracle_test among them) ride
+# along; they run on one thread today (handle_line is synchronous and the
+# session store takes no lock).
 # ctest -R matches substrings, so ^snapshot_test keeps fuzz_snapshot_test
 # (not built here) out.
 cmake -B "$TSAN_DIR" -S . -DTREESAT_WERROR=ON -DTREESAT_TSAN=ON \
   -DTREESAT_BUILD_BENCHES=OFF -DTREESAT_BUILD_EXAMPLES=OFF
 cmake --build "$TSAN_DIR" -j "$JOBS" \
   --target batch_executor_test determinism_test plan_test \
-           service_test service_determinism_test service_fault_test snapshot_test \
-           obs_trace_test obs_metrics_test
+           service_test service_determinism_test service_fault_test service_oracle_test \
+           snapshot_test obs_trace_test obs_metrics_test
 (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-  -R 'batch_executor_test|determinism_test|plan_test|service_test|service_determinism_test|service_fault_test|^snapshot_test|obs_trace_test|obs_metrics_test')
+  -R 'batch_executor_test|determinism_test|plan_test|service_test|service_determinism_test|service_fault_test|service_oracle_test|^snapshot_test|obs_trace_test|obs_metrics_test')
 
 # UBSan stage: the suites that exercise the Minkowski merge kernels and the
 # batch executor's worker loop -- pointer-offset arithmetic in the SIMD
 # dominance scan (platform/simd.hpp), the arena's span indexing, and the
 # overflow-guarded reference reserve are exactly the code where silent UB
-# would masquerade as a wrong-but-plausible frontier -- plus the suites that
+# would masquerade as a wrong-but-plausible frontier -- the paper's coloured
+# SSB search (coloured_ssb_test, solver_cross_validation_test: EdgeMask and
+# vertex indexing, and the Pareto DP hand-off of its stalls), the served
+# optima against the oracle (service_oracle_test), plus the suites that
 # feed hostile numbers to the parsers and formatters: request fields cast
 # to ids (service_test), plan specs (parse_plan_fuzz_test), tree text,
 # snapshots (snapshot_test, and fuzz_snapshot_test's mutants, whose
@@ -210,11 +222,12 @@ cmake -B "$UBSAN_DIR" -S . -DTREESAT_WERROR=ON -DTREESAT_UBSAN=ON \
   -DTREESAT_BUILD_BENCHES=OFF -DTREESAT_BUILD_EXAMPLES=OFF
 cmake --build "$UBSAN_DIR" -j "$JOBS" \
   --target pareto_dp_test pareto_merge_reference_test pareto_simd_kernel_test \
-           batch_executor_test incremental_resolve_test service_test \
+           coloured_ssb_test solver_cross_validation_test \
+           batch_executor_test incremental_resolve_test service_test service_oracle_test \
            serialize_round_trip_test snapshot_test fuzz_snapshot_test parse_plan_fuzz_test \
            format_round_trip_test
 (cd "$UBSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-  -R 'pareto_dp_test|pareto_merge_reference_test|pareto_simd_kernel_test|batch_executor_test|incremental_resolve_test|service_test|serialize_round_trip_test|snapshot_test|fuzz_snapshot_test|parse_plan_fuzz_test|format_round_trip_test')
+  -R 'pareto_dp_test|pareto_merge_reference_test|pareto_simd_kernel_test|coloured_ssb_test|solver_cross_validation_test|batch_executor_test|incremental_resolve_test|service_test|service_oracle_test|serialize_round_trip_test|snapshot_test|fuzz_snapshot_test|parse_plan_fuzz_test|format_round_trip_test')
 
 # ASan stage: every suite under AddressSanitizer (benches/examples skipped
 # for speed). The flags go through CMAKE_CXX_FLAGS/CMAKE_EXE_LINKER_FLAGS,

@@ -54,7 +54,7 @@ int main() {
   std::cout << "host time S        = " << best.delay.host_time * 1e3 << " ms\n";
   std::cout << "bottleneck B       = " << best.delay.bottleneck * 1e3 << " ms\n";
   std::cout << "end-to-end delay   = " << best.objective_value * 1e3 << " ms\n";
-  std::cout << "needed the exact fallback? "
+  std::cout << "stall handed to the DP?   "
             << (best.stats_as<ColouredSsbStats>()->used_fallback ? "yes" : "no") << "\n";
 
   // Not sure which method fits your instance? Let the plan decide, or parse

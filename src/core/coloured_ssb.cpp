@@ -1,6 +1,5 @@
 #include "core/coloured_ssb.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <unordered_map>
 #include <vector>
@@ -143,240 +142,6 @@ bool expand_region(Working& w, Region& region, std::size_t cap, ColouredSsbStats
   return true;
 }
 
-/// Exact fallback over the alive DAG: Pareto label-setting with per-vertex
-/// dimension reduction.
-///
-/// A label at face vertex v records (sigma-sum, b_done, open colour sums):
-///   * b_done folds everything whose bottleneck contribution is already
-///     final at v -- uncoloured betas (max) and the total sums of colours
-///     whose last region ends at or before v;
-///   * a colour is *open* at v only when its regions straddle v
-///     (first region entry < v < last region exit); only those sums can
-///     still grow and therefore matter for dominance.
-/// All components grow monotonically along a path and the objective is
-/// monotone in each, so component-wise dominated labels at a vertex are
-/// discarded. Labels are also dropped against the incumbent via
-///   lambda_S*(sigma + min-sigma-to-T)
-///     + lambda_B*max(b_done, max_open(sum_c + min-beta_c-to-T)).
-/// Most vertices have 0-2 open colours, which keeps buckets tiny; this is
-/// what makes the fallback practical on the multi-region-colour instances
-/// where the paper's expansion cannot restore progress.
-/// Returns the best path strictly beating `upper_bound`, or nullopt.
-/// `nodes` counts labels created (the work measure reported in stats).
-std::optional<Path> fallback_search(const Working& w, VertexId s, VertexId t,
-                                    const SsbObjective& obj, double upper_bound,
-                                    std::size_t node_cap, std::size_t& nodes) {
-  const std::size_t vcount = w.graph.vertex_count();
-  const std::size_t colours = w.graph.colour_count();
-
-  // min sigma distance to t per vertex (DAG, backwards sweep).
-  std::vector<double> to_t(vcount, kInf);
-  to_t[t.index()] = 0.0;
-  for (std::size_t v = t.index() + 1; v-- > 0;) {
-    for (const EdgeId eid : w.graph.out_edges(VertexId{v})) {
-      if (!w.mask.alive(eid)) continue;
-      const DwgEdge& e = w.graph.edge(eid);
-      to_t[v] = std::min(to_t[v], e.sigma + to_t[e.to.index()]);
-    }
-  }
-  // Per colour: minimum additional beta on any v -> t continuation, and the
-  // open interval (first entry, last exit) of its edges.
-  std::vector<std::vector<double>> min_beta(colours, std::vector<double>(vcount, kInf));
-  std::vector<std::size_t> first_entry(colours, vcount);
-  std::vector<std::size_t> last_exit(colours, 0);
-  for (const DwgEdge& e : w.graph.edges()) {
-    if (e.colour == kUncoloured) continue;
-    const auto c = static_cast<std::size_t>(e.colour);
-    first_entry[c] = std::min(first_entry[c], e.from.index());
-    last_exit[c] = std::max(last_exit[c], e.to.index());
-  }
-  for (std::size_t c = 0; c < colours; ++c) {
-    auto& mb = min_beta[c];
-    mb[t.index()] = 0.0;
-    for (std::size_t v = t.index() + 1; v-- > 0;) {
-      for (const EdgeId eid : w.graph.out_edges(VertexId{v})) {
-        if (!w.mask.alive(eid)) continue;
-        const DwgEdge& e = w.graph.edge(eid);
-        if (mb[e.to.index()] == kInf) continue;
-        const double contribution = e.colour == static_cast<Colour>(c) ? e.beta : 0.0;
-        mb[v] = std::min(mb[v], contribution + mb[e.to.index()]);
-      }
-    }
-  }
-
-  // Open-colour layout per vertex: open(c, v) iff first_entry < v < last_exit.
-  // slot[v * colours + c] = dimension index of colour c at vertex v, or -1.
-  std::vector<std::vector<std::size_t>> open_at(vcount);
-  std::vector<int> slot(vcount * colours, -1);
-  for (std::size_t v = 0; v < vcount; ++v) {
-    for (std::size_t c = 0; c < colours; ++c) {
-      if (first_entry[c] < v && v < last_exit[c]) {
-        slot[v * colours + c] = static_cast<int>(open_at[v].size());
-        open_at[v].push_back(c);
-      }
-    }
-  }
-
-  // Per-vertex label storage, arena style: one flat cost array per vertex
-  // (stride = 2 + open colours: sigma, b_done, open sums) beside one flat
-  // provenance array -- the same reserve-ahead structure-of-arrays idiom as
-  // the Pareto DP's frontier arena. Both arrays are grown together, ahead
-  // of the insert, so a label append never reallocates twice.
-  struct Bucket {
-    struct Via {
-      EdgeId edge;
-      std::uint32_t parent = 0;  // label index at edge.from
-    };
-    std::vector<double> cost;
-    std::vector<Via> via;
-    [[nodiscard]] std::size_t size(std::size_t stride) const { return cost.size() / stride; }
-    void reserve_ahead(std::size_t stride) {
-      if (via.size() == via.capacity()) {
-        const std::size_t labels = std::max<std::size_t>(8, via.size() * 2);
-        cost.reserve(labels * stride);
-        via.reserve(labels);
-      }
-    }
-  };
-  std::vector<Bucket> buckets(vcount);
-  const auto stride_of = [&](std::size_t v) { return 2 + open_at[v].size(); };
-
-  buckets[s.index()].cost.assign(stride_of(s.index()), 0.0);
-  buckets[s.index()].via.push_back({EdgeId{}, 0});
-  nodes = 1;
-
-  double best = upper_bound;
-  bool found = false;
-  std::uint32_t best_label = 0;
-
-  std::vector<double> cand;  // scratch for one extended label
-  for (std::size_t v = s.index(); v <= t.index(); ++v) {
-    Bucket& from = buckets[v];
-    const std::size_t from_stride = stride_of(v);
-    const std::size_t label_count = from.size(from_stride);
-    if (v == t.index()) {
-      for (std::size_t label = 0; label < label_count; ++label) {
-        // At T no colour is open: b_done is the full bottleneck.
-        const double value =
-            obj.value(from.cost[label * from_stride], from.cost[label * from_stride + 1]);
-        if (value < best) {
-          best = value;
-          best_label = static_cast<std::uint32_t>(label);
-          found = true;
-        }
-      }
-      break;
-    }
-    for (const EdgeId eid : w.graph.out_edges(VertexId{v})) {
-      if (!w.mask.alive(eid)) continue;
-      const DwgEdge& e = w.graph.edge(eid);
-      const std::size_t to = e.to.index();
-      if (to_t[to] == kInf) continue;
-      const std::size_t to_stride = stride_of(to);
-
-      for (std::size_t label = 0; label < label_count; ++label) {
-        const double* lc = &from.cost[label * from_stride];
-        cand.assign(to_stride, 0.0);
-        cand[0] = lc[0] + e.sigma;
-        double b_done = lc[1];
-
-        // Carry / fold the colours open at v.
-        for (std::size_t k = 0; k < open_at[v].size(); ++k) {
-          const std::size_t c = open_at[v][k];
-          double sum = lc[2 + k];
-          if (e.colour == static_cast<Colour>(c)) sum += e.beta;
-          const int target = slot[to * colours + c];
-          if (target >= 0) {
-            cand[2 + static_cast<std::size_t>(target)] = sum;
-          } else {
-            b_done = std::max(b_done, sum);  // colour finished before `to`
-          }
-        }
-        // The edge's own colour, when it was not yet open at v.
-        if (e.colour == kUncoloured) {
-          b_done = std::max(b_done, e.beta);
-        } else {
-          const auto c = static_cast<std::size_t>(e.colour);
-          if (slot[v * colours + c] < 0) {
-            const int target = slot[to * colours + c];
-            if (target >= 0) {
-              cand[2 + static_cast<std::size_t>(target)] += e.beta;
-            } else {
-              b_done = std::max(b_done, e.beta);
-            }
-          }
-        }
-        cand[1] = b_done;
-
-        // Incumbent bound with per-colour futures.
-        double b_floor = b_done;
-        for (std::size_t k = 0; k < open_at[to].size(); ++k) {
-          const double future = min_beta[open_at[to][k]][to];
-          if (future != kInf) b_floor = std::max(b_floor, cand[2 + k] + future);
-        }
-        const double bound = obj.s_coeff * (cand[0] + to_t[to]) + obj.b_coeff * b_floor;
-        if (bound >= best) continue;
-
-        // Dominance both ways against the target bucket.
-        Bucket& into = buckets[to];
-        const std::size_t existing = into.size(to_stride);
-        bool dominated = false;
-        for (std::size_t other = 0; other < existing && !dominated; ++other) {
-          const double* oc = &into.cost[other * to_stride];
-          dominated = true;
-          for (std::size_t k = 0; k < to_stride; ++k) {
-            if (oc[k] > cand[k] + 1e-12) {
-              dominated = false;
-              break;
-            }
-          }
-        }
-        if (dominated) continue;
-        std::size_t kept = 0;
-        for (std::size_t other = 0; other < into.size(to_stride); ++other) {
-          const double* oc = &into.cost[other * to_stride];
-          bool beats = true;
-          for (std::size_t k = 0; k < to_stride; ++k) {
-            if (cand[k] > oc[k] + 1e-12) {
-              beats = false;
-              break;
-            }
-          }
-          if (beats) continue;  // drop `other`
-          if (kept != other) {
-            std::copy(oc, oc + to_stride, &into.cost[kept * to_stride]);
-            into.via[kept] = into.via[other];
-          }
-          ++kept;
-        }
-        into.cost.resize(kept * to_stride);
-        into.via.resize(kept);
-
-        into.reserve_ahead(to_stride);
-        into.cost.insert(into.cost.end(), cand.begin(), cand.end());
-        into.via.push_back({eid, static_cast<std::uint32_t>(label)});
-        if (++nodes > node_cap) {
-          throw ResourceLimit("coloured SSB fallback exceeded its label cap");
-        }
-      }
-    }
-  }
-
-  if (!found) return std::nullopt;  // nothing beat the incumbent
-  std::vector<EdgeId> edges;
-  std::size_t at_vertex = t.index();
-  std::uint32_t label = best_label;
-  while (buckets[at_vertex].via[label].edge.valid()) {
-    const EdgeId eid = buckets[at_vertex].via[label].edge;
-    edges.push_back(eid);
-    const std::uint32_t parent = buckets[at_vertex].via[label].parent;
-    at_vertex = w.graph.edge(eid).from.index();
-    label = parent;
-  }
-  std::reverse(edges.begin(), edges.end());
-  return make_path(w.graph, std::move(edges), s, t, /*coloured=*/true);
-}
-
 }  // namespace
 
 ColouredSsbResult coloured_ssb_solve(const AssignmentGraph& ag,
@@ -405,26 +170,28 @@ ColouredSsbResult coloured_ssb_solve(const AssignmentGraph& ag,
       best_base = w.to_base_path(p.edges);
     }
   };
+  const auto remember_cut = [&](const Assignment& cut) {
+    remember(make_path(ag.graph(), ag.assignment_to_path(cut), s, t, /*coloured=*/true));
+  };
 
   if (options.warm_cut) {
     // Seed the incumbent with the warm cut's value (validated against this
     // instance by the Assignment constructor) so the very first shortest
     // path can already terminate the iteration.
-    const Assignment warm(ag.colouring(), *options.warm_cut);
-    remember(make_path(ag.graph(), ag.assignment_to_path(warm), s, t, /*coloured=*/true));
+    remember_cut(Assignment(ag.colouring(), *options.warm_cut));
     stats.warm_started = true;
   }
 
-  bool fallback_needed = false;
+  bool hand_off = false;  // the iteration cannot finish; the Pareto DP does
   // Iteration cap: each non-stalled round kills >= 1 edge, and each stall
   // expands >= 1 region; both are finite.
   const std::size_t cap = 4 * (ag.graph().edge_count() + regions.size() + 4) +
                           4 * options.expansion_cap_per_region;
   while (true) {
     if (stats.iterations >= cap) {
-      // Only reachable through pathological expansion churn; the fallback is
-      // exact, so degrade to it rather than failing.
-      fallback_needed = true;
+      // Only reachable through pathological expansion churn; the DP is
+      // exact, so hand off to it rather than failing.
+      hand_off = true;
       break;
     }
     ++stats.iterations;
@@ -466,30 +233,18 @@ ColouredSsbResult coloured_ssb_solve(const AssignmentGraph& ag,
     if (!expanded_any) {
       // Nothing left to expand for the bottleneck colour (multi-region
       // colour or capped region): the iteration cannot make progress.
-      fallback_needed = true;
+      hand_off = true;
       break;
     }
   }
 
-  if (fallback_needed) {
+  if (hand_off) {
+    // The Pareto DP solves the same objective exactly; `remember` keeps its
+    // cut only when it strictly beats the SSB incumbent.
     stats.used_fallback = true;
-    try {
-      std::optional<Path> p = fallback_search(w, s, t, options.objective, ssb_can,
-                                              options.fallback_node_cap,
-                                              stats.fallback_nodes);
-      if (p) remember(*p);
-    } catch (const ResourceLimit&) {
-      if (!options.delegate_on_cap) throw;
-      // The path formulation is the wrong tool for this instance (label
-      // sets explode when many colours stay open across the whole face
-      // range); the Pareto DP solves the same objective exactly.
-      stats.delegated_to_dp = true;
-      ParetoDpOptions dp_options;
-      dp_options.objective = options.objective;
-      const ParetoDpResult dp = pareto_dp_solve(ag.colouring(), dp_options);
-      const std::vector<EdgeId> path = ag.assignment_to_path(dp.assignment);
-      remember(make_path(ag.graph(), path, s, t, /*coloured=*/true));
-    }
+    ParetoDpOptions dp_options;
+    dp_options.objective = options.objective;
+    remember_cut(pareto_dp_solve(ag.colouring(), dp_options).assignment);
   }
 
   stats.expanded_edge_count = w.mask.alive_count();

@@ -14,17 +14,17 @@
 // the bottleneck colour then does reach B(P_i) and elimination proceeds;
 // the expanded graph is exactly the E' of the paper's O(|E'|) claim.
 //
-// Going beyond the paper (which assumes expansion is always affordable):
-// the number of composites equals the number of monotone cuts of the
-// subtree, which can grow exponentially, so each region expansion is capped
-// (`expansion_cap_per_region`). If the search stalls and every stalled
-// region is unexpandable -- or the same colour recurs in several disjoint
-// regions whose composites individually stay below the threshold -- the
-// search falls back to branch-and-bound enumeration over the remaining
-// alive DAG, pruned by the monotone prefix bound
-//   λ_S·(S_prefix + min-σ-to-T) + λ_B·B_prefix >= SSB_can.
-// The fallback is exact; `stats.used_fallback` reports it so experiment E5
-// can measure how often the paper's assumption holds.
+// Going beyond the paper (which assumes expansion always restores
+// progress): the number of composites equals the number of monotone cuts of
+// the subtree, which can grow exponentially, so each region expansion is
+// capped (`expansion_cap_per_region`). A stall that expansion cannot clear
+// -- every region of the bottleneck colour is expanded or over the cap, as
+// when one colour spans several disjoint regions whose composites each stay
+// below the threshold -- or an iteration count past its cap hands the solve
+// to the Pareto DP (core/pareto_dp.hpp), which solves the same objective
+// exactly. The DP's cut replaces the SSB incumbent only when it is strictly
+// better. `stats.used_fallback` reports the hand-off, so experiment E5 can
+// measure how often the paper's assumption holds.
 #pragma once
 
 #include <cstddef>
@@ -39,17 +39,9 @@ namespace treesat {
 struct ColouredSsbOptions {
   SsbObjective objective = SsbObjective::end_to_end();
   /// Max composite edges when expanding one colour region; a region whose
-  /// path count exceeds this stays unexpanded (the fallback covers it).
+  /// path count exceeds this stays unexpanded (the Pareto DP hand-off
+  /// covers it).
   std::size_t expansion_cap_per_region = 65536;
-  /// Max labels for the Pareto label-setting fallback. On adversarial
-  /// instances (many satellites, scattered pinning) the label sets grow
-  /// combinatorially and per-label dominance checks are linear in the
-  /// bucket, so the cap bounds *quadratic* work -- keep it modest.
-  std::size_t fallback_node_cap = std::size_t{1} << 17;
-  /// What to do when the fallback cap is hit: true (default) completes the
-  /// solve exactly with the Pareto DP (core/pareto_dp.hpp) and flags it in
-  /// stats.delegated_to_dp; false propagates ResourceLimit to the caller.
-  bool delegate_on_cap = true;
   /// Expand regions eagerly up front instead of on stall. Mirrors the
   /// paper's presentation (expansion before elimination); the lazy default
   /// only pays for expansion when a stall actually occurs.
@@ -57,13 +49,13 @@ struct ColouredSsbOptions {
   /// Known-feasible warm-start cut -- e.g. a ResolveSession's previous
   /// optimum re-evaluated after a perturbation (core/incremental.hpp). Its
   /// value becomes the initial SSB incumbent, so the threshold iteration
-  /// terminates (and the fallback prunes) against a tight bound from round
-  /// one instead of descending from +inf. Exactness is preserved: the search
-  /// only discards paths that cannot strictly beat a value the warm cut
-  /// already achieves. Among equal-valued optima the returned cut may be the
-  /// warm one rather than a cold run's tie-break; stats.warm_started reports
-  /// that the bound was applied. Not expressible in the registry spec
-  /// grammar (it names concrete nodes).
+  /// terminates against a tight bound from round one instead of descending
+  /// from +inf. Exactness is preserved: the search only discards paths that
+  /// cannot strictly beat a value the warm cut already achieves. Among
+  /// equal-valued optima the returned cut may be the warm one rather than a
+  /// cold run's tie-break; stats.warm_started reports that the bound was
+  /// applied. Not expressible in the registry spec grammar (it names
+  /// concrete nodes).
   std::optional<std::vector<CruId>> warm_cut;
 };
 
@@ -73,10 +65,10 @@ struct ColouredSsbStats {
   std::size_t regions_expanded = 0;
   std::size_t composite_edges = 0;     ///< composites materialized in total
   std::size_t expanded_edge_count = 0; ///< |E'|: live edges after all expansions
-  std::size_t fallback_nodes = 0;      ///< labels created by the fallback
+  /// A stall expansion could not clear (or the iteration cap) handed the
+  /// solve to the Pareto DP, which finished it.
   bool used_fallback = false;
-  bool stalled = false;                ///< a stall occurred (expansion or fallback engaged)
-  bool delegated_to_dp = false;        ///< fallback cap hit; finished via Pareto DP
+  bool stalled = false;                ///< a stall occurred (expansion or the DP engaged)
   bool warm_started = false;           ///< options.warm_cut seeded the incumbent
 };
 

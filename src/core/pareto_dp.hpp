@@ -1,8 +1,8 @@
 // Pareto-frontier dynamic program -- treesat's scalable exact solver.
 //
-// This is our extension beyond the paper (DESIGN.md §6). Instead of
-// searching the assignment graph, it exploits the structure of the §3
-// objective directly:
+// This is our extension beyond the paper (README, "Performance: the arena
+// Pareto-DP core"). Instead of searching the assignment graph, it exploits
+// the structure of the §3 objective directly:
 //
 //   minimize  λ_S·(H_0 + Σ_c host_c) + λ_B·max_c load_c
 //

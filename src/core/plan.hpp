@@ -1,9 +1,9 @@
 // SolvePlan: the typed per-algorithm entry point of the solver facade.
 //
 // Every solve method in treesat carries its own knobs -- the coloured SSB
-// search has expansion caps and a fallback policy, the annealer has a
-// temperature schedule, the GA has population parameters, branch-and-bound
-// has a node cap. A plan is "one method + exactly its own options", built
+// search has an expansion cap and an eager-expansion switch, the annealer
+// has a temperature schedule, the GA has population parameters,
+// branch-and-bound has a node cap. A plan is "one method + exactly its own options", built
 // through a named constructor per algorithm:
 //
 //   solve(colouring, SolvePlan::coloured_ssb({.expansion_cap_per_region = 4096}));
@@ -187,8 +187,8 @@ class SolvePlan {
   /// returned unchanged. The choice:
   ///   * cut space smaller than `exhaustive_cutoff` -> exhaustive;
   ///   * some colour split across >= 2 regions -> pareto-dp (the stall
-  ///     regime of §5.4, where the SSB search would expand or fall back --
-  ///     and its fallback delegates to this same DP anyway);
+  ///     regime of §5.4, where the SSB search would expand or hand the
+  ///     solve to this same DP anyway);
   ///   * otherwise -> coloured-ssb (the paper's fast path).
   [[nodiscard]] SolvePlan resolve(const Colouring& colouring) const;
 

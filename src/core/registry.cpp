@@ -79,8 +79,6 @@ constexpr OptionRow option(std::string_view key, std::string_view alias = {}) {
 constexpr OptionRow kColouredSsbOptions[] = {
     option<&ColouredSsbOptions::expansion_cap_per_region>("expansion_cap",
                                                           "expansion_cap_per_region"),
-    option<&ColouredSsbOptions::fallback_node_cap>("fallback_node_cap"),
-    option<&ColouredSsbOptions::delegate_on_cap>("delegate_on_cap"),
     option<&ColouredSsbOptions::eager_expansion>("eager_expansion"),
 };
 constexpr OptionRow kParetoDpOptions[] = {
@@ -129,8 +127,8 @@ const std::vector<MethodRow>& method_rows() {
   static const std::vector<MethodRow> kRows = {
       {ColouredSsbOptions{}, "§5.4", "the paper's adapted coloured SSB path search",
        /*exact=*/true, kColouredSsbOptions},
-      {ParetoDpOptions{}, "extension (DESIGN.md §6)", "Pareto-frontier dynamic program",
-       /*exact=*/true, kParetoDpOptions},
+      {ParetoDpOptions{}, "extension (README: Pareto-DP core)",
+       "Pareto-frontier dynamic program", /*exact=*/true, kParetoDpOptions},
       {ExhaustiveOptions{}, "§3 (oracle)", "brute-force enumeration of every monotone cut",
        /*exact=*/true, kExhaustiveOptions},
       {BranchBoundOptions{}, "§6 future work", "branch-and-bound over cuts (exact on trees)",

@@ -22,7 +22,6 @@ EdgeId Dwg::add_edge(VertexId u, VertexId v, double sigma, double beta, Colour c
   edges_.push_back(DwgEdge{u, v, sigma, beta, colour});
   out_[u.index()].push_back(id);
   in_[v.index()].push_back(id);
-  max_colour_ = std::max(max_colour_, colour);
   return id;
 }
 

@@ -103,12 +103,6 @@ class Dwg {
   }
   [[nodiscard]] std::span<const EdgeId> in_edges(VertexId v) const { return in_.at(v.index()); }
 
-  /// Largest colour value present plus one (0 if the graph is uncoloured).
-  /// Useful for sizing per-colour accumulators.
-  [[nodiscard]] std::size_t colour_count() const {
-    return static_cast<std::size_t>(max_colour_ + 1);
-  }
-
   /// A mask with every edge of this graph alive.
   [[nodiscard]] EdgeMask full_mask() const { return EdgeMask(edges_.size()); }
 
@@ -116,7 +110,6 @@ class Dwg {
   std::vector<DwgEdge> edges_;
   std::vector<std::vector<EdgeId>> out_;
   std::vector<std::vector<EdgeId>> in_;
-  Colour max_colour_ = kUncoloured;
 };
 
 /// A directed path: edge ids in order from the source to the target, plus the

@@ -111,10 +111,8 @@ std::string stats_to_json(const MethodStats& stats) {
              << ",\"regions_expanded\":" << s.regions_expanded
              << ",\"composite_edges\":" << s.composite_edges
              << ",\"expanded_edge_count\":" << s.expanded_edge_count
-             << ",\"fallback_nodes\":" << s.fallback_nodes
              << ",\"used_fallback\":" << (s.used_fallback ? "true" : "false")
              << ",\"stalled\":" << (s.stalled ? "true" : "false")
-             << ",\"delegated_to_dp\":" << (s.delegated_to_dp ? "true" : "false")
              << ",\"warm_started\":" << (s.warm_started ? "true" : "false") << '}';
         } else if constexpr (std::is_same_v<T, ParetoDpStats>) {
           os << "{\"max_region_frontier\":" << s.max_region_frontier

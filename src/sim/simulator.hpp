@@ -1,9 +1,9 @@
 // Discrete-event simulator of a host-satellites execution.
 //
 // This is the substitution for the paper's physical testbed (sensor boxes +
-// PDA, DESIGN.md §3): it *executes* an assignment instead of evaluating the
-// closed-form delay, so the analytic model of §3 can be validated against
-// an independent mechanism, and relaxations the paper leaves open can be
+// PDA): it *executes* an assignment instead of evaluating the closed-form
+// delay, so the analytic model of §3 can be validated against an
+// independent mechanism, and relaxations the paper leaves open can be
 // measured (experiment E6).
 //
 // Model. Each satellite has one CPU and one uplink; the host has one CPU.

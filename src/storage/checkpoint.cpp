@@ -296,6 +296,9 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
   TS_REQUIRE(tenants_head.size() == 2 && tenants_head[0] == "tenants",
              "checkpoint: expected a 'tenants' line");
   const std::uint64_t tenant_count = wire::parse_u64(tenants_head[1], "tenant count");
+  // The live service tracks at most kMaxTrackedTenants names and folds the
+  // rest into `overflow`; a restore holds a manifest to the same cap, rows
+  // past it folding in manifest order.
   for (std::uint64_t i = 0; i < tenant_count; ++i) {
     const std::vector<std::string_view> toks =
         wire::split_tokens(reader.next("tenant row"), "tenant row");
@@ -303,13 +306,18 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
     const std::string name = decode_token(std::string(toks[1]));
     TS_REQUIRE(out.telemetry.tenants.find(name) == out.telemetry.tenants.end(),
                "checkpoint: duplicate tenant row '" << name << "'");
-    out.telemetry.tenants[name] = parse_tenant_counters(toks, 2);
+    TenantTelemetry row = parse_tenant_counters(toks, 2);
+    if (out.telemetry.tenants.size() < ServiceTelemetry::kMaxTrackedTenants) {
+      out.telemetry.tenants.emplace(name, std::move(row));
+    } else {
+      out.telemetry.overflow.merge(row);
+    }
   }
   const std::vector<std::string_view> overflow =
       wire::split_tokens(reader.next("overflow"), "overflow");
   TS_REQUIRE(overflow.size() >= 1 && overflow[0] == "overflow",
              "checkpoint: expected an 'overflow' line");
-  out.telemetry.overflow = parse_tenant_counters(overflow, 1);
+  out.telemetry.overflow.merge(parse_tenant_counters(overflow, 1));
 
   TS_REQUIRE(reader.next("end") == "end", "checkpoint: expected the 'end' sentinel");
   TS_REQUIRE(reader.done(), "checkpoint: trailing bytes after 'end'");

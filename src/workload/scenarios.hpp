@@ -1,6 +1,6 @@
 // Scenario library: the paper's two motivating applications, instantiated
 // as concrete profiled workloads (the substitution for the non-public
-// MobiHealth traces; DESIGN.md §3).
+// MobiHealth traces).
 //
 // Magnitudes are chosen to be period-accurate for 2007-era kit: a PDA-class
 // host (~200 Mops/s), microcontroller sensor boxes (~40 Mops/s), Bluetooth

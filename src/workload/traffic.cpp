@@ -54,14 +54,36 @@ std::string solve_line(const TenantState& t, const std::string& instance,
   return line;
 }
 
-/// Serializes one drift-stream perturbation against the tenant's current
-/// tree. Insert parents travel by node *name* (stable under id compaction);
-/// the probe shape mirrors Perturbation::insert_probe, which is the only
-/// insertion drift_stream generates.
-std::string perturb_line(const TenantState& t, const std::string& instance,
-                         const Perturbation& p, bool degrade = false) {
+/// Zipf(s) tenant popularity: rank k (0-based) drawn with weight 1/(k+1)^s
+/// via inverse-CDF lookup. Small n (tenant counts), so the cdf is exact.
+class ZipfSampler {
+ public:
+  ZipfSampler(std::size_t n, double exponent) {
+    TS_REQUIRE(n >= 1, "ZipfSampler: need at least one rank");
+    cdf_.reserve(n);
+    double total = 0.0;
+    for (std::size_t k = 1; k <= n; ++k) {
+      total += 1.0 / std::pow(static_cast<double>(k), exponent);
+      cdf_.push_back(total);
+    }
+  }
+
+  std::size_t draw(Rng& rng) {
+    const double u = rng.uniform_real(0.0, cdf_.back());
+    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+    return static_cast<std::size_t>(it - cdf_.begin());
+  }
+
+ private:
+  std::vector<double> cdf_;
+};
+
+}  // namespace
+
+std::string perturb_line(const std::string& tenant, const std::string& instance,
+                         const CruTree& current, const Perturbation& p, bool degrade) {
   std::string line = "{\"op\":\"perturb\",\"tenant\":\"";
-  line += t.name;
+  line += tenant;
   line += "\",\"instance\":\"";
   line += instance;
   line += '"';
@@ -103,9 +125,9 @@ std::string perturb_line(const TenantState& t, const std::string& instance,
                  ins->nodes[0].kind == CruKind::kCompute &&
                  ins->nodes[0].parent == SubtreeInsert::kAttach &&
                  ins->nodes[1].kind == CruKind::kSensor && ins->nodes[1].parent == 0,
-             "traffic_trace: drift stream produced a non-probe insertion");
+             "perturb_line: drift stream produced a non-probe insertion");
     field_str("kind", "insert_probe");
-    field_str("parent", t.current.node(ins->parent).name);
+    field_str("parent", current.node(ins->parent).name);
     field_str("name", ins->nodes[0].name);
     field_uint("satellite", ins->nodes[1].satellite.value());
     field_num("host_time", ins->nodes[0].host_time);
@@ -117,32 +139,6 @@ std::string perturb_line(const TenantState& t, const std::string& instance,
   line += '}';
   return line;
 }
-
-/// Zipf(s) tenant popularity: rank k (0-based) drawn with weight 1/(k+1)^s
-/// via inverse-CDF lookup. Small n (tenant counts), so the cdf is exact.
-class ZipfSampler {
- public:
-  ZipfSampler(std::size_t n, double exponent) {
-    TS_REQUIRE(n >= 1, "ZipfSampler: need at least one rank");
-    cdf_.reserve(n);
-    double total = 0.0;
-    for (std::size_t k = 1; k <= n; ++k) {
-      total += 1.0 / std::pow(static_cast<double>(k), exponent);
-      cdf_.push_back(total);
-    }
-  }
-
-  std::size_t draw(Rng& rng) {
-    const double u = rng.uniform_real(0.0, cdf_.back());
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<std::size_t>(it - cdf_.begin());
-  }
-
- private:
-  std::vector<double> cdf_;
-};
-
-}  // namespace
 
 TrafficTrace traffic_trace(const TrafficOptions& options) {
   TS_REQUIRE(options.tenants >= 1, "traffic_trace: need at least one tenant");
@@ -206,7 +202,7 @@ TrafficTrace traffic_trace(const TrafficOptions& options) {
       ++trace.solves;
     } else if (t.cursor < t.stream.size()) {
       const Perturbation& p = t.stream[t.cursor++];
-      trace.lines.push_back(perturb_line(t, instance, p));
+      trace.lines.push_back(perturb_line(t.name, instance, t.current, p));
       ++trace.perturbs;
       t.current = apply_perturbation(t.current, p);
     } else {
@@ -355,7 +351,7 @@ TrafficTrace stress_trace(const StressOptions& options) {
         if (degrade) ++trace.degrade_flags;
       } else {
         const Perturbation& p = t.stream[t.cursor++];
-        trace.lines.push_back(perturb_line(t, instance, p, degrade));
+        trace.lines.push_back(perturb_line(t.name, instance, t.current, p, degrade));
         ++trace.perturbs;
         if (degrade) ++trace.degrade_flags;
         t.current = apply_perturbation(t.current, p);

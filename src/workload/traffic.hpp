@@ -63,6 +63,14 @@ struct TrafficTrace {
 /// Generates a deterministic mixed-tenant trace.
 [[nodiscard]] TrafficTrace traffic_trace(const TrafficOptions& options = {});
 
+/// One perturb request line applying drift-stream perturbation `p` to
+/// `current`, the instance's tree before it. Insert parents travel by node
+/// *name* (stable under id compaction); the probe shape mirrors
+/// Perturbation::insert_probe, the only insertion drift_stream generates.
+[[nodiscard]] std::string perturb_line(const std::string& tenant, const std::string& instance,
+                                       const CruTree& current, const Perturbation& p,
+                                       bool degrade = false);
+
 /// The adversarial stress universe: everything the overload work is tested
 /// against, in one deterministic trace.
 ///

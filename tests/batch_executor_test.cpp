@@ -42,8 +42,7 @@ void put_stats(std::ostream& os, const MethodStats& stats) {
           [&](const ColouredSsbStats& s) {
             os << "ssb:" << s.iterations << ',' << s.edges_eliminated << ','
                << s.regions_expanded << ',' << s.composite_edges << ','
-               << s.expanded_edge_count << ',' << s.fallback_nodes << ','
-               << s.used_fallback << ',' << s.stalled << ',' << s.delegated_to_dp;
+               << s.expanded_edge_count << ',' << s.used_fallback << ',' << s.stalled;
           },
           [&](const ParetoDpStats& s) {
             os << "dp:" << s.max_region_frontier << ',' << s.max_colour_frontier << ','

@@ -1,6 +1,6 @@
 // Adapted coloured SSB tests (paper §5.4): stall detection, the Fig 9
-// expansion step, composite-edge bookkeeping, the branch-and-bound fallback
-// for multi-region colours, and option plumbing.
+// expansion step, composite-edge bookkeeping, the Pareto DP hand-off for
+// stalls expansion cannot clear, and option plumbing.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -65,39 +65,21 @@ TEST(ColouredSsb, EagerExpansionReportsCompositeEdges) {
   EXPECT_GT(got.stats.expanded_edge_count, 0u);
 }
 
-TEST(ColouredSsb, TinyExpansionCapForcesFallbackYetStaysExact) {
+TEST(ColouredSsb, TinyExpansionCapHandsTheStallToTheParetoDp) {
   const CruTree tree = paper_running_example();
   const Colouring colouring(tree);
   const AssignmentGraph ag(colouring);
   ColouredSsbOptions o;
   o.expansion_cap_per_region = 1;  // nothing is expandable
   const ColouredSsbResult got = coloured_ssb_solve(ag, o);
+  EXPECT_TRUE(got.stats.stalled);
+  EXPECT_TRUE(got.stats.used_fallback);  // the Pareto DP finished the solve
   const ExhaustiveResult want = exhaustive_solve(colouring, SsbObjective::end_to_end());
   EXPECT_NEAR(got.ssb_weight, want.objective, 1e-9);
-}
-
-TEST(ColouredSsb, FallbackNodeCapThrowsWhenDelegationDisabled) {
-  const CruTree tree = paper_running_example();
-  const Colouring colouring(tree);
-  const AssignmentGraph ag(colouring);
-  ColouredSsbOptions o;
-  o.expansion_cap_per_region = 1;  // force the fallback...
-  o.fallback_node_cap = 1;         // ...and strangle it
-  o.delegate_on_cap = false;
-  EXPECT_THROW(static_cast<void>(coloured_ssb_solve(ag, o)), ResourceLimit);
-}
-
-TEST(ColouredSsb, FallbackCapDelegatesToParetoDpByDefault) {
-  const CruTree tree = paper_running_example();
-  const Colouring colouring(tree);
-  const AssignmentGraph ag(colouring);
-  ColouredSsbOptions o;
-  o.expansion_cap_per_region = 1;
-  o.fallback_node_cap = 1;  // delegate_on_cap defaults to true
-  const ColouredSsbResult got = coloured_ssb_solve(ag, o);
-  EXPECT_TRUE(got.stats.delegated_to_dp);
-  const ExhaustiveResult want = exhaustive_solve(colouring, SsbObjective::end_to_end());
-  EXPECT_NEAR(got.ssb_weight, want.objective, 1e-9);
+  // The kept cut, mapped back through the assignment graph, has the value
+  // the search reports.
+  EXPECT_NEAR(got.assignment.delay().objective(SsbObjective::end_to_end()), got.ssb_weight,
+              1e-9);
 }
 
 TEST(ColouredSsb, MultiRegionColourSumsAcrossRegions) {

@@ -62,7 +62,7 @@ TEST(Determinism, ExactSolversAreInputDeterministic) {
     const ColouredSsbResult again = coloured_ssb_solve(ag);
     EXPECT_EQ(fingerprint(first.assignment), fingerprint(again.assignment));
     EXPECT_EQ(first.stats.iterations, again.stats.iterations);
-    EXPECT_EQ(first.stats.fallback_nodes, again.stats.fallback_nodes);
+    EXPECT_EQ(first.stats.used_fallback, again.stats.used_fallback);
   }
 }
 

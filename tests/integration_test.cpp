@@ -59,8 +59,9 @@ TEST(Integration, SerializeRoundTripPreservesTheOptimum) {
 }
 
 TEST(Integration, DelegationPathStaysExactOnLargeScatteredTrees) {
-  // Regression for the fallback chain: large scattered instances push the
-  // label sweep to its cap; the delegated result must equal the DP's.
+  // Regression for the stall hand-off: a large scattered instance stalls
+  // the SSB iteration past what expansion can clear, so the Pareto DP
+  // finishes it; the result must equal a direct DP solve.
   Rng rng(13131);
   TreeGenOptions o;
   o.compute_nodes = 80;
@@ -69,9 +70,7 @@ TEST(Integration, DelegationPathStaysExactOnLargeScatteredTrees) {
   const CruTree tree = random_tree(rng, o);
   const Colouring colouring(tree);
 
-  ColouredSsbOptions opt;
-  opt.fallback_node_cap = 256;  // force early delegation
-  const SolveReport ssb = solve(colouring, SolvePlan::coloured_ssb(opt));
+  const SolveReport ssb = solve(colouring, SolvePlan::coloured_ssb());
   const ParetoDpResult dp = pareto_dp_solve(colouring);
   EXPECT_NEAR(ssb.objective_value, dp.objective, 1e-9);
   // The facade must surface the method-specific stats, not discard them.

@@ -79,6 +79,8 @@ const BadSpec kBadSpecs[] = {
     {"pareto-dp:priority=", "unknown key"},
     {"pareto-dp:priority=COST", "unknown key"},
     {"pareto-dp:priority=cost,priority=none", "duplicate key"},
+    {"coloured-ssb:fallback_node_cap=512", "unknown key"},
+    {"coloured-ssb:delegate_on_cap=false", "unknown key"},
 };
 
 TEST(ParsePlanFuzz, MalformedSpecsThrowDescriptiveErrors) {

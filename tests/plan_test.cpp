@@ -60,13 +60,9 @@ TEST(ParsePlan, BareMethodYieldsDefaultOptions) {
 }
 
 TEST(ParsePlan, PerMethodKeysReachTheTypedOptions) {
-  const SolvePlan ssb = parse_plan(
-      "coloured_ssb:expansion_cap=4096,fallback_node_cap=512,"
-      "delegate_on_cap=false,eager_expansion=true");
+  const SolvePlan ssb = parse_plan("coloured_ssb:expansion_cap=4096,eager_expansion=true");
   const auto& so = ssb.options_as<ColouredSsbOptions>();
   EXPECT_EQ(so.expansion_cap_per_region, 4096u);
-  EXPECT_EQ(so.fallback_node_cap, 512u);
-  EXPECT_FALSE(so.delegate_on_cap);
   EXPECT_TRUE(so.eager_expansion);
 
   const SolvePlan ga = parse_plan(
@@ -161,9 +157,7 @@ TEST(PlanSpec, PinsTheCanonicalStringOfEveryMethod) {
   // non-default, and with the executor keys set. Each pinned string must
   // also re-parse to itself.
   const std::map<std::string, std::string> defaults = {
-      {"coloured-ssb",
-       "coloured-ssb:expansion_cap=65536,fallback_node_cap=131072,delegate_on_cap=true,"
-       "eager_expansion=false"},
+      {"coloured-ssb", "coloured-ssb:expansion_cap=65536,eager_expansion=false"},
       {"pareto-dp", "pareto-dp:max_frontier=1048576"},
       {"exhaustive", "exhaustive:cap=4194304"},
       {"branch-bound", "branch-bound:node_cap=67108864,greedy_incumbent=true"},
@@ -183,8 +177,6 @@ TEST(PlanSpec, PinsTheCanonicalStringOfEveryMethod) {
 
   ColouredSsbOptions ssb;
   ssb.expansion_cap_per_region = 4096;
-  ssb.fallback_node_cap = 512;
-  ssb.delegate_on_cap = false;
   ssb.eager_expansion = true;
   ParetoDpOptions dp;
   dp.max_frontier = 99;
@@ -223,9 +215,7 @@ TEST(PlanSpec, PinsTheCanonicalStringOfEveryMethod) {
   executor.warm_start = true;
 
   const std::vector<std::pair<SolvePlan, std::string>> tuned = {
-      {SolvePlan::coloured_ssb(ssb),
-       "coloured-ssb:expansion_cap=4096,fallback_node_cap=512,delegate_on_cap=false,"
-       "eager_expansion=true"},
+      {SolvePlan::coloured_ssb(ssb), "coloured-ssb:expansion_cap=4096,eager_expansion=true"},
       {SolvePlan::pareto_dp(dp), "pareto-dp:max_frontier=99"},
       {SolvePlan::exhaustive(exhaustive), "exhaustive:cap=12345"},
       {SolvePlan::branch_bound(bb), "branch-bound:node_cap=1000,greedy_incumbent=false"},
@@ -242,7 +232,7 @@ TEST(PlanSpec, PinsTheCanonicalStringOfEveryMethod) {
        "max_frontier=4096"},
       {parse_plan("coloured-ssb:threads=auto,lambda=0.5"),
        "coloured-ssb:s_coeff=0.5,b_coeff=0.5,threads=auto,expansion_cap=65536,"
-       "fallback_node_cap=131072,delegate_on_cap=true,eager_expansion=false"},
+       "eager_expansion=false"},
   };
   for (const auto& [plan, spec] : tuned) {
     EXPECT_EQ(plan_spec(plan), spec);
@@ -312,7 +302,8 @@ TEST(SolvePlan, FullOptionSetReachesEverySolver) {
 }
 
 TEST(SolveReport, SurfacesColouredSsbStatsThroughTheFacade) {
-  // Force the §5.4 fallback on a scattered instance and observe it from the
+  // A scattered instance stalls the §5.4 search past what expansion can
+  // clear, so the Pareto DP finishes it; the hand-off is observed from the
   // report -- previously these stats died inside the facade.
   Rng rng(13131);
   TreeGenOptions o;
@@ -322,9 +313,7 @@ TEST(SolveReport, SurfacesColouredSsbStatsThroughTheFacade) {
   const CruTree tree = random_tree(rng, o);
   const Colouring colouring(tree);
 
-  ColouredSsbOptions opt;
-  opt.fallback_node_cap = 256;
-  const SolveReport report = solve(colouring, SolvePlan::coloured_ssb(opt));
+  const SolveReport report = solve(colouring, SolvePlan::coloured_ssb());
   ASSERT_NE(report.stats_as<ColouredSsbStats>(), nullptr);
   EXPECT_TRUE(report.stats_as<ColouredSsbStats>()->used_fallback);
   EXPECT_EQ(report.stats_as<AnnealingStats>(), nullptr);

@@ -19,6 +19,7 @@
 #include "core/solver.hpp"
 #include "io/json.hpp"
 #include "service/service.hpp"
+#include "storage/checkpoint.hpp"
 #include "storage/faults.hpp"
 #include "tree/serialize.hpp"
 #include "workload/scenarios.hpp"
@@ -493,6 +494,74 @@ TEST(Service, CheckpointRestoreOps) {
   EXPECT_CONTAINS(
       twin.handle_line("{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\"}"),
       "\"ok\":true");
+}
+
+TEST(Service, CheckpointRestoreHoldsTheTenantCap) {
+  // Only a manifest the service did not write can carry more tenant rows
+  // than the live cap. Restore folds the rows past the cap into the
+  // overflow bucket in manifest order, on top of the manifest's own
+  // overflow row, as the live service folds late tenants.
+  constexpr std::size_t kCap = ServiceTelemetry::kMaxTrackedTenants;
+  ServiceTelemetry wide;
+  wide.requests = 6123;
+  for (std::size_t k = 0; k < 3000; ++k) {
+    // Inserted directly, not through slot(), so the cap does not apply.
+    TenantTelemetry& t = wide.tenants["rot" + std::to_string(k)];
+    t.requests = 2 + k % 5;
+    t.solves = 1;
+    t.warm_hits = k % 3;
+    t.method_counts[k % kSolveMethodCount] = 1;
+  }
+  wide.overflow.requests = 41;
+  wide.overflow.errors = 2;
+  wide.overflow.method_counts[0] = 7;
+
+  // The expected restore: the first kCap rows in manifest (name) order
+  // tracked, the rest summed into the original overflow.
+  ServiceTelemetry capped;
+  capped.requests = wide.requests;
+  capped.overflow = wide.overflow;
+  for (const auto& [name, tenant] : wide.tenants) {
+    if (capped.tenants.size() < kCap) {
+      capped.tenants.emplace(name, tenant);
+    } else {
+      capped.overflow.merge(tenant);
+    }
+  }
+
+  const SessionStore empty(1, 0);
+  const std::string wide_dir = temp_subdir("ckpt_wide_tenants");
+  const std::string capped_dir = temp_subdir("ckpt_capped_tenants");
+  write_checkpoint(wide_dir, empty, wide, 0);
+  write_checkpoint(capped_dir, empty, capped, 0);
+
+  const RestoredService restored = read_checkpoint(wide_dir, 1, 0, "", 0);
+  ASSERT_EQ(restored.telemetry.tenants.size(), kCap);
+  auto want = capped.tenants.begin();
+  for (const auto& [name, tenant] : restored.telemetry.tenants) {
+    EXPECT_EQ(name, want->first);
+    EXPECT_EQ(tenant.requests, want->second.requests) << name;
+    ++want;
+  }
+  for (const TenantCounter& counter : kTenantCounters) {
+    EXPECT_EQ(restored.telemetry.overflow.*counter.member, capped.overflow.*counter.member)
+        << counter.name;
+    EXPECT_EQ(restored.telemetry.totals().*counter.member, wide.totals().*counter.member)
+        << counter.name;
+  }
+  EXPECT_EQ(restored.telemetry.overflow.method_counts, capped.overflow.method_counts);
+
+  // The unscoped stats answer is no larger than the one for kCap tenants
+  // plus an overflow section.
+  SolverService from_wide;
+  from_wide.restore_from(wide_dir);
+  SolverService from_capped;
+  from_capped.restore_from(capped_dir);
+  const std::string stats = from_wide.handle_line("{\"op\":\"stats\"}");
+  const std::string bound = from_capped.handle_line("{\"op\":\"stats\"}");
+  EXPECT_CONTAINS(bound, "\"tenant\":\"(overflow)\"");
+  EXPECT_LE(stats.size(), bound.size());
+  EXPECT_EQ(stats, bound);
 }
 
 TEST(Service, DeadlineRejectsLateRequests) {

@@ -19,8 +19,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 
+#include "common/parse.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/service.hpp"
@@ -87,6 +90,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric flag's value parses whole (common/parse.hpp) or exits 2.
+    const auto number = [&](auto parse, const char* expected) {
+      const char* value = next();
+      const auto parsed = parse(value);
+      if (!parsed) {
+        std::cerr << argv[0] << ": " << arg << " needs " << expected << ", got '" << value
+                  << "'\n";
+        std::exit(2);
+      }
+      return *parsed;
+    };
+    const auto count = [&] {
+      return static_cast<std::size_t>(number(parse_u64, "an unsigned integer"));
+    };
     if (arg == "--config") {
       config_spec = next();
     } else if (arg == "--shards") {
@@ -109,20 +126,25 @@ int main(int argc, char** argv) {
       metrics_out = next();
     } else if (arg == "--gen-trace") {
       gen_trace = true;
-      traffic.ticks = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      traffic.ticks = count();
     } else if (arg == "--gen-stress") {
       gen_stress = true;
-      stress.requests = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      stress.requests = count();
     } else if (arg == "--tenants") {
-      traffic.tenants = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      traffic.tenants = count();
       stress.tenants = traffic.tenants;
     } else if (arg == "--seed") {
-      traffic.seed = std::strtoull(next(), nullptr, 10);
+      traffic.seed = number(parse_u64, "an unsigned integer");
       stress.seed = traffic.seed;
     } else if (arg == "--p-degrade") {
-      stress.p_degrade = std::strtod(next(), nullptr);
+      stress.p_degrade = number(
+          [](std::string_view value) {
+            const std::optional<double> p = parse_double(value);
+            return p && *p >= 0.0 && *p <= 1.0 ? p : std::nullopt;
+          },
+          "a probability in [0, 1]");
     } else if (arg == "--max-nodes") {
-      stress.max_nodes = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      stress.max_nodes = count();
     } else if (arg == "--help" || arg == "-h") {
       return usage(argv[0]);
     } else if (!arg.empty() && arg[0] == '-') {

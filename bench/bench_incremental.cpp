@@ -14,8 +14,12 @@
 // small); section 2 sweeps large clustered instances where the win shows;
 // section 3 (ungated) prices a session's initial solve against a bare
 // pareto_dp_solve of the same tree -- the keying and cache write-out a
-// session pays once before its first warm re-solve can win anything back.
+// session pays once before its first warm re-solve can win anything back;
+// section 4 (ungated but for identity) runs the standard drift mix over one
+// generator tree of each shape, where per-step costs outside the frontier
+// work (apply, recolouring, keying) decide whether warm wins.
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -224,6 +228,48 @@ int main(int argc, char** argv) {
     t.print(std::cout);
     bench::note("session time is its constructor: colouring, solve, keying and cache");
     bench::note("write-out (the tree copy it takes is outside the timer)");
+  }
+
+  bench::banner("E-INC4", "generator shapes under the standard drift mix, warm vs cold");
+  {
+    // The default mix -- mostly single-satellite drifts, some global
+    // drifts, losses and probe insertions -- over a 60-arm star, a chain,
+    // a clustered and a skewed tree. Identity is asserted at every step;
+    // the speedups are reported, not gated.
+    Rng rng(5);
+    DriftOptions options;
+    options.steps = 64;
+    StarGenOptions star;
+    star.arms = 60;
+    ChainGenOptions chain;
+    chain.compute_nodes = 160;
+    chain.satellites = 4;
+    chain.sensor_every = 8;
+    TreeGenOptions clustered;
+    clustered.compute_nodes = 96;
+    clustered.satellites = 4;
+    clustered.max_children = 2;
+    clustered.policy = SensorPolicy::kClustered;
+    SkewGenOptions skewed;
+    skewed.compute_nodes = 128;
+    const std::pair<std::string, CruTree> trees[] = {{"star-60", star_tree(rng, star)},
+                                                     {"chain-160", chain_tree(rng, chain)},
+                                                     {"clustered-96", random_tree(rng, clustered)},
+                                                     {"skewed-128", skewed_tree(rng, skewed)}};
+    Table t({"tree", "steps", "warm [ms]", "cold [ms]", "speedup", "warm steps",
+             "regions reused [%]"});
+    double log_sum = 0.0;
+    for (const auto& [name, tree] : trees) {
+      const std::vector<Perturbation> stream = drift_stream(rng, tree, options);
+      const StreamComparison cmp = compare_stream(tree, stream, "drift-" + name);
+      all_identical = all_identical && cmp.identical;
+      add_row(t, "drift-" + name, stream.size(), cmp);
+      log_sum += std::log(cmp.cold_seconds / cmp.warm_seconds);
+    }
+    t.print(std::cout);
+    const double geomean = std::exp(log_sum / static_cast<double>(std::size(trees)));
+    std::cout << "geomean speedup " << geomean << "\n";
+    bench::json().set("shapes_warm_vs_cold_geomean", geomean);
   }
 
   if (!all_identical) {

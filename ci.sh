@@ -187,7 +187,9 @@ echo "perfbench stage passed (build, self-tests and output checks on every workl
 # (exactly-once over batches of up to 257 instances: a slot written twice
 # is a reported race), obs_trace_test records spans from those workers and
 # from its own threads, and obs_metrics_test hammers one registry from
-# many threads. The service suites (service_oracle_test among them) ride
+# many threads. incremental_resolve_test's cold solve_stream batches solve
+# drifted trees, which share one topology and its colouring structure, on
+# two threads. The service suites (service_oracle_test among them) ride
 # along; they run on one thread today (handle_line is synchronous and the
 # session store takes no lock).
 # ctest -R matches substrings, so ^snapshot_test keeps fuzz_snapshot_test
@@ -195,11 +197,11 @@ echo "perfbench stage passed (build, self-tests and output checks on every workl
 cmake -B "$TSAN_DIR" -S . -DTREESAT_WERROR=ON -DTREESAT_TSAN=ON \
   -DTREESAT_BUILD_BENCHES=OFF -DTREESAT_BUILD_EXAMPLES=OFF
 cmake --build "$TSAN_DIR" -j "$JOBS" \
-  --target batch_executor_test determinism_test plan_test \
+  --target batch_executor_test determinism_test plan_test incremental_resolve_test \
            service_test service_determinism_test service_fault_test service_oracle_test \
            snapshot_test obs_trace_test obs_metrics_test
 (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-  -R 'batch_executor_test|determinism_test|plan_test|service_test|service_determinism_test|service_fault_test|service_oracle_test|^snapshot_test|obs_trace_test|obs_metrics_test')
+  -R 'batch_executor_test|determinism_test|plan_test|incremental_resolve_test|service_test|service_determinism_test|service_fault_test|service_oracle_test|^snapshot_test|obs_trace_test|obs_metrics_test')
 
 # UBSan stage: the suites that exercise the Minkowski merge kernels and the
 # batch executor's worker loop -- pointer-offset arithmetic in the SIMD
@@ -213,7 +215,9 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 # to ids (service_test), plan specs (parse_plan_fuzz_test), tree text,
 # snapshots (snapshot_test, and fuzz_snapshot_test's mutants, whose
 # unaligned binary reads must all go through memcpy) and the number
-# formatter. TREESAT_UBSAN adds
+# formatter; and the tree's CSR index and cost arrays and the colouring's
+# region layout that every solver reads (cru_tree_test, colouring_test).
+# TREESAT_UBSAN adds
 # float-cast-overflow, which GCC's -fsanitize=undefined leaves out.
 # Recovery is off (-fno-sanitize-recover), so any report fails the run.
 # plan_test stays out: GCC 12 misfires -Wmaybe-uninitialized on it under
@@ -222,12 +226,12 @@ cmake -B "$UBSAN_DIR" -S . -DTREESAT_WERROR=ON -DTREESAT_UBSAN=ON \
   -DTREESAT_BUILD_BENCHES=OFF -DTREESAT_BUILD_EXAMPLES=OFF
 cmake --build "$UBSAN_DIR" -j "$JOBS" \
   --target pareto_dp_test pareto_merge_reference_test pareto_simd_kernel_test \
-           coloured_ssb_test solver_cross_validation_test \
+           coloured_ssb_test solver_cross_validation_test cru_tree_test colouring_test \
            batch_executor_test incremental_resolve_test service_test service_oracle_test \
            serialize_round_trip_test snapshot_test fuzz_snapshot_test parse_plan_fuzz_test \
            format_round_trip_test
 (cd "$UBSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-  -R 'pareto_dp_test|pareto_merge_reference_test|pareto_simd_kernel_test|coloured_ssb_test|solver_cross_validation_test|batch_executor_test|incremental_resolve_test|service_test|service_oracle_test|serialize_round_trip_test|snapshot_test|fuzz_snapshot_test|parse_plan_fuzz_test|format_round_trip_test')
+  -R 'pareto_dp_test|pareto_merge_reference_test|pareto_simd_kernel_test|coloured_ssb_test|solver_cross_validation_test|cru_tree_test|colouring_test|batch_executor_test|incremental_resolve_test|service_test|service_oracle_test|serialize_round_trip_test|snapshot_test|fuzz_snapshot_test|parse_plan_fuzz_test|format_round_trip_test')
 
 # ASan stage: every suite under AddressSanitizer (benches/examples skipped
 # for speed). The flags go through CMAKE_CXX_FLAGS/CMAKE_EXE_LINKER_FLAGS,

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <optional>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 
 #include "common/hash.hpp"
@@ -21,25 +20,15 @@ namespace treesat {
 
 namespace {
 
-void require_scale(const char* what, double scale) {
-  TS_REQUIRE(std::isfinite(scale) && scale > 0.0,
-             "apply_perturbation: " << what << " must be finite and positive, got " << scale);
+/// Re-adds one source node on `builder` under `parent` (root when invalid):
+/// the copy loop loss and insertion share, as they build a new topology.
+CruId add_copy(CruTreeBuilder& builder, const CruNode& nd, CruId parent) {
+  if (!parent.valid()) return builder.root(nd.name, nd.host_time);
+  if (nd.is_sensor()) return builder.sensor(parent, nd.name, nd.satellite, nd.comm_up);
+  return builder.compute(parent, nd.name, nd.host_time, nd.sat_time, nd.comm_up);
 }
 
-/// Re-adds one source node on `builder`: root when `parent` is invalid,
-/// otherwise sensor/compute, with the (possibly transformed) costs. The one
-/// copy loop every perturbation kind shares.
-CruId add_copy(CruTreeBuilder& builder, const CruNode& nd, CruId parent, double host_time,
-               double sat_time, double comm_up) {
-  if (!parent.valid()) return builder.root(nd.name, host_time);
-  if (nd.is_sensor()) return builder.sensor(parent, nd.name, nd.satellite, comm_up);
-  return builder.compute(parent, nd.name, host_time, sat_time, comm_up);
-}
-
-CruTree apply_drift(const CruTree& tree, const ProfileDrift& d, const Colouring* colouring) {
-  require_scale("host_scale", d.host_scale);
-  require_scale("sat_scale", d.sat_scale);
-  require_scale("comm_scale", d.comm_scale);
+CruTree apply_drift(const CruTree& tree, const ProfileDrift& d) {
   if (d.satellite.valid()) {
     TS_REQUIRE(d.satellite.index() < tree.satellite_count(),
                "apply_perturbation: drift names satellite " << d.satellite << " but the tree has "
@@ -47,28 +36,12 @@ CruTree apply_drift(const CruTree& tree, const ProfileDrift& d, const Colouring*
   }
   // Per-satellite drift reaches exactly the nodes of the satellite's
   // propagated colour (its sensors and the monochromatic compute above
-  // them) and needs a colouring -- the caller's when it already holds one
-  // (the session's hot path), otherwise built here. Global drift reaches
-  // every node and needs none.
-  std::optional<Colouring> own;
-  if (d.satellite.valid() && colouring == nullptr) {
-    own.emplace(tree);
-    colouring = &*own;
-  }
-  const auto touched = [&](CruId v) {
-    return !d.satellite.valid() || colouring->colour(v) == d.satellite;
-  };
-
-  CruTreeBuilder builder;
-  for (std::size_t i = 0; i < tree.size(); ++i) {
-    const CruId v{i};
-    const CruNode& nd = tree.node(v);
-    const bool scale = touched(v);
-    add_copy(builder, nd, nd.parent, scale ? nd.host_time * d.host_scale : nd.host_time,
-             scale ? nd.sat_time * d.sat_scale : nd.sat_time,
-             scale ? nd.comm_up * d.comm_scale : nd.comm_up);
-  }
-  return builder.build();
+  // them); global drift reaches every node. A drift changes costs, never
+  // shape, so the drifted tree keeps the topology and its colouring.
+  const Colouring colouring(tree);
+  return tree.rescaled(
+      [&](CruId v) { return !d.satellite.valid() || colouring.colour(v) == d.satellite; },
+      d.host_scale, d.sat_scale, d.comm_scale);
 }
 
 CruTree apply_loss(const CruTree& tree, const SatelliteLoss& loss) {
@@ -99,12 +72,13 @@ CruTree apply_loss(const CruTree& tree, const SatelliteLoss& loss) {
                                                      << " removes the whole workload");
 
   CruTreeBuilder builder;
+  builder.reserve(tree.size());
   std::vector<CruId> remap(tree.size());
   for (std::size_t i = 0; i < tree.size(); ++i) {
     if (removed[i]) continue;
     const CruNode& nd = tree.node(CruId{i});
     const CruId parent = nd.parent.valid() ? remap[nd.parent.index()] : CruId{};
-    remap[i] = add_copy(builder, nd, parent, nd.host_time, nd.sat_time, nd.comm_up);
+    remap[i] = add_copy(builder, nd, parent);
   }
   return builder.build();
 }
@@ -116,11 +90,10 @@ CruTree apply_insert(const CruTree& tree, const SubtreeInsert& ins) {
              "apply_perturbation: cannot insert under sensor '" << tree.node(ins.parent).name
                                                                 << "'");
   TS_REQUIRE(!ins.nodes.empty(), "apply_perturbation: empty insertion");
-  std::unordered_set<std::string_view> names;
-  names.reserve(tree.size() + ins.nodes.size());
-  for (std::size_t i = 0; i < tree.size(); ++i) {
-    names.insert(tree.node(CruId{i}).name);
-  }
+  // The inserted names, sorted: unique among themselves here, and against
+  // every existing name as the tree is copied.
+  std::vector<std::string_view> added;
+  added.reserve(ins.nodes.size());
   for (std::size_t k = 0; k < ins.nodes.size(); ++k) {
     const SubtreeInsert::Node& nd = ins.nodes[k];
     TS_REQUIRE(serializable_name(nd.name),
@@ -129,14 +102,20 @@ CruTree apply_insert(const CruTree& tree, const SubtreeInsert& ins) {
     TS_REQUIRE(nd.parent == SubtreeInsert::kAttach || nd.parent < k,
                "apply_perturbation: inserted node '" << nd.name
                                                      << "' references a later parent");
-    TS_REQUIRE(names.insert(nd.name).second,
-               "apply_perturbation: inserted name '" << nd.name << "' already exists");
+    added.push_back(nd.name);
   }
+  std::sort(added.begin(), added.end());
+  const auto twice = std::adjacent_find(added.begin(), added.end());
+  TS_REQUIRE(twice == added.end(),
+             "apply_perturbation: inserted name '" << *twice << "' already exists");
 
   CruTreeBuilder builder;
+  builder.reserve(tree.size() + ins.nodes.size());
   for (std::size_t i = 0; i < tree.size(); ++i) {
     const CruNode& nd = tree.node(CruId{i});
-    add_copy(builder, nd, nd.parent, nd.host_time, nd.sat_time, nd.comm_up);
+    TS_REQUIRE(!std::binary_search(added.begin(), added.end(), std::string_view(nd.name)),
+               "apply_perturbation: inserted name '" << nd.name << "' already exists");
+    add_copy(builder, nd, nd.parent);
   }
   const std::size_t base = tree.size();
   for (std::size_t k = 0; k < ins.nodes.size(); ++k) {
@@ -150,19 +129,6 @@ CruTree apply_insert(const CruTree& tree, const SubtreeInsert& ins) {
     }
   }
   return builder.build();
-}
-
-/// Appends the subtree of `root` in preorder, children left to right --
-/// the canonical node enumeration region caches are keyed and rebound by.
-void append_region_nodes(const CruTree& tree, CruId root, std::vector<CruId>& out) {
-  std::vector<CruId> stack{root};
-  while (!stack.empty()) {
-    const CruId v = stack.back();
-    stack.pop_back();
-    out.push_back(v);
-    const std::vector<CruId>& ch = tree.node(v).children;
-    for (auto it = ch.rbegin(); it != ch.rend(); ++it) stack.push_back(*it);
-  }
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -210,15 +176,12 @@ const char* Perturbation::kind_name() const {
   return "insert";
 }
 
-CruTree apply_perturbation(const CruTree& tree, const Perturbation& p,
-                           const Colouring* colouring) {
-  TS_REQUIRE(colouring == nullptr || &colouring->tree() == &tree,
-             "apply_perturbation: colouring does not describe this tree");
+CruTree apply_perturbation(const CruTree& tree, const Perturbation& p) {
   return std::visit(
       [&](const auto& change) -> CruTree {
         using T = std::decay_t<decltype(change)>;
         if constexpr (std::is_same_v<T, ProfileDrift>) {
-          return apply_drift(tree, change, colouring);
+          return apply_drift(tree, change);
         } else if constexpr (std::is_same_v<T, SatelliteLoss>) {
           return apply_loss(tree, change);
         } else {
@@ -266,7 +229,7 @@ std::optional<std::vector<CruId>> surviving_cut(const Colouring& colouring,
 
 }  // namespace
 
-void ResolveSession::solve_current(const Perturbation* p) {
+void ResolveSession::solve_current(const Perturbation* p, std::optional<SatelliteId> drifted) {
   const Stopwatch watch;
   // Attempts advance even when this solve later throws and resolve() rolls
   // back: stamps left by the aborted attempt must read as *older* than the
@@ -279,9 +242,10 @@ void ResolveSession::solve_current(const Perturbation* p) {
 
   const SolvePlan resolved = plan_.resolve(*colouring_);
   std::unique_ptr<SolveReport> report;
+  Memo memo;  // stays empty unless the fold engine runs
   switch (resolved.method()) {
     case SolveMethod::kParetoDp: {
-      report = std::make_unique<SolveReport>(solve_warm_dp(resolved, fresh));
+      report = std::make_unique<SolveReport>(solve_warm_dp(resolved, fresh, drifted, memo));
       if (p != nullptr) {
         if (fresh.regions_reused > 0) {
           fresh.path = ResolvePath::kWarm;
@@ -358,27 +322,23 @@ void ResolveSession::solve_current(const Perturbation* p) {
 
   report_ = std::move(report);
   stats_ = std::move(fresh);
+  memo_ = std::move(memo);
 }
 
 namespace {
 
 /// Exact content encoding of one region subtree (`nodes`, its canonical
-/// enumeration, starting at canonical position `offset` of its colour):
-/// region-relative structure plus the bit patterns of every cost (the words
-/// are independent of where the region sits in a concatenation, so
-/// identical regions encode identically everywhere). Also records each
-/// node's canonical position in `position` (node id -> position), which is
-/// how cached cuts are relativized. A key match guarantees the frontier
-/// machinery would recompute bit-identical values -- reuse can never change
-/// the result.
-void encode_region(const CruTree& tree, std::span<const CruId> nodes, std::size_t offset,
-                   std::vector<std::uint64_t>& words, std::vector<std::uint32_t>& position) {
+/// enumeration): region-relative structure plus the bit patterns of every
+/// cost (the words are independent of where the region sits in its colour,
+/// so identical regions encode identically everywhere). A key match
+/// guarantees the frontier machinery would recompute bit-identical values --
+/// reuse can never change the result.
+void encode_region(const Colouring& colouring, std::span<const CruId> nodes,
+                   std::vector<std::uint64_t>& words) {
+  const CruTree& tree = colouring.tree();
   for (std::size_t pos = 0; pos < nodes.size(); ++pos) {
-    const CruNode& nd = tree.node(nodes[pos]);
-    position[nodes[pos].index()] = static_cast<std::uint32_t>(offset + pos);
-    const std::uint64_t parent_pos =
-        pos == 0 ? ~std::uint64_t{0} : position[nd.parent.index()] - offset;
-    words.push_back(parent_pos);
+    const CruNode nd = tree.node(nodes[pos]);
+    words.push_back(pos == 0 ? ~std::uint64_t{0} : colouring.region_position(nd.parent));
     words.push_back(nd.is_sensor() ? 1 : 0);
     words.push_back(bits(nd.host_time));
     words.push_back(bits(nd.sat_time));
@@ -397,23 +357,22 @@ pareto_internal::ColourPipeline& thread_pipeline() {
 
 }  // namespace
 
-SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStats& fresh) {
+SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStats& fresh,
+                                          std::optional<SatelliteId> drifted, Memo& next) {
   const Stopwatch watch;
   const auto& options = resolved.options_as<ParetoDpOptions>();
+  const Colouring& colouring = *colouring_;
   const std::size_t colours = tree_->satellite_count();
 
   pareto_internal::ColourPipeline& pipe = thread_pipeline();
   pipe.reset();
-  // Each colour's canonical enumeration: its regions' preorders in
-  // regions_of order. Imported points rebind their cached positions through
-  // these, at the reconstruction after the sweep, so they live for the
-  // whole solve.
-  std::vector<std::vector<CruId>> colour_nodes(colours);
-  std::vector<std::uint32_t> position(tree_->size());
+  next.colour.assign(colours, nullptr);
+  next.region.assign(colouring.region_roots().size(), nullptr);
   std::vector<CruId> cut;
   std::vector<std::uint32_t> positions;
   std::vector<pareto_internal::Span> parts;
   std::vector<pareto_internal::ColourPipeline::ImportPart> import_parts;
+  std::vector<ContentKey> region_keys;
 
   // A span's values, as a cache entry's exact-capacity arrays: cached_bytes()
   // accounts capacities, which an import must reproduce.
@@ -424,8 +383,8 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
     return entry;
   };
   // A freshly built region's entry: its values plus every point's cut, as
-  // canonical positions relative to the region's `offset`.
-  const auto region_entry = [&](pareto_internal::Span span, std::uint32_t offset) {
+  // positions in the region's canonical enumeration.
+  const auto region_entry = [&](pareto_internal::Span span) {
     FrontierEntry entry = values(span);
     entry.cut_offsets.reserve(span.size() + 1);
     entry.cut_offsets.push_back(0);
@@ -433,7 +392,7 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
     for (std::uint32_t p = span.begin; p < span.end; ++p) {
       cut.clear();
       pipe.reconstruct(p, cut);
-      for (const CruId v : cut) positions.push_back(position[v.index()] - offset);
+      for (const CruId v : cut) positions.push_back(colouring.region_position(v));
       entry.cut_offsets.push_back(static_cast<std::uint32_t>(positions.size()));
     }
     entry.cut_positions.assign(positions.begin(), positions.end());
@@ -441,13 +400,19 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
   };
 
   std::vector<pareto_internal::Span> merged(colours);
+  std::size_t first_region = 0;  // colour c's first region in the colouring's region order
   for (std::size_t c = 0; c < colours; ++c) {
-    const std::vector<CruId> regions = colouring_->regions_of(SatelliteId{c});
+    const SatelliteId colour{c};
+    const std::span<const CruId> regions = colouring.regions_of(colour);
     if (regions.empty()) {
       merged[c] = pipe.neutral();  // nothing to place, as cold
       continue;
     }
     ++fresh.colours_total;
+    const std::size_t first = first_region;
+    first_region += regions.size();
+    // This colour's region entries, in the memo this solve leaves behind.
+    const std::span<CachedFrontier*> entries(next.region.data() + first, regions.size());
 
     // One span per colour, warm path included: cache hits are part of the
     // solve's shape, so they show up in the trace too (with cached=1 and a
@@ -456,31 +421,44 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
     colour_span.attr("colour", static_cast<std::uint64_t>(c));
     colour_span.attr("regions", static_cast<std::uint64_t>(regions.size()));
 
-    // The colour key is the regions' keys in sequence, every region
-    // prefixed by its size so distinct region splits cannot encode
-    // identically; the per-region keys double as the region-cache keys
-    // (their words are offset-independent).
-    std::vector<CruId>& concat = colour_nodes[c];
-    std::vector<std::uint32_t> region_offsets;
-    std::vector<ContentKey> region_keys;
+    CachedFrontier* colour_entry = nullptr;
     ContentKey colour_key;
-    for (const CruId r : regions) {
-      const std::size_t offset = concat.size();
-      append_region_nodes(*tree_, r, concat);
-      const std::span<const CruId> nodes(concat.data() + offset, concat.size() - offset);
-      ContentKey region_key;
-      encode_region(*tree_, nodes, offset, region_key.words, position);
-      region_key.hash = fnv1a_words(region_key.words);
-      colour_key.words.push_back(nodes.size());
-      colour_key.words.insert(colour_key.words.end(), region_key.words.begin(),
-                              region_key.words.end());
-      region_offsets.push_back(static_cast<std::uint32_t>(offset));
-      region_keys.push_back(std::move(region_key));
+    if (drifted.has_value() && colour != *drifted) {
+      // The drift left this colour's content as it was at the last
+      // successful solve, so its key would find the memo's entries: serve
+      // them without enumerating, encoding, hashing or looking up.
+      colour_entry = memo_.colour[c];
+      std::copy_n(memo_.region.data() + first, regions.size(), entries.begin());
+    } else {
+      // The colour key is the regions' keys in sequence, every region
+      // prefixed by its size so distinct region splits cannot encode
+      // identically; the per-region keys double as the region-cache keys
+      // (their words are offset-independent).
+      region_keys.resize(regions.size());
+      for (std::size_t k = 0; k < regions.size(); ++k) {
+        const std::span<const CruId> nodes = colouring.region_nodes(colour, k);
+        ContentKey& region_key = region_keys[k];
+        region_key.words.clear();
+        encode_region(colouring, nodes, region_key.words);
+        region_key.hash = fnv1a_words(region_key.words);
+        colour_key.words.push_back(nodes.size());
+        colour_key.words.insert(colour_key.words.end(), region_key.words.begin(),
+                                region_key.words.end());
+      }
+      colour_key.hash = fnv1a_words(colour_key.words);
+      const auto colour_hit = colour_cache_.find(colour_key);
+      if (colour_hit != colour_cache_.end()) {
+        colour_entry = &colour_hit->second;
+        for (std::size_t k = 0; k < regions.size(); ++k) {
+          const auto region_hit = region_cache_.find(region_keys[k]);
+          TS_CHECK(region_hit != region_cache_.end(),
+                   "incremental: a cached colour's region entry is missing");
+          entries[k] = &region_hit->second;
+        }
+      }
     }
-    colour_key.hash = fnv1a_words(colour_key.words);
 
-    const auto colour_hit = colour_cache_.find(colour_key);
-    if (colour_hit != colour_cache_.end()) {
+    if (colour_entry != nullptr) {
       // The whole merged frontier is served from cache: no region frontier
       // and no Minkowski chain, just the cached points imported as leaves.
       // Their cuts are rebuilt from the colour's region entries, which every
@@ -490,17 +468,15 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
       // as reuse; hitting an entry cached seconds ago in this same step (two
       // content-identical colours) is deduplicated fresh work, not state
       // that survived the perturbation.
-      const bool survived = colour_hit->second.last_used < attempt_;
-      colour_hit->second.last_used = attempt_;
+      const bool survived = colour_entry->last_used < attempt_;
+      colour_entry->last_used = attempt_;
       import_parts.clear();
       for (std::size_t k = 0; k < regions.size(); ++k) {
-        const auto region_hit = region_cache_.find(region_keys[k]);
-        TS_CHECK(region_hit != region_cache_.end(),
-                 "incremental: a cached colour's region entry is missing");
-        region_hit->second.last_used = attempt_;
-        import_parts.push_back({&region_hit->second.frontier, concat.data() + region_offsets[k]});
+        entries[k]->last_used = attempt_;
+        import_parts.push_back({&entries[k]->frontier, colouring.region_nodes(colour, k).data()});
       }
-      merged[c] = pipe.import(colour_hit->second.frontier, import_parts);
+      merged[c] = pipe.import(colour_entry->frontier, import_parts);
+      next.colour[c] = colour_entry;
       colour_span.attr("cached", std::uint64_t{1});
       colour_span.attr("frontier", static_cast<std::uint64_t>(merged[c].size()));
       if (survived) {
@@ -527,11 +503,12 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
               ++fresh.regions_recomputed;  // same-step duplicate: fresh work deduplicated
             }
             region_hit->second.last_used = attempt_;
-            parts.push_back(
-                pipe.import(region_hit->second.frontier, concat.data() + region_offsets[k]));
+            entries[k] = &region_hit->second;
+            parts.push_back(pipe.import(region_hit->second.frontier,
+                                        colouring.region_nodes(colour, k).data()));
           } else {
-            parts.push_back(pipe.region(*colouring_, regions[k], options.max_frontier));
-            insert(region_cache_, region_keys[k], region_entry(parts.back(), region_offsets[k]));
+            parts.push_back(pipe.region(colouring, regions[k], options.max_frontier));
+            entries[k] = insert(region_cache_, region_keys[k], region_entry(parts.back()));
             ++fresh.regions_recomputed;
           }
           return parts.back();
@@ -546,23 +523,25 @@ SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStat
     ContentKey stored_key;
     stored_key.words = colour_key.words;
     stored_key.hash = colour_key.hash;
-    insert(colour_cache_, std::move(stored_key), std::move(entry));
+    next.colour[c] = insert(colour_cache_, std::move(stored_key), std::move(entry));
     colour_span.attr("cached", std::uint64_t{0});
     colour_span.attr("frontier", static_cast<std::uint64_t>(span.size()));
     merged[c] = span;
   }
 
-  ParetoDpResult r = pareto_internal::finish_solve(*colouring_, options, pipe, merged);
+  ParetoDpResult r = pareto_internal::finish_solve(colouring, options, pipe, merged);
   return SolveReport{std::move(r.assignment), std::move(r.delay), r.objective,
                      watch.seconds(),         /*exact=*/true,     SolveMethod::kParetoDp,
                      plan_.method(),          r.stats};
 }
 
-bool ResolveSession::insert(FrontierCache& cache, ContentKey key, FrontierEntry frontier) {
+ResolveSession::CachedFrontier* ResolveSession::insert(FrontierCache& cache, ContentKey key,
+                                                       FrontierEntry frontier) {
   const auto [it, inserted] =
       cache.emplace(std::move(key), CachedFrontier{std::move(frontier), attempt_});
-  if (inserted) cached_bytes_ += entry_bytes(*it);
-  return inserted;
+  if (!inserted) return nullptr;
+  cached_bytes_ += entry_bytes(*it);
+  return &it->second;
 }
 
 std::size_t ResolveSession::entry_bytes(const FrontierCache::value_type& entry) {
@@ -695,7 +674,7 @@ ResolveSession::ResolveSession(RestoreTag, SessionState state)
     ContentKey key;
     key.words = std::move(e.key_words);
     key.hash = fnv1a_words(key.words);
-    TS_REQUIRE(insert(cache, std::move(key), std::move(e.frontier)),
+    TS_REQUIRE(insert(cache, std::move(key), std::move(e.frontier)) != nullptr,
                "import_state: duplicate cache key");
   };
   // Region entries first: a colour entry's cuts are rebuilt from them.
@@ -770,15 +749,22 @@ const SolveReport& ResolveSession::resolve(const Perturbation& p) {
   obs::Span span(obs::trace(), "session.resolve");
   // Validate-then-commit: an invalid perturbation throws here, leaving the
   // session on its previous instance.
-  auto new_tree =
-      std::make_shared<const CruTree>(apply_perturbation(*tree_, p, colouring_.get()));
+  auto new_tree = std::make_shared<const CruTree>(apply_perturbation(*tree_, p));
   auto new_colouring = std::make_unique<Colouring>(*new_tree);
+  // A satellite drift keeps the topology and every other colour's content
+  // as it was at the last successful solve, which the memo remembers.
+  std::optional<SatelliteId> drifted;
+  const ProfileDrift* drift = p.as<ProfileDrift>();
+  if (drift != nullptr && drift->satellite.valid() && !memo_.colour.empty() &&
+      new_tree->shares_topology_with(*tree_)) {
+    drifted = drift->satellite;
+  }
   std::shared_ptr<const CruTree> old_tree = std::move(tree_);
   std::unique_ptr<Colouring> old_colouring = std::move(colouring_);
   tree_ = std::move(new_tree);
   colouring_ = std::move(new_colouring);
   try {
-    solve_current(&p);
+    solve_current(&p, drifted);
   } catch (...) {
     // A solver failure (e.g. ResourceLimit) must not leave current()'s
     // assignment referencing a destroyed colouring: roll back to the

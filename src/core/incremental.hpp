@@ -3,11 +3,17 @@
 // The paper's motivating deployments are long-running: a tele-monitoring
 // patient walks in and out of coverage, probe boxes join and leave an SNMP
 // mesh, reasoning profiles drift as signals change. Every solve in the
-// facade is cold -- it rebuilds the colouring, recomputes every colour
-// region's search state and starts its bounds from +inf. This module is the
-// warm path: a ResolveSession keeps a solved instance *live* and re-solves
-// perturbed versions of it by re-processing only what the perturbation can
-// reach.
+// facade is cold -- it recomputes every colour region's search state and
+// starts its bounds from +inf. This module is the warm path: a
+// ResolveSession keeps a solved instance *live* and re-solves perturbed
+// versions of it by re-processing only what the perturbation can reach.
+//
+// A step costs what it changes. A drift changes costs, never shape: it
+// copies the tree's cost arrays, rescales the touched nodes in place and
+// keeps the topology (CruTree::rescaled), so the drifted tree shares its
+// predecessor's topology and, through it, the colouring's structure (see
+// Colouring); only the forced host time is summed again. Loss and insertion
+// change the shape and build a new topology through CruTreeBuilder.
 //
 // Three pieces:
 //
@@ -52,11 +58,21 @@
 // so a session keeps one generation of state and a snapshot spills only
 // what the next solve can read. A colour hit touches its region entries
 // too, so every retained colour entry's regions are retained with it.
+// Between solves a session also remembers which colour entry and which
+// region entries served each colour at its latest successful solve (an
+// imported session starts without that memory). After a satellite drift
+// every other colour's content is unchanged, so those colours skip
+// enumeration, encoding, hashing and lookup and are stamped and imported
+// from the remembered entries exactly as a colour hit is; the drifted
+// colour, every colour of a global drift and every colour after a loss or
+// insertion are still matched by content key. The memory changes no
+// answer, no ResolveStats counter and no cached_bytes().
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -150,14 +166,13 @@ class Perturbation {
   Change change_;
 };
 
-/// Applies one perturbation to a tree, returning the perturbed tree.
-/// Throws InvalidArgument when the perturbation is invalid against `tree`
-/// (unknown satellite, non-positive scale, attach point on a sensor,
-/// loss of the whole workload, ...). `colouring`, when given, must be a
-/// colouring of `tree`: a caller that already holds one (the session's hot
-/// path) saves the per-satellite-drift path rebuilding it.
-[[nodiscard]] CruTree apply_perturbation(const CruTree& tree, const Perturbation& p,
-                                         const Colouring* colouring = nullptr);
+/// Applies one perturbation to a tree, returning the perturbed tree. A
+/// drift returns a tree that shares `tree`'s topology with rescaled costs;
+/// loss and insertion build a new topology. Throws InvalidArgument when the
+/// perturbation is invalid against `tree` (unknown satellite, non-positive
+/// scale, attach point on a sensor, loss of the whole workload, costs that
+/// break the tree's cost rule, ...).
+[[nodiscard]] CruTree apply_perturbation(const CruTree& tree, const Perturbation& p);
 
 /// Which path a resolve took.
 enum class ResolvePath : std::uint8_t {
@@ -346,9 +361,20 @@ class ResolveSession {
   };
   using FrontierCache = std::unordered_map<ContentKey, CachedFrontier, ContentKeyHash>;
 
+  /// What the last successful pareto-dp solve served each colour from: its
+  /// colour entry (null for a colour without regions) and each region's
+  /// entry, in the colouring's region order. Every one was touched by that
+  /// solve, so its sweep kept them, and no entry is erased before the next
+  /// successful solve replaces the memo: the pointers stay valid. Empty
+  /// after import_state() and after a solve by another method.
+  struct Memo {
+    std::vector<CachedFrontier*> colour;
+    std::vector<CachedFrontier*> region;
+  };
+
   /// Inserts an entry stamped with the current attempt and charges its
-  /// bytes; returns false (and charges nothing) when the key is present.
-  bool insert(FrontierCache& cache, ContentKey key, FrontierEntry frontier);
+  /// bytes; returns it, or null (and charges nothing) when the key is present.
+  CachedFrontier* insert(FrontierCache& cache, ContentKey key, FrontierEntry frontier);
   /// Bytes one entry charges against cached_bytes().
   [[nodiscard]] static std::size_t entry_bytes(const FrontierCache::value_type& entry);
 
@@ -356,8 +382,11 @@ class ResolveSession {
   struct RestoreTag {};
   ResolveSession(RestoreTag, SessionState state);
 
-  void solve_current(const Perturbation* p);
-  [[nodiscard]] SolveReport solve_warm_dp(const SolvePlan& resolved, ResolveStats& fresh);
+  /// Solves the current instance. `drifted`, when set, is the one colour
+  /// whose content may differ from the memo's: the memo serves every other.
+  void solve_current(const Perturbation* p, std::optional<SatelliteId> drifted = std::nullopt);
+  [[nodiscard]] SolveReport solve_warm_dp(const SolvePlan& resolved, ResolveStats& fresh,
+                                          std::optional<SatelliteId> drifted, Memo& next);
 
   SolvePlan plan_;
   std::shared_ptr<const CruTree> tree_;  ///< immutable; shared with exported states
@@ -372,6 +401,7 @@ class ResolveSession {
   /// region of a colour changed, e.g. a probe insertion).
   FrontierCache colour_cache_;
   FrontierCache region_cache_;
+  Memo memo_;
 };
 
 /// Result of solving a whole perturbation stream: step i's instance is the

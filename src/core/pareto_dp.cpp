@@ -185,7 +185,7 @@ ParetoDpResult pareto_dp_solve(const Colouring& colouring, const ParetoDpOptions
     for (std::size_t c = 0; c < colours; ++c) {
       obs::Span colour_span(obs::trace(), "dp.colour");
       const pareto_internal::MergeCounters before = pipe.counters;
-      const std::vector<CruId> regions = colouring.regions_of(SatelliteId{c});
+      const std::span<const CruId> regions = colouring.regions_of(SatelliteId{c});
       const pareto_internal::Span span =
           pipe.fold(regions.size(), options.max_frontier, [&](std::size_t k) {
             return pipe.region(colouring, regions[k], options.max_frontier);

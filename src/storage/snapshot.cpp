@@ -86,6 +86,7 @@ std::shared_ptr<const CruTree> decode_tree(wire::ByteReader& in) {
   TS_REQUIRE(nodes > 0, "snapshot: empty node table");
   const std::uint64_t satellite_bound = std::max<std::uint64_t>(nodes, kSatelliteFloor);
   CruTreeBuilder builder;
+  builder.reserve(nodes);  // bounded by the bytes left: each row takes kMinNode
   for (std::size_t i = 0; i < nodes; ++i) {
     const std::uint32_t parent = in.get<std::uint32_t>("node parent");
     const std::uint8_t kind = in.get<std::uint8_t>("node kind");

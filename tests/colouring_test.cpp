@@ -3,7 +3,9 @@
 // independent recomputation on random trees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 
 #include "common/rng.hpp"
 #include "core/colouring.hpp"
@@ -140,6 +142,59 @@ TEST_P(ColouringProperty, RegionsPartitionAssignableNodes) {
   for (std::size_t i = 0; i < tree.size(); ++i) {
     EXPECT_EQ(covered[i], colouring.is_assignable(CruId{i}) ? 1 : 0);
   }
+}
+
+TEST_P(ColouringProperty, RegionNodesEnumerateEachRegionInPreorder) {
+  const ColouringCase c = GetParam();
+  Rng rng(c.seed ^ 0x7777);
+  TreeGenOptions o;
+  o.compute_nodes = c.nodes;
+  o.satellites = c.satellites;
+  o.policy = c.policy;
+  const CruTree tree = random_tree(rng, o);
+  const Colouring colouring(tree);
+
+  std::size_t regions = 0;
+  for (std::size_t s = 0; s < tree.satellite_count(); ++s) {
+    const SatelliteId colour{s};
+    const std::span<const CruId> roots = colouring.regions_of(colour);
+    regions += roots.size();
+    for (std::size_t k = 0; k < roots.size(); ++k) {
+      EXPECT_EQ(colouring.colour(roots[k]), colour);
+      if (k > 0) {
+        EXPECT_LT(tree.leaf_span(roots[k - 1]).last, tree.leaf_span(roots[k]).first);
+      }
+      // The region's subtree in preorder, children left to right.
+      std::vector<CruId> expected;
+      std::vector<CruId> stack{roots[k]};
+      while (!stack.empty()) {
+        const CruId u = stack.back();
+        stack.pop_back();
+        expected.push_back(u);
+        const std::span<const CruId> ch = tree.node(u).children;
+        for (auto it = ch.rbegin(); it != ch.rend(); ++it) stack.push_back(*it);
+      }
+      const std::span<const CruId> nodes = colouring.region_nodes(colour, k);
+      ASSERT_TRUE(std::ranges::equal(nodes, expected)) << tree.node(roots[k]).name;
+      for (std::size_t pos = 0; pos < nodes.size(); ++pos) {
+        EXPECT_EQ(colouring.region_position(nodes[pos]), pos);
+      }
+    }
+  }
+  EXPECT_EQ(regions, colouring.region_roots().size());
+}
+
+TEST(Colouring, TreesOfOneTopologyShareTheStructure) {
+  // A drift changes costs, never shape: a tree that shares its parent's
+  // topology shares its colouring's structure, and only the forced host
+  // time follows the new costs.
+  const CruTree base = paper_running_example();
+  const CruTree drifted = base.rescaled([](CruId) { return true; }, 2.0, 1.0, 1.0);
+  const Colouring a(base);
+  const Colouring b(drifted);
+  EXPECT_EQ(a.regions_of(SatelliteId{2u}).data(), b.regions_of(SatelliteId{2u}).data());
+  EXPECT_EQ(&a.region_roots(), &b.region_roots());
+  EXPECT_EQ(b.forced_host_time(), 2.0 * a.forced_host_time());
 }
 
 std::vector<ColouringCase> colouring_cases() {

@@ -2,7 +2,12 @@
 // serialization round-trips, and LCA queries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
+#include <limits>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 
 #include "tree/cru_tree.hpp"
 #include "tree/lca.hpp"
@@ -116,6 +121,77 @@ TEST(CruTreeBuilder, RejectsSecondRootAndEmptyBuild) {
   EXPECT_THROW(b.build(), InvalidArgument);
   b.root("root", 1.0);
   EXPECT_THROW(b.root("again", 1.0), InvalidArgument);
+}
+
+TEST(CruTreeBuilder, RejectsCostsThatBreakTheCostRule) {
+  // Every cost is finite, and the costs sum to at most DBL_MAX / 2.
+  const auto build = [](double root_host, double comm) {
+    CruTreeBuilder b;
+    const CruId root = b.root("root", root_host);
+    const CruId a = b.compute(root, "a", 1.0, 1.0, comm);
+    b.sensor(a, "s", SatelliteId{0u}, comm);
+    return b.build();
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(build(inf, 1.0), InvalidArgument);
+  EXPECT_THROW(build(1.0, inf), InvalidArgument);
+  // Each cost finite, their sum past DBL_MAX.
+  EXPECT_THROW(build(1.7e308, 1.7e308), InvalidArgument);
+  EXPECT_THROW(build(DBL_MAX / 4, DBL_MAX / 4), InvalidArgument);
+  EXPECT_NO_THROW(static_cast<void>(build(DBL_MAX / 4, DBL_MAX / 8)));  // sums to DBL_MAX / 2
+}
+
+TEST(CruTree, RescaledSharesTheTopologyAndSumsLikeTheBuilder) {
+  const CruTree t = small_tree();
+  const CruId c = t.by_name("c");
+  const CruId s2 = t.by_name("s2");
+  const CruTree scaled =
+      t.rescaled([&](CruId v) { return v != c && v != s2; }, 3.0, 0.5, 2.0);
+  EXPECT_TRUE(scaled.shares_topology_with(t));
+  EXPECT_FALSE(small_tree().shares_topology_with(t));
+
+  CruTreeBuilder b;
+  const CruId root = b.root("root", 3.0);
+  const CruId a = b.compute(root, "a", 6.0, 1.5, 1.0);
+  const CruId c_built = b.compute(root, "c", 4.0, 5.0, 1.5);
+  b.sensor(a, "s0", SatelliteId{0u}, 0.5);
+  b.sensor(a, "s1", SatelliteId{1u}, 1.5);
+  b.sensor(c_built, "s2", SatelliteId{0u}, 1.25);
+  const CruTree built = b.build();
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const CruId v{i};
+    EXPECT_EQ(scaled.node(v).name, built.node(v).name);
+    EXPECT_TRUE(std::ranges::equal(scaled.node(v).children, built.node(v).children));
+    EXPECT_EQ(scaled.node(v).host_time, built.node(v).host_time);
+    EXPECT_EQ(scaled.node(v).sat_time, built.node(v).sat_time);
+    EXPECT_EQ(scaled.node(v).comm_up, built.node(v).comm_up);
+    EXPECT_EQ(scaled.subtree_sat_time(v), built.subtree_sat_time(v));
+  }
+  EXPECT_EQ(scaled.total_host_time(), built.total_host_time());
+  // The source tree keeps its own costs.
+  EXPECT_EQ(t.node(t.by_name("a")).host_time, 2.0);
+}
+
+TEST(CruTree, RescaledEnforcesTheCostRule) {
+  const CruTree t = small_tree();
+  const auto all = [](CruId) { return true; };
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(static_cast<void>(t.rescaled(all, bad, 1.0, 1.0)), InvalidArgument) << bad;
+    EXPECT_THROW(static_cast<void>(t.rescaled(all, 1.0, 1.0, bad)), InvalidArgument) << bad;
+  }
+  // Each product finite on its own, their sum past DBL_MAX / 2.
+  EXPECT_THROW(static_cast<void>(t.rescaled(all, 2e307, 1.0, 1.0)), InvalidArgument);
+  // A product that overflows to +inf.
+  const CruTree big = t.rescaled(all, 1e300, 1e300, 1e300);
+  EXPECT_THROW(static_cast<void>(big.rescaled(all, 1e300, 1e300, 1e300)), InvalidArgument);
+}
+
+TEST(CruTree, NodeRejectsIdsOutsideTheTree) {
+  const CruTree t = small_tree();
+  EXPECT_THROW(static_cast<void>(t.node(CruId{t.size()})), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(t.node(CruId{})), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(t.subtree_sat_time(CruId{t.size()})), std::out_of_range);
 }
 
 TEST(CruTree, ByNameThrowsOnUnknown) {

@@ -280,6 +280,14 @@ TEST(IncrementalResolve, InsertProbeGrowsThePlatformAndKeepsIdsStable) {
   forward.nodes.push_back({1, CruKind::kCompute, "fwd", 1.0, 1.0, 1.0, SatelliteId{}});
   EXPECT_THROW((void)apply_perturbation(base, Perturbation::insert_subtree(forward)),
                InvalidArgument);
+  // A probe whose sensor is named like the probe itself repeats a new name.
+  EXPECT_THROW((void)apply_perturbation(
+                   base, Perturbation::insert_subtree(
+                             {base.by_name("CRU3"),
+                              {{SubtreeInsert::kAttach, CruKind::kCompute, "twin", 1.0, 1.0, 1.0,
+                                SatelliteId{}},
+                               {0, CruKind::kSensor, "twin", 0.0, 0.0, 1.0, fresh}}})),
+               InvalidArgument);
 }
 
 TEST(IncrementalResolve, InvalidDriftIsRejectedWithoutTouchingTheSession) {
@@ -608,6 +616,168 @@ TEST(IncrementalResolve, RequestedMethodNamesTheSessionPlan) {
   session.resolve(Perturbation::global_drift(1.05, 1.0, 1.0));
   EXPECT_EQ(session.current().requested, SolveMethod::kAutomatic);
   EXPECT_NE(session.current().method, SolveMethod::kAutomatic);
+}
+
+/// Drift streams over the library scenarios and over one tree of each
+/// generator shape: chain, star, skewed and clustered.
+std::vector<DriftStream> mixed_drift_streams(std::uint64_t seed, std::size_t steps) {
+  DriftOptions options;
+  options.steps = steps;
+  std::vector<DriftStream> streams = standard_drift_streams(seed, options);
+  Rng rng(seed);
+  ChainGenOptions chain;
+  chain.compute_nodes = 60;
+  chain.satellites = 3;
+  chain.sensor_every = 6;
+  StarGenOptions star;
+  star.arms = 24;
+  SkewGenOptions skewed;
+  skewed.compute_nodes = 48;
+  TreeGenOptions clustered;
+  clustered.compute_nodes = 40;
+  clustered.satellites = 4;
+  clustered.max_children = 2;
+  clustered.policy = SensorPolicy::kClustered;
+  const std::pair<std::string, CruTree> trees[] = {{"chain-60", chain_tree(rng, chain)},
+                                                   {"star-24", star_tree(rng, star)},
+                                                   {"skewed-48", skewed_tree(rng, skewed)},
+                                                   {"clustered-40", random_tree(rng, clustered)}};
+  for (const auto& [name, tree] : trees) {
+    std::vector<Perturbation> stream = drift_stream(rng, tree, options);
+    streams.push_back({name, tree, std::move(stream)});
+  }
+  return streams;
+}
+
+/// The drift of `tree` by `d` rebuilt node by node through CruTreeBuilder,
+/// with the products a drift forms.
+CruTree rebuilt_with_drift(const CruTree& tree, const ProfileDrift& d) {
+  const Colouring colouring(tree);
+  CruTreeBuilder b;
+  for (std::size_t i = 0; i < tree.size(); ++i) {
+    const CruId v{i};
+    const CruNode& nd = tree.node(v);
+    const bool scale = !d.satellite.valid() || colouring.colour(v) == d.satellite;
+    const double h = scale ? nd.host_time * d.host_scale : nd.host_time;
+    const double s = scale ? nd.sat_time * d.sat_scale : nd.sat_time;
+    const double c = scale ? nd.comm_up * d.comm_scale : nd.comm_up;
+    if (!nd.parent.valid()) {
+      b.root(nd.name, h);
+    } else if (nd.is_sensor()) {
+      b.sensor(nd.parent, nd.name, nd.satellite, c);
+    } else {
+      b.compute(nd.parent, nd.name, h, s, c);
+    }
+  }
+  return b.build();
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(IncrementalResolve, DriftRescalesCostsBitIdenticalToABuilderRebuild) {
+  // A drift copies the cost arrays and rescales them in place on the shared
+  // topology; every cost and every derived sum must equal, bit for bit, the
+  // tree the builder makes from the same products.
+  std::size_t drifts = 0;
+  for (const DriftStream& ds : mixed_drift_streams(0xD21F7, 40)) {
+    CruTree current = ds.base;
+    for (std::size_t step = 0; step < ds.stream.size(); ++step) {
+      const Perturbation& p = ds.stream[step];
+      const std::string ctx =
+          ds.name + " step " + std::to_string(step) + " (" + p.kind_name() + ")";
+      CruTree next = apply_perturbation(current, p);
+      const ProfileDrift* d = p.as<ProfileDrift>();
+      if (d == nullptr) {
+        EXPECT_FALSE(next.shares_topology_with(current)) << ctx;
+        current = std::move(next);
+        continue;
+      }
+      ++drifts;
+      EXPECT_TRUE(next.shares_topology_with(current)) << ctx;
+      const CruTree reference = rebuilt_with_drift(current, *d);
+      ASSERT_EQ(next.size(), reference.size()) << ctx;
+      for (std::size_t i = 0; i < next.size(); ++i) {
+        const CruId v{i};
+        EXPECT_EQ(bits(next.node(v).host_time), bits(reference.node(v).host_time)) << ctx;
+        EXPECT_EQ(bits(next.node(v).sat_time), bits(reference.node(v).sat_time)) << ctx;
+        EXPECT_EQ(bits(next.node(v).comm_up), bits(reference.node(v).comm_up)) << ctx;
+        EXPECT_EQ(bits(next.subtree_sat_time(v)), bits(reference.subtree_sat_time(v))) << ctx;
+      }
+      EXPECT_EQ(bits(next.total_host_time()), bits(reference.total_host_time())) << ctx;
+      EXPECT_EQ(bits(Colouring(next).forced_host_time()),
+                bits(Colouring(reference).forced_host_time()))
+          << ctx;
+      current = std::move(next);
+    }
+  }
+  EXPECT_GT(drifts, 200u);
+}
+
+TEST(IncrementalResolve, ASessionWithoutItsMemoAnswersTheSame) {
+  // A session remembers which cache entries served each colour at its last
+  // successful solve, so a satellite drift imports the untouched colours
+  // without keying them. A session rebuilt by import_state before every step
+  // has no such memory and keys every colour. Both must answer every step
+  // identically -- rolled-back steps and the steps after them included.
+  std::vector<DriftStream> streams = mixed_drift_streams(0x3E30, 24);
+  // Rollbacks: overflowing drifts, which the cost rule rejects before the
+  // solve, and a burst insertion past a max_frontier cap (the solve throws).
+  DriftStream capped{"capped", paper_running_example(), {}};
+  SubtreeInsert burst;
+  burst.parent = capped.base.by_name("CRU11");
+  for (std::size_t k = 0; k < 3; ++k) {
+    const double kd = static_cast<double>(k);
+    burst.nodes.push_back({SubtreeInsert::kAttach, CruKind::kCompute, "p" + std::to_string(k),
+                           1.0 + kd, 2.0 + kd, 0.5 + kd, SatelliteId{}});
+    burst.nodes.push_back(
+        {2 * k, CruKind::kSensor, "s" + std::to_string(k), 0.0, 0.0, 0.7 + kd, SatelliteId{2u}});
+  }
+  capped.stream = {Perturbation::satellite_drift(SatelliteId{0u}, 1.1, 0.9, 1.05),
+                   Perturbation::insert_subtree(burst),
+                   Perturbation::satellite_drift(SatelliteId{1u}, 0.8, 1.2, 1.0),
+                   Perturbation::satellite_drift(SatelliteId{2u}, 1e300, 1e300, 1e300),
+                   Perturbation::satellite_drift(SatelliteId{2u}, 1e300, 1e300, 1e300),
+                   Perturbation::satellite_drift(SatelliteId{3u}, 1.3, 1.0, 0.7),
+                   Perturbation::global_drift(0.9, 1.1, 1.0),
+                   Perturbation::satellite_drift(SatelliteId{0u}, 1.0, 1.0, 1.0)};
+  streams.push_back(std::move(capped));
+
+  std::size_t failures = 0;
+  for (const DriftStream& ds : streams) {
+    ParetoDpOptions options;
+    if (ds.name == "capped") {
+      options.max_frontier = pareto_dp_solve(Colouring(ds.base)).stats.max_colour_frontier;
+    }
+    ResolveSession kept(ds.base, SolvePlan::pareto_dp(options));
+    ResolveSession rebuilt = ResolveSession::import_state(kept.export_state());
+    for (std::size_t step = 0; step < ds.stream.size(); ++step) {
+      const Perturbation& p = ds.stream[step];
+      const std::string ctx =
+          ds.name + " step " + std::to_string(step) + " (" + p.kind_name() + ")";
+      rebuilt = ResolveSession::import_state(rebuilt.export_state());
+      std::string kept_error;
+      std::string rebuilt_error;
+      try {
+        kept.resolve(p);
+      } catch (const std::exception& e) {
+        kept_error = e.what();
+      }
+      try {
+        rebuilt.resolve(p);
+      } catch (const std::exception& e) {
+        rebuilt_error = e.what();
+      }
+      ASSERT_EQ(kept_error, rebuilt_error) << ctx;
+      failures += kept_error.empty() ? 0 : 1;
+      EXPECT_EQ(bits(kept.current().objective_value), bits(rebuilt.current().objective_value))
+          << ctx;
+      EXPECT_EQ(kept.current().assignment.cut_nodes(), rebuilt.current().assignment.cut_nodes())
+          << ctx;
+      expect_same_stats(kept.last_stats(), rebuilt.last_stats(), ctx);
+      EXPECT_EQ(kept.cached_bytes(), rebuilt.cached_bytes()) << ctx;
+    }
+  }
+  EXPECT_EQ(failures, 2u);  // the burst and the second overflowing drift
 }
 
 TEST(IncrementalResolve, DriftStreamsAreDeterministic) {

@@ -240,7 +240,7 @@ TEST(ParetoSimdKernel, DpFoldsAreByteIdenticalAcrossKernels) {
     }();
     const Colouring colouring(tree);
     for (std::size_t c = 0; c < tree.satellite_count(); ++c) {
-      const std::vector<CruId> regions = colouring.regions_of(SatelliteId{c});
+      const std::span<const CruId> regions = colouring.regions_of(SatelliteId{c});
       if (regions.empty()) continue;
       std::vector<ParetoPoint> acc = region_frontier(colouring, regions[0], kBig);
       for (std::size_t k = 1; k < regions.size(); ++k) {

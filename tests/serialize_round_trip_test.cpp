@@ -7,6 +7,7 @@
 // than crash, mis-parse, or leak a std:: exception type.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,7 @@ void expect_identical(const CruTree& a, const CruTree& b, const std::string& ctx
     EXPECT_EQ(na.name, nb.name) << ctx << " node " << i;
     EXPECT_EQ(na.kind, nb.kind) << ctx << " node " << i;
     EXPECT_EQ(na.parent, nb.parent) << ctx << " node " << i;
-    EXPECT_EQ(na.children, nb.children) << ctx << " node " << i;
+    EXPECT_TRUE(std::ranges::equal(na.children, nb.children)) << ctx << " node " << i;
     // Exact bit equality, not tolerance: the format must not lose precision.
     EXPECT_EQ(na.host_time, nb.host_time) << ctx << " node " << i;
     EXPECT_EQ(na.sat_time, nb.sat_time) << ctx << " node " << i;

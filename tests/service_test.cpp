@@ -147,6 +147,63 @@ TEST(Service, PerturbWarmPathMatchesColdResolve) {
                                                     reference.current().objective_value));
 }
 
+/// The number after `"field":` in a response.
+std::string field_value(const std::string& response, const std::string& field) {
+  const std::size_t at = response.find("\"" + field + "\":");
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + field.size() + 3;
+  return response.substr(begin, response.find_first_of(",}", begin) - begin);
+}
+
+TEST(Service, OverflowingCostsFailTypedAndKeepTheWarmState) {
+  // Costs past the tree's cost rule fail the request with a precondition
+  // error and change nothing: a second 1e300 drift would make +inf costs,
+  // and its failure must leave the session, its cache and its spill record
+  // as they were.
+  const std::string spill = temp_subdir("overflow");
+  SolverService service(parse_service_config("mem_budget=64m,spill_dir=" + spill));
+  const Scenario scenario = epilepsy_scenario();
+  const CruTree tree = scenario.workload.lower(scenario.platform);
+  static_cast<void>(service.handle_line(submit_line("t0", "w0", tree)));
+  static_cast<void>(
+      service.handle_line("{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\"}"));
+  const std::string drift =
+      "{\"op\":\"perturb\",\"tenant\":\"t0\",\"instance\":\"w0\","
+      "\"kind\":\"satellite_drift\",\"satellite\":0,\"host_scale\":1e300,"
+      "\"sat_scale\":1e300,\"comm_scale\":1e300}";
+  EXPECT_CONTAINS(service.handle_line(drift), "\"ok\":true");
+  const std::string solve = "{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\"}";
+  const std::string before = service.handle_line(solve);
+  EXPECT_CONTAINS(before, "\"path\":\"cached\"");
+
+  const std::string overflow = service.handle_line(drift);
+  EXPECT_CONTAINS(overflow, "\"ok\":false");
+  EXPECT_CONTAINS(overflow, "precondition failed");
+  EXPECT_CONTAINS(overflow, "finite");
+
+  const std::string after = service.handle_line(solve);
+  EXPECT_CONTAINS(after, "\"path\":\"cached\"");
+  EXPECT_EQ(field_value(after, "bytes"), field_value(before, "bytes"));
+  EXPECT_EQ(field_value(after, "objective"), field_value(before, "objective"));
+  EXPECT_CONTAINS(
+      service.handle_line("{\"op\":\"evict\",\"tenant\":\"t0\",\"instance\":\"w0\"}"),
+      "\"fate\":\"spilled\"");
+  const std::string reloaded = service.handle_line(solve);
+  EXPECT_CONTAINS(reloaded, "\"path\":\"cached\"");
+  EXPECT_EQ(field_value(reloaded, "objective"), field_value(before, "objective"));
+
+  // Each cost finite, their sum past DBL_MAX: refused at submit.
+  const std::string text =
+      "cru_tree v1\n0 - compute root 1.7e308 0 0 -\n1 0 compute a 0 0 1.7e308 -\n"
+      "2 1 sensor s 0 0 1.7e308 0\n";
+  std::string line = "{\"op\":\"submit\",\"tenant\":\"t0\",\"instance\":\"big\",\"tree\":\"";
+  line += json_escape(text);
+  line += "\"}";
+  const std::string refused = service.handle_line(line);
+  EXPECT_CONTAINS(refused, "\"ok\":false");
+  EXPECT_CONTAINS(refused, "DBL_MAX");
+}
+
 TEST(Service, PerturbBeforeSolveEvolvesTheStoredTree) {
   SolverService service;
   const CruTree tree = paper_running_example();

@@ -4,12 +4,13 @@
 # service smoke stage (treesat_serve replays the committed golden trace and
 # the responses are byte-compared -- regen via TREESAT_UPDATE_GOLDEN=1 --
 # then the trace is split and replayed across a checkpointed restart, which
-# must resume byte-identically; an overload smoke then replays a committed
-# adversarial stress trace with recorded degrade stamps -- golden- and
-# shard-identical -- plus a 1us-deadline leg that must degrade instead of
-# erroring). An observability smoke rides in the same stage: the golden
-# replay is repeated with --metrics-out/--trace-out, the deterministic
-# slice of the Prometheus scrape is diffed against
+# must resume byte-identically, once as configured and once under a 10k
+# budget that spills through the store's segment file; an overload smoke
+# then replays a committed adversarial stress trace with recorded degrade
+# stamps -- golden- and shard-identical -- plus a 1us-deadline leg that
+# must degrade instead of erroring). An observability smoke rides in the
+# same stage: the golden replay is repeated with --metrics-out/--trace-out,
+# the deterministic slice of the Prometheus scrape is diffed against
 # tests/golden/service_metrics.prom, and the chrome trace export is
 # sanity-checked. A perfbench stage then builds the serving benchmark
 # (perfbench/) and runs every workload once for a second, so its
@@ -132,7 +133,34 @@ else
       "$BUILD_DIR/service_responses_tail.jsonl" \
     > "$BUILD_DIR/service_responses_restart.jsonl"
   cmp "$BUILD_DIR/service_responses.jsonl" "$BUILD_DIR/service_responses_restart.jsonl"
-  echo "checkpoint-restore smoke stage passed (restart is byte-identical)"
+  # Spill leg: the same split under a 10k budget, so most requests spill or
+  # reload through the store's segment file and the checkpoint carries
+  # spilled rows (copied out of the head process's segment, appended to the
+  # tail process's). It must match its own single-process replay byte for
+  # byte, and it fails if the stats line shows no spill.
+  SPILL_CONFIG="shards=2,mem_budget=10k,spill_dir=$BUILD_DIR/spill-smoke"
+  SPILL_CKPT_DIR="$BUILD_DIR/ckpt-spill-smoke"
+  rm -rf "$BUILD_DIR/spill-smoke" "$SPILL_CKPT_DIR"
+  "$BUILD_DIR/treesat_serve" --config "$SPILL_CONFIG" "$SERVICE_TRACE" \
+    > "$BUILD_DIR/service_responses_spill.jsonl"
+  "$BUILD_DIR/treesat_serve" --config "$SPILL_CONFIG" \
+    --checkpoint-dir "$SPILL_CKPT_DIR" "$BUILD_DIR/service_trace_head.jsonl" \
+    > "$BUILD_DIR/service_responses_spill_head.jsonl"
+  "$BUILD_DIR/treesat_serve" --config "$SPILL_CONFIG" \
+    --restore "$SPILL_CKPT_DIR" "$BUILD_DIR/service_trace_tail.jsonl" \
+    > "$BUILD_DIR/service_responses_spill_tail.jsonl"
+  cat "$BUILD_DIR/service_responses_spill_head.jsonl" \
+      "$BUILD_DIR/service_responses_spill_tail.jsonl" \
+    > "$BUILD_DIR/service_responses_spill_restart.jsonl"
+  cmp "$BUILD_DIR/service_responses_spill.jsonl" \
+    "$BUILD_DIR/service_responses_spill_restart.jsonl"
+  SPILLS="$(grep '"op":"stats"' "$BUILD_DIR/service_responses_spill.jsonl" | \
+    grep -o '"spills":[0-9]*' | head -n 1 | cut -d: -f2)"
+  if [ -z "$SPILLS" ] || [ "$SPILLS" -eq 0 ]; then
+    echo "checkpoint-restore smoke stage FAILED: the spill leg never spilled" >&2
+    exit 1
+  fi
+  echo "checkpoint-restore smoke stage passed (restart is byte-identical, with and without $SPILLS spills)"
 
   # Overload smoke: replay the committed adversarial stress trace (closed-
   # loop burst traffic with recorded "degrade":true stamps) through the
@@ -215,8 +243,10 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 # to ids (service_test), plan specs (parse_plan_fuzz_test), tree text,
 # snapshots (snapshot_test, and fuzz_snapshot_test's mutants, whose
 # unaligned binary reads must all go through memcpy) and the number
-# formatter; and the tree's CSR index and cost arrays and the colouring's
-# region layout that every solver reads (cru_tree_test, colouring_test).
+# formatter; the tree's CSR index and cost arrays and the colouring's
+# region layout that every solver reads (cru_tree_test, colouring_test);
+# and the spill tier's segment offsets, which go through off_t casts
+# (spill_segment_test, service_fault_test).
 # TREESAT_UBSAN adds
 # float-cast-overflow, which GCC's -fsanitize=undefined leaves out.
 # Recovery is off (-fno-sanitize-recover), so any report fails the run.
@@ -229,9 +259,9 @@ cmake --build "$UBSAN_DIR" -j "$JOBS" \
            coloured_ssb_test solver_cross_validation_test cru_tree_test colouring_test \
            batch_executor_test incremental_resolve_test service_test service_oracle_test \
            serialize_round_trip_test snapshot_test fuzz_snapshot_test parse_plan_fuzz_test \
-           format_round_trip_test
+           format_round_trip_test spill_segment_test service_fault_test
 (cd "$UBSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-  -R 'pareto_dp_test|pareto_merge_reference_test|pareto_simd_kernel_test|coloured_ssb_test|solver_cross_validation_test|cru_tree_test|colouring_test|batch_executor_test|incremental_resolve_test|service_test|service_oracle_test|serialize_round_trip_test|snapshot_test|fuzz_snapshot_test|parse_plan_fuzz_test|format_round_trip_test')
+  -R 'pareto_dp_test|pareto_merge_reference_test|pareto_simd_kernel_test|coloured_ssb_test|solver_cross_validation_test|cru_tree_test|colouring_test|batch_executor_test|incremental_resolve_test|service_test|service_oracle_test|serialize_round_trip_test|snapshot_test|fuzz_snapshot_test|parse_plan_fuzz_test|format_round_trip_test|spill_segment_test|service_fault_test')
 
 # ASan stage: every suite under AddressSanitizer (benches/examples skipped
 # for speed). The flags go through CMAKE_CXX_FLAGS/CMAKE_EXE_LINKER_FLAGS,

@@ -12,6 +12,8 @@
 // sweep of bench_lambda_sweep can be expressed without rescaling results.
 #pragma once
 
+#include <cmath>
+
 #include "common/check.hpp"
 
 namespace treesat {
@@ -35,6 +37,18 @@ struct SsbObjective {
   [[nodiscard]] double value(double s, double b) const { return s_coeff * s + b_coeff * b; }
 
   [[nodiscard]] bool valid() const { return s_coeff >= 0.0 && b_coeff >= 0.0; }
+
+  /// Requires every cut's objective on a tree whose costs total
+  /// `total_cost` (CruTree::total_cost) to be finite: S and B are partial
+  /// sums of that total, so s_coeff·C + b_coeff·C bounds them all. By the
+  /// cost rule (C ≤ DBL_MAX / 2) this holds whenever both coefficients are
+  /// at most 1. Throws InvalidArgument otherwise.
+  void require_finite_for(double total_cost) const {
+    TS_REQUIRE(std::isfinite(s_coeff * total_cost + b_coeff * total_cost),
+               "objective: s_coeff " << s_coeff << " and b_coeff " << b_coeff
+                                     << " overflow on a tree whose costs total " << total_cost
+                                     << " (s_coeff*C + b_coeff*C must be finite)");
+  }
 };
 
 }  // namespace treesat

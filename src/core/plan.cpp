@@ -128,6 +128,7 @@ SolvePlan& SolvePlan::with_executor(const ExecutorOptions& executor) {
 }
 
 SolvePlan SolvePlan::resolve(const Colouring& colouring) const {
+  objective().require_finite_for(colouring.tree().total_cost());
   if (method() != SolveMethod::kAutomatic) return *this;
   const auto& a = std::get<AutomaticOptions>(options_);
 

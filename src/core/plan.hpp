@@ -190,6 +190,10 @@ class SolvePlan {
   ///     regime of §5.4, where the SSB search would expand or hand the
   ///     solve to this same DP anyway);
   ///   * otherwise -> coloured-ssb (the paper's fast path).
+  /// Every solve, warm or cold, passes through here, so this is also where
+  /// an objective that could overflow on the instance is refused
+  /// (SsbObjective::require_finite_for): InvalidArgument, before any
+  /// method runs.
   [[nodiscard]] SolvePlan resolve(const Colouring& colouring) const;
 
  private:

@@ -292,6 +292,9 @@ std::vector<CruId> map_cut_by_name(const std::vector<CruId>& cut, const CruTree&
 LocalSearchResult degraded_result(DegradeMode mode, const Colouring& colouring,
                                   const SsbObjective& objective,
                                   std::vector<CruId> warm_candidate, bool* warm_started) {
+  // The fallback calls its heuristic directly, so it applies the check
+  // SolvePlan::resolve gives every planned solve.
+  objective.require_finite_for(colouring.tree().total_cost());
   if (!warm_candidate.empty()) {
     try {
       static_cast<void>(Assignment(colouring, warm_candidate));

@@ -191,6 +191,8 @@ class SolverService {
   /// the next warm request is answered without re-solving. Also reachable
   /// via {"op":"restore","dir":...}.
   void restore_from(const std::string& dir);
+  /// The warm-session store, read-only: gauges, spill records, segment.
+  [[nodiscard]] const SessionStore& store() const { return store_; }
 
  private:
   struct Outcome {

@@ -1,8 +1,8 @@
 #include "service/session_store.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <utility>
 
 #include "common/check.hpp"
@@ -16,14 +16,17 @@ namespace treesat {
 
 namespace {
 
-/// Renames a damaged spill file to `<path>.bad` so post-mortems can see
-/// what the fault wall absorbed; falls back to plain removal (the file must
-/// leave the live name either way -- a fresh spill of the same owner must
-/// not collide with the corpse).
-void quarantine_spill_file(const std::string& path) {
-  const std::string bad = path + ".bad";
-  std::remove(bad.c_str());
-  if (std::rename(path.c_str(), bad.c_str()) != 0) std::remove(path.c_str());
+/// Copies damaged snapshot bytes to `path` so post-mortems can see what
+/// the fault wall absorbed. Best effort: a quarantine that cannot be
+/// written costs nothing but the copy.
+void quarantine(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void count_spill_fault() {
+  obs::count("treesat_spill_faults_total",
+             "Spill writes/reloads that degraded to a cold re-solve");
 }
 
 }  // namespace
@@ -70,7 +73,8 @@ SessionStore::SessionStore(std::size_t shards, std::size_t mem_budget, std::stri
                            std::size_t spill_budget)
     : mem_budget_(mem_budget),
       spill_dir_(std::move(spill_dir)),
-      spill_budget_(spill_budget) {
+      spill_budget_(spill_budget),
+      segment_(spill_dir_) {
   // Checked before the shard vector is sized from it.
   TS_REQUIRE(shards >= 1 && shards <= kMaxShards,
              "SessionStore: shards must be in [1, " << kMaxShards << "], got " << shards);
@@ -97,11 +101,6 @@ std::size_t SessionStore::shard_of(const std::string& key) const {
   return static_cast<std::size_t>(fnv1a_bytes(key) % shards_.size());
 }
 
-std::string SessionStore::spill_path(const std::string& tenant,
-                                     const std::string& instance) const {
-  return spill_dir_ + "/" + snapshot_file_name(tenant, instance);
-}
-
 SessionEntry* SessionStore::find(const std::string& tenant, const std::string& instance,
                                  bool* reloaded) {
   if (reloaded != nullptr) *reloaded = false;
@@ -115,61 +114,57 @@ SessionEntry* SessionStore::find(const std::string& tenant, const std::string& i
   const auto spilled = spill_records_.find(key);
   if (spilled == spill_records_.end()) return nullptr;
 
-  // Spill-tier hit: decode the snapshot, verify it really is this owner's
-  // (a misplaced file must not impersonate another tenant's instance),
-  // rebuild the entry and consume the spill copy.
-  const std::string path = spill_path(tenant, instance);
   // Spill reload IO span, nesting under the service's store.lookup span.
   // Key, outcome and byte sizes are deterministic (tier placement and
   // snapshot encodings are shard-invariant); no IO timings in attributes.
   obs::Span span(obs::trace(), "spill.reload");
   span.attr("key", key);
+  // Spill-tier hit: take the record out of the tier, decode its snapshot,
+  // verify it really is this owner's (misplaced bytes must not impersonate
+  // another tenant's instance), rebuild the entry and free the slot.
+  const SpillRecord record = std::move(spilled->second);
+  spill_bytes_ -= record.extent.length;
+  spill_records_.erase(spilled);
   SessionEntry entry;
   bool warm = false;
-  if (spilled->second.bytes != 0) {  // a tombstone never had a file
+  if (record.extent.length != 0) {  // a tombstone never had a slot
+    std::string bytes;
     try {
       if (faults_.fires(FaultPoint::kSpillRead)) {
-        throw ResourceLimit("fault injection: spill read of '" + path + "' failed");
+        throw ResourceLimit("fault injection: spill read of '" + key + "' failed");
       }
-      std::string bytes = read_file_bytes(path);
+      bytes = segment_.read(record.extent);
       if (faults_.fires(FaultPoint::kSpillTruncate)) bytes = fault_truncate(std::move(bytes));
       if (faults_.fires(FaultPoint::kSpillHashFlip)) bytes = fault_flip_byte(std::move(bytes));
       SessionState state = decode_snapshot(bytes);
       TS_REQUIRE(state.tenant == tenant && state.instance == instance,
-                 "SessionStore: spill file " << path << " belongs to '" << state.tenant << '/'
-                                             << state.instance << "', not '" << tenant << '/'
-                                             << instance << "'");
+                 "SessionStore: spilled snapshot of '" << key << "' belongs to '" << state.tenant
+                                                       << '/' << state.instance << "'");
       entry = session_entry_from_state(std::move(state));
       warm = true;
     } catch (const std::exception&) {
       // Corrupt, truncated, unreadable or misowned snapshot: one bad byte
       // on disk must not fail this instance's requests forever. Quarantine
-      // the file for post-mortem, write off the warm state, and fall back
-      // to the tree-only snapshot retained in the record.
+      // what was read for post-mortem, write off the warm state, and fall
+      // back to the tree-only snapshot retained in the record.
       ++spill_faults_;
-      obs::count("treesat_spill_faults_total",
-                 "Spill writes/reloads that degraded to a cold re-solve");
-      quarantine_spill_file(path);
+      count_spill_fault();
+      if (!bytes.empty()) {
+        quarantine(spill_dir_ + "/" + snapshot_file_name(tenant, instance) + ".bad", bytes);
+      }
     }
+    release_slot(record.extent);
   }
   if (!warm) {
-    if (spilled->second.fallback.empty()) {
-      // No fallback (records registered by checkpoint restore carry none):
-      // the reload failure surfaces as a plain miss and the client
-      // resubmits.
-      spill_bytes_ -= spilled->second.bytes;
-      spill_records_.erase(spilled);
-      return nullptr;
-    }
-    entry = session_entry_from_state(decode_snapshot(spilled->second.fallback));
+    // No fallback (records registered by checkpoint restore carry none):
+    // the reload failure surfaces as a plain miss and the client resubmits.
+    if (record.fallback.empty()) return nullptr;
+    entry = session_entry_from_state(decode_snapshot(record.fallback));
   }
   entry.stamp = ++clock_;
   bytes_used_ += entry.bytes;
-  spill_bytes_ -= spilled->second.bytes;
-  spill_records_.erase(spilled);
   span.attr("warm", std::uint64_t{warm ? 1u : 0u});
   if (warm) {
-    std::remove(path.c_str());
     // Only a snapshot that actually came back warm counts as a reload;
     // the fault paths above surface as cold/initial solves in the stats.
     ++spill_reloads_;
@@ -246,19 +241,19 @@ void SessionStore::refresh_bytes(SessionEntry& entry) {
 
 void SessionStore::spill_entry(const SessionEntry& entry) {
   const SessionState state = session_entry_state(entry);
-  const std::string path = spill_path(entry.tenant, entry.instance);
   obs::Span span(obs::trace(), "spill.write");
   span.attr("key", key_of(entry.tenant, entry.instance));
   if (faults_.fires(FaultPoint::kSpillDirVanish)) {
     // The spill directory disappears out from under the tier (operator
-    // error, an over-eager tmp cleaner). Every previously spilled file is
-    // gone -- their reloads recover via the retained tree-only snapshot --
-    // and the tier recreates the directory and carries on.
+    // error, an over-eager tmp cleaner), and the segment with it. Every
+    // slot written before is lost -- those reloads recover via the retained
+    // tree-only snapshot -- and the next write starts a fresh segment in a
+    // recreated directory.
     std::error_code ec;
     std::filesystem::remove_all(spill_dir_, ec);
+    segment_.abandon();
     ++spill_faults_;
-    obs::count("treesat_spill_faults_total",
-               "Spill writes/reloads that degraded to a cold re-solve");
+    count_spill_fault();
   }
   SpillRecord record;
   record.tenant = entry.tenant;
@@ -271,32 +266,29 @@ void SessionStore::spill_entry(const SessionEntry& entry) {
   record.fallback = encode_snapshot(tree_only);
   try {
     if (faults_.fires(FaultPoint::kSpillWrite)) {
-      throw ResourceLimit("fault injection: spill write of '" + path + "' failed");
+      throw ResourceLimit("fault injection: spill write failed");
     }
-    std::error_code ec;
-    std::filesystem::create_directories(spill_dir_, ec);  // heal a vanished dir
     // Charge the exact snapshot size. encode_snapshot is deterministic for
     // a given resolve history (wall-clock zeroed, caches sorted), so the
     // spill-tier gauges replay byte-identically at any shard count.
-    const std::string bytes = state.has_session() ? encode_snapshot(state) : record.fallback;
-    write_file_atomic(path, bytes);
-    record.bytes = bytes.size();
+    record.extent = segment_.write(state.has_session() ? encode_snapshot(state)
+                                                       : record.fallback);
   } catch (const std::exception&) {
     // A failed spill write must not fail the eviction that triggered it:
     // the warm state is lost (the next request re-solves cold from the
     // fallback) but the instance stays servable. The record becomes a
-    // fileless tombstone.
+    // slotless tombstone.
     ++spill_faults_;
-    obs::count("treesat_spill_faults_total",
-               "Spill writes/reloads that degraded to a cold re-solve");
-    record.bytes = 0;
+    count_spill_fault();
+    record.extent = {};
   }
-  span.attr("bytes", static_cast<std::uint64_t>(record.bytes));
-  if (record.bytes != 0) {
+  const std::uint64_t bytes = record.extent.length;
+  span.attr("bytes", bytes);
+  if (bytes != 0) {
     obs::observe("treesat_spill_snapshot_bytes", "Spilled snapshot sizes in bytes",
-                 obs::MetricClass::kDeterministic, static_cast<double>(record.bytes));
+                 obs::MetricClass::kDeterministic, static_cast<double>(bytes));
   }
-  spill_bytes_ += record.bytes;
+  spill_bytes_ += bytes;
   spill_records_[key_of(entry.tenant, entry.instance)] = std::move(record);
   ++spills_;
   obs::count("treesat_spills_total", "Sessions written to the spill tier");
@@ -305,11 +297,28 @@ void SessionStore::spill_entry(const SessionEntry& entry) {
 void SessionStore::drop_spilled(const std::string& key, bool budget_drop) {
   const auto it = spill_records_.find(key);
   TS_CHECK(it != spill_records_.end(), "SessionStore: dropping unknown spill record " << key);
-  const std::string path = spill_path(it->second.tenant, it->second.instance);
-  spill_bytes_ -= it->second.bytes;
+  const SegmentFile::Extent extent = it->second.extent;
+  spill_bytes_ -= extent.length;
   spill_records_.erase(it);
-  std::remove(path.c_str());
+  release_slot(extent);
   if (budget_drop) ++spill_drops_;
+}
+
+void SessionStore::release_slot(const SegmentFile::Extent& extent) {
+  segment_.release(extent);
+  if (!segment_.wants_compaction()) return;
+  std::vector<SegmentFile::Extent*> live;
+  live.reserve(spill_records_.size());
+  for (auto& [key, record] : spill_records_) live.push_back(&record.extent);
+  segment_.compact(live);
+}
+
+std::string SessionStore::spilled_bytes(const SpillRecord& record) const {
+  try {
+    return segment_.read(record.extent);
+  } catch (const std::exception&) {
+    return {};
+  }
 }
 
 void SessionStore::enforce_spill_budget() {
@@ -421,7 +430,7 @@ SessionEntry& SessionStore::restore_entry(SessionEntry entry, std::uint64_t stam
 }
 
 void SessionStore::restore_spilled(const std::string& tenant, const std::string& instance,
-                                   std::uint64_t stamp, std::size_t bytes) {
+                                   std::uint64_t stamp, std::string_view bytes) {
   TS_REQUIRE(spill_enabled(),
              "SessionStore: cannot restore a spilled entry without a spill_dir");
   const std::string key = key_of(tenant, instance);
@@ -430,9 +439,9 @@ void SessionStore::restore_spilled(const std::string& tenant, const std::string&
   SpillRecord record;
   record.tenant = tenant;
   record.instance = instance;
-  record.bytes = bytes;
+  record.extent = segment_.write(bytes);
   record.stamp = stamp;
-  spill_bytes_ += bytes;
+  spill_bytes_ += record.extent.length;
   spill_records_[key] = std::move(record);
 }
 

@@ -12,12 +12,17 @@
 // evicted until it fits.
 //
 // Tiering. With a spill directory configured, budget victims are not
-// destroyed: they are written as storage/snapshot.hpp files into the spill
-// tier (keeping their LRU stamp), and a store miss checks that tier and
-// reloads the session on demand -- warm state survives memory pressure at
-// the cost of one snapshot round-trip. The spill tier has its own byte
-// budget; when it overflows, the coldest spilled sessions are dropped for
-// real. An instance lives in at most one tier at a time.
+// destroyed: their storage/snapshot.hpp bytes are written into the store's
+// segment file (storage/segment.hpp) -- one file per store, in which a spill
+// pwrite()s a free slot and a reload pread()s it back and frees it -- keeping
+// their LRU stamp, and a store miss checks that tier and reloads the session
+// on demand. Warm state survives memory pressure at the cost of one snapshot
+// round-trip, and no spill or reload creates, renames or unlinks a file. The
+// segment is compacted when its dead bytes exceed its live bytes, and it is
+// unlinked when the store is destroyed; a moved-from store owns none. The
+// spill tier has its own byte budget; when it overflows, the coldest spilled
+// sessions are dropped for real. An instance lives in at most one tier at a
+// time.
 //
 // Sharding and determinism. Entries hash-partition across `shards` buckets
 // (the layout a concurrent frontend would lock per shard), but nothing
@@ -25,21 +30,22 @@
 // shard, and eviction picks its victim by a *global* strict total order --
 // smallest last-touch stamp, ties broken by key -- scanning every shard.
 // Spilling preserves this: snapshot bytes are a pure function of the
-// resolve history (wall-clock is zeroed on export), so spill file sizes,
+// resolve history (wall-clock is zeroed on export), so spilled record sizes,
 // spill-tier gauges and reload outcomes replay identically at shards=1 and
 // shards=8 -- the half of the service's byte-identity contract that the
 // store owns (tests/service_determinism_test.cpp asserts it end to end).
 //
 // Fault wall. The spill tier survives its own storage: a corrupt,
-// truncated, misowned or unreadable snapshot on reload is quarantined
-// (renamed to `<file>.bad` for post-mortem) and the entry is rebuilt
-// cold from the tree-only snapshot every spill record retains, so one bad
-// byte on disk degrades a request to a cold re-solve instead of failing
-// it. A failed spill *write* leaves a fileless tombstone record with the
-// same retained snapshot. Both paths count into `spill_faults`; none of them
-// throw. A FaultPlan (storage/faults.hpp) injects exactly these failures
-// deterministically -- tests/service_fault_test.cpp drives every point
-// through this contract.
+// truncated, misowned or unreadable snapshot on reload is quarantined (its
+// bytes are copied to `<snapshot_file_name>.bad` in the spill directory for
+// post-mortem) and the entry is rebuilt cold from the tree-only snapshot
+// every spill record retains, so one bad byte on disk degrades a request to
+// a cold re-solve instead of failing it. A failed spill *write* leaves a
+// slotless tombstone record with the same retained snapshot, and a vanished
+// spill directory loses every slot written before it. All of these count
+// into `spill_faults`; none of them throw. A FaultPlan (storage/faults.hpp)
+// injects exactly these failures deterministically --
+// tests/service_fault_test.cpp drives every point through this contract.
 #pragma once
 
 #include <cstddef>
@@ -47,12 +53,14 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "core/incremental.hpp"
 #include "core/plan.hpp"
 #include "storage/faults.hpp"
+#include "storage/segment.hpp"
 
 namespace treesat {
 
@@ -81,17 +89,21 @@ struct EvictedEntry {
   bool spilled = false;  ///< preserved in the spill tier vs destroyed
 };
 
-/// One spilled tenant/instance: a snapshot file in the spill directory.
+/// One spilled tenant/instance: a snapshot's bytes in the store's segment.
 /// The LRU stamp is carried over from residency so the spill tier's own
 /// budget evicts in the same global order the memory tier would have.
 struct SpillRecord {
   std::string tenant;
   std::string instance;
-  std::size_t bytes = 0;    ///< snapshot file size (0: fileless tombstone)
+  /// Where the snapshot sits in the segment; its length is the record's
+  /// charge to spill_bytes(). Length 0 marks a slotless tombstone (the
+  /// spill write failed). The segment may have lost the slot since (a
+  /// vanished spill directory); the length is still charged until reload.
+  SegmentFile::Extent extent;
   std::uint64_t stamp = 0;  ///< stamp at spill time
   /// Tree-only snapshot (storage/snapshot.hpp) of the owner and the tree
   /// at spill time -- the fault wall's cold-recovery fallback when the
-  /// snapshot file is lost or corrupt, and what a checkpoint writes for a
+  /// slot is lost or corrupt, and what a checkpoint writes for a
   /// tombstone. Not charged to either byte gauge (it is bookkeeping, not
   /// warm state). Empty for records registered by checkpoint restore,
   /// whose fallback is a miss.
@@ -135,7 +147,8 @@ class SessionStore {
 
   /// `shards` in [1, kMaxShards]; `mem_budget` in bytes, 0 = unlimited. A
   /// non-empty `spill_dir` enables the spill tier (the directory is created if
-  /// missing); `spill_budget` bounds its bytes, 0 = unlimited.
+  /// missing, the segment file on the first spill); `spill_budget` bounds its
+  /// bytes, 0 = unlimited.
   SessionStore(std::size_t shards, std::size_t mem_budget, std::string spill_dir = "",
                std::size_t spill_budget = 0);
 
@@ -221,10 +234,10 @@ class SessionStore {
   /// Inserts a rebuilt entry with an explicit stamp (no clock touch). The
   /// key must be vacant in both tiers.
   SessionEntry& restore_entry(SessionEntry entry, std::uint64_t stamp);
-  /// Registers a spill-tier entry whose snapshot file the caller already
-  /// placed in the spill directory.
+  /// Writes verified snapshot bytes into the segment and registers them as
+  /// a spill-tier entry. Throws ResourceLimit when the segment write fails.
   void restore_spilled(const std::string& tenant, const std::string& instance,
-                       std::uint64_t stamp, std::size_t bytes);
+                       std::uint64_t stamp, std::string_view bytes);
   /// Resident entries in (tenant, instance) order -- the deterministic
   /// enumeration a checkpoint serializes.
   [[nodiscard]] std::vector<const SessionEntry*> resident_by_key() const;
@@ -232,9 +245,11 @@ class SessionStore {
   [[nodiscard]] const std::map<std::string, SpillRecord>& spill_records() const {
     return spill_records_;
   }
-  /// Absolute path of an owner's snapshot file inside the spill directory.
-  [[nodiscard]] std::string spill_path(const std::string& tenant,
-                                       const std::string& instance) const;
+  /// A record's snapshot bytes as the segment holds them (possibly
+  /// damaged); empty for a tombstone, a lost slot or an unreadable one.
+  [[nodiscard]] std::string spilled_bytes(const SpillRecord& record) const;
+  /// The segment file's path; empty until the first spill.
+  [[nodiscard]] const std::string& segment_path() const { return segment_.path(); }
 
  private:
   struct Shard {
@@ -244,12 +259,15 @@ class SessionStore {
   [[nodiscard]] static std::string key_of(const std::string& tenant,
                                           const std::string& instance);
   [[nodiscard]] std::size_t shard_of(const std::string& key) const;
-  /// Writes `entry`'s snapshot into the spill directory and registers the
-  /// record (stamp preserved). The caller removes the resident entry.
+  /// Writes `entry`'s snapshot into the segment and registers the record
+  /// (stamp preserved). The caller removes the resident entry.
   void spill_entry(const SessionEntry& entry);
-  /// Deletes a spill record and its file. `budget_drop` attributes the
-  /// removal to spill-budget pressure (counter + telemetry).
+  /// Deletes a spill record and frees its slot. `budget_drop` attributes
+  /// the removal to spill-budget pressure (counter + telemetry).
   void drop_spilled(const std::string& key, bool budget_drop);
+  /// Frees an erased record's slot, compacting the segment once its dead
+  /// bytes exceed its live bytes.
+  void release_slot(const SegmentFile::Extent& extent);
   /// Drops the coldest spilled entries until the spill budget fits.
   void enforce_spill_budget();
 
@@ -258,6 +276,7 @@ class SessionStore {
   std::string spill_dir_;
   std::size_t spill_budget_;
   std::map<std::string, SpillRecord> spill_records_;
+  SegmentFile segment_;
   std::size_t bytes_used_ = 0;
   std::size_t spill_bytes_ = 0;
   std::uint64_t clock_ = 0;

@@ -142,11 +142,12 @@ void write_checkpoint(const std::string& dir, const SessionStore& store,
     append_entry_row(payload, entry->tenant, entry->instance, entry->stamp, entry->bytes);
   }
 
-  // The spill tier may hold fileless tombstones (failed spill writes) or
-  // records whose file has since been lost (a vanished spill directory).
+  // Each spilled record's bytes are copied out of the store's segment. The
+  // spill tier may hold slotless tombstones (failed spill writes) or
+  // records whose slot has since been lost (a vanished spill directory).
   // Both are checkpointed as the tree-only snapshot each record retains,
   // verbatim -- the restart serves those instances cold -- and a record
-  // with neither file nor fallback is dropped from the checkpoint rather
+  // with neither slot nor fallback is dropped from the checkpoint rather
   // than failing it. Manifest rows carry the bytes actually written.
   struct SpilledDump {
     const SpillRecord* record;
@@ -154,13 +155,7 @@ void write_checkpoint(const std::string& dir, const SessionStore& store,
   };
   std::vector<SpilledDump> dumps;
   for (const auto& [key, record] : store.spill_records()) {
-    std::string bytes;
-    if (record.bytes != 0) {
-      try {
-        bytes = read_file_bytes(store.spill_path(record.tenant, record.instance));
-      } catch (const std::exception&) {
-      }
-    }
+    std::string bytes = store.spilled_bytes(record);
     if (bytes.empty()) bytes = record.fallback;
     if (bytes.empty()) continue;
     dumps.push_back({&record, std::move(bytes)});
@@ -284,8 +279,9 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
       TS_REQUIRE(bytes.size() == row.bytes,
                  "checkpoint: spilled file '" << file << "' is " << bytes.size()
                                               << " bytes, manifest says " << row.bytes);
-      write_file_atomic(out.store.spill_path(row.tenant, row.instance), bytes);
-      out.store.restore_spilled(row.tenant, row.instance, row.stamp, bytes.size());
+      // Into the new store's own segment: the live store's spilled
+      // sessions stay untouched if this restore fails further on.
+      out.store.restore_spilled(row.tenant, row.instance, row.stamp, bytes);
     } catch (const std::exception&) {
       ++out.restore_faults;
     }

@@ -8,7 +8,8 @@
 //                          records v3 snapshots' byte sizes -- v1 and v2
 //                          manifests are rejected by their version line)
 //   <dir>/sessions/*.tss   one snapshot per memory-resident entry
-//   <dir>/spilled/*.tss    the spill tier's snapshot files, copied verbatim
+//   <dir>/spilled/*.tss    the spill tier's snapshots, copied verbatim out
+//                          of the store's segment file
 //
 // The manifest records everything a restarted process needs to answer its
 // first warm request without re-solving and with byte-identical responses:
@@ -61,7 +62,9 @@ struct RestoredService {
 /// `mem_budget`, `spill_dir`, `spill_budget` -- shard count is
 /// behavior-invariant, budgets are deployment config); clock, stamps and
 /// counters come from the manifest. A checkpoint holding spilled sessions
-/// requires a configured spill_dir (their files are copied into it).
+/// requires a configured spill_dir: their bytes are appended to the new
+/// store's own segment file there, so a restore that fails leaves the
+/// live store's spilled sessions as they were.
 /// Damaged individual snapshots are skipped and counted (see
 /// RestoredService::restore_faults); `faults`, when non-null, additionally
 /// injects kRestoreRead failures per manifest row and its trial counters

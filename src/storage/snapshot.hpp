@@ -63,9 +63,11 @@
 // ever half-decoded: decode either returns a fully validated SessionState
 // or throws; import_state() then checks the plan and the caches.
 //
-// Writes are atomic: the file is staged at `<path>.tmp` and renamed over
-// the destination, so a crash mid-write can never leave a torn snapshot
-// where a reader expects a good one.
+// File writes are atomic: the file is staged at `<path>.tmp` and renamed
+// over the destination, so a crash mid-write can never leave a torn
+// snapshot or manifest where a reader expects a good one. Checkpoints are
+// the only writer that needs this; the spill tier keeps its snapshots in
+// one segment file per store (storage/segment.hpp) and relies on the hash.
 #pragma once
 
 #include <cstdint>
@@ -80,14 +82,16 @@ namespace treesat {
 /// every other byte becomes %XX (uppercase hex), '%' itself is always
 /// encoded, and the empty string encodes as the single byte "%" (which no
 /// non-empty encoding can produce). Injective, filesystem- and
-/// whitespace-safe -- used for owner fields inside snapshots and for spill
-/// file names.
+/// whitespace-safe -- used for owner fields inside snapshots and for
+/// snapshot file names.
 [[nodiscard]] std::string encode_token(const std::string& raw);
 
 /// Inverse of encode_token(); throws InvalidArgument on malformed input.
 [[nodiscard]] std::string decode_token(const std::string& encoded);
 
-/// Canonical spill/checkpoint file name for an owned session:
+/// Canonical file name for an owned session's snapshot: a checkpoint's
+/// `sessions/` and `spilled/` files, and (plus `.bad`) the spill tier's
+/// quarantine copy of a damaged snapshot.
 /// `<encode_token(tenant)>@<encode_token(instance)>.tss`. '@' is outside
 /// the token alphabet, so the mapping is collision-free.
 [[nodiscard]] std::string snapshot_file_name(const std::string& tenant,
@@ -109,8 +113,8 @@ namespace treesat {
 /// Whole-file read; throws ResourceLimit when `path` cannot be opened.
 [[nodiscard]] std::string read_file_bytes(const std::string& path);
 
-/// Writes `bytes` to `<path>.tmp` and atomically renames onto `path`;
-/// throws ResourceLimit on any IO failure.
+/// Writes `bytes` to `<path>.tmp` and atomically renames onto `path` (the
+/// checkpoint writer's files); throws ResourceLimit on any IO failure.
 void write_file_atomic(const std::string& path, std::string_view bytes);
 
 /// Full snapshot bytes (header + payload) for a session state.

@@ -33,6 +33,7 @@ void CruTree::finish_costs() {
     }
     TS_REQUIRE(false, "CruTree: the costs sum to " << total << ", past the bound DBL_MAX / 2");
   }
+  total_cost_ = total;
 
   // A node's sum is its own s plus its children's sums, left to right. Every
   // child has a larger id than its parent, so descending ids finish all

@@ -126,6 +126,8 @@ class CruTree {
   /// Σ h_i over the whole tree; the delay of the trivial all-on-host
   /// assignment is total_host_time() + raw sensor shipping.
   [[nodiscard]] double total_host_time() const { return total_h_; }
+  /// Σ(h + s + comm_up) over the tree, the sum the cost rule bounds.
+  [[nodiscard]] double total_cost() const { return total_cost_; }
 
   /// True when both trees hold the same topology object: the same shape,
   /// names and satellites, possibly with different costs.
@@ -217,12 +219,14 @@ class CruTree {
   /// rescaled()'s scales: finite and positive, so zero costs stay zero.
   static void require_scales(double host_scale, double sat_scale, double comm_scale);
   /// Applies the cost rule, then appends the subtree satellite sums and
-  /// computes total_h_ (in postorder). Every tree's costs pass through here.
+  /// computes total_h_ (in postorder) and total_cost_. Every tree's costs pass
+  /// through here.
   void finish_costs();
 
   std::shared_ptr<const Topology> topo_;
   std::vector<double> cost_;
   double total_h_ = 0.0;
+  double total_cost_ = 0.0;
 };
 
 inline CruNode CruTree::node(CruId id) const {

@@ -7,6 +7,7 @@
 // service_determinism_test.cpp; this file is about the storage half.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -180,12 +181,44 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
 
 // --- real on-disk corruption of the spill tier ---------------------------
 
-/// Shared scenario: submit + solve + evict-to-spill, then damage the spill
-/// file and solve again. The reload must be a cache miss that re-solves
-/// from the retained tree -- same optimum, one spill_fault, a quarantined
-/// .bad file -- never a client error.
-void corrupt_spill_scenario(const std::string& tag, void (*damage)(const std::string&),
-                            bool expect_quarantine = true) {
+/// Where one spilled record's bytes sit: the store's segment file and the
+/// record's extent in it.
+struct SpilledSlot {
+  std::string segment;
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;
+};
+
+SpilledSlot spilled_slot(const SolverService& service, const std::string& key) {
+  const SessionStore& store = service.store();
+  const auto it = store.spill_records().find(key);
+  if (it == store.spill_records().end()) return {};
+  return {store.segment_path(), it->second.extent.offset, it->second.extent.length};
+}
+
+std::string read_slot(const SpilledSlot& slot) {
+  std::ifstream in(slot.segment, std::ios::binary);
+  in.seekg(static_cast<std::streamoff>(slot.offset));
+  std::string bytes(slot.length, '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
+  return bytes;
+}
+
+void write_slot(const SpilledSlot& slot, const std::string& bytes) {
+  std::fstream out(slot.segment, std::ios::binary | std::ios::in | std::ios::out);
+  out.seekp(static_cast<std::streamoff>(slot.offset));
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Shared scenario: submit + solve + evict-to-spill, then damage the
+/// record's bytes inside the segment and solve again. `damage` leaves in
+/// its second argument the bytes a reload reads back (empty when none
+/// survive). The reload must be a cache miss that re-solves from the
+/// retained tree -- same optimum, one spill_fault, the damaged bytes
+/// quarantined in a .bad file -- never a client error.
+void corrupt_spill_scenario(const std::string& tag,
+                            void (*damage)(const SpilledSlot&, std::string&)) {
   const std::string spill = temp_subdir(tag);
   SolverService service(parse_service_config("spill_dir=" + spill));
   const CruTree tree = paper_running_example();
@@ -198,9 +231,12 @@ void corrupt_spill_scenario(const std::string& tag, void (*damage)(const std::st
   ASSERT_TRUE(
       contains(service.handle_line(evict_line("t0", "w0")), "\"fate\":\"spilled\""));
 
-  const std::string path = spill + "/" + snapshot_file_name("t0", "w0");
-  ASSERT_TRUE(std::filesystem::exists(path));
-  damage(path);
+  const SpilledSlot slot = spilled_slot(service, "t0/w0");
+  ASSERT_TRUE(std::filesystem::exists(slot.segment));
+  ASSERT_GT(slot.length, 0u);
+  ASSERT_EQ(read_slot(slot).size(), slot.length);
+  std::string damaged;
+  damage(slot, damaged);
 
   const std::string reloaded = service.handle_line(solve_line("t0", "w0"));
   EXPECT_CONTAINS(reloaded, "\"ok\":true");
@@ -209,10 +245,25 @@ void corrupt_spill_scenario(const std::string& tag, void (*damage)(const std::st
   EXPECT_CONTAINS(reloaded, "\"path\":\"initial\"");
   // ...and lands on the same optimum (the solver is exact either way).
   EXPECT_EQ(objective_of(reloaded), objective);
-  // The damaged file is quarantined for post-mortems, not deleted (a
-  // vanished file leaves nothing to quarantine).
-  EXPECT_FALSE(std::filesystem::exists(path));
-  EXPECT_EQ(std::filesystem::exists(path + ".bad"), expect_quarantine);
+  // The record left the spill tier, and the damaged bytes are quarantined
+  // for post-mortems (vanished bytes leave nothing to quarantine). The
+  // directory holds the segment and nothing else but that copy.
+  EXPECT_EQ(service.store().spill_records().count("t0/w0"), 0u);
+  EXPECT_EQ(service.store().spill_bytes(), 0u);
+  const std::string bad = spill + "/" + snapshot_file_name("t0", "w0") + ".bad";
+  EXPECT_EQ(std::filesystem::exists(bad), !damaged.empty());
+  if (!damaged.empty()) {
+    EXPECT_EQ(read_file_bytes(bad), damaged);
+  }
+  std::vector<std::string> files;
+  for (const auto& file : std::filesystem::directory_iterator(spill)) {
+    files.push_back(file.path().string());
+  }
+  std::vector<std::string> expected = {slot.segment};
+  if (!damaged.empty()) expected.push_back(bad);
+  std::sort(files.begin(), files.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(files, expected);
 
   const std::string stats = service.handle_line("{\"op\":\"stats\"}");
   EXPECT_CONTAINS(stats, "\"spill_faults\":1");
@@ -220,31 +271,43 @@ void corrupt_spill_scenario(const std::string& tag, void (*damage)(const std::st
 }
 
 TEST(ServiceFaults, CorruptSpillSnapshotIsACacheMissNotAnError) {
-  corrupt_spill_scenario("corrupt", [](const std::string& path) { corrupt_file(path); });
+  corrupt_spill_scenario("corrupt", [](const SpilledSlot& slot, std::string& damaged) {
+    damaged = read_slot(slot);
+    damaged[damaged.size() / 2] = static_cast<char>(damaged[damaged.size() / 2] ^ 0x5A);
+    write_slot(slot, damaged);
+  });
 }
 
 TEST(ServiceFaults, TruncatedSpillSnapshotIsACacheMissNotAnError) {
-  corrupt_spill_scenario("truncated", [](const std::string& path) { truncate_file(path); });
+  // The segment ends halfway through the record: the reload reads half.
+  corrupt_spill_scenario("truncated", [](const SpilledSlot& slot, std::string& damaged) {
+    damaged = read_slot(slot).substr(0, slot.length / 2);
+    std::filesystem::resize_file(slot.segment, slot.offset + slot.length / 2);
+  });
 }
 
 TEST(ServiceFaults, VanishedSpillFileIsACacheMissNotAnError) {
-  corrupt_spill_scenario(
-      "vanished", [](const std::string& path) { std::filesystem::remove(path); },
-      /*expect_quarantine=*/false);
+  // The segment ends where the record starts: none of its bytes survive.
+  corrupt_spill_scenario("vanished", [](const SpilledSlot& slot, std::string& damaged) {
+    damaged.clear();
+    std::filesystem::resize_file(slot.segment, slot.offset);
+  });
 }
 
 TEST(ServiceFaults, NonFiniteCachedFrontierIsQuarantinedAndReSolved) {
-  // Hash-valid but poisoned: the spill file's colour cache carries a NaN
-  // load and a -inf host. The reload's import rejects it, so the file is
-  // quarantined and the instance re-solves to the same optimum instead of
-  // folding the poisoned frontier into its next answer.
-  corrupt_spill_scenario("nonfinite", [](const std::string& path) {
-    SessionState state = read_snapshot_file(path);
+  // Hash-valid but poisoned: the spilled snapshot's colour cache carries a
+  // NaN load and a -inf host. The reload's import rejects it, so the bytes
+  // are quarantined and the instance re-solves to the same optimum instead
+  // of folding the poisoned frontier into its next answer.
+  corrupt_spill_scenario("nonfinite", [](const SpilledSlot& slot, std::string& damaged) {
+    SessionState state = decode_snapshot(read_slot(slot));
     ASSERT_FALSE(state.colour_cache.empty());
     FrontierEntry& frontier = state.colour_cache.front().frontier;
     frontier.load.front() = std::numeric_limits<double>::quiet_NaN();
     frontier.host.front() = -std::numeric_limits<double>::infinity();
-    write_snapshot_file(path, state);
+    damaged = encode_snapshot(state);
+    ASSERT_EQ(damaged.size(), slot.length);  // same shape, same size
+    write_slot(slot, damaged);
   });
 }
 
@@ -260,8 +323,8 @@ TEST(ServiceFaults, SpillWriteFaultLeavesATombstoneThatColdResolves) {
   const std::string solved = service.handle_line(solve_line("t0", "w0"));
   const std::string objective = objective_of(solved);
   ASSERT_TRUE(contains(service.handle_line(evict_line("t0", "w0")), "\"ok\":true"));
-  // The write failed: no snapshot file landed, only the in-memory record.
-  EXPECT_FALSE(std::filesystem::exists(spill + "/" + snapshot_file_name("t0", "w0")));
+  // The write failed: no bytes landed, only the in-memory tombstone.
+  EXPECT_EQ(spilled_slot(service, "t0/w0").length, 0u);
 
   const std::string reloaded = service.handle_line(solve_line("t0", "w0"));
   EXPECT_CONTAINS(reloaded, "\"ok\":true");
@@ -314,9 +377,12 @@ TEST(ServiceFaults, SpillDirVanishIsHealedOnTheNextWrite) {
   ASSERT_TRUE(contains(service.handle_line(submit_line("t0", "w0", tree)), "\"ok\":true"));
   const std::string objective = objective_of(service.handle_line(solve_line("t0", "w0")));
   // The directory vanishes right before the write; the tier recreates it
-  // and the spill still lands.
+  // with a fresh segment and the spill still lands.
   ASSERT_TRUE(contains(service.handle_line(evict_line("t0", "w0")), "\"fate\":\"spilled\""));
-  EXPECT_TRUE(std::filesystem::exists(spill + "/" + snapshot_file_name("t0", "w0")));
+  const SpilledSlot slot = spilled_slot(service, "t0/w0");
+  ASSERT_GT(slot.length, 0u);
+  EXPECT_TRUE(std::filesystem::exists(slot.segment));
+  EXPECT_EQ(read_slot(slot).size(), slot.length);
 
   const std::string reloaded = service.handle_line(solve_line("t0", "w0"));
   EXPECT_CONTAINS(reloaded, "\"ok\":true");
@@ -386,6 +452,51 @@ TEST(ServiceFaults, RestoreSkipsDamagedSnapshotsButKeepsTheRest) {
   // The damaged instance is gone -- a descriptive miss, not a crash.
   EXPECT_CONTAINS(restarted.handle_line(solve_line("t0", "w0")), "\"ok\":false");
   EXPECT_CONTAINS(restarted.handle_line(solve_line("t0", "w0")), "unknown instance");
+}
+
+TEST(ServiceFaults, FailedRestoreLeavesTheLiveSpilledSessionsAlone) {
+  // A restore that fails after copying in the checkpoint's spilled rows --
+  // here at a repeated tenant row; a method-count mismatch from another
+  // build fails at the same place -- must leave the live store serving
+  // what it spilled, not the checkpoint's older copy of it.
+  const std::string spill = temp_subdir("failed_restore_spill");
+  const std::string ckpt = temp_subdir("failed_restore_ckpt");
+  const std::string broken = temp_subdir("failed_restore_broken");
+  SolverService service(parse_service_config("spill_dir=" + spill));
+  ASSERT_TRUE(contains(service.handle_line(submit_line("t0", "w0", paper_running_example())),
+                       "\"ok\":true"));
+  ASSERT_EQ(objective_of(service.handle_line(solve_line("t0", "w0"))), "\"objective\":53");
+  ASSERT_TRUE(contains(service.handle_line(evict_line("t0", "w0")), "\"fate\":\"spilled\""));
+  service.checkpoint_to(ckpt);
+  ASSERT_TRUE(contains(service.handle_line(solve_line("t0", "w0")), "\"path\":\"cached\""));
+  const std::string drifted = service.handle_line(
+      "{\"op\":\"perturb\",\"tenant\":\"t0\",\"instance\":\"w0\",\"kind\":\"global_drift\","
+      "\"host_scale\":3,\"sat_scale\":0.5,\"comm_scale\":2}");
+  ASSERT_EQ(objective_of(drifted), "\"objective\":47.5");
+  ASSERT_TRUE(contains(service.handle_line(evict_line("t0", "w0")), "\"fate\":\"spilled\""));
+
+  // A copy of the checkpoint whose manifest repeats its tenant row,
+  // re-framed so its hash is valid.
+  std::filesystem::copy(ckpt, broken, std::filesystem::copy_options::recursive);
+  const std::string manifest = broken + "/MANIFEST.tsc";
+  std::string payload(unframe_payload("treesat_checkpoint", "v3", read_file_bytes(manifest),
+                                      "checkpoint"));
+  const std::size_t head = payload.find("tenants 1\n");
+  ASSERT_NE(head, std::string::npos);
+  payload.replace(head, 10, "tenants 2\n");
+  const std::size_t row = payload.find("\ntenant ") + 1;
+  const std::string tenant_row = payload.substr(row, payload.find('\n', row) + 1 - row);
+  payload.insert(row, tenant_row);
+  write_file_atomic(manifest, frame_payload("treesat_checkpoint", "v3", payload));
+
+  const std::string restored =
+      service.handle_line("{\"op\":\"restore\",\"dir\":\"" + json_escape(broken) + "\"}");
+  EXPECT_CONTAINS(restored, "\"ok\":false");
+  EXPECT_CONTAINS(restored, "duplicate tenant row");
+  const std::string after = service.handle_line(solve_line("t0", "w0"));
+  EXPECT_CONTAINS(after, "\"path\":\"cached\"");
+  EXPECT_EQ(objective_of(after), "\"objective\":47.5");
+  EXPECT_CONTAINS(service.handle_line("{\"op\":\"stats\"}"), "\"spill_faults\":0");
 }
 
 TEST(ServiceFaults, DamagedManifestIsStillFatalToTheRestoreRequest) {

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "common/format.hpp"
+#include "core/incremental.hpp"
 #include "core/registry.hpp"
 #include "core/solver.hpp"
 #include "io/json.hpp"
@@ -202,6 +203,82 @@ TEST(Service, OverflowingCostsFailTypedAndKeepTheWarmState) {
   const std::string refused = service.handle_line(line);
   EXPECT_CONTAINS(refused, "\"ok\":false");
   EXPECT_CONTAINS(refused, "DBL_MAX");
+}
+
+/// A plan whose coefficients overflow on the instance fails typed, before
+/// `method` runs, and changes nothing. The tree passes the cost rule (its
+/// costs total ~2e12 after the drift), but 1e300 times that is +inf, and
+/// no method's search can rank cuts whose objectives are all infinite.
+void overflowing_objective_scenario(const std::string& method) {
+  SolverService service(parse_service_config("fail_fast=false"));
+  const Scenario scenario = epilepsy_scenario();
+  const CruTree tree = scenario.workload.lower(scenario.platform);
+  ASSERT_TRUE(contains(service.handle_line(submit_line("t0", "w0", tree)), "\"ok\":true"));
+  const std::string solve_default = "{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\"}";
+  ASSERT_TRUE(contains(service.handle_line(solve_default), "\"ok\":true"));
+  const std::string drifted = service.handle_line(
+      "{\"op\":\"perturb\",\"tenant\":\"t0\",\"instance\":\"w0\",\"kind\":\"global_drift\","
+      "\"host_scale\":1e12,\"sat_scale\":1e12,\"comm_scale\":1e12}");
+  ASSERT_TRUE(contains(drifted, "\"ok\":true"));
+
+  const std::string spec = method + ":s_coeff=1e300,b_coeff=1e300";
+  const std::string refused = service.handle_line(
+      "{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\",\"plan\":\"" + spec + "\"}");
+  EXPECT_CONTAINS(refused, "\"ok\":false");
+  EXPECT_CONTAINS(refused, "precondition failed");
+  EXPECT_CONTAINS(refused, "must be finite");
+  EXPECT_FALSE(contains(refused, "invariant")) << refused;
+  // The same refusal, typed, from the library facade.
+  const CruTree big = apply_perturbation(tree, Perturbation::global_drift(1e12, 1e12, 1e12));
+  EXPECT_THROW(static_cast<void>(solve(Colouring(big), parse_plan(spec))), InvalidArgument);
+
+  // The warm session is untouched: the default plan is still served cached.
+  const std::string after = service.handle_line(solve_default);
+  EXPECT_CONTAINS(after, "\"path\":\"cached\"");
+  EXPECT_EQ(field_value(after, "objective"), field_value(drifted, "objective"));
+}
+
+TEST(Service, OverflowingObjectiveFailsTypedOnParetoDp) {
+  overflowing_objective_scenario("pareto-dp");
+}
+
+TEST(Service, OverflowingObjectiveFailsTypedOnColouredSsb) {
+  overflowing_objective_scenario("coloured-ssb");
+}
+
+TEST(Service, OverflowingObjectiveFailsTypedOnExhaustive) {
+  overflowing_objective_scenario("exhaustive");
+}
+
+TEST(Service, OverflowingObjectiveFailsTypedOnGreedy) {
+  overflowing_objective_scenario("greedy");
+}
+
+TEST(Service, OverflowingObjectiveFailsTypedOnLocalSearch) {
+  overflowing_objective_scenario("local-search");
+}
+
+TEST(Service, OverflowingObjectiveFailsTypedOnTheDegradedPath) {
+  // The degrade fallback runs its heuristic without a plan, on the request's
+  // objective when no session exists yet; it refuses the same overflow.
+  SolverService service(parse_service_config("fail_fast=false"));
+  const Scenario scenario = epilepsy_scenario();
+  ASSERT_TRUE(contains(
+      service.handle_line(submit_line("t0", "w0", scenario.workload.lower(scenario.platform))),
+      "\"ok\":true"));
+  ASSERT_TRUE(contains(service.handle_line(
+                           "{\"op\":\"perturb\",\"tenant\":\"t0\",\"instance\":\"w0\","
+                           "\"kind\":\"global_drift\",\"host_scale\":1e12,\"sat_scale\":1e12,"
+                           "\"comm_scale\":1e12}"),
+                       "\"solved\":false"));
+  const std::string refused = service.handle_line(
+      "{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\",\"degrade\":true,"
+      "\"plan\":\"greedy:s_coeff=1e300,b_coeff=1e300\"}");
+  EXPECT_CONTAINS(refused, "\"ok\":false");
+  EXPECT_CONTAINS(refused, "precondition failed");
+  EXPECT_FALSE(contains(refused, "invariant")) << refused;
+  EXPECT_CONTAINS(service.handle_line("{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\"}"),
+                  "\"path\":\"initial\"");
 }
 
 TEST(Service, PerturbBeforeSolveEvolvesTheStoredTree) {

@@ -15,10 +15,12 @@
 // no executor at all, also reads ~1.0x at that size: a 5-9 ms batch
 // measures the host's scheduler, not the batch executor. The 120-node and
 // scenario batches stay as ungated rows so their ~1.0x stays visible.
-#include <iostream>
 #include <deque>
+#include <iostream>
+#include <iterator>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
@@ -97,35 +99,45 @@ struct SweepResult {
 /// cannot scale).
 [[nodiscard]] SweepResult sweep(const char* name, const Owned& batch,
                                 const SolvePlan& base) {
+  constexpr std::size_t kThreads[] = {1, 2, 4, 8};
+  constexpr std::size_t kCounts = std::size(kThreads);
+  // Best of 3 per thread count: the executor is stateless between runs, so
+  // repeats are honest and the minimum discards scheduler noise. The
+  // repetitions are interleaved across thread counts rather than run back
+  // to back, so one thread count's samples spread over the whole sweep
+  // (~2 s on the heavy batch): a host episode that stacks the workers on
+  // one core for up to ~1.1 s can then spoil at most some of them.
+  std::vector<double> walls(kCounts, 1e100);
+  std::vector<BatchReport> reports(kCounts);
+  std::vector<char> identical(kCounts, 1);  // every run matched threads=1's first
+  std::string reference;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (std::size_t i = 0; i < kCounts; ++i) {
+      SolvePlan plan = base;
+      plan.with_executor({.threads = kThreads[i]});
+      BatchReport r = solve_batch_report(batch.instances, plan);
+      r.rethrow_if_failed();  // batch_fingerprint reads every result
+      const std::string prints = batch_fingerprint(r);
+      if (reference.empty()) reference = prints;
+      identical[i] = identical[i] && prints == reference;
+      if (r.wall_seconds < walls[i]) {
+        walls[i] = r.wall_seconds;
+        reports[i] = std::move(r);
+      }
+    }
+  }
   Table t({"threads", "batch wall ms", "speedup vs 1", "straggler ms",
            "sum of solves ms", "identical reports"});
   SweepResult result;
-  double base_wall = 0.0;
-  std::string reference;
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    SolvePlan plan = base;
-    plan.with_executor({.threads = threads});
-    // Best of 3: the executor is stateless between runs, so repeats are
-    // honest and the minimum discards scheduler noise.
-    double wall = 1e100;
-    BatchReport report;
-    for (int rep = 0; rep < 3; ++rep) {
-      BatchReport r = solve_batch_report(batch.instances, plan);
-      r.rethrow_if_failed();  // batch_fingerprint reads every result
-      if (r.wall_seconds < wall) {
-        wall = r.wall_seconds;
-        report = std::move(r);
-      }
-    }
-    const std::string prints = batch_fingerprint(report);
-    if (threads == 1) {
-      base_wall = wall;
-      reference = prints;
-    }
+  const double base_wall = walls[0];
+  for (std::size_t i = 0; i < kCounts; ++i) {
+    const std::size_t threads = kThreads[i];
+    const double wall = walls[i];
+    const BatchReport& report = reports[i];
     if (threads == 2) result.speedup2 = base_wall / wall;
-    result.identical = result.identical && prints == reference;
+    result.identical = result.identical && identical[i];
     t.add(threads, wall * 1e3, base_wall / wall, report.slowest_seconds * 1e3,
-          report.total_solve_seconds * 1e3, prints == reference ? "yes" : "NO");
+          report.total_solve_seconds * 1e3, identical[i] ? "yes" : "NO");
     bench::json().add_row(std::string(name) + " threads=" + std::to_string(threads),
                           {{"instances", static_cast<double>(batch.instances.size())},
                            {"threads", static_cast<double>(threads)},

@@ -12,6 +12,10 @@
 //      fresh service, serve the tail -- head+tail must equal the
 //      single-process replay byte for byte. identity_ratio is 1.0 exactly
 //      or the bench fails; bench_diff gates it with a tight tolerance.
+//   4. The spill tier per session: microseconds per SessionStore spill
+//      (encode from the live session, frame, write into the segment) and
+//      per reload (read, decode, import) of E-SNAP2's sessions. Ungated;
+//      every reload must come back warm.
 //
 // MB/s and milliseconds are machine-dependent and informational; the two
 // gated keys (rewarm_speedup, identity_ratio) are same-machine ratios.
@@ -21,6 +25,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -112,6 +117,8 @@ int main(int argc, char** argv) {
     bench::note("parsed bytes); sessions are drifted so snapshots carry frontier caches.");
   }
 
+  // E-SNAP2's drifted sessions, by label, for E-SNAP4.
+  std::vector<std::pair<std::string, std::string>> snapshots;
   bench::banner("E-SNAP2", "restore-and-answer vs cold-solve-and-answer");
   {
     // The restart question in miniature: given a drifted session's snapshot
@@ -134,6 +141,7 @@ int main(int argc, char** argv) {
       const std::vector<Perturbation> stream = drift_stream(rng, base, drift);
       for (const Perturbation& p : stream) static_cast<void>(drifted.resolve(p));
       const std::string bytes = encode_snapshot(drifted.export_state());
+      snapshots.emplace_back(label, bytes);
       const Perturbation next = Perturbation::satellite_drift(
           SatelliteId{std::size_t{0}}, 1.03, 0.98, 1.0);
 
@@ -243,6 +251,54 @@ int main(int argc, char** argv) {
     }
     bench::note("identity_ratio is 1.0 exactly when head+tail across the restart");
     bench::note("equals the never-restarted replay -- the zero-rewarm contract.");
+  }
+
+  bench::banner("E-SNAP4", "the spill tier per session: SessionStore spill and reload");
+  {
+    Table t({"instance", "bytes", "spill [us]", "reload [us]"});
+    SessionStore store(1, 0, dir + "/spill");
+    std::size_t cold_reloads = 0;
+    for (const auto& [label, bytes] : snapshots) {
+      SessionState state = decode_snapshot(bytes);
+      SessionEntry& entry = store.put("bench", label, CruTree(*state.tree));
+      entry.session =
+          std::make_unique<ResolveSession>(ResolveSession::import_state(std::move(state)));
+      entry.tree.reset();
+      store.refresh_bytes(entry);
+      // Best of 5 batches of spill/reload cycles, each call timed alone.
+      constexpr int kCycles = 20;
+      double spill_s = std::numeric_limits<double>::infinity();
+      double reload_s = spill_s;
+      for (int round = 0; round < 5; ++round) {
+        double spill_sum = 0.0;
+        double reload_sum = 0.0;
+        for (int r = 0; r < kCycles; ++r) {
+          const Stopwatch spill_watch;
+          static_cast<void>(store.evict("bench", label, /*drop=*/false));
+          spill_sum += spill_watch.seconds();
+          bool warm = false;
+          const Stopwatch reload_watch;
+          static_cast<void>(store.find("bench", label, &warm));
+          reload_sum += reload_watch.seconds();
+          cold_reloads += warm ? 0 : 1;
+        }
+        spill_s = std::min(spill_s, spill_sum / kCycles);
+        reload_s = std::min(reload_s, reload_sum / kCycles);
+      }
+      static_cast<void>(store.evict("bench", label, /*drop=*/true));
+      t.add(label, bytes.size(), spill_s * 1e6, reload_s * 1e6);
+      bench::json().add_row("spill " + label,
+                            {{"snapshot_bytes", static_cast<double>(bytes.size())},
+                             {"spill_us", spill_s * 1e6},
+                             {"reload_us", reload_s * 1e6}});
+    }
+    t.print(std::cout);
+    if (cold_reloads != 0) {
+      std::cerr << "FAIL: " << cold_reloads << " spill-tier reloads came back cold\n";
+      ok = false;
+    }
+    bench::note("spill = encode from the live session, frame in the store's buffer and");
+    bench::note("write into the segment; reload = read, decode and import. Ungated.");
   }
 
   std::filesystem::remove_all(dir);

@@ -573,12 +573,12 @@ std::size_t region_key_nodes(const std::vector<std::uint64_t>& words) {
   return words.size() / 5;
 }
 
-/// The region keys a colour-cache key concatenates: a sequence of
-/// [region size][5 words per node...] blocks (see solve_warm_dp), each
-/// block's node words being that region's own key.
-std::vector<std::vector<std::uint64_t>> colour_key_regions(
-    const std::vector<std::uint64_t>& words) {
-  std::vector<std::vector<std::uint64_t>> regions;
+/// The region keys a colour-cache key concatenates, as spans of it: a
+/// sequence of [region size][5 words per node...] blocks (see
+/// solve_warm_dp), each block's node words being that region's own key.
+std::vector<std::span<const std::uint64_t>> colour_key_regions(
+    std::span<const std::uint64_t> words) {
+  std::vector<std::span<const std::uint64_t>> regions;
   std::size_t i = 0;
   while (i < words.size()) {
     const std::uint64_t n = words[i];
@@ -588,8 +588,7 @@ std::vector<std::vector<std::uint64_t>> colour_key_regions(
                                                                       << " words");
     const std::size_t end = i + 1 + 5 * static_cast<std::size_t>(n);
     TS_REQUIRE(end <= words.size(), "import_state: colour cache key truncated mid-region");
-    regions.emplace_back(words.begin() + static_cast<std::ptrdiff_t>(i + 1),
-                         words.begin() + static_cast<std::ptrdiff_t>(end));
+    regions.push_back(words.subspan(i + 1, end - i - 1));
     i = end;
   }
   TS_REQUIRE(!regions.empty(), "import_state: empty colour cache key");
@@ -630,21 +629,29 @@ SessionState ResolveSession::export_state() const {
   }
   out.stats = stats_;
   out.stats.wall_seconds = 0.0;  // observation, not state (see SessionState)
-  const auto dump = [](const FrontierCache& cache) {
-    std::vector<SessionState::CacheEntry> entries;
-    entries.reserve(cache.size());
-    for (const auto& [key, cached] : cache) {
-      entries.push_back({key.words, cached.frontier});
+  for (const bool colour_level : {true, false}) {
+    std::vector<SessionState::CacheEntry>& entries =
+        colour_level ? out.colour_cache : out.region_cache;
+    const std::vector<CacheEntryView> views = cache_entries(colour_level);
+    entries.reserve(views.size());
+    for (const CacheEntryView& e : views) {
+      entries.push_back({{e.key_words.begin(), e.key_words.end()}, *e.frontier});
     }
-    std::sort(entries.begin(), entries.end(),
-              [](const SessionState::CacheEntry& a, const SessionState::CacheEntry& b) {
-                return a.key_words < b.key_words;
-              });
-    return entries;
-  };
-  out.colour_cache = dump(colour_cache_);
-  out.region_cache = dump(region_cache_);
+  }
   return out;
+}
+
+std::vector<CacheEntryView> ResolveSession::cache_entries(bool colour_level) const {
+  const FrontierCache& cache = colour_level ? colour_cache_ : region_cache_;
+  std::vector<CacheEntryView> entries;
+  entries.reserve(cache.size());
+  for (const auto& [key, cached] : cache) entries.push_back({key.words, &cached.frontier});
+  // Keys are unique, so this is a strict total order: unordered_map
+  // iteration order never reaches a snapshot.
+  std::sort(entries.begin(), entries.end(), [](const CacheEntryView& a, const CacheEntryView& b) {
+    return std::ranges::lexicographical_compare(a.key_words, b.key_words);
+  });
+  return entries;
 }
 
 ResolveSession::ResolveSession(RestoreTag, SessionState state)
@@ -706,7 +713,8 @@ ResolveSession::ResolveSession(RestoreTag, SessionState state)
   }
   for (SessionState::CacheEntry& e : state.colour_cache) {
     const FrontierEntry& f = e.frontier;
-    std::vector<std::vector<std::uint64_t>> region_words = colour_key_regions(e.key_words);
+    const std::vector<std::span<const std::uint64_t>> region_words =
+        colour_key_regions(e.key_words);
     const std::size_t count = region_words.size();
     require_values(f);
     TS_REQUIRE(f.cut_offsets.empty() && f.cut_positions.empty(),
@@ -716,10 +724,8 @@ ResolveSession::ResolveSession(RestoreTag, SessionState state)
                "of its key's "
                    << count << " regions");
     for (std::size_t k = 0; k < count; ++k) {
-      ContentKey region_key;
-      region_key.words = std::move(region_words[k]);
-      region_key.hash = fnv1a_words(region_key.words);
-      const auto region = region_cache_.find(region_key);
+      const auto region =
+          region_cache_.find(ContentKeyView{region_words[k], fnv1a_words(region_words[k])});
       TS_REQUIRE(region != region_cache_.end(),
                  "import_state: colour cache entry's region " << k << " has no region entry");
       const std::size_t width = region->second.frontier.size();

@@ -69,6 +69,7 @@
 // answer, no ResolveStats counter and no cached_bytes().
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -266,6 +267,15 @@ struct SessionState {
   [[nodiscard]] bool has_session() const { return !plan_spec.empty(); }
 };
 
+/// One frontier-cache entry by reference: its content key words and its
+/// frontier, as the cache holds them. What ResolveSession::cache_entries()
+/// lists and what the snapshot encoder reads (storage/snapshot.hpp), so a
+/// live session is encoded without copying its caches.
+struct CacheEntryView {
+  std::span<const std::uint64_t> key_words;
+  const FrontierEntry* frontier = nullptr;
+};
+
 /// A live solved instance with reusable search state.
 ///
 ///   ResolveSession session(std::move(tree));            // initial solve
@@ -310,6 +320,11 @@ class ResolveSession {
   /// the export is deterministic for a given resolve history.
   [[nodiscard]] SessionState export_state() const;
 
+  /// The colour-level (or region-level) cache's entries by reference,
+  /// sorted by key words: the order export_state() emits them in. Valid
+  /// until the session next changes.
+  [[nodiscard]] std::vector<CacheEntryView> cache_entries(bool colour_level) const;
+
   /// Rebuilds a session from an exported state. The result is
   /// behaviorally byte-identical to the exported session: the same
   /// current() optimum (bit for bit), the same cached_bytes(), and the
@@ -352,14 +367,26 @@ class ResolveSession {
   struct ContentKey {
     std::vector<std::uint64_t> words;  ///< exact content encoding
     std::size_t hash = 0;
-    friend bool operator==(const ContentKey& a, const ContentKey& b) {
-      return a.words == b.words;
+  };
+  /// A key's words in place, for lookups that must not copy them (an
+  /// import finds a colour entry's regions by spans of its key).
+  struct ContentKeyView {
+    std::span<const std::uint64_t> words;
+    std::size_t hash = 0;
+  };
+  // Transparent, so the cache can be searched by either form.
+  struct ContentKeyHash {
+    using is_transparent = void;
+    std::size_t operator()(const auto& k) const { return k.hash; }
+  };
+  struct ContentKeyEqual {
+    using is_transparent = void;
+    bool operator()(const auto& a, const auto& b) const {
+      return std::ranges::equal(a.words, b.words);
     }
   };
-  struct ContentKeyHash {
-    std::size_t operator()(const ContentKey& k) const { return k.hash; }
-  };
-  using FrontierCache = std::unordered_map<ContentKey, CachedFrontier, ContentKeyHash>;
+  using FrontierCache =
+      std::unordered_map<ContentKey, CachedFrontier, ContentKeyHash, ContentKeyEqual>;
 
   /// What the last successful pareto-dp solve served each colour from: its
   /// colour entry (null for a colour without regions) and each region's

@@ -48,6 +48,19 @@ SessionState session_entry_state(const SessionEntry& entry) {
   return state;
 }
 
+std::string_view encode_entry_snapshot(const SessionEntry& entry, std::string& buffer,
+                                       std::string* fallback) {
+  SnapshotSource source;
+  if (entry.session != nullptr) {
+    source = snapshot_source(*entry.session);
+  } else {
+    source.tree = entry.tree.get();
+  }
+  source.tenant = entry.tenant;
+  source.instance = entry.instance;
+  return encode_snapshot(source, buffer, fallback);
+}
+
 SessionEntry session_entry_from_state(const SessionState& state) {
   return session_entry_from_state(SessionState(state));
 }
@@ -128,15 +141,18 @@ SessionEntry* SessionStore::find(const std::string& tenant, const std::string& i
   SessionEntry entry;
   bool warm = false;
   if (record.extent.length != 0) {  // a tombstone never had a slot
-    std::string bytes;
+    // The slot is read into the store's buffer, which keeps the capacity of
+    // the largest record so far: no fresh allocation per reload. Cleared
+    // first, so a failure before the read quarantines nothing.
+    buffer_.clear();
     try {
       if (faults_.fires(FaultPoint::kSpillRead)) {
         throw ResourceLimit("fault injection: spill read of '" + key + "' failed");
       }
-      bytes = segment_.read(record.extent);
-      if (faults_.fires(FaultPoint::kSpillTruncate)) bytes = fault_truncate(std::move(bytes));
-      if (faults_.fires(FaultPoint::kSpillHashFlip)) bytes = fault_flip_byte(std::move(bytes));
-      SessionState state = decode_snapshot(bytes);
+      segment_.read_into(record.extent, buffer_);
+      if (faults_.fires(FaultPoint::kSpillTruncate)) buffer_ = fault_truncate(std::move(buffer_));
+      if (faults_.fires(FaultPoint::kSpillHashFlip)) buffer_ = fault_flip_byte(std::move(buffer_));
+      SessionState state = decode_snapshot(buffer_);
       TS_REQUIRE(state.tenant == tenant && state.instance == instance,
                  "SessionStore: spilled snapshot of '" << key << "' belongs to '" << state.tenant
                                                        << '/' << state.instance << "'");
@@ -149,18 +165,13 @@ SessionEntry* SessionStore::find(const std::string& tenant, const std::string& i
       // back to the tree-only snapshot retained in the record.
       ++spill_faults_;
       count_spill_fault();
-      if (!bytes.empty()) {
-        quarantine(spill_dir_ + "/" + snapshot_file_name(tenant, instance) + ".bad", bytes);
+      if (!buffer_.empty()) {
+        quarantine(spill_dir_ + "/" + snapshot_file_name(tenant, instance) + ".bad", buffer_);
       }
     }
     release_slot(record.extent);
   }
-  if (!warm) {
-    // No fallback (records registered by checkpoint restore carry none):
-    // the reload failure surfaces as a plain miss and the client resubmits.
-    if (record.fallback.empty()) return nullptr;
-    entry = session_entry_from_state(decode_snapshot(record.fallback));
-  }
+  if (!warm) entry = session_entry_from_state(decode_snapshot(record.fallback));
   entry.stamp = ++clock_;
   bytes_used_ += entry.bytes;
   span.attr("warm", std::uint64_t{warm ? 1u : 0u});
@@ -240,7 +251,6 @@ void SessionStore::refresh_bytes(SessionEntry& entry) {
 }
 
 void SessionStore::spill_entry(const SessionEntry& entry) {
-  const SessionState state = session_entry_state(entry);
   obs::Span span(obs::trace(), "spill.write");
   span.attr("key", key_of(entry.tenant, entry.instance));
   if (faults_.fires(FaultPoint::kSpillDirVanish)) {
@@ -259,20 +269,17 @@ void SessionStore::spill_entry(const SessionEntry& entry) {
   record.tenant = entry.tenant;
   record.instance = entry.instance;
   record.stamp = entry.stamp;
-  SessionState tree_only;
-  tree_only.tree = state.tree;
-  tree_only.tenant = state.tenant;
-  tree_only.instance = state.instance;
-  record.fallback = encode_snapshot(tree_only);
+  // Encoded straight from the live session into the store's buffer, and
+  // framed there; the fallback is framed from the same payload's prefix.
+  // The bytes are deterministic for a given resolve history (caches sorted,
+  // no wall clock), so the spill-tier gauges replay byte-identically at any
+  // shard count. A tree-only entry's snapshot is its own fallback.
+  const std::string_view bytes = encode_entry_snapshot(entry, buffer_, &record.fallback);
   try {
     if (faults_.fires(FaultPoint::kSpillWrite)) {
       throw ResourceLimit("fault injection: spill write failed");
     }
-    // Charge the exact snapshot size. encode_snapshot is deterministic for
-    // a given resolve history (wall-clock zeroed, caches sorted), so the
-    // spill-tier gauges replay byte-identically at any shard count.
-    record.extent = segment_.write(state.has_session() ? encode_snapshot(state)
-                                                       : record.fallback);
+    record.extent = segment_.write(bytes);
   } catch (const std::exception&) {
     // A failed spill write must not fail the eviction that triggered it:
     // the warm state is lost (the next request re-solves cold from the
@@ -282,13 +289,13 @@ void SessionStore::spill_entry(const SessionEntry& entry) {
     count_spill_fault();
     record.extent = {};
   }
-  const std::uint64_t bytes = record.extent.length;
-  span.attr("bytes", bytes);
-  if (bytes != 0) {
+  const std::uint64_t charged = record.extent.length;
+  span.attr("bytes", charged);
+  if (charged != 0) {
     obs::observe("treesat_spill_snapshot_bytes", "Spilled snapshot sizes in bytes",
-                 obs::MetricClass::kDeterministic, static_cast<double>(bytes));
+                 obs::MetricClass::kDeterministic, static_cast<double>(charged));
   }
-  spill_bytes_ += bytes;
+  spill_bytes_ += charged;
   spill_records_[key_of(entry.tenant, entry.instance)] = std::move(record);
   ++spills_;
   obs::count("treesat_spills_total", "Sessions written to the spill tier");
@@ -430,17 +437,21 @@ SessionEntry& SessionStore::restore_entry(SessionEntry entry, std::uint64_t stam
 }
 
 void SessionStore::restore_spilled(const std::string& tenant, const std::string& instance,
-                                   std::uint64_t stamp, std::string_view bytes) {
+                                   std::uint64_t stamp, std::string_view bytes,
+                                   std::string fallback) {
   TS_REQUIRE(spill_enabled(),
              "SessionStore: cannot restore a spilled entry without a spill_dir");
   const std::string key = key_of(tenant, instance);
   TS_REQUIRE(!contains(tenant, instance),
              "SessionStore: restore of an already-present spilled entry " << key);
+  TS_REQUIRE(!fallback.empty(), "SessionStore: restored spilled entry " << key
+                                                                       << " has no fallback");
   SpillRecord record;
   record.tenant = tenant;
   record.instance = instance;
   record.extent = segment_.write(bytes);
   record.stamp = stamp;
+  record.fallback = std::move(fallback);
   spill_bytes_ += record.extent.length;
   spill_records_[key] = std::move(record);
 }

@@ -17,7 +17,9 @@
 // pwrite()s a free slot and a reload pread()s it back and frees it -- keeping
 // their LRU stamp, and a store miss checks that tier and reloads the session
 // on demand. Warm state survives memory pressure at the cost of one snapshot
-// round-trip, and no spill or reload creates, renames or unlinks a file. The
+// round-trip, and no spill or reload creates, renames or unlinks a file. A
+// spill encodes straight from the live session, and both directions go
+// through one byte buffer the store keeps, so neither allocates per call. The
 // segment is compacted when its dead bytes exceed its live bytes, and it is
 // unlinked when the store is destroyed; a moved-from store owns none. The
 // spill tier has its own byte budget; when it overflows, the coldest spilled
@@ -104,9 +106,11 @@ struct SpillRecord {
   /// Tree-only snapshot (storage/snapshot.hpp) of the owner and the tree
   /// at spill time -- the fault wall's cold-recovery fallback when the
   /// slot is lost or corrupt, and what a checkpoint writes for a
-  /// tombstone. Not charged to either byte gauge (it is bookkeeping, not
-  /// warm state). Empty for records registered by checkpoint restore,
-  /// whose fallback is a miss.
+  /// tombstone. Framed from the spilled payload's owner-and-node-table
+  /// prefix (a checkpoint restore derives it from the verified bytes the
+  /// same way), so every record has one and the tree is never encoded
+  /// twice. Not charged to either byte gauge (it is bookkeeping, not warm
+  /// state).
   std::string fallback;
 };
 
@@ -128,8 +132,19 @@ enum class EvictFate : std::uint8_t {
 
 /// The SessionState a snapshot of `entry` carries: the session's
 /// export_state() (or a tree-only state before the first solve) stamped
-/// with the entry's owner. Shared by the spill tier and checkpointing.
+/// with the entry's owner. The spill tier and checkpoints write the same
+/// bytes through encode_entry_snapshot(), without building the state.
 [[nodiscard]] SessionState session_entry_state(const SessionEntry& entry);
+
+/// The same snapshot's bytes, encoded straight from the live entry into
+/// `buffer` (storage/snapshot.hpp's encode_snapshot over snapshot_source):
+/// byte-identical to encode_snapshot(session_entry_state(entry)) without the
+/// state's copies. The view is valid until `buffer` next changes; `fallback`,
+/// when non-null, receives the entry's tree-only snapshot. The spill tier
+/// and checkpoints encode through here.
+[[nodiscard]] std::string_view encode_entry_snapshot(const SessionEntry& entry,
+                                                     std::string& buffer,
+                                                     std::string* fallback = nullptr);
 
 /// Inverse of session_entry_state(): rebuilds a SessionEntry (owner, tree
 /// or imported session, canonical plan key, byte estimate) from a decoded
@@ -235,9 +250,12 @@ class SessionStore {
   /// key must be vacant in both tiers.
   SessionEntry& restore_entry(SessionEntry entry, std::uint64_t stamp);
   /// Writes verified snapshot bytes into the segment and registers them as
-  /// a spill-tier entry. Throws ResourceLimit when the segment write fails.
+  /// a spill-tier entry whose fallback is `fallback` (the tree-only
+  /// snapshot decode_snapshot derives from the same bytes), so a restored
+  /// record that fails to reload falls back cold like a live one. Throws
+  /// ResourceLimit when the segment write fails.
   void restore_spilled(const std::string& tenant, const std::string& instance,
-                       std::uint64_t stamp, std::string_view bytes);
+                       std::uint64_t stamp, std::string_view bytes, std::string fallback);
   /// Resident entries in (tenant, instance) order -- the deterministic
   /// enumeration a checkpoint serializes.
   [[nodiscard]] std::vector<const SessionEntry*> resident_by_key() const;
@@ -277,6 +295,10 @@ class SessionStore {
   std::size_t spill_budget_;
   std::map<std::string, SpillRecord> spill_records_;
   SegmentFile segment_;
+  /// One byte buffer for every spill and reload: a spill encodes and frames
+  /// its snapshot here, a reload reads a slot back into it. It keeps the
+  /// capacity of the largest record seen, so neither allocates per call.
+  std::string buffer_;
   std::size_t bytes_used_ = 0;
   std::size_t spill_bytes_ = 0;
   std::uint64_t clock_ = 0;

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <iterator>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -134,11 +135,14 @@ void write_checkpoint(const std::string& dir, const SessionStore& store,
   payload += "service_counters " + std::to_string(telemetry.requests) + ' ' +
              std::to_string(telemetry.errors) + '\n';
 
+  // Resident sessions are encoded live, as the spill tier encodes them,
+  // through one buffer.
   const std::vector<const SessionEntry*> resident = store.resident_by_key();
   payload += "resident " + std::to_string(resident.size()) + '\n';
+  std::string buffer;
   for (const SessionEntry* entry : resident) {
-    write_snapshot_file(dir + "/sessions/" + snapshot_file_name(entry->tenant, entry->instance),
-                        session_entry_state(*entry));
+    write_file_atomic(dir + "/sessions/" + snapshot_file_name(entry->tenant, entry->instance),
+                      encode_entry_snapshot(*entry, buffer));
     append_entry_row(payload, entry->tenant, entry->instance, entry->stamp, entry->bytes);
   }
 
@@ -146,30 +150,17 @@ void write_checkpoint(const std::string& dir, const SessionStore& store,
   // spill tier may hold slotless tombstones (failed spill writes) or
   // records whose slot has since been lost (a vanished spill directory).
   // Both are checkpointed as the tree-only snapshot each record retains,
-  // verbatim -- the restart serves those instances cold -- and a record
-  // with neither slot nor fallback is dropped from the checkpoint rather
-  // than failing it. Manifest rows carry the bytes actually written.
-  struct SpilledDump {
-    const SpillRecord* record;
-    std::string bytes;
-  };
-  std::vector<SpilledDump> dumps;
-  for (const auto& [key, record] : store.spill_records()) {
+  // verbatim -- the restart serves those instances cold. Manifest rows
+  // carry the bytes actually written.
+  const std::map<std::string, SpillRecord>& records = store.spill_records();
+  payload += "spilled " + std::to_string(records.size()) + '\n';
+  if (!records.empty()) require_dir(dir + "/spilled");
+  for (const auto& [key, record] : records) {
     std::string bytes = store.spilled_bytes(record);
     if (bytes.empty()) bytes = record.fallback;
-    if (bytes.empty()) continue;
-    dumps.push_back({&record, std::move(bytes)});
-  }
-  payload += "spilled " + std::to_string(dumps.size()) + '\n';
-  if (!dumps.empty()) {
-    require_dir(dir + "/spilled");
-    for (const SpilledDump& dump : dumps) {
-      write_file_atomic(dir + "/spilled/" +
-                            snapshot_file_name(dump.record->tenant, dump.record->instance),
-                        dump.bytes);
-      append_entry_row(payload, dump.record->tenant, dump.record->instance,
-                       dump.record->stamp, dump.bytes.size());
-    }
+    write_file_atomic(dir + "/spilled/" + snapshot_file_name(record.tenant, record.instance),
+                      bytes);
+    append_entry_row(payload, record.tenant, record.instance, record.stamp, bytes.size());
   }
 
   payload += "tenants " + std::to_string(telemetry.tenants.size()) + '\n';
@@ -270,7 +261,8 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
       }
       const std::string file = snapshot_file_name(row.tenant, row.instance);
       const std::string bytes = read_file_bytes(dir + "/spilled/" + file);
-      const SessionState state = decode_snapshot(bytes);  // full integrity check
+      std::string fallback;
+      const SessionState state = decode_snapshot(bytes, fallback);  // full integrity check
       TS_REQUIRE(state.tenant == row.tenant && state.instance == row.instance,
                  "checkpoint: spilled file owner '" << state.tenant << '/' << state.instance
                                                     << "' does not match manifest row '"
@@ -281,7 +273,7 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
                                               << " bytes, manifest says " << row.bytes);
       // Into the new store's own segment: the live store's spilled
       // sessions stay untouched if this restore fails further on.
-      out.store.restore_spilled(row.tenant, row.instance, row.stamp, bytes);
+      out.store.restore_spilled(row.tenant, row.instance, row.stamp, bytes, std::move(fallback));
     } catch (const std::exception&) {
       ++out.restore_faults;
     }

@@ -145,12 +145,19 @@ bool SegmentFile::holds(const Extent& extent) const {
 }
 
 std::string SegmentFile::read(const Extent& extent) const {
+  std::string bytes;
+  read_into(extent, bytes);
+  return bytes;
+}
+
+void SegmentFile::read_into(const Extent& extent, std::string& out) const {
+  out.clear();
   if (!holds(extent)) throw ResourceLimit("storage: the segment no longer holds this record");
-  std::string bytes(extent.length, '\0');
-  if (!read_at(fd_, bytes, extent.offset)) {
+  out.resize(extent.length);
+  if (!read_at(fd_, out, extent.offset)) {
+    out.clear();
     throw ResourceLimit("storage: cannot read " + path_);
   }
-  return bytes;
 }
 
 void SegmentFile::release(const Extent& extent) {

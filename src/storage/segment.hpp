@@ -65,6 +65,10 @@ class SegmentFile {
   /// The extent's bytes, short when the file ends inside it. Throws
   /// ResourceLimit on an IO error or for a lost extent.
   [[nodiscard]] std::string read(const Extent& extent) const;
+  /// read() into `out`, replacing its contents but keeping its capacity, so
+  /// a caller that reads record after record allocates once. `out` is left
+  /// empty when this throws.
+  void read_into(const Extent& extent, std::string& out) const;
   /// True when the extent's bytes are in this segment's current file.
   [[nodiscard]] bool holds(const Extent& extent) const;
   /// Returns a held extent's slot to the free list; others are ignored.

@@ -6,11 +6,13 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
 #include "core/plan.hpp"
+#include "core/registry.hpp"
 #include "storage/wire.hpp"
 #include "tree/serialize.hpp"
 
@@ -127,11 +129,10 @@ std::shared_ptr<const CruTree> decode_tree(wire::ByteReader& in) {
 /// count, load[] and host[], then a colour entry's index width and
 /// region_index rows, or a region entry's cut_offsets (points + 1) and
 /// counted cut_positions.
-void encode_cache(std::string& out, const std::vector<SessionState::CacheEntry>& entries,
-                  bool colour_level) {
+void encode_cache(std::string& out, std::span<const CacheEntryView> entries, bool colour_level) {
   wire::put_count(out, entries.size());
-  for (const SessionState::CacheEntry& e : entries) {
-    const FrontierEntry& f = e.frontier;
+  for (const CacheEntryView& e : entries) {
+    const FrontierEntry& f = *e.frontier;
     TS_CHECK(f.host.size() == f.size(), "snapshot: cached frontier loads and hosts differ");
     wire::put_count(out, e.key_words.size());
     wire::put_block<std::uint64_t>(out, e.key_words);
@@ -176,37 +177,41 @@ std::vector<SessionState::CacheEntry> decode_cache(wire::ByteReader& in, bool co
 }
 
 /// Payload bytes of one cache section, so the encoder allocates once.
-std::size_t cache_bytes(const std::vector<SessionState::CacheEntry>& entries) {
+std::size_t cache_bytes(std::span<const CacheEntryView> entries) {
   std::size_t bytes = 4;
-  for (const SessionState::CacheEntry& e : entries) {
-    const FrontierEntry& f = e.frontier;
+  for (const CacheEntryView& e : entries) {
+    const FrontierEntry& f = *e.frontier;
     bytes += kMinEntry + 4 + e.key_words.size() * 8 + f.size() * 16 +
              (f.region_index.size() + f.cut_offsets.size() + f.cut_positions.size()) * 4;
   }
   return bytes;
 }
 
-std::string encode_payload(const SessionState& state) {
-  TS_CHECK(state.tree != nullptr, "snapshot: session state without a tree");
-  const CruTree& tree = *state.tree;
-  std::string out;
-  out.reserve(256 + tree.size() * (kMinNode + 16) + cache_bytes(state.colour_cache) +
-              cache_bytes(state.region_cache));
-  wire::put_string(out, state.tenant);
-  wire::put_string(out, state.instance);
+/// Appends `source`'s payload to `out` and returns the offset in `out` where
+/// its plan spec starts: everything before it from the payload's start is
+/// the owner-and-node-table prefix a tree-only snapshot shares.
+std::size_t encode_payload(std::string& out, const SnapshotSource& source) {
+  TS_CHECK(source.tree != nullptr, "snapshot: session state without a tree");
+  const CruTree& tree = *source.tree;
+  out.reserve(out.size() + 256 + tree.size() * (kMinNode + 16) +
+              cache_bytes(source.colour_cache) + cache_bytes(source.region_cache));
+  wire::put_string(out, source.tenant);
+  wire::put_string(out, source.instance);
   encode_tree(out, tree);
-  wire::put_string(out, state.plan_spec);
-  if (!state.has_session()) return out;
+  const std::size_t tree_end = out.size();
+  wire::put_string(out, source.plan_spec);
+  if (source.plan_spec.empty()) return tree_end;
 
-  wire::put_count(out, state.cut.size());
-  for (const CruId v : state.cut) wire::put(out, v.value());
-  wire::put_string(out, method_name(state.method));
-  wire::put_string(out, method_name(state.requested));
-  wire::put(out, std::uint8_t{state.exact});
-  wire::put(out, state.objective_value);
-  wire::put(out, std::uint8_t{state.has_dp_stats});
-  if (state.has_dp_stats) {
-    const ParetoDpStats& dp = state.dp_stats;
+  TS_CHECK(source.stats != nullptr, "snapshot: session source without stats");
+  wire::put_count(out, source.cut.size());
+  for (const CruId v : source.cut) wire::put(out, v.value());
+  wire::put_string(out, method_name(source.method));
+  wire::put_string(out, method_name(source.requested));
+  wire::put(out, std::uint8_t{source.exact});
+  wire::put(out, source.objective_value);
+  wire::put(out, std::uint8_t{source.dp_stats != nullptr});
+  if (source.dp_stats != nullptr) {
+    const ParetoDpStats& dp = *source.dp_stats;
     for (const std::size_t counter :
          {dp.max_region_frontier, dp.max_colour_frontier, dp.candidates_swept, dp.arena_bytes,
           dp.peak_frontier, dp.minkowski_merges, dp.merge_points_generated,
@@ -214,7 +219,7 @@ std::string encode_payload(const SessionState& state) {
       wire::put(out, std::uint64_t{counter});
     }
   }
-  const ResolveStats& st = state.stats;
+  const ResolveStats& st = *source.stats;
   wire::put_string(out, resolve_path_name(st.path));
   for (const std::size_t counter : {st.step, st.regions_total, st.regions_reused,
                                     st.regions_recomputed, st.colours_total, st.colours_reused,
@@ -223,17 +228,91 @@ std::string encode_payload(const SessionState& state) {
   }
   wire::put(out, std::uint8_t{st.incumbent_used});
   wire::put_string(out, st.cold_reason);
-  encode_cache(out, state.colour_cache, /*colour_level=*/true);
-  encode_cache(out, state.region_cache, /*colour_level=*/false);
+  encode_cache(out, source.colour_cache, /*colour_level=*/true);
+  encode_cache(out, source.region_cache, /*colour_level=*/false);
+  return tree_end;
+}
+
+/// Room a framing header needs ahead of a snapshot payload: the magic line,
+/// "bytes " and a u64's 20 digits, "hash " and 16 hex digits, three
+/// newlines.
+constexpr std::size_t kHeaderGap = kMagic.size() + 1 + kVersion.size() + 6 + 20 + 5 + 16 + 3;
+
+/// Appends frame_payload()'s header for `payload`.
+void append_header(std::string& out, std::string_view magic, std::string_view version,
+                   std::string_view payload) {
+  out += magic;
+  out += ' ';
+  out += version;
+  out += '\n';
+  out += "bytes ";
+  wire::append_u64(out, payload.size());
+  out += '\n';
+  out += "hash ";
+  wire::append_hex16(out, fnv1a_bytes(payload));
+  out += '\n';
+}
+
+/// Frames the snapshot payload `buffer` holds after its first kHeaderGap
+/// bytes: writes the header into the end of that gap and returns the framed
+/// bytes, a view into `buffer`. Nothing is copied but the header.
+std::string_view frame_in_place(std::string& buffer) {
+  const std::string_view payload = std::string_view(buffer).substr(kHeaderGap);
+  std::string header;
+  header.reserve(kHeaderGap);
+  append_header(header, kMagic, kVersion, payload);
+  TS_CHECK(header.size() <= kHeaderGap, "snapshot: header outgrew its gap");
+  const std::size_t start = kHeaderGap - header.size();
+  std::copy(header.begin(), header.end(), buffer.begin() + static_cast<std::ptrdiff_t>(start));
+  return std::string_view(buffer).substr(start);
+}
+
+/// The tree-only snapshot whose payload is `tree_prefix` (an owner and a
+/// node table) followed by an empty plan spec.
+std::string frame_tree_only(std::string_view tree_prefix) {
+  std::string out;
+  out.reserve(kHeaderGap + tree_prefix.size() + 4);
+  out.assign(kHeaderGap, '\0');
+  out += tree_prefix;
+  wire::put_string(out, {});
+  const std::size_t start = static_cast<std::size_t>(frame_in_place(out).data() - out.data());
+  out.erase(0, start);
   return out;
 }
 
-SessionState decode_payload(std::string_view payload) {
+SnapshotSource source_of(const SessionState& state) {
+  SnapshotSource source;
+  source.tenant = state.tenant;
+  source.instance = state.instance;
+  source.tree = state.tree.get();
+  source.plan_spec = state.plan_spec;
+  source.cut = state.cut;
+  source.objective_value = state.objective_value;
+  source.exact = state.exact;
+  source.method = state.method;
+  source.requested = state.requested;
+  source.dp_stats = state.has_dp_stats ? &state.dp_stats : nullptr;
+  source.stats = &state.stats;
+  for (const bool colour_level : {true, false}) {
+    const std::vector<SessionState::CacheEntry>& entries =
+        colour_level ? state.colour_cache : state.region_cache;
+    std::vector<CacheEntryView>& views = colour_level ? source.colour_cache : source.region_cache;
+    views.reserve(entries.size());
+    for (const SessionState::CacheEntry& e : entries) views.push_back({e.key_words, &e.frontier});
+  }
+  return source;
+}
+
+/// Decodes a verified payload. When `tree_end` is non-null it receives the
+/// payload offset where the plan spec starts: the prefix rule
+/// encode_payload() reports its fallback by.
+SessionState decode_payload(std::string_view payload, std::size_t* tree_end = nullptr) {
   wire::ByteReader in(payload);
   SessionState state;
   state.tenant = in.string("tenant");
   state.instance = in.string("instance");
   state.tree = decode_tree(in);
+  if (tree_end != nullptr) *tree_end = payload.size() - in.remaining();
   // Parsed once, by import_state, which rejects an unknown plan.
   state.plan_spec = in.string("plan spec");
   if (!state.has_session()) {
@@ -328,16 +407,7 @@ std::string frame_payload(std::string_view magic, std::string_view version,
                           std::string_view payload) {
   std::string out;
   out.reserve(payload.size() + 64);
-  out += magic;
-  out += ' ';
-  out += version;
-  out += '\n';
-  out += "bytes ";
-  wire::append_u64(out, payload.size());
-  out += '\n';
-  out += "hash ";
-  wire::append_hex16(out, fnv1a_bytes(payload));
-  out += '\n';
+  append_header(out, magic, version, payload);
   out += payload;
   return out;
 }
@@ -428,12 +498,51 @@ void write_file_atomic(const std::string& path, std::string_view bytes) {
   }
 }
 
+SnapshotSource snapshot_source(const ResolveSession& session) {
+  const SolveReport& report = session.current();
+  SnapshotSource source;
+  source.tree = &session.tree();
+  source.plan_spec = plan_spec(session.plan());
+  source.cut = report.assignment.cut_nodes();
+  source.objective_value = report.objective_value;
+  source.exact = report.exact;
+  source.method = report.method;
+  source.requested = report.requested;
+  source.dp_stats = report.stats_as<ParetoDpStats>();
+  source.stats = &session.last_stats();
+  source.colour_cache = session.cache_entries(/*colour_level=*/true);
+  source.region_cache = session.cache_entries(/*colour_level=*/false);
+  return source;
+}
+
+std::string_view encode_snapshot(const SnapshotSource& source, std::string& buffer,
+                                 std::string* fallback) {
+  buffer.assign(kHeaderGap, '\0');
+  const std::size_t tree_end = encode_payload(buffer, source);
+  if (fallback != nullptr) {
+    *fallback = frame_tree_only(std::string_view(buffer).substr(kHeaderGap, tree_end - kHeaderGap));
+  }
+  return frame_in_place(buffer);
+}
+
 std::string encode_snapshot(const SessionState& state) {
-  return frame_payload(kMagic, kVersion, encode_payload(state));
+  std::string buffer;
+  const std::size_t start =
+      static_cast<std::size_t>(encode_snapshot(source_of(state), buffer).data() - buffer.data());
+  buffer.erase(0, start);
+  return buffer;
 }
 
 SessionState decode_snapshot(std::string_view bytes) {
   return decode_payload(unframe_payload(kMagic, kVersion, bytes, "snapshot"));
+}
+
+SessionState decode_snapshot(std::string_view bytes, std::string& fallback) {
+  const std::string_view payload = unframe_payload(kMagic, kVersion, bytes, "snapshot");
+  std::size_t tree_end = 0;
+  SessionState state = decode_payload(payload, &tree_end);
+  fallback = frame_tree_only(payload.substr(0, tree_end));
+  return state;
 }
 
 void write_snapshot_file(const std::string& path, const SessionState& state) {

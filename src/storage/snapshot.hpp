@@ -44,13 +44,28 @@
 // stamps nor the session's attempt clock are persisted: a restored session
 // marks every entry as older than its next attempt.
 //
+// One encoder writes every snapshot. It reads a SnapshotSource: views of
+// the owner, the tree, the report's fields, the stats and both caches'
+// entries. A SessionState fills one (encode_snapshot(const SessionState&),
+// what perfbench's codec probe and the tests call), and so does a live
+// session (snapshot_source()), which is how the spill tier and checkpoints
+// encode: the caches are read where the session keeps them, never copied
+// into a state first. The live path writes the payload into a caller's
+// reused buffer after a gap and frames it in place, and it frames the
+// tree-only fallback from the same payload's owner-and-node-table prefix
+// plus an empty plan spec instead of encoding the tree again; a decode can
+// derive that fallback from verified bytes by the same rule.
+//
 // Every value is written once as raw bytes and read back once with memcpy,
 // so a decoded snapshot rebuilds the session bit for bit, and the node
-// table builds the tree once, through CruTreeBuilder. Because
-// export_state() zeroes wall-clock fields and emits cache entries in sorted
-// key order, snapshot bytes are a pure function of the resolve history:
-// snapshotting the same session twice yields identical files, and the
-// serving tier can treat snapshot sizes as deterministic gauges.
+// table builds the tree once, through CruTreeBuilder. The sorted entry order
+// comes from ResolveSession::cache_entries(), which sorts the caches'
+// entries by key words for both export_state() and snapshot_source(); with
+// no wall-clock field written, snapshot bytes are a pure function of the
+// resolve history: snapshotting the same session twice, through either
+// source, yields identical bytes, and the serving tier can treat snapshot
+// sizes as deterministic gauges. A SessionState's entries are encoded in the
+// order it holds them.
 //
 // The parser is strict and loud: an empty file, foreign magic, unsupported
 // version (v1 and v2 files are rejected by their version line), malformed
@@ -71,8 +86,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/incremental.hpp"
 
@@ -117,11 +134,53 @@ namespace treesat {
 /// checkpoint writer's files); throws ResourceLimit on any IO failure.
 void write_file_atomic(const std::string& path, std::string_view bytes);
 
+/// What one snapshot carries, by reference: the one source the encoder
+/// reads. A SessionState fills it (encode_snapshot(const SessionState&)),
+/// and so does a live session (snapshot_source()), whose caches are then
+/// encoded where they lie instead of being copied into a state first.
+/// Every view must outlive the encode.
+struct SnapshotSource {
+  std::string_view tenant;
+  std::string_view instance;
+  const CruTree* tree = nullptr;
+  std::string plan_spec;  ///< empty: a tree-only snapshot, which ends after it
+  std::span<const CruId> cut;
+  double objective_value = 0.0;
+  bool exact = false;
+  SolveMethod method = SolveMethod::kParetoDp;
+  SolveMethod requested = SolveMethod::kParetoDp;
+  const ParetoDpStats* dp_stats = nullptr;  ///< null when the report has none
+  const ResolveStats* stats = nullptr;      ///< required unless tree-only
+  std::vector<CacheEntryView> colour_cache;  ///< encoded in this order
+  std::vector<CacheEntryView> region_cache;
+};
+
+/// A live session as a snapshot source: the fields export_state() copies,
+/// by reference, and its caches in export_state()'s sorted key order
+/// (ResolveSession::cache_entries). The owner is left for the caller.
+[[nodiscard]] SnapshotSource snapshot_source(const ResolveSession& session);
+
+/// Encodes `source` into `buffer` -- replacing its contents, keeping its
+/// capacity -- and returns the snapshot's bytes, a view into `buffer` valid
+/// until it next changes. The payload is written after a gap the header is
+/// then framed into, so nothing is copied. When `fallback` is non-null it
+/// receives the tree-only snapshot of the same owner and tree, framed from
+/// the payload's owner-and-node-table prefix plus an empty plan spec: the
+/// tree is not encoded twice.
+[[nodiscard]] std::string_view encode_snapshot(const SnapshotSource& source,
+                                               std::string& buffer,
+                                               std::string* fallback = nullptr);
+
 /// Full snapshot bytes (header + payload) for a session state.
 [[nodiscard]] std::string encode_snapshot(const SessionState& state);
 
 /// Strict inverse of encode_snapshot() over a whole file's bytes.
 [[nodiscard]] SessionState decode_snapshot(std::string_view bytes);
+
+/// decode_snapshot() that also derives, from the verified bytes, the
+/// tree-only snapshot of the same owner and tree by the prefix rule
+/// encode_snapshot() frames its fallback with.
+[[nodiscard]] SessionState decode_snapshot(std::string_view bytes, std::string& fallback);
 
 /// encode_snapshot() to `<path>.tmp`, then atomically renames onto `path`.
 /// Throws ResourceLimit when the directory is missing or unwritable.

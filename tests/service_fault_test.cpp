@@ -499,6 +499,44 @@ TEST(ServiceFaults, FailedRestoreLeavesTheLiveSpilledSessionsAlone) {
   EXPECT_CONTAINS(service.handle_line("{\"op\":\"stats\"}"), "\"spill_faults\":0");
 }
 
+TEST(ServiceFaults, RestoredSpilledSessionFallsBackColdLikeALiveOne) {
+  // A spilled record restored from a checkpoint keeps a tree-only fallback
+  // derived from its verified bytes, so one bad byte in the new segment
+  // costs a cold re-solve, as it does for a record spilled live, instead
+  // of losing the instance.
+  const std::string spill = temp_subdir("restored_fallback_spill");
+  const std::string ckpt = temp_subdir("restored_fallback_ckpt");
+  {
+    SolverService service(parse_service_config("spill_dir=" + spill));
+    ASSERT_TRUE(contains(
+        service.handle_line(submit_line("t0", "w0", paper_running_example())), "\"ok\":true"));
+    ASSERT_EQ(objective_of(service.handle_line(solve_line("t0", "w0"))), "\"objective\":53");
+    ASSERT_TRUE(
+        contains(service.handle_line(evict_line("t0", "w0")), "\"fate\":\"spilled\""));
+    service.checkpoint_to(ckpt);
+  }
+
+  SolverService restarted(parse_service_config("spill_dir=" + spill));
+  ASSERT_TRUE(contains(
+      restarted.handle_line("{\"op\":\"restore\",\"dir\":\"" + json_escape(ckpt) + "\"}"),
+      "\"ok\":true"));
+  const SpilledSlot slot = spilled_slot(restarted, "t0/w0");
+  ASSERT_GT(slot.length, 0u);
+  std::string damaged = read_slot(slot);
+  ASSERT_EQ(damaged.size(), slot.length);
+  damaged[damaged.size() / 2] = static_cast<char>(damaged[damaged.size() / 2] ^ 0x5A);
+  write_slot(slot, damaged);
+
+  const std::string reloaded = restarted.handle_line(solve_line("t0", "w0"));
+  EXPECT_CONTAINS(reloaded, "\"ok\":true");
+  EXPECT_CONTAINS(reloaded, "\"path\":\"initial\"");
+  EXPECT_EQ(objective_of(reloaded), "\"objective\":53");
+  EXPECT_EQ(read_file_bytes(spill + "/" + snapshot_file_name("t0", "w0") + ".bad"), damaged);
+  const std::string stats = restarted.handle_line("{\"op\":\"stats\"}");
+  EXPECT_CONTAINS(stats, "\"spill_faults\":1");
+  EXPECT_CONTAINS(stats, "\"errors\":0");
+}
+
 TEST(ServiceFaults, DamagedManifestIsStillFatalToTheRestoreRequest) {
   const std::string ckpt = temp_subdir("bad_manifest");
   const CruTree tree = paper_running_example();

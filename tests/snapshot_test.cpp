@@ -5,7 +5,9 @@
 //     session whose optimum, cache bytes and every *future* resolve are
 //     byte-identical to the never-snapshotted original;
 //   * determinism -- snapshotting the same session twice yields identical
-//     bytes (the property the spill tier's deterministic gauges rest on);
+//     bytes (the property the spill tier's deterministic gauges rest on),
+//     and the live encoder the spill tier and checkpoints use writes
+//     exactly the SessionState encoder's bytes and fallback;
 //   * the corruption wall -- truncation at every header byte, flipped
 //     content hash, foreign magic, unsupported version, trailing garbage
 //     and hash-valid-but-structurally-broken payloads (counts past the
@@ -25,6 +27,7 @@
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "core/incremental.hpp"
 #include "io/json.hpp"
 #include "service/service.hpp"
@@ -32,6 +35,8 @@
 #include "storage/snapshot.hpp"
 #include "tree/serialize.hpp"
 #include "snapshot_layout.hpp"
+#include "workload/drift.hpp"
+#include "workload/generator.hpp"
 #include "workload/scenarios.hpp"
 
 namespace treesat {
@@ -185,6 +190,118 @@ TEST(SnapshotRoundTrip, TreeOnlyStateRoundTrips) {
   EXPECT_EQ(back.instance, state.instance);
   EXPECT_TRUE(back.cut.empty());
   EXPECT_TRUE(back.colour_cache.empty() && back.region_cache.empty());
+}
+
+/// The live encoder -- snapshot_source() over the session, encoded into a
+/// reused buffer -- must write exactly encode_snapshot(export_state())'s
+/// bytes, and frame the tree-only state's snapshot as its fallback.
+void expect_live_encoding_identical(const ResolveSession& session, std::string& buffer,
+                                    const std::string& ctx) {
+  SessionState state = session.export_state();
+  state.tenant = "tenant a";
+  state.instance = "w/0";
+  SessionState tree_only;
+  tree_only.tree = state.tree;
+  tree_only.tenant = state.tenant;
+  tree_only.instance = state.instance;
+  SnapshotSource source = snapshot_source(session);
+  source.tenant = state.tenant;
+  source.instance = state.instance;
+  std::string fallback;
+  EXPECT_EQ(encode_snapshot(source, buffer, &fallback), encode_snapshot(state)) << ctx;
+  EXPECT_EQ(fallback, encode_snapshot(tree_only)) << ctx;
+}
+
+TEST(SnapshotRoundTrip, LiveEncoderIsByteIdenticalToTheStateEncoder) {
+  std::string buffer;  // one buffer throughout, as a store keeps it
+  std::size_t encodes = 0;
+  const auto run = [&](const std::string& name, const CruTree& base,
+                       const std::vector<Perturbation>& stream) {
+    ResolveSession session{CruTree(base)};
+    expect_live_encoding_identical(session, buffer, name + " initial");
+    for (std::size_t step = 0; step < stream.size(); ++step) {
+      try {
+        static_cast<void>(session.resolve(stream[step]));
+      } catch (const std::exception&) {
+        // A rejected step rolls back; the session must still encode alike.
+      }
+      expect_live_encoding_identical(session, buffer, name + " step " + std::to_string(step));
+      ++encodes;
+    }
+  };
+  DriftOptions options;
+  options.steps = 12;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const DriftStream& ds : standard_drift_streams(seed, options)) {
+      run(ds.name + " seed " + std::to_string(seed), ds.base, ds.stream);
+    }
+  }
+  Rng rng(0x11FE);
+  StarGenOptions star;
+  star.arms = 64;
+  ChainGenOptions chain;
+  chain.compute_nodes = 60;
+  chain.satellites = 3;
+  chain.sensor_every = 6;
+  SkewGenOptions skewed;
+  skewed.compute_nodes = 48;
+  TreeGenOptions clustered;
+  clustered.compute_nodes = 40;
+  clustered.satellites = 4;
+  clustered.max_children = 2;
+  clustered.policy = SensorPolicy::kClustered;
+  const std::pair<std::string, CruTree> trees[] = {{"star-64", star_tree(rng, star)},
+                                                   {"chain-60", chain_tree(rng, chain)},
+                                                   {"skewed-48", skewed_tree(rng, skewed)},
+                                                   {"clustered-40", random_tree(rng, clustered)}};
+  for (const auto& [name, tree] : trees) run(name, tree, drift_stream(rng, tree, options));
+  EXPECT_GT(encodes, 100u);
+
+  // A resolve rolled back past a max_frontier cap keeps its insertions
+  // cached beyond what the last successful solve counted.
+  const CruTree base = paper_running_example();
+  ParetoDpOptions capped;
+  capped.max_frontier = pareto_dp_solve(Colouring(base)).stats.max_colour_frontier;
+  ResolveSession rolled_back(base, SolvePlan::pareto_dp(capped));
+  SubtreeInsert burst;
+  burst.parent = base.by_name("CRU11");
+  for (std::size_t k = 0; k < 3; ++k) {
+    const double kd = static_cast<double>(k);
+    burst.nodes.push_back({SubtreeInsert::kAttach, CruKind::kCompute, "p" + std::to_string(k),
+                           1.0 + kd, 2.0 + kd, 0.5 + kd, SatelliteId{}});
+    burst.nodes.push_back(
+        {2 * k, CruKind::kSensor, "s" + std::to_string(k), 0.0, 0.0, 0.7 + kd, SatelliteId{2u}});
+  }
+  EXPECT_THROW(static_cast<void>(rolled_back.resolve(Perturbation::insert_subtree(burst))),
+               ResourceLimit);
+  EXPECT_GT(rolled_back.cache_entries(true).size() + rolled_back.cache_entries(false).size(),
+            rolled_back.last_stats().cache_entries);
+  expect_live_encoding_identical(rolled_back, buffer, "max_frontier rollback");
+
+  // A coloured-ssb session: no caches and no dp_stats.
+  ResolveSession ssb(paper_running_example(), SolvePlan::coloured_ssb());
+  static_cast<void>(ssb.resolve(Perturbation::global_drift(1.1, 0.9, 1.0)));
+  const SessionState ssb_state = ssb.export_state();
+  EXPECT_TRUE(ssb_state.colour_cache.empty() && ssb_state.region_cache.empty());
+  EXPECT_FALSE(ssb_state.has_dp_stats);
+  expect_live_encoding_identical(ssb, buffer, "coloured-ssb");
+
+  // Store entries: a solved one, and a tree-only one whose snapshot is its
+  // own fallback.
+  SessionEntry solved;
+  solved.tenant = "tenant a";
+  solved.instance = "w/0";
+  solved.session = std::make_unique<ResolveSession>(paper_running_example());
+  std::string fallback;
+  EXPECT_EQ(encode_entry_snapshot(solved, buffer, &fallback),
+            encode_snapshot(session_entry_state(solved)));
+  SessionEntry submitted;
+  submitted.tenant = "tenant a";
+  submitted.instance = "w/1";
+  submitted.tree = std::make_shared<const CruTree>(paper_running_example());
+  const std::string tree_only = encode_snapshot(session_entry_state(submitted));
+  EXPECT_EQ(encode_entry_snapshot(submitted, buffer, &fallback), tree_only);
+  EXPECT_EQ(fallback, tree_only);
 }
 
 TEST(SnapshotRoundTrip, TheTreeIsSharedNotCopied) {

@@ -1,7 +1,8 @@
 // The spill tier's segment file (storage/segment.hpp) and the store that
 // spills into it (service/session_store.hpp): slot reuse and coalescing,
-// compaction, one file per store, and a seeded spill/reload/drop/resubmit
-// property run over the whole store.
+// compaction, one file per store, the one buffer every spill and reload
+// goes through, and a seeded spill/reload/drop/resubmit property run over
+// the whole store.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,9 +17,12 @@
 #include "common/rng.hpp"
 #include "core/registry.hpp"
 #include "service/session_store.hpp"
+#include "storage/faults.hpp"
 #include "storage/segment.hpp"
 #include "storage/snapshot.hpp"
+#include "tree/serialize.hpp"
 #include "workload/generator.hpp"
+#include "workload/scenarios.hpp"
 
 namespace treesat {
 namespace {
@@ -186,6 +190,76 @@ TEST(SpillSegmentStore, TwoStoresOnOneDirectoryKeepTheirOwnBytes) {
   ASSERT_NE(entry, nullptr);
   EXPECT_TRUE(reloaded);
   EXPECT_EQ(encode_snapshot(session_entry_state(*entry)), expected);
+}
+
+TEST(SpillSegmentStore, OneBufferCarriesRecordsOfEverySize) {
+  // Every spill and reload of a store goes through one byte buffer. A
+  // large record and a small one, in turn, must each reload warm with
+  // exactly their own bytes, and a fault's quarantine copy must hold
+  // exactly the damaged read, whatever a larger record left in the buffer.
+  const std::string dir = temp_subdir("one_buffer");
+  Rng rng(0xB0F);
+  StarGenOptions star;
+  star.arms = 64;  // spill_churn's 128-node draw
+  const Scenario epilepsy = epilepsy_scenario();
+  SessionStore store(1, 0, dir);
+  std::map<std::string, std::string> spilled_as;  // instance -> snapshot bytes
+  const auto put = [&](const std::string& instance, const CruTree& tree) {
+    SessionEntry& entry = store.put("t", instance, CruTree(tree));
+    entry.session = std::make_unique<ResolveSession>(CruTree(tree), parse_plan("pareto-dp"));
+    static_cast<void>(entry.session->resolve(Perturbation::global_drift(1.1, 0.95, 1.0)));
+    entry.tree.reset();
+    store.refresh_bytes(entry);
+    spilled_as[instance] = encode_snapshot(session_entry_state(entry));
+  };
+  put("star", star_tree(rng, star));
+  put("epilepsy", epilepsy.workload.lower(epilepsy.platform));
+  ASSERT_GT(spilled_as["star"].size(), 4 * spilled_as["epilepsy"].size());
+
+  const auto spill = [&](const std::string& instance) {
+    ASSERT_EQ(store.evict("t", instance, /*drop=*/false), EvictFate::kSpilled) << instance;
+    EXPECT_EQ(store.spill_records().at("t/" + instance).extent.length,
+              spilled_as[instance].size())
+        << instance;
+  };
+  const auto reload_warm = [&](const std::string& instance) {
+    bool reloaded = false;
+    const SessionEntry* entry = store.find("t", instance, &reloaded);
+    ASSERT_NE(entry, nullptr) << instance;
+    EXPECT_TRUE(reloaded) << instance;
+    ASSERT_NE(entry->session, nullptr) << instance;
+    EXPECT_EQ(encode_snapshot(session_entry_state(*entry)), spilled_as[instance]) << instance;
+  };
+  for (int round = 0; round < 3; ++round) {
+    spill("star");
+    reload_warm("star");
+    spill("epilepsy");
+    reload_warm("epilepsy");
+    spill("epilepsy");
+    spill("star");
+    reload_warm("epilepsy");
+    reload_warm("star");
+  }
+  EXPECT_EQ(store.spill_faults(), 0u);
+
+  // The large record is the buffer's last content when the small one's
+  // reload comes back truncated.
+  spill("epilepsy");
+  spill("star");
+  store.set_fault_plan(parse_fault_plan("seed:5;truncate:1"));
+  bool reloaded = true;
+  const SessionEntry* cold = store.find("t", "epilepsy", &reloaded);
+  ASSERT_NE(cold, nullptr);
+  EXPECT_FALSE(reloaded);
+  EXPECT_EQ(cold->session, nullptr);  // rebuilt from the tree-only fallback
+  ASSERT_NE(cold->tree, nullptr);
+  EXPECT_EQ(to_text(*cold->tree), to_text(*decode_snapshot(spilled_as["epilepsy"]).tree));
+  EXPECT_EQ(store.spill_faults(), 1u);
+  EXPECT_EQ(read_file_bytes(dir + "/" + snapshot_file_name("t", "epilepsy") + ".bad"),
+            fault_truncate(spilled_as["epilepsy"]));
+  store.set_fault_plan(FaultPlan{});
+  reload_warm("star");
+  EXPECT_EQ(store.spill_faults(), 1u);
 }
 
 /// The property run: seeded spill/reload/drop/resubmit steps over sessions

@@ -5,7 +5,9 @@
 # the responses are byte-compared -- regen via TREESAT_UPDATE_GOLDEN=1 --
 # then the trace is split and replayed across a checkpointed restart, which
 # must resume byte-identically, once as configured and once under a 10k
-# budget that spills through the store's segment file; an overload smoke
+# budget that spills through the store's segment file, where the restored
+# process's scrape of the service families must also equal the single
+# process's; an overload smoke
 # then replays a committed adversarial stress trace with recorded degrade
 # stamps -- golden- and shard-identical -- plus a 1us-deadline leg that
 # must degrade instead of erroring). An observability smoke rides in the
@@ -141,12 +143,14 @@ else
   SPILL_CONFIG="shards=2,mem_budget=10k,spill_dir=$BUILD_DIR/spill-smoke"
   SPILL_CKPT_DIR="$BUILD_DIR/ckpt-spill-smoke"
   rm -rf "$BUILD_DIR/spill-smoke" "$SPILL_CKPT_DIR"
-  "$BUILD_DIR/treesat_serve" --config "$SPILL_CONFIG" "$SERVICE_TRACE" \
+  "$BUILD_DIR/treesat_serve" --config "$SPILL_CONFIG" \
+    --metrics-out "$BUILD_DIR/service_metrics_spill.prom" "$SERVICE_TRACE" \
     > "$BUILD_DIR/service_responses_spill.jsonl"
   "$BUILD_DIR/treesat_serve" --config "$SPILL_CONFIG" \
     --checkpoint-dir "$SPILL_CKPT_DIR" "$BUILD_DIR/service_trace_head.jsonl" \
     > "$BUILD_DIR/service_responses_spill_head.jsonl"
   "$BUILD_DIR/treesat_serve" --config "$SPILL_CONFIG" \
+    --metrics-out "$BUILD_DIR/service_metrics_spill_tail.prom" \
     --restore "$SPILL_CKPT_DIR" "$BUILD_DIR/service_trace_tail.jsonl" \
     > "$BUILD_DIR/service_responses_spill_tail.jsonl"
   cat "$BUILD_DIR/service_responses_spill_head.jsonl" \
@@ -154,13 +158,25 @@ else
     > "$BUILD_DIR/service_responses_spill_restart.jsonl"
   cmp "$BUILD_DIR/service_responses_spill.jsonl" \
     "$BUILD_DIR/service_responses_spill_restart.jsonl"
+  # The scrape's 15 service families are written from the counters a
+  # checkpoint carries, so the restored tail's scrape must equal the single
+  # process's. treesat_dp_*, treesat_checkpoint_* and the histograms count
+  # each process's own events and stay out of the diff. grep fails the stage
+  # if a scrape carries none of the families.
+  SERVICE_FAMILIES='^treesat_(requests|request_errors|initial_solves|warm_hits|cold_solves|degraded|rejected|spills|spill_reloads|spill_faults|restore_faults)_total |^treesat_store_(bytes_used|entries|sessions|spill_bytes) '
+  grep -E "$SERVICE_FAMILIES" "$BUILD_DIR/service_metrics_spill.prom" \
+    > "$BUILD_DIR/service_families_spill.prom"
+  grep -E "$SERVICE_FAMILIES" "$BUILD_DIR/service_metrics_spill_tail.prom" \
+    > "$BUILD_DIR/service_families_spill_restart.prom"
+  diff -u "$BUILD_DIR/service_families_spill.prom" \
+    "$BUILD_DIR/service_families_spill_restart.prom"
   SPILLS="$(grep '"op":"stats"' "$BUILD_DIR/service_responses_spill.jsonl" | \
     grep -o '"spills":[0-9]*' | head -n 1 | cut -d: -f2)"
   if [ -z "$SPILLS" ] || [ "$SPILLS" -eq 0 ]; then
     echo "checkpoint-restore smoke stage FAILED: the spill leg never spilled" >&2
     exit 1
   fi
-  echo "checkpoint-restore smoke stage passed (restart is byte-identical, with and without $SPILLS spills)"
+  echo "checkpoint-restore smoke stage passed (restart is byte-identical, with and without $SPILLS spills; service metrics carry across it)"
 
   # Overload smoke: replay the committed adversarial stress trace (closed-
   # loop burst traffic with recorded "degrade":true stamps) through the

@@ -82,6 +82,15 @@ Counter& MetricsRegistry::counter(std::string_view name, std::string_view help,
   return *it->second.counter;
 }
 
+void MetricsRegistry::set_counter(std::string_view name, std::string_view help,
+                                  MetricClass cls, std::uint64_t value) {
+  if (value == 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (families_.find(name) == families_.end()) return;
+  }
+  counter(name, help, cls).set(value);
+}
+
 Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help, MetricClass cls) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = families_.find(name);

@@ -17,17 +17,18 @@
 // deterministic. A kWallClock histogram (e.g. request seconds) has both
 // nondeterministic counts and sums and sits entirely behind the marker.
 //
-// Handles returned by the registry are stable for the registry's lifetime
-// and record with single relaxed atomics -- instrumented hot paths never
-// take the registry lock after first touch. Call sites cache the handle:
+// A family is counted where its events happen (the solver's merges, batch
+// runs, checkpoints, every histogram) unless another object already keeps
+// the total. Then the owner writes it at scrape time (set_counter, a gauge),
+// as SolverService::telemetry() does from the counters `stats` reports:
 //
-//   static thread_local ... // not needed; the handle itself is shared
 //   if (MetricsRegistry* m = obs::metrics()) {
 //     m->counter("treesat_dp_solves_total", "...", MetricClass::kDeterministic).add(1);
 //   }
 //
-// (counter() is a find-or-create under a mutex; hot paths that fire per
-// request keep a local `Counter&` instead of re-looking-up per event.)
+// Handles returned by the registry are stable for the registry's lifetime
+// and record with single relaxed atomics. counter() is a find-or-create
+// under a mutex, so a loop that records per event keeps the `Counter&`.
 #pragma once
 
 #include <atomic>
@@ -50,6 +51,8 @@ enum class MetricClass {
 class Counter {
  public:
   void add(std::uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
+  /// Overwrites the total (MetricsRegistry::set_counter).
+  void set(std::uint64_t n) { value_.store(n, std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -101,6 +104,11 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   Counter& counter(std::string_view name, std::string_view help, MetricClass cls);
+  /// Writes a total its owner keeps. The family is created only for a
+  /// non-zero value, as a first event would create it; after that every
+  /// value is written, 0 included (a restore can move the total back).
+  void set_counter(std::string_view name, std::string_view help, MetricClass cls,
+                   std::uint64_t value);
   Gauge& gauge(std::string_view name, std::string_view help, MetricClass cls);
   /// Defaults: 24 log2 buckets from 1.0 (counts/bytes). Latency families
   /// pass first_bound=1e-6 (1us .. ~8s). The first creation of a name

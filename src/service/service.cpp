@@ -70,22 +70,11 @@ std::size_t config_bytes(std::string_view key, std::string_view value) {
 DegradeMode config_degrade_mode(std::string_view value) {
   if (value == "off") return DegradeMode::kOff;
   if (value == "greedy") return DegradeMode::kGreedy;
-  if (value == "local-search" || value == "local_search") return DegradeMode::kLocalSearch;
-  throw InvalidArgument("parse_service_config: key 'degrade' must be off, greedy or "
-                        "local-search, got '" +
+  throw InvalidArgument("parse_service_config: key 'degrade' must be off or greedy, got '" +
                         std::string(value) + "'");
 }
 
 }  // namespace
-
-const char* degrade_mode_name(DegradeMode mode) {
-  switch (mode) {
-    case DegradeMode::kOff: return "off";
-    case DegradeMode::kGreedy: return "greedy";
-    case DegradeMode::kLocalSearch: return "local-search";
-  }
-  throw LogicError("degrade_mode_name: bad mode");
-}
 
 ServiceOptions parse_service_config(std::string_view spec) {
   ServiceOptions options;
@@ -167,10 +156,7 @@ std::string service_config_spec(const ServiceOptions& options) {
     spec += ",deadline_ms=" + shortest_round_trip(options.executor.deadline_seconds * 1e3);
   }
   if (!options.executor.fail_fast) spec += ",fail_fast=false";
-  if (options.degrade != DegradeMode::kOff) {
-    spec += ",degrade=";
-    spec += degrade_mode_name(options.degrade);
-  }
+  if (options.degrade == DegradeMode::kGreedy) spec += ",degrade=greedy";
   const std::string faults = fault_plan_spec(options.faults);
   if (!faults.empty()) spec += ",fault=" + faults;
   spec += ",plan=" + options.plan;
@@ -284,13 +270,12 @@ std::vector<CruId> map_cut_by_name(const std::vector<CruId>& cut, const CruTree&
   return out;
 }
 
-/// The degraded answer: the cheap heuristic over `colouring`, warm-started
-/// from `warm_candidate` when it survives as a valid cut (a stale cached
-/// optimum that does not -- e.g. coverage changed under a satellite loss --
-/// silently falls back to the topmost start; leniency lives here, the
-/// heuristics stay strict).
-LocalSearchResult degraded_result(DegradeMode mode, const Colouring& colouring,
-                                  const SsbObjective& objective,
+/// The degraded answer: greedy_solve over `colouring`, warm-started from
+/// `warm_candidate` when it survives as a valid cut (a stale cached optimum
+/// that does not -- e.g. coverage changed under a satellite loss -- silently
+/// falls back to the topmost start; leniency lives here, the heuristics stay
+/// strict).
+LocalSearchResult degraded_result(const Colouring& colouring, const SsbObjective& objective,
                                   std::vector<CruId> warm_candidate, bool* warm_started) {
   // The fallback calls its heuristic directly, so it applies the check
   // SolvePlan::resolve gives every planned solve.
@@ -303,34 +288,18 @@ LocalSearchResult degraded_result(DegradeMode mode, const Colouring& colouring,
     }
   }
   *warm_started = !warm_candidate.empty();
-  if (mode == DegradeMode::kLocalSearch) {
-    LocalSearchOptions o;
-    o.objective = objective;
-    // Cheap by design: a degraded answer is about responding fast under
-    // pressure, not about closing the gap to the exact optimum.
-    o.restarts = 2;
-    o.max_moves = colouring.tree().size() * 4;
-    o.warm_cut = std::move(warm_candidate);
-    return local_search_solve(colouring, o);
-  }
   return greedy_solve(colouring, objective, warm_candidate);
-}
-
-/// The SolveMethod a degrade fallback reports (and counts) as.
-SolveMethod degrade_method(DegradeMode mode) {
-  return mode == DegradeMode::kLocalSearch ? SolveMethod::kLocalSearch
-                                           : SolveMethod::kGreedy;
 }
 
 /// Response tail of a degraded solve/perturb: the heuristic's answer plus
 /// its provenance ("path":"degraded", the fallback method, whether the
 /// cached optimum seeded the climb). Mirrors add_solution_fields' field
 /// set minus the session-only region stats. No wall-clock here either.
-void add_degraded_fields(JsonLineWriter& w, SolveMethod method, const LocalSearchResult& res,
-                         const CruTree& tree, bool warm_started) {
+void add_degraded_fields(JsonLineWriter& w, const LocalSearchResult& res, const CruTree& tree,
+                         bool warm_started) {
   w.field_str("path", "degraded");
   w.field_bool("degraded", true);
-  w.field_str("fallback", method_name(method));
+  w.field_str("fallback", method_name(SolveMethod::kGreedy));
   w.field_bool("warm_start", warm_started);
   w.field_bool("exact", false);
   w.field_num("objective", res.objective_value);
@@ -414,7 +383,7 @@ std::size_t SolverService::serve(std::istream& in, std::ostream& out) {
   return errors;
 }
 
-const ServiceTelemetry& SolverService::telemetry() {
+void SolverService::refresh_store_gauges() {
   telemetry_.mem_budget = store_.mem_budget();
   telemetry_.bytes_used = store_.bytes_used();
   telemetry_.entries = store_.entries();
@@ -427,19 +396,25 @@ const ServiceTelemetry& SolverService::telemetry() {
   telemetry_.spill_drops = store_.spill_drops();
   telemetry_.spill_faults = store_.spill_faults();
   telemetry_.restore_faults = store_.restore_faults();
-  // Mirror the store gauges into the installed registry so an exposition
-  // (metrics op, --metrics-out) reads the state this document describes.
-  // All deterministic: store accounting is shard-invariant by contract.
+}
+
+const ServiceTelemetry& SolverService::telemetry() {
+  refresh_store_gauges();
+  // The installed registry's service families are written from these same
+  // values, so an exposition (metrics op, --metrics-out) reads what this
+  // document says; a counter family appears with its first non-zero value.
   if (obs::MetricsRegistry* m = obs::metrics()) {
-    const auto det = obs::MetricClass::kDeterministic;
-    m->gauge("treesat_store_bytes_used", "Resident session-store bytes", det)
-        .set(static_cast<double>(telemetry_.bytes_used));
-    m->gauge("treesat_store_entries", "Resident instances (warm or not)", det)
-        .set(static_cast<double>(telemetry_.entries));
-    m->gauge("treesat_store_sessions", "Resident entries holding a live ResolveSession", det)
-        .set(static_cast<double>(telemetry_.sessions));
-    m->gauge("treesat_store_spill_bytes", "Snapshot bytes currently in the spill tier", det)
-        .set(static_cast<double>(telemetry_.spill_bytes));
+    const auto write = [m](std::string_view family, std::string_view help, std::size_t value) {
+      const auto det = obs::MetricClass::kDeterministic;
+      if (family.ends_with("_total")) {
+        m->set_counter(family, help, det, value);
+      } else if (!family.empty()) {
+        m->gauge(family, help, det).set(static_cast<double>(value));
+      }
+    };
+    for (const ServiceGauge& g : kServiceGauges) write(g.family, g.help, telemetry_.*g.member);
+    const TenantTelemetry totals = telemetry_.totals();
+    for (const TenantCounter& c : kTenantCounters) write(c.family, c.help, totals.*c.member);
   }
   return telemetry_;
 }
@@ -467,7 +442,6 @@ void SolverService::restore_from(const std::string& dir) {
 SolverService::Outcome SolverService::handle(const std::string& line) {
   const std::size_t id = ++next_id_;
   ++telemetry_.requests;
-  obs::count("treesat_requests_total", "Request lines handled");
   const Stopwatch watch;
   std::string op;
   std::string tenant;
@@ -511,26 +485,21 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
     // SLA decisions, solver work only (submit/stats/evict/checkpoint/
     // restore are cheap bookkeeping and always admitted -- service.hpp).
     // The recorded form first: "degrade":true in the request forces the
-    // degraded path unconditionally, which is how a wall-clock degradation,
-    // once observed, replays byte-identically (the decision travels in the
-    // trace, not in the clock). Then the wall-clock form: an expired budget
-    // degrades when a fallback is configured and rejects when degrade=off.
+    // degraded path unconditionally, even with degrade=off, which is how a
+    // wall-clock degradation, once observed, replays byte-identically (the
+    // decision travels in the trace, not in the clock). Then the wall-clock
+    // form: an expired budget degrades under degrade=greedy and rejects
+    // under degrade=off.
     const bool solver_op = op == "solve" || op == "perturb";
     bool degrade_now = solver_op && req.bool_or("degrade", false);
     if (solver_op && !degrade_now && limit > 0.0 && since_start_.seconds() >= limit) {
       if (options_.degrade == DegradeMode::kOff) {
         if (tt != nullptr) ++tt->rejected;
-        obs::count("treesat_rejected_total", "Solver requests refused by admission control");
         throw ResourceLimit("deadline: request " + std::to_string(id) +
                             " arrived after its admission budget expired; not started");
       }
       degrade_now = true;
     }
-    // The fallback a degraded request runs: the configured mode, or greedy
-    // when a "degrade":true request arrives with degradation unconfigured
-    // (the recorded decision must still be honored).
-    const DegradeMode fallback_mode =
-        options_.degrade == DegradeMode::kOff ? DegradeMode::kGreedy : options_.degrade;
 
     JsonLineWriter w;
     w.field_uint("id", id).field_str("op", op).field_bool("ok", true);
@@ -596,17 +565,15 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
           warm = entry.session->current().assignment.cut_nodes();
         }
         bool warm_started = false;
-        const LocalSearchResult res = degraded_result(fallback_mode, colouring, objective,
-                                                      std::move(warm), &warm_started);
+        const LocalSearchResult res =
+            degraded_result(colouring, objective, std::move(warm), &warm_started);
         ++tt->degraded;
-        obs::count("treesat_degraded_total", "Solver requests served by the degrade fallback");
         root.attr("path", "degraded");
-        const SolveMethod method = degrade_method(fallback_mode);
-        ++tt->method_counts[static_cast<std::size_t>(method)];
+        ++tt->method_counts[static_cast<std::size_t>(SolveMethod::kGreedy)];
         store_.refresh_bytes(entry);
         const std::size_t lru_evicted = enforce_budget(store_, telemetry_, &entry);
         w.field_str("tenant", tenant).field_str("instance", instance);
-        add_degraded_fields(w, method, res, entry.current_tree(), warm_started);
+        add_degraded_fields(w, res, entry.current_tree(), warm_started);
         w.field_uint("bytes", entry.bytes);
         w.field_uint("lru_evicted", lru_evicted);
       } else {
@@ -622,7 +589,6 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
           path = "initial";
           stats = entry.session->last_stats();
           ++tt->initial_solves;
-          obs::count("treesat_initial_solves_total", "First solves of an instance");
           ++tt->method_counts[static_cast<std::size_t>(entry.session->current().method)];
         } else if (entry.plan_spec != canonical) {
           // A new plan cannot reuse the old session's state (its caches and
@@ -635,7 +601,6 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
           stats = entry.session->last_stats();
           stats.cold_reason = "plan changed; session rebuilt";
           ++tt->cold_solves;
-          obs::count("treesat_cold_solves_total", "Re-solves that could reuse nothing warm");
           ++tt->method_counts[static_cast<std::size_t>(entry.session->current().method)];
         } else {
           // Same plan, unperturbed instance: the whole point of the warm
@@ -645,7 +610,6 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
           stats.regions_recomputed = 0;
           stats.cold_reason.clear();
           ++tt->warm_hits;
-          obs::count("treesat_warm_hits_total", "Solver requests served from warm session state");
         }
         store_.refresh_bytes(entry);
         const std::size_t lru_evicted = enforce_budget(store_, telemetry_, &entry);
@@ -682,15 +646,13 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
                                  entry.session->tree(), evolved);
         }
         bool warm_started = false;
-        const LocalSearchResult res = degraded_result(fallback_mode, colouring, objective,
-                                                      std::move(warm), &warm_started);
+        const LocalSearchResult res =
+            degraded_result(colouring, objective, std::move(warm), &warm_started);
         ++tt->degraded;
-        obs::count("treesat_degraded_total", "Solver requests served by the degrade fallback");
         root.attr("path", "degraded");
-        const SolveMethod method = degrade_method(fallback_mode);
-        ++tt->method_counts[static_cast<std::size_t>(method)];
+        ++tt->method_counts[static_cast<std::size_t>(SolveMethod::kGreedy)];
         w.field_bool("solved", true);
-        add_degraded_fields(w, method, res, evolved, warm_started);
+        add_degraded_fields(w, res, evolved, warm_started);
         entry.session.reset();
         entry.plan_spec.clear();
         entry.tree = std::make_unique<CruTree>(std::move(evolved));
@@ -699,9 +661,6 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
         const ResolveStats& stats = entry.session->last_stats();
         const bool warm = stats.path == ResolvePath::kWarm;
         ++(warm ? tt->warm_hits : tt->cold_solves);
-        obs::count(warm ? "treesat_warm_hits_total" : "treesat_cold_solves_total",
-                   warm ? "Solver requests served from warm session state"
-                        : "Re-solves that could reuse nothing warm");
         ++tt->method_counts[static_cast<std::size_t>(entry.session->current().method)];
         w.field_bool("solved", true);
         root.attr("path", resolve_path_name(stats.path));
@@ -719,7 +678,8 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
       w.field_uint("lru_evicted", lru_evicted);
     } else if (op == "stats") {
       // A request that names a tenant is scoped to that tenant's own block.
-      w.field_raw("stats", service_telemetry_to_json(telemetry(), tenant));
+      refresh_store_gauges();
+      w.field_raw("stats", service_telemetry_to_json(telemetry_, tenant));
     } else if (op == "evict") {
       if (tt == nullptr) throw InvalidArgument("request: 'evict' needs a tenant");
       const std::string& instance = req.string_at("instance");
@@ -745,7 +705,7 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
       // was launched).
       std::string text;
       if (obs::MetricsRegistry* m = obs::metrics()) {
-        static_cast<void>(telemetry());  // refresh the store gauges into the registry
+        static_cast<void>(telemetry());  // writes the service families into the registry
         text = m->exposition(/*include_wallclock=*/false);
       }
       w.field_str("metrics", text);
@@ -777,7 +737,6 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
     outcome = {w.finish(), true};
   } catch (const std::exception& e) {
     ++telemetry_.errors;
-    obs::count("treesat_request_errors_total", "Requests that produced an error response");
     if (!tenant.empty() && tenant.find('/') == std::string::npos) {
       ++telemetry_.slot(tenant).errors;
     }

@@ -33,8 +33,9 @@
 //       scopes it to that tenant's own block.
 //   {"op":"metrics"}
 //       The deterministic families of the installed obs::MetricsRegistry
-//       (src/obs/metrics.hpp) as Prometheus text in one JSON string field.
-//       Empty string when no registry is installed.
+//       (src/obs/metrics.hpp) as Prometheus text in one JSON string field,
+//       the service's own carrying what stats reports. Empty string when no
+//       registry is installed.
 //   {"op":"evict","tenant":"t0","instance":"w0"}   (optional "drop":true)
 //       Removes the entry from memory. With a spill tier configured the
 //       warm state is preserved on disk unless "drop":true; the response
@@ -49,19 +50,19 @@
 // Every response carries {"id":N,"op":...,"ok":true|false}; errors report
 // {"ok":false,"error":"..."} and never tear the service down.
 //
-// SLA-aware degradation. With `degrade=` configured (greedy or
-// local-search), admission pressure stops meaning rejection: a solve or
-// perturb whose budget has expired is answered by the cheap heuristic
-// instead -- warm-started from the session's cached optimum when one
-// survives -- and the response carries "degraded":true, "path":"degraded"
-// and "fallback":"greedy"|"local-search" in place of the exact solver's
-// provenance. A request can also *record* the decision itself with
-// "degrade":true, which forces the degraded path unconditionally: that is
-// what keeps degradation inside the byte-identity contract (the decision
-// travels in the trace, not in the wall clock). A degraded solve leaves
-// the warm session untouched; a degraded perturb applies the perturbation
-// and demotes the entry to tree-only (the cheap answer builds no warm
-// state), so the next full solve is an "initial" rebuild.
+// SLA-aware degradation. With `degrade=greedy` configured, admission
+// pressure stops meaning rejection: a solve or perturb whose budget has
+// expired is answered by the cheap greedy heuristic instead -- warm-started
+// from the session's cached optimum when one survives -- and the response
+// carries "degraded":true, "path":"degraded" and "fallback":"greedy" in
+// place of the exact solver's provenance. A request can also *record* the
+// decision itself with "degrade":true, which forces the degraded path
+// unconditionally: that is what keeps degradation inside the byte-identity
+// contract (the decision travels in the trace, not in the wall clock). A
+// degraded solve leaves the warm session untouched; a degraded perturb
+// applies the perturbation and demotes the entry to tree-only (the cheap
+// answer builds no warm state), so the next full solve is an "initial"
+// rebuild.
 //
 // Determinism contract. For a fixed request stream the response stream is
 // byte-identical at any shard count and any executor thread count,
@@ -102,13 +103,9 @@ namespace treesat {
 /// What the service does with a solve/perturb the admission budget would
 /// reject (config key degrade=).
 enum class DegradeMode : std::uint8_t {
-  kOff,          ///< reject with an error response (the pre-degradation behavior)
-  kGreedy,       ///< answer with greedy_solve (heuristics/local_search.hpp)
-  kLocalSearch,  ///< answer with a short local_search_solve
+  kOff,     ///< reject with an error response (the pre-degradation behavior)
+  kGreedy,  ///< answer with greedy_solve (heuristics/local_search.hpp)
 };
-
-/// Config-key spelling of a mode: "off", "greedy", "local-search".
-[[nodiscard]] const char* degrade_mode_name(DegradeMode mode);
 
 /// Service configuration. The string form (parse_service_config, CLI flag
 /// --config) spells them shards= / mem_budget= / spill_dir= /
@@ -134,12 +131,11 @@ struct ServiceOptions {
   /// deadline_seconds bounds the whole serve measured from construction,
   /// fail_fast stops the stream at the first error response.
   ExecutorOptions executor;
-  /// SLA-aware degradation (config key degrade=off|greedy|local-search):
-  /// what happens to a solve/perturb the admission budget would reject.
-  /// Off keeps the historical reject-with-error behavior. A request
-  /// carrying "degrade":true takes the degraded path regardless of this
-  /// mode (falling back to greedy when the mode is off) -- the recorded
-  /// form replays deterministically.
+  /// SLA-aware degradation (config key degrade=off|greedy): what happens
+  /// to a solve/perturb the admission budget would reject. Off keeps the
+  /// historical reject-with-error behavior. A request carrying
+  /// "degrade":true takes the greedy path regardless of this mode -- the
+  /// recorded form replays deterministically.
   DegradeMode degrade = DegradeMode::kOff;
   /// Deterministic storage fault injection for the warm tiers (config key
   /// fault=, sub-spec grammar in storage/faults.hpp, e.g.
@@ -153,7 +149,7 @@ struct ServiceOptions {
 /// (bytes with k/m/g, 0 = unlimited; requires spill_dir), deadline_ms
 /// (finite, >= 0), fail_fast (bool), plan (a registry spec; comma-free --
 /// per-request plans carry the full grammar), degrade
-/// (off|greedy|local-search), fault (a storage/faults.hpp sub-spec,
+/// (off|greedy), fault (a storage/faults.hpp sub-spec,
 /// ';'/':'-separated so it nests comma-free).
 /// Throws InvalidArgument naming the offending token on anything malformed,
 /// with the same diagnostics style as parse_plan
@@ -179,7 +175,9 @@ class SolverService {
   std::size_t serve(std::istream& in, std::ostream& out);
 
   [[nodiscard]] const ServiceOptions& options() const { return options_; }
-  /// Telemetry with the store gauges refreshed.
+  /// Telemetry with the store gauges refreshed: the `stats` document. With
+  /// a registry installed it also writes the scrape's service families from
+  /// these values, so call it before an exposition.
   [[nodiscard]] const ServiceTelemetry& telemetry();
 
   /// Writes a full checkpoint (storage/checkpoint.hpp) of the store and
@@ -201,6 +199,9 @@ class SolverService {
   };
 
   [[nodiscard]] Outcome handle(const std::string& line);
+  /// Copies the store's gauges and counters into telemetry_, which is all a
+  /// stats response needs; telemetry() also writes the scrape.
+  void refresh_store_gauges();
 
   ServiceOptions options_;
   SolvePlan default_plan_;

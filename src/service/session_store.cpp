@@ -24,11 +24,6 @@ void quarantine(const std::string& path, std::string_view bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-void count_spill_fault() {
-  obs::count("treesat_spill_faults_total",
-             "Spill writes/reloads that degraded to a cold re-solve");
-}
-
 }  // namespace
 
 std::string session_plan_key(SolvePlan plan) {
@@ -164,7 +159,6 @@ SessionEntry* SessionStore::find(const std::string& tenant, const std::string& i
       // what was read for post-mortem, write off the warm state, and fall
       // back to the tree-only snapshot retained in the record.
       ++spill_faults_;
-      count_spill_fault();
       if (!buffer_.empty()) {
         quarantine(spill_dir_ + "/" + snapshot_file_name(tenant, instance) + ".bad", buffer_);
       }
@@ -179,8 +173,6 @@ SessionEntry* SessionStore::find(const std::string& tenant, const std::string& i
     // Only a snapshot that actually came back warm counts as a reload;
     // the fault paths above surface as cold/initial solves in the stats.
     ++spill_reloads_;
-    obs::count("treesat_spill_reloads_total",
-               "Sessions reloaded warm from the spill tier");
     if (reloaded != nullptr) *reloaded = true;
   }
   return &shard.entries.emplace(key, std::move(entry)).first->second;
@@ -263,7 +255,6 @@ void SessionStore::spill_entry(const SessionEntry& entry) {
     std::filesystem::remove_all(spill_dir_, ec);
     segment_.abandon();
     ++spill_faults_;
-    count_spill_fault();
   }
   SpillRecord record;
   record.tenant = entry.tenant;
@@ -286,7 +277,6 @@ void SessionStore::spill_entry(const SessionEntry& entry) {
     // fallback) but the instance stays servable. The record becomes a
     // slotless tombstone.
     ++spill_faults_;
-    count_spill_fault();
     record.extent = {};
   }
   const std::uint64_t charged = record.extent.length;
@@ -298,7 +288,6 @@ void SessionStore::spill_entry(const SessionEntry& entry) {
   spill_bytes_ += charged;
   spill_records_[key_of(entry.tenant, entry.instance)] = std::move(record);
   ++spills_;
-  obs::count("treesat_spills_total", "Sessions written to the spill tier");
 }
 
 void SessionStore::drop_spilled(const std::string& key, bool budget_drop) {

@@ -1,7 +1,5 @@
 #include "service/telemetry.hpp"
 
-#include <utility>
-
 #include "common/format.hpp"
 #include "io/json.hpp"
 
@@ -61,30 +59,12 @@ void append_tenant_section(std::string& out, const std::string& name,
 
 std::string service_telemetry_to_json(const ServiceTelemetry& telemetry,
                                       std::string_view tenant) {
-  // mem_budget stays in the document: it shapes the eviction behavior the
-  // surrounding counters describe.
-  const std::pair<std::string_view, std::size_t> gauges[] = {
-      {"mem_budget", telemetry.mem_budget},
-      {"bytes_used", telemetry.bytes_used},
-      {"entries", telemetry.entries},
-      {"sessions", telemetry.sessions},
-      {"spill_budget", telemetry.spill_budget},
-      {"spill_bytes", telemetry.spill_bytes},
-      {"spill_entries", telemetry.spill_entries},
-      {"spills", telemetry.spills},
-      {"spill_reloads", telemetry.spill_reloads},
-      {"spill_drops", telemetry.spill_drops},
-      {"spill_faults", telemetry.spill_faults},
-      {"restore_faults", telemetry.restore_faults},
-      {"requests", telemetry.requests},
-      {"errors", telemetry.errors},
-  };
   std::string out;
   const char* sep = "{";
-  for (const auto& [name, value] : gauges) {
+  for (const ServiceGauge& gauge : kServiceGauges) {
     out += sep;
     sep = ",";
-    append_field(out, name, value);
+    append_field(out, gauge.name, telemetry.*gauge.member);
   }
 
   out += ",\"totals\":{";

@@ -10,6 +10,9 @@
 // byte-identity contract. Request latency is wall-clock and lives in the
 // metrics registry instead: its treesat_request_seconds histogram leaves
 // the process through --metrics-out, span timings through --trace-out.
+// This is the only place a service event is counted: the scrape's service
+// families are written from these counters (SolverService::telemetry()), so
+// the scrape says what `stats` says, across a restore too.
 #pragma once
 
 #include <array>
@@ -77,16 +80,23 @@ struct TenantTelemetry {
   void merge(const TenantTelemetry& other);
 };
 
-/// One tenant counter, declared once: its field name in the stats document
-/// and the member that holds it. Row order is the order of the stats
-/// tenant block and of a checkpoint tenant row; the table drives merge(),
-/// the stats renderer and both halves of the checkpoint row codec, so a
-/// new counter is a struct member plus a row here.
-struct TenantCounter {
+/// One counter or gauge of the stats document, declared once: its field
+/// name, the member of `Owner` that holds it and, when the scrape carries it,
+/// that family's name and help text. A family named *_total is a counter,
+/// the others are gauges (Prometheus' convention).
+template <typename Owner>
+struct StatsField {
   std::string_view name;
-  std::size_t TenantTelemetry::*member;
+  std::size_t Owner::*member;
+  std::string_view family{};  ///< empty: not scraped
+  std::string_view help{};
 };
 
+/// The tenant counters; the scrape carries service-wide totals. Row order is
+/// the order of the stats tenant block and of a checkpoint tenant row; the
+/// table drives merge(), the stats renderer, the scrape and both halves of
+/// the checkpoint row codec, so a new counter is a struct member plus a row.
+using TenantCounter = StatsField<TenantTelemetry>;
 inline constexpr TenantCounter kTenantCounters[] = {
     {"requests", &TenantTelemetry::requests},
     {"errors", &TenantTelemetry::errors},
@@ -94,15 +104,20 @@ inline constexpr TenantCounter kTenantCounters[] = {
     {"solves", &TenantTelemetry::solves},
     {"perturbs", &TenantTelemetry::perturbs},
     {"evict_requests", &TenantTelemetry::evict_requests},
-    {"initial_solves", &TenantTelemetry::initial_solves},
-    {"warm_hits", &TenantTelemetry::warm_hits},
-    {"cold_solves", &TenantTelemetry::cold_solves},
+    {"initial_solves", &TenantTelemetry::initial_solves,
+     "treesat_initial_solves_total", "First solves of an instance"},
+    {"warm_hits", &TenantTelemetry::warm_hits,
+     "treesat_warm_hits_total", "Solver requests served from warm session state"},
+    {"cold_solves", &TenantTelemetry::cold_solves,
+     "treesat_cold_solves_total", "Re-solves that could reuse nothing warm"},
     {"lru_evictions", &TenantTelemetry::lru_evictions},
     {"explicit_evictions", &TenantTelemetry::explicit_evictions},
     {"spills", &TenantTelemetry::spills},
     {"spill_reloads", &TenantTelemetry::spill_reloads},
-    {"degraded", &TenantTelemetry::degraded},
-    {"rejected", &TenantTelemetry::rejected},
+    {"degraded", &TenantTelemetry::degraded,
+     "treesat_degraded_total", "Solver requests served by the degrade fallback"},
+    {"rejected", &TenantTelemetry::rejected,
+     "treesat_rejected_total", "Solver requests refused by admission control"},
 };
 
 inline void TenantTelemetry::merge(const TenantTelemetry& other) {
@@ -170,6 +185,38 @@ struct ServiceTelemetry {
     t.merge(overflow);
     return t;
   }
+};
+
+/// The stats document's gauge block, in order; it drives the block and the
+/// scrape.
+using ServiceGauge = StatsField<ServiceTelemetry>;
+inline constexpr ServiceGauge kServiceGauges[] = {
+    // mem_budget stays in the document: it shapes the eviction behavior the
+    // surrounding counters describe.
+    {"mem_budget", &ServiceTelemetry::mem_budget},
+    {"bytes_used", &ServiceTelemetry::bytes_used,
+     "treesat_store_bytes_used", "Resident session-store bytes"},
+    {"entries", &ServiceTelemetry::entries,
+     "treesat_store_entries", "Resident instances (warm or not)"},
+    {"sessions", &ServiceTelemetry::sessions,
+     "treesat_store_sessions", "Resident entries holding a live ResolveSession"},
+    {"spill_budget", &ServiceTelemetry::spill_budget},
+    {"spill_bytes", &ServiceTelemetry::spill_bytes,
+     "treesat_store_spill_bytes", "Snapshot bytes currently in the spill tier"},
+    {"spill_entries", &ServiceTelemetry::spill_entries},
+    {"spills", &ServiceTelemetry::spills,
+     "treesat_spills_total", "Sessions written to the spill tier"},
+    {"spill_reloads", &ServiceTelemetry::spill_reloads,
+     "treesat_spill_reloads_total", "Sessions reloaded warm from the spill tier"},
+    {"spill_drops", &ServiceTelemetry::spill_drops},
+    {"spill_faults", &ServiceTelemetry::spill_faults,
+     "treesat_spill_faults_total", "Spill writes/reloads that degraded to a cold re-solve"},
+    {"restore_faults", &ServiceTelemetry::restore_faults,
+     "treesat_restore_faults_total", "Checkpoint snapshots skipped during restore"},
+    {"requests", &ServiceTelemetry::requests,
+     "treesat_requests_total", "Request lines handled"},
+    {"errors", &ServiceTelemetry::errors,
+     "treesat_request_errors_total", "Requests that produced an error response"},
 };
 
 /// The telemetry document of a stats response: store gauges, the global

@@ -220,6 +220,7 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
   out.telemetry.requests = static_cast<std::size_t>(wire::parse_u64(service[1], "requests"));
   out.telemetry.errors = static_cast<std::size_t>(wire::parse_u64(service[2], "errors"));
 
+  std::size_t skipped = 0;  // snapshots unreadable or damaged
   for (const EntryRow& row : parse_entry_rows(reader, "resident")) {
     // Skip-and-count, never abort: a damaged session snapshot costs the
     // restart that one warm entry, not the whole process.
@@ -242,7 +243,7 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
                                                << " bytes, manifest says " << row.bytes);
       out.store.restore_entry(std::move(entry), row.stamp);
     } catch (const std::exception&) {
-      ++out.restore_faults;
+      ++skipped;
     }
   }
 
@@ -275,7 +276,7 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
       // sessions stay untouched if this restore fails further on.
       out.store.restore_spilled(row.tenant, row.instance, row.stamp, bytes, std::move(fallback));
     } catch (const std::exception&) {
-      ++out.restore_faults;
+      ++skipped;
     }
   }
 
@@ -311,16 +312,10 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
   TS_REQUIRE(reader.done(), "checkpoint: trailing bytes after 'end'");
   // Fold this restore's skips into the store gauge on top of whatever the
   // manifest's persisted counter carried.
-  out.store.count_restore_faults(out.restore_faults);
+  out.store.count_restore_faults(skipped);
   span.attr("entries", static_cast<std::uint64_t>(out.store.entries()));
   span.attr("spilled", static_cast<std::uint64_t>(out.store.spill_entries()));
-  span.attr("skipped", static_cast<std::uint64_t>(out.restore_faults));
-  if (out.restore_faults != 0) {
-    obs::count("treesat_restore_faults_total",
-               "Checkpoint snapshots skipped during restore",
-               obs::MetricClass::kDeterministic,
-               static_cast<std::uint64_t>(out.restore_faults));
-  }
+  span.attr("skipped", static_cast<std::uint64_t>(skipped));
   return out;
 }
 

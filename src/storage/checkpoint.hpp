@@ -25,10 +25,10 @@
 // every snapshot (framed hash + strict payload parse + owner match against
 // the manifest row, plus the rebuilt entry's recomputed byte estimate
 // against the manifest's) -- but a snapshot that fails validation is
-// skipped and counted (RestoredService::restore_faults, the store's
-// restore_faults gauge) rather than failing the restart: a restart must
-// always come up, possibly colder. Only a damaged *manifest* is fatal --
-// without it nothing about the checkpoint can be trusted.
+// skipped and counted (the store's restore_faults counter) rather than
+// failing the restart: a restart must always come up, possibly colder.
+// Only a damaged *manifest* is fatal -- without it nothing about the
+// checkpoint can be trusted.
 #pragma once
 
 #include <cstddef>
@@ -52,9 +52,6 @@ struct RestoredService {
   SessionStore store;
   ServiceTelemetry telemetry;
   std::size_t next_id = 0;
-  /// Manifest-listed snapshots that were unreadable or damaged and got
-  /// skipped (already folded into the store's restore_faults gauge).
-  std::size_t restore_faults = 0;
 };
 
 /// Rebuilds a service core from a checkpoint directory. The store is
@@ -65,11 +62,12 @@ struct RestoredService {
 /// requires a configured spill_dir: their bytes are appended to the new
 /// store's own segment file there, so a restore that fails leaves the
 /// live store's spilled sessions as they were.
-/// Damaged individual snapshots are skipped and counted (see
-/// RestoredService::restore_faults); `faults`, when non-null, additionally
-/// injects kRestoreRead failures per manifest row and its trial counters
-/// advance in place. Throws InvalidArgument on a corrupt/foreign/
-/// incomplete *manifest*, ResourceLimit on IO failure reading it.
+/// Damaged individual snapshots are skipped and counted into the store's
+/// restore_faults(), on top of the manifest's count; `faults`, when
+/// non-null, additionally injects kRestoreRead failures per manifest row
+/// and its trial counters advance in place. Throws InvalidArgument on a
+/// corrupt/foreign/incomplete *manifest*, ResourceLimit on IO failure
+/// reading it.
 [[nodiscard]] RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
                                               std::size_t mem_budget,
                                               const std::string& spill_dir,

@@ -1,5 +1,5 @@
 // Unit tests for the CRU tree model: builder contracts, derived indices,
-// serialization round-trips, and LCA queries.
+// and serialization round-trips.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <stdexcept>
 
 #include "tree/cru_tree.hpp"
-#include "tree/lca.hpp"
 #include "tree/serialize.hpp"
 #include "workload/scenarios.hpp"
 
@@ -223,38 +222,6 @@ TEST(Serialize, RejectsMalformedInput) {
                InvalidArgument);
   EXPECT_THROW(tree_from_text("cru_tree v1\n0 - compute r 1 0 0 -\n1 0 sensor s 0 0 1 -\n"),
                InvalidArgument);
-}
-
-TEST(Lca, SmallTreeQueries) {
-  const CruTree t = small_tree();
-  const LcaIndex lca(t);
-  EXPECT_EQ(lca.lca(t.by_name("s0"), t.by_name("s1")), t.by_name("a"));
-  EXPECT_EQ(lca.lca(t.by_name("s0"), t.by_name("s2")), t.root());
-  EXPECT_EQ(lca.lca(t.by_name("a"), t.by_name("s1")), t.by_name("a"));
-  EXPECT_EQ(lca.lca(t.root(), t.by_name("s2")), t.root());
-}
-
-TEST(Lca, AncestorSteps) {
-  const CruTree t = small_tree();
-  const LcaIndex lca(t);
-  EXPECT_EQ(lca.ancestor(t.by_name("s0"), 0), t.by_name("s0"));
-  EXPECT_EQ(lca.ancestor(t.by_name("s0"), 1), t.by_name("a"));
-  EXPECT_EQ(lca.ancestor(t.by_name("s0"), 2), t.root());
-  EXPECT_FALSE(lca.ancestor(t.by_name("s0"), 3).valid());
-}
-
-TEST(Lca, AgreesWithNaiveOnPaperExample) {
-  const CruTree t = paper_running_example();
-  const LcaIndex lca(t);
-  const auto naive = [&](CruId u, CruId v) {
-    while (!t.is_ancestor_or_self(u, v)) u = t.node(u).parent;
-    return u;
-  };
-  for (std::size_t a = 0; a < t.size(); ++a) {
-    for (std::size_t b = 0; b < t.size(); ++b) {
-      EXPECT_EQ(lca.lca(CruId{a}, CruId{b}), naive(CruId{a}, CruId{b}));
-    }
-  }
 }
 
 }  // namespace

@@ -67,6 +67,23 @@ TEST(MetricsRegistry, FindOrCreateReturnsStableHandles) {
                InvalidArgument);
 }
 
+TEST(MetricsRegistry, SetCounterAppearsWithItsFirstNonZeroValue) {
+  // An owner-kept total: absent while 0, as an event-counted family would
+  // be before its first event; once present, every value is written,
+  // moving back to 0 included.
+  MetricsRegistry reg;
+  const auto det = MetricClass::kDeterministic;
+  reg.set_counter("treesat_s_total", "s", det, 0);
+  EXPECT_EQ(reg.exposition(false), "");
+  reg.set_counter("treesat_s_total", "s", det, 5);
+  EXPECT_NE(reg.exposition(false).find("\ntreesat_s_total 5\n"), std::string::npos);
+  reg.set_counter("treesat_s_total", "s", det, 0);
+  EXPECT_NE(reg.exposition(false).find("\ntreesat_s_total 0\n"), std::string::npos);
+  EXPECT_EQ(reg.counter("treesat_s_total", "s", det).value(), 0u);
+  reg.gauge("treesat_g", "g", det);
+  EXPECT_THROW(reg.set_counter("treesat_g", "g", det, 1), InvalidArgument);
+}
+
 TEST(MetricsRegistry, ExpositionFormatAndClassSplit) {
   MetricsRegistry reg;
   reg.counter("treesat_b_total", "b counter", MetricClass::kDeterministic).add(2);

@@ -177,7 +177,7 @@ TracedReplay traced_replay(const std::string& trace, const std::string& config) 
   std::istringstream in(trace);
   std::ostringstream out;
   const std::size_t errors = service.serve(in, out);
-  static_cast<void>(service.telemetry());  // mirror the store gauges
+  static_cast<void>(service.telemetry());  // writes the service families
   install_trace(nullptr);
   install_metrics(nullptr);
   EXPECT_EQ(errors, 0u) << config;

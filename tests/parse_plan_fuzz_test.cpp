@@ -166,11 +166,14 @@ const BadSpec kBadServiceConfigs[] = {
     {"spill_budget", "malformed"},
     {"spill_dir", "malformed"},
     {"spill_dir=/tmp/a,", "malformed"},
-    // degrade= is a closed enum (off|greedy|local-search); an unknown mode
-    // silently mapped to off would disarm the SLA fallback.
+    // degrade= is a closed enum (off|greedy); an unknown mode silently
+    // mapped to off would disarm the SLA fallback. local-search is a plan
+    // method, not a degrade mode.
     {"degrade=yes", "degrade"},
     {"degrade=", "degrade"},
     {"degrade=Greedy", "degrade"},
+    {"degrade=local-search", "must be off or greedy"},
+    {"degrade=local_search", "must be off or greedy"},
     {"degrade=greedy,degrade=off", "duplicate key"},
     // fault= nests the ';'/':' sub-grammar of storage/faults.hpp; its
     // diagnostics must surface through the service config parser.
@@ -231,10 +234,9 @@ TEST(ParseServiceConfigFuzz, NearMissesStillParse) {
   EXPECT_EQ(parse_service_config("spill_dir=/tmp/spill").spill_dir, "/tmp/spill");
   EXPECT_EQ(parse_service_config("spill_dir=/tmp/spill,spill_budget=2M").spill_budget,
             std::size_t{2} << 20);
-  // degrade accepts the underscore spelling; fault= empty is a disarmed
-  // plan (exactly the default), and seed alone arms nothing.
-  EXPECT_EQ(parse_service_config("degrade=local_search").degrade,
-            DegradeMode::kLocalSearch);
+  // fault= empty is a disarmed plan (exactly the default), and seed alone
+  // arms nothing.
+  EXPECT_EQ(parse_service_config("degrade=greedy").degrade, DegradeMode::kGreedy);
   EXPECT_EQ(parse_service_config("degrade=off").degrade, DegradeMode::kOff);
   EXPECT_FALSE(parse_service_config("fault=").faults.enabled());
   EXPECT_FALSE(parse_service_config("fault=seed:9").faults.enabled());

@@ -9,16 +9,22 @@
 //   * shards=1/2/8 on an unconstrained store;
 //   * shards=1/2/8 on a budget small enough to force LRU evictions (the
 //     eviction order is where a per-shard LRU would silently diverge).
+// Restart == no restart holds for the counters too: the Prometheus scrape's
+// service families equal the stats document's values, across a checkpoint
+// restart and an in-process restore.
 //
 // This suite runs under TSan in ci.sh.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "service/service.hpp"
 #include "storage/checkpoint.hpp"
 #include "workload/traffic.hpp"
@@ -175,6 +181,187 @@ TEST(ServiceDeterminism, CheckpointRestartResumesByteIdentically) {
   EXPECT_EQ(b.cold_solves, a.cold_solves);
 }
 
+/// The scrape's service families and the stats field each one carries,
+/// listed here rather than read from the library's tables. A totals field
+/// is read from the stats document's "totals" block, the rest from its
+/// gauge block.
+struct ScrapedField {
+  const char* family;
+  const char* field;
+  bool in_totals;
+};
+
+constexpr ScrapedField kScrapedFields[] = {
+    {"treesat_requests_total", "requests", false},
+    {"treesat_request_errors_total", "errors", false},
+    {"treesat_initial_solves_total", "initial_solves", true},
+    {"treesat_warm_hits_total", "warm_hits", true},
+    {"treesat_cold_solves_total", "cold_solves", true},
+    {"treesat_degraded_total", "degraded", true},
+    {"treesat_rejected_total", "rejected", true},
+    {"treesat_spills_total", "spills", false},
+    {"treesat_spill_reloads_total", "spill_reloads", false},
+    {"treesat_spill_faults_total", "spill_faults", false},
+    {"treesat_restore_faults_total", "restore_faults", false},
+    {"treesat_store_bytes_used", "bytes_used", false},
+    {"treesat_store_entries", "entries", false},
+    {"treesat_store_sessions", "sessions", false},
+    {"treesat_store_spill_bytes", "spill_bytes", false},
+};
+
+/// A registry installed for one test's lifetime.
+struct InstalledRegistry {
+  obs::MetricsRegistry registry;
+  InstalledRegistry() { obs::install_metrics(&registry); }
+  ~InstalledRegistry() { obs::install_metrics(nullptr); }
+  InstalledRegistry(const InstalledRegistry&) = delete;
+  InstalledRegistry& operator=(const InstalledRegistry&) = delete;
+};
+
+/// One reading of both views: a stats response, then the deterministic
+/// scrape, refreshed as --metrics-out refreshes it.
+struct Reading {
+  std::string stats;
+  std::string scrape;
+};
+
+Reading read_both(SolverService& service, const obs::MetricsRegistry& registry) {
+  Reading r;
+  r.stats = service.handle_line("{\"op\":\"stats\"}");
+  static_cast<void>(service.telemetry());
+  r.scrape = registry.exposition(/*include_wallclock=*/false);
+  return r;
+}
+
+std::uint64_t stats_value(const std::string& stats, const ScrapedField& f) {
+  const std::size_t block = stats.find(f.in_totals ? "\"totals\":{" : "\"stats\":{");
+  const std::string key = std::string("\"") + f.field + "\":";
+  const std::size_t at = stats.find(key, block);
+  EXPECT_NE(at, std::string::npos) << f.field;
+  return at == std::string::npos ? 0 : std::stoull(stats.substr(at + key.size()));
+}
+
+/// A family's value in the scrape; 0 when it is absent (a counter family
+/// appears with its first non-zero value).
+std::uint64_t scraped_value(const std::string& scrape, const char* family) {
+  const std::string key = std::string("\n") + family + " ";
+  const std::string text = "\n" + scrape;
+  const std::size_t at = text.find(key);
+  return at == std::string::npos ? 0 : std::stoull(text.substr(at + key.size()));
+}
+
+void expect_scrape_equals_stats(const Reading& r, const char* where) {
+  for (const ScrapedField& f : kScrapedFields) {
+    EXPECT_EQ(scraped_value(r.scrape, f.family), stats_value(r.stats, f))
+        << f.family << " " << where;
+  }
+}
+
+/// The golden trace's request lines (comments and blank lines dropped).
+std::vector<std::string> golden_request_lines() {
+  std::ifstream file(TREESAT_SOURCE_DIR "/tests/golden/service_trace.jsonl");
+  EXPECT_TRUE(file) << "golden trace missing";
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(file, line)) {
+    if (!line.empty() && line[0] != '#') lines.push_back(line);
+  }
+  return lines;
+}
+
+TEST(ServiceDeterminism, ScrapeEqualsStatsAcrossACheckpointRestart) {
+  // The service counts each event once, in its telemetry and store, and the
+  // scrape's service families are written from those counters. A restored
+  // process's scrape therefore resumes where the checkpoint left off, as
+  // stats does, instead of counting only the events it served itself.
+  const std::vector<std::string> lines = golden_request_lines();
+  ASSERT_GT(lines.size(), 10u);
+  const std::size_t split = lines.size() / 2;
+  const std::string base = ::testing::TempDir() + "/treesat_det_scrape";
+  std::filesystem::remove_all(base);
+  const auto config = [&base](const char* spill) {
+    return parse_service_config("mem_budget=10k,spill_dir=" + base + "/" + spill);
+  };
+
+  Reading whole;
+  {
+    InstalledRegistry installed;
+    SolverService service(config("whole"));
+    for (const std::string& line : lines) static_cast<void>(service.handle_line(line));
+    whole = read_both(service, installed.registry);
+  }
+  expect_scrape_equals_stats(whole, "single process");
+  // The budget made the replay spill and reload, so the spill families are
+  // non-zero and a scrape that restarted from zero could not match.
+  EXPECT_GT(scraped_value(whole.scrape, "treesat_spills_total"), 0u);
+  EXPECT_GT(scraped_value(whole.scrape, "treesat_spill_reloads_total"), 0u);
+
+  {
+    InstalledRegistry installed;
+    SolverService head(config("head"));
+    for (std::size_t i = 0; i < split; ++i) static_cast<void>(head.handle_line(lines[i]));
+    head.checkpoint_to(base + "/ckpt");
+  }
+  InstalledRegistry installed;
+  SolverService tail(config("tail"));
+  tail.restore_from(base + "/ckpt");
+  for (std::size_t i = split; i < lines.size(); ++i) {
+    static_cast<void>(tail.handle_line(lines[i]));
+  }
+  const Reading restored = read_both(tail, installed.registry);
+  expect_scrape_equals_stats(restored, "after the restart");
+  for (const ScrapedField& f : kScrapedFields) {
+    EXPECT_EQ(scraped_value(restored.scrape, f.family), scraped_value(whole.scrape, f.family))
+        << f.family;
+  }
+}
+
+TEST(ServiceDeterminism, TenantlessDeadlineRejectionCountsInNeitherView) {
+  // A rejection is a tenant counter, so a solve that names no tenant and
+  // is refused by the deadline is an error in both views and a rejection
+  // in neither. With a tenant, both views count it.
+  InstalledRegistry installed;
+  SolverService service(parse_service_config("deadline_ms=1e-9,fail_fast=false"));
+  const std::string refused = service.handle_line("{\"op\":\"solve\",\"instance\":\"w0\"}");
+  EXPECT_NE(refused.find("deadline"), std::string::npos) << refused;
+  const Reading tenantless = read_both(service, installed.registry);
+  expect_scrape_equals_stats(tenantless, "after a tenant-less rejection");
+  EXPECT_EQ(scraped_value(tenantless.scrape, "treesat_rejected_total"), 0u);
+  EXPECT_EQ(scraped_value(tenantless.scrape, "treesat_request_errors_total"), 1u);
+
+  static_cast<void>(service.handle_line("{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\"}"));
+  const Reading tenant = read_both(service, installed.registry);
+  expect_scrape_equals_stats(tenant, "after a tenant's rejection");
+  EXPECT_EQ(scraped_value(tenant.scrape, "treesat_rejected_total"), 1u);
+}
+
+TEST(ServiceDeterminism, InProcessRestoreMovesTheScrapeBackWithStats) {
+  // Restoring a checkpoint taken before the first spill moves stats'
+  // spill counters back to 0; the scrape's families follow, and a family
+  // that already exists is written with its 0.
+  const std::vector<std::string> lines = golden_request_lines();
+  ASSERT_GT(lines.size(), 2u);
+  const std::string base = ::testing::TempDir() + "/treesat_det_scrape_rewind";
+  std::filesystem::remove_all(base);
+  InstalledRegistry installed;
+  SolverService service(parse_service_config("mem_budget=10k,spill_dir=" + base + "/spill"));
+  static_cast<void>(service.handle_line(lines[0]));
+  static_cast<void>(service.handle_line(lines[1]));
+  ASSERT_EQ(service.telemetry().spills, 0u);
+  service.checkpoint_to(base + "/ckpt");
+  for (std::size_t i = 2; i < lines.size(); ++i) static_cast<void>(service.handle_line(lines[i]));
+  const Reading spilled = read_both(service, installed.registry);
+  expect_scrape_equals_stats(spilled, "before the restore");
+  ASSERT_GT(scraped_value(spilled.scrape, "treesat_spills_total"), 0u);
+
+  const std::string restored =
+      service.handle_line("{\"op\":\"restore\",\"dir\":\"" + base + "/ckpt\"}");
+  EXPECT_NE(restored.find("\"ok\":true"), std::string::npos) << restored;
+  const Reading rewound = read_both(service, installed.registry);
+  expect_scrape_equals_stats(rewound, "after the restore");
+  EXPECT_NE(rewound.scrape.find("\ntreesat_spills_total 0\n"), std::string::npos);
+}
+
 /// Every tenant counter, listed here rather than read from the library's
 /// own table, so a table or codec that drops or swaps a column cannot vouch
 /// for itself.
@@ -270,7 +457,7 @@ TEST(ServiceDeterminism, ForcedDegradationIsShardCountInvariant) {
   EXPECT_EQ(one, replay(text, "shards=8,degrade=greedy"));
 
   // The sweep actually degraded, and flagged every degraded response.
-  SolverService probe(parse_service_config("shards=2,degrade=local-search"));
+  SolverService probe(parse_service_config("shards=2,degrade=greedy"));
   std::istringstream in(text);
   std::ostringstream out;
   static_cast<void>(probe.serve(in, out));

@@ -806,12 +806,12 @@ TEST(Service, ConfigSpecRoundTrips) {
   // fault= (the ';'/':' sub-spec of storage/faults.hpp, comma-free so it
   // nests). Both stay out of the spec at their defaults.
   const ServiceOptions overload = parse_service_config(
-      "degrade=local-search,fault=seed:7;spill_read:0.5;truncate:0.25");
-  EXPECT_EQ(overload.degrade, DegradeMode::kLocalSearch);
+      "degrade=greedy,fault=seed:7;spill_read:0.5;truncate:0.25");
+  EXPECT_EQ(overload.degrade, DegradeMode::kGreedy);
   EXPECT_EQ(overload.faults.seed, 7u);
   EXPECT_TRUE(overload.faults.enabled());
   const std::string spec = service_config_spec(overload);
-  EXPECT_CONTAINS(spec, "degrade=local-search");
+  EXPECT_CONTAINS(spec, "degrade=greedy");
   EXPECT_CONTAINS(spec, "fault=seed:7;spill_read:0.5;truncate:0.25");
   const ServiceOptions overload_back = parse_service_config(spec);
   EXPECT_EQ(overload_back.degrade, overload.degrade);

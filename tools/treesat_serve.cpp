@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
     // Diagnostic artifacts are written even when the stream had error
     // responses -- a failing run is exactly when the trace matters.
     if (!metrics_out.empty()) {
-      static_cast<void>(service.telemetry());  // refresh the store gauges
+      static_cast<void>(service.telemetry());  // writes the service families
       std::ofstream out(metrics_out);
       if (!out) {
         std::cerr << argv[0] << ": cannot write " << metrics_out << "\n";

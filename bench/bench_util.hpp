@@ -16,9 +16,10 @@
 #include <system_error>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
-#include "common/format.hpp"
+#include "common/json.hpp"
 #include "common/stopwatch.hpp"
 #include "core/registry.hpp"
 #include "core/solver.hpp"
@@ -73,10 +74,8 @@ class BenchJson {
 
   [[nodiscard]] bool enabled() const { return !path_.empty(); }
 
-  void set(const std::string& key, double value) { scalars_.emplace_back(key, fmt(value)); }
-  void set(const std::string& key, const std::string& value) {
-    scalars_.emplace_back(key, '"' + value + '"');
-  }
+  void set(const std::string& key, double value) { scalars_.emplace_back(key, value); }
+  void set(const std::string& key, const std::string& value) { scalars_.emplace_back(key, value); }
 
   void add_row(const std::string& label,
                std::vector<std::pair<std::string, double>> metrics) {
@@ -104,24 +103,30 @@ class BenchJson {
                 << " (--json results would be lost)\n";
       return false;
     }
-    out << "{\"bench\":\"" << name_ << "\",\"host\":{\"hardware_threads\":"
-        << std::thread::hardware_concurrency() << ",\"isa\":\"" << simd::active_isa()
-        << "\",\"compiler\":\"" << TREESAT_BENCH_COMPILER << "\",\"build_type\":\""
-        << TREESAT_BENCH_BUILD_TYPE << "\"},\"scalars\":{";
-    for (std::size_t i = 0; i < scalars_.size(); ++i) {
-      if (i) out << ',';
-      out << '"' << scalars_[i].first << "\":" << scalars_[i].second;
-    }
-    out << "},\"rows\":[";
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      if (r) out << ',';
-      out << "{\"label\":\"" << rows_[r].label << '"';
-      for (const auto& [key, value] : rows_[r].metrics) {
-        out << ",\"" << key << "\":" << fmt(value);
+    JsonLineWriter w;
+    w.field_str("bench", name_)
+        .begin_object("host")
+        .field_uint("hardware_threads", std::thread::hardware_concurrency())
+        .field_str("isa", simd::active_isa())
+        .field_str("compiler", TREESAT_BENCH_COMPILER)
+        .field_str("build_type", TREESAT_BENCH_BUILD_TYPE)
+        .end_object()
+        .begin_object("scalars");
+    for (const auto& [key, value] : scalars_) {
+      if (const double* number = std::get_if<double>(&value)) {
+        w.field_num(key, *number);
+      } else {
+        w.field_str(key, std::get<std::string>(value));
       }
-      out << '}';
     }
-    out << "]}\n";
+    w.end_object().begin_array("rows");
+    for (const Row& row : rows_) {
+      w.begin_object().field_str("label", row.label);
+      for (const auto& [key, value] : row.metrics) w.field_num(key, value);
+      w.end_object();
+    }
+    w.end_array();
+    out << w.finish() << '\n';
     out.flush();
     if (!out) {
       std::cerr << "BenchJson: short write to " << path_ << "\n";
@@ -136,11 +141,9 @@ class BenchJson {
     std::vector<std::pair<std::string, double>> metrics;
   };
 
-  static std::string fmt(double v) { return shortest_round_trip(v); }
-
   std::string name_;
   std::string path_;
-  std::vector<std::pair<std::string, std::string>> scalars_;
+  std::vector<std::pair<std::string, std::variant<double, std::string>>> scalars_;
   std::vector<Row> rows_;
 };
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # CI entry point: the tier-1 verify with warnings hardened to errors on
 # every treesat target (-Wall -Wextra -Werror via TREESAT_WERROR), then a
-# service smoke stage (treesat_serve replays the committed golden trace and
-# the responses are byte-compared -- regen via TREESAT_UPDATE_GOLDEN=1 --
+# service smoke stage (treesat_serve regenerates both committed traces from
+# their generator commands and byte-compares them, replays the golden trace
+# and the responses are byte-compared -- regen via TREESAT_UPDATE_GOLDEN=1 --
 # then the trace is split and replayed across a checkpointed restart, which
 # must resume byte-identically, once as configured and once under a 10k
 # budget that spills through the store's segment file, where the restored
@@ -64,7 +65,12 @@ SERVICE_CONFIG="shards=2,mem_budget=64m"
 OVERLOAD_TRACE=tests/golden/overload_trace.jsonl
 OVERLOAD_GOLDEN=tests/golden/overload_responses.jsonl
 OVERLOAD_CONFIG="shards=2,degrade=greedy,fail_fast=false"
+# The generator commands of the two committed traces (their header lines
+# echo them); word-split on purpose where they are used.
+SERVICE_TRACE_GEN="--gen-trace 48 --tenants 3 --seed 20107"
+OVERLOAD_TRACE_GEN="--gen-stress 120 --tenants 4 --seed 3051 --p-degrade 0.25 --max-nodes 256"
 if [ -n "${TREESAT_UPDATE_GOLDEN:-}" ]; then
+  "$BUILD_DIR/treesat_serve" $SERVICE_TRACE_GEN > "$SERVICE_TRACE"
   "$BUILD_DIR/treesat_serve" --config "$SERVICE_CONFIG" \
     --metrics-out "$BUILD_DIR/service_metrics_full.prom" "$SERVICE_TRACE" \
     > "$SERVICE_GOLDEN"
@@ -72,12 +78,18 @@ if [ -n "${TREESAT_UPDATE_GOLDEN:-}" ]; then
   # golden; request latencies vary per run.
   sed '/^# --- wall-clock/,$d' "$BUILD_DIR/service_metrics_full.prom" \
     > "$SERVICE_METRICS_GOLDEN"
-  "$BUILD_DIR/treesat_serve" --gen-stress 120 --tenants 4 --seed 3051 \
-    --p-degrade 0.25 --max-nodes 256 > "$OVERLOAD_TRACE"
+  "$BUILD_DIR/treesat_serve" $OVERLOAD_TRACE_GEN > "$OVERLOAD_TRACE"
   "$BUILD_DIR/treesat_serve" --config "$OVERLOAD_CONFIG" "$OVERLOAD_TRACE" \
     > "$OVERLOAD_GOLDEN"
   echo "service smoke stage: regenerated $SERVICE_GOLDEN and $OVERLOAD_GOLDEN"
 else
+  # The generators must still write the committed traces byte for byte:
+  # perfbench's workloads come from the same two generators, so a drift
+  # here would change what every benchmark replays.
+  "$BUILD_DIR/treesat_serve" $SERVICE_TRACE_GEN > "$BUILD_DIR/service_trace_regen.jsonl"
+  cmp "$SERVICE_TRACE" "$BUILD_DIR/service_trace_regen.jsonl"
+  "$BUILD_DIR/treesat_serve" $OVERLOAD_TRACE_GEN > "$BUILD_DIR/overload_trace_regen.jsonl"
+  cmp "$OVERLOAD_TRACE" "$BUILD_DIR/overload_trace_regen.jsonl"
   "$BUILD_DIR/treesat_serve" --config "$SERVICE_CONFIG" "$SERVICE_TRACE" \
     > "$BUILD_DIR/service_responses.jsonl"
   diff -u "$SERVICE_GOLDEN" "$BUILD_DIR/service_responses.jsonl"
@@ -93,7 +105,7 @@ else
     echo "service smoke stage FAILED: --seed 7x exited $BAD_FLAG_STATUS, expected 2" >&2
     exit 1
   fi
-  echo "service smoke stage passed (golden + shard invariance + strict flags)"
+  echo "service smoke stage passed (trace generators + golden + shard invariance + strict flags)"
 
   # Observability smoke: the same replay with tracing + metrics on. The
   # deterministic slice of the scrape (above the wall-clock marker) is

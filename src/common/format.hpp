@@ -9,9 +9,10 @@
 
 namespace treesat {
 
-/// The bytes printf's "%.*g" writes for `v` at the smallest precision, never
-/// below 6, whose string parses back to exactly `v` (17 always does for a
-/// finite double; NaN never does and prints at 17, as "nan" or "-nan").
+/// Appends the bytes printf's "%.*g" writes for `v` at the smallest
+/// precision, never below 6, whose string parses back to exactly `v` (17
+/// always does for a finite double; NaN never does and prints at 17, as
+/// "nan" or "-nan").
 /// This is the one copy of the round-trip formatter that tree
 /// serialization, JSON reports, plan specs and the bench JSON files all
 /// share -- their round-trip properties (serialize_round_trip_test, the
@@ -26,7 +27,7 @@ namespace treesat {
 /// `v` sits on a power-of-two boundary, whose rounding interval is
 /// lopsided, so each candidate is checked with std::from_chars and the
 /// precision steps up as the printf loop did.
-inline std::string shortest_round_trip(double v) {
+inline void append_shortest_round_trip(std::string& out, double v) {
   char buf[64];
   char* const end = buf + sizeof(buf);
   int precision = 6;
@@ -44,9 +45,17 @@ inline std::string shortest_round_trip(double v) {
     // An overflow to infinity (result_out_of_range) never equals a finite v.
     const std::from_chars_result parsed = std::from_chars(buf, last, back);
     if (precision >= 17 || (parsed.ec == std::errc() && back == v)) {
-      return std::string(buf, last);
+      out.append(buf, static_cast<std::size_t>(last - buf));
+      return;
     }
   }
+}
+
+/// shortest_round_trip's bytes in a fresh string.
+inline std::string shortest_round_trip(double v) {
+  std::string out;
+  append_shortest_round_trip(out, v);
+  return out;
 }
 
 }  // namespace treesat

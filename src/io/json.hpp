@@ -1,13 +1,16 @@
 // JSON export of treesat's result objects -- the machine-readable side of
 // the experiment pipeline (the Table writer covers the human-readable side).
-// Emits standards-compliant JSON with escaped strings; numbers use
-// round-trippable shortest formatting. Writer-only by design: treesat's
-// ingestion format is the line-based tree text (tree/serialize.hpp), which
-// stays trivially diffable; JSON is for dashboards and plotting scripts.
+// Every exporter writes through the library's one JSON writer and escaper
+// (common/json.hpp, included here, so json_escape stays reachable through
+// this header): strings are escaped, numbers use round-trippable shortest
+// formatting. Writer-only by design: treesat's ingestion format is the
+// line-based tree text (tree/serialize.hpp), which stays trivially
+// diffable; JSON is for dashboards and plotting scripts.
 #pragma once
 
 #include <string>
 
+#include "common/json.hpp"
 #include "core/assignment.hpp"
 #include "core/incremental.hpp"
 #include "core/solver.hpp"
@@ -44,8 +47,5 @@ namespace treesat {
 
 /// A simulation: per-frame traces and resource busy times.
 [[nodiscard]] std::string sim_to_json(const SimResult& result);
-
-/// Escapes a string for inclusion inside JSON quotes.
-[[nodiscard]] std::string json_escape(const std::string& s);
 
 }  // namespace treesat

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/format.hpp"
+#include "common/json.hpp"
 
 namespace treesat::obs {
 namespace {
@@ -15,45 +16,16 @@ thread_local std::uint64_t tls_current_span = 0;
 
 std::atomic<TraceRecorder*> g_trace{nullptr};
 
-// Minimal JSON string escaper, local so obs depends only on src/common.
-// Span names and attribute values are ASCII identifiers and formatted
-// numbers in practice, but exporting must never produce invalid JSON.
-void append_escaped(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out.push_back(hex[(c >> 4) & 0xF]);
-          out.push_back(hex[c & 0xF]);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void append_attrs(std::string& out, const std::vector<SpanAttr>& attrs) {
-  out.push_back('{');
-  for (std::size_t i = 0; i < attrs.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    append_escaped(out, attrs[i].key);
-    out.push_back(':');
-    if (attrs[i].quoted) {
-      append_escaped(out, attrs[i].value);
+/// A span's attributes as members of the open object: strings quoted,
+/// numbers spliced as the attr() overloads formatted them.
+void write_attrs(JsonLineWriter& w, const std::vector<SpanAttr>& attrs) {
+  for (const SpanAttr& a : attrs) {
+    if (a.quoted) {
+      w.field_str(a.key, a.value);
     } else {
-      out += attrs[i].value;
+      w.field_raw(a.key, a.value);
     }
   }
-  out.push_back('}');
 }
 
 }  // namespace
@@ -175,55 +147,47 @@ std::string TraceRecorder::structure_json() const {
   // sorted order is the same at every thread count.
   std::vector<std::string> canon(n);
   for (std::size_t i = n; i-- > 0;) {
-    std::string& out = canon[i];
-    out += "{\"name\":";
-    append_escaped(out, spans[i].name);
-    out += ",\"attrs\":";
-    append_attrs(out, spans[i].attrs);
     std::vector<std::size_t> kids = children[spans[i].id];
     std::sort(kids.begin(), kids.end(),
               [&](std::size_t a, std::size_t b) { return canon[a] < canon[b]; });
-    out += ",\"children\":[";
-    for (std::size_t k = 0; k < kids.size(); ++k) {
-      if (k != 0) out.push_back(',');
-      out += canon[kids[k]];
-    }
-    out += "]}";
+    JsonLineWriter w;
+    w.field_str("name", spans[i].name).begin_object("attrs");
+    write_attrs(w, spans[i].attrs);
+    w.end_object().begin_array("children");
+    for (const std::size_t k : kids) w.item_raw(canon[k]);
+    w.end_array();
+    canon[i] = w.finish();
   }
 
   // Roots keep recording order: a serial request stream records its root
   // spans in request order, which is itself deterministic.
-  std::string out = "{\"spans\":[";
-  for (std::size_t k = 0; k < children[0].size(); ++k) {
-    if (k != 0) out.push_back(',');
-    out += canon[children[0][k]];
-  }
-  out += "]}\n";
+  JsonLineWriter w;
+  w.begin_array("spans");
+  for (const std::size_t root : children[0]) w.item_raw(canon[root]);
+  w.end_array();
+  std::string out = w.finish();
+  out += '\n';
   return out;
 }
 
 std::string TraceRecorder::chrome_trace_json() const {
-  const std::vector<SpanRecord> spans = snapshot();
-  std::string out = "{\"traceEvents\":[";
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const SpanRecord& s = spans[i];
-    if (i != 0) out.push_back(',');
-    out += "{\"name\":";
-    append_escaped(out, s.name);
-    out += ",\"ph\":\"X\",\"ts\":";
-    out += shortest_round_trip(s.start_seconds * 1e6);
-    out += ",\"dur\":";
-    out += shortest_round_trip(s.duration_seconds * 1e6);
-    out += ",\"pid\":0,\"tid\":";
-    out += std::to_string(s.tid);
-    out += ",\"args\":";
-    std::vector<SpanAttr> args = s.attrs;
-    args.push_back(SpanAttr{"span_id", std::to_string(s.id), /*quoted=*/false});
-    args.push_back(SpanAttr{"parent_id", std::to_string(s.parent), /*quoted=*/false});
-    append_attrs(out, args);
-    out += "}";
+  JsonLineWriter w;
+  w.begin_array("traceEvents");
+  for (const SpanRecord& s : snapshot()) {
+    w.begin_object()
+        .field_str("name", s.name)
+        .field_str("ph", "X")
+        .field_num("ts", s.start_seconds * 1e6)
+        .field_num("dur", s.duration_seconds * 1e6)
+        .field_uint("pid", 0)
+        .field_uint("tid", s.tid)
+        .begin_object("args");
+    write_attrs(w, s.attrs);
+    w.field_uint("span_id", s.id).field_uint("parent_id", s.parent).end_object().end_object();
   }
-  out += "]}\n";
+  w.end_array();
+  std::string out = w.finish();
+  out += '\n';
   return out;
 }
 

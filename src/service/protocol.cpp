@@ -5,8 +5,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/format.hpp"
-#include "io/json.hpp"
 
 namespace treesat {
 
@@ -202,42 +200,6 @@ double RequestObject::number_or(const std::string& key, double fallback) const {
 
 bool RequestObject::bool_or(const std::string& key, bool fallback) const {
   return has(key) ? bool_at(key) : fallback;
-}
-
-void JsonLineWriter::key(std::string_view key) {
-  if (!first_) os_ << ',';
-  first_ = false;
-  os_ << '"' << key << "\":";
-}
-
-JsonLineWriter& JsonLineWriter::field_str(std::string_view key, std::string_view value) {
-  this->key(key);
-  os_ << '"' << json_escape(std::string(value)) << '"';
-  return *this;
-}
-
-JsonLineWriter& JsonLineWriter::field_num(std::string_view key, double value) {
-  this->key(key);
-  os_ << shortest_round_trip(value);
-  return *this;
-}
-
-JsonLineWriter& JsonLineWriter::field_uint(std::string_view key, std::size_t value) {
-  this->key(key);
-  os_ << value;
-  return *this;
-}
-
-JsonLineWriter& JsonLineWriter::field_bool(std::string_view key, bool value) {
-  this->key(key);
-  os_ << (value ? "true" : "false");
-  return *this;
-}
-
-JsonLineWriter& JsonLineWriter::field_raw(std::string_view key, std::string_view json) {
-  this->key(key);
-  os_ << json;
-  return *this;
 }
 
 }  // namespace treesat

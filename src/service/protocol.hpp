@@ -9,19 +9,21 @@
 // line-based text format of tree/serialize.hpp inside a JSON string (its
 // newlines escaped as \n), so the ingestion format stays the diffable one.
 //
-// Responses are built with JsonLineWriter, which emits fields in call
-// order with shortest-round-trip number formatting -- the property the
-// service's determinism contract leans on: the same request stream must
-// produce byte-identical response streams at any shard or thread count
+// Responses are built with the library's one JSON writer, JsonLineWriter
+// (common/json.hpp, included here), which emits fields in call order with
+// shortest-round-trip number formatting -- the property the service's
+// determinism contract leans on: the same request stream must produce
+// byte-identical response streams at any shard or thread count
 // (tests/service_determinism_test.cpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <sstream>
 #include <string>
 #include <string_view>
+
+#include "common/json.hpp"
 
 namespace treesat {
 
@@ -57,40 +59,10 @@ class RequestObject {
   [[nodiscard]] double number_or(const std::string& key, double fallback) const;
   [[nodiscard]] bool bool_or(const std::string& key, bool fallback) const;
 
-  [[nodiscard]] const std::map<std::string, JsonValue>& fields() const { return fields_; }
-
  private:
   const JsonValue& at(const std::string& key, JsonValue::Kind kind) const;
 
   std::map<std::string, JsonValue> fields_;
-};
-
-/// Builder for one response line. Fields appear in call order; numbers use
-/// shortest round-trip formatting (common/format.hpp), strings are escaped
-/// with io/json's json_escape -- both deterministic, both matching the rest
-/// of the JSON the library emits.
-class JsonLineWriter {
- public:
-  JsonLineWriter() { os_ << '{'; }
-
-  JsonLineWriter& field_str(std::string_view key, std::string_view value);
-  JsonLineWriter& field_num(std::string_view key, double value);
-  JsonLineWriter& field_uint(std::string_view key, std::size_t value);
-  JsonLineWriter& field_bool(std::string_view key, bool value);
-  /// Splices pre-serialized JSON (an embedded document, an array).
-  JsonLineWriter& field_raw(std::string_view key, std::string_view json);
-
-  /// Closes the object. The writer is spent afterwards.
-  [[nodiscard]] std::string finish() {
-    os_ << '}';
-    return os_.str();
-  }
-
- private:
-  void key(std::string_view key);
-
-  std::ostringstream os_;
-  bool first_ = true;
 };
 
 }  // namespace treesat

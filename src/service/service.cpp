@@ -16,7 +16,6 @@
 #include "core/registry.hpp"
 #include "core/solver.hpp"
 #include "heuristics/local_search.hpp"
-#include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/protocol.hpp"
@@ -118,9 +117,9 @@ ServiceOptions parse_service_config(std::string_view spec) {
                               "non-negative number, got '" +
                               std::string(value) + "'");
       }
-      options.executor.deadline_seconds = ms / 1e3;
+      options.deadline_seconds = ms / 1e3;
     } else if (key == "fail_fast") {
-      options.executor.fail_fast = config_value(key, parse_bool(value), value);
+      options.fail_fast = config_value(key, parse_bool(value), value);
     } else if (key == "plan") {
       // Validated eagerly so a typo'd default plan fails at startup, not on
       // the first solve request. The config grammar splits on commas, so
@@ -152,10 +151,10 @@ std::string service_config_spec(const ServiceOptions& options) {
   spec += ",mem_budget=" + std::to_string(options.mem_budget);
   if (!options.spill_dir.empty()) spec += ",spill_dir=" + options.spill_dir;
   if (options.spill_budget != 0) spec += ",spill_budget=" + std::to_string(options.spill_budget);
-  if (options.executor.deadline_seconds != 0.0) {
-    spec += ",deadline_ms=" + shortest_round_trip(options.executor.deadline_seconds * 1e3);
+  if (options.deadline_seconds != 0.0) {
+    spec += ",deadline_ms=" + shortest_round_trip(options.deadline_seconds * 1e3);
   }
-  if (!options.executor.fail_fast) spec += ",fail_fast=false";
+  if (!options.fail_fast) spec += ",fail_fast=false";
   if (options.degrade == DegradeMode::kGreedy) spec += ",degrade=greedy";
   const std::string faults = fault_plan_spec(options.faults);
   if (!faults.empty()) spec += ",fault=" + faults;
@@ -243,15 +242,11 @@ Perturbation parse_perturbation(const RequestObject& req, const CruTree& tree) {
                         "' (global_drift, satellite_drift, satellite_loss, insert_probe)");
 }
 
-/// The cut as a JSON array of node names (stable identifiers, unlike ids).
-std::string cut_to_json(const std::vector<CruId>& cut, const CruTree& tree) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < cut.size(); ++i) {
-    if (i) out += ',';
-    out += '"' + json_escape(tree.node(cut[i]).name) + '"';
-  }
-  out += ']';
-  return out;
+/// The cut as an array of node names (stable identifiers, unlike ids).
+void add_cut(JsonLineWriter& w, const std::vector<CruId>& cut, const CruTree& tree) {
+  w.begin_array("cut");
+  for (const CruId v : cut) w.item_str(tree.node(v).name);
+  w.end_array();
 }
 
 /// Remaps a cut from one tree into another by node *name* (names survive
@@ -274,9 +269,14 @@ std::vector<CruId> map_cut_by_name(const std::vector<CruId>& cut, const CruTree&
 /// `warm_candidate` when it survives as a valid cut (a stale cached optimum
 /// that does not -- e.g. coverage changed under a satellite loss -- silently
 /// falls back to the topmost start; leniency lives here, the heuristics stay
-/// strict).
-LocalSearchResult degraded_result(const Colouring& colouring, const SsbObjective& objective,
-                                  std::vector<CruId> warm_candidate, bool* warm_started) {
+/// strict). Counts it for the tenant, marks the root span, and writes the
+/// response tail: the heuristic's answer plus its provenance
+/// ("path":"degraded", the fallback method, whether the cached optimum
+/// seeded the climb). Mirrors add_solution_fields' field set minus the
+/// session-only region stats. No wall-clock here either.
+void answer_degraded(JsonLineWriter& w, obs::Span& root, TenantTelemetry& tt,
+                     const Colouring& colouring, const SsbObjective& objective,
+                     std::vector<CruId> warm_candidate) {
   // The fallback calls its heuristic directly, so it applies the check
   // SolvePlan::resolve gives every planned solve.
   objective.require_finite_for(colouring.tree().total_cost());
@@ -287,16 +287,11 @@ LocalSearchResult degraded_result(const Colouring& colouring, const SsbObjective
       warm_candidate.clear();
     }
   }
-  *warm_started = !warm_candidate.empty();
-  return greedy_solve(colouring, objective, warm_candidate);
-}
-
-/// Response tail of a degraded solve/perturb: the heuristic's answer plus
-/// its provenance ("path":"degraded", the fallback method, whether the
-/// cached optimum seeded the climb). Mirrors add_solution_fields' field
-/// set minus the session-only region stats. No wall-clock here either.
-void add_degraded_fields(JsonLineWriter& w, const LocalSearchResult& res, const CruTree& tree,
-                         bool warm_started) {
+  const bool warm_started = !warm_candidate.empty();
+  const LocalSearchResult res = greedy_solve(colouring, objective, warm_candidate);
+  ++tt.degraded;
+  ++tt.method_counts[static_cast<std::size_t>(SolveMethod::kGreedy)];
+  root.attr("path", "degraded");
   w.field_str("path", "degraded");
   w.field_bool("degraded", true);
   w.field_str("fallback", method_name(SolveMethod::kGreedy));
@@ -305,7 +300,7 @@ void add_degraded_fields(JsonLineWriter& w, const LocalSearchResult& res, const 
   w.field_num("objective", res.objective_value);
   w.field_num("host_time", res.delay.host_time);
   w.field_num("bottleneck", res.delay.bottleneck);
-  w.field_raw("cut", cut_to_json(res.assignment.cut_nodes(), tree));
+  add_cut(w, res.assignment.cut_nodes(), colouring.tree());
 }
 
 /// The entry a solve/perturb addresses, under a store.lookup span; a
@@ -342,6 +337,17 @@ std::size_t enforce_budget(SessionStore& store, ServiceTelemetry& telemetry,
   return victims.size();
 }
 
+/// The shared end of every solve/perturb response: the entry's bytes are
+/// re-charged, the store evicts down to its budget sparing the entry, and
+/// both land in the response.
+void add_budget_fields(JsonLineWriter& w, SessionStore& store, ServiceTelemetry& telemetry,
+                       SessionEntry& entry) {
+  store.refresh_bytes(entry);
+  const std::size_t lru_evicted = enforce_budget(store, telemetry, &entry);
+  w.field_uint("bytes", entry.bytes);
+  w.field_uint("lru_evicted", lru_evicted);
+}
+
 /// The shared tail of solve/perturb responses: the optimum and the
 /// warm/cold provenance. Deliberately no wall-clock field -- the response
 /// stream is byte-identity-checked across shard/thread counts.
@@ -354,7 +360,7 @@ void add_solution_fields(JsonLineWriter& w, const SessionEntry& entry, const cha
   w.field_num("objective", report.objective_value);
   w.field_num("host_time", report.delay.host_time);
   w.field_num("bottleneck", report.delay.bottleneck);
-  w.field_raw("cut", cut_to_json(report.assignment.cut_nodes(), entry.session->tree()));
+  add_cut(w, report.assignment.cut_nodes(), entry.session->tree());
   w.field_uint("regions_total", stats.regions_total);
   w.field_uint("regions_reused", stats.regions_reused);
   w.field_uint("regions_recomputed", stats.regions_recomputed);
@@ -376,7 +382,7 @@ std::size_t SolverService::serve(std::istream& in, std::ostream& out) {
     out << outcome.line << '\n';
     if (!outcome.ok) {
       ++errors;
-      if (options_.executor.fail_fast) break;
+      if (options_.fail_fast) break;
     }
   }
   out.flush();
@@ -470,7 +476,7 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
     // budget is the service deadline tightened by the request's own
     // deadline_ms, both measured from service start (the protocol is
     // open-loop: a request's useful-by time is relative to the stream).
-    double limit = options_.executor.deadline_seconds;
+    double limit = options_.deadline_seconds;
     if (req.has("deadline_ms")) {
       const double ms = req.number_at("deadline_ms");
       if (!std::isfinite(ms) || ms < 0.0) {
@@ -564,18 +570,8 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
         if (entry.session != nullptr) {
           warm = entry.session->current().assignment.cut_nodes();
         }
-        bool warm_started = false;
-        const LocalSearchResult res =
-            degraded_result(colouring, objective, std::move(warm), &warm_started);
-        ++tt->degraded;
-        root.attr("path", "degraded");
-        ++tt->method_counts[static_cast<std::size_t>(SolveMethod::kGreedy)];
-        store_.refresh_bytes(entry);
-        const std::size_t lru_evicted = enforce_budget(store_, telemetry_, &entry);
         w.field_str("tenant", tenant).field_str("instance", instance);
-        add_degraded_fields(w, res, entry.current_tree(), warm_started);
-        w.field_uint("bytes", entry.bytes);
-        w.field_uint("lru_evicted", lru_evicted);
+        answer_degraded(w, root, *tt, colouring, objective, std::move(warm));
       } else {
         const char* path = "cached";
         ResolveStats stats;
@@ -611,14 +607,11 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
           stats.cold_reason.clear();
           ++tt->warm_hits;
         }
-        store_.refresh_bytes(entry);
-        const std::size_t lru_evicted = enforce_budget(store_, telemetry_, &entry);
         root.attr("path", path);
         w.field_str("tenant", tenant).field_str("instance", instance);
         add_solution_fields(w, entry, path, stats);
-        w.field_uint("bytes", entry.bytes);
-        w.field_uint("lru_evicted", lru_evicted);
       }
+      add_budget_fields(w, store_, telemetry_, entry);
     } else if (op == "perturb") {
       if (tt == nullptr) throw InvalidArgument("request: 'perturb' needs a tenant");
       const std::string& instance = req.string_at("instance");
@@ -645,14 +638,8 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
           warm = map_cut_by_name(entry.session->current().assignment.cut_nodes(),
                                  entry.session->tree(), evolved);
         }
-        bool warm_started = false;
-        const LocalSearchResult res =
-            degraded_result(colouring, objective, std::move(warm), &warm_started);
-        ++tt->degraded;
-        root.attr("path", "degraded");
-        ++tt->method_counts[static_cast<std::size_t>(SolveMethod::kGreedy)];
         w.field_bool("solved", true);
-        add_degraded_fields(w, res, evolved, warm_started);
+        answer_degraded(w, root, *tt, colouring, objective, std::move(warm));
         entry.session.reset();
         entry.plan_spec.clear();
         entry.tree = std::make_unique<CruTree>(std::move(evolved));
@@ -672,10 +659,7 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
         w.field_bool("solved", false);
         w.field_uint("nodes", entry.tree->size());
       }
-      store_.refresh_bytes(entry);
-      const std::size_t lru_evicted = enforce_budget(store_, telemetry_, &entry);
-      w.field_uint("bytes", entry.bytes);
-      w.field_uint("lru_evicted", lru_evicted);
+      add_budget_fields(w, store_, telemetry_, entry);
     } else if (op == "stats") {
       // A request that names a tenant is scoped to that tenant's own block.
       refresh_store_gauges();

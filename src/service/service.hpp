@@ -75,12 +75,12 @@
 // rejections depend on the wall clock, exactly like the batch executor's
 // between-instance deadline -- so deterministic traces simply carry none.
 //
-// Admission control reuses ExecutorOptions: deadline_seconds is the serve
-// budget measured from construction and checked before each request is
-// started (a running solve is never interrupted; late requests degrade or
-// fail fast with an error response), a per-request "deadline_ms" tightens
-// it for that request, and fail_fast stops the stream at the first error
-// response, mirroring the batch executor's contract. The budget guards
+// Admission control takes two options, mirroring the batch executor's
+// contract: deadline_seconds is the serve budget measured from
+// construction and checked before each request is started (a running solve
+// is never interrupted; late requests degrade or fail fast with an error
+// response), a per-request "deadline_ms" tightens it for that request, and
+// fail_fast stops the stream at the first error response. The budget guards
 // *solver work*: only solve and perturb are ever rejected or degraded by
 // it -- submit, stats, evict, checkpoint and restore are cheap bookkeeping
 // and always admitted (shedding them would lose goodput without saving
@@ -127,10 +127,11 @@ struct ServiceOptions {
   /// Default plan spec for solve requests that carry none. Must be a valid
   /// registry spec (core/registry.hpp).
   std::string plan = "pareto-dp";
-  /// Admission knobs, reusing the executor contract (core/executor.hpp):
-  /// deadline_seconds bounds the whole serve measured from construction,
-  /// fail_fast stops the stream at the first error response.
-  ExecutorOptions executor;
+  /// Admission budget in seconds (config key deadline_ms=), measured from
+  /// construction and checked before each solve/perturb starts; 0 = none.
+  double deadline_seconds = 0.0;
+  /// Stop serve() at the first error response (config key fail_fast=).
+  bool fail_fast = true;
   /// SLA-aware degradation (config key degrade=off|greedy): what happens
   /// to a solve/perturb the admission budget would reject. Off keeps the
   /// historical reject-with-error behavior. A request carrying
@@ -170,7 +171,7 @@ class SolverService {
 
   /// Runs the line protocol: a response line per request line; blank lines
   /// and '#' comment lines are skipped (so traces stay annotatable).
-  /// Honors executor.fail_fast (stop after the first error response) and
+  /// Honors fail_fast (stop after the first error response) and
   /// the service deadline. Returns the number of error responses.
   std::size_t serve(std::istream& in, std::ostream& out);
 

@@ -1,95 +1,65 @@
 #include "service/telemetry.hpp"
 
-#include "common/format.hpp"
-#include "io/json.hpp"
+#include "common/json.hpp"
 
 namespace treesat {
 
 namespace {
 
-void append_field(std::string& out, std::string_view name, std::size_t value) {
-  out += '"';
-  out += name;
-  out += "\":";
-  out += std::to_string(value);
-}
-
-void append_ratio(std::string& out, std::string_view name, double value) {
-  out += ",\"";
-  out += name;
-  out += "\":";
-  out += shortest_round_trip(value);
-}
-
 /// One tenant block of the telemetry document (also the global totals and
-/// the overflow aggregate). Each ratio follows the last counter it reads.
-void append_tenant_block(std::string& out, const TenantTelemetry& t) {
-  const char* sep = "";
+/// the overflow aggregate), as members of the open object. Each ratio
+/// follows the last counter it reads.
+void write_tenant_block(JsonLineWriter& w, const TenantTelemetry& t) {
   for (const TenantCounter& counter : kTenantCounters) {
-    out += sep;
-    sep = ",";
-    append_field(out, counter.name, t.*counter.member);
+    w.field_uint(counter.name, t.*counter.member);
     if (counter.member == &TenantTelemetry::cold_solves) {
-      append_ratio(out, "warm_hit_ratio", t.warm_hit_ratio());
+      w.field_num("warm_hit_ratio", t.warm_hit_ratio());
     } else if (counter.member == &TenantTelemetry::rejected) {
-      append_ratio(out, "goodput_ratio", t.goodput_ratio());
+      w.field_num("goodput_ratio", t.goodput_ratio());
     }
   }
-  out += ",\"method_counts\":{";
-  sep = "";
+  w.begin_object("method_counts");
   for (std::size_t m = 0; m < t.method_counts.size(); ++m) {
     if (t.method_counts[m] == 0) continue;
-    out += sep;
-    sep = ",";
-    append_field(out, method_name(static_cast<SolveMethod>(m)), t.method_counts[m]);
+    w.field_uint(method_name(static_cast<SolveMethod>(m)), t.method_counts[m]);
   }
-  out += '}';
+  w.end_object();
 }
 
-void append_tenant_section(std::string& out, const std::string& name,
-                           const TenantTelemetry& t) {
-  out += "{\"tenant\":\"";
-  out += json_escape(name);
-  out += "\",";
-  append_tenant_block(out, t);
-  out += '}';
+void write_tenant_section(JsonLineWriter& w, std::string_view name, const TenantTelemetry& t) {
+  w.begin_object().field_str("tenant", name);
+  write_tenant_block(w, t);
+  w.end_object();
 }
 
 }  // namespace
 
 std::string service_telemetry_to_json(const ServiceTelemetry& telemetry,
                                       std::string_view tenant) {
-  std::string out;
-  const char* sep = "{";
+  JsonLineWriter w;
   for (const ServiceGauge& gauge : kServiceGauges) {
-    out += sep;
-    sep = ",";
-    append_field(out, gauge.name, telemetry.*gauge.member);
+    w.field_uint(gauge.name, telemetry.*gauge.member);
   }
 
-  out += ",\"totals\":{";
+  w.begin_object("totals");
   if (tenant.empty()) {
-    append_tenant_block(out, telemetry.totals());
-    out += "},\"tenants\":[";
-    sep = "";
+    write_tenant_block(w, telemetry.totals());
+    w.end_object().begin_array("tenants");
     for (const auto& [name, section] : telemetry.tenants) {
-      out += sep;
-      sep = ",";
-      append_tenant_section(out, name, section);
+      write_tenant_section(w, name, section);
     }
     if (telemetry.overflow.requests > 0) {
-      out += sep;
-      append_tenant_section(out, "(overflow)", telemetry.overflow);
+      write_tenant_section(w, "(overflow)", telemetry.overflow);
     }
   } else {
     const auto it = telemetry.tenants.find(tenant);
     const TenantTelemetry untracked;
-    append_tenant_block(out, it != telemetry.tenants.end() ? it->second : untracked);
-    out += "},\"tenants\":[";
-    if (it != telemetry.tenants.end()) append_tenant_section(out, it->first, it->second);
+    write_tenant_block(w, it != telemetry.tenants.end() ? it->second : untracked);
+    w.end_object().begin_array("tenants");
+    if (it != telemetry.tenants.end()) write_tenant_section(w, it->first, it->second);
   }
-  out += "]}";
-  return out;
+  w.end_array();
+  return w.finish();
 }
 
 }  // namespace treesat

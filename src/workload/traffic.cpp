@@ -6,8 +6,7 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/format.hpp"
-#include "io/json.hpp"
+#include "common/json.hpp"
 #include "tree/serialize.hpp"
 #include "workload/generator.hpp"
 #include "workload/scenarios.hpp"
@@ -24,34 +23,25 @@ struct TenantState {
   std::size_t cursor = 0;
 };
 
-// Lines are built by appending, not chained operator+: GCC 12's -Wrestrict
-// misfires on chained string concatenation under -O2 (GCC bug 105651).
+/// A request line's op and addressee (no instance when `instance` is
+/// empty); the caller adds the op's own fields.
+JsonLineWriter request(std::string_view op, std::string_view tenant, std::string_view instance) {
+  JsonLineWriter w;
+  w.field_str("op", op).field_str("tenant", tenant);
+  if (!instance.empty()) w.field_str("instance", instance);
+  return w;
+}
+
 std::string submit_line(const TenantState& t, const std::string& instance) {
-  std::string line = "{\"op\":\"submit\",\"tenant\":\"";
-  line += t.name;
-  line += "\",\"instance\":\"";
-  line += instance;
-  line += "\",\"tree\":\"";
-  line += json_escape(to_text(t.current));
-  line += "\"}";
-  return line;
+  return request("submit", t.name, instance).field_str("tree", to_text(t.current)).finish();
 }
 
 std::string solve_line(const TenantState& t, const std::string& instance,
                        const std::string& plan, bool degrade = false) {
-  std::string line = "{\"op\":\"solve\",\"tenant\":\"";
-  line += t.name;
-  line += "\",\"instance\":\"";
-  line += instance;
-  line += '"';
-  if (!plan.empty()) {
-    line += ",\"plan\":\"";
-    line += json_escape(plan);
-    line += '"';
-  }
-  if (degrade) line += ",\"degrade\":true";
-  line += '}';
-  return line;
+  JsonLineWriter w = request("solve", t.name, instance);
+  if (!plan.empty()) w.field_str("plan", plan);
+  if (degrade) w.field_bool("degrade", true);
+  return w.finish();
 }
 
 /// Zipf(s) tenant popularity: rank k (0-based) drawn with weight 1/(k+1)^s
@@ -82,43 +72,18 @@ class ZipfSampler {
 
 std::string perturb_line(const std::string& tenant, const std::string& instance,
                          const CruTree& current, const Perturbation& p, bool degrade) {
-  std::string line = "{\"op\":\"perturb\",\"tenant\":\"";
-  line += tenant;
-  line += "\",\"instance\":\"";
-  line += instance;
-  line += '"';
-  const auto field_num = [&line](const char* key, double value) {
-    line += ",\"";
-    line += key;
-    line += "\":";
-    line += shortest_round_trip(value);
-  };
-  const auto field_uint = [&line](const char* key, std::uint32_t value) {
-    line += ",\"";
-    line += key;
-    line += "\":";
-    line += std::to_string(value);
-  };
-  const auto field_str = [&line](const char* key, const std::string& value) {
-    line += ",\"";
-    line += key;
-    line += "\":\"";
-    line += json_escape(value);
-    line += '"';
-  };
+  JsonLineWriter w = request("perturb", tenant, instance);
   if (const auto* drift = p.as<ProfileDrift>()) {
     if (drift->satellite.valid()) {
-      field_str("kind", "satellite_drift");
-      field_uint("satellite", drift->satellite.value());
+      w.field_str("kind", "satellite_drift").field_uint("satellite", drift->satellite.value());
     } else {
-      field_str("kind", "global_drift");
+      w.field_str("kind", "global_drift");
     }
-    field_num("host_scale", drift->host_scale);
-    field_num("sat_scale", drift->sat_scale);
-    field_num("comm_scale", drift->comm_scale);
+    w.field_num("host_scale", drift->host_scale)
+        .field_num("sat_scale", drift->sat_scale)
+        .field_num("comm_scale", drift->comm_scale);
   } else if (const auto* loss = p.as<SatelliteLoss>()) {
-    field_str("kind", "satellite_loss");
-    field_uint("satellite", loss->satellite.value());
+    w.field_str("kind", "satellite_loss").field_uint("satellite", loss->satellite.value());
   } else {
     const auto* ins = p.as<SubtreeInsert>();
     TS_CHECK(ins != nullptr && ins->nodes.size() == 2 &&
@@ -126,18 +91,17 @@ std::string perturb_line(const std::string& tenant, const std::string& instance,
                  ins->nodes[0].parent == SubtreeInsert::kAttach &&
                  ins->nodes[1].kind == CruKind::kSensor && ins->nodes[1].parent == 0,
              "perturb_line: drift stream produced a non-probe insertion");
-    field_str("kind", "insert_probe");
-    field_str("parent", current.node(ins->parent).name);
-    field_str("name", ins->nodes[0].name);
-    field_uint("satellite", ins->nodes[1].satellite.value());
-    field_num("host_time", ins->nodes[0].host_time);
-    field_num("sat_time", ins->nodes[0].sat_time);
-    field_num("comm_up", ins->nodes[0].comm_up);
-    field_num("sensor_comm_up", ins->nodes[1].comm_up);
+    w.field_str("kind", "insert_probe")
+        .field_str("parent", current.node(ins->parent).name)
+        .field_str("name", ins->nodes[0].name)
+        .field_uint("satellite", ins->nodes[1].satellite.value())
+        .field_num("host_time", ins->nodes[0].host_time)
+        .field_num("sat_time", ins->nodes[0].sat_time)
+        .field_num("comm_up", ins->nodes[0].comm_up)
+        .field_num("sensor_comm_up", ins->nodes[1].comm_up);
   }
-  if (degrade) line += ",\"degrade\":true";
-  line += '}';
-  return line;
+  if (degrade) w.field_bool("degrade", true);
+  return w.finish();
 }
 
 TrafficTrace traffic_trace(const TrafficOptions& options) {
@@ -180,18 +144,10 @@ TrafficTrace traffic_trace(const TrafficOptions& options) {
     TenantState& t = tenants[rng.index(tenants.size())];
     const double u = rng.uniform_real(0.0, 1.0);
     if (u < options.p_stats) {
-      std::string line = "{\"op\":\"stats\",\"tenant\":\"";
-      line += t.name;
-      line += "\"}";
-      trace.lines.push_back(std::move(line));
+      trace.lines.push_back(request("stats", t.name, {}).finish());
       ++trace.stats_polls;
     } else if (u < options.p_stats + options.p_churn) {
-      std::string line = "{\"op\":\"evict\",\"tenant\":\"";
-      line += t.name;
-      line += "\",\"instance\":\"";
-      line += instance;
-      line += "\"}";
-      trace.lines.push_back(std::move(line));
+      trace.lines.push_back(request("evict", t.name, instance).finish());
       ++trace.evicts;
       trace.lines.push_back(submit_line(t, instance));
       ++trace.submits;
@@ -326,18 +282,10 @@ TrafficTrace stress_trace(const StressOptions& options) {
       outstanding.push_back(k);
       TenantState& t = tenants[k];
       if (u < options.p_stats) {
-        std::string line = "{\"op\":\"stats\",\"tenant\":\"";
-        line += t.name;
-        line += "\"}";
-        trace.lines.push_back(std::move(line));
+        trace.lines.push_back(request("stats", t.name, {}).finish());
         ++trace.stats_polls;
       } else if (u < options.p_stats + options.p_churn) {
-        std::string line = "{\"op\":\"evict\",\"tenant\":\"";
-        line += t.name;
-        line += "\",\"instance\":\"";
-        line += instance;
-        line += "\"}";
-        trace.lines.push_back(std::move(line));
+        trace.lines.push_back(request("evict", t.name, instance).finish());
         ++trace.evicts;
         trace.lines.push_back(submit_line(t, instance));
         ++trace.submits;

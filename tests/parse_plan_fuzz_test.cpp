@@ -225,8 +225,8 @@ TEST(ParseServiceConfigFuzz, NearMissesStillParse) {
   EXPECT_EQ(parse_service_config("shards=0016").shards, 16u);
   EXPECT_EQ(parse_service_config("shards=1024").shards, 1024u);
   EXPECT_EQ(parse_service_config("mem_budget=64K").mem_budget, std::size_t{64} << 10);
-  EXPECT_EQ(parse_service_config("deadline_ms=0").executor.deadline_seconds, 0.0);
-  EXPECT_EQ(parse_service_config("fail_fast=no").executor.fail_fast, false);
+  EXPECT_EQ(parse_service_config("deadline_ms=0").deadline_seconds, 0.0);
+  EXPECT_EQ(parse_service_config("fail_fast=no").fail_fast, false);
   EXPECT_EQ(parse_service_config("plan=coloured_ssb").plan, "coloured_ssb");
   // Spill keys: budget 0 without a directory means "disabled", which is
   // exactly the default; a directory alone enables an unlimited tier.

@@ -774,15 +774,15 @@ TEST(Service, ConfigSpecRoundTrips) {
       "shards=4,mem_budget=64m,deadline_ms=250,fail_fast=false,plan=coloured-ssb");
   EXPECT_EQ(options.shards, 4u);
   EXPECT_EQ(options.mem_budget, std::size_t{64} << 20);
-  EXPECT_DOUBLE_EQ(options.executor.deadline_seconds, 0.25);
-  EXPECT_FALSE(options.executor.fail_fast);
+  EXPECT_DOUBLE_EQ(options.deadline_seconds, 0.25);
+  EXPECT_FALSE(options.fail_fast);
   EXPECT_EQ(options.plan, "coloured-ssb");
 
   const ServiceOptions back = parse_service_config(service_config_spec(options));
   EXPECT_EQ(back.shards, options.shards);
   EXPECT_EQ(back.mem_budget, options.mem_budget);
-  EXPECT_DOUBLE_EQ(back.executor.deadline_seconds, options.executor.deadline_seconds);
-  EXPECT_EQ(back.executor.fail_fast, options.executor.fail_fast);
+  EXPECT_DOUBLE_EQ(back.deadline_seconds, options.deadline_seconds);
+  EXPECT_EQ(back.fail_fast, options.fail_fast);
   EXPECT_EQ(back.plan, options.plan);
 
   // Suffix forms.

@@ -2,7 +2,7 @@
 // service (src/service/service.hpp).
 //
 //   $ treesat_serve [--config "shards=4,mem_budget=64m"] [trace.jsonl]
-//   $ treesat_serve --shards 4 --mem-budget 64m < trace.jsonl
+//   $ treesat_serve --config "mem_budget=64m,spill_dir=spill" < trace.jsonl
 //   $ treesat_serve --gen-trace 200 --seed 7 > trace.jsonl
 //
 // Reads one JSON request per line (from the trace file, or stdin when no
@@ -37,10 +37,6 @@ int usage(const char* argv0) {
       << "  --config SPEC      service config: shards=,mem_budget=,spill_dir=,\n"
       << "                     spill_budget=,deadline_ms=,fail_fast=,plan=,degrade=,\n"
       << "                     fault= (see parse_service_config)\n"
-      << "  --shards N         shorthand for shards=N\n"
-      << "  --mem-budget B     shorthand for mem_budget=B (k/m/g suffixes)\n"
-      << "  --spill-dir DIR    shorthand for spill_dir=DIR (spill tier)\n"
-      << "  --spill-budget B   shorthand for spill_budget=B (k/m/g suffixes)\n"
       << "  --restore DIR      restore a checkpoint before serving\n"
       << "  --checkpoint-dir DIR  write a checkpoint after the stream ends\n"
       << "  --plan SPEC        default plan for solve requests without one\n"
@@ -66,10 +62,6 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   using namespace treesat;
   std::string config_spec;
-  std::string shards_flag;
-  std::string mem_flag;
-  std::string spill_dir_flag;
-  std::string spill_budget_flag;
   std::string restore_dir;
   std::string checkpoint_dir;
   std::string plan_flag;
@@ -106,14 +98,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--config") {
       config_spec = next();
-    } else if (arg == "--shards") {
-      shards_flag = next();
-    } else if (arg == "--mem-budget") {
-      mem_flag = next();
-    } else if (arg == "--spill-dir") {
-      spill_dir_flag = next();
-    } else if (arg == "--spill-budget") {
-      spill_budget_flag = next();
     } else if (arg == "--restore") {
       restore_dir = next();
     } else if (arg == "--checkpoint-dir") {
@@ -178,25 +162,9 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Flag shorthands append to the --config spec (a key given both ways
-    // is rejected as a duplicate by the parser).
-    if (!shards_flag.empty()) {
-      config_spec += (config_spec.empty() ? "" : ",");
-      config_spec += "shards=" + shards_flag;
-    }
-    if (!mem_flag.empty()) {
-      config_spec += (config_spec.empty() ? "" : ",");
-      config_spec += "mem_budget=" + mem_flag;
-    }
-    if (!spill_dir_flag.empty()) {
-      config_spec += (config_spec.empty() ? "" : ",");
-      config_spec += "spill_dir=" + spill_dir_flag;
-    }
-    if (!spill_budget_flag.empty()) {
-      config_spec += (config_spec.empty() ? "" : ",");
-      config_spec += "spill_budget=" + spill_budget_flag;
-    }
     ServiceOptions options = parse_service_config(config_spec);
+    // --plan overrides plan=: the config grammar splits on commas, so a
+    // default plan spec with several keys can only be set this way.
     if (!plan_flag.empty()) options.plan = plan_flag;
 
     // Observability: the registry is installed whenever we serve, so the
@@ -250,7 +218,7 @@ int main(int argc, char** argv) {
       treesat::obs::install_trace(nullptr);
     }
     treesat::obs::install_metrics(nullptr);
-    if (errors > 0 && service.options().executor.fail_fast) {
+    if (errors > 0 && service.options().fail_fast) {
       std::cerr << argv[0] << ": aborted after the first error response (fail_fast)\n";
       return 1;
     }

@@ -151,16 +151,24 @@ else
   # reload through the store's segment file and the checkpoint carries
   # spilled rows (copied out of the head process's segment, appended to the
   # tail process's). It must match its own single-process replay byte for
-  # byte, and it fails if the stats line shows no spill.
+  # byte, and it fails if the stats line shows no spill. The single process
+  # checkpoints into the directory the head then checkpoints into again:
+  # it must end up as the head's checkpoint written into an empty one, with
+  # no file of the checkpoint before it left behind.
   SPILL_CONFIG="shards=2,mem_budget=10k,spill_dir=$BUILD_DIR/spill-smoke"
   SPILL_CKPT_DIR="$BUILD_DIR/ckpt-spill-smoke"
-  rm -rf "$BUILD_DIR/spill-smoke" "$SPILL_CKPT_DIR"
+  rm -rf "$BUILD_DIR/spill-smoke" "$SPILL_CKPT_DIR" "$SPILL_CKPT_DIR-fresh"
   "$BUILD_DIR/treesat_serve" --config "$SPILL_CONFIG" \
-    --metrics-out "$BUILD_DIR/service_metrics_spill.prom" "$SERVICE_TRACE" \
+    --metrics-out "$BUILD_DIR/service_metrics_spill.prom" \
+    --checkpoint-dir "$SPILL_CKPT_DIR" "$SERVICE_TRACE" \
     > "$BUILD_DIR/service_responses_spill.jsonl"
   "$BUILD_DIR/treesat_serve" --config "$SPILL_CONFIG" \
     --checkpoint-dir "$SPILL_CKPT_DIR" "$BUILD_DIR/service_trace_head.jsonl" \
     > "$BUILD_DIR/service_responses_spill_head.jsonl"
+  "$BUILD_DIR/treesat_serve" --config "$SPILL_CONFIG" \
+    --checkpoint-dir "$SPILL_CKPT_DIR-fresh" "$BUILD_DIR/service_trace_head.jsonl" \
+    > /dev/null
+  diff -r "$SPILL_CKPT_DIR" "$SPILL_CKPT_DIR-fresh"
   "$BUILD_DIR/treesat_serve" --config "$SPILL_CONFIG" \
     --metrics-out "$BUILD_DIR/service_metrics_spill_tail.prom" \
     --restore "$SPILL_CKPT_DIR" "$BUILD_DIR/service_trace_tail.jsonl" \

@@ -311,7 +311,9 @@ void SessionStore::release_slot(const SegmentFile::Extent& extent) {
 
 std::string SessionStore::spilled_bytes(const SpillRecord& record) const {
   try {
-    return segment_.read(record.extent);
+    std::string bytes = segment_.read(record.extent);
+    static_cast<void>(snapshot_payload(bytes));  // the frame's byte count and hash
+    return bytes;
   } catch (const std::exception&) {
     return {};
   }

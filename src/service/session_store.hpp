@@ -263,8 +263,9 @@ class SessionStore {
   [[nodiscard]] const std::map<std::string, SpillRecord>& spill_records() const {
     return spill_records_;
   }
-  /// A record's snapshot bytes as the segment holds them (possibly
-  /// damaged); empty for a tombstone, a lost slot or an unreadable one.
+  /// A record's snapshot bytes as the segment holds them; empty for a
+  /// tombstone, a lost slot, an unreadable one, or bytes whose frame fails
+  /// its byte count or content hash.
   [[nodiscard]] std::string spilled_bytes(const SpillRecord& record) const;
   /// The segment file's path; empty until the first spill.
   [[nodiscard]] const std::string& segment_path() const { return segment_.path(); }

@@ -1,8 +1,11 @@
 #include "storage/checkpoint.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <iterator>
 #include <map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -17,44 +20,36 @@ namespace treesat {
 namespace {
 
 constexpr std::string_view kMagic = "treesat_checkpoint";
-constexpr std::string_view kVersion = "v3";
+constexpr std::string_view kVersion = "v4";
+
+// Floors bounded_count divides by: an entry row is two names (a u32 length
+// each), its stamp and its bytes; a tenant row is a name, its counters and
+// a method count; a method counter is one u64.
+constexpr std::size_t kMinEntryRow = 4 + 4 + 8 + 8;
+constexpr std::size_t kMinTenantRow = 4 + std::size(kTenantCounters) * 8 + 4;
 
 std::string manifest_path(const std::string& dir) { return dir + "/MANIFEST.tsc"; }
 
-void append_tenant_counters(std::string& out, const TenantTelemetry& t) {
+void put_tenant_counters(std::string& out, const TenantTelemetry& t) {
   for (const TenantCounter& counter : kTenantCounters) {
-    out += ' ';
-    out += std::to_string(t.*counter.member);
+    wire::put(out, std::uint64_t{t.*counter.member});
   }
-  out += ' ';
-  out += std::to_string(t.method_counts.size());
-  for (const std::size_t count : t.method_counts) {
-    out += ' ';
-    out += std::to_string(count);
-  }
+  wire::put_count(out, t.method_counts.size());
+  for (const std::size_t count : t.method_counts) wire::put(out, std::uint64_t{count});
 }
 
-/// Decodes the counter tail of a tenant/overflow row starting at
-/// tokens[at]. The row must be consumed exactly.
-TenantTelemetry parse_tenant_counters(const std::vector<std::string_view>& tokens,
-                                      std::size_t at) {
+/// The counters of a tenant or overflow row, which must carry exactly this
+/// build's method counters.
+TenantTelemetry take_tenant_counters(wire::ByteReader& in) {
   TenantTelemetry t;
-  constexpr std::size_t kCounters = std::size(kTenantCounters);
-  TS_REQUIRE(tokens.size() >= at + kCounters + 1, "checkpoint: truncated tenant row");
   for (const TenantCounter& counter : kTenantCounters) {
-    t.*counter.member =
-        static_cast<std::size_t>(wire::parse_u64(tokens[at++], "tenant counter"));
+    t.*counter.member = in.get<std::uint64_t>("tenant counter");
   }
-  const std::uint64_t methods = wire::parse_u64(tokens[at], "method count");
+  const std::size_t methods = in.count("method count", 8);
   TS_REQUIRE(methods == t.method_counts.size(),
              "checkpoint: tenant row carries " << methods << " method counters, this build has "
                                                << t.method_counts.size());
-  TS_REQUIRE(tokens.size() == at + 1 + t.method_counts.size(),
-             "checkpoint: tenant row has trailing tokens");
-  for (std::size_t m = 0; m < t.method_counts.size(); ++m) {
-    t.method_counts[m] =
-        static_cast<std::size_t>(wire::parse_u64(tokens[at + 1 + m], "method counter"));
-  }
+  for (std::size_t& count : t.method_counts) count = in.get<std::uint64_t>("method counter");
   return t;
 }
 
@@ -65,40 +60,22 @@ struct EntryRow {
   std::size_t bytes = 0;
 };
 
-void append_entry_row(std::string& out, const std::string& tenant,
-                      const std::string& instance, std::uint64_t stamp, std::size_t bytes) {
-  out += "entry ";
-  out += encode_token(tenant);
-  out += ' ';
-  out += encode_token(instance);
-  out += ' ';
-  out += std::to_string(stamp);
-  out += ' ';
-  out += std::to_string(bytes);
-  out += '\n';
+void put_entry_row(std::string& out, const std::string& tenant, const std::string& instance,
+                   std::uint64_t stamp, std::size_t bytes) {
+  wire::put_string(out, tenant);
+  wire::put_string(out, instance);
+  wire::put(out, stamp);
+  wire::put(out, std::uint64_t{bytes});
 }
 
-std::vector<EntryRow> parse_entry_rows(wire::LineReader& reader, const char* section) {
-  const std::vector<std::string_view> head =
-      wire::split_tokens(reader.next(section), section);
-  TS_REQUIRE(head.size() == 2 && head[0] == section,
-             "checkpoint: expected a '" << section << "' line");
-  // The shortest row is "entry % % 0 0\n" (empty names encode as "%").
-  constexpr std::size_t kMinRow = 14;
-  const std::size_t count = wire::bounded_count(wire::parse_u64(head[1], "entry count"),
-                                                reader.remaining(), kMinRow, "entry count");
-  std::vector<EntryRow> rows;
-  rows.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::vector<std::string_view> toks =
-        wire::split_tokens(reader.next("entry row"), "entry row");
-    TS_REQUIRE(toks.size() == 5 && toks[0] == "entry", "checkpoint: malformed entry row");
-    EntryRow row;
-    row.tenant = decode_token(std::string(toks[1]));
-    row.instance = decode_token(std::string(toks[2]));
-    row.stamp = wire::parse_u64(toks[3], "entry stamp");
-    row.bytes = static_cast<std::size_t>(wire::parse_u64(toks[4], "entry bytes"));
-    rows.push_back(std::move(row));
+/// One counted section of entry rows.
+std::vector<EntryRow> take_entry_rows(wire::ByteReader& in, const char* section) {
+  std::vector<EntryRow> rows(in.count(section, kMinEntryRow));
+  for (EntryRow& row : rows) {
+    row.tenant = in.string("entry tenant");
+    row.instance = in.string("entry instance");
+    row.stamp = in.get<std::uint64_t>("entry stamp");
+    row.bytes = in.get<std::uint64_t>("entry bytes");
   }
   return rows;
 }
@@ -109,6 +86,26 @@ void require_dir(const std::string& dir) {
   if (ec) {
     throw ResourceLimit("checkpoint: cannot create directory '" + dir + "': " + ec.message());
   }
+}
+
+/// Removes the snapshot files under `subdir` that `listed` does not name:
+/// rows an earlier checkpoint into the same directory wrote and this one
+/// no longer has, and staging files a crash left. Nothing else in a
+/// directory a client named is touched. Best effort: the checkpoint is
+/// complete once its manifest is written.
+void remove_unlisted(const std::string& subdir, std::vector<std::string> listed) {
+  std::sort(listed.begin(), listed.end());
+  std::vector<std::filesystem::path> stale;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(subdir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if ((name.ends_with(".tss") || name.ends_with(".tss.tmp")) &&
+        !std::binary_search(listed.begin(), listed.end(), name)) {
+      stale.push_back(it->path());
+    }
+  }
+  for (const std::filesystem::path& path : stale) std::filesystem::remove(path, ec);
 }
 
 }  // namespace
@@ -125,58 +122,57 @@ void write_checkpoint(const std::string& dir, const SessionStore& store,
   require_dir(dir + "/sessions");
 
   std::string payload;
-  payload += "next_id " + std::to_string(next_id) + '\n';
-  payload += "clock " + std::to_string(store.clock()) + '\n';
-  payload += "store_counters " + std::to_string(store.lru_evictions()) + ' ' +
-             std::to_string(store.spills()) + ' ' + std::to_string(store.spill_reloads()) +
-             ' ' + std::to_string(store.spill_drops()) + ' ' +
-             std::to_string(store.spill_faults()) + ' ' +
-             std::to_string(store.restore_faults()) + '\n';
-  payload += "service_counters " + std::to_string(telemetry.requests) + ' ' +
-             std::to_string(telemetry.errors) + '\n';
+  wire::put(payload, std::uint64_t{next_id});
+  wire::put(payload, store.clock());
+  for (const std::size_t counter :
+       {store.lru_evictions(), store.spills(), store.spill_reloads(), store.spill_drops(),
+        store.spill_faults(), store.restore_faults(), telemetry.requests, telemetry.errors}) {
+    wire::put(payload, std::uint64_t{counter});
+  }
 
   // Resident sessions are encoded live, as the spill tier encodes them,
   // through one buffer.
   const std::vector<const SessionEntry*> resident = store.resident_by_key();
-  payload += "resident " + std::to_string(resident.size()) + '\n';
+  wire::put_count(payload, resident.size());
+  std::vector<std::string> session_files;
   std::string buffer;
   for (const SessionEntry* entry : resident) {
-    write_file_atomic(dir + "/sessions/" + snapshot_file_name(entry->tenant, entry->instance),
+    session_files.push_back(snapshot_file_name(entry->tenant, entry->instance));
+    write_file_atomic(dir + "/sessions/" + session_files.back(),
                       encode_entry_snapshot(*entry, buffer));
-    append_entry_row(payload, entry->tenant, entry->instance, entry->stamp, entry->bytes);
+    put_entry_row(payload, entry->tenant, entry->instance, entry->stamp, entry->bytes);
   }
 
   // Each spilled record's bytes are copied out of the store's segment. The
-  // spill tier may hold slotless tombstones (failed spill writes) or
-  // records whose slot has since been lost (a vanished spill directory).
-  // Both are checkpointed as the tree-only snapshot each record retains,
-  // verbatim -- the restart serves those instances cold. Manifest rows
-  // carry the bytes actually written.
+  // spill tier may hold slotless tombstones (failed spill writes), records
+  // whose slot has since been lost (a vanished spill directory) and slots
+  // whose bytes fail their frame's hash check. All are checkpointed as the
+  // tree-only snapshot each record retains, verbatim -- the restart serves
+  // those instances cold, as the live process would. Manifest rows carry
+  // the bytes actually written.
   const std::map<std::string, SpillRecord>& records = store.spill_records();
-  payload += "spilled " + std::to_string(records.size()) + '\n';
+  wire::put_count(payload, records.size());
+  std::vector<std::string> spilled_files;
   if (!records.empty()) require_dir(dir + "/spilled");
   for (const auto& [key, record] : records) {
     std::string bytes = store.spilled_bytes(record);
     if (bytes.empty()) bytes = record.fallback;
-    write_file_atomic(dir + "/spilled/" + snapshot_file_name(record.tenant, record.instance),
-                      bytes);
-    append_entry_row(payload, record.tenant, record.instance, record.stamp, bytes.size());
+    spilled_files.push_back(snapshot_file_name(record.tenant, record.instance));
+    write_file_atomic(dir + "/spilled/" + spilled_files.back(), bytes);
+    put_entry_row(payload, record.tenant, record.instance, record.stamp, bytes.size());
   }
 
-  payload += "tenants " + std::to_string(telemetry.tenants.size()) + '\n';
+  wire::put_count(payload, telemetry.tenants.size());
   for (const auto& [name, tenant] : telemetry.tenants) {
-    payload += "tenant ";
-    payload += encode_token(name);
-    append_tenant_counters(payload, tenant);
-    payload += '\n';
+    wire::put_string(payload, name);
+    put_tenant_counters(payload, tenant);
   }
-  payload += "overflow";
-  append_tenant_counters(payload, telemetry.overflow);
-  payload += '\n';
-  payload += "end\n";
+  put_tenant_counters(payload, telemetry.overflow);
 
   // Manifest last: its presence is what marks the checkpoint complete.
   write_file_atomic(manifest_path(dir), frame_payload(kMagic, kVersion, payload));
+  remove_unlisted(dir + "/sessions", std::move(session_files));
+  remove_unlisted(dir + "/spilled", std::move(spilled_files));
 }
 
 RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
@@ -185,43 +181,21 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
   obs::Span span(obs::trace(), "checkpoint.restore");
   obs::count("treesat_checkpoint_restores_total", "Checkpoints restored");
   const std::string manifest = read_file_bytes(manifest_path(dir));
-  const std::string_view payload = unframe_payload(kMagic, kVersion, manifest, "checkpoint");
-  wire::LineReader reader(payload);
-
-  const auto u64_line = [&reader](const char* keyword) {
-    const std::vector<std::string_view> toks =
-        wire::split_tokens(reader.next(keyword), keyword);
-    TS_REQUIRE(toks.size() == 2 && toks[0] == keyword,
-               "checkpoint: expected a '" << keyword << "' line");
-    return wire::parse_u64(toks[1], keyword);
-  };
+  wire::ByteReader in(unframe_payload(kMagic, kVersion, manifest, "checkpoint"));
 
   RestoredService out{SessionStore(shards, mem_budget, spill_dir, spill_budget),
                       ServiceTelemetry{}, 0};
-  out.next_id = static_cast<std::size_t>(u64_line("next_id"));
-  out.store.restore_clock(u64_line("clock"));
-
-  const std::vector<std::string_view> counters =
-      wire::split_tokens(reader.next("store_counters"), "store_counters");
-  TS_REQUIRE(counters.size() == 7 && counters[0] == "store_counters",
-             "checkpoint: expected a 'store_counters' line");
-  out.store.restore_counters(
-      static_cast<std::size_t>(wire::parse_u64(counters[1], "lru_evictions")),
-      static_cast<std::size_t>(wire::parse_u64(counters[2], "spills")),
-      static_cast<std::size_t>(wire::parse_u64(counters[3], "spill_reloads")),
-      static_cast<std::size_t>(wire::parse_u64(counters[4], "spill_drops")),
-      static_cast<std::size_t>(wire::parse_u64(counters[5], "spill_faults")),
-      static_cast<std::size_t>(wire::parse_u64(counters[6], "restore_faults")));
-
-  const std::vector<std::string_view> service =
-      wire::split_tokens(reader.next("service_counters"), "service_counters");
-  TS_REQUIRE(service.size() == 3 && service[0] == "service_counters",
-             "checkpoint: expected a 'service_counters' line");
-  out.telemetry.requests = static_cast<std::size_t>(wire::parse_u64(service[1], "requests"));
-  out.telemetry.errors = static_cast<std::size_t>(wire::parse_u64(service[2], "errors"));
+  out.next_id = in.get<std::uint64_t>("next_id");
+  out.store.restore_clock(in.get<std::uint64_t>("clock"));
+  std::size_t counters[6];
+  for (std::size_t& counter : counters) counter = in.get<std::uint64_t>("store counter");
+  out.store.restore_counters(counters[0], counters[1], counters[2], counters[3], counters[4],
+                             counters[5]);
+  out.telemetry.requests = in.get<std::uint64_t>("requests");
+  out.telemetry.errors = in.get<std::uint64_t>("errors");
 
   std::size_t skipped = 0;  // snapshots unreadable or damaged
-  for (const EntryRow& row : parse_entry_rows(reader, "resident")) {
+  for (const EntryRow& row : take_entry_rows(in, "resident rows")) {
     // Skip-and-count, never abort: a damaged session snapshot costs the
     // restart that one warm entry, not the whole process.
     try {
@@ -247,7 +221,7 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
     }
   }
 
-  const std::vector<EntryRow> spilled = parse_entry_rows(reader, "spilled");
+  const std::vector<EntryRow> spilled = take_entry_rows(in, "spilled rows");
   if (!spilled.empty()) {
     TS_REQUIRE(out.store.spill_enabled(),
                "checkpoint: holds " << spilled.size()
@@ -280,36 +254,24 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
     }
   }
 
-  const std::vector<std::string_view> tenants_head =
-      wire::split_tokens(reader.next("tenants"), "tenants");
-  TS_REQUIRE(tenants_head.size() == 2 && tenants_head[0] == "tenants",
-             "checkpoint: expected a 'tenants' line");
-  const std::uint64_t tenant_count = wire::parse_u64(tenants_head[1], "tenant count");
   // The live service tracks at most kMaxTrackedTenants names and folds the
   // rest into `overflow`; a restore holds a manifest to the same cap, rows
   // past it folding in manifest order.
-  for (std::uint64_t i = 0; i < tenant_count; ++i) {
-    const std::vector<std::string_view> toks =
-        wire::split_tokens(reader.next("tenant row"), "tenant row");
-    TS_REQUIRE(toks.size() >= 2 && toks[0] == "tenant", "checkpoint: malformed tenant row");
-    const std::string name = decode_token(std::string(toks[1]));
+  const std::size_t tenants = in.count("tenant rows", kMinTenantRow);
+  for (std::size_t i = 0; i < tenants; ++i) {
+    std::string name(in.string("tenant name"));
     TS_REQUIRE(out.telemetry.tenants.find(name) == out.telemetry.tenants.end(),
                "checkpoint: duplicate tenant row '" << name << "'");
-    TenantTelemetry row = parse_tenant_counters(toks, 2);
+    TenantTelemetry row = take_tenant_counters(in);
     if (out.telemetry.tenants.size() < ServiceTelemetry::kMaxTrackedTenants) {
-      out.telemetry.tenants.emplace(name, std::move(row));
+      out.telemetry.tenants.emplace(std::move(name), std::move(row));
     } else {
       out.telemetry.overflow.merge(row);
     }
   }
-  const std::vector<std::string_view> overflow =
-      wire::split_tokens(reader.next("overflow"), "overflow");
-  TS_REQUIRE(overflow.size() >= 1 && overflow[0] == "overflow",
-             "checkpoint: expected an 'overflow' line");
-  out.telemetry.overflow.merge(parse_tenant_counters(overflow, 1));
-
-  TS_REQUIRE(reader.next("end") == "end", "checkpoint: expected the 'end' sentinel");
-  TS_REQUIRE(reader.done(), "checkpoint: trailing bytes after 'end'");
+  out.telemetry.overflow.merge(take_tenant_counters(in));
+  TS_REQUIRE(in.done(),
+             "checkpoint: " << in.remaining() << " trailing bytes after the overflow row");
   // Fold this restore's skips into the store gauge on top of whatever the
   // manifest's persisted counter carried.
   out.store.count_restore_faults(skipped);

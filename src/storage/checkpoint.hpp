@@ -4,31 +4,48 @@
 //
 //   <dir>/MANIFEST.tsc     versioned manifest (same framed header and
 //                          word-wise FNV-1a 64 content hash as
-//                          storage/snapshot.hpp; v3, the version that
-//                          records v3 snapshots' byte sizes -- v1 and v2
+//                          storage/snapshot.hpp; v4, binary -- v1 to v3
 //                          manifests are rejected by their version line)
 //   <dir>/sessions/*.tss   one snapshot per memory-resident entry
 //   <dir>/spilled/*.tss    the spill tier's snapshots, copied verbatim out
 //                          of the store's segment file
 //
 // The manifest records everything a restarted process needs to answer its
-// first warm request without re-solving and with byte-identical responses:
-// the next request id, the store's global LRU clock and lifetime counters,
-// every entry's owner + stamp + byte estimate (tier placement preserved --
-// a spilled session restores spilled, so store gauges replay exactly), and
-// the service telemetry's counters (per-tenant rows in kTenantCounters
-// order, the overflow aggregate, request/error totals).
+// first warm request without re-solving and with byte-identical responses.
+// Its payload is written by the snapshot codec (storage/wire.hpp): u64
+// values, u32 counts, strings as a u32 length then their bytes. In order:
+//
+//   next_id, the store's LRU clock     u64 each
+//   store counters                     six u64: lru_evictions, spills,
+//                                      spill_reloads, spill_drops,
+//                                      spill_faults, restore_faults
+//   service counters                   two u64: requests, errors
+//   resident rows, spilled rows        each a count, then per row tenant,
+//                                      instance, u64 stamp, u64 bytes
+//   tenant rows                        a count, then per row the name, the
+//                                      kTenantCounters values (u64) and the
+//                                      method counts (a count, then u64s)
+//   overflow row                       a tenant row without a name
+//
+// Tier placement is preserved (a spilled session restores spilled, so
+// store gauges replay exactly). A row's bytes are its snapshot file's size
+// (spilled) or its rebuilt entry's byte estimate (resident).
 //
 // The manifest is written last (atomically), so a directory with a valid
 // manifest is a complete checkpoint; a crash mid-checkpoint leaves a
-// manifest-less directory that restore rejects loudly. Restore validates
-// every snapshot (framed hash + strict payload parse + owner match against
-// the manifest row, plus the rebuilt entry's recomputed byte estimate
-// against the manifest's) -- but a snapshot that fails validation is
-// skipped and counted (the store's restore_faults counter) rather than
-// failing the restart: a restart must always come up, possibly colder.
-// Only a damaged *manifest* is fatal -- without it nothing about the
-// checkpoint can be trusted.
+// manifest-less directory that restore rejects loudly. Once the manifest
+// is in place, the `.tss` and `.tss.tmp` files under sessions/ and spilled/
+// that it does not list are removed, so a directory checkpointed into
+// periodically holds only its last checkpoint; no other file is touched.
+// Restore validates every snapshot (framed hash + strict payload parse +
+// owner match against the manifest row, plus the rebuilt entry's
+// recomputed byte estimate against the manifest's) -- but a snapshot that
+// fails validation is skipped and counted (the store's restore_faults
+// counter) rather than failing the restart: a restart must always come
+// up, possibly colder. Only a damaged *manifest* is fatal -- without it
+// nothing about the checkpoint can be trusted. Its reader is the one the
+// snapshot decoder uses: every count is bounded by the bytes left, and the
+// payload must end exactly after the overflow row.
 #pragma once
 
 #include <cstddef>

@@ -42,14 +42,6 @@ constexpr std::uint64_t kSatelliteFloor = std::uint64_t{1} << 20;
          c == '_' || c == '.' || c == '-';
 }
 
-// Escapes are canonically uppercase; lowercase is rejected so every raw
-// string has exactly one encoding (injectivity both ways).
-[[nodiscard]] int hex_digit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
 ResolvePath parse_resolve_path(std::string_view name) {
   for (const ResolvePath p : {ResolvePath::kInitial, ResolvePath::kWarm, ResolvePath::kCold}) {
     if (name == resolve_path_name(p)) return p;
@@ -82,7 +74,9 @@ void encode_tree(std::string& out, const CruTree& tree) {
 }
 
 /// Builds the tree once, through CruTreeBuilder, with every check
-/// tree_from_text applies (tree/serialize.hpp).
+/// tree_from_text applies (tree/serialize.hpp) but name uniqueness: every
+/// reload and restore rebuilds a tree whose names were checked when the
+/// service admitted it.
 std::shared_ptr<const CruTree> decode_tree(wire::ByteReader& in) {
   const std::size_t nodes = in.count("node count", kMinNode);
   TS_REQUIRE(nodes > 0, "snapshot: empty node table");
@@ -377,28 +371,6 @@ std::string encode_token(const std::string& raw) {
   return out;
 }
 
-std::string decode_token(const std::string& encoded) {
-  TS_REQUIRE(!encoded.empty(), "snapshot: empty encoded token");
-  if (encoded == "%") return std::string();
-  std::string out;
-  out.reserve(encoded.size());
-  for (std::size_t i = 0; i < encoded.size(); ++i) {
-    const char c = encoded[i];
-    if (c == '%') {
-      TS_REQUIRE(i + 2 < encoded.size(), "snapshot: truncated %XX escape in token");
-      const int hi = hex_digit(encoded[i + 1]);
-      const int lo = hex_digit(encoded[i + 2]);
-      TS_REQUIRE(hi >= 0 && lo >= 0, "snapshot: malformed %XX escape in token");
-      out += static_cast<char>(hi * 16 + lo);
-      i += 2;
-    } else {
-      TS_REQUIRE(token_safe(c), "snapshot: unencoded byte in token");
-      out += c;
-    }
-  }
-  return out;
-}
-
 std::string snapshot_file_name(const std::string& tenant, const std::string& instance) {
   return encode_token(tenant) + "@" + encode_token(instance) + ".tss";
 }
@@ -457,6 +429,10 @@ std::string_view unframe_payload(std::string_view magic, std::string_view versio
              what << ": content hash mismatch (file says " << wire::hex16(declared_hash)
                   << ", payload hashes to " << wire::hex16(actual_hash) << ")");
   return payload;
+}
+
+std::string_view snapshot_payload(std::string_view bytes) {
+  return unframe_payload(kMagic, kVersion, bytes, "snapshot");
 }
 
 std::string read_file_bytes(const std::string& path) {
@@ -534,11 +510,11 @@ std::string encode_snapshot(const SessionState& state) {
 }
 
 SessionState decode_snapshot(std::string_view bytes) {
-  return decode_payload(unframe_payload(kMagic, kVersion, bytes, "snapshot"));
+  return decode_payload(snapshot_payload(bytes));
 }
 
 SessionState decode_snapshot(std::string_view bytes, std::string& fallback) {
-  const std::string_view payload = unframe_payload(kMagic, kVersion, bytes, "snapshot");
+  const std::string_view payload = snapshot_payload(bytes);
   std::size_t tree_end = 0;
   SessionState state = decode_payload(payload, &tree_end);
   fallback = frame_tree_only(payload.substr(0, tree_end));

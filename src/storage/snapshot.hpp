@@ -71,12 +71,13 @@
 // version (v1 and v2 files are rejected by their version line), malformed
 // header field, truncated or over-long payload, content hash mismatch, or
 // any structurally impossible payload (a count past the bytes left, a node
-// table tree_from_text would refuse, a cut node outside the tree, unknown
-// method or path names, flags other than 0 or 1, trailing bytes) throws
-// InvalidArgument with a distinct "snapshot:" or "storage:" message. IO
-// failures (unreadable/unwritable paths) throw ResourceLimit. Nothing is
-// ever half-decoded: decode either returns a fully validated SessionState
-// or throws; import_state() then checks the plan and the caches.
+// table whose shape, kinds or costs tree_from_text would refuse, a cut node
+// outside the tree, unknown method or path names, flags other than 0 or 1,
+// trailing bytes) throws InvalidArgument with a distinct "snapshot:" or
+// "storage:" message. IO failures (unreadable/unwritable paths) throw
+// ResourceLimit. Nothing is ever half-decoded: decode either returns a
+// fully validated SessionState or throws; import_state() then checks the
+// plan and the caches.
 //
 // File writes are atomic: the file is staged at `<path>.tmp` and renamed
 // over the destination, so a crash mid-write can never leave a torn
@@ -98,13 +99,10 @@ namespace treesat {
 /// Percent-encodes `raw` so the result only contains [A-Za-z0-9_.-%]:
 /// every other byte becomes %XX (uppercase hex), '%' itself is always
 /// encoded, and the empty string encodes as the single byte "%" (which no
-/// non-empty encoding can produce). Injective, filesystem- and
-/// whitespace-safe -- used for owner fields inside snapshots and for
-/// snapshot file names.
+/// non-empty encoding can produce). Injective and filesystem-safe -- used
+/// for snapshot file names, which are derived from an owner and never
+/// decoded.
 [[nodiscard]] std::string encode_token(const std::string& raw);
-
-/// Inverse of encode_token(); throws InvalidArgument on malformed input.
-[[nodiscard]] std::string decode_token(const std::string& encoded);
 
 /// Canonical file name for an owned session's snapshot: a checkpoint's
 /// `sessions/` and `spilled/` files, and (plus `.bad`) the spill tier's
@@ -126,6 +124,10 @@ namespace treesat {
 [[nodiscard]] std::string_view unframe_payload(std::string_view magic,
                                                std::string_view version,
                                                std::string_view bytes, const char* what);
+
+/// unframe_payload() of a session snapshot: the payload of `bytes` once
+/// their header, byte count and content hash check out.
+[[nodiscard]] std::string_view snapshot_payload(std::string_view bytes);
 
 /// Whole-file read; throws ResourceLimit when `path` cannot be opened.
 [[nodiscard]] std::string read_file_bytes(const std::string& path);

@@ -3,11 +3,12 @@
 // InvalidArgument with a "storage:" message naming what was malformed --
 // the loud-failure half of the snapshot contract (storage/snapshot.hpp).
 //
-// Two halves: text lines and tokens for the framing header and the
-// checkpoint manifest, and little-endian binary values and raw blocks for
-// the snapshot payload. Binary values are read with memcpy only (payload
-// offsets are unaligned), and every count that sizes storage is bounded by
-// the bytes left before anything is allocated.
+// Two halves: decimal and hex fields for the three text lines that frame
+// every file (storage/snapshot.hpp), and little-endian binary values and
+// raw blocks for every payload, snapshots and checkpoint manifests alike.
+// Binary values are read with memcpy only (payload offsets are unaligned),
+// and every count that sizes storage is bounded by the bytes left before
+// anything is allocated.
 #pragma once
 
 #include <bit>
@@ -85,48 +86,6 @@ inline std::string hex16(std::uint64_t v) {
   append_hex16(out, v);
   return out;
 }
-
-/// Splits a manifest line on single spaces; rejects leading, trailing and
-/// double spaces so every encoding has exactly one parse.
-inline std::vector<std::string_view> split_tokens(std::string_view line, const char* what) {
-  std::vector<std::string_view> tokens;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    const std::size_t space = line.find(' ', pos);
-    const std::size_t end = space == std::string_view::npos ? line.size() : space;
-    TS_REQUIRE(end > pos, "storage: stray space in " << what << " line");
-    tokens.push_back(line.substr(pos, end - pos));
-    pos = space == std::string_view::npos ? line.size() : space + 1;
-    TS_REQUIRE(pos < line.size() || space == std::string_view::npos,
-               "storage: trailing space in " << what << " line");
-  }
-  TS_REQUIRE(!tokens.empty(), "storage: empty " << what << " line");
-  return tokens;
-}
-
-/// Sequential reader over a manifest; every line must end in '\n'.
-class LineReader {
- public:
-  explicit LineReader(std::string_view text) : text_(text) {}
-
-  std::string_view next(const char* what) {
-    TS_REQUIRE(pos_ < text_.size(), "storage: truncated payload, expected " << what);
-    const std::size_t nl = text_.find('\n', pos_);
-    TS_REQUIRE(nl != std::string_view::npos,
-               "storage: payload line for " << what << " lacks a newline");
-    const std::string_view line = text_.substr(pos_, nl - pos_);
-    pos_ = nl + 1;
-    return line;
-  }
-
-  [[nodiscard]] bool done() const { return pos_ == text_.size(); }
-  /// Bytes of the payload not yet consumed.
-  [[nodiscard]] std::size_t remaining() const { return text_.size() - pos_; }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 // --- binary ---------------------------------------------------------------
 

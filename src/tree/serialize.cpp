@@ -8,6 +8,7 @@
 #include <span>
 #include <sstream>
 #include <string_view>
+#include <vector>
 
 #include "common/format.hpp"
 #include "common/parse.hpp"
@@ -121,6 +122,7 @@ CruTree tree_from_text(const std::string& text) {
   CruTreeBuilder builder;
   std::string_view line;
   std::array<std::string_view, 8> fields;
+  std::vector<std::string_view> names;  // views into `text`, sorted once at the end
   std::uint32_t expected_id = 0;
   while (next_line(line)) {
     if (line.empty() || line[0] == '#') continue;
@@ -133,6 +135,7 @@ CruTree tree_from_text(const std::string& text) {
                "tree_from_text: node ids must be dense and increasing; got "
                    << id << ", expected " << expected_id);
     ++expected_id;
+    names.push_back(name_tok);
     const std::string name(name_tok);
     const double h = parse_cost(h_tok, "host_time");
     const double s = parse_cost(s_tok, "sat_time");
@@ -158,6 +161,10 @@ CruTree tree_from_text(const std::string& text) {
       throw InvalidArgument("tree_from_text: unknown node kind '" + std::string(kind) + "'");
     }
   }
+  // Responses name cut nodes, and insert_probe its parent, by name.
+  std::sort(names.begin(), names.end());
+  const auto twice = std::adjacent_find(names.begin(), names.end());
+  TS_REQUIRE(twice == names.end(), "tree_from_text: node name '" << *twice << "' appears twice");
   return builder.build();
 }
 

@@ -11,7 +11,8 @@
 //   2 1 sensor ECG 0 0 0.5 0
 //
 // Nodes appear in id order; the builder assigns ids in insertion order, so
-// parents always precede children. Node names must be whitespace-free.
+// parents always precede children. Node names must be whitespace-free and
+// unique.
 #pragma once
 
 #include <iosfwd>

@@ -1,13 +1,23 @@
 // Seeded mutation fuzzing of the v3 snapshot decoder and the import behind
-// it (storage/snapshot.hpp, core/incremental.hpp, service/session_store.hpp).
+// it (storage/snapshot.hpp, core/incremental.hpp, service/session_store.hpp),
+// and of the v4 checkpoint manifest reader (storage/checkpoint.hpp), which
+// a client reaches through the restore op.
 //
-// Seeds are v3 snapshots of every scenario-library instance, of a drifted
-// epilepsy session and of a tree-only state. Each seed yields a fixed set of
-// mutants from a fixed RNG seed: bit flips, bytes set to 0x00 or 0xFF, a
-// truncation at every section boundary, every u32 count or length set to
-// 0xFFFFFFFF, and every section spliced in from every other seed. Each
-// mutant is re-framed with a correct hash, so it reaches the payload
-// decoder, and must then either decode and import or throw InvalidArgument.
+// Snapshot seeds are v3 snapshots of every scenario-library instance, of a
+// drifted epilepsy session and of a tree-only state. Each seed yields a
+// fixed set of mutants from a fixed RNG seed: bit flips, bytes set to 0x00
+// or 0xFF, a truncation at every section boundary, every u32 count or
+// length set to 0xFFFFFFFF, and every section spliced in from every other
+// seed. Each mutant is re-framed with a correct hash, so it reaches the
+// payload decoder, and must then either decode and import or throw
+// InvalidArgument.
+//
+// The manifest seed is a checkpoint holding resident rows, spilled rows and
+// two tenants. Its mutants are bit flips, bytes set to 0x00 or 0xFF, a
+// truncation at every byte and a u32 0xFFFFFFFF written at every offset,
+// each re-framed with a correct hash; read_checkpoint must return or throw
+// InvalidArgument or ResourceLimit.
+//
 // Any other exception fails the test: a LogicError, a length_error, or a
 // bad_alloc from an allocation a hostile count sized. ci.sh runs this suite
 // under UBSan, and under ASan with a max_allocation_size_mb cap, where an
@@ -17,6 +27,7 @@
 
 #include <cstdint>
 #include <exception>
+#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -26,9 +37,13 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/incremental.hpp"
+#include "io/json.hpp"
+#include "service/service.hpp"
 #include "service/session_store.hpp"
 #include "snapshot_layout.hpp"
+#include "storage/checkpoint.hpp"
 #include "storage/snapshot.hpp"
+#include "tree/serialize.hpp"
 #include "workload/scenarios.hpp"
 
 namespace treesat {
@@ -166,6 +181,82 @@ TEST(FuzzSnapshot, EveryMutantDecodesAndImportsOrIsRejected) {
   EXPECT_GT(tally.rejected, tally.mutants / 10);
   std::cout << "fuzz_snapshot: " << tally.mutants << " mutants, " << tally.accepted
             << " imported, " << tally.rejected << " rejected\n";
+}
+
+/// A checkpoint directory with two resident rows, one spilled row and two
+/// tenants; returns its manifest payload.
+std::string checkpoint_seed(const std::string& dir, const std::string& spill) {
+  SolverService service(parse_service_config("spill_dir=" + spill));
+  const std::string tree = json_escape(to_text(paper_running_example()));
+  for (const char* owner : {R"("tenant":"t0","instance":"w0")", R"("tenant":"t0","instance":"w1")",
+                            R"("tenant":"t1","instance":"w0")"}) {
+    static_cast<void>(service.handle_line(std::string(R"({"op":"submit",)") + owner +
+                                          R"(,"tree":")" + tree + R"("})"));
+    static_cast<void>(service.handle_line(std::string(R"({"op":"solve",)") + owner + "}"));
+  }
+  static_cast<void>(service.handle_line(R"({"op":"evict","tenant":"t0","instance":"w1"})"));
+  service.checkpoint_to(dir);
+  const RestoredService restored = read_checkpoint(dir, 1, 0, spill, 0);
+  EXPECT_EQ(restored.store.entries(), 2u);
+  EXPECT_EQ(restored.store.spill_entries(), 1u);
+  EXPECT_EQ(restored.telemetry.tenants.size(), 2u);
+  return std::string(unframe_payload("treesat_checkpoint", "v4",
+                                     read_file_bytes(dir + "/MANIFEST.tsc"), "checkpoint"));
+}
+
+TEST(FuzzSnapshot, EveryManifestMutantRestoresOrIsRejected) {
+  const std::string dir = ::testing::TempDir() + "/fuzz_manifest_ckpt";
+  const std::string spill = ::testing::TempDir() + "/fuzz_manifest_spill";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(spill);
+  const std::string base = checkpoint_seed(dir, spill);
+  ASSERT_FALSE(base.empty());
+
+  Tally tally;
+  const auto run = [&](const std::string& payload, const std::string& what) {
+    ++tally.mutants;
+    write_file_atomic(dir + "/MANIFEST.tsc", frame_payload("treesat_checkpoint", "v4", payload));
+    try {
+      static_cast<void>(read_checkpoint(dir, 1, 0, spill, 0));
+      ++tally.accepted;
+    } catch (const InvalidArgument&) {
+      ++tally.rejected;
+    } catch (const ResourceLimit&) {
+      ++tally.rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": threw " << typeid(e).name()
+                    << " instead of InvalidArgument or ResourceLimit: " << e.what();
+    }
+  };
+  Rng rng(0xC4EC);
+  for (std::size_t i = 0; i < kBitFlips / 2; ++i) {
+    std::string m = base;
+    const std::size_t at = rng.index(m.size());
+    const int bit = static_cast<int>(rng.index(8));
+    m[at] = static_cast<char>(m[at] ^ (1 << bit));
+    run(m, "bit " + std::to_string(bit) + " of byte " + std::to_string(at));
+  }
+  for (std::size_t i = 0; i < kByteSets / 2; ++i) {
+    std::string m = base;
+    const std::size_t at = rng.index(m.size());
+    m[at] = rng.bernoulli(0.5) ? '\x00' : '\xFF';
+    run(m, "byte " + std::to_string(at) + " set to " +
+               std::to_string(static_cast<unsigned char>(m[at])));
+  }
+  for (std::size_t at = 0; at < base.size(); ++at) {
+    run(base.substr(0, at), "truncated at " + std::to_string(at));
+  }
+  for (std::size_t at = 0; at + 4 <= base.size(); ++at) {
+    run(test_support::with_u32(base, at, 0xFFFFFFFFu),
+        "u32 at " + std::to_string(at) + " set to 0xFFFFFFFF");
+  }
+  // Counter damage restores; count, length and truncation damage does not.
+  EXPECT_GT(tally.accepted, tally.mutants / 10);
+  EXPECT_GT(tally.rejected, tally.mutants / 10);
+  std::cout << "fuzz_manifest: " << tally.mutants << " mutants, " << tally.accepted
+            << " restored, " << tally.rejected << " rejected\n";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(spill);
 }
 
 }  // namespace

@@ -153,6 +153,12 @@ TEST(SerializeRoundTrip, MalformedInputsAllThrowInvalidArgument) {
       {"infinite comm_up", "cru_tree v1\n" + root + "1 0 sensor S 0 0 infinity 0\n"},
       {"nan host_time on a sensor", "cru_tree v1\n" + root + "1 0 sensor S nan 0 1 0\n"},
       {"inf sat_time on a sensor", "cru_tree v1\n" + root + "1 0 sensor S 0 inf 1 0\n"},
+      // A name picks one node: responses name cut nodes, and insert_probe
+      // its parent, by name.
+      {"repeated node names", "cru_tree v1\n" + root + "1 0 compute A 1 1 1 -\n"
+                              "2 1 sensor S 0 0 1 0\n3 0 compute A 1 1 1 -\n"
+                              "4 3 sensor S 0 0 1 1\n"},
+      {"a sensor named like the root", "cru_tree v1\n" + root + "1 0 sensor Root 0 0 1 0\n"},
   };
   for (const Case& c : cases) {
     EXPECT_THROW((void)tree_from_text(c.text), InvalidArgument) << c.what;

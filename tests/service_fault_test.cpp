@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -23,6 +24,7 @@
 #include "tree/serialize.hpp"
 #include "workload/scenarios.hpp"
 #include "workload/traffic.hpp"
+#include "snapshot_layout.hpp"
 
 namespace treesat {
 namespace {
@@ -476,18 +478,20 @@ TEST(ServiceFaults, FailedRestoreLeavesTheLiveSpilledSessionsAlone) {
   ASSERT_TRUE(contains(service.handle_line(evict_line("t0", "w0")), "\"fate\":\"spilled\""));
 
   // A copy of the checkpoint whose manifest repeats its tenant row,
-  // re-framed so its hash is valid.
+  // re-framed so its hash is valid. The payload ends with the tenant row
+  // count, the rows, and the overflow row: a tenant row without a name.
   std::filesystem::copy(ckpt, broken, std::filesystem::copy_options::recursive);
   const std::string manifest = broken + "/MANIFEST.tsc";
-  std::string payload(unframe_payload("treesat_checkpoint", "v3", read_file_bytes(manifest),
+  std::string payload(unframe_payload("treesat_checkpoint", "v4", read_file_bytes(manifest),
                                       "checkpoint"));
-  const std::size_t head = payload.find("tenants 1\n");
-  ASSERT_NE(head, std::string::npos);
-  payload.replace(head, 10, "tenants 2\n");
-  const std::size_t row = payload.find("\ntenant ") + 1;
-  const std::string tenant_row = payload.substr(row, payload.find('\n', row) + 1 - row);
-  payload.insert(row, tenant_row);
-  write_file_atomic(manifest, frame_payload("treesat_checkpoint", "v3", payload));
+  const std::size_t counters =
+      std::size(kTenantCounters) * 8 + 4 + TenantTelemetry{}.method_counts.size() * 8;
+  const std::size_t row = 4 + 2 + counters;  // "t0" and its counters
+  const std::size_t head = payload.size() - counters - row - 4;
+  ASSERT_EQ(payload.substr(head, 10), std::string("\1\0\0\0\2\0\0\0t0", 10));
+  payload = test_support::with_u32(payload, head, 2);
+  payload.insert(head + 4 + row, payload.substr(head + 4, row));
+  write_file_atomic(manifest, frame_payload("treesat_checkpoint", "v4", payload));
 
   const std::string restored =
       service.handle_line("{\"op\":\"restore\",\"dir\":\"" + json_escape(broken) + "\"}");
@@ -537,6 +541,40 @@ TEST(ServiceFaults, RestoredSpilledSessionFallsBackColdLikeALiveOne) {
   EXPECT_CONTAINS(stats, "\"errors\":0");
 }
 
+TEST(ServiceFaults, DamagedSpilledSlotIsCheckpointedAsItsFallback) {
+  // A checkpoint copies each spilled record's bytes out of the segment.
+  // Bytes that fail their frame's hash check go in as the record's
+  // tree-only fallback, as a tombstone's do, so the restarted process
+  // answers the instance cold, as the live one does, instead of losing it.
+  const std::string spill = temp_subdir("damaged_slot_spill");
+  const std::string ckpt = temp_subdir("damaged_slot_ckpt");
+  SolverService service(parse_service_config("spill_dir=" + spill));
+  ASSERT_TRUE(contains(service.handle_line(submit_line("t", "w0", paper_running_example())),
+                       "\"ok\":true"));
+  ASSERT_EQ(objective_of(service.handle_line(solve_line("t", "w0"))), "\"objective\":53");
+  ASSERT_TRUE(contains(service.handle_line(evict_line("t", "w0")), "\"fate\":\"spilled\""));
+  const SpilledSlot slot = spilled_slot(service, "t/w0");
+  std::string damaged = read_slot(slot);
+  ASSERT_EQ(damaged.size(), slot.length);
+  damaged[damaged.size() / 2] = static_cast<char>(damaged[damaged.size() / 2] ^ 0x5A);
+  write_slot(slot, damaged);
+  service.checkpoint_to(ckpt);
+  EXPECT_FALSE(
+      decode_snapshot(read_file_bytes(ckpt + "/spilled/" + snapshot_file_name("t", "w0")))
+          .has_session());
+
+  SolverService restarted(parse_service_config("spill_dir=" + spill));
+  const std::string restored =
+      restarted.handle_line("{\"op\":\"restore\",\"dir\":\"" + json_escape(ckpt) + "\"}");
+  EXPECT_CONTAINS(restored, "\"ok\":true");
+  EXPECT_CONTAINS(restarted.handle_line("{\"op\":\"stats\"}"), "\"restore_faults\":0");
+  for (SolverService* process : {&service, &restarted}) {
+    const std::string cold = process->handle_line(solve_line("t", "w0"));
+    EXPECT_CONTAINS(cold, "\"path\":\"initial\"");
+    EXPECT_EQ(objective_of(cold), "\"objective\":53");
+  }
+}
+
 TEST(ServiceFaults, DamagedManifestIsStillFatalToTheRestoreRequest) {
   const std::string ckpt = temp_subdir("bad_manifest");
   const CruTree tree = paper_running_example();
@@ -550,11 +588,13 @@ TEST(ServiceFaults, DamagedManifestIsStillFatalToTheRestoreRequest) {
   const std::string manifest = ckpt + "/MANIFEST.tsc";
   const std::string intact = read_file_bytes(manifest);
   const std::string payload(
-      unframe_payload("treesat_checkpoint", "v3", intact, "checkpoint"));
-  const std::size_t rows = payload.find("resident ");
-  ASSERT_NE(rows, std::string::npos);
-  std::string huge = payload;  // hash-valid, declaring 10^13 resident rows
-  huge.replace(rows, huge.find('\n', rows) - rows, "resident 10000000000000");
+      unframe_payload("treesat_checkpoint", "v4", intact, "checkpoint"));
+  // The resident row count follows ten u64s: next_id, the clock and eight
+  // counters. Hash-valid, it declares more rows than the bytes left hold.
+  constexpr std::size_t kResidentCount = 10 * 8;
+  ASSERT_EQ(payload.substr(kResidentCount, 4), std::string("\1\0\0\0", 4));
+  const std::string huge = test_support::with_u32(payload, kResidentCount,
+                                                  static_cast<std::uint32_t>(payload.size()));
 
   const auto restore_fails = [&] {
     SolverService restarted;
@@ -567,7 +607,7 @@ TEST(ServiceFaults, DamagedManifestIsStillFatalToTheRestoreRequest) {
   };
   truncate_file(manifest);
   restore_fails();
-  write_file_atomic(manifest, frame_payload("treesat_checkpoint", "v3", huge));
+  write_file_atomic(manifest, frame_payload("treesat_checkpoint", "v4", huge));
   restore_fails();
 }
 

@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/format.hpp"
 #include "core/incremental.hpp"
@@ -336,6 +338,10 @@ TEST(Service, ErrorTaxonomyKeepsServing) {
        "unknown method"},
       {"{\"op\":\"submit\",\"tenant\":\"t0\",\"instance\":\"w0\",\"tree\":\"gibberish\"}",
        "cru_tree"},
+      {"{\"op\":\"submit\",\"tenant\":\"t0\",\"instance\":\"w0\",\"tree\":\"cru_tree v1\\n"
+       "0 - compute R 1 0 0 -\\n1 0 compute A 1 1 1 -\\n2 1 sensor S 0 0 1 0\\n"
+       "3 0 compute A 1 1 1 -\\n4 3 sensor S 0 0 1 1\\n\"}",
+       "node name 'A' appears twice"},
       {"{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\",\"nested\":{}}",
        "nested values"},
       {"{\"op\":\"solve\",\"op\":\"solve\"}", "duplicate key"},
@@ -628,6 +634,51 @@ TEST(Service, CheckpointRestoreOps) {
   EXPECT_CONTAINS(
       twin.handle_line("{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\"}"),
       "\"ok\":true");
+}
+
+TEST(Service, RecheckpointRemovesTheSnapshotsItNoLongerLists) {
+  // A directory checkpointed into again holds the last checkpoint's files
+  // only: the snapshots of rows it no longer has and staging leftovers go,
+  // and files it never writes stay.
+  const std::string dir = temp_subdir("ckpt_rewrite");
+  const std::string spill = temp_subdir("ckpt_rewrite_spill");
+  SolverService service(parse_service_config("spill_dir=" + spill));
+  const auto op = [&](const std::string& op, const std::string& instance,
+                      const std::string& extra = "") {
+    return service.handle_line("{\"op\":\"" + op + "\",\"tenant\":\"t\",\"instance\":\"" +
+                               instance + "\"" + extra + "}");
+  };
+  for (const char* instance : {"a", "b", "c"}) {
+    ASSERT_TRUE(contains(service.handle_line(submit_line("t", instance, paper_running_example())),
+                         "\"ok\":true"));
+  }
+  ASSERT_TRUE(contains(op("evict", "c"), "\"fate\":\"spilled\""));
+  const std::string checkpoint = "{\"op\":\"checkpoint\",\"dir\":\"" + json_escape(dir) + "\"}";
+  ASSERT_TRUE(contains(service.handle_line(checkpoint), "\"ok\":true"));
+  ASSERT_TRUE(std::filesystem::exists(dir + "/sessions/t@a.tss"));
+  ASSERT_TRUE(std::filesystem::exists(dir + "/spilled/t@c.tss"));
+  std::ofstream(dir + "/notes.txt") << "kept";
+  std::ofstream(dir + "/sessions/notes.txt") << "kept";
+  std::ofstream(dir + "/spilled/t@z.tss.tmp") << "staged by a crashed checkpoint";
+
+  // a dropped, c reloaded, b spilled.
+  ASSERT_TRUE(contains(op("evict", "a", ",\"drop\":true"), "\"fate\":\"dropped\""));
+  ASSERT_TRUE(contains(op("solve", "c"), "\"ok\":true"));
+  ASSERT_TRUE(contains(op("evict", "b"), "\"fate\":\"spilled\""));
+  ASSERT_TRUE(contains(service.handle_line(checkpoint), "\"ok\":true"));
+
+  std::vector<std::string> files;
+  for (const auto& file : std::filesystem::recursive_directory_iterator(dir)) {
+    if (file.is_regular_file()) {
+      files.push_back(std::filesystem::relative(file.path(), dir).string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"MANIFEST.tsc", "notes.txt", "sessions/notes.txt",
+                                             "sessions/t@c.tss", "spilled/t@b.tss"}));
+  SolverService restarted(parse_service_config("spill_dir=" + spill));
+  restarted.restore_from(dir);
+  EXPECT_CONTAINS(restarted.handle_line("{\"op\":\"stats\"}"), "\"restore_faults\":0");
 }
 
 TEST(Service, CheckpointRestoreHoldsTheTenantCap) {

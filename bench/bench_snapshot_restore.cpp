@@ -16,6 +16,11 @@
 //      (encode from the live session, frame, write into the segment) and
 //      per reload (read, decode, import) of E-SNAP2's sessions. Ungated;
 //      every reload must come back warm.
+//   5. Restoring a checkpoint in perfbench spill_churn's shape: one resident
+//      session and 47 spilled drifted stars of its size, into a fresh
+//      service. Median milliseconds (service construction plus restore, what
+//      spill_churn's setup_s times) and microseconds per spilled row.
+//      Ungated; every spilled row must reload warm afterwards.
 //
 // MB/s and milliseconds are machine-dependent and informational; the two
 // gated keys (rewarm_speedup, identity_ratio) are same-machine ratios.
@@ -31,9 +36,11 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "core/incremental.hpp"
+#include "io/json.hpp"
 #include "io/table.hpp"
 #include "service/service.hpp"
 #include "storage/snapshot.hpp"
+#include "tree/serialize.hpp"
 #include "workload/drift.hpp"
 #include "workload/generator.hpp"
 #include "workload/scenarios.hpp"
@@ -299,6 +306,84 @@ int main(int argc, char** argv) {
     }
     bench::note("spill = encode from the live session, frame in the store's buffer and");
     bench::note("write into the segment; reload = read, decode and import. Ungated.");
+  }
+
+  bench::banner("E-SNAP5", "restoring a checkpoint in spill_churn's shape");
+  {
+    // 48 tenants, each a star of spill_churn's size (its stress_trace draws
+    // 128 nodes, so 64 arms), solved and drifted so its snapshot carries
+    // caches. All but the last are evicted into the spill tier before the
+    // checkpoint, as spill_churn's budget leaves one session resident.
+    constexpr std::size_t kTenants = 48;
+    constexpr std::size_t kSpilled = kTenants - 1;
+    constexpr int kRestores = 30;
+    const std::string ckpt = dir + "/churn_checkpoint";
+    const auto line = [](const char* op, std::size_t k, const std::string& fields) {
+      return std::string("{\"op\":\"") + op + "\",\"tenant\":\"t" + std::to_string(k) +
+             "\",\"instance\":\"w0\"" + fields + "}";
+    };
+    std::size_t failed = 0;
+    const auto serve = [&failed](SolverService& service, const std::string& request) {
+      if (service.handle_line(request).find("\"ok\":true") == std::string::npos) ++failed;
+    };
+    {
+      SolverService live(parse_service_config("spill_dir=" + dir + "/churn_live"));
+      Rng rng(0x5A4E5);
+      StarGenOptions star;
+      star.arms = 64;
+      for (std::size_t k = 0; k < kTenants; ++k) {
+        serve(live, line("submit", k,
+                         ",\"tree\":\"" + json_escape(to_text(star_tree(rng, star))) + "\""));
+        serve(live, line("solve", k, ""));
+        for (std::size_t sat = 0; sat < star.satellites; ++sat) {
+          serve(live, line("perturb", k,
+                           ",\"kind\":\"satellite_drift\",\"satellite\":" + std::to_string(sat) +
+                               ",\"host_scale\":1.1,\"sat_scale\":0.9,\"comm_scale\":1.05"));
+        }
+        if (k + 1 < kTenants) serve(live, line("evict", k, ""));
+      }
+      live.checkpoint_to(ckpt);
+    }
+    std::uintmax_t spilled_bytes = 0;
+    for (const auto& file : std::filesystem::directory_iterator(ckpt + "/spilled")) {
+      spilled_bytes += file.file_size();
+    }
+
+    std::vector<double> restore_ms;
+    std::size_t warm = 0;
+    for (int r = 0; r < kRestores; ++r) {
+      const std::string spill = dir + "/churn_restored";
+      std::filesystem::remove_all(spill);
+      const Stopwatch watch;
+      SolverService restored(parse_service_config("spill_dir=" + spill));
+      restored.restore_from(ckpt);
+      restore_ms.push_back(watch.seconds() * 1e3);
+      if (r + 1 < kRestores) continue;
+      // The last restore answers every spilled tenant: each must reload warm.
+      const SessionStore& store = restored.store();
+      if (store.spill_entries() != kSpilled) ++failed;
+      const std::size_t reloads = store.spill_reloads();
+      for (std::size_t k = 0; k < kSpilled; ++k) serve(restored, line("solve", k, ""));
+      warm = store.spill_faults() == 0 ? store.spill_reloads() - reloads : 0;
+    }
+    std::sort(restore_ms.begin(), restore_ms.end());
+    const double median_ms = restore_ms[restore_ms.size() / 2];
+    const double per_row_us = median_ms * 1e3 / static_cast<double>(kSpilled);
+    Table t({"resident", "spilled", "spilled [KiB]", "restore [ms]", "per spilled row [us]"});
+    t.add(kTenants - kSpilled, kSpilled, static_cast<double>(spilled_bytes) / 1024.0, median_ms,
+          per_row_us);
+    t.print(std::cout);
+    bench::json().add_row("restore spill_churn",
+                          {{"spilled_bytes", static_cast<double>(spilled_bytes)},
+                           {"restore_ms", median_ms},
+                           {"restore_us_per_spilled_row", per_row_us}});
+    if (failed != 0 || warm != kSpilled) {
+      std::cerr << "FAIL: " << failed << " requests failed and " << warm << " of " << kSpilled
+                << " restored spilled rows reloaded warm\n";
+      ok = false;
+    }
+    bench::note("median of 30 fresh services, each constructed and restored; every");
+    bench::note("spilled row of the last one is then solved and must reload warm. Ungated.");
   }
 
   std::filesystem::remove_all(dir);

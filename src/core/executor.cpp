@@ -87,9 +87,12 @@ BatchReport solve_batch_report(std::span<const Colouring* const> instances,
   // failures-by-deadline are wall-clock facts and stay out of the span.
   obs::Span span(obs::trace(), "batch.run");
   span.attr("instances", static_cast<std::uint64_t>(count));
-  obs::count("treesat_batch_runs_total", "Batch executor runs");
-  obs::observe("treesat_batch_instances", "Instances per batch run",
-               obs::MetricClass::kDeterministic, static_cast<double>(count));
+  static const obs::CounterSite runs("treesat_batch_runs_total", "Batch executor runs");
+  static const obs::HistogramSite batch_sizes("treesat_batch_instances",
+                                              "Instances per batch run",
+                                              obs::MetricClass::kDeterministic);
+  runs.add();
+  batch_sizes.observe(static_cast<double>(count));
 
   BatchReport report;
   report.results.resize(count);

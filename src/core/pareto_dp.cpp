@@ -108,14 +108,15 @@ ParetoDpResult finish_solve(const Colouring& colouring, const ParetoDpOptions& o
   }
   stats.max_colour_frontier = sw.max_colour_frontier;
   stats.candidates_swept = sw.candidates_swept;
-  obs::count("treesat_dp_minkowski_merges_total", "Minkowski merges across all solves",
-             obs::MetricClass::kDeterministic, stats.minkowski_merges);
-  obs::count("treesat_dp_merge_points_generated_total",
-             "Frontier points generated before dominance pruning",
-             obs::MetricClass::kDeterministic, stats.merge_points_generated);
-  obs::count("treesat_dp_merge_points_kept_total",
-             "Frontier points surviving dominance pruning",
-             obs::MetricClass::kDeterministic, stats.merge_points_kept);
+  static const obs::CounterSite merges("treesat_dp_minkowski_merges_total",
+                                       "Minkowski merges across all solves");
+  static const obs::CounterSite generated("treesat_dp_merge_points_generated_total",
+                                          "Frontier points generated before dominance pruning");
+  static const obs::CounterSite kept("treesat_dp_merge_points_kept_total",
+                                     "Frontier points surviving dominance pruning");
+  merges.add(stats.minkowski_merges);
+  generated.add(stats.merge_points_generated);
+  kept.add(stats.merge_points_kept);
 
   std::vector<CruId> cut;
   {
@@ -176,7 +177,11 @@ ParetoDpResult pareto_dp_solve(const Colouring& colouring, const ParetoDpOptions
   const std::size_t colours = colouring.tree().satellite_count();
   obs::Span solve_span(obs::trace(), "dp.solve");
   solve_span.attr("colours", static_cast<std::uint64_t>(colours));
-  obs::count("treesat_dp_solves_total", "Arena-path Pareto-DP solves");
+  static const obs::CounterSite solves("treesat_dp_solves_total", "Arena-path Pareto-DP solves");
+  static const obs::HistogramSite colour_points("treesat_dp_colour_frontier_points",
+                                                "Merged frontier width per colour pipeline",
+                                                obs::MetricClass::kDeterministic);
+  solves.add();
 
   pareto_internal::ColourPipeline pipe;
   std::vector<pareto_internal::Span> merged(colours);
@@ -201,9 +206,7 @@ ParetoDpResult pareto_dp_solve(const Colouring& colouring, const ParetoDpOptions
       colour_span.attr("prune_ratio", generated == 0 ? 1.0
                                                      : static_cast<double>(kept) /
                                                            static_cast<double>(generated));
-      obs::observe("treesat_dp_colour_frontier_points",
-                   "Merged frontier width per colour pipeline",
-                   obs::MetricClass::kDeterministic, static_cast<double>(span.size()));
+      colour_points.observe(static_cast<double>(span.size()));
     }
   }
 

@@ -12,6 +12,16 @@ namespace {
 
 std::atomic<MetricsRegistry*> g_metrics{nullptr};
 
+/// The next free event-site slot; sites are static, so a program claims a
+/// fixed number of them.
+std::size_t claim_site() {
+  static std::atomic<std::size_t> next{0};
+  const std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
+  TS_CHECK(slot < MetricsRegistry::kSites,
+           "metrics: more than " << MetricsRegistry::kSites << " event sites");
+  return slot;
+}
+
 void append_help_line(std::string& out, const std::string& name, const std::string& help,
                       std::string_view type) {
   out += "# HELP ";
@@ -177,6 +187,13 @@ std::string MetricsRegistry::exposition(bool include_wallclock) const {
   }
   return out;
 }
+
+CounterSite::CounterSite(std::string_view name, std::string_view help, MetricClass cls)
+    : name_(name), help_(help), cls_(cls), slot_(claim_site()) {}
+
+HistogramSite::HistogramSite(std::string_view name, std::string_view help, MetricClass cls,
+                             double first_bound)
+    : name_(name), help_(help), cls_(cls), first_bound_(first_bound), slot_(claim_site()) {}
 
 MetricsRegistry* metrics() { return g_metrics.load(std::memory_order_acquire); }
 

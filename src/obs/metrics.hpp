@@ -18,19 +18,21 @@
 // nondeterministic counts and sums and sits entirely behind the marker.
 //
 // A family is counted where its events happen (the solver's merges, batch
-// runs, checkpoints, every histogram) unless another object already keeps
-// the total. Then the owner writes it at scrape time (set_counter, a gauge),
-// as SolverService::telemetry() does from the counters `stats` reports:
-//
-//   if (MetricsRegistry* m = obs::metrics()) {
-//     m->counter("treesat_dp_solves_total", "...", MetricClass::kDeterministic).add(1);
-//   }
+// runs, checkpoints, every histogram) through a call-site handle, unless
+// another object already keeps the total. Then the owner writes it at scrape
+// time (set_counter, a gauge), as SolverService::telemetry() does from the
+// counters `stats` reports.
 //
 // Handles returned by the registry are stable for the registry's lifetime
 // and record with single relaxed atomics. counter() is a find-or-create
-// under a mutex, so a loop that records per event keeps the `Counter&`.
+// under a mutex, so an event site declares a CounterSite or HistogramSite
+// (below) instead: it resolves its family once per installed registry,
+//
+//   static const obs::CounterSite solves("treesat_dp_solves_total", "...");
+//   solves.add();
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -126,7 +128,25 @@ class MetricsRegistry {
   /// in the deterministic subset.
   [[nodiscard]] std::string exposition(bool include_wallclock) const;
 
+  /// Event sites (CounterSite, HistogramSite) a program may declare.
+  static constexpr std::size_t kSites = 32;
+
  private:
+  friend class CounterSite;
+  friend class HistogramSite;
+
+  /// The family handle of event site `slot` in this registry, found or
+  /// created by `resolve` on the site's first event here.
+  template <typename Metric, typename Resolve>
+  Metric& site(std::size_t slot, Resolve resolve) {
+    void* handle = sites_[slot].load(std::memory_order_acquire);
+    if (handle == nullptr) {
+      handle = &resolve();  // racing first events resolve the same family
+      sites_[slot].store(handle, std::memory_order_release);
+    }
+    return *static_cast<Metric*>(handle);
+  }
+
   struct Family {
     std::string help;
     MetricClass cls = MetricClass::kDeterministic;
@@ -140,6 +160,7 @@ class MetricsRegistry {
 
   mutable std::mutex mu_;
   std::map<std::string, Family, std::less<>> families_;
+  std::array<std::atomic<void*>, kSites> sites_{};  ///< per event site, null until resolved
 };
 
 /// Marker separating the deterministic exposition subset from wall-clock
@@ -152,18 +173,50 @@ inline constexpr std::string_view kWallClockMarker =
 /// Installs (or, with nullptr, uninstalls) the process-wide registry.
 void install_metrics(MetricsRegistry* registry);
 
-/// One-shot conveniences for call sites that record at request/phase/IO
-/// granularity -- a registry lookup per event. Hot loops cache the
-/// reference returned by the registry instead.
-inline void count(std::string_view name, std::string_view help,
-                  MetricClass cls = MetricClass::kDeterministic, std::uint64_t n = 1) {
-  if (MetricsRegistry* m = metrics()) m->counter(name, help, cls).add(n);
-}
-inline void observe(std::string_view name, std::string_view help, MetricClass cls,
-                    double value, double first_bound = 1.0) {
-  if (MetricsRegistry* m = metrics()) {
-    m->histogram(name, help, cls, first_bound).observe(value);
+/// A counter family recorded where its events happen. Declare one `static`
+/// per call site: each site claims a slot in every registry, and its first
+/// event after a registry is installed finds or creates the family there
+/// (counter()), so the family appears with that event, 0 included. Later
+/// events record through the handle kept in the slot: no mutex, no name
+/// lookup. The slots belong to the registry, so one installed later --
+/// even where a destroyed one stood -- resolves every site afresh. A no-op
+/// while no registry is installed.
+class CounterSite {
+ public:
+  CounterSite(std::string_view name, std::string_view help,
+              MetricClass cls = MetricClass::kDeterministic);
+  void add(std::uint64_t n = 1) const {
+    if (MetricsRegistry* m = metrics()) {
+      m->site<Counter>(slot_, [&]() -> Counter& { return m->counter(name_, help_, cls_); }).add(n);
+    }
   }
-}
+
+ private:
+  std::string_view name_;
+  std::string_view help_;
+  MetricClass cls_;
+  std::size_t slot_;
+};
+
+/// CounterSite for a histogram family (histogram()'s layout, 24 buckets).
+class HistogramSite {
+ public:
+  HistogramSite(std::string_view name, std::string_view help, MetricClass cls,
+                double first_bound = 1.0);
+  void observe(double value) const {
+    if (MetricsRegistry* m = metrics()) {
+      m->site<Histogram>(slot_, [&]() -> Histogram& {
+         return m->histogram(name_, help_, cls_, first_bound_);
+       }).observe(value);
+    }
+  }
+
+ private:
+  std::string_view name_;
+  std::string_view help_;
+  MetricClass cls_;
+  double first_bound_;
+  std::size_t slot_;
+};
 
 }  // namespace treesat::obs

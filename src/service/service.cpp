@@ -713,11 +713,10 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
           "' (submit, solve, perturb, stats, metrics, evict, checkpoint, restore)");
     }
 
-    if (solver_op) {
-      obs::observe("treesat_request_seconds",
-                   "Wall-clock solve/perturb request latency in seconds",
-                   obs::MetricClass::kWallClock, watch.seconds(), 1e-6);
-    }
+    static const obs::HistogramSite request_seconds(
+        "treesat_request_seconds", "Wall-clock solve/perturb request latency in seconds",
+        obs::MetricClass::kWallClock, 1e-6);
+    if (solver_op) request_seconds.observe(watch.seconds());
     outcome = {w.finish(), true};
   } catch (const std::exception& e) {
     ++telemetry_.errors;
@@ -731,8 +730,10 @@ SolverService::Outcome SolverService::handle(const std::string& line) {
     w.field_str("error", e.what());
     outcome = {w.finish(), false};
   }
-  obs::observe("treesat_response_bytes", "Response line sizes in bytes",
-               obs::MetricClass::kDeterministic, static_cast<double>(outcome.line.size()));
+  static const obs::HistogramSite response_bytes("treesat_response_bytes",
+                                                 "Response line sizes in bytes",
+                                                 obs::MetricClass::kDeterministic);
+  response_bytes.observe(static_cast<double>(outcome.line.size()));
   return outcome;
 }
 

@@ -281,10 +281,10 @@ void SessionStore::spill_entry(const SessionEntry& entry) {
   }
   const std::uint64_t charged = record.extent.length;
   span.attr("bytes", charged);
-  if (charged != 0) {
-    obs::observe("treesat_spill_snapshot_bytes", "Spilled snapshot sizes in bytes",
-                 obs::MetricClass::kDeterministic, static_cast<double>(charged));
-  }
+  static const obs::HistogramSite snapshot_bytes(
+      "treesat_spill_snapshot_bytes", "Spilled snapshot sizes in bytes",
+      obs::MetricClass::kDeterministic);
+  if (charged != 0) snapshot_bytes.observe(static_cast<double>(charged));
   spill_bytes_ += charged;
   spill_records_[key_of(entry.tenant, entry.instance)] = std::move(record);
   ++spills_;

@@ -107,8 +107,8 @@ struct SpillRecord {
   /// at spill time -- the fault wall's cold-recovery fallback when the
   /// slot is lost or corrupt, and what a checkpoint writes for a
   /// tombstone. Framed from the spilled payload's owner-and-node-table
-  /// prefix (a checkpoint restore derives it from the verified bytes the
-  /// same way), so every record has one and the tree is never encoded
+  /// prefix (a checkpoint restore derives it from that verified prefix
+  /// the same way), so every record has one and the tree is never encoded
   /// twice. Not charged to either byte gauge (it is bookkeeping, not warm
   /// state).
   std::string fallback;
@@ -249,11 +249,13 @@ class SessionStore {
   /// Inserts a rebuilt entry with an explicit stamp (no clock touch). The
   /// key must be vacant in both tiers.
   SessionEntry& restore_entry(SessionEntry entry, std::uint64_t stamp);
-  /// Writes verified snapshot bytes into the segment and registers them as
-  /// a spill-tier entry whose fallback is `fallback` (the tree-only
-  /// snapshot decode_snapshot derives from the same bytes), so a restored
-  /// record that fails to reload falls back cold like a live one. Throws
-  /// ResourceLimit when the segment write fails.
+  /// Writes snapshot bytes whose frame, owner and node table are verified
+  /// into the segment and registers them as a spill-tier entry whose
+  /// fallback is `fallback` (the tree-only snapshot decode_snapshot_prefix
+  /// frames from the same bytes). The rest is decoded at reload, so a
+  /// restored record whose plan or caches fail there, or whose slot is
+  /// damaged later, falls back cold like a live one. Throws ResourceLimit
+  /// when the segment write fails.
   void restore_spilled(const std::string& tenant, const std::string& instance,
                        std::uint64_t stamp, std::string_view bytes, std::string fallback);
   /// Resident entries in (tenant, instance) order -- the deterministic

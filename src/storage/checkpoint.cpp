@@ -117,7 +117,8 @@ void write_checkpoint(const std::string& dir, const SessionStore& store,
   obs::Span span(obs::trace(), "checkpoint.write");
   span.attr("entries", static_cast<std::uint64_t>(store.entries()));
   span.attr("spilled", static_cast<std::uint64_t>(store.spill_entries()));
-  obs::count("treesat_checkpoint_writes_total", "Checkpoints written");
+  static const obs::CounterSite writes("treesat_checkpoint_writes_total", "Checkpoints written");
+  writes.add();
   require_dir(dir);
   require_dir(dir + "/sessions");
 
@@ -179,7 +180,9 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
                                 std::size_t mem_budget, const std::string& spill_dir,
                                 std::size_t spill_budget, FaultPlan* faults) {
   obs::Span span(obs::trace(), "checkpoint.restore");
-  obs::count("treesat_checkpoint_restores_total", "Checkpoints restored");
+  static const obs::CounterSite restores("treesat_checkpoint_restores_total",
+                                         "Checkpoints restored");
+  restores.add();
   const std::string manifest = read_file_bytes(manifest_path(dir));
   wire::ByteReader in(unframe_payload(kMagic, kVersion, manifest, "checkpoint"));
 
@@ -194,17 +197,19 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
   out.telemetry.requests = in.get<std::uint64_t>("requests");
   out.telemetry.errors = in.get<std::uint64_t>("errors");
 
-  std::size_t skipped = 0;  // snapshots unreadable or damaged
+  // Skip-and-count, never abort: a damaged snapshot costs the restart that
+  // one warm entry, not the whole process. `faults` may fail each read.
+  std::size_t skipped = 0;
+  const auto read_row = [&](const char* subdir, const EntryRow& row) {
+    if (faults != nullptr && faults->fires(FaultPoint::kRestoreRead)) {
+      throw ResourceLimit("fault injection: restore read of '" + row.tenant + '/' +
+                          row.instance + "' failed");
+    }
+    return read_file_bytes(dir + subdir + snapshot_file_name(row.tenant, row.instance));
+  };
   for (const EntryRow& row : take_entry_rows(in, "resident rows")) {
-    // Skip-and-count, never abort: a damaged session snapshot costs the
-    // restart that one warm entry, not the whole process.
     try {
-      if (faults != nullptr && faults->fires(FaultPoint::kRestoreRead)) {
-        throw ResourceLimit("fault injection: restore read of '" + row.tenant + '/' +
-                            row.instance + "' failed");
-      }
-      SessionState state = read_snapshot_file(
-          dir + "/sessions/" + snapshot_file_name(row.tenant, row.instance));
+      SessionState state = decode_snapshot(read_row("/sessions/", row));
       TS_REQUIRE(state.tenant == row.tenant && state.instance == row.instance,
                  "checkpoint: session file owner '" << state.tenant << '/' << state.instance
                                                     << "' does not match manifest row '"
@@ -222,30 +227,23 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
   }
 
   const std::vector<EntryRow> spilled = take_entry_rows(in, "spilled rows");
-  if (!spilled.empty()) {
-    TS_REQUIRE(out.store.spill_enabled(),
-               "checkpoint: holds " << spilled.size()
-                                    << " spilled session(s) but the service has no spill_dir "
-                                       "configured");
-  }
+  TS_REQUIRE(spilled.empty() || out.store.spill_enabled(),
+             "checkpoint: holds " << spilled.size() << " spilled session(s) but the service "
+                                                       "has no spill_dir configured");
   for (const EntryRow& row : spilled) {
     try {
-      if (faults != nullptr && faults->fires(FaultPoint::kRestoreRead)) {
-        throw ResourceLimit("fault injection: restore read of '" + row.tenant + '/' +
-                            row.instance + "' failed");
-      }
-      const std::string file = snapshot_file_name(row.tenant, row.instance);
-      const std::string bytes = read_file_bytes(dir + "/spilled/" + file);
+      const std::string bytes = read_row("/spilled/", row);
       std::string fallback;
-      const SessionState state = decode_snapshot(bytes, fallback);  // full integrity check
+      // Frame, owner, size and node table; the reload decodes the rest.
+      const SessionState state = decode_snapshot_prefix(bytes, fallback);
       TS_REQUIRE(state.tenant == row.tenant && state.instance == row.instance,
                  "checkpoint: spilled file owner '" << state.tenant << '/' << state.instance
                                                     << "' does not match manifest row '"
                                                     << row.tenant << '/' << row.instance
                                                     << "'");
       TS_REQUIRE(bytes.size() == row.bytes,
-                 "checkpoint: spilled file '" << file << "' is " << bytes.size()
-                                              << " bytes, manifest says " << row.bytes);
+                 "checkpoint: spilled '" << row.tenant << '/' << row.instance << "' is "
+                                         << bytes.size() << " bytes, manifest says " << row.bytes);
       // Into the new store's own segment: the live store's spilled
       // sessions stay untouched if this restore fails further on.
       out.store.restore_spilled(row.tenant, row.instance, row.stamp, bytes, std::move(fallback));

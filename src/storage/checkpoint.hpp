@@ -37,15 +37,15 @@
 // is in place, the `.tss` and `.tss.tmp` files under sessions/ and spilled/
 // that it does not list are removed, so a directory checkpointed into
 // periodically holds only its last checkpoint; no other file is touched.
-// Restore validates every snapshot (framed hash + strict payload parse +
-// owner match against the manifest row, plus the rebuilt entry's
-// recomputed byte estimate against the manifest's) -- but a snapshot that
-// fails validation is skipped and counted (the store's restore_faults
-// counter) rather than failing the restart: a restart must always come
-// up, possibly colder. Only a damaged *manifest* is fatal -- without it
-// nothing about the checkpoint can be trusted. Its reader is the one the
-// snapshot decoder uses: every count is bounded by the bytes left, and the
-// payload must end exactly after the overflow row.
+// Restore validates a resident snapshot whole and a spilled one up to its
+// node table: frame, owner and size against the manifest row. The reload
+// that adopts a spilled snapshot decodes the rest, and a failure there is a
+// damaged slot like a live one (quarantined, spill_faults, answered cold).
+// A snapshot failing at restore is skipped and counted (restore_faults), so
+// a restart always comes up, possibly colder. Only a damaged *manifest* is
+// fatal: without it nothing about the checkpoint can be trusted. Its reader
+// is the snapshot decoder's: every count is bounded by the bytes left, and
+// the payload must end exactly after the overflow row.
 #pragma once
 
 #include <cstddef>

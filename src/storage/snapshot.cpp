@@ -297,16 +297,19 @@ SnapshotSource source_of(const SessionState& state) {
   return source;
 }
 
-/// Decodes a verified payload. When `tree_end` is non-null it receives the
-/// payload offset where the plan spec starts: the prefix rule
-/// encode_payload() reports its fallback by.
-SessionState decode_payload(std::string_view payload, std::size_t* tree_end = nullptr) {
-  wire::ByteReader in(payload);
+/// The owner and node table a payload starts with, as a tree-only state.
+SessionState decode_prefix(wire::ByteReader& in) {
   SessionState state;
   state.tenant = in.string("tenant");
   state.instance = in.string("instance");
   state.tree = decode_tree(in);
-  if (tree_end != nullptr) *tree_end = payload.size() - in.remaining();
+  return state;
+}
+
+/// Decodes a verified payload.
+SessionState decode_payload(std::string_view payload) {
+  wire::ByteReader in(payload);
+  SessionState state = decode_prefix(in);
   // Parsed once, by import_state, which rejects an unknown plan.
   state.plan_spec = in.string("plan spec");
   if (!state.has_session()) {
@@ -513,11 +516,11 @@ SessionState decode_snapshot(std::string_view bytes) {
   return decode_payload(snapshot_payload(bytes));
 }
 
-SessionState decode_snapshot(std::string_view bytes, std::string& fallback) {
+SessionState decode_snapshot_prefix(std::string_view bytes, std::string& fallback) {
   const std::string_view payload = snapshot_payload(bytes);
-  std::size_t tree_end = 0;
-  SessionState state = decode_payload(payload, &tree_end);
-  fallback = frame_tree_only(payload.substr(0, tree_end));
+  wire::ByteReader in(payload);
+  SessionState state = decode_prefix(in);
+  fallback = frame_tree_only(payload.substr(0, payload.size() - in.remaining()));
   return state;
 }
 

@@ -53,8 +53,8 @@
 // into a state first. The live path writes the payload into a caller's
 // reused buffer after a gap and frames it in place, and it frames the
 // tree-only fallback from the same payload's owner-and-node-table prefix
-// plus an empty plan spec instead of encoding the tree again; a decode can
-// derive that fallback from verified bytes by the same rule.
+// plus an empty plan spec instead of encoding the tree again; a restore
+// derives it from a spilled snapshot's verified prefix alone.
 //
 // Every value is written once as raw bytes and read back once with memcpy,
 // so a decoded snapshot rebuilds the session bit for bit, and the node
@@ -179,10 +179,10 @@ struct SnapshotSource {
 /// Strict inverse of encode_snapshot() over a whole file's bytes.
 [[nodiscard]] SessionState decode_snapshot(std::string_view bytes);
 
-/// decode_snapshot() that also derives, from the verified bytes, the
-/// tree-only snapshot of the same owner and tree by the prefix rule
-/// encode_snapshot() frames its fallback with.
-[[nodiscard]] SessionState decode_snapshot(std::string_view bytes, std::string& fallback);
+/// The tree-only state of a snapshot's owner and node table, checked as
+/// decode_snapshot() checks them and the frame; `fallback` receives its
+/// bytes, framed from that prefix. The rest of the payload is not read.
+[[nodiscard]] SessionState decode_snapshot_prefix(std::string_view bytes, std::string& fallback);
 
 /// encode_snapshot() to `<path>.tmp`, then atomically renames onto `path`.
 /// Throws ResourceLimit when the directory is missing or unwritable.

@@ -133,9 +133,12 @@ class ByteReader {
     return value;
   }
 
-  /// A u32 count of items that take at least `min_bytes` each.
+  /// A u32 count of items that take at least `min_bytes` each, bounded by
+  /// the bytes after it. The count is read before remaining() is taken: as
+  /// two arguments of one call, their order would be unspecified.
   std::size_t count(const char* what, std::size_t min_bytes) {
-    return bounded_count(get<std::uint32_t>(what), remaining(), min_bytes, what);
+    const std::uint32_t n = get<std::uint32_t>(what);
+    return bounded_count(n, remaining(), min_bytes, what);
   }
 
   /// `n` raw values into `out`, which ends up holding exactly them.

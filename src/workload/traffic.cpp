@@ -36,6 +36,12 @@ std::string submit_line(const TenantState& t, const std::string& instance) {
   return request("submit", t.name, instance).field_str("tree", to_text(t.current)).finish();
 }
 
+/// A churn re-submits the evolved tree, which the service's submit refuses
+/// once it names more satellites than it has nodes (service/service.cpp):
+/// satellite losses can leave ids past a shrunken tree's node count. Such a
+/// tenant's churn event is a plain solve instead.
+bool resubmittable(const TenantState& t) { return t.current.satellite_count() <= t.current.size(); }
+
 std::string solve_line(const TenantState& t, const std::string& instance,
                        const std::string& plan, bool degrade = false) {
   JsonLineWriter w = request("solve", t.name, instance);
@@ -146,7 +152,7 @@ TrafficTrace traffic_trace(const TrafficOptions& options) {
     if (u < options.p_stats) {
       trace.lines.push_back(request("stats", t.name, {}).finish());
       ++trace.stats_polls;
-    } else if (u < options.p_stats + options.p_churn) {
+    } else if (u < options.p_stats + options.p_churn && resubmittable(t)) {
       trace.lines.push_back(request("evict", t.name, instance).finish());
       ++trace.evicts;
       trace.lines.push_back(submit_line(t, instance));
@@ -284,7 +290,7 @@ TrafficTrace stress_trace(const StressOptions& options) {
       if (u < options.p_stats) {
         trace.lines.push_back(request("stats", t.name, {}).finish());
         ++trace.stats_polls;
-      } else if (u < options.p_stats + options.p_churn) {
+      } else if (u < options.p_stats + options.p_churn && resubmittable(t)) {
         trace.lines.push_back(request("evict", t.name, instance).finish());
         ++trace.evicts;
         trace.lines.push_back(submit_line(t, instance));

@@ -6,7 +6,8 @@
 // scenario's workload as a live instance, perturbs it along a deterministic
 // drift stream, re-solves, occasionally polls stats, and occasionally
 // churns (evict + resubmit of the *evolved* tree + solve -- the cold
-// restart a real deployment performs when a tenant reconnects). Open-loop
+// restart a real deployment performs when a tenant reconnects; a plain
+// solve when the service would refuse that tree's submit). Open-loop
 // means the trace is fixed up front, independent of any response: that is
 // what lets the same trace replay byte-identically against any service
 // configuration (tests/service_determinism_test.cpp) and drive the

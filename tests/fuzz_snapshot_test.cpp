@@ -16,7 +16,12 @@
 // two tenants. Its mutants are bit flips, bytes set to 0x00 or 0xFF, a
 // truncation at every byte and a u32 0xFFFFFFFF written at every offset,
 // each re-framed with a correct hash; read_checkpoint must return or throw
-// InvalidArgument or ResourceLimit.
+// InvalidArgument or ResourceLimit. The same seed's spilled file takes the
+// same four kinds of mutant, each re-framed with a correct hash and its
+// manifest row's byte count kept in step. Restore checks a spilled row only
+// up to its node table, so each mutant must restore, and its row is either
+// skipped there or answers a solve ok: warm when its whole payload decodes
+// and imports, else cold after one counted spill fault.
 //
 // Any other exception fails the test: a LogicError, a length_error, or a
 // bad_alloc from an allocation a hostile count sized. ci.sh runs this suite
@@ -26,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <iostream>
@@ -43,6 +49,7 @@
 #include "snapshot_layout.hpp"
 #include "storage/checkpoint.hpp"
 #include "storage/snapshot.hpp"
+#include "storage/wire.hpp"
 #include "tree/serialize.hpp"
 #include "workload/scenarios.hpp"
 
@@ -255,6 +262,140 @@ TEST(FuzzSnapshot, EveryManifestMutantRestoresOrIsRejected) {
   EXPECT_GT(tally.rejected, tally.mutants / 10);
   std::cout << "fuzz_manifest: " << tally.mutants << " mutants, " << tally.accepted
             << " restored, " << tally.rejected << " rejected\n";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(spill);
+}
+
+/// Offset of the byte count of a manifest's only spilled row: past next_id,
+/// the clock, eight counters, the resident rows and the row's owner and stamp.
+std::size_t spilled_row_bytes_offset(std::string_view manifest) {
+  wire::ByteReader in(manifest);
+  for (int i = 0; i < 10; ++i) static_cast<void>(in.get<std::uint64_t>("counter"));
+  const auto skip_owner_and_stamp = [&in] {
+    static_cast<void>(in.string("tenant"));
+    static_cast<void>(in.string("instance"));
+    static_cast<void>(in.get<std::uint64_t>("stamp"));
+  };
+  for (std::uint32_t rows = in.get<std::uint32_t>("resident rows"); rows > 0; --rows) {
+    skip_owner_and_stamp();
+    static_cast<void>(in.get<std::uint64_t>("bytes"));
+  }
+  EXPECT_EQ(in.get<std::uint32_t>("spilled rows"), 1u);
+  skip_owner_and_stamp();
+  return manifest.size() - in.remaining();
+}
+
+/// How a mutant spilled row came back: skipped at restore, reloaded warm,
+/// or reloaded cold from its fallback after a counted spill fault.
+struct SpilledTally {
+  std::size_t mutants = 0;
+  std::size_t skipped = 0;
+  std::size_t warm = 0;
+  std::size_t cold = 0;
+};
+
+TEST(FuzzSnapshot, EverySpilledRowMutantRestoresAndAnswers) {
+  const std::string dir = ::testing::TempDir() + "/fuzz_spilled_ckpt";
+  const std::string spill = ::testing::TempDir() + "/fuzz_spilled_spill";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(spill);
+  const std::string manifest = checkpoint_seed(dir, spill);
+  ASSERT_FALSE(manifest.empty());
+  const std::string file = dir + "/spilled/" + snapshot_file_name("t0", "w1");
+  const std::string base(snapshot_payload(read_file_bytes(file)));
+  const std::size_t bytes_at = spilled_row_bytes_offset(manifest);
+  const std::string solve = R"({"op":"solve","tenant":"t0","instance":"w1"})";
+
+  SpilledTally tally;
+  const auto run = [&](const std::string& payload, const std::string& what) {
+    SCOPED_TRACE(what);
+    ++tally.mutants;
+    const std::string bytes = frame_payload("treesat_snapshot", "v3", payload);
+    write_file_atomic(file, bytes);
+    std::string row = manifest;
+    const std::uint64_t size = bytes.size();
+    std::memcpy(row.data() + bytes_at, &size, sizeof(size));
+    write_file_atomic(dir + "/MANIFEST.tsc", frame_payload("treesat_checkpoint", "v4", row));
+
+    // What restore and the reload will find, decided here with only
+    // InvalidArgument allowed: the service catches everything a row throws,
+    // which would hide a bad_alloc from a hostile count.
+    bool adoptable = false;
+    bool imports = false;
+    try {
+      std::string fallback;
+      const SessionState owner = decode_snapshot_prefix(bytes, fallback);
+      adoptable = owner.tenant == "t0" && owner.instance == "w1";
+      static_cast<void>(session_entry_from_state(decode_snapshot(bytes)));
+      imports = adoptable;
+    } catch (const InvalidArgument&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "threw " << typeid(e).name() << " instead of InvalidArgument: "
+                    << e.what();
+      return;
+    }
+
+    SolverService service(parse_service_config("spill_dir=" + spill));
+    try {
+      service.restore_from(dir);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "restore threw " << typeid(e).name() << ": " << e.what();
+      return;
+    }
+    const SessionStore& store = service.store();
+    if (!adoptable) {
+      EXPECT_EQ(store.restore_faults(), 1u);
+      EXPECT_EQ(store.spill_entries(), 0u);
+      ++tally.skipped;
+      return;
+    }
+    EXPECT_EQ(store.restore_faults(), 0u);
+    ASSERT_EQ(store.spill_entries(), 1u);
+    const std::size_t reloads = store.spill_reloads();
+    const std::string response = service.handle_line(solve);
+    EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+    if (imports) {
+      EXPECT_EQ(store.spill_reloads(), reloads + 1);
+      EXPECT_EQ(store.spill_faults(), 0u);
+      ++tally.warm;
+    } else {
+      EXPECT_EQ(store.spill_reloads(), reloads);
+      EXPECT_EQ(store.spill_faults(), 1u);
+      EXPECT_NE(response.find("\"path\":\"initial\""), std::string::npos) << response;
+      ++tally.cold;
+    }
+  };
+  Rng rng(0x5B11);
+  for (std::size_t i = 0; i < kBitFlips / 2; ++i) {
+    std::string m = base;
+    const std::size_t at = rng.index(m.size());
+    const int bit = static_cast<int>(rng.index(8));
+    m[at] = static_cast<char>(m[at] ^ (1 << bit));
+    run(m, "bit " + std::to_string(bit) + " of byte " + std::to_string(at));
+  }
+  for (std::size_t i = 0; i < kByteSets / 2; ++i) {
+    std::string m = base;
+    const std::size_t at = rng.index(m.size());
+    m[at] = rng.bernoulli(0.5) ? '\x00' : '\xFF';
+    run(m, "byte " + std::to_string(at) + " set to " +
+               std::to_string(static_cast<unsigned char>(m[at])));
+  }
+  for (std::size_t at = 0; at < base.size(); ++at) {
+    run(base.substr(0, at), "truncated at " + std::to_string(at));
+  }
+  for (std::size_t at = 0; at + 4 <= base.size(); ++at) {
+    run(test_support::with_u32(base, at, 0xFFFFFFFFu),
+        "u32 at " + std::to_string(at) + " set to 0xFFFFFFFF");
+  }
+  // None of the three outcomes may be vacuous: node-table damage is
+  // skipped, frontier damage mostly reloads warm, and count, name and
+  // truncation damage past the node table reloads cold.
+  EXPECT_GT(tally.skipped, tally.mutants / 20);
+  EXPECT_GT(tally.warm, tally.mutants / 20);
+  EXPECT_GT(tally.cold, tally.mutants / 20);
+  std::cout << "fuzz_spilled: " << tally.mutants << " mutants, " << tally.skipped
+            << " skipped at restore, " << tally.warm << " reloaded warm, " << tally.cold
+            << " reloaded cold\n";
   std::filesystem::remove_all(dir);
   std::filesystem::remove_all(spill);
 }

@@ -4,16 +4,22 @@
 // on: the fixed log2 bucket layout (a deterministic observation always
 // lands in the same bucket), the exposition format (HELP/TYPE lines,
 // cumulative buckets, the wall-clock marker), the deterministic/wall-clock
-// class split, and that concurrent recording loses no increments.
+// class split, that concurrent recording loses no increments, and that
+// event sites resolve their families afresh in every installed registry.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.hpp"
+#include "io/json.hpp"
 #include "obs/metrics.hpp"
+#include "service/service.hpp"
+#include "tree/serialize.hpp"
+#include "workload/scenarios.hpp"
 
 namespace treesat::obs {
 namespace {
@@ -129,15 +135,16 @@ TEST(MetricsRegistry, ConcurrentRecordingLosesNothing) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 5000;
   {
+    static const CounterSite c("treesat_c_total", "c");
+    static const HistogramSite h("treesat_h", "h", MetricClass::kDeterministic);
     std::vector<std::jthread> pool;
     for (std::size_t t = 0; t < kThreads; ++t) {
       pool.emplace_back([t] {
         for (std::size_t i = 0; i < kPerThread; ++i) {
-          // Mix the convenience path (registry lookup per event) with a
-          // cached handle, and hammer one histogram from every thread.
-          count("treesat_c_total", "c");
-          observe("treesat_h", "h", MetricClass::kDeterministic,
-                  static_cast<double>((t + i) % 16));
+          // Every thread's first event races to resolve both sites in this
+          // registry; then all of them hammer the kept handles.
+          c.add();
+          h.observe(static_cast<double>((t + i) % 16));
         }
       });
     }
@@ -152,13 +159,54 @@ TEST(MetricsRegistry, ConcurrentRecordingLosesNothing) {
   EXPECT_EQ(buckets, h.count());
 }
 
-TEST(Metrics, ConveniencesNoOpWithoutARegistry) {
+TEST(Metrics, EventSitesNoOpWithoutARegistry) {
   install_metrics(nullptr);
-  count("treesat_void_total", "never materializes");
-  observe("treesat_void", "never materializes", MetricClass::kWallClock, 1.0);
+  static const CounterSite c("treesat_void_total", "never materializes");
+  static const HistogramSite h("treesat_void", "never materializes", MetricClass::kWallClock);
+  c.add();
+  h.observe(1.0);
   MetricsRegistry reg;
   EXPECT_EQ(reg.exposition(false), "");
   EXPECT_EQ(reg.exposition(true), std::string(kWallClockMarker) + "\n");
+}
+
+TEST(Metrics, EventSitesFollowTheInstalledRegistry) {
+  // Serve through registry A, destroy it, build registry B in the same
+  // storage and serve through that: B must count only its own events. A
+  // site that kept A's handles by the registry's address would record into
+  // A's freed families here and leave B's empty.
+  const auto serve = [](SolverService& service, const std::string& instance) {
+    const std::string tree = json_escape(to_text(paper_running_example()));
+    for (const std::string& line :
+         {R"({"op":"submit","tenant":"t","instance":")" + instance + R"(","tree":")" + tree +
+              R"("})",
+          R"({"op":"solve","tenant":"t","instance":")" + instance + R"("})"}) {
+      ASSERT_NE(service.handle_line(line).find("\"ok\":true"), std::string::npos) << line;
+    }
+  };
+  alignas(MetricsRegistry) unsigned char storage[sizeof(MetricsRegistry)];
+  SolverService service;
+  MetricsRegistry* a = new (storage) MetricsRegistry();
+  install_metrics(a);
+  serve(service, "w0");
+  serve(service, "w1");
+  ASSERT_NE(a->exposition(false).find("treesat_dp_minkowski_merges_total 6\n"), std::string::npos);
+  install_metrics(nullptr);
+  a->~MetricsRegistry();
+
+  MetricsRegistry* b = new (storage) MetricsRegistry();
+  ASSERT_EQ(static_cast<void*>(a), static_cast<void*>(b));
+  install_metrics(b);
+  static_cast<void>(service.handle_line(R"({"op":"stats"})"));
+  std::string text = b->exposition(false);
+  EXPECT_NE(text.find("treesat_response_bytes_count 1\n"), std::string::npos) << text;
+  EXPECT_EQ(text.find("treesat_dp_minkowski_merges_total"), std::string::npos) << text;
+  serve(service, "w2");
+  text = b->exposition(false);
+  EXPECT_NE(text.find("treesat_response_bytes_count 3\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("treesat_dp_minkowski_merges_total 3\n"), std::string::npos) << text;
+  install_metrics(nullptr);
+  b->~MetricsRegistry();
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "service/service.hpp"
 #include "storage/checkpoint.hpp"
@@ -512,6 +513,33 @@ TEST(ServiceDeterminism, WarmTrafficActuallyRunsWarm) {
   EXPECT_GT(totals.warm_hits, 0u);
   EXPECT_GE(totals.warm_hit_ratio(), 0.5) << "warm " << totals.warm_hits << " vs cold "
                                           << totals.cold_solves;
+}
+
+TEST(ServiceDeterminism, GeneratedChurnNeverSubmitsARefusedTree) {
+  // perfbench's small_drift seed 2901 composes 16 traffic_trace groups of
+  // 16 tenants and 500 ticks, seeded by successive draws of Rng(2901). In
+  // its tenth group, tenant t0's drift stream loses satellites until its
+  // 3-node tree names satellite 3, and a churn there re-submitted that tree,
+  // which the service refuses. Every generated line must be answered ok.
+  Rng seeds(2901);
+  std::uint64_t seed = 0;
+  for (int group = 0; group < 10; ++group) seed = seeds();
+  TrafficOptions options;
+  options.seed = seed;
+  options.tenants = 16;
+  options.ticks = 500;
+  const TrafficTrace trace = traffic_trace(options);
+  SolverService service;
+  std::size_t refused = 0;
+  for (const std::string& line : trace.lines) {
+    const std::string response = service.handle_line(line);
+    if (response.find("\"ok\":true") == std::string::npos) {
+      ADD_FAILURE() << line << "\n -> " << response;
+      if (++refused == 3) break;
+    }
+  }
+  EXPECT_EQ(refused, 0u);
+  EXPECT_GT(trace.evicts, 0u) << "the trace must still churn";
 }
 
 }  // namespace

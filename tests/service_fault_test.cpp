@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -572,6 +574,106 @@ TEST(ServiceFaults, DamagedSpilledSlotIsCheckpointedAsItsFallback) {
     const std::string cold = process->handle_line(solve_line("t", "w0"));
     EXPECT_CONTAINS(cold, "\"path\":\"initial\"");
     EXPECT_EQ(objective_of(cold), "\"objective\":53");
+  }
+}
+
+/// A payload edit that keeps the payload's length, so the manifest row's
+/// byte count still matches the damaged file.
+using PayloadDamage = void (*)(std::string& payload, const test_support::SnapshotLayout& layout);
+
+/// Checkpoints the running example's solved session spilled (`t0/w0`),
+/// rewrites the spilled file's payload with `damage` and re-frames it with a
+/// correct hash, so only the payload's own checks can catch it. Returns the
+/// checkpoint directory; `file` receives the damaged file's bytes.
+std::string checkpoint_with_damaged_spilled_row(const std::string& tag, PayloadDamage damage,
+                                                std::string& file) {
+  const std::string spill = temp_subdir(tag + "_spill");
+  const std::string ckpt = temp_subdir(tag + "_ckpt");
+  SolverService service(parse_service_config("spill_dir=" + spill));
+  EXPECT_CONTAINS(service.handle_line(submit_line("t0", "w0", paper_running_example())),
+                  "\"ok\":true");
+  EXPECT_EQ(objective_of(service.handle_line(solve_line("t0", "w0"))), "\"objective\":53");
+  EXPECT_CONTAINS(service.handle_line(evict_line("t0", "w0")), "\"fate\":\"spilled\"");
+  service.checkpoint_to(ckpt);
+  const std::string path = ckpt + "/spilled/" + snapshot_file_name("t0", "w0");
+  std::string payload(snapshot_payload(read_file_bytes(path)));
+  const std::size_t size = payload.size();
+  damage(payload, test_support::snapshot_layout(payload));
+  EXPECT_EQ(payload.size(), size);
+  file = frame_payload("treesat_snapshot", "v3", payload);
+  write_file_atomic(path, file);
+  return ckpt;
+}
+
+TEST(ServiceFaults, SpilledRowDamagedPastItsNodeTableRestoresAndReloadsCold) {
+  // Restore checks a spilled snapshot's frame, owner, size and node table,
+  // the prefix its tree-only fallback is framed from. The plan, report and
+  // caches are decoded by the reload that adopts the bytes: damage there
+  // restores, and the first solve then re-solves cold from the fallback,
+  // quarantining the bytes, as a damaged live slot does.
+  const std::pair<const char*, PayloadDamage> cases[] = {
+      {"unknown_method",
+       [](std::string& payload, const test_support::SnapshotLayout& layout) {
+         payload[layout.count("method") + 4] = 'X';  // "Xareto-dp"
+       }},
+      {"cache_count",
+       [](std::string& payload, const test_support::SnapshotLayout& layout) {
+         payload = test_support::with_u32(payload, layout.count("colour_entries"), 0xFFFFFFFFu);
+       }},
+  };
+  for (const auto& [tag, damage] : cases) {
+    SCOPED_TRACE(tag);
+    std::string file;
+    const std::string ckpt = checkpoint_with_damaged_spilled_row(tag, damage, file);
+    EXPECT_THROW(static_cast<void>(decode_snapshot(file)), InvalidArgument);
+    const std::string spill = temp_subdir(std::string(tag) + "_restarted");
+    SolverService restarted(parse_service_config("spill_dir=" + spill));
+    const std::string restored =
+        restarted.handle_line("{\"op\":\"restore\",\"dir\":\"" + json_escape(ckpt) + "\"}");
+    EXPECT_CONTAINS(restored, "\"ok\":true");
+    EXPECT_CONTAINS(restored, "\"spilled\":1");
+    EXPECT_CONTAINS(restarted.handle_line("{\"op\":\"stats\"}"), "\"restore_faults\":0");
+
+    const std::string cold = restarted.handle_line(solve_line("t0", "w0"));
+    EXPECT_CONTAINS(cold, "\"ok\":true");
+    EXPECT_CONTAINS(cold, "\"path\":\"initial\"");
+    EXPECT_EQ(objective_of(cold), "\"objective\":53");
+    const std::string stats = restarted.handle_line("{\"op\":\"stats\"}");
+    EXPECT_CONTAINS(stats, "\"spill_faults\":1");
+    EXPECT_CONTAINS(stats, "\"errors\":0");
+    const std::string bad = spill + "/" + snapshot_file_name("t0", "w0") + ".bad";
+    ASSERT_TRUE(std::filesystem::exists(bad));
+    EXPECT_EQ(read_file_bytes(bad), file);
+  }
+}
+
+TEST(ServiceFaults, SpilledRowDamagedInItsNodeTableIsSkippedAtRestore) {
+  // The node table is what a failed reload falls back to, so a spilled row
+  // whose table does not decode cannot be adopted: restore skips it.
+  const std::pair<const char*, PayloadDamage> cases[] = {
+      {"self_parent",
+       [](std::string& payload, const test_support::SnapshotLayout& layout) {
+         payload = test_support::with_u32(payload, layout.node_rows[1] + test_support::kRowParent,
+                                          1);
+       }},
+      {"negative_cost",
+       [](std::string& payload, const test_support::SnapshotLayout& layout) {
+         const double cost = -1.0;
+         std::memcpy(payload.data() + layout.node_rows[2] + test_support::kRowHost, &cost, 8);
+       }},
+  };
+  for (const auto& [tag, damage] : cases) {
+    SCOPED_TRACE(tag);
+    std::string file;
+    const std::string ckpt = checkpoint_with_damaged_spilled_row(tag, damage, file);
+    SolverService restarted(
+        parse_service_config("spill_dir=" + temp_subdir(std::string(tag) + "_restarted")));
+    const std::string restored =
+        restarted.handle_line("{\"op\":\"restore\",\"dir\":\"" + json_escape(ckpt) + "\"}");
+    EXPECT_CONTAINS(restored, "\"ok\":true");
+    EXPECT_CONTAINS(restored, "\"spilled\":0");
+    EXPECT_CONTAINS(restarted.handle_line("{\"op\":\"stats\"}"), "\"restore_faults\":1");
+    EXPECT_CONTAINS(restarted.handle_line(solve_line("t0", "w0")), "unknown instance");
   }
 }
 

@@ -496,6 +496,11 @@ TEST(SnapshotCorruption, DeclaredCountsAreBoundedByThePayload) {
   rejected("colour_entries", "cache entry count 4294967295 exceeds");
   rejected("colour_points", "point loads 4294967295 exceeds");  // the first cache entry's
   rejected("colour_words", "key words 4294967295 exceeds");     // past the end of the payload
+  // A count is bounded by the bytes after it, not by the count's own four:
+  // a tenant of two bytes in a payload that ends after its length is
+  // rejected, not read past the payload's end.
+  expect_decode_rejected(std::string("\x02\0\0\0", 4),
+                         "tenant 2 exceeds what the remaining 0 bytes can hold");
 }
 
 /// A drifted session's state. The running example's colour B has two
